@@ -26,7 +26,8 @@ bench:
 	$(GO) run ./cmd/bench -suite model -out BENCH_model.json
 
 # benchsrv regenerates BENCH_locksrv.json, the lock-service throughput
-# report (protocol v1 vs v2, 1 vs 16 stripes; see docs/LOCKSRV.md).
+# report (serial vs pipelined vs batched, 1 vs 16 stripes; see
+# docs/LOCKSRV.md).
 # Compare a fresh run against the checked-in report with:
 #   go run ./cmd/bench -suite locksrv -out /tmp/new.json -compare BENCH_locksrv.json
 # which exits nonzero on a >10% throughput regression.
@@ -58,13 +59,12 @@ benchwal:
 # locknet is the ISSUE 3 acceptance scenario: 1000 transactions through
 # the network lock service behind the fault-injecting transport (drops,
 # delays, partial writes); runNet fails unless the drain strands zero
-# granules. Runs once per wire protocol, then once against a 3-node
-# partitioned cluster with one node killed mid-run (runNetCluster fails
-# unless the takeover happens and the survivors drain clean). See
-# docs/LOCKSRV.md.
+# granules. Runs once against a single server, then once against a
+# 3-node partitioned cluster with one node killed mid-run
+# (runNetCluster fails unless the takeover happens and the survivors
+# drain clean). See docs/LOCKSRV.md.
 locknet:
 	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -ltot 100
-	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -netproto v2 -ltot 100
 	$(GO) run ./cmd/locksim -net 6 -cluster 3 -nettxns 600 -netfaults -ltot 100
 
 # granulint runs the repo's own invariant analyzers (internal/analysis,
@@ -94,14 +94,19 @@ tools:
 # verify is the PR gate: the lint suite (granulint invariant analyzers
 # plus pinned staticcheck where installed), go vet, the race-enabled
 # test suite (which includes the locksrv fault-injection suite in
-# internal/locksrv/harden_test.go and the protocol v2 suite in
-# proto2_test.go), the lockd admin-endpoint smoke test (real lock
-# traffic scraped through /metrics and validated as Prometheus text),
-# the faulty network lock-service smoke run under both wire protocols
-# plus the 3-node cluster kill-one-node failover smoke run,
-# and quick benchmark smoke runs: the model suite regenerates
+# internal/locksrv/harden_test.go and the wire-protocol suite in
+# proto2_test.go), a 10s fuzz pass over each of the two parsers that
+# face the network (the frame reader and the request-body executor),
+# the frozen benchmark module's vet and short tests (benchmark/ is a
+# module of its own that root `go test ./...` does not reach, so this
+# step is what compiles it against every API change), the lockd
+# admin-endpoint smoke test (real lock traffic scraped through
+# /metrics and validated as Prometheus text), the faulty network
+# lock-service smoke run plus the 3-node cluster kill-one-node
+# failover smoke run, and quick benchmark smoke runs: the model suite
+# regenerates
 # BENCH_model.json with shortened figure sweeps, the lock-service
-# suite exercises both protocols and stripe counts end to end (its
+# suite exercises every connection mode and stripe count end to end (its
 # quick report goes to a scratch path — the checked-in
 # BENCH_locksrv.json is full-fidelity only, via `make benchsrv`), and
 # the lockmgr suite is diffed against the checked-in baseline: quick
@@ -121,9 +126,11 @@ tools:
 verify: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/locksrv/
+	$(GO) test -run '^$$' -fuzz '^FuzzExecuteV2Body$$' -fuzztime=10s ./internal/locksrv/
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race -count=2 -run 'TestAdmin' ./cmd/lockd/
 	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -ltot 100
-	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -netproto v2 -ltot 100
 	$(GO) run ./cmd/locksim -net 6 -cluster 3 -nettxns 600 -netfaults -ltot 100
 	$(GO) run ./cmd/locksim -engine -protocol wound-wait -dbsize 400 -ltot 40 -ntrans 8
 	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20

@@ -164,7 +164,6 @@ func runClusterScenario(name string, nodes, pairsPerStream int) (lsEntry, error)
 	ns := float64(elapsed.Nanoseconds())
 	return lsEntry{
 		Name:      name,
-		Proto:     "v2",
 		Mode:      "cluster",
 		Shards:    16,
 		Clients:   streams,
@@ -236,7 +235,6 @@ func runDirectDelayScenario(name string, pairsPerStream int) (lsEntry, error) {
 	ns := float64(elapsed.Nanoseconds())
 	return lsEntry{
 		Name:      name,
-		Proto:     "v2",
 		Mode:      "serial",
 		Shards:    16,
 		Clients:   streams,

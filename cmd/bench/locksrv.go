@@ -1,12 +1,12 @@
 // The locksrv benchmark suite: service-level throughput of the network
-// lock server over loopback TCP, crossing wire protocol (v1 JSON serial
-// vs v2 binary pipelined vs v2 batched) with lock-table sharding (1 vs
-// 16 stripes) and contention (private granules vs a small shared pool),
-// plus in-process lockmgr microbenchmarks and the cluster-scaling
-// curve over a fixed-RTT transport (cluster.go). The headline
-// comparisons — v2 pipelined + sharded vs v1 serial + single stripe,
-// uncontended (4x floor), and 2-node vs 1-node cluster throughput
-// (1.8x floor) — are acceptance numbers.
+// lock server over loopback TCP, crossing how a connection is used
+// (serial: one request in flight, vs pipelined, vs batched frames) with
+// lock-table sharding (1 vs 16 stripes) and contention (private
+// granules vs a small shared pool), plus in-process lockmgr
+// microbenchmarks and the cluster-scaling curve over a fixed-RTT
+// transport (cluster.go). The headline comparisons — pipelined +
+// sharded vs serial + single stripe, uncontended (4x floor), and 2-node
+// vs 1-node cluster throughput (1.8x floor) — are acceptance numbers.
 //
 // Honesty notes baked into the output: GOMAXPROCS is recorded because
 // sharding cannot buy wall-clock parallelism on one CPU (its effect
@@ -34,7 +34,6 @@ import (
 // lsEntry is one scenario's record in BENCH_locksrv.json.
 type lsEntry struct {
 	Name    string `json:"name"`
-	Proto   string `json:"proto,omitempty"`   // "v1" | "v2"; empty for lockmgr microbenches
 	Mode    string `json:"mode,omitempty"`    // "serial" | "pipelined" | "batched"
 	Shards  int    `json:"shards,omitempty"`  // lock-table stripes
 	Clients int    `json:"clients,omitempty"` // connections
@@ -78,7 +77,6 @@ type lsReport struct {
 // scenario describes one service benchmark configuration.
 type scenario struct {
 	name    string
-	proto   string // "v1" | "v2"
 	mode    string // "serial" | "pipelined" | "batched"
 	shards  int
 	clients int
@@ -130,92 +128,65 @@ func runScenario(sc scenario, pairsPerWorker int) (lsEntry, error) {
 	}
 
 	for ci := 0; ci < sc.clients; ci++ {
-		switch sc.proto {
-		case "v1":
-			c, err := locksrv.Dial(addr)
-			if err != nil {
-				return lsEntry{}, err
-			}
-			closers = append(closers, c.Close)
-			for w := 0; w < sc.workers; w++ {
-				gw := ci*sc.workers + w
+		c, err := locksrv.DialV2(addr)
+		if err != nil {
+			return lsEntry{}, err
+		}
+		closers = append(closers, c.Close)
+		for w := 0; w < sc.workers; w++ {
+			gw := ci*sc.workers + w
+			if sc.mode == "batched" {
 				workers = append(workers, worker{run: func() error {
-					for op := 0; op < pairsPerWorker; op++ {
-						txn := txnSeq.Add(1)
-						req := []lockmgr.Request{{Granule: granuleFor(gw, op), Mode: lockmgr.ModeExclusive}}
-						if err := c.AcquireAll(txn, req); err != nil {
+					for done := 0; done < pairsPerWorker; done += sc.batch {
+						n := sc.batch
+						if left := pairsPerWorker - done; left < n {
+							n = left
+						}
+						claims := make([]locksrv.Claim, n)
+						txns := make([]int64, n)
+						for i := range claims {
+							txns[i] = txnSeq.Add(1)
+							claims[i] = locksrv.Claim{
+								Txn:  txns[i],
+								Reqs: []lockmgr.Request{{Granule: granuleFor(gw, done+i), Mode: lockmgr.ModeExclusive}},
+							}
+						}
+						outs, err := c.AcquireN(claims)
+						if err != nil {
 							return err
 						}
-						if err := c.ReleaseAll(txn); err != nil {
+						for i, e := range outs {
+							if e != nil {
+								return fmt.Errorf("claim %d: %w", i, e)
+							}
+						}
+						routs, err := c.ReleaseN(txns)
+						if err != nil {
 							return err
+						}
+						for i, e := range routs {
+							if e != nil {
+								return fmt.Errorf("release %d: %w", i, e)
+							}
 						}
 					}
 					return nil
 				}})
+				continue
 			}
-		case "v2":
-			c, err := locksrv.DialV2(addr)
-			if err != nil {
-				return lsEntry{}, err
-			}
-			closers = append(closers, c.Close)
-			for w := 0; w < sc.workers; w++ {
-				gw := ci*sc.workers + w
-				if sc.mode == "batched" {
-					workers = append(workers, worker{run: func() error {
-						for done := 0; done < pairsPerWorker; done += sc.batch {
-							n := sc.batch
-							if left := pairsPerWorker - done; left < n {
-								n = left
-							}
-							claims := make([]locksrv.Claim, n)
-							txns := make([]int64, n)
-							for i := range claims {
-								txns[i] = txnSeq.Add(1)
-								claims[i] = locksrv.Claim{
-									Txn:  txns[i],
-									Reqs: []lockmgr.Request{{Granule: granuleFor(gw, done+i), Mode: lockmgr.ModeExclusive}},
-								}
-							}
-							outs, err := c.AcquireN(claims)
-							if err != nil {
-								return err
-							}
-							for i, e := range outs {
-								if e != nil {
-									return fmt.Errorf("claim %d: %w", i, e)
-								}
-							}
-							routs, err := c.ReleaseN(txns)
-							if err != nil {
-								return err
-							}
-							for i, e := range routs {
-								if e != nil {
-									return fmt.Errorf("release %d: %w", i, e)
-								}
-							}
-						}
-						return nil
-					}})
-					continue
+			workers = append(workers, worker{run: func() error {
+				for op := 0; op < pairsPerWorker; op++ {
+					txn := txnSeq.Add(1)
+					req := []lockmgr.Request{{Granule: granuleFor(gw, op), Mode: lockmgr.ModeExclusive}}
+					if err := c.AcquireAll(txn, req); err != nil {
+						return err
+					}
+					if err := c.ReleaseAll(txn); err != nil {
+						return err
+					}
 				}
-				workers = append(workers, worker{run: func() error {
-					for op := 0; op < pairsPerWorker; op++ {
-						txn := txnSeq.Add(1)
-						req := []lockmgr.Request{{Granule: granuleFor(gw, op), Mode: lockmgr.ModeExclusive}}
-						if err := c.AcquireAll(txn, req); err != nil {
-							return err
-						}
-						if err := c.ReleaseAll(txn); err != nil {
-							return err
-						}
-					}
-					return nil
-				}})
-			}
-		default:
-			return lsEntry{}, fmt.Errorf("unknown proto %q", sc.proto)
+				return nil
+			}})
 		}
 	}
 
@@ -246,7 +217,6 @@ func runScenario(sc scenario, pairsPerWorker int) (lsEntry, error) {
 	ns := float64(elapsed.Nanoseconds())
 	return lsEntry{
 		Name:      sc.name,
-		Proto:     sc.proto,
 		Mode:      sc.mode,
 		Shards:    sc.shards,
 		Clients:   sc.clients,
@@ -369,14 +339,13 @@ func runLocksrv(quick bool) ([]byte, error) {
 		sc    scenario
 		pairs int
 	}{
-		{scenario{name: "locksrv/v1/serial/uncontended/shards=1", proto: "v1", mode: "serial", shards: 1, clients: clients, workers: 1}, serialPairs},
-		{scenario{name: "locksrv/v2/serial/uncontended/shards=1", proto: "v2", mode: "serial", shards: 1, clients: clients, workers: 1}, serialPairs},
-		{scenario{name: "locksrv/v2/pipelined/uncontended/shards=1", proto: "v2", mode: "pipelined", shards: 1, clients: clients, workers: inflight}, pipePairs},
-		{scenario{name: "locksrv/v2/pipelined/uncontended/shards=16", proto: "v2", mode: "pipelined", shards: 16, clients: clients, workers: inflight}, pipePairs},
-		{scenario{name: "locksrv/v2/batched/uncontended/shards=16", proto: "v2", mode: "batched", shards: 16, clients: clients, workers: 1, batch: batch}, serialPairs},
-		{scenario{name: "locksrv/v1/serial/contended/shards=1", proto: "v1", mode: "serial", shards: 1, clients: clients, workers: 1, pool: pool}, serialPairs},
-		{scenario{name: "locksrv/v2/pipelined/contended/shards=1", proto: "v2", mode: "pipelined", shards: 1, clients: clients, workers: inflight, pool: pool}, pipePairs},
-		{scenario{name: "locksrv/v2/pipelined/contended/shards=16", proto: "v2", mode: "pipelined", shards: 16, clients: clients, workers: inflight, pool: pool}, pipePairs},
+		{scenario{name: "locksrv/v2/serial/uncontended/shards=1", mode: "serial", shards: 1, clients: clients, workers: 1}, serialPairs},
+		{scenario{name: "locksrv/v2/pipelined/uncontended/shards=1", mode: "pipelined", shards: 1, clients: clients, workers: inflight}, pipePairs},
+		{scenario{name: "locksrv/v2/pipelined/uncontended/shards=16", mode: "pipelined", shards: 16, clients: clients, workers: inflight}, pipePairs},
+		{scenario{name: "locksrv/v2/batched/uncontended/shards=16", mode: "batched", shards: 16, clients: clients, workers: 1, batch: batch}, serialPairs},
+		{scenario{name: "locksrv/v2/serial/contended/shards=1", mode: "serial", shards: 1, clients: clients, workers: 1, pool: pool}, serialPairs},
+		{scenario{name: "locksrv/v2/pipelined/contended/shards=1", mode: "pipelined", shards: 1, clients: clients, workers: inflight, pool: pool}, pipePairs},
+		{scenario{name: "locksrv/v2/pipelined/contended/shards=16", mode: "pipelined", shards: 16, clients: clients, workers: inflight, pool: pool}, pipePairs},
 	}
 
 	rep := lsReport{
@@ -457,18 +426,16 @@ func runLocksrv(quick bool) ([]byte, error) {
 		name, num, den string
 		target         float64
 	}{
-		{"v2-pipelined-sharded vs v1-serial (uncontended headline)",
-			"locksrv/v2/pipelined/uncontended/shards=16", "locksrv/v1/serial/uncontended/shards=1", 4},
-		{"binary codec alone (v2 serial vs v1 serial)",
-			"locksrv/v2/serial/uncontended/shards=1", "locksrv/v1/serial/uncontended/shards=1", 0},
+		{"v2 pipelined+sharded vs serial (uncontended headline)",
+			"locksrv/v2/pipelined/uncontended/shards=16", "locksrv/v2/serial/uncontended/shards=1", 4},
 		{"pipelining alone (v2 pipelined vs v2 serial)",
 			"locksrv/v2/pipelined/uncontended/shards=1", "locksrv/v2/serial/uncontended/shards=1", 0},
 		{"sharding, uncontended (16 vs 1 stripes)",
 			"locksrv/v2/pipelined/uncontended/shards=16", "locksrv/v2/pipelined/uncontended/shards=1", 0},
 		{"batching vs pipelining",
 			"locksrv/v2/batched/uncontended/shards=16", "locksrv/v2/pipelined/uncontended/shards=16", 0},
-		{"v2-pipelined-sharded vs v1-serial (contended, honest)",
-			"locksrv/v2/pipelined/contended/shards=16", "locksrv/v1/serial/contended/shards=1", 0},
+		{"v2 pipelined+sharded vs serial (contended, honest)",
+			"locksrv/v2/pipelined/contended/shards=16", "locksrv/v2/serial/contended/shards=1", 0},
 		{"sharding, contended (16 vs 1 stripes)",
 			"locksrv/v2/pipelined/contended/shards=16", "locksrv/v2/pipelined/contended/shards=1", 0},
 		{"cluster scaling, RTT-bound (2 vs 1 nodes)",

@@ -10,7 +10,7 @@
 //
 // The model suite measures the simulation engine and two representative
 // figure sweeps. The locksrv suite measures the network lock service —
-// wire protocol v1 vs v2, serial vs pipelined vs batched, lock table
+// serial vs pipelined vs batched use of a connection, lock table
 // sharded vs not, plus the partitioned cluster's 1/2/4-node scaling
 // curve over a fixed-RTT transport — and lockmgr microbenchmarks (see
 // locksrv.go and cluster.go). The

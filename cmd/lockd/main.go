@@ -5,12 +5,9 @@
 //
 //	lockd [-addr 127.0.0.1:7654] [-grace 5s] [-idle 5m] [-stats 30s] [-admin 127.0.0.1:9654]
 //
-// The protocol is newline-delimited JSON (see internal/locksrv and
-// docs/LOCKSRV.md):
-//
-//	{"op":"acquire","txn":1,"granules":[3,4],"exclusive":[true,false],"timeout_ms":500}
-//	{"op":"release","txn":1}
-//	{"op":"stats"}
+// The protocol is length-prefixed binary frames, pipelined (see
+// internal/locksrv and docs/LOCKSRV.md); Go clients use locksrv.DialV2
+// or, against a -cluster deployment, locksrv.DialCluster.
 //
 // SIGTERM or SIGINT drains gracefully: lockd stops accepting, gives
 // in-flight requests the -grace period to finish, force-releases

@@ -64,7 +64,7 @@ func scrape(t *testing.T, url string) (string, *http.Response) {
 func TestAdminEndpointServesMetrics(t *testing.T) {
 	srv, _, admin := startTestService(t)
 
-	holder, err := locksrv.Dial(srv.Addr().String())
+	holder, err := locksrv.DialV2(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAdminEndpointServesMetrics(t *testing.T) {
 	}
 
 	// A second session contends on the held granule and times out.
-	waiter, err := locksrv.Dial(srv.Addr().String())
+	waiter, err := locksrv.DialV2(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

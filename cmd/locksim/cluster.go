@@ -256,7 +256,6 @@ func runNetCluster(cfg clusterNetConfig, out *os.File) error {
 	}
 	sum.Workers = cfg.workers
 	sum.Txns = cfg.txns
-	sum.Proto = "cluster"
 	sum.Timeouts = timeouts.Load()
 	sum.Reconnects = reconnects.Load()
 	sum.Retries = retries.Load()

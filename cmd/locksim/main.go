@@ -17,7 +17,6 @@
 // graceful drain strands no granules:
 //
 //	locksim -net 8 -nettxns 1000 -netfaults -ltot 100
-//	locksim -net 8 -netproto v2 -netfaults -ltot 100   # binary pipelined protocol
 //
 // With -cluster N (N ≥ 2, alongside -net) the harness instead stands
 // up an N-node partitioned lock cluster and drives cluster-aware
@@ -97,7 +96,6 @@ func run(args []string, out *os.File) error {
 	netLocksPer := fs.Int("netlocksper", 4, "maximum granules claimed per -net transaction")
 	netTimeout := fs.Duration("nettimeout", 200*time.Millisecond, "per-acquire wait deadline for -net transactions")
 	netFaults := fs.Bool("netfaults", false, "inject transport faults (drops, delays, partial writes) into the -net clients")
-	netProto := fs.String("netproto", "v1", "wire protocol for the -net clients: v1 (JSON) or v2 (binary pipelined)")
 	clusterNodes := fs.Int("cluster", 0, "run the -net harness against a partitioned cluster with this many nodes (0: single server)")
 	netKill := fs.Bool("netkill", true, "kill one cluster node a third of the way through a -cluster run")
 	engineMode := fs.Bool("engine", false, "run the executable engine (one closed workload) instead of the simulation; -ltot is the granule count, -ntrans the workers, -npros the nodes")
@@ -149,7 +147,6 @@ func run(args []string, out *os.File) error {
 			locksPer: *netLocksPer,
 			timeout:  *netTimeout,
 			faults:   *netFaults,
-			proto:    *netProto,
 			seed:     *seed,
 			asJSON:   *asJSON,
 		}
@@ -159,9 +156,6 @@ func run(args []string, out *os.File) error {
 				nodes:     *clusterNodes,
 				kill:      *netKill,
 			}, out)
-		}
-		if *netProto != "v1" && *netProto != "v2" {
-			return fmt.Errorf("unknown -netproto %q (v1, v2)", *netProto)
 		}
 		return runNet(cfg, out)
 	}

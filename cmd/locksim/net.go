@@ -24,26 +24,14 @@ type netConfig struct {
 	locksPer int           // max granules claimed per transaction
 	timeout  time.Duration // per-acquire wait deadline
 	faults   bool          // inject drops/delays/partial writes
-	proto    string        // wire protocol: "v1" (JSON) or "v2" (binary pipelined)
 	seed     uint64
 	asJSON   bool
-}
-
-// netClient is the client surface the harness needs; both the v1 JSON
-// client and the v2 binary client satisfy it.
-type netClient interface {
-	AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout time.Duration) error
-	ReleaseAll(txn int64) error
-	Reconnects() int64
-	Retries() int64
-	Close() error
 }
 
 // netSummary is what the harness reports.
 type netSummary struct {
 	Workers     int     `json:"workers"`
 	Txns        int     `json:"txns"`
-	Proto       string  `json:"proto"`
 	Timeouts    int64   `json:"timeouts"`     // acquire timeouts retried by workers
 	Reconnects  int64   `json:"reconnects"`   // client transport reconnects
 	Retries     int64   `json:"retries"`      // client request retries
@@ -119,13 +107,7 @@ func runNet(cfg netConfig, out *os.File) error {
 				opts = append(opts, locksrv.WithDialer(
 					locksrv.FaultyDialer(faultCfg, cfg.seed^uint64(w+1)<<16, &fs)))
 			}
-			var c netClient
-			var err error
-			if cfg.proto == "v2" {
-				c, err = locksrv.DialV2(addr, opts...)
-			} else {
-				c, err = locksrv.Dial(addr, opts...)
-			}
+			c, err := locksrv.DialV2(addr, opts...)
 			if err != nil {
 				errCh <- fmt.Errorf("worker %d: %w", w, err)
 				return
@@ -193,14 +175,9 @@ func runNet(cfg netConfig, out *os.File) error {
 	if len(acqMS) > 0 {
 		qs = stats.Quantiles(acqMS, 0.50, 0.90, 0.99)
 	}
-	proto := cfg.proto
-	if proto == "" {
-		proto = "v1"
-	}
 	sum := netSummary{
 		Workers:     cfg.workers,
 		Txns:        cfg.txns,
-		Proto:       proto,
 		Timeouts:    timeouts.Load(),
 		Reconnects:  reconnects.Load(),
 		Retries:     retries.Load(),
@@ -223,7 +200,7 @@ func runNet(cfg netConfig, out *os.File) error {
 	if cfg.asJSON {
 		return json.NewEncoder(out).Encode(sum)
 	}
-	fmt.Fprintf(out, "net workers      %d (protocol %s)\n", sum.Workers, sum.Proto)
+	fmt.Fprintf(out, "net workers      %d\n", sum.Workers)
 	fmt.Fprintf(out, "net txns         %d\n", sum.Txns)
 	fmt.Fprintf(out, "acquire timeouts %d (retried)\n", sum.Timeouts)
 	fmt.Fprintf(out, "reconnects       %d (retries %d)\n", sum.Reconnects, sum.Retries)

@@ -17,7 +17,7 @@ func TestAcquireNChunksByteBudget(t *testing.T) {
 	defer func() { maxBatchBytes = old }()
 
 	addr, srv := startServer(t)
-	c := dialV2(t, addr, WithRetries(0))
+	c := dial(t, addr, WithRetries(0))
 	const nClaims = 60
 	const perClaim = 30 // 290 encoded bytes/claim → ~14 claims/frame
 	claims := make([]Claim, nClaims)
@@ -68,7 +68,7 @@ func TestAcquireNOversizeClaimRejected(t *testing.T) {
 	maxBatchBytes = 256
 	defer func() { maxBatchBytes = old }()
 	addr, _ := startServer(t)
-	c := dialV2(t, addr, WithRetries(0))
+	c := dial(t, addr, WithRetries(0))
 	if _, err := c.AcquireN([]Claim{{Txn: 1, Reqs: xreq(make([]int64, 64)...)}}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("want ErrBadRequest for oversize claim, got %v", err)
 	}
@@ -82,7 +82,7 @@ func TestAcquireNOversizeClaimRejected(t *testing.T) {
 // (v2MaxInflight), not just the byte budget.
 func TestAcquireNChunksItemCount(t *testing.T) {
 	addr, srv := startServer(t)
-	c := dialV2(t, addr, WithRetries(0))
+	c := dial(t, addr, WithRetries(0))
 	claims := make([]Claim, v2MaxInflight+40)
 	for i := range claims {
 		claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(int64(i))}
@@ -106,7 +106,7 @@ func TestAcquireNChunksItemCount(t *testing.T) {
 // oversized frame; with chunking every sub-release must come back.
 func TestReleaseNOverFrameCap(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialV2(t, addr, WithRetries(0))
+	c := dial(t, addr, WithRetries(0))
 	txns := make([]int64, 530_000)
 	for i := range txns {
 		txns[i] = int64(i + 1)
@@ -131,11 +131,11 @@ func TestReleaseNOverFrameCap(t *testing.T) {
 // in-flight request must fail promptly with ErrSessionClosed.
 func TestDrainFailsPipelinedBacklogTyped(t *testing.T) {
 	addr, srv := startServerOpts(t, WithGrace(50*time.Millisecond))
-	holder := dialV2(t, addr, WithRetries(0))
+	holder := dial(t, addr, WithRetries(0))
 	if err := holder.AcquireAll(1, xreq(7)); err != nil {
 		t.Fatal(err)
 	}
-	blocked := dialV2(t, addr, WithRetries(0))
+	blocked := dial(t, addr, WithRetries(0))
 	const backlog = 24
 	done := make(chan error, backlog)
 	for i := 0; i < backlog; i++ {
@@ -175,15 +175,11 @@ func TestDrainFailsPipelinedBacklogTyped(t *testing.T) {
 	}
 }
 
-// Regression: Client.Close during a retry backoff sleep used to let
-// the sleep run to completion. The close must abort it immediately.
-func TestCloseAbortsBackoffV1(t *testing.T) {
+// Regression: Close during a retry backoff sleep used to let the sleep
+// run to completion. The close must abort it immediately.
+func TestCloseAbortsBackoff(t *testing.T) {
 	addr, srv := startServer(t)
-	c, err := Dial(addr, WithRetries(5), WithBackoff(5*time.Second, 5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr, WithRetries(5), WithBackoff(5*time.Second, 5*time.Second))
 	if err := c.AcquireAll(1, xreq(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -191,28 +187,6 @@ func TestCloseAbortsBackoffV1(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- c.AcquireAll(2, xreq(2)) }()
 	time.Sleep(100 * time.Millisecond) // let the call reach its backoff sleep
-	start := time.Now()
-	c.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("want ErrClientClosed, got %v", err)
-		}
-	case <-time.After(1500 * time.Millisecond):
-		t.Fatalf("Close did not abort a 5s backoff sleep (waited %v)", time.Since(start))
-	}
-}
-
-func TestCloseAbortsBackoffV2(t *testing.T) {
-	addr, srv := startServer(t)
-	c := dialV2(t, addr, WithRetries(5), WithBackoff(5*time.Second, 5*time.Second))
-	if err := c.AcquireAll(1, xreq(1)); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	done := make(chan error, 1)
-	go func() { done <- c.AcquireAll(2, xreq(2)) }()
-	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
 	c.Close()
 	select {

@@ -12,28 +12,117 @@ import (
 	"time"
 
 	"granulock/internal/lockmgr"
+	"granulock/internal/obs"
+	"granulock/internal/rng"
 )
 
 // errConnLost is the internal transport-retry signal for a request that
 // raced a connection teardown.
 var errConnLost = errors.New("locksrv: connection lost")
 
-// ClientV2 speaks the binary pipelined protocol. Unlike the v1 Client,
-// its methods ARE safe for concurrent use: calls from many goroutines
-// multiplex over one connection, each tagged with a request id, and
-// responses are matched back as they arrive — out of order when the
-// server completes them out of order. That multiplexing is the whole
+// Typed protocol errors, one per response status (see replyErr), matched
+// with errors.Is. These are lock-protocol outcomes, not transport
+// failures: the client never retries them at the transport layer (the
+// caller decides — a timed-out acquire is commonly retried after
+// releasing, a foreign release is a logic bug).
+//
+// locksrv is a wire boundary: every error the package constructs in a
+// function body must wrap one of these taxonomy values with %w, so
+// callers on the far side can dispatch with errors.Is. The errtaxonomy
+// analyzer (cmd/granulint) enforces this.
+//
+//granulint:wireboundary
+var (
+	// ErrTimeout: the acquire's wait deadline (timeout_ms) expired.
+	ErrTimeout = errors.New("locksrv: acquire timed out")
+	// ErrNotOwner: release of a transaction granted on another session.
+	ErrNotOwner = errors.New("locksrv: transaction owned by another session")
+	// ErrSessionClosed: the server is draining or closed the session.
+	ErrSessionClosed = errors.New("locksrv: session closed by server")
+	// ErrClientClosed: Close was called on this client; no further
+	// requests or reconnects will be attempted.
+	ErrClientClosed = errors.New("locksrv: client closed")
+	// ErrBadRequest: the server rejected the request as malformed
+	// (bad_request) — a client bug, not a transient fault.
+	ErrBadRequest = errors.New("locksrv: bad request")
+	// ErrUnknownOp: the server does not implement the requested op —
+	// a protocol-version mismatch between client and server.
+	ErrUnknownOp = errors.New("locksrv: unknown op")
+	// ErrMalformedReply: the client could not decode a server reply, or
+	// the reply carried a status outside the taxonomy — framing or
+	// protocol state is suspect.
+	ErrMalformedReply = errors.New("locksrv: malformed reply")
+	// ErrRedirect: the request reached a cluster node that does not
+	// serve the granule set. The concrete error is a *RedirectError
+	// carrying the owning node's index and address (errors.As); the
+	// cluster client follows it transparently.
+	ErrRedirect = errors.New("locksrv: granule served by another node")
+	// ErrLeaseExpired: a lease re-assert lost the failover race — the
+	// recovery window sealed before the assert arrived, or the grants
+	// conflict with state already reconstructed. The transaction's locks
+	// are gone and the caller must re-claim from scratch.
+	ErrLeaseExpired = errors.New("locksrv: lease expired")
+	// ErrUnavailable: the server could not durably journal the grant
+	// (lockd -waldir), so it withdrew the claim; the transaction holds
+	// nothing. Not a verdict on the request: the caller may retry it, and
+	// a retry succeeds once the journal recovers.
+	ErrUnavailable = errors.New("locksrv: grant not journaled, claim withdrawn")
+)
+
+// RedirectError is the concrete error behind ErrRedirect: the serving
+// node's ring index and dial address, parsed from the redirect detail.
+// Match with errors.As to follow the redirect, or
+// errors.Is(err, ErrRedirect) to merely classify it.
+type RedirectError struct {
+	Node int    // ring index of the serving node
+	Addr string // dial address of the serving node
+}
+
+func (e *RedirectError) Error() string {
+	return fmt.Sprintf("locksrv: granule served by node %d at %s", e.Node, e.Addr)
+}
+
+// Unwrap chains to ErrRedirect so errors.Is classification works.
+func (e *RedirectError) Unwrap() error { return ErrRedirect }
+
+// redirectDetail encodes the serving node for a redirect reply; the
+// format is shared by error frames and batch sub-item messages.
+func redirectDetail(node int, addr string) string {
+	return fmt.Sprintf("%d %s", node, addr)
+}
+
+// parseRedirectDetail is the inverse of redirectDetail. ok is false
+// when the detail does not parse (a redirect from a future protocol
+// revision degrades to the plain ErrRedirect classification).
+func parseRedirectDetail(detail string) (node int, addr string, ok bool) {
+	i := 0
+	for i < len(detail) && detail[i] >= '0' && detail[i] <= '9' {
+		node = node*10 + int(detail[i]-'0')
+		i++
+	}
+	if i == 0 || i+1 >= len(detail) || detail[i] != ' ' {
+		return 0, "", false
+	}
+	return node, detail[i+1:], true
+}
+
+// ClientV2 is one lock-manager session over the binary pipelined
+// protocol. Its methods are safe for concurrent use: calls from many
+// goroutines multiplex over one connection, each tagged with a request
+// id, and responses are matched back as they arrive — out of order when
+// the server completes them out of order. That multiplexing is the whole
 // point: N concurrent calls cost one connection and, thanks to write
 // coalescing on both sides, far fewer than 2N syscalls.
 //
-// Transport fault handling mirrors the v1 client: a dead connection
-// fails every in-flight call with a transport error, and each call
-// retries on a fresh connection (single-flight redial) with capped
-// exponential backoff and deterministic jitter, up to the retry budget.
-// Retrying is safe for the same reason as in v1 — a dead session's
-// grants are force-released by the server. Lock-protocol errors
-// (timeout, not_owner, bad_request) are returned typed and never
-// retried.
+// The client survives transport faults: a dead connection fails every
+// in-flight call with a transport error, and each call retries on a
+// fresh connection (single-flight redial) with capped exponential
+// backoff and deterministic jitter, up to the retry budget. Retrying is
+// safe because a dead session's grants are force-released by the
+// server — re-sending an acquire whose response was lost re-claims from
+// a clean slate, and re-sending a release is idempotent. Lock-protocol
+// errors (timeout, not_owner, bad_request, unavailable) are returned
+// typed and never retried here.
 type ClientV2 struct {
 	cfg clientCfg
 
@@ -79,8 +168,89 @@ type v2Reply struct {
 // pooled channel is always empty.
 var replyChPool = sync.Pool{New: func() any { return make(chan v2Reply, 1) }}
 
-// DialV2 connects to a lock server speaking protocol v2. It accepts the
-// same options as Dial.
+// clientCfg is the configuration of a ClientV2, and through it of the
+// per-node sessions of a ClusterClient.
+type clientCfg struct {
+	addr string
+	dial func(addr string) (net.Conn, error)
+
+	retries     int // transport retries per request, beyond the first attempt
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	jitter      *rng.Source
+	sleep       func(time.Duration) // test seam; nil means the default timer-backed sleep
+
+	// Registry twins of the reconnect/retry counters, nil without
+	// WithClientMetrics. Registration is idempotent, so a fleet of
+	// workers sharing one registry aggregates into the same series.
+	mReconnects *obs.Counter
+	mRetries    *obs.Counter
+
+	// Cluster-client knobs (WithLeaseInterval, WithFailoverTimeout,
+	// WithRingVNodes); ignored by a bare ClientV2.
+	leaseEvery   time.Duration
+	failoverWait time.Duration
+	ringVNodes   int
+}
+
+func defaultClientCfg(addr string) clientCfg {
+	return clientCfg{
+		addr: addr,
+		dial: func(addr string) (net.Conn, error) {
+			return net.Dial("tcp", addr)
+		},
+		retries:     4,
+		backoffBase: 10 * time.Millisecond,
+		backoffMax:  time.Second,
+		jitter:      rng.New(1),
+	}
+}
+
+// ClientOption configures a ClientV2 or a ClusterClient.
+type ClientOption func(*clientCfg)
+
+// WithRetries sets how many times a request is retried after a
+// transport failure (dial, send or receive). Default 4. Zero disables
+// reconnection entirely: the first transport error is final.
+func WithRetries(n int) ClientOption {
+	return func(c *clientCfg) { c.retries = n }
+}
+
+// WithBackoff sets the reconnect backoff: attempt k sleeps for
+// base·2^k, capped at max, with deterministic jitter in [d/2, d).
+// Default 10ms base, 1s cap.
+func WithBackoff(base, max time.Duration) ClientOption {
+	return func(c *clientCfg) { c.backoffBase, c.backoffMax = base, max }
+}
+
+// WithJitterSeed seeds the deterministic backoff jitter stream, so a
+// fleet of workers with distinct seeds desynchronizes its reconnect
+// storms reproducibly. Default seed 1.
+func WithJitterSeed(seed uint64) ClientOption {
+	return func(c *clientCfg) { c.jitter = rng.New(seed) }
+}
+
+// WithDialer replaces the transport dialer — how the client (re)opens
+// its connection. Fault-injection tests wrap the returned conn (see
+// FaultyDialer).
+func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
+	return func(c *clientCfg) { c.dial = dial }
+}
+
+// WithClientMetrics mirrors the client's reconnect and retry counters
+// into reg (granulock_locksrv_client_reconnects_total,
+// granulock_locksrv_client_retries_total). Clients sharing a registry
+// aggregate into the same series, one series per fleet.
+func WithClientMetrics(reg *obs.Registry) ClientOption {
+	return func(c *clientCfg) {
+		c.mReconnects = reg.NewCounter("granulock_locksrv_client_reconnects_total",
+			"Connections re-established after a transport failure.")
+		c.mRetries = reg.NewCounter("granulock_locksrv_client_retries_total",
+			"Request attempts that were transport retries.")
+	}
+}
+
+// DialV2 connects to a lock server.
 func DialV2(addr string, opts ...ClientOption) (*ClientV2, error) {
 	c := &ClientV2{
 		cfg:     defaultClientCfg(addr),
@@ -333,8 +503,10 @@ func (c *ClientV2) roundTrip2(op byte, build func(fb *frameBuf)) (v2Reply, error
 	return v2Reply{}, fmt.Errorf("locksrv: retry budget exhausted after %d attempts: %w", c.cfg.retries+1, lastErr)
 }
 
-// backoffDelay mirrors Client.backoffDelay. The jitter source is not
-// concurrency-safe, so draws are serialized under mu.
+// backoffDelay returns the sleep before reconnect attempt k (0-based):
+// capped exponential with deterministic jitter, uniform in [d/2, d).
+// The jitter source is not concurrency-safe, so draws are serialized
+// under mu.
 func (c *ClientV2) backoffDelay(attempt int) time.Duration {
 	d := c.cfg.backoffBase
 	for i := 0; i < attempt && d < c.cfg.backoffMax; i++ {
@@ -403,12 +575,39 @@ func (s *sleeper) stop() {
 	}
 }
 
-// replyErr maps a v2 status onto the shared typed-error taxonomy.
+// replyErr maps a response status onto the typed-error taxonomy; the
+// reply body is the server's human-readable detail.
 func replyErr(op string, r v2Reply) error {
-	if r.status == statusOK {
+	var base error
+	switch r.status {
+	case statusOK:
 		return nil
+	case statusTimeout:
+		base = ErrTimeout
+	case statusClosed:
+		base = ErrSessionClosed
+	case statusNotOwner:
+		base = ErrNotOwner
+	case statusBadRequest:
+		base = ErrBadRequest
+	case statusUnknownOp:
+		base = ErrUnknownOp
+	case statusRedirect:
+		if node, addr, ok := parseRedirectDetail(string(r.body)); ok {
+			base = &RedirectError{Node: node, Addr: addr}
+		} else {
+			base = ErrRedirect
+		}
+	case statusLeaseExpired:
+		base = ErrLeaseExpired
+	case statusUnavailable:
+		base = ErrUnavailable
+	default:
+		// A status outside the taxonomy: the server speaks a newer (or
+		// corrupted) protocol revision.
+		base = ErrMalformedReply
 	}
-	return respErr(op, Response{Code: statusToCode(r.status), Err: string(r.body)})
+	return fmt.Errorf("locksrv: %s: %w (%s)", op, base, r.body)
 }
 
 // appendAcquireBody encodes one acquire body onto fb.
@@ -427,7 +626,8 @@ func appendAcquireBody(fb *frameBuf, txn int64, reqs []lockmgr.Request, timeoutM
 }
 
 // wireTimeoutMS rounds a sub-millisecond timeout up to the wire's 1ms
-// resolution; 0 means wait indefinitely.
+// resolution: the protocol reads timeout_ms=0 as "wait indefinitely", so
+// truncation would turn a tight deadline into an unbounded block.
 func wireTimeoutMS(timeout time.Duration) int64 {
 	ms := int64(timeout / time.Millisecond)
 	if timeout > 0 && ms == 0 {
@@ -442,8 +642,10 @@ func (c *ClientV2) AcquireAll(txn int64, reqs []lockmgr.Request) error {
 	return c.AcquireAllTimeout(txn, reqs, 0)
 }
 
-// AcquireAllTimeout is AcquireAll with a wait deadline, mirroring the
-// v1 client's semantics (ErrTimeout on expiry, nothing held).
+// AcquireAllTimeout is AcquireAll with a wait deadline: if the claim is
+// not granted within timeout the server withdraws it, the transaction
+// holds nothing, and the call fails with an error matching ErrTimeout
+// (errors.Is). Zero timeout waits indefinitely.
 func (c *ClientV2) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout time.Duration) error {
 	ms := wireTimeoutMS(timeout)
 	reply, err := c.roundTrip2(opAcquire, func(fb *frameBuf) {
@@ -455,9 +657,9 @@ func (c *ClientV2) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, timeout 
 	return replyErr("acquire", reply)
 }
 
-// ReleaseAll releases everything txn holds. Semantics match the v1
-// client: foreign transactions fail with ErrNotOwner, unknown ones are
-// an idempotent no-op.
+// ReleaseAll releases everything txn holds. Releasing a transaction
+// granted on a different session fails with an error matching
+// ErrNotOwner; releasing an unknown transaction is an idempotent no-op.
 func (c *ClientV2) ReleaseAll(txn int64) error {
 	reply, err := c.roundTrip2(opRelease, func(fb *frameBuf) {
 		fb.appendU64(uint64(txn))
@@ -678,8 +880,8 @@ func (c *ClientV2) Stats() (lockmgr.Stats, error) {
 	return table, err
 }
 
-// FullStats fetches both halves of the stats op (shared JSON schema
-// with v1).
+// FullStats fetches both halves of the stats op: the lock-table
+// counters and the service-level gauges, counters and wait quantiles.
 func (c *ClientV2) FullStats() (lockmgr.Stats, ServerStats, error) {
 	reply, err := c.roundTrip2(opStats, func(fb *frameBuf) {})
 	if err != nil {
@@ -688,7 +890,7 @@ func (c *ClientV2) FullStats() (lockmgr.Stats, ServerStats, error) {
 	if reply.status != statusOK {
 		return lockmgr.Stats{}, ServerStats{}, replyErr("stats", reply)
 	}
-	var resp Response
+	var resp statsReply
 	if err := json.Unmarshal(reply.body, &resp); err != nil {
 		return lockmgr.Stats{}, ServerStats{}, fmt.Errorf("locksrv: stats: %w", err)
 	}

@@ -164,14 +164,14 @@ func (cl *clusterState) recoveringCount() int {
 	return n
 }
 
-// clusterAdmit routes one granule set: it returns ("", "") when this
-// node serves every granule (parking first if a covering takeover's
+// clusterAdmit routes one granule set: it returns (statusOK, "") when
+// this node serves every granule (parking first if a covering takeover's
 // recovery window is still open and this is not a lease re-assert),
 // or a redirect/timeout/closed outcome. Nil cluster admits everything.
-func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reassert bool) (string, string) {
+func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reassert bool) (byte, string) {
 	cl := s.cluster
 	if cl == nil {
-		return "", ""
+		return statusOK, ""
 	}
 	for {
 		var wait chan struct{}
@@ -183,7 +183,7 @@ func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reass
 			t := cl.takeoverOf(owner)
 			if t == nil {
 				s.om.clusterRedirects.Inc()
-				return CodeRedirect, redirectDetail(owner, cl.cfg.Nodes[owner])
+				return statusRedirect, redirectDetail(owner, cl.cfg.Nodes[owner])
 			}
 			select {
 			case <-t.sealed:
@@ -196,7 +196,7 @@ func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reass
 			}
 		}
 		if wait == nil {
-			return "", ""
+			return statusOK, ""
 		}
 		s.om.clusterParked.Inc()
 		select {
@@ -206,10 +206,10 @@ func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reass
 		case <-ctx.Done():
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				s.om.timeouts.Inc()
-				return CodeTimeout, "acquire timed out parked behind partition recovery"
+				return statusTimeout, "acquire timed out parked behind partition recovery"
 			}
 			s.om.cancels.Inc()
-			return CodeClosed, "session closed"
+			return statusClosed, "session closed"
 		}
 	}
 }
@@ -362,12 +362,12 @@ func probeV2(hbp **ClientV2, addr string, dial func(string) (net.Conn, error), t
 // conflict with reconstructed or live state. Mirrors releaseCore's
 // patience with a condemned predecessor session's teardown: a lease
 // retried across a reconnect must not lose to its own dying session.
-func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, owned *ownedSet) (string, string) {
+func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, owned *ownedSet) (byte, string) {
 	if len(reqs) == 0 {
-		return CodeBadRequest, "lease without granules"
+		return statusBadRequest, "lease without granules"
 	}
-	if code, msg := s.clusterAdmit(ctx, reqs, true); code != "" {
-		return code, msg
+	if st, msg := s.clusterAdmit(ctx, reqs, true); st != statusOK {
+		return st, msg
 	}
 	start := time.Now()
 	var tick *time.Timer
@@ -377,12 +377,12 @@ func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID
 		owner, ok := s.owners[txn]
 		s.mu.Unlock()
 		if ok && owner == sess {
-			return "", "" // refresh: grants already live on this session
+			return statusOK, "" // refresh: grants already live on this session
 		}
 		if ok {
 			if !owner.closing.Load() && time.Since(start) > ownerRaceWait {
 				s.om.clusterLeaseExpired.Inc()
-				return CodeLeaseExpired, fmt.Sprintf("transaction %d is granted on another live session", txn)
+				return statusLeaseExpired, fmt.Sprintf("transaction %d is granted on another live session", txn)
 			}
 			// Condemned (or not-yet-detected dead) predecessor: wait its
 			// teardown out, then reconstruct.
@@ -394,26 +394,26 @@ func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID
 				s.mu.Unlock()
 				owned.add(txn)
 				s.om.clusterReasserts.Inc()
-				return "", ""
+				return statusOK, ""
 			}
 			if err == nil {
 				// The asserted granules are held by someone else: a
 				// conflicting claim won the reconstruction race, or the
 				// window sealed and fresh acquires took the granules.
 				s.om.clusterLeaseExpired.Inc()
-				return CodeLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn)
+				return statusLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn)
 			}
 			// ErrAlreadyHolds with no owners entry: a teardown is
 			// mid-release; retry until it completes.
 			if time.Since(start) > ownerRaceWait {
 				s.om.clusterLeaseExpired.Inc()
-				return CodeLeaseExpired, fmt.Sprintf("transaction %d: stale grants did not clear", txn)
+				return statusLeaseExpired, fmt.Sprintf("transaction %d: stale grants did not clear", txn)
 			}
 		}
 		tick = resetTimer(tick, time.Millisecond)
 		select {
 		case <-ctx.Done():
-			return CodeClosed, "session closed"
+			return statusClosed, "session closed"
 		case <-tick.C:
 		}
 	}

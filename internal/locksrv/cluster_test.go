@@ -59,12 +59,20 @@ func granulesOwnedBy(n, node, count int) []int64 {
 	return out
 }
 
-// A raw v2 client talking to the wrong node gets a typed redirect
-// carrying the owner's index and address.
+// A single-node client talking to the wrong node gets a typed redirect
+// carrying the owner's index and address, and the node counts it; a
+// granule the node does own is served in place.
 func TestClusterRedirectV2(t *testing.T) {
-	addrs, _ := startCluster(t, 2, nil)
+	addrs, servers := startCluster(t, 2, nil)
+	owned := granulesOwnedBy(2, 0, 1)[0]
 	foreign := granulesOwnedBy(2, 1, 1)[0]
-	c := dialV2(t, addrs[0], WithRetries(0))
+	c := dial(t, addrs[0], WithRetries(0))
+	if err := c.AcquireAll(3, xreq(owned)); err != nil {
+		t.Fatalf("acquire of owned granule: %v", err)
+	}
+	if err := c.ReleaseAll(3); err != nil {
+		t.Fatal(err)
+	}
 	err := c.AcquireAll(1, xreq(foreign))
 	var re *RedirectError
 	if !errors.As(err, &re) {
@@ -76,34 +84,16 @@ func TestClusterRedirectV2(t *testing.T) {
 	if !errors.Is(err, ErrRedirect) {
 		t.Fatalf("redirect error does not match ErrRedirect: %v", err)
 	}
+	if n := servers[0].ClusterStats().Redirects; n != 1 {
+		t.Fatalf("redirects counter %d, want 1", n)
+	}
 	// The same claim against the owning node succeeds.
-	c1 := dialV2(t, addrs[1], WithRetries(0))
+	c1 := dial(t, addrs[1], WithRetries(0))
 	if err := c1.AcquireAll(1, xreq(foreign)); err != nil {
 		t.Fatalf("acquire on owner: %v", err)
 	}
 	if err := c1.ReleaseAll(1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// v1 negotiation works against a clustered server, and a v1 client
-// gets the same typed redirect through the JSON taxonomy.
-func TestClusterRedirectV1Negotiation(t *testing.T) {
-	addrs, servers := startCluster(t, 2, nil)
-	owned := granulesOwnedBy(2, 0, 1)[0]
-	foreign := granulesOwnedBy(2, 1, 1)[0]
-	c := dial(t, addrs[0])
-	if err := c.AcquireAll(3, xreq(owned)); err != nil {
-		t.Fatalf("v1 acquire of owned granule: %v", err)
-	}
-	if err := c.AcquireAll(4, xreq(foreign)); !errors.Is(err, ErrRedirect) {
-		t.Fatalf("want ErrRedirect, got %v", err)
-	}
-	if err := c.ReleaseAll(3); err != nil {
-		t.Fatal(err)
-	}
-	if n := servers[0].ClusterStats().Redirects; n != 1 {
-		t.Fatalf("redirects counter %d, want 1", n)
 	}
 }
 
@@ -269,7 +259,7 @@ func TestClusterFailoverExpiresUnreasserted(t *testing.T) {
 	g := granulesOwnedBy(2, 0, 1)
 	// A raw v2 client (no failover machinery) holds the granule, then
 	// its node dies and the client never re-asserts.
-	holder := dialV2(t, addrs[0], WithRetries(0))
+	holder := dial(t, addrs[0], WithRetries(0))
 	if err := holder.AcquireAll(7, xreq(g...)); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +285,7 @@ func TestClusterFailoverExpiresUnreasserted(t *testing.T) {
 		t.Fatalf("acquire did not park behind the recovery window (took %v)", time.Since(start))
 	}
 	// The dead transaction's late re-assert is refused.
-	late := dialV2(t, addrs[1], WithRetries(0))
+	late := dial(t, addrs[1], WithRetries(0))
 	outs, err := late.Lease(1, []LeaseTxn{{Txn: 7, Reqs: xreq(g...)}})
 	if err != nil {
 		t.Fatal(err)

@@ -220,7 +220,10 @@ func (cc *ClusterClient) pause(d time.Duration) {
 
 // isProtocolErr reports whether err is a lock-protocol outcome that
 // must surface to the caller rather than trigger failover: the node
-// answered, it just said no. ErrClientClosed is deliberately NOT in
+// answered, it just said no. That includes ErrUnavailable — the node is
+// alive and withdrew the claim because its grant journal failed, so the
+// caller may retry, but marking the node down would start a takeover
+// nobody needs. ErrClientClosed is deliberately NOT in
 // this set — from a per-node client it means dropClient tore the
 // session down mid-call during a failover, which is a transport
 // condition; the cluster client's own closure is checked separately
@@ -228,7 +231,7 @@ func (cc *ClusterClient) pause(d time.Duration) {
 func isProtocolErr(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrNotOwner) ||
 		errors.Is(err, ErrBadRequest) || errors.Is(err, ErrUnknownOp) ||
-		errors.Is(err, ErrLeaseExpired)
+		errors.Is(err, ErrLeaseExpired) || errors.Is(err, ErrUnavailable)
 }
 
 // AcquireAll conservatively claims the lock set for txn across the

@@ -19,7 +19,7 @@ func Example() {
 	go srv.Serve()
 	defer srv.Close()
 
-	c, err := locksrv.Dial(lis.Addr().String())
+	c, err := locksrv.DialV2(lis.Addr().String())
 	if err != nil {
 		panic(err)
 	}

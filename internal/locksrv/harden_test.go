@@ -176,18 +176,11 @@ func TestReleaseRetryWhileOwnerTearsDown(t *testing.T) {
 // bound instead of terminally rejecting with not_owner.
 func TestReleaseRetryBeatsDisconnectDetection(t *testing.T) {
 	addr, srv := startServerOpts(t)
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	raw := dialRaw(t, addr)
+	if status, _, body := raw.roundTrip(acquireFrame(1, 1, 5)); status != statusOK {
+		t.Fatalf("acquire: status %d %q", status, body)
 	}
-	if _, err := raw.Write([]byte(`{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	if _, err := raw.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	raw.Close() // predecessor dies without releasing
+	raw.conn.Close() // predecessor dies without releasing
 	// Retry the release immediately on a fresh session, racing the
 	// server's detection of the disconnect.
 	b := dial(t, addr)
@@ -380,7 +373,7 @@ func TestDrainUnderConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr, WithRetries(0))
+			c, err := DialV2(addr, WithRetries(0))
 			if err != nil {
 				return // server may already be draining
 			}
@@ -459,7 +452,7 @@ func TestStatsSchema(t *testing.T) {
 func TestClientReconnectsThroughFaults(t *testing.T) {
 	addr, srv := startServerOpts(t)
 	var fs FaultStats
-	c, err := Dial(addr,
+	c, err := DialV2(addr,
 		WithDialer(FaultyDialer(FaultConfig{
 			DropProb:      0.05,
 			DelayProb:     0.2,
@@ -499,8 +492,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	c := dial(t, addr)
 	srv.Close()
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
-	c.retries = 3
+	c.cfg.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.cfg.retries = 3
 	err := c.AcquireAll(1, xreq(1))
 	if err == nil {
 		t.Fatal("acquire succeeded against a closed server")
@@ -510,7 +503,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	// Capped exponential with jitter in [d/2, d): each sleep lies in
 	// the envelope for its attempt.
-	base, max := c.backoffBase, c.backoffMax
+	base, max := c.cfg.backoffBase, c.cfg.backoffMax
 	for i, d := range slept {
 		want := base << uint(i)
 		if want > max {
@@ -525,7 +518,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // TestBackoffDeterminism: the jitter stream is deterministic per seed.
 func TestBackoffDeterminism(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
-		c := &Client{clientCfg: clientCfg{backoffBase: 10 * time.Millisecond, backoffMax: time.Second, jitter: rng.New(seed)}}
+		c := &ClientV2{cfg: clientCfg{backoffBase: 10 * time.Millisecond, backoffMax: time.Second, jitter: rng.New(seed)}}
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = c.backoffDelay(i)
@@ -595,25 +588,18 @@ func TestFaultConnDeterminism(t *testing.T) {
 func TestFaultConnTornWriteReleasesServerSide(t *testing.T) {
 	addr, srv := startServerOpts(t)
 	// Raw conn so the test controls exactly what goes on the wire.
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Write([]byte(`{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	if _, err := raw.Read(buf); err != nil {
-		t.Fatal(err)
+	raw := dialRaw(t, addr)
+	if status, _, body := raw.roundTrip(acquireFrame(1, 1, 5)); status != statusOK {
+		t.Fatalf("acquire: status %d %q", status, body)
 	}
 	if srv.Table().HeldBy(1) != 1 {
 		t.Fatal("acquire not granted")
 	}
-	// Torn frame: half a request, then death.
-	if _, err := raw.Write([]byte(`{"op":"rel`)); err != nil {
+	// Torn frame: a length prefix and half a header, then death.
+	if _, err := raw.conn.Write(acquireFrame(2, 1, 5)[:9]); err != nil {
 		t.Fatal(err)
 	}
-	raw.Close()
+	raw.conn.Close()
 	waitFor(t, func() bool { return srv.Table().HoldersCount() == 0 })
 	st := srv.Stats()
 	if st.ForceReleases != 1 {

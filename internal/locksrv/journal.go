@@ -16,7 +16,7 @@ import (
 // Grant runs on the acquire path before the client sees success, so an
 // implementation backed by a group-commit write-ahead log makes the
 // grant durable exactly once per flush. A Grant error fails the acquire
-// (the claim is withdrawn and the client gets CodeUnavailable) — an
+// (the claim is withdrawn and the client gets ErrUnavailable) — an
 // unjournalable grant must never be acknowledged. Release errors are
 // swallowed: the table state has already changed, and a poisoned
 // journal will surface on the next Grant anyway.
@@ -40,15 +40,15 @@ func WithJournal(j Journal) ServerOption {
 // grant if the journal refuses. Called without s.mu held (journal
 // writes block for a log flush) and before ownership is recorded, so
 // failure leaves no trace of the transaction.
-func (s *Server) journalGrant(txn lockmgr.TxnID, reqs []lockmgr.Request) (string, string) {
+func (s *Server) journalGrant(txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
 	if s.journal == nil {
-		return "", ""
+		return statusOK, ""
 	}
 	if err := s.journal.Grant(txn, reqs); err != nil {
 		s.table.ReleaseAll(txn)
-		return CodeUnavailable, fmt.Sprintf("grant journal: %v", err)
+		return statusUnavailable, fmt.Sprintf("grant journal: %v", err)
 	}
-	return "", ""
+	return statusOK, ""
 }
 
 // journalRelease records a transaction's end, best-effort (see Journal).

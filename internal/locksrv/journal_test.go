@@ -92,8 +92,8 @@ func TestJournalGrantFailureWithdrawsClaim(t *testing.T) {
 	if err == nil {
 		t.Fatal("acquire acknowledged despite journal failure")
 	}
-	if !strings.Contains(err.Error(), "grant journal") {
-		t.Fatalf("error %v, want journal detail", err)
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "grant journal") {
+		t.Fatalf("error %v, want ErrUnavailable with journal detail", err)
 	}
 	if n := srv.Table().HoldersCount(); n != 0 {
 		t.Fatalf("%d holders after withdrawn grant", n)
@@ -138,5 +138,36 @@ func TestJournalSeesForceRelease(t *testing.T) {
 	}
 	if n := srv.Table().HoldersCount(); n != 0 {
 		t.Fatalf("%d holders after teardown", n)
+	}
+}
+
+// TestClusterClientSurfacesUnavailable: a node that withdraws a claim
+// because its journal failed is alive and answered. The cluster client
+// must hand the caller ErrUnavailable to retry, not treat the reply as
+// a dead node and fail the partition over.
+func TestClusterClientSurfacesUnavailable(t *testing.T) {
+	j := newMemJournal()
+	j.failGrants = true
+	addrs, servers := startCluster(t, 2, nil, WithJournal(j))
+	cc, err := DialCluster(addrs, WithLeaseInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	g := granulesOwnedBy(2, 0, 1)
+	if err := cc.AcquireAll(1, xreq(g...)); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("want ErrUnavailable, got %v", err)
+	}
+	if n := cc.Failovers(); n != 0 {
+		t.Fatalf("%d failovers after an unavailable reply", n)
+	}
+	j.mu.Lock()
+	j.failGrants = false
+	j.mu.Unlock()
+	if err := cc.AcquireAll(1, xreq(g...)); err != nil {
+		t.Fatalf("retry after journal recovery: %v", err)
+	}
+	if n := servers[0].Table().HeldBy(1); n != 1 {
+		t.Fatalf("owner node holds %d granules for txn 1, want 1", n)
 	}
 }

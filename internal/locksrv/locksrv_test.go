@@ -1,7 +1,7 @@
 package locksrv
 
 import (
-	"encoding/json"
+	"bufio"
 	"net"
 	"strings"
 	"sync"
@@ -30,9 +30,9 @@ func startServer(t *testing.T) (string, *Server) {
 	return lis.Addr().String(), srv
 }
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t *testing.T, addr string, opts ...ClientOption) *ClientV2 {
 	t.Helper()
-	c, err := Dial(addr)
+	c, err := DialV2(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,55 @@ func xreq(granules ...int64) []lockmgr.Request {
 	return out
 }
 
+// rawSession is a hand-driven connection for tests that must control
+// exactly what goes on the wire: the magic is sent, and every frame
+// after it is the test's own.
+type rawSession struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawSession {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write([]byte(protoMagic)); err != nil {
+		t.Fatal(err)
+	}
+	return &rawSession{t: t, conn: conn, br: bufio.NewReader(conn)}
+}
+
+// acquireFrame is the wire form of an exclusive single-granule claim.
+func acquireFrame(id uint64, txn, granule int64) []byte {
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.start(opAcquire, id)
+	appendAcquireBody(fb, txn, xreq(granule), 0)
+	fb.finish()
+	return append([]byte(nil), fb.bytes()...)
+}
+
+// roundTrip writes one request frame and reads one response frame.
+func (r *rawSession) roundTrip(frame []byte) (status byte, id uint64, body string) {
+	r.t.Helper()
+	if _, err := r.conn.Write(frame); err != nil {
+		r.t.Fatal(err)
+	}
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fb, status, id, b, err := readFrame(r.br)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer putFrame(fb)
+	return status, id, string(b)
+}
+
+// TestAcquireReleaseRoundTrip is the basic happy path: claim, release,
+// re-claim the same granules, and read both halves of the stats op.
 func TestAcquireReleaseRoundTrip(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)
@@ -63,6 +112,23 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 	}
 	if err := c.ReleaseAll(1); err != nil {
 		t.Fatal(err)
+	}
+	// Released: another txn can take the same granules.
+	if err := c.AcquireAll(2, xreq(10, 11)); err != nil {
+		t.Fatalf("reacquire: %v", err)
+	}
+	if err := c.ReleaseAll(2); err != nil {
+		t.Fatal(err)
+	}
+	stats, srv, err := c.FullStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Grants != 2 {
+		t.Fatalf("grants = %d, want 2", stats.Grants)
+	}
+	if srv.Sessions != 1 {
+		t.Fatalf("sessions = %d, want 1", srv.Sessions)
 	}
 }
 
@@ -157,32 +223,41 @@ func TestServerCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// TestProtocolErrors drives malformed requests over raw frames: each is
+// answered with its status and detail under the request's id, and the
+// session survives to serve the next frame.
 func TestProtocolErrors(t *testing.T) {
 	addr, _ := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
+	raw := dialRaw(t, addr)
 
-	check := func(req Request, wantErr string) {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.OK || !strings.Contains(resp.Err, wantErr) {
-			t.Fatalf("response %+v, want error containing %q", resp, wantErr)
+	frame := func(op byte, id uint64, body ...byte) []byte {
+		fb := getFrame()
+		defer putFrame(fb)
+		fb.start(op, id)
+		fb.appendBytes(body)
+		fb.finish()
+		return append([]byte(nil), fb.bytes()...)
+	}
+	noGranules := make([]byte, 20) // txn 0, timeout 0, n = 0
+	for i, tc := range []struct {
+		frame      []byte
+		wantStatus byte
+		wantErr    string
+	}{
+		{frame(opAcquire, 1, noGranules...), statusBadRequest, "without granules"},
+		{frame(opAcquire, 2, noGranules[:19]...), statusBadRequest, "malformed acquire body"},
+		{frame(opRelease, 3, 1, 2, 3), statusBadRequest, "malformed release body"},
+		{frame(opStats, 4, 0), statusBadRequest, "stats takes no body"},
+		{frame(99, 5), statusUnknownOp, "unknown"},
+	} {
+		status, id, body := raw.roundTrip(tc.frame)
+		if status != tc.wantStatus || id != uint64(i+1) || !strings.Contains(body, tc.wantErr) {
+			t.Fatalf("case %d: status %d id %d body %q, want status %d with %q", i, status, id, body, tc.wantStatus, tc.wantErr)
 		}
 	}
-	check(Request{Op: "acquire", Txn: 1}, "without granules")
-	check(Request{Op: "acquire", Txn: 1, Granules: []int64{1}, Exclusive: []bool{true, false}}, "lengths differ")
-	check(Request{Op: "frobnicate"}, "unknown op")
+	if status, _, body := raw.roundTrip(acquireFrame(6, 1, 5)); status != statusOK {
+		t.Fatalf("session unusable after protocol errors: status %d %q", status, body)
+	}
 }
 
 func TestDistributedConservationStress(t *testing.T) {
@@ -198,7 +273,7 @@ func TestDistributedConservationStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialV2(addr)
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return

@@ -13,12 +13,12 @@ import (
 // callers match the taxonomy with errors.Is.
 var errBadFrame = fmt.Errorf("%w: bad frame length", ErrMalformedReply)
 
-// Wire protocol v2: length-prefixed binary frames with request ids, so
-// requests pipeline and responses may return out of order. A v2 client
+// The wire protocol: length-prefixed binary frames with request ids, so
+// requests pipeline and responses may return out of order. A client
 // announces itself by sending the 4-byte magic "GLK2" immediately after
-// connecting; the server tells the protocols apart by the first byte
-// ('{' can only open a v1 JSON request). After the magic, the
-// connection carries nothing but frames in both directions:
+// connecting; the server closes a connection that opens with anything
+// else. After the magic, the connection carries nothing but frames in
+// both directions:
 //
 //	uint32 BE  payload length (not counting these 4 bytes)
 //	byte       op (request) or status (response)
@@ -28,13 +28,13 @@ var errBadFrame = fmt.Errorf("%w: bad frame length", ErrMalformedReply)
 // The header is fixed-width — no varints — so framing never depends on
 // body contents and a reader can skip a frame it does not understand.
 // Bodies use fixed-width big-endian integers throughout; only the
-// "stats" response carries JSON (the stats schema is shared with v1 and
-// changes more often than the hot-path ops).
+// "stats" response carries JSON (the stats schema changes more often
+// than the hot-path ops).
 //
 // See docs/LOCKSRV.md for the full layout of every op.
 const protoMagic = "GLK2"
 
-// v2 request ops.
+// Request ops.
 const (
 	opAcquire  = 1 // txn(8) timeout_ms(8) n(4) then n × (granule(8) mode(1))
 	opRelease  = 2 // txn(8)
@@ -44,71 +44,31 @@ const (
 	opLease    = 6 // lease(8) k(4) then k × (txn(8) n(4) n × (granule(8) mode(1)))
 )
 
-// v2 response statuses. statusOK covers batch responses too: the frame
-// succeeded even when individual sub-ops failed (their statuses travel
-// in the body).
+// Response statuses: the machine-readable error taxonomy of the
+// protocol (an error frame's body is the human-readable detail; the
+// client maps each status to a typed error in replyErr). statusOK
+// covers batch responses too: the frame succeeded even when individual
+// sub-ops failed (their statuses travel in the body).
 const (
 	statusOK         = 0
-	statusTimeout    = 1
-	statusClosed     = 2
-	statusNotOwner   = 3
-	statusBadRequest = 4
-	statusUnknownOp  = 5
+	statusTimeout    = 1 // the acquire's timeout_ms expired before the grant
+	statusClosed     = 2 // the session or server is shutting down
+	statusNotOwner   = 3 // release of a transaction granted on another session
+	statusBadRequest = 4 // malformed body, or misuse such as a second conservative claim
+	statusUnknownOp  = 5 // unrecognized op byte
 	// statusRedirect: the granule set is served by another cluster node.
 	// The body is the redirect detail "node addr" (decimal ring index, a
 	// space, then the node's dial address) — text, so it travels equally
-	// in a v1 Response.Err and a batch sub-item message.
+	// in an error frame and a batch sub-item message.
 	statusRedirect = 6
 	// statusLeaseExpired: a lease re-assert arrived after the recovery
 	// window sealed, or the asserted grants conflict with grants already
 	// reconstructed — the transaction's locks are gone.
 	statusLeaseExpired = 7
+	// statusUnavailable: the server could not durably journal the grant
+	// (WithJournal); the claim was withdrawn and the caller may retry it.
+	statusUnavailable = 8
 )
-
-// statusToCode maps a v2 status byte onto the shared v1 error taxonomy.
-func statusToCode(st byte) string {
-	switch st {
-	case statusOK:
-		return ""
-	case statusTimeout:
-		return CodeTimeout
-	case statusClosed:
-		return CodeClosed
-	case statusNotOwner:
-		return CodeNotOwner
-	case statusBadRequest:
-		return CodeBadRequest
-	case statusRedirect:
-		return CodeRedirect
-	case statusLeaseExpired:
-		return CodeLeaseExpired
-	default:
-		return CodeUnknownOp
-	}
-}
-
-// codeToStatus is the inverse of statusToCode; unknown codes map to
-// statusUnknownOp.
-func codeToStatus(code string) byte {
-	switch code {
-	case "":
-		return statusOK
-	case CodeTimeout:
-		return statusTimeout
-	case CodeClosed:
-		return statusClosed
-	case CodeNotOwner:
-		return statusNotOwner
-	case CodeBadRequest:
-		return statusBadRequest
-	case CodeRedirect:
-		return statusRedirect
-	case CodeLeaseExpired:
-		return statusLeaseExpired
-	default:
-		return statusUnknownOp
-	}
-}
 
 // frameHeader is the fixed header length after the 4-byte length prefix:
 // op/status byte plus the 8-byte request id.
@@ -248,6 +208,13 @@ func (r *frameReader) take(n int) []byte {
 	r.off += n
 	return v
 }
+
+// left is the number of unread body bytes. Decoders bound every element
+// count they read by it before allocating, so a body cannot make the
+// server allocate more than a small multiple of its own length.
+//
+//granulint:hotpath
+func (r *frameReader) left() int { return len(r.b) - r.off }
 
 // done reports whether the body was consumed exactly and without
 // overruns — trailing garbage is as malformed as a short body.

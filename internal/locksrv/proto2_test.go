@@ -4,21 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func dialV2(t *testing.T, addr string, opts ...ClientOption) *ClientV2 {
-	t.Helper()
-	c, err := DialV2(addr, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
 
 // TestFrameCodecRoundTrip pins the v2 frame layout: header fields and
 // body survive an encode/decode cycle, and the reader demands exact
@@ -64,44 +56,13 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestV2AcquireReleaseRoundTrip is the basic happy path over the binary
-// protocol.
-func TestV2AcquireReleaseRoundTrip(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialV2(t, addr)
-
-	if err := c.AcquireAll(1, xreq(10, 11)); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if err := c.ReleaseAll(1); err != nil {
-		t.Fatalf("release: %v", err)
-	}
-	// Released: another txn can take the same granules.
-	if err := c.AcquireAll(2, xreq(10, 11)); err != nil {
-		t.Fatalf("reacquire: %v", err)
-	}
-	if err := c.ReleaseAll(2); err != nil {
-		t.Fatal(err)
-	}
-	stats, srv, err := c.FullStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Grants < 2 {
-		t.Fatalf("grants = %d, want >= 2", stats.Grants)
-	}
-	if srv.Sessions < 1 {
-		t.Fatalf("sessions = %d, want >= 1", srv.Sessions)
-	}
-}
-
 // TestV2PipelinedOutOfOrder proves responses are matched by id, not
 // arrival order: a blocked acquire must not hold up later requests on
 // the same connection, and its response arrives after theirs.
 func TestV2PipelinedOutOfOrder(t *testing.T) {
 	addr, _ := startServer(t)
-	holder := dialV2(t, addr)
-	c := dialV2(t, addr)
+	holder := dial(t, addr)
+	c := dial(t, addr)
 
 	if err := holder.AcquireAll(1, xreq(100)); err != nil {
 		t.Fatal(err)
@@ -172,8 +133,8 @@ func TestV2PipelinedOutOfOrder(t *testing.T) {
 // binary status codes.
 func TestV2TimeoutAndNotOwner(t *testing.T) {
 	addr, _ := startServer(t)
-	a := dialV2(t, addr)
-	b := dialV2(t, addr)
+	a := dial(t, addr)
+	b := dial(t, addr)
 
 	if err := a.AcquireAll(1, xreq(7)); err != nil {
 		t.Fatal(err)
@@ -185,7 +146,7 @@ func TestV2TimeoutAndNotOwner(t *testing.T) {
 	if err := b.ReleaseAll(1); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("want ErrNotOwner, got %v", err)
 	}
-	// Unknown txn: idempotent no-op, like v1.
+	// Unknown txn: idempotent no-op.
 	if err := b.ReleaseAll(999); err != nil {
 		t.Fatalf("unknown release: %v", err)
 	}
@@ -194,42 +155,32 @@ func TestV2TimeoutAndNotOwner(t *testing.T) {
 	}
 }
 
-// TestV1V2Negotiation runs both protocols against one server at once:
-// the first byte routes each session, and both views of the lock table
-// agree.
-func TestV1V2Negotiation(t *testing.T) {
-	addr, srv := startServer(t)
-	v1 := dial(t, addr)
-	v2 := dialV2(t, addr)
-
-	// v2 takes a granule; v1 must see the conflict.
-	if err := v2.AcquireAll(1, xreq(50)); err != nil {
-		t.Fatal(err)
+// TestReplyErrTaxonomy pins the status → typed-error switch: every
+// status the server can send has its own error, and a status outside
+// the taxonomy is a malformed reply, not one of them.
+func TestReplyErrTaxonomy(t *testing.T) {
+	want := map[byte]error{
+		statusTimeout:         ErrTimeout,
+		statusClosed:          ErrSessionClosed,
+		statusNotOwner:        ErrNotOwner,
+		statusBadRequest:      ErrBadRequest,
+		statusUnknownOp:       ErrUnknownOp,
+		statusRedirect:        ErrRedirect,
+		statusLeaseExpired:    ErrLeaseExpired,
+		statusUnavailable:     ErrUnavailable,
+		statusUnavailable + 1: ErrMalformedReply,
+		0xFF:                  ErrMalformedReply,
 	}
-	if err := v1.AcquireAllTimeout(2, xreq(50), 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("v1 vs v2 conflict: want ErrTimeout, got %v", err)
+	if err := replyErr("acquire", v2Reply{status: statusOK}); err != nil {
+		t.Fatalf("statusOK: %v", err)
 	}
-	if err := v2.ReleaseAll(1); err != nil {
-		t.Fatal(err)
-	}
-	// And the reverse direction.
-	if err := v1.AcquireAll(3, xreq(51)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.AcquireAllTimeout(4, xreq(51), 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("v2 vs v1 conflict: want ErrTimeout, got %v", err)
-	}
-	if err := v1.ReleaseAll(3); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both sessions counted; exactly one of them negotiated v2.
-	ss := srv.serverStats()
-	if ss.Sessions != 2 {
-		t.Fatalf("sessions = %d, want 2", ss.Sessions)
-	}
-	if got := srv.om.v2Sessions.Value(); got != 1 {
-		t.Fatalf("v2 sessions = %d, want 1", got)
+	for st, base := range want {
+		err := replyErr("acquire", v2Reply{status: st, body: []byte("detail")})
+		for _, other := range want {
+			if got := errors.Is(err, other); got != (other == base) {
+				t.Fatalf("status %d: %v; errors.Is(%v) = %v", st, err, other, got)
+			}
+		}
 	}
 }
 
@@ -237,8 +188,8 @@ func TestV1V2Negotiation(t *testing.T) {
 // one frame, per-item outcomes.
 func TestV2BatchOps(t *testing.T) {
 	addr, _ := startServer(t)
-	holder := dialV2(t, addr)
-	c := dialV2(t, addr)
+	holder := dial(t, addr)
+	c := dial(t, addr)
 
 	if err := holder.AcquireAll(1, xreq(300)); err != nil {
 		t.Fatal(err)
@@ -277,33 +228,11 @@ func TestV2BatchOps(t *testing.T) {
 	}
 }
 
-// TestV2DisconnectReleasesLocks: killing a v2 session force-releases
-// its grants, same as v1.
-func TestV2DisconnectReleasesLocks(t *testing.T) {
-	addr, _ := startServer(t)
-	c1, err := DialV2(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.AcquireAll(1, xreq(77)); err != nil {
-		t.Fatal(err)
-	}
-	c1.Close()
-
-	c2 := dialV2(t, addr)
-	if err := c2.AcquireAllTimeout(2, xreq(77), 3*time.Second); err != nil {
-		t.Fatalf("lock not released on disconnect: %v", err)
-	}
-	if err := c2.ReleaseAll(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestV2CloseUnblocksInflight: Close from another goroutine fails a
 // parked acquire with ErrClientClosed.
 func TestV2CloseUnblocksInflight(t *testing.T) {
 	addr, _ := startServer(t)
-	holder := dialV2(t, addr)
+	holder := dial(t, addr)
 	if err := holder.AcquireAll(1, xreq(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +322,7 @@ func TestV2TornFrames(t *testing.T) {
 // when its connection dies underneath it.
 func TestV2ReconnectAfterServerSideClose(t *testing.T) {
 	addr, srv := startServer(t)
-	c := dialV2(t, addr, WithRetries(5), WithBackoff(time.Millisecond, 5*time.Millisecond), WithJitterSeed(9))
+	c := dial(t, addr, WithRetries(5), WithBackoff(time.Millisecond, 5*time.Millisecond), WithJitterSeed(9))
 
 	if err := c.AcquireAll(1, xreq(1)); err != nil {
 		t.Fatal(err)
@@ -424,29 +353,46 @@ func TestV2ReconnectAfterServerSideClose(t *testing.T) {
 	}
 }
 
-// TestV2GarbageMagicRejected: a connection that sends neither '{' nor
-// the v2 magic is dropped without wedging the server.
-func TestV2GarbageMagicRejected(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialV2(t, addr)
+// TestNonMagicOpenerRejected: a connection that opens with anything but
+// the protocol magic — line noise, or a request in the retired
+// newline-JSON protocol — is closed promptly and without a reply, never
+// becomes a frame session, leaks no session and holds nothing, and the
+// server keeps serving real clients.
+func TestNonMagicOpenerRejected(t *testing.T) {
+	for name, opener := range map[string]string{
+		"garbage": "XXXXgarbage",
+		"json":    `{"op":"acquire","txn":1,"granules":[5],"exclusive":[true]}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, srv := startServer(t)
+			c := dial(t, addr)
 
-	raw, err := defaultClientCfg(addr).dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Write([]byte("XXXXgarbage"))
-	buf := make([]byte, 16)
-	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := raw.Read(buf); err == nil {
-		t.Fatal("garbage protocol got a response")
-	}
-	raw.Close()
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if _, err := raw.Write([]byte(opener)); err != nil {
+				t.Fatal(err)
+			}
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if n, err := raw.Read(make([]byte, 64)); err != io.EOF {
+				t.Fatalf("read %d bytes, err %v; want the connection closed without a reply", n, err)
+			}
+			waitFor(t, func() bool { return srv.Stats().Sessions == 1 }) // only c
+			if got := srv.om.v2Sessions.Value(); got != 1 {
+				t.Fatalf("%d frame sessions, want 1: the opener was taken for a client", got)
+			}
+			if n := srv.Table().HoldersCount(); n != 0 {
+				t.Fatalf("%d holders after a rejected opener", n)
+			}
 
-	// Server still serves real clients.
-	if err := c.AcquireAll(1, xreq(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ReleaseAll(1); err != nil {
-		t.Fatal(err)
+			if err := c.AcquireAll(1, xreq(5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReleaseAll(1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -6,22 +6,18 @@
 // all-or-nothing claims, blocking grants, and release, with the same
 // semantics as calling internal/lockmgr in-process.
 //
-// Two wire protocols share the port, told apart by the first byte a
-// client sends. Protocol v1 is newline-delimited JSON, one request and
-// one response per line, processed in order per connection; blocking
-// acquisitions block the connection's request loop, and concurrency
-// comes from multiple connections. Protocol v2 (first bytes "GLK2") is
-// length-prefixed binary frames with request ids: requests pipeline,
-// execute concurrently, and responses return out of order as each
-// completes, so one connection carries many in-flight operations —
-// including batched acquireN/releaseN — with responses coalesced into
-// few writes (see proto2.go and docs/LOCKSRV.md). Under either
-// protocol a dropped connection releases every lock its transactions
-// still hold, so client crashes cannot strand granules.
+// The wire protocol is length-prefixed binary frames with request ids,
+// announced by the 4-byte magic "GLK2": requests pipeline, execute
+// concurrently, and responses return out of order as each completes, so
+// one connection carries many in-flight operations — including batched
+// acquireN/releaseN — with responses coalesced into few writes (see
+// proto2.go and docs/LOCKSRV.md). A connection that opens with anything
+// but the magic is closed. A dropped connection releases every lock its
+// transactions still hold, so client crashes cannot strand granules.
 //
 // The service is hardened for real deployments: acquires carry an
 // optional wait deadline (timeout_ms) and fail with a distinguishable
-// "timeout" code instead of blocking the session forever; idle sessions
+// timeout status instead of blocking forever; idle sessions
 // are reaped after a configurable read deadline; Close drains
 // gracefully (stop accepting, let in-flight requests finish within a
 // grace period, then force-release); and a release for a transaction
@@ -34,10 +30,7 @@
 package locksrv
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -50,58 +43,12 @@ import (
 	"granulock/internal/stats"
 )
 
-// Request is one wire request.
-type Request struct {
-	// Op selects the operation: "acquire", "release" or "stats".
-	Op string `json:"op"`
-	// Txn identifies the transaction for acquire/release.
-	Txn int64 `json:"txn,omitempty"`
-	// Granules and Exclusive describe the lock set for acquire:
-	// Exclusive[i] selects X (true) or S (false) for Granules[i].
-	Granules  []int64 `json:"granules,omitempty"`
-	Exclusive []bool  `json:"exclusive,omitempty"`
-	// TimeoutMS bounds how long an acquire may wait for its grant.
-	// Zero means wait indefinitely (until the session or server
-	// closes). On expiry the acquire fails with code "timeout" and the
-	// transaction holds nothing.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// Error codes returned in Response.Code: the machine-readable error
-// taxonomy of the protocol. Err carries the human-readable detail.
-const (
-	// CodeTimeout: the acquire's timeout_ms expired before the grant.
-	CodeTimeout = "timeout"
-	// CodeClosed: the session or server is shutting down.
-	CodeClosed = "closed"
-	// CodeNotOwner: release of a transaction granted on another
-	// session.
-	CodeNotOwner = "not_owner"
-	// CodeBadRequest: malformed request (bad lengths, missing fields,
-	// protocol misuse such as a second conservative claim).
-	CodeBadRequest = "bad_request"
-	// CodeUnknownOp: unrecognized op string.
-	CodeUnknownOp = "unknown_op"
-	// CodeRedirect: the granule set is served by another cluster node;
-	// the detail carries "node addr" (ring index, space, dial address).
-	CodeRedirect = "redirect"
-	// CodeLeaseExpired: a lease re-assert arrived after the recovery
-	// window sealed or conflicts with reconstructed grants.
-	CodeLeaseExpired = "lease_expired"
-	// CodeUnavailable: the server could not durably journal the grant
-	// (WithJournal); the claim was withdrawn and may be retried.
-	CodeUnavailable = "unavailable"
-)
-
-// Response is one wire response.
-type Response struct {
-	OK bool `json:"ok"`
-	// Err is the human-readable error detail; Code is its
-	// machine-readable class (one of the Code* constants).
-	Err    string         `json:"err,omitempty"`
-	Code   string         `json:"code,omitempty"`
-	Stats  *lockmgr.Stats `json:"stats,omitempty"`
-	Server *ServerStats   `json:"server,omitempty"`
+// statsReply is the JSON body of a stats response: the one payload that
+// is not fixed-width binary, because its schema changes more often than
+// the hot-path ops.
+type statsReply struct {
+	Stats  *lockmgr.Stats `json:"stats"`
+	Server *ServerStats   `json:"server"`
 }
 
 // ServerStats is the service-level half of the "stats" op: session and
@@ -183,9 +130,8 @@ func (r *waitRing) quantiles() (p50, p90, p99 float64, n int64) {
 	return qs[0], qs[1], qs[2], n
 }
 
-// ownedSet tracks the transactions granted on one session. Protocol v1
-// executes one request at a time, but v2 executors run concurrently, so
-// the set carries its own mutex.
+// ownedSet tracks the transactions granted on one session. A session's
+// executors run concurrently, so the set carries its own mutex.
 type ownedSet struct {
 	mu sync.Mutex
 	m  map[lockmgr.TxnID]struct{}
@@ -283,7 +229,8 @@ type serverMetrics struct {
 	idleReaps       *obs.Counter
 	waitMS          *obs.Histogram
 
-	// Protocol v2 pipeline families.
+	// Frame pipeline families (the v2_ in their names is kept: see
+	// docs/OBSERVABILITY.md).
 	v2Sessions    *obs.Counter
 	framesRead    *obs.Counter
 	framesWritten *obs.Counter
@@ -349,11 +296,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Acquire wait time in milliseconds (granted or timed out).",
 			obs.ExpBuckets(0.5, 2, 16)), // 0.5ms .. ~16s
 		v2Sessions: reg.NewCounter("granulock_locksrv_v2_sessions_total",
-			"Sessions negotiated onto the binary pipelined protocol v2."),
+			"Sessions that opened with the protocol magic and entered the frame loop."),
 		framesRead: reg.NewCounter("granulock_locksrv_v2_frames_read_total",
-			"Protocol v2 request frames read."),
+			"Request frames read."),
 		framesWritten: reg.NewCounter("granulock_locksrv_v2_frames_written_total",
-			"Protocol v2 response frames written."),
+			"Response frames written."),
 		batchOps: reg.NewCounter("granulock_locksrv_v2_batch_subops_total",
 			"Sub-operations carried inside acquireN/releaseN batch frames."),
 		clusterTakeovers: reg.NewCounter("granulock_locksrv_cluster_takeovers_total",
@@ -542,7 +489,7 @@ func (s *Server) Close() error {
 // transport error they were always going to get.
 const forceFlushWait = 250 * time.Millisecond
 
-// sessionReader feeds a session's json.Decoder from its conn while
+// sessionReader feeds a session's frame reader from its conn while
 // managing read deadlines. It distinguishes the three ways a read can
 // end: real disconnect (EOF/reset), idle reap (deadline expired with no
 // request executing), and drain (the server expired the deadline to
@@ -589,34 +536,6 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 	}
 }
 
-// handle runs one session: it sniffs the first byte to negotiate the
-// protocol — '{' can only open a v1 JSON request, the magic "GLK2"
-// selects the binary pipelined v2 — then runs the matching loop.
-// Transactions granted on this session are tracked and force-released
-// when it ends, however it ends.
-func (s *Server) handle(ctx context.Context, sess *session) {
-	defer s.wg.Done()
-	conn := sess.conn
-	owned := newOwnedSet()
-	var pending atomic.Int64
-	sr := &sessionReader{s: s, conn: conn, pending: &pending}
-	br := bufio.NewReader(sr)
-	defer s.teardown(sess, owned)
-
-	first, err := br.Peek(1)
-	if err != nil {
-		if sr.reaped {
-			s.om.idleReaps.Inc()
-		}
-		return
-	}
-	if first[0] == '{' {
-		s.handleV1(ctx, sess, br, sr, owned, &pending)
-		return
-	}
-	s.handleV2(ctx, sess, br, sr, owned, &pending)
-}
-
 // teardown ends a session: condemn it, close its connection, and
 // force-release every transaction it still owns.
 func (s *Server) teardown(sess *session, owned *ownedSet) {
@@ -660,79 +579,6 @@ func (s *Server) teardown(sess *session, owned *ownedSet) {
 	}
 }
 
-// handleV1 runs the JSON protocol as a reader/executor pair. The reader
-// decodes requests and hands them to the executor, so a disconnect is
-// noticed even while the executor is parked inside a blocking acquire —
-// the reader cancels the session context, the acquire aborts, and the
-// waiter's queue slot is freed immediately instead of at grant time.
-func (s *Server) handleV1(ctx context.Context, sess *session, br *bufio.Reader, sr *sessionReader, owned *ownedSet, pending *atomic.Int64) {
-	conn := sess.conn
-	reqCh := make(chan Request)
-
-	go func() {
-		defer close(reqCh)
-		dec := json.NewDecoder(br)
-		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				if sr.reaped {
-					s.om.idleReaps.Inc()
-					sess.shutdown() // nothing in flight; ends the session
-				} else if !s.draining() {
-					// Real disconnect (or garbage): abort any in-flight
-					// acquire so its queue slot frees now. Under drain,
-					// by contrast, in-flight requests get the grace
-					// period; Close force-cancels when it expires.
-					sess.shutdown()
-				}
-				return
-			}
-			pending.Add(1)
-			s.inflight.Add(1)
-			select {
-			case reqCh <- req:
-			case <-ctx.Done():
-				pending.Add(-1)
-				s.inflight.Add(-1)
-				return
-			}
-		}
-	}()
-
-	defer func() {
-		sess.shutdown()
-		conn.Close()
-		// Unblock a reader parked on its channel send, then wait for it
-		// to observe the dead conn and close reqCh.
-		for range reqCh {
-			pending.Add(-1)
-			s.inflight.Add(-1)
-		}
-	}()
-
-	// Responses are encoded into a reused buffer and written in one
-	// syscall each; v1 stays strictly request-response, so there is
-	// nothing to coalesce beyond that.
-	var encBuf bytes.Buffer
-	enc := json.NewEncoder(&encBuf)
-	for req := range reqCh {
-		resp := s.execute(ctx, sess, &req, owned)
-		if s.writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		encBuf.Reset()
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		_, err := conn.Write(encBuf.Bytes())
-		pending.Add(-1)
-		s.inflight.Add(-1)
-		if err != nil {
-			return
-		}
-	}
-}
-
 // Draining reports whether Close has begun — the server still finishes
 // in-flight requests but accepts no new connections. Health endpoints
 // use it to flip a readiness probe before the listener disappears.
@@ -745,43 +591,8 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// execute performs one v1 request against the table.
-func (s *Server) execute(ctx context.Context, sess *session, req *Request, owned *ownedSet) Response {
-	switch req.Op {
-	case "acquire":
-		if len(req.Exclusive) != len(req.Granules) {
-			return Response{Err: "granules and exclusive lengths differ", Code: CodeBadRequest}
-		}
-		reqs := make([]lockmgr.Request, len(req.Granules))
-		for i, g := range req.Granules {
-			mode := lockmgr.ModeShared
-			if req.Exclusive[i] {
-				mode = lockmgr.ModeExclusive
-			}
-			reqs[i] = lockmgr.Request{Granule: lockmgr.Granule(g), Mode: mode}
-		}
-		code, msg := s.acquireCore(ctx, sess, lockmgr.TxnID(req.Txn), reqs, req.TimeoutMS, owned)
-		if code == "" {
-			return Response{OK: true}
-		}
-		return Response{Err: msg, Code: code}
-	case "release":
-		code, msg := s.releaseCore(ctx, sess, lockmgr.TxnID(req.Txn), owned)
-		if code == "" {
-			return Response{OK: true}
-		}
-		return Response{Err: msg, Code: code}
-	case "stats":
-		ls := s.table.Stats()
-		ss := s.serverStats()
-		return Response{OK: true, Stats: &ls, Server: &ss}
-	default:
-		return Response{Err: fmt.Sprintf("unknown op %q", req.Op), Code: CodeUnknownOp}
-	}
-}
-
 // releaseCore releases everything txn holds, guarding ownership per
-// session. It returns ("", "") on success, else an error code from the
+// session. It returns (statusOK, "") on success, else a status from the
 // shared taxonomy plus detail. A release whose transaction is owned by
 // a live peer session is foreign and rejected with not_owner. But if
 // the recorded owner is a condemned session whose teardown hasn't run
@@ -790,7 +601,7 @@ func (s *Server) execute(ctx context.Context, sess *session, req *Request, owned
 // — so instead of rejecting a legitimate retry with a terminal error,
 // wait out the predecessor's teardown and complete idempotently
 // (mirroring acquireCore's orphan handling).
-func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, owned *ownedSet) (string, string) {
+func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, owned *ownedSet) (byte, string) {
 	// The race deadline is only needed once a foreign owner is actually
 	// observed; reading the clock lazily keeps the common case — a
 	// release by the rightful owner — free of time syscalls.
@@ -809,7 +620,7 @@ func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.Txn
 				// Still owned by a session that looks alive after the
 				// race bound: a genuine foreign release.
 				s.om.foreignReleases.Inc()
-				return CodeNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
+				return statusNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
 			}
 			// Owner condemned (teardown clears the entry shortly) or
 			// apparently alive but possibly an undetected disconnect;
@@ -817,7 +628,7 @@ func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.Txn
 			tick = resetTimer(tick, time.Millisecond)
 			select {
 			case <-ctx.Done():
-				return CodeClosed, "session closed"
+				return statusClosed, "session closed"
 			case <-tick.C:
 			}
 			continue
@@ -829,20 +640,20 @@ func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.Txn
 		s.mu.Unlock()
 		owned.remove(txn)
 		s.journalRelease(txn)
-		return "", ""
+		return statusOK, ""
 	}
 }
 
 // acquireCore runs one conservative claim with the request's wait
 // deadline, records its wait time, and classifies the outcome. It
-// returns ("", "") on grant, else an error code from the shared
+// returns (statusOK, "") on grant, else a status from the shared
 // taxonomy plus detail.
-func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, owned *ownedSet) (string, string) {
+func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, owned *ownedSet) (byte, string) {
 	if len(reqs) == 0 {
-		return CodeBadRequest, "acquire without granules"
+		return statusBadRequest, "acquire without granules"
 	}
 	if timeoutMS < 0 {
-		return CodeBadRequest, "negative timeout_ms"
+		return statusBadRequest, "negative timeout_ms"
 	}
 	actx := ctx
 	if timeoutMS > 0 {
@@ -854,8 +665,8 @@ func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.Txn
 	// parking behind an open recovery window; redirect the rest. The
 	// nil check keeps unclustered servers on the exact prior path.
 	if s.cluster != nil {
-		if code, msg := s.clusterAdmit(actx, reqs, false); code != "" {
-			return code, msg
+		if st, msg := s.clusterAdmit(actx, reqs, false); st != statusOK {
+			return st, msg
 		}
 	}
 	// Fast path: an immediate grant waited zero time by definition, so
@@ -916,34 +727,34 @@ func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.Txn
 // finishAcquire journals the grant, records ownership, and classifies
 // the acquire outcome, shared by the zero-wait fast path and the
 // blocking path.
-func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, err error, owned *ownedSet) (string, string) {
+func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, err error, owned *ownedSet) (byte, string) {
 	switch {
 	case err == nil:
 		// Journal before recording ownership or replying: a grant the
 		// journal cannot make durable is withdrawn, leaving no trace.
-		if code, msg := s.journalGrant(txn, reqs); code != "" {
-			return code, msg
+		if st, msg := s.journalGrant(txn, reqs); st != statusOK {
+			return st, msg
 		}
 		s.mu.Lock()
 		s.owners[txn] = sess
 		s.mu.Unlock()
 		owned.add(txn)
 		s.om.grants.Inc()
-		return "", ""
+		return statusOK, ""
 	case errors.Is(err, context.DeadlineExceeded):
 		// The per-acquire deadline expired; the claim was withdrawn and
 		// the transaction holds nothing.
 		s.om.timeouts.Inc()
-		return CodeTimeout, fmt.Sprintf("acquire timed out after %dms", timeoutMS)
+		return statusTimeout, fmt.Sprintf("acquire timed out after %dms", timeoutMS)
 	case errors.Is(err, context.Canceled):
 		// The session's context was cancelled: disconnect or forced
 		// drain.
 		s.om.cancels.Inc()
-		return CodeClosed, "session closed"
+		return statusClosed, "session closed"
 	default:
 		// Protocol misuse (e.g. a second conservative claim while the
 		// first is still held).
-		return CodeBadRequest, err.Error()
+		return statusBadRequest, err.Error()
 	}
 }
 

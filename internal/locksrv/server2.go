@@ -32,25 +32,37 @@ type execWorker struct {
 	ch chan v2Work
 }
 
-// handleV2 runs the binary pipelined protocol: a reader that decodes
-// frames and dispatches each to a pooled executor goroutine (capped at
-// v2MaxInflight per session), and a single writer that drains completed
-// responses, coalescing them into few syscalls by flushing only when
-// the response queue goes idle. Responses therefore return out of
-// order, matched to requests by id. The reader notices disconnects
-// while executors are parked in blocking acquires, exactly as v1's
-// reader/executor split does.
+// handle runs one session: a reader that decodes frames and dispatches
+// each to a pooled executor goroutine (capped at v2MaxInflight per
+// session), and a single writer that drains completed responses,
+// coalescing them into few syscalls by flushing only when the response
+// queue goes idle. Responses therefore return out of order, matched to
+// requests by id. Because reading and executing are separate
+// goroutines, the reader notices a disconnect while executors are
+// parked in blocking acquires and cancels them at once. Transactions
+// granted on this session are tracked and force-released when it ends,
+// however it ends.
 //
 // Executors are recycled rather than spawned per frame: a fresh
 // goroutine starts with a minimal stack that the execute call chain
 // immediately has to grow, and at service request rates those stack
 // copies show up as a top-five CPU item. A worker that has run once
 // keeps its grown stack for the rest of the session.
-func (s *Server) handleV2(ctx context.Context, sess *session, br *bufio.Reader, sr *sessionReader, owned *ownedSet, pending *atomic.Int64) {
+func (s *Server) handle(ctx context.Context, sess *session) {
+	defer s.wg.Done()
 	conn := sess.conn
+	owned := newOwnedSet()
+	var pending atomic.Int64 // requests decoded but not yet responded to
+	sr := &sessionReader{s: s, conn: conn, pending: &pending}
+	br := bufio.NewReader(sr)
+	defer s.teardown(sess, owned)
+
 	var magic [len(protoMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != protoMagic {
-		return // not v2: no other protocol begins with a non-'{' byte
+		if sr.reaped {
+			s.om.idleReaps.Inc()
+		}
+		return // never spoke the protocol: close without a reply
 	}
 	s.om.v2Sessions.Inc()
 
@@ -188,27 +200,27 @@ func (s *Server) executeV2(ctx context.Context, sess *session, op byte, id uint6
 		fr := frameReader{b: body}
 		txn, reqs, timeoutMS := parseAcquireBody(&fr)
 		if !fr.done() {
-			return errorFrame(id, statusBadRequest, "malformed acquire body")
+			return replyFrame(id, statusBadRequest, "malformed acquire body")
 		}
-		code, msg := s.acquireCore(ctx, sess, txn, reqs, timeoutMS, owned)
-		return statusFrame(id, code, msg)
+		st, msg := s.acquireCore(ctx, sess, txn, reqs, timeoutMS, owned)
+		return replyFrame(id, st, msg)
 	case opRelease:
 		fr := frameReader{b: body}
 		txn := lockmgr.TxnID(fr.u64())
 		if !fr.done() {
-			return errorFrame(id, statusBadRequest, "malformed release body")
+			return replyFrame(id, statusBadRequest, "malformed release body")
 		}
-		code, msg := s.releaseCore(ctx, sess, txn, owned)
-		return statusFrame(id, code, msg)
+		st, msg := s.releaseCore(ctx, sess, txn, owned)
+		return replyFrame(id, st, msg)
 	case opStats:
 		if len(body) != 0 {
-			return errorFrame(id, statusBadRequest, "stats takes no body")
+			return replyFrame(id, statusBadRequest, "stats takes no body")
 		}
 		ls := s.table.Stats()
 		ss := s.serverStats()
-		payload, err := json.Marshal(Response{OK: true, Stats: &ls, Server: &ss})
+		payload, err := json.Marshal(statsReply{Stats: &ls, Server: &ss})
 		if err != nil {
-			return errorFrame(id, statusBadRequest, err.Error())
+			return replyFrame(id, statusBadRequest, err.Error())
 		}
 		fb := getFrame()
 		fb.start(statusOK, id)
@@ -222,7 +234,7 @@ func (s *Server) executeV2(ctx context.Context, sess *session, op byte, id uint6
 	case opLease:
 		return s.executeLease(ctx, sess, id, body, owned)
 	default:
-		return errorFrame(id, statusUnknownOp, "unknown v2 op")
+		return replyFrame(id, statusUnknownOp, "unknown op")
 	}
 }
 
@@ -235,7 +247,7 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 	fr.u64() // lease id: carried for observability, no fencing use yet
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return errorFrame(id, statusBadRequest, "malformed lease count")
+		return replyFrame(id, statusBadRequest, "malformed lease count")
 	}
 	type item struct {
 		txn  lockmgr.TxnID
@@ -245,8 +257,8 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 	for i := uint32(0); i < k; i++ {
 		txn := lockmgr.TxnID(fr.u64())
 		n := fr.u32()
-		if fr.bad || n > maxFrame/9 {
-			return errorFrame(id, statusBadRequest, "malformed lease body")
+		if fr.bad || n > uint32(fr.left()/9) {
+			return replyFrame(id, statusBadRequest, "malformed lease body")
 		}
 		reqs := make([]lockmgr.Request, 0, n)
 		for j := uint32(0); j < n; j++ {
@@ -260,15 +272,15 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 		items = append(items, item{txn, reqs})
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed lease body")
+		return replyFrame(id, statusBadRequest, "malformed lease body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i := range items {
-		codes[i], msgs[i] = s.leaseCore(ctx, sess, items[i].txn, items[i].reqs, owned)
+		sts[i], msgs[i] = s.leaseCore(ctx, sess, items[i].txn, items[i].reqs, owned)
 	}
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
 // parseAcquireBody decodes one acquire body (txn, timeout, granule+mode
@@ -277,7 +289,7 @@ func parseAcquireBody(fr *frameReader) (lockmgr.TxnID, []lockmgr.Request, int64)
 	txn := lockmgr.TxnID(fr.u64())
 	timeoutMS := int64(fr.u64())
 	n := fr.u32()
-	if fr.bad || n > maxFrame/9 {
+	if fr.bad || n > uint32(fr.left()/9) {
 		fr.bad = true
 		return txn, nil, timeoutMS
 	}
@@ -302,7 +314,7 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return errorFrame(id, statusBadRequest, "malformed acquireN count")
+		return replyFrame(id, statusBadRequest, "malformed acquireN count")
 	}
 	type sub struct {
 		txn       lockmgr.TxnID
@@ -315,10 +327,10 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 		subs = append(subs, sub{txn, reqs, timeoutMS})
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed acquireN body")
+		return replyFrame(id, statusBadRequest, "malformed acquireN body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	var wg sync.WaitGroup
 	for i := range subs {
@@ -326,11 +338,11 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			codes[i], msgs[i] = s.acquireCore(ctx, sess, subs[i].txn, subs[i].reqs, subs[i].timeoutMS, owned)
+			sts[i], msgs[i] = s.acquireCore(ctx, sess, subs[i].txn, subs[i].reqs, subs[i].timeoutMS, owned)
 		}()
 	}
 	wg.Wait()
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
 // executeReleaseN releases a batch of transactions sequentially
@@ -338,38 +350,28 @@ func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, 
 func (s *Server) executeReleaseN(ctx context.Context, sess *session, id uint64, body []byte, owned *ownedSet) *frameBuf {
 	fr := frameReader{b: body}
 	k := fr.u32()
-	if fr.bad || k == 0 || k > maxFrame/8 {
-		return errorFrame(id, statusBadRequest, "malformed releaseN count")
+	if fr.bad || k == 0 || k > uint32(fr.left()/8) {
+		return replyFrame(id, statusBadRequest, "malformed releaseN count")
 	}
 	txns := make([]lockmgr.TxnID, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txns = append(txns, lockmgr.TxnID(fr.u64()))
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed releaseN body")
+		return replyFrame(id, statusBadRequest, "malformed releaseN body")
 	}
 	s.om.batchOps.Add(int64(k))
-	codes := make([]string, k)
+	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i, txn := range txns {
-		codes[i], msgs[i] = s.releaseCore(ctx, sess, txn, owned)
+		sts[i], msgs[i] = s.releaseCore(ctx, sess, txn, owned)
 	}
-	return batchFrame(id, codes, msgs)
+	return batchFrame(id, sts, msgs)
 }
 
-// statusFrame builds a plain response frame from a core outcome.
-func statusFrame(id uint64, code, msg string) *frameBuf {
-	if code == "" {
-		fb := getFrame()
-		fb.start(statusOK, id)
-		fb.finish()
-		return fb
-	}
-	return errorFrame(id, codeToStatus(code), msg)
-}
-
-// errorFrame builds an error response carrying the detail message.
-func errorFrame(id uint64, status byte, msg string) *frameBuf {
+// replyFrame builds a plain response frame: the status, and for an
+// error the detail message as body.
+func replyFrame(id uint64, status byte, msg string) *frameBuf {
 	fb := getFrame()
 	fb.start(status, id)
 	fb.appendBytes([]byte(msg))
@@ -379,16 +381,12 @@ func errorFrame(id uint64, status byte, msg string) *frameBuf {
 
 // batchFrame builds an acquireN/releaseN response: frame status OK,
 // body = k(4) then k × (status(1) msgLen(4) msg).
-func batchFrame(id uint64, codes, msgs []string) *frameBuf {
+func batchFrame(id uint64, sts []byte, msgs []string) *frameBuf {
 	fb := getFrame()
 	fb.start(statusOK, id)
-	fb.appendU32(uint32(len(codes)))
-	for i, code := range codes {
-		fb.appendByte(codeToStatus(code))
-		if code == "" {
-			fb.appendU32(0)
-			continue
-		}
+	fb.appendU32(uint32(len(sts)))
+	for i, st := range sts {
+		fb.appendByte(st)
 		fb.appendU32(uint32(len(msgs[i])))
 		fb.appendBytes([]byte(msgs[i]))
 	}

@@ -49,7 +49,8 @@ benchengine:
 	$(GO) run ./cmd/bench -suite engine -out BENCH_engine.json
 
 # benchwal regenerates BENCH_wal.json, the durability report: group
-# commit vs a per-commit-sync baseline at 1/8/64 committers over a
+# commit vs a per-commit-sync baseline (the same wal.Log, committers
+# serialized) at 1/8/64 committers over a
 # fixed-latency sync model (the 8- and 64-committer comparisons carry
 # hard 3x floors), plus snapshot-bounded vs full-history recovery on
 # real file-backed logs (2x floor). See docs/WAL.md.
@@ -96,7 +97,9 @@ tools:
 # test suite (which includes the locksrv fault-injection suite in
 # internal/locksrv/harden_test.go and the wire-protocol suite in
 # proto2_test.go), a 10s fuzz pass over each of the two parsers that
-# face the network (the frame reader and the request-body executor),
+# face the network (the frame reader and the request-body executor)
+# and each of the four that face the disk (the WAL record reader, the
+# RecoverSet classifier, the log file header and the snapshot decoder),
 # the frozen benchmark module's vet and short tests (benchmark/ is a
 # module of its own that root `go test ./...` does not reach, so this
 # step is what compiles it against every API change), the lockd
@@ -128,6 +131,10 @@ verify: lint
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteV2Body$$' -fuzztime=10s ./internal/locksrv/
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderNext$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverSet$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLogHeader$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=10s ./internal/wal/
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race -count=2 -run 'TestAdmin' ./cmd/lockd/
 	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -ltot 100

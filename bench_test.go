@@ -295,7 +295,7 @@ func BenchmarkAblationClaimAsNeeded(b *testing.B) {
 			}
 		}
 		s := db.Stats()
-		b.ReportMetric(float64(s.DeadlockRetries), "deadlock-retries")
+		b.ReportMetric(float64(s.Restarts), "restarts")
 	}
 	b.Run("conservative", func(b *testing.B) { run(b, engine.Conservative) })
 	b.Run("claim-as-needed", func(b *testing.B) { run(b, engine.ClaimAsNeeded) })

@@ -1,6 +1,7 @@
 // The WAL benchmark suite: group-commit throughput against a
-// per-commit-sync baseline at increasing committer counts, plus
-// snapshot-bounded vs full-history recovery. Output is BENCH_wal.json.
+// per-commit-sync baseline (the same wal.Log with its committers
+// serialized) at increasing committer counts, plus snapshot-bounded vs
+// full-history recovery. Output is BENCH_wal.json.
 //
 // The commit cells run over an in-memory sink whose Sync sleeps for a
 // fixed 200µs — an NVMe-class fsync — so the measurement isolates what
@@ -86,12 +87,32 @@ func commitGroup(txn int64) []wal.Record {
 	}
 }
 
-// benchGroupCommit measures commits/sec of c concurrent committers
-// through a group-commit Log: every Commit blocks for durability, the
-// flusher coalesces whatever queued into one write+sync.
-func benchGroupCommit(c, perCommitter int) walEntry {
+// The two commit-cell modes.
+const (
+	// modeGroup is group commit: the flusher coalesces whatever queued
+	// into one write+sync.
+	modeGroup = "group"
+	// modeSyncEach is the per-commit-sync baseline: the same Log denied
+	// its batching — callers take a mutex around Commit, so the flusher
+	// never finds more than one group queued and every commit costs one
+	// write and one sync by construction.
+	modeSyncEach = "sync-each"
+)
+
+// benchCommit measures commits/sec of c concurrent committers through
+// one wal.Log in the given mode; every Commit blocks for durability.
+func benchCommit(mode string, c, perCommitter int) walEntry {
 	sink := &slowSink{}
 	log := wal.NewLog(sink)
+	commit := log.Commit
+	if mode == modeSyncEach {
+		var serialize sync.Mutex
+		commit = func(rs []wal.Record) error {
+			serialize.Lock()
+			defer serialize.Unlock()
+			return log.Commit(rs)
+		}
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < c; w++ {
@@ -100,7 +121,7 @@ func benchGroupCommit(c, perCommitter int) walEntry {
 			defer wg.Done()
 			for i := 0; i < perCommitter; i++ {
 				txn := int64(w*perCommitter + i + 1)
-				if err := log.Commit(commitGroup(txn)); err != nil {
+				if err := commit(commitGroup(txn)); err != nil {
 					panic(err)
 				}
 			}
@@ -111,46 +132,7 @@ func benchGroupCommit(c, perCommitter int) walEntry {
 	log.Close()
 	ops := int64(c * perCommitter)
 	return walEntry{
-		Name:       fmt.Sprintf("wal/commit/group/c%d", c),
-		Committers: c,
-		Ops:        ops,
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(ops),
-		OpsPerSec:  float64(ops) / elapsed.Seconds(),
-		Syncs:      sink.syncs.Load(),
-	}
-}
-
-// benchSyncEach is the baseline the tentpole replaced: one append and
-// one sync per commit, serialized by the single log stream's mutex.
-func benchSyncEach(c, perCommitter int) walEntry {
-	sink := &slowSink{}
-	w := wal.NewWriter(sink)
-	var mu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < c; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perCommitter; i++ {
-				txn := int64(g*perCommitter + i + 1)
-				mu.Lock()
-				err := w.AppendGroup(commitGroup(txn))
-				if err == nil {
-					err = sink.Sync()
-				}
-				mu.Unlock()
-				if err != nil {
-					panic(err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	ops := int64(c * perCommitter)
-	return walEntry{
-		Name:       fmt.Sprintf("wal/commit/sync-each/c%d", c),
+		Name:       fmt.Sprintf("wal/commit/%s/c%d", mode, c),
 		Committers: c,
 		Ops:        ops,
 		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(ops),
@@ -248,12 +230,10 @@ func runWAL(quick bool) ([]byte, error) {
 	}
 
 	for _, c := range []int{1, 8, 64} {
-		name := fmt.Sprintf("wal/commit/sync-each/c%d", c)
-		fmt.Fprintln(os.Stderr, "bench: "+name)
-		add(benchSyncEach(c, perCommitter))
-		name = fmt.Sprintf("wal/commit/group/c%d", c)
-		fmt.Fprintln(os.Stderr, "bench: "+name)
-		add(benchGroupCommit(c, perCommitter))
+		for _, mode := range []string{modeSyncEach, modeGroup} {
+			fmt.Fprintf(os.Stderr, "bench: wal/commit/%s/c%d\n", mode, c)
+			add(benchCommit(mode, c, perCommitter))
+		}
 	}
 
 	// Recovery: the same class of history twice — once left as raw logs,

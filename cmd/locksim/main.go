@@ -176,8 +176,8 @@ func run(args []string, out *os.File) error {
 	}
 
 	if *reps > 1 {
-		r, err := granulock.RunReplicated(p, *reps)
-		if err != nil {
+		var r granulock.Replicated
+		if _, err := granulock.Run(p, granulock.WithReplications(*reps), granulock.WithReplicatedSummary(&r)); err != nil {
 			return err
 		}
 		if *asJSON {
@@ -197,7 +197,7 @@ func run(args []string, out *os.File) error {
 	switch {
 	case *quantiles:
 		var rc granulock.ResponseCollector
-		m, err2 = granulock.RunWithObserver(p, &rc)
+		m, err2 = granulock.Run(p, granulock.WithObserver(&rc))
 		if err2 == nil {
 			fmt.Fprintf(out, "response P50     %.2f\n", granulock.Quantile(rc.Responses, 0.50))
 			fmt.Fprintf(out, "response P90     %.2f\n", granulock.Quantile(rc.Responses, 0.90))
@@ -209,7 +209,7 @@ func run(args []string, out *os.File) error {
 			return err
 		}
 		tw := tracepkg.NewWriter(f)
-		m, err2 = granulock.RunWithObserver(p, tw)
+		m, err2 = granulock.Run(p, granulock.WithObserver(tw))
 		if cerr := tw.Close(); err2 == nil {
 			err2 = cerr
 		}
@@ -221,7 +221,7 @@ func run(args []string, out *os.File) error {
 		}
 	case *trace > 0:
 		tracer := &eventTracer{out: out, limit: *trace}
-		m, err2 = granulock.RunWithObserver(p, tracer)
+		m, err2 = granulock.Run(p, granulock.WithObserver(tracer))
 	default:
 		m, err2 = granulock.Run(p)
 	}

@@ -45,7 +45,7 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-func TestRunReplicated(t *testing.T) {
+func TestRunReplications(t *testing.T) {
 	out, err := capture(t, []string{"-tmax", "150", "-reps", "3"})
 	if err != nil {
 		t.Fatal(err)

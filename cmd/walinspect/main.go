@@ -12,9 +12,14 @@
 //     per-partition log summary; with -verify it also replays the
 //     snapshot and every log tail through the cross-partition ordering
 //     rule and reports the recovered sequence numbers;
-//   - a log file written by wal.OpenFile (header magic GWALLOG1);
+//   - a log file written by wal.OpenFile (header magic GWALLOG1) — one
+//     partition of a directory (wal-<k>.log) or a stand-alone log such
+//     as lockd's grant journal. A single file cannot decide a
+//     cross-partition transaction: commits whose mask names other
+//     partitions are counted apart, for -verify on the directory;
 //   - a snapshot file (magic GWALSNP1);
-//   - a headerless stream of raw records (the wal.Writer layout).
+//   - a headerless stream of raw records (what wal.NewLog writes over a
+//     plain io.Writer).
 //
 // With -v every record (or snapshot entry) prints; otherwise only the
 // summaries.
@@ -27,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"granulock/internal/wal"
 )
@@ -103,24 +109,51 @@ func dumpRecords(r *wal.Reader, out *os.File) {
 	}
 }
 
-// recoverSummary replays one reader through single-log recovery and
-// prints the outcome counts.
-func recoverSummary(r *wal.Reader, out *os.File) error {
+// partitionIndex returns k for a file named exactly wal-<k>.log (the
+// engine.OpenDurable layout) and 0 for any other name.
+func partitionIndex(path string) int {
+	k, base := 0, filepath.Base(path)
+	if _, err := fmt.Sscanf(base, "wal-%d.log", &k); err != nil ||
+		k < 0 || k >= wal.MaxPartitions || base != fmt.Sprintf("wal-%d.log", k) {
+		return 0
+	}
+	return k
+}
+
+// recoverSummary classifies one log's transactions with the recovery
+// classifier and prints the scan stats and outcome counts. The reader
+// sits at partition index k beside empty lower partitions, so a commit
+// confined to this log counts as committed while one whose mask names
+// other partitions — undecidable from one file — is reported for
+// -verify. As in recovery, an unfinished transaction counts as
+// incomplete only once it has logged an update; a bare Begin is not
+// counted.
+func recoverSummary(k int, r *wal.Reader, out *os.File) error {
+	readers := make([]*wal.Reader, k+1)
+	for i := range readers[:k] {
+		readers[i] = wal.NewReader(strings.NewReader(""))
+	}
+	readers[k] = r
 	applied := 0
-	stats, err := wal.Recover(r, func(entity, value int64) { applied++ })
+	stats, err := wal.RecoverSet(readers, func(entity, value int64) { applied++ })
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "records     %d\n", stats.Records)
+	scan := stats.Logs[k]
+	fmt.Fprintf(out, "partition   %d (assumed: wal-<k>.log names k, any other file is 0)\n", k)
+	fmt.Fprintf(out, "records     %d (%d commit, %d abort)\n", scan.Records, scan.Committed, scan.Aborted)
+	fmt.Fprintf(out, "max txn     %d\n", scan.MaxTxn)
+	fmt.Fprintf(out, "torn tail   %v\n", scan.Torn)
 	fmt.Fprintf(out, "committed   %d transactions (%d updates would be redone)\n", stats.Committed, applied)
 	fmt.Fprintf(out, "aborted     %d\n", stats.Aborted)
-	fmt.Fprintf(out, "incomplete  %d (discarded by recovery)\n", stats.Incomplete)
-	fmt.Fprintf(out, "max txn     %d\n", stats.MaxTxn)
-	fmt.Fprintf(out, "torn tail   %v\n", stats.Torn)
+	fmt.Fprintf(out, "incomplete  %d with updates (discarded by recovery)\n", stats.Incomplete)
+	if cross := stats.CrossPartial + stats.OrderViolations; cross > 0 {
+		fmt.Fprintf(out, "cross-part  %d commits name other partitions: needs -verify on the directory\n", cross)
+	}
 	return nil
 }
 
-// runRaw inspects a headerless record stream (the wal.Writer layout).
+// runRaw inspects a headerless record stream.
 func runRaw(path string, verbose bool, out *os.File) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -133,7 +166,7 @@ func runRaw(path string, verbose bool, out *os.File) error {
 			return err
 		}
 	}
-	return recoverSummary(wal.NewReader(f), out)
+	return recoverSummary(0, wal.NewReader(f), out)
 }
 
 // runLogFile inspects a headered log file written by wal.OpenFile.
@@ -151,7 +184,7 @@ func runLogFile(path string, verbose bool, out *os.File) error {
 		}
 	}
 	defer closer.Close()
-	return recoverSummary(r, out)
+	return recoverSummary(partitionIndex(path), r, out)
 }
 
 // runSnapshot inspects a checkpoint snapshot file.

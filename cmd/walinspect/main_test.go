@@ -15,13 +15,18 @@ import (
 func writeLog(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
-	w := wal.NewWriter(&buf)
-	if err := w.AppendGroup([]wal.Record{
+	log := wal.NewLog(&buf)
+	if err := log.Commit([]wal.Record{
 		{Kind: wal.KindBegin, Txn: 1},
 		{Kind: wal.KindUpdate, Txn: 1, Entity: 3, Before: 10, After: 20},
 		{Kind: wal.KindCommit, Txn: 1},
 		{Kind: wal.KindBegin, Txn: 2},
+		{Kind: wal.KindBegin, Txn: 3},
+		{Kind: wal.KindUpdate, Txn: 3, Entity: 3, Before: 20, After: 30},
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "test.wal")
@@ -49,8 +54,11 @@ func capture(t *testing.T, path string, verbose, verify bool) string {
 }
 
 func TestSummary(t *testing.T) {
+	// Of the two unfinished transactions only txn 3 (Begin + Update)
+	// counts as incomplete; txn 2's bare Begin is not counted, as in
+	// recovery.
 	out := capture(t, writeLog(t), false, false)
-	for _, want := range []string{"records     4", "committed   1", "incomplete  1", "torn tail   false"} {
+	for _, want := range []string{"partition   0", "records     6 (1 commit, 0 abort)", "committed   1", "incomplete  1 with updates", "torn tail   false"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
@@ -175,6 +183,62 @@ func TestInspectDirAndVerify(t *testing.T) {
 	}
 	if !strings.Contains(out, "cross-partition partials 0, order violations 0") {
 		t.Fatalf("-verify reported damage on a clean directory:\n%s", out)
+	}
+}
+
+// TestInspectPartitionFileOfCrossPartitionCommit inspects one partition
+// file of a directory holding a cross-partition commit: one log cannot
+// tell whether the commit record reached every log of its mask, so the
+// per-file summary must not count the transaction as committed and
+// redone — it reports it for -verify on the directory.
+func TestInspectPartitionFileOfCrossPartitionCommit(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := engine.OpenDurable(dir, 40,
+		engine.WithNodes(2),
+		engine.WithWALOptions(wal.WithPreallocate(0)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tr := range [][2]int{{0, 1}, {1, 3}} { // nodes 0+1, then node 1 alone
+		if _, err := db.Execute(ctx, engine.Transfer(tr[0], tr[1], 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, filepath.Join(dir, "wal-1.log"), false, false)
+	for _, want := range []string{
+		"partition   1",
+		"records     7 (2 commit, 0 abort)",
+		"committed   1 transactions (2 updates would be redone)",
+		"cross-part  1 commits name other partitions: needs -verify on the directory",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("wal-1.log summary missing %q:\n%s", want, out)
+		}
+	}
+	out = capture(t, filepath.Join(dir, "wal-0.log"), false, false)
+	for _, want := range []string{"committed   0 transactions (0 updates", "cross-part  1 commits"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("wal-0.log summary missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestPartitionIndexNeedsExactName: only a file named exactly
+// wal-<k>.log is placed at k; a copy, a backup or a journal is 0.
+func TestPartitionIndexNeedsExactName(t *testing.T) {
+	for name, want := range map[string]int{
+		"wal-0.log": 0, "wal-3.log": 3, "dir/wal-63.log": 63,
+		"wal-3.log.bak": 0, "wal-03.log": 0, "wal-+3.log": 0, "wal-64.log": 0,
+		"xwal-3.log": 0, "grants.log": 0, "test.wal": 0,
+	} {
+		if got := partitionIndex(name); got != want {
+			t.Errorf("partitionIndex(%q) = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ func main() {
 	fmt.Printf("attained concurrency    %.2f active transactions\n", m.MeanActive)
 
 	// Replicated runs quantify the simulation noise.
-	rep, err := granulock.RunReplicated(p, 5)
-	if err != nil {
+	var rep granulock.Replicated
+	if _, err := granulock.Run(p, granulock.WithReplications(5), granulock.WithReplicatedSummary(&rep)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n== five replications ==")

@@ -21,7 +21,7 @@ func main() {
 	work := flag.Int("work", 20000, "synthetic lock-holding computation per transaction")
 	flag.Parse()
 
-	fmt.Println("granules  protocol          committed   blocked  deadlock-retries  tps")
+	fmt.Println("granules  protocol          committed   blocked          restarts  tps")
 	for _, granules := range []int{1, 10, 100, 1000} {
 		for _, protocol := range []engine.Protocol{engine.Conservative, engine.ClaimAsNeeded, engine.Hierarchical} {
 			db, err := engine.Open(1000,
@@ -54,7 +54,7 @@ func main() {
 				extra = fmt.Sprintf("  (escalations: %d)", s.Escalations)
 			}
 			fmt.Printf("%8d  %-16s  %9d  %8d  %16d  %.0f%s\n",
-				granules, protocol, res.Committed, s.Lock.Blocks, s.DeadlockRetries, res.ThroughputTPS, extra)
+				granules, protocol, res.Committed, s.Lock.Blocks, s.Restarts, res.ThroughputTPS, extra)
 		}
 	}
 	fmt.Println("\nEvery run preserved the total balance: locking kept the database")

@@ -69,8 +69,8 @@ func TestRunWithMetricsPopulatesRegistry(t *testing.T) {
 	}
 }
 
-// TestRunWithObserverAndMetricsTee checks both hooks see the run.
-func TestRunWithObserverAndMetricsTee(t *testing.T) {
+// TestRunObserverAndMetricsTee checks both hooks see the run.
+func TestRunObserverAndMetricsTee(t *testing.T) {
 	p := shortParams()
 	reg := granulock.NewRegistry()
 	var collector granulock.ResponseCollector
@@ -135,14 +135,6 @@ func TestRunReplicationsOption(t *testing.T) {
 	// order, so they agree to round-off.
 	if diff := avg.Throughput - rep.Throughput.Mean; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("averaged throughput %v != summary mean %v", avg.Throughput, rep.Throughput.Mean)
-	}
-	// The deprecated wrapper must agree with the option path.
-	old, err := granulock.RunReplicated(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Throughput.Mean != rep.Throughput.Mean {
-		t.Fatalf("RunReplicated mean %v != option path %v", old.Throughput.Mean, rep.Throughput.Mean)
 	}
 	var collector granulock.ResponseCollector
 	if _, err := granulock.Run(p, granulock.WithReplications(2), granulock.WithObserver(&collector)); err == nil {

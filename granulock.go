@@ -223,17 +223,6 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	return m, nil
 }
 
-// RunReplicated executes reps independent replications in parallel and
-// summarizes the headline metrics with 95% confidence intervals.
-//
-// Deprecated: use Run(p, WithReplications(reps),
-// WithReplicatedSummary(&rep)).
-func RunReplicated(p Params, reps int) (Replicated, error) {
-	var rep Replicated
-	_, err := Run(p, WithReplications(reps), WithReplicatedSummary(&rep))
-	return rep, err
-}
-
 // OptimalGranularity sweeps the number of locks and returns the
 // throughput-maximizing value together with the whole curve.
 func OptimalGranularity(p Params) (best int, curve []PointSummary, err error) {
@@ -292,7 +281,7 @@ func PredictOptimalGranularity(p Params) (best int, curve []Prediction, err erro
 	return analytic.OptimalGranularity(p, experiments.LtotSweep(p.DBSize))
 }
 
-// Observer receives simulation lifecycle events; see RunWithObserver.
+// Observer receives simulation lifecycle events; see WithObserver.
 type Observer = model.Observer
 
 // ResponseCollector gathers per-transaction response times (an
@@ -302,13 +291,6 @@ type ResponseCollector = model.ResponseCollector
 // ClassCollector gathers per-class completions and response times for
 // mixed workloads (an Observer).
 type ClassCollector = model.ClassCollector
-
-// RunWithObserver is Run with a tracing/measurement hook attached.
-//
-// Deprecated: use Run(p, WithObserver(obs)).
-func RunWithObserver(p Params, obs Observer) (Metrics, error) {
-	return Run(p, WithObserver(obs))
-}
 
 // NewTraceWriter returns an Observer streaming every simulation event
 // to w as JSON lines; Close it after the run to flush.

@@ -72,11 +72,11 @@ func TestTable1Facade(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedFacade(t *testing.T) {
+func TestRunReplicationsFacade(t *testing.T) {
 	p := granulock.DefaultParams()
 	p.TMax = 150
-	r, err := granulock.RunReplicated(p, 3)
-	if err != nil {
+	var r granulock.Replicated
+	if _, err := granulock.Run(p, granulock.WithReplications(3), granulock.WithReplicatedSummary(&r)); err != nil {
 		t.Fatal(err)
 	}
 	if r.Throughput.N != 3 {

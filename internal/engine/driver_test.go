@@ -6,7 +6,7 @@ import (
 )
 
 func TestWorkloadValidation(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	bad := []Workload{
 		{Workers: 0, TxnsPerWorker: 1, TransfersPerTxn: 1},
 		{Workers: 1, TxnsPerWorker: 0, TransfersPerTxn: 1},
@@ -24,9 +24,7 @@ func TestWorkloadValidation(t *testing.T) {
 
 func TestRunClosedPreservesBalance(t *testing.T) {
 	for _, protocol := range []Protocol{Conservative, ClaimAsNeeded} {
-		cfg := baseCfg()
-		cfg.Protocol = protocol
-		db := mustOpen(t, cfg)
+		db := openBase(t, WithProtocol(protocol))
 		want := db.TotalBalance()
 		res, err := db.RunClosed(context.Background(), Workload{
 			Workers:         8,
@@ -54,8 +52,7 @@ func TestRunClosedHotSpotRaisesContention(t *testing.T) {
 	// Restricting the access domain to one granule's worth of entities
 	// must produce more lock blocking than spreading over the database.
 	mk := func(hot int) int64 {
-		cfg := baseCfg()
-		db := mustOpen(t, cfg)
+		db := openBase(t)
 		_, err := db.RunClosed(context.Background(), Workload{
 			Workers:         8,
 			TxnsPerWorker:   100,
@@ -82,9 +79,7 @@ func TestFinerGranularityReducesBlocking(t *testing.T) {
 	// granules conflicts become rare. (The cost side — lock overhead —
 	// is visible in the grant counts and the realdb example's timings.)
 	blocks := func(granules int) int64 {
-		cfg := baseCfg()
-		cfg.Granules = granules
-		db := mustOpen(t, cfg)
+		db := openBase(t, WithGranules(granules))
 		_, err := db.RunClosed(context.Background(), Workload{
 			Workers:         8,
 			TxnsPerWorker:   100,
@@ -106,7 +101,7 @@ func TestFinerGranularityReducesBlocking(t *testing.T) {
 
 func TestZipfSkewRaisesContention(t *testing.T) {
 	blocks := func(skew float64) int64 {
-		db := mustOpen(t, baseCfg())
+		db := openBase(t)
 		_, err := db.RunClosed(context.Background(), Workload{
 			Workers:         8,
 			TxnsPerWorker:   100,
@@ -128,7 +123,7 @@ func TestZipfSkewRaisesContention(t *testing.T) {
 }
 
 func TestZipfSkewValidation(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	_, err := db.RunClosed(context.Background(), Workload{
 		Workers: 1, TxnsPerWorker: 1, TransfersPerTxn: 1, ZipfSkew: -1,
 	})
@@ -141,7 +136,7 @@ func TestRunClosedDeterministicStream(t *testing.T) {
 	// The generated operation stream (not the interleaving) must be
 	// seed-deterministic: same seed, single worker -> same final state.
 	final := func() int64 {
-		db := mustOpen(t, baseCfg())
+		db := openBase(t)
 		_, err := db.RunClosed(context.Background(), Workload{
 			Workers:         1,
 			TxnsPerWorker:   50,
@@ -160,8 +155,7 @@ func TestRunClosedDeterministicStream(t *testing.T) {
 }
 
 func BenchmarkEngineConservative(b *testing.B) {
-	cfg := Config{Nodes: 4, DBSize: 10000, Granules: 100, Protocol: Conservative, InitialValue: 100}
-	db, err := OpenConfig(cfg)
+	db, err := Open(10000, WithNodes(4), WithGranules(100), WithProtocol(Conservative), WithInitialValue(100))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,8 +173,7 @@ func BenchmarkEngineConservative(b *testing.B) {
 }
 
 func BenchmarkEngineClaimAsNeeded(b *testing.B) {
-	cfg := Config{Nodes: 4, DBSize: 10000, Granules: 100, Protocol: ClaimAsNeeded, InitialValue: 100}
-	db, err := OpenConfig(cfg)
+	db, err := Open(10000, WithNodes(4), WithGranules(100), WithProtocol(ClaimAsNeeded), WithInitialValue(100))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -25,101 +23,53 @@ func durableWorkload(seed uint64) Workload {
 	}
 }
 
-func TestGroupCommitRecoverMatchesLiveStateAllProtocols(t *testing.T) {
-	// Every registered protocol must produce a group-commit log whose
-	// recovery reproduces the live state — the publish contract (persist
-	// before release) is what makes this hold, so the test doubles as a
+func TestOpenDurableRoundTripAllProtocols(t *testing.T) {
+	// Every registered protocol must produce logs whose recovery
+	// reproduces the live state — the publish contract (persist before
+	// release) is what makes this hold, so the test doubles as a
 	// contract check for protocols added later.
 	for _, protocol := range cc.Names() {
-		var sink bytes.Buffer
-		log := wal.NewLog(&sink)
-		set, err := wal.NewSet(log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := Open(200,
-			WithNodes(4),
-			WithGranules(20),
-			WithProtocol(protocol),
-			WithInitialValue(100),
-			WithWAL(set))
-		if err != nil {
-			t.Fatalf("%s: %v", protocol, err)
-		}
-		if _, err := db.RunClosed(context.Background(), durableWorkload(11)); err != nil {
-			t.Fatalf("%s: %v", protocol, err)
-		}
-		if err := set.Close(); err != nil {
-			t.Fatalf("%s: close: %v", protocol, err)
-		}
-		state := map[int64]int64{}
-		stats, err := wal.RecoverSet(
-			[]*wal.Reader{wal.NewReader(bytes.NewReader(sink.Bytes()))},
-			func(e, v int64) { state[e] = v })
-		if err != nil {
-			t.Fatalf("%s: recover: %v", protocol, err)
-		}
-		if stats.Committed == 0 || stats.CrossPartial != 0 || stats.OrderViolations != 0 {
-			t.Fatalf("%s: stats %+v", protocol, stats)
-		}
-		for e := 0; e < 200; e++ {
-			live, _ := db.Read(e)
-			rec, ok := state[int64(e)]
-			if !ok {
-				rec = 100 // never updated
+		t.Run(protocol, func(t *testing.T) {
+			dir := t.TempDir()
+			db, stats := openWAL(t, dir, protocol, walNodes)
+			if stats.Committed != 0 {
+				t.Fatalf("fresh dir recovered %d commits", stats.Committed)
 			}
-			if live != rec {
-				t.Fatalf("%s: entity %d diverged: live %d, recovered %d", protocol, e, live, rec)
+			if _, err := db.RunClosed(context.Background(), durableWorkload(12)); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
+			want := make([]int64, walDBSize)
+			for e := range want {
+				want[e], _ = db.Read(e)
+			}
+			committed := db.Stats().Committed
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-func TestOpenDurableRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db, stats, err := OpenDurable(dir, 200,
-		WithNodes(4), WithGranules(20), WithInitialValue(100),
-		WithWALOptions(wal.WithPreallocate(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Committed != 0 {
-		t.Fatalf("fresh dir recovered %d commits", stats.Committed)
-	}
-	if _, err := db.RunClosed(context.Background(), durableWorkload(12)); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int64, 200)
-	for e := range want {
-		want[e], _ = db.Read(e)
-	}
-	committed := db.Stats().Committed
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, stats, err := OpenDurable(dir, 200,
-		WithNodes(4), WithGranules(20), WithInitialValue(100),
-		WithWALOptions(wal.WithPreallocate(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if int64(stats.Committed) != committed {
-		// Read-only txns never log, so every logged txn is an update.
-		t.Fatalf("recovered %d commits, live engine committed %d", stats.Committed, committed)
-	}
-	for e := range want {
-		got, _ := db2.Read(e)
-		if got != want[e] {
-			t.Fatalf("entity %d: recovered %d, want %d", e, got, want[e])
-		}
-	}
-	// Per-partition placement: a single-node transfer must only have
-	// touched its node's log — verified indirectly by the ordering rule
-	// (no CrossPartial/OrderViolations on a clean log).
-	if stats.CrossPartial != 0 || stats.OrderViolations != 0 {
-		t.Fatalf("clean log stats %+v", stats)
+			db2, stats := openWAL(t, dir, protocol, walNodes)
+			defer db2.Close()
+			if int64(stats.Committed) != committed {
+				// Read-only txns never log, so every logged txn is an update.
+				t.Fatalf("recovered %d commits, live engine committed %d", stats.Committed, committed)
+			}
+			for e := range want {
+				got, _ := db2.Read(e)
+				if got != want[e] {
+					t.Fatalf("entity %d: recovered %d, want %d", e, got, want[e])
+				}
+			}
+			// A clean shutdown leaves nothing torn, in flight, or split
+			// across the ordering rule.
+			if stats.Incomplete != 0 || stats.CrossPartial != 0 || stats.OrderViolations != 0 {
+				t.Fatalf("clean log stats %+v", stats)
+			}
+			for k, l := range stats.Logs {
+				if l.Torn {
+					t.Fatalf("log %d torn after clean shutdown", k)
+				}
+			}
+		})
 	}
 }
 
@@ -373,63 +323,46 @@ func TestDurableFaultInjectionConservesBalance(t *testing.T) {
 	}
 }
 
-func TestPersistGroupFailurePropagatesToExecute(t *testing.T) {
+func TestPersistFailurePropagatesToExecute(t *testing.T) {
 	// A poisoned log must surface as a commit error, never as a
 	// silently-acknowledged transaction.
-	sink := &failAfterSink{failAt: 1}
-	log := wal.NewLog(sink)
-	set, err := wal.NewSet(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(10, WithInitialValue(100), WithWAL(set))
+	failSync := wal.FaultInjector(func(op string, n int) (int, error) {
+		if op == "sync" {
+			return 0, errors.New("injected sync failure")
+		}
+		return n, nil
+	})
+	db, _, err := OpenDurable(t.TempDir(), 10, WithInitialValue(100),
+		WithWALOptions(wal.WithPreallocate(0), wal.WithFaultInjector(failSync)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Execute(context.Background(), Transfer(0, 1, 5)); !errors.Is(err, wal.ErrPoisoned) {
 		t.Fatalf("execute on poisoned log: %v", err)
 	}
-}
-
-// failAfterSink fails every Sync from the failAt-th on.
-type failAfterSink struct {
-	syncs  int
-	failAt int
-}
-
-func (s *failAfterSink) Write(p []byte) (int, error) { return len(p), nil }
-func (s *failAfterSink) Sync() error {
-	s.syncs++
-	if s.syncs >= s.failAt {
-		return errors.New("injected sync failure")
-	}
-	return nil
-}
-
-func TestOpenDurableRejectsConflictingLogOptions(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if _, _, err := OpenDurable(dir, 10, WithLog(wal.NewWriter(&buf))); err == nil {
-		t.Fatal("WithLog accepted by OpenDurable")
-	}
-	log := wal.NewLog(io.Discard)
-	set, _ := wal.NewSet(log)
-	defer set.Close()
-	if _, _, err := OpenDurable(dir, 10, WithWAL(set)); err == nil {
-		t.Fatal("WithWAL accepted by OpenDurable")
+	if err := db.Close(); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("close of poisoned database: %v", err)
 	}
 }
 
-func TestWALSetSizeValidation(t *testing.T) {
-	logs := []*wal.Log{wal.NewLog(io.Discard), wal.NewLog(io.Discard), wal.NewLog(io.Discard)}
-	set, err := wal.NewSet(logs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	// 3 logs with 4 nodes: neither 1 nor Nodes.
-	if _, err := Open(100, WithNodes(4), WithWAL(set)); err == nil {
-		t.Fatal("mismatched WAL set size accepted")
+func TestOpenDurableRejectedConfigLeavesNoDir(t *testing.T) {
+	// Validation comes before the directory is touched: a rejected
+	// configuration must not leave log files (1 MiB preallocated per
+	// node) behind.
+	for name, opt := range map[string]Option{
+		"protocol":   WithProtocol("nope"),
+		"granules":   WithGranules(0),
+		"nodes":      WithNodes(0),
+		"partitions": WithNodes(wal.MaxPartitions + 1),
+	} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if db, _, err := OpenDurable(dir, 100, opt); err == nil {
+			db.Close()
+			t.Fatalf("%s: invalid configuration accepted", name)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: rejected configuration left %s behind (stat err %v)", name, dir, err)
+		}
 	}
 }
 

@@ -15,8 +15,9 @@
 // conclusions), the wound-wait and wait-die age-priority restart
 // policies, and optimistic validate-at-commit. Open takes a protocol
 // *name* resolved through cc.Lookup; cc.Names lists the registry.
-// Optional write-ahead logging (internal/wal) makes commits durable
-// and crash-recoverable under every protocol.
+// A database is either in-memory (Open) or durable (OpenDurable, a
+// write-ahead directory with one internal/wal group-commit log per
+// node, crash-recoverable under every protocol).
 package engine
 
 import (
@@ -65,13 +66,9 @@ const (
 	Optimistic Protocol = "optimistic"
 )
 
-// Config describes a database instance.
-//
-// Deprecated: Config remains as the carrier of the legacy OpenConfig
-// path and of Recover's rebuild parameters. New code should call
-// Open(dbsize, ...Option), which cannot express an invalid
-// combination field-by-field.
-type Config struct {
+// config is the carrier the options fill; Open and OpenDurable validate
+// it before building anything.
+type config struct {
 	// Nodes is the number of shared-nothing nodes (processors); entities
 	// are round-robin partitioned across them.
 	Nodes int
@@ -82,29 +79,13 @@ type Config struct {
 	// layout).
 	Granules int
 	// Protocol is the concurrency-control protocol name, resolved
-	// through the cc registry ("" selects "conservative", matching the
-	// historical zero value of the int enum this field replaced).
+	// through the cc registry.
 	Protocol Protocol
 	// InitialValue seeds every entity, so TotalBalance starts at
 	// DBSize·InitialValue.
 	InitialValue int64
-	// Log, when non-nil, makes transactions durable the per-commit-sync
-	// way: each commit appends its update records and a commit record
-	// to the write-ahead log and syncs before releasing its access
-	// rights. Recover rebuilds a database from such a log. Mutually
-	// exclusive with WAL — Log is the baseline path the group-commit
-	// pipeline is benchmarked against.
-	Log *wal.Writer
-	// WAL, when non-nil, makes transactions durable through the
-	// group-commit pipeline: each commit enqueues its record group and
-	// waits for the batched flush (wal.Log) before releasing its access
-	// rights. A Set of one log serializes everything through it; a Set
-	// of exactly Nodes logs is partitioned by node index, so a commit
-	// touching only node k syncs only log k. Mutually exclusive with
-	// Log.
-	WAL *wal.Set
 	// WALOptions configures the logs OpenDurable creates (preallocation,
-	// flush interval, fault injection); ignored by Open/OpenConfig.
+	// flush interval, fault injection); ignored by Open.
 	WALOptions []wal.LogOption
 	// EscalationThreshold enables lock escalation for the hierarchical
 	// protocol: a transaction holding this many granules escalates to a
@@ -112,86 +93,69 @@ type Config struct {
 	EscalationThreshold int
 	// Metrics, when non-nil, mirrors the database's activity into the
 	// registry: commit and restart counters
-	// (granulock_engine_commits_total,
-	// granulock_engine_deadlock_retries_total,
-	// granulock_engine_restarts_total by cause) plus the protocol's
-	// lock-table families. One database per registry.
+	// (granulock_engine_commits_total, granulock_engine_restarts_total
+	// by cause) plus the protocol's lock-table families. One database
+	// per registry.
 	Metrics *obs.Registry
 }
 
-// Option configures Open.
-type Option func(*Config)
+// Option configures Open and OpenDurable.
+type Option func(*config)
 
 // WithNodes sets the number of shared-nothing nodes (default 1).
-func WithNodes(n int) Option { return func(c *Config) { c.Nodes = n } }
+func WithNodes(n int) Option { return func(c *config) { c.Nodes = n } }
 
 // WithGranules sets the number of lock granules (default: one per
 // entity, the finest granularity).
-func WithGranules(n int) Option { return func(c *Config) { c.Granules = n } }
+func WithGranules(n int) Option { return func(c *config) { c.Granules = n } }
 
 // WithProtocol selects the concurrency-control protocol by registry
 // name (default "conservative"; cc.Names lists the registry).
-func WithProtocol(name Protocol) Option { return func(c *Config) { c.Protocol = name } }
+func WithProtocol(name Protocol) Option { return func(c *config) { c.Protocol = name } }
 
 // WithInitialValue seeds every entity (default 0).
-func WithInitialValue(v int64) Option { return func(c *Config) { c.InitialValue = v } }
-
-// WithLog attaches a write-ahead log on the per-commit-sync path:
-// commits become durable and Recover can rebuild the database after a
-// crash. Prefer WithWAL (group commit) for concurrent workloads.
-func WithLog(w *wal.Writer) Option { return func(c *Config) { c.Log = w } }
-
-// WithWAL attaches a group-commit write-ahead log set: commits become
-// durable via batched flushes. The set must have one log, or exactly
-// one per node (per-partition logging keyed by node index). The caller
-// owns the set's lifecycle (Close it after the DB is quiescent);
-// OpenDurable manages all of this given just a directory.
-func WithWAL(s *wal.Set) Option { return func(c *Config) { c.WAL = s } }
+func WithInitialValue(v int64) Option { return func(c *config) { c.InitialValue = v } }
 
 // WithWALOptions forwards options to the logs OpenDurable creates
 // (e.g. wal.WithFlushInterval, wal.WithPreallocate,
 // wal.WithFaultInjector for crash harnesses).
 func WithWALOptions(opts ...wal.LogOption) Option {
-	return func(c *Config) { c.WALOptions = append(c.WALOptions, opts...) }
+	return func(c *config) { c.WALOptions = append(c.WALOptions, opts...) }
 }
 
 // WithEscalationThreshold enables hierarchical lock escalation at the
 // given held-granule count (hierarchical protocol only).
-func WithEscalationThreshold(n int) Option { return func(c *Config) { c.EscalationThreshold = n } }
+func WithEscalationThreshold(n int) Option { return func(c *config) { c.EscalationThreshold = n } }
 
 // WithMetrics mirrors the database's activity into the registry.
-func WithMetrics(reg *obs.Registry) Option { return func(c *Config) { c.Metrics = reg } }
+func WithMetrics(reg *obs.Registry) Option { return func(c *config) { c.Metrics = reg } }
 
-// normalize fills Config defaults.
-func (c Config) normalize() Config {
+// newConfig applies opts over the defaults — one node, one granule per
+// entity, the conservative protocol (also what WithProtocol("") selects,
+// so an unset -protocol flag can be passed through) — and validates the
+// result.
+func newConfig(dbsize int, opts []Option) (config, error) {
+	c := config{Nodes: 1, DBSize: dbsize, Granules: dbsize}
+	for _, opt := range opts {
+		opt(&c)
+	}
 	if c.Protocol == "" {
 		c.Protocol = Conservative
 	}
-	return c
-}
-
-// validate checks a Config.
-func (c Config) validate() error {
 	switch {
 	case c.Nodes < 1:
-		return fmt.Errorf("engine: nodes %d < 1", c.Nodes)
+		return c, fmt.Errorf("engine: nodes %d < 1", c.Nodes)
 	case c.DBSize < 1:
-		return fmt.Errorf("engine: dbsize %d < 1", c.DBSize)
+		return c, fmt.Errorf("engine: dbsize %d < 1", c.DBSize)
 	case c.Granules < 1 || c.Granules > c.DBSize:
-		return fmt.Errorf("engine: granules %d outside [1, dbsize=%d]", c.Granules, c.DBSize)
+		return c, fmt.Errorf("engine: granules %d outside [1, dbsize=%d]", c.Granules, c.DBSize)
 	case c.EscalationThreshold < 0:
-		return fmt.Errorf("engine: escalation threshold %d < 0", c.EscalationThreshold)
+		return c, fmt.Errorf("engine: escalation threshold %d < 0", c.EscalationThreshold)
 	}
 	if _, ok := cc.Lookup(c.Protocol); !ok {
-		return fmt.Errorf("engine: unknown protocol %q (registered: %v)", c.Protocol, cc.Names())
+		return c, fmt.Errorf("engine: unknown protocol %q (registered: %v)", c.Protocol, cc.Names())
 	}
-	if c.Log != nil && c.WAL != nil {
-		return fmt.Errorf("engine: Log and WAL are mutually exclusive durability paths")
-	}
-	if c.WAL != nil && c.WAL.Len() != 1 && c.WAL.Len() != c.Nodes {
-		return fmt.Errorf("engine: WAL set has %d logs, need 1 or one per node (%d)", c.WAL.Len(), c.Nodes)
-	}
-	return nil
+	return c, nil
 }
 
 // Op is one read or update of an entity: Delta 0 reads, otherwise the
@@ -242,9 +206,6 @@ type Stats struct {
 	// wait-die deaths, and optimistic validation failures (always 0
 	// under Conservative).
 	Restarts int64
-	// DeadlockRetries is the historical name of Restarts, kept for
-	// compatibility; the two are always equal.
-	DeadlockRetries int64
 	// Lock counts mirror the protocol's lock-table grants/blocks/
 	// deadlocks (zero for lockless protocols).
 	Lock lockmgr.Stats
@@ -268,14 +229,12 @@ type node struct {
 
 // DB is an open database. All methods are safe for concurrent use.
 type DB struct {
-	cfg   Config
+	cfg   config
 	nodes []*node
 	inst  cc.Instance
 
-	// walSet is the group-commit log set (Config.WAL), nil on the
-	// legacy Writer path; walDir is non-nil only for OpenDurable
-	// databases, which own their log files and support Checkpoint.
-	walSet *wal.Set
+	// walDir is the write-ahead directory of an OpenDurable database
+	// (one log per node), nil for an in-memory one.
 	walDir *wal.Dir
 
 	nextTxn   atomic.Int64
@@ -285,16 +244,15 @@ type DB struct {
 	// eliminate the lock-holding computation.
 	sink atomic.Int64
 
-	// Registry twins of the counters above, nil without Config.Metrics.
+	// Registry twins of the counters above, nil without WithMetrics.
 	mCommits *obs.Counter
-	mRetries *obs.Counter
 	// mRestarts maps a restart cause (cc.RestartKind) to its counter;
 	// series resolve once at Open so the hot loop never registers.
 	mRestarts map[string]*obs.Counter
 }
 
-// Open creates a database of dbsize entities, configured by options —
-// mirroring the granulock.Run(p, With…) facade:
+// Open creates an in-memory database of dbsize entities, configured by
+// options — mirroring the granulock.Run(p, With…) facade:
 //
 //	db, err := engine.Open(1000,
 //		engine.WithProtocol("wound-wait"),
@@ -303,36 +261,23 @@ type DB struct {
 //		engine.WithInitialValue(100))
 //
 // Defaults: one node, one granule per entity (finest), the
-// conservative protocol, zero initial value, no log, no metrics.
+// conservative protocol, zero initial value, no metrics. Nothing is
+// logged; OpenDurable is the durable constructor.
 func Open(dbsize int, opts ...Option) (*DB, error) {
-	cfg := Config{Nodes: 1, DBSize: dbsize, Granules: dbsize}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return open(cfg)
-}
-
-// OpenConfig creates a database from a legacy Config struct.
-//
-// Deprecated: use Open(dbsize, ...Option). OpenConfig remains so code
-// written against the struct API keeps compiling: Config.Protocol is
-// now a registry *name* ("conservative", "claim-as-needed", ...)
-// rather than an int enum — the named constants migrate transparently,
-// hand-written integers do not.
-func OpenConfig(cfg Config) (*DB, error) { return open(cfg) }
-
-// open builds the database: partitions, then the protocol instance.
-func open(cfg Config) (*DB, error) {
-	cfg = cfg.normalize()
-	if err := cfg.validate(); err != nil {
+	cfg, err := newConfig(dbsize, opts)
+	if err != nil {
 		return nil, err
 	}
-	db := &DB{cfg: cfg}
+	return open(cfg, nil)
+}
+
+// open builds the database from a validated config: partitions, then
+// the protocol instance, logging to dir when it is non-nil.
+func open(cfg config, dir *wal.Dir) (*DB, error) {
+	db := &DB{cfg: cfg, walDir: dir}
 	if cfg.Metrics != nil {
 		db.mCommits = cfg.Metrics.NewCounter("granulock_engine_commits_total",
 			"Transactions committed by the executable engine.")
-		db.mRetries = cfg.Metrics.NewCounter("granulock_engine_deadlock_retries_total",
-			"Attempts aborted by the protocol and retried (all causes; historical name).")
 		restarts := cfg.Metrics.NewCounterVec("granulock_engine_restarts_total",
 			"Attempts aborted by the protocol and retried, by cause.", "cause")
 		db.mRestarts = make(map[string]*obs.Counter, 4)
@@ -350,13 +295,12 @@ func open(cfg Config) (*DB, error) {
 		}
 		db.nodes[i] = &node{values: values}
 	}
-	db.walSet = cfg.WAL
-	proto, _ := cc.Lookup(cfg.Protocol) // validated above
+	proto, _ := cc.Lookup(cfg.Protocol) // validated by newConfig
 	inst, err := proto.New(cc.Config{
 		Store:               store{db},
 		EscalationThreshold: cfg.EscalationThreshold,
 		Metrics:             cfg.Metrics,
-		RecordUpdates:       cfg.Log != nil || cfg.WAL != nil,
+		RecordUpdates:       dir != nil,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: protocol %s: %w", cfg.Protocol, err)
@@ -373,31 +317,23 @@ func open(cfg Config) (*DB, error) {
 // describe that recovery (all zero for a brand-new directory).
 //
 // Checkpoint bounds future recovery time; Close flushes and releases
-// the log files. The usual options apply; WithLog/WithWAL are rejected
-// (the directory supplies the log set), and WithWALOptions configures
-// the underlying logs.
+// the log files. Open's options apply, plus WithWALOptions for the
+// underlying logs. The options are validated before dir is touched: a
+// rejected configuration creates nothing.
 func OpenDurable(dir string, dbsize int, opts ...Option) (*DB, wal.SetRecoverStats, error) {
-	cfg := Config{Nodes: 1, DBSize: dbsize, Granules: dbsize}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.Log != nil || cfg.WAL != nil {
-		return nil, wal.SetRecoverStats{}, fmt.Errorf("engine: OpenDurable manages its own log; WithLog/WithWAL not allowed")
-	}
-	if cfg.Nodes > wal.MaxPartitions {
-		return nil, wal.SetRecoverStats{}, fmt.Errorf("engine: %d nodes exceeds %d per-partition logs", cfg.Nodes, wal.MaxPartitions)
-	}
-	d, err := wal.OpenDir(dir, max(cfg.Nodes, 1), cfg.WALOptions...)
+	cfg, err := newConfig(dbsize, opts)
 	if err != nil {
 		return nil, wal.SetRecoverStats{}, err
 	}
-	cfg.WAL = d.Set()
-	db, err := open(cfg)
+	d, err := wal.OpenDir(dir, cfg.Nodes, cfg.WALOptions...)
+	if err != nil {
+		return nil, wal.SetRecoverStats{}, err
+	}
+	db, err := open(cfg, d)
 	if err != nil {
 		d.Close()
 		return nil, wal.SetRecoverStats{}, err
 	}
-	db.walDir = d
 	stats, err := d.Recover(func(entity, value int64) {
 		if entity >= 0 && entity < int64(cfg.DBSize) {
 			db.set(int(entity), value)
@@ -420,18 +356,14 @@ func OpenDurable(dir string, dbsize int, opts ...Option) (*DB, wal.SetRecoverSta
 // install failpoints).
 func (db *DB) WALDir() *wal.Dir { return db.walDir }
 
-// Close flushes and releases the log files of an OpenDurable database.
-// It is a no-op for databases whose log lifecycle the caller owns
-// (WithLog/WithWAL) and for purely in-memory ones.
+// Close flushes and releases the log files of an OpenDurable database;
+// it is a no-op for an in-memory one.
 func (db *DB) Close() error {
 	if db.walDir != nil {
 		return db.walDir.Close()
 	}
 	return nil
 }
-
-// Config returns the database's configuration.
-func (db *DB) Config() Config { return db.cfg }
 
 // Instance exposes the database's protocol instance (tests and tools).
 func (db *DB) Instance() cc.Instance { return db.inst }
@@ -556,11 +488,8 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 		}
 		if cc.Restartable(err) {
 			db.retries.Add(1)
-			if db.mRetries != nil {
-				db.mRetries.Inc()
-				if c := db.mRestarts[cc.RestartKind(err)]; c != nil {
-					c.Inc()
-				}
+			if c := db.mRestarts[cc.RestartKind(err)]; c != nil {
+				c.Inc()
 			}
 			attempt++
 			if err := sleepBackoff(ctx, attempt, uint64(txnID)); err != nil {
@@ -573,10 +502,10 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 }
 
 // walScratch is the reusable per-commit record staging buffer. The
-// persist hook completes durability before returning (AppendGroup+Sync
-// on the Writer path, enqueue-and-wait on the group-commit path), so
-// the buffers are free for reuse the moment the hook returns — a
-// sync.Pool removes the per-commit slice allocation from the hot path.
+// persist hook completes durability before returning (enqueue-and-wait
+// on the group-commit logs), so the buffers are free for reuse the
+// moment the hook returns — a sync.Pool removes the per-commit slice
+// allocation from the hot path.
 type walScratch struct {
 	records []wal.Record
 	groups  []wal.PartGroup
@@ -587,53 +516,19 @@ var walScratchPool = sync.Pool{New: func() any { return new(walScratch) }}
 // persistFn builds the durability hook the protocol invokes at its
 // publish point: begin + update images + commit, made durable before
 // any access right is released, so log order matches serialization
-// order on every granule. On the group-commit path the hook enqueues
-// the group and waits for the batched flush; on the Writer path it
-// appends and syncs directly. Read-only transactions skip logging
-// entirely — they change nothing, so recovery does not need them. Nil
-// without a log.
+// order on every granule. The transaction's records are split by owning
+// node (node index keys log index), appended to each touched log in
+// ascending order and waited on through the batched flush, with the
+// commit record in every touched log carrying the full partition mask —
+// the cross-partition ordering rule wal.RecoverSet verifies. Read-only
+// transactions skip logging entirely — they change nothing, so recovery
+// does not need them. Nil for an in-memory database.
 func (db *DB) persistFn(txnID lockmgr.TxnID) func([]cc.Update) error {
-	if db.walSet != nil {
-		return db.persistSetFn(txnID)
-	}
-	if db.cfg.Log == nil {
+	if db.walDir == nil {
 		return nil
 	}
 	id := int64(txnID)
-	return func(us []cc.Update) error {
-		if len(us) == 0 {
-			return nil
-		}
-		sc := walScratchPool.Get().(*walScratch)
-		defer walScratchPool.Put(sc)
-		records := append(sc.records[:0], wal.Record{Kind: wal.KindBegin, Txn: id})
-		for _, u := range us {
-			records = append(records, wal.Record{
-				Kind:   wal.KindUpdate,
-				Txn:    id,
-				Entity: int64(u.Entity),
-				Before: u.Before,
-				After:  u.After,
-			})
-		}
-		records = append(records, wal.Record{Kind: wal.KindCommit, Txn: id})
-		sc.records = records
-		if err := db.cfg.Log.AppendGroup(records); err != nil {
-			return err
-		}
-		return db.cfg.Log.Sync()
-	}
-}
-
-// persistSetFn is persistFn for the group-commit Set: the transaction's
-// records are split by owning partition (node index keys log index when
-// the set is per-partition), appended to each touched log in ascending
-// order, with the commit record in every touched log carrying the full
-// partition mask — the cross-partition ordering rule wal.RecoverSet
-// verifies.
-func (db *DB) persistSetFn(txnID lockmgr.TxnID) func([]cc.Update) error {
-	id := int64(txnID)
-	parts := db.walSet.Len()
+	set := db.walDir.Set()
 	return func(us []cc.Update) error {
 		if len(us) == 0 {
 			return nil
@@ -641,12 +536,8 @@ func (db *DB) persistSetFn(txnID lockmgr.TxnID) func([]cc.Update) error {
 		sc := walScratchPool.Get().(*walScratch)
 		defer walScratchPool.Put(sc)
 		var mask int64
-		if parts == 1 {
-			mask = 1
-		} else {
-			for _, u := range us {
-				mask |= 1 << uint(db.nodeOf(u.Entity))
-			}
+		for _, u := range us {
+			mask |= 1 << uint(db.nodeOf(u.Entity))
 		}
 		npart := bits.OnesCount64(uint64(mask))
 		// Carve every partition's group out of one arena; the total is
@@ -658,14 +549,14 @@ func (db *DB) persistSetFn(txnID lockmgr.TxnID) func([]cc.Update) error {
 			arena = make([]wal.Record, 0, total)
 		}
 		groups := sc.groups[:0]
-		for p := 0; p < parts; p++ {
+		for p := 0; p < set.Len(); p++ {
 			if mask&(1<<uint(p)) == 0 {
 				continue
 			}
 			start := len(arena)
 			arena = append(arena, wal.Record{Kind: wal.KindBegin, Txn: id})
 			for _, u := range us {
-				if parts > 1 && db.nodeOf(u.Entity) != p {
+				if db.nodeOf(u.Entity) != p {
 					continue
 				}
 				arena = append(arena, wal.Record{
@@ -681,7 +572,7 @@ func (db *DB) persistSetFn(txnID lockmgr.TxnID) func([]cc.Update) error {
 		}
 		sc.records = arena
 		sc.groups = groups
-		return db.walSet.Commit(groups)
+		return set.Commit(groups)
 	}
 }
 
@@ -734,7 +625,7 @@ func (db *DB) Checkpoint(ctx context.Context) error {
 				// Publish point: reads validated/covered, no concurrent
 				// writer — the sequence vector and the entries describe
 				// the same state.
-				snap = &wal.Snapshot{Seqs: db.walSet.Seqs(), Entries: entries}
+				snap = &wal.Snapshot{Seqs: db.walDir.Set().Seqs(), Entries: entries}
 				return nil
 			})
 		}
@@ -794,32 +685,6 @@ func (db *DB) set(entity int, value int64) {
 	n.mu.Unlock()
 }
 
-// Recover rebuilds a database from a write-ahead log: a fresh instance
-// per cfg (which supplies the same Nodes/DBSize/Granules/InitialValue
-// the crashed instance had; cfg.Log is the crashed log's *reader* side
-// and is ignored here) with every committed transaction redone and
-// everything else discarded. It returns the rebuilt database and the
-// recovery statistics.
-func Recover(cfg Config, log *wal.Reader) (*DB, wal.RecoverStats, error) {
-	cfg.Log = nil // the rebuilt instance starts without a log attached
-	db, err := open(cfg)
-	if err != nil {
-		return nil, wal.RecoverStats{}, err
-	}
-	stats, err := wal.Recover(log, func(entity, value int64) {
-		if entity >= 0 && entity < int64(cfg.DBSize) {
-			db.set(int(entity), value)
-		}
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	// New transactions must not reuse IDs still present in the log (see
-	// OpenDurable).
-	db.nextTxn.Store(stats.MaxTxn)
-	return db, stats, nil
-}
-
 // Read returns one entity's value without transactional isolation
 // (a dirty read used by tests and tooling).
 func (db *DB) Read(entity int) (int64, error) {
@@ -870,11 +735,9 @@ func Transfer(from, to int, amount int64) Txn {
 
 // Stats returns an activity snapshot.
 func (db *DB) Stats() Stats {
-	retries := db.retries.Load()
 	s := Stats{
-		Committed:       db.committed.Load(),
-		Restarts:        retries,
-		DeadlockRetries: retries,
+		Committed: db.committed.Load(),
+		Restarts:  db.retries.Load(),
 	}
 	cs := db.inst.Stats()
 	s.Lock = cs.Lock

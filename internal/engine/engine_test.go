@@ -9,31 +9,38 @@ import (
 	"granulock/internal/lockmgr"
 )
 
-func mustOpen(t *testing.T, cfg Config) *DB {
+// mustOpen opens an in-memory database or fails the test.
+func mustOpen(t *testing.T, dbsize int, opts ...Option) *DB {
 	t.Helper()
-	db, err := OpenConfig(cfg)
+	db, err := Open(dbsize, opts...)
 	if err != nil {
-		t.Fatalf("OpenConfig: %v", err)
+		t.Fatalf("Open(%d): %v", dbsize, err)
 	}
 	return db
 }
 
-func baseCfg() Config {
-	return Config{Nodes: 4, DBSize: 1000, Granules: 50, Protocol: Conservative, InitialValue: 100}
+// openBase opens the tests' usual database — 1000 entities seeded with
+// 100 each, 4 nodes, 50 granules, conservative — with opts on top.
+func openBase(t *testing.T, opts ...Option) *DB {
+	t.Helper()
+	base := []Option{WithNodes(4), WithGranules(50), WithInitialValue(100)}
+	return mustOpen(t, 1000, append(base, opts...)...)
 }
 
 func TestOpenValidation(t *testing.T) {
-	bad := []Config{
-		{Nodes: 0, DBSize: 10, Granules: 1},
-		{Nodes: 1, DBSize: 0, Granules: 1},
-		{Nodes: 1, DBSize: 10, Granules: 0},
-		{Nodes: 1, DBSize: 10, Granules: 11},
-		{Nodes: 1, DBSize: 10, Granules: 5, Protocol: "no-such-protocol"},
+	bad := map[string][]Option{
+		"nodes 0":          {WithNodes(0)},
+		"granules 0":       {WithGranules(0)},
+		"granules >dbsize": {WithGranules(11)},
+		"protocol":         {WithGranules(5), WithProtocol("no-such-protocol")},
 	}
-	for _, cfg := range bad {
-		if _, err := OpenConfig(cfg); err == nil {
-			t.Errorf("invalid config %+v accepted", cfg)
+	for name, opts := range bad {
+		if _, err := Open(10, opts...); err == nil {
+			t.Errorf("invalid config (%s) accepted", name)
 		}
+	}
+	if _, err := Open(0); err == nil {
+		t.Error("dbsize 0 accepted")
 	}
 }
 
@@ -44,7 +51,7 @@ func TestOpenOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open(10): %v", err)
 	}
-	if cfg := db.Config(); cfg.Nodes != 1 || cfg.Granules != 10 || cfg.Protocol != Conservative {
+	if cfg := db.cfg; cfg.Nodes != 1 || cfg.Granules != 10 || cfg.Protocol != Conservative {
 		t.Fatalf("defaults %+v", cfg)
 	}
 	db, err = Open(100,
@@ -53,7 +60,7 @@ func TestOpenOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open with options: %v", err)
 	}
-	cfg := db.Config()
+	cfg := db.cfg
 	if cfg.Nodes != 4 || cfg.Granules != 10 || cfg.Protocol != WoundWait ||
 		cfg.InitialValue != 7 || cfg.EscalationThreshold != 3 {
 		t.Fatalf("options not applied: %+v", cfg)
@@ -64,7 +71,7 @@ func TestOpenOptions(t *testing.T) {
 }
 
 func TestInitialBalance(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	if got := db.TotalBalance(); got != 1000*100 {
 		t.Fatalf("initial balance %d, want 100000", got)
 	}
@@ -81,7 +88,7 @@ func TestInitialBalance(t *testing.T) {
 }
 
 func TestPartitioningRoundRobin(t *testing.T) {
-	db := mustOpen(t, Config{Nodes: 3, DBSize: 10, Granules: 5, InitialValue: 1})
+	db := mustOpen(t, 10, WithNodes(3), WithGranules(5), WithInitialValue(1))
 	// Entities 0..9 over 3 nodes: node 0 owns {0,3,6,9}, node 1 {1,4,7},
 	// node 2 {2,5,8}.
 	if len(db.nodes[0].values) != 4 || len(db.nodes[1].values) != 3 || len(db.nodes[2].values) != 3 {
@@ -93,7 +100,7 @@ func TestPartitioningRoundRobin(t *testing.T) {
 }
 
 func TestGranuleOfContiguous(t *testing.T) {
-	db := mustOpen(t, Config{Nodes: 2, DBSize: 100, Granules: 10, InitialValue: 0})
+	db := mustOpen(t, 100, WithNodes(2), WithGranules(10))
 	// Entities 0..9 in granule 0, 10..19 in granule 1, ...
 	for e := 0; e < 100; e++ {
 		want := lockmgr.Granule(e / 10)
@@ -104,7 +111,7 @@ func TestGranuleOfContiguous(t *testing.T) {
 }
 
 func TestTransferMovesMoney(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	if _, err := db.Execute(context.Background(), Transfer(3, 7, 25)); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestTransferMovesMoney(t *testing.T) {
 }
 
 func TestReadTxnSums(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	sum, err := db.Execute(context.Background(), Txn{Ops: []Op{{Entity: 1}, {Entity: 2}, {Entity: 3}}})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +137,7 @@ func TestReadTxnSums(t *testing.T) {
 }
 
 func TestEmptyTxn(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	sum, err := db.Execute(context.Background(), Txn{})
 	if err != nil || sum != 0 {
 		t.Fatalf("empty txn: %d, %v", sum, err)
@@ -138,14 +145,14 @@ func TestEmptyTxn(t *testing.T) {
 }
 
 func TestExecuteRejectsBadEntity(t *testing.T) {
-	db := mustOpen(t, baseCfg())
+	db := openBase(t)
 	if _, err := db.Execute(context.Background(), Transfer(0, 5000, 1)); err == nil {
 		t.Fatal("out-of-range entity accepted")
 	}
 }
 
 func TestLockSetModes(t *testing.T) {
-	db := mustOpen(t, Config{Nodes: 2, DBSize: 100, Granules: 10, InitialValue: 0})
+	db := mustOpen(t, 100, WithNodes(2), WithGranules(10))
 	// Read entity 5 (granule 0), write entity 7 (granule 0): X wins.
 	// Read entity 15 (granule 1): S.
 	reqs, err := db.lockSet(Txn{Ops: []Op{{Entity: 5}, {Entity: 7, Delta: 1}, {Entity: 15}}})
@@ -168,10 +175,7 @@ func TestLockSetModes(t *testing.T) {
 // §1 is exactly what this catches if locking is broken.
 func conservationStress(t *testing.T, protocol Protocol, granules int) {
 	t.Helper()
-	cfg := baseCfg()
-	cfg.Protocol = protocol
-	cfg.Granules = granules
-	db := mustOpen(t, cfg)
+	db := openBase(t, WithProtocol(protocol), WithGranules(granules))
 	want := db.TotalBalance()
 
 	const workers = 8
@@ -209,11 +213,8 @@ func TestConservationHierarchical(t *testing.T) {
 }
 
 func TestHierarchicalEscalation(t *testing.T) {
-	cfg := Config{
-		Nodes: 2, DBSize: 1000, Granules: 1000,
-		Protocol: Hierarchical, InitialValue: 100, EscalationThreshold: 5,
-	}
-	db := mustOpen(t, cfg)
+	db := mustOpen(t, 1000, WithNodes(2), WithProtocol(Hierarchical),
+		WithInitialValue(100), WithEscalationThreshold(5))
 	// One transaction touching many granules triggers escalation to a
 	// database-level lock.
 	ops := make([]Op, 0, 20)
@@ -236,8 +237,7 @@ func TestHierarchicalMixedReadWriteTerminates(t *testing.T) {
 	// locking with multi-granule read/write transactions and synthetic
 	// work must terminate (victims back off instead of instantly
 	// re-grabbing their first granule).
-	cfg := Config{Nodes: 4, DBSize: 1000, Granules: 10, Protocol: Hierarchical, InitialValue: 100, EscalationThreshold: 16}
-	db := mustOpen(t, cfg)
+	db := openBase(t, WithGranules(10), WithProtocol(Hierarchical), WithEscalationThreshold(16))
 	done := make(chan error, 1)
 	go func() {
 		_, err := db.RunClosed(context.Background(), Workload{
@@ -260,9 +260,7 @@ func TestHierarchicalMixedReadWriteTerminates(t *testing.T) {
 }
 
 func TestEscalationThresholdValidation(t *testing.T) {
-	cfg := baseCfg()
-	cfg.EscalationThreshold = -1
-	if _, err := OpenConfig(cfg); err == nil {
+	if _, err := Open(1000, WithEscalationThreshold(-1)); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
 }
@@ -277,9 +275,7 @@ func TestConservationClaimAsNeededMid(t *testing.T)  { conservationStress(t, Cla
 func TestConservationClaimAsNeededFine(t *testing.T) { conservationStress(t, ClaimAsNeeded, 1000) }
 
 func TestConservativeNeverDeadlocks(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Granules = 10 // high collision probability
-	db := mustOpen(t, cfg)
+	db := openBase(t, WithGranules(10)) // high collision probability
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -302,7 +298,7 @@ func TestConservativeNeverDeadlocks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := db.Stats(); s.Lock.Deadlocks != 0 || s.DeadlockRetries != 0 {
+	if s := db.Stats(); s.Lock.Deadlocks != 0 || s.Restarts != 0 {
 		t.Fatalf("conservative protocol deadlocked: %+v", s)
 	}
 }
@@ -310,8 +306,7 @@ func TestConservativeNeverDeadlocks(t *testing.T) {
 func TestClaimAsNeededDetectsAndRetries(t *testing.T) {
 	// Two granules, opposite acquisition orders, heavy concurrency:
 	// deadlocks are essentially guaranteed and must be retried through.
-	cfg := Config{Nodes: 2, DBSize: 100, Granules: 2, Protocol: ClaimAsNeeded, InitialValue: 100}
-	db := mustOpen(t, cfg)
+	db := mustOpen(t, 100, WithNodes(2), WithGranules(2), WithProtocol(ClaimAsNeeded), WithInitialValue(100))
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -337,7 +332,7 @@ func TestClaimAsNeededDetectsAndRetries(t *testing.T) {
 	if db.TotalBalance() != 100*100 {
 		t.Fatalf("conservation violated: %d", db.TotalBalance())
 	}
-	if s := db.Stats(); s.DeadlockRetries == 0 {
+	if s := db.Stats(); s.Restarts == 0 {
 		t.Log("warning: no deadlocks observed (scheduling-dependent); invariants still verified")
 	}
 }
@@ -345,9 +340,7 @@ func TestClaimAsNeededDetectsAndRetries(t *testing.T) {
 func TestFullReadTxnSeesConsistentSnapshot(t *testing.T) {
 	// Concurrent transfers plus full-database read transactions: every
 	// isolated read must see exactly the invariant total.
-	cfg := baseCfg()
-	cfg.Granules = 20
-	db := mustOpen(t, cfg)
+	db := openBase(t, WithGranules(20))
 	want := db.TotalBalance()
 	ctx := context.Background()
 	stop := make(chan struct{})

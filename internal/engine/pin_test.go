@@ -57,11 +57,8 @@ func TestPinnedProtocolEquivalence(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s/g%d/esc%d", tc.protocol, tc.granules, tc.escalate)
 		t.Run(name, func(t *testing.T) {
-			db := mustOpen(t, Config{
-				Nodes: 4, DBSize: 1000, Granules: tc.granules,
-				Protocol: tc.protocol, InitialValue: 100,
-				EscalationThreshold: tc.escalate,
-			})
+			db := openBase(t, WithGranules(tc.granules), WithProtocol(tc.protocol),
+				WithEscalationThreshold(tc.escalate))
 			res, err := db.RunClosed(context.Background(), pinWorkload)
 			if err != nil {
 				t.Fatal(err)
@@ -74,9 +71,9 @@ func TestPinnedProtocolEquivalence(t *testing.T) {
 			}
 			s := db.Stats()
 			if s.Lock.Grants != tc.grants || s.Lock.Blocks != 0 ||
-				s.Lock.Deadlocks != 0 || s.DeadlockRetries != 0 || s.Escalations != tc.esc {
+				s.Lock.Deadlocks != 0 || s.Restarts != 0 || s.Escalations != tc.esc {
 				t.Fatalf("decisions diverged from golden: grants=%d (want %d) blocks=%d deadlocks=%d retries=%d esc=%d (want %d)",
-					s.Lock.Grants, tc.grants, s.Lock.Blocks, s.Lock.Deadlocks, s.DeadlockRetries, s.Escalations, tc.esc)
+					s.Lock.Grants, tc.grants, s.Lock.Blocks, s.Lock.Deadlocks, s.Restarts, s.Escalations, tc.esc)
 			}
 		})
 	}
@@ -90,10 +87,7 @@ func TestPinnedSerialAgreementNewProtocols(t *testing.T) {
 	const goldenHash = uint64(0x8f4b01a9f64d376d)
 	for _, protocol := range []Protocol{WoundWait, WaitDie, Optimistic} {
 		t.Run(protocol, func(t *testing.T) {
-			db := mustOpen(t, Config{
-				Nodes: 4, DBSize: 1000, Granules: 16,
-				Protocol: protocol, InitialValue: 100,
-			})
+			db := openBase(t, WithGranules(16), WithProtocol(protocol))
 			res, err := db.RunClosed(context.Background(), pinWorkload)
 			if err != nil {
 				t.Fatal(err)

@@ -236,18 +236,13 @@ func openFileSink(path string, preallocate int64) (*fileSink, int64, error) {
 		return s, 0, nil
 	}
 
-	head := make([]byte, logHeaderSize)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("wal: %s: %w: short header", path, ErrCorrupt)
-	}
-	base, err := decodeLogHeader(head)
+	base, body, err := readLogHeader(f, path, info.Size())
 	if err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
+		return nil, 0, err
 	}
 	// Scan the intact record prefix to find the logical end.
-	r := NewReader(io.NewSectionReader(f, logHeaderSize, info.Size()-logHeaderSize))
+	r := NewReader(body)
 	var n int64
 	for {
 		if _, err := r.Next(); err != nil {
@@ -260,6 +255,20 @@ func openFileSink(path string, preallocate int64) (*fileSink, int64, error) {
 	return s, base + n, nil
 }
 
+// readLogHeader is the one reader of the log file header: it validates
+// the logHeaderSize bytes at the front of f (a file of the given size)
+// and returns the base sequence number and the record region after it.
+func readLogHeader(f *os.File, path string, size int64) (base int64, body *io.SectionReader, err error) {
+	head := make([]byte, logHeaderSize)
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return 0, nil, fmt.Errorf("wal: %s: %w: short header", path, ErrCorrupt)
+	}
+	if base, err = decodeLogHeader(head); err != nil {
+		return 0, nil, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return base, io.NewSectionReader(f, logHeaderSize, size-logHeaderSize), nil
+}
+
 // ReadFile opens a log file written by OpenFile for scanning: it
 // validates the header and returns a Reader over every record in the
 // file, the header's base sequence number, and the file handle to close
@@ -267,59 +276,44 @@ func openFileSink(path string, preallocate int64) (*fileSink, int64, error) {
 // preallocation) and reports a torn tail as ErrCorrupt, exactly like
 // recovery's scan.
 func ReadFile(path string) (*Reader, int64, io.Closer, error) {
-	f, err := os.Open(path)
+	base, body, f, err := openLogBody(path)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, nil, err
-	}
-	head := make([]byte, logHeaderSize)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return nil, 0, nil, fmt.Errorf("wal: %s: %w: short header", path, ErrCorrupt)
-	}
-	base, err := decodeLogHeader(head)
-	if err != nil {
-		f.Close()
-		return nil, 0, nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	return NewReader(io.NewSectionReader(f, logHeaderSize, info.Size()-logHeaderSize)), base, f, nil
+	return NewReader(body), base, f, nil
 }
 
-// tailReader returns a Reader over path's records after sequence number
-// seq, and the file handle to close when done.
-func tailReader(path string, seq int64) (*Reader, io.Closer, error) {
+// openLogBody opens path read-only and validates its header.
+func openLogBody(path string) (int64, *io.SectionReader, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, nil, err
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return 0, nil, nil, err
 	}
-	head := make([]byte, logHeaderSize)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: %s: %w: short header", path, ErrCorrupt)
-	}
-	base, err := decodeLogHeader(head)
+	base, body, err := readLogHeader(f, path, info.Size())
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
+		return 0, nil, nil, err
+	}
+	return base, body, f, nil
+}
+
+// tailReader is ReadFile starting after sequence number seq.
+func tailReader(path string, seq int64) (*Reader, io.Closer, error) {
+	base, body, f, err := openLogBody(path)
+	if err != nil {
+		return nil, nil, err
 	}
 	if seq < base {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: %s truncated past replay point (base %d > seq %d)", path, base, seq)
 	}
-	start := logHeaderSize + (seq-base)*recordSize
-	if start > info.Size() {
-		start = info.Size()
-	}
-	return NewReader(io.NewSectionReader(f, start, info.Size()-start)), f, nil
+	start := min((seq-base)*recordSize, body.Size())
+	return NewReader(io.NewSectionReader(body, start, body.Size()-start)), f, nil
 }
 
 // Dir is a directory holding a Set's per-partition log files plus the

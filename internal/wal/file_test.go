@@ -56,8 +56,8 @@ func TestOpenFileAppendReopenRecover(t *testing.T) {
 	}
 	defer c.Close()
 	state := map[int64]int64{}
-	stats, err := Recover(r, func(e, v int64) { state[e] = v })
-	if err != nil || stats.Committed != 6 || stats.Torn {
+	stats, err := RecoverSet([]*Reader{r}, func(e, v int64) { state[e] = v })
+	if err != nil || stats.Committed != 6 || stats.Logs[0].Torn {
 		t.Fatalf("recover: %+v, %v", stats, err)
 	}
 	for e := int64(1); e <= 6; e++ {
@@ -147,7 +147,7 @@ func TestLogTruncateDropsPrefix(t *testing.T) {
 	}
 	defer c.Close()
 	state := map[int64]int64{}
-	stats, err := Recover(r, func(e, v int64) { state[e] = v })
+	stats, err := RecoverSet([]*Reader{r}, func(e, v int64) { state[e] = v })
 	if err != nil || stats.Committed != 7 {
 		t.Fatalf("recover after truncate: %+v, %v", stats, err)
 	}

@@ -78,7 +78,7 @@ func TestLogCommitDurableAndOrdered(t *testing.T) {
 	}
 	r := NewReader(bytes.NewReader(sink.bytes()))
 	state := map[int64]int64{}
-	stats, err := Recover(r, func(e, v int64) { state[e] = v })
+	stats, err := RecoverSet([]*Reader{r}, func(e, v int64) { state[e] = v })
 	if err != nil || stats.Committed != 3 {
 		t.Fatalf("recover: %+v, %v", stats, err)
 	}
@@ -129,7 +129,7 @@ func TestLogGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All records present and intact.
-	stats, err := Recover(NewReader(bytes.NewReader(sink.buf())), func(int64, int64) {})
+	stats, err := recoverBytes(sink.buf(), func(int64, int64) {})
 	if err != nil || int64(stats.Committed) != total {
 		t.Fatalf("recover: %+v, %v", stats, err)
 	}
@@ -234,7 +234,7 @@ func TestLogCloseDrainsQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	stats, err := Recover(NewReader(bytes.NewReader(sink.bytes())), func(int64, int64) {})
+	stats, err := recoverBytes(sink.bytes(), func(int64, int64) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,33 +282,33 @@ func TestLogEmptyCommitIsNoop(t *testing.T) {
 	}
 }
 
-func TestWriterPoisonedAfterWriteError(t *testing.T) {
-	// Satellite: a mid-group write error must stop the record count at
-	// the failure and poison the writer.
-	sink := &flakyWriter{failAt: 2}
-	w := NewWriter(sink)
-	err := w.AppendGroup([]Record{
-		{Kind: KindBegin, Txn: 1},
-		{Kind: KindUpdate, Txn: 1, Entity: 1, After: 2},
-		{Kind: KindCommit, Txn: 1},
+func TestLogTornWritePoisonsWithoutAdvancingSeq(t *testing.T) {
+	// A flush whose write reaches the sink only partially must not count
+	// its records as durable, and must poison the log: any later append
+	// would interleave with the torn bytes.
+	l := NewLog(&flakyWriter{failAt: 2})
+	if err := l.Commit([]Record{{Kind: KindBegin, Txn: 1}, {Kind: KindCommit, Txn: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	err := l.Commit([]Record{
+		{Kind: KindBegin, Txn: 2},
+		{Kind: KindUpdate, Txn: 2, Entity: 1, After: 2},
+		{Kind: KindCommit, Txn: 2},
 	})
-	if err == nil {
-		t.Fatal("append group succeeded through failing sink")
+	var fe *FlushError
+	if !errors.As(err, &fe) || fe.Op != "write" {
+		t.Fatalf("error %v, want write FlushError", err)
 	}
-	if got := w.Records(); got != 1 {
-		t.Fatalf("Records = %d after failure at record 2, want 1", got)
+	if got := l.Seq(); got != 2 {
+		t.Fatalf("Seq = %d after a torn second flush, want 2", got)
 	}
-	// Every later operation fails fast with the original cause.
-	if err := w.Append(Record{Kind: KindBegin, Txn: 2}); err == nil {
-		t.Fatal("poisoned writer accepted append")
-	} else if want := "wal: writer poisoned"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q missing %q", err, want)
+	// Every later commit fails fast with the original cause.
+	later := l.Commit([]Record{{Kind: KindBegin, Txn: 3}})
+	if !errors.Is(later, ErrPoisoned) || !strings.Contains(later.Error(), "disk full at write 2") {
+		t.Fatalf("post-poison commit: %v", later)
 	}
-	if err := w.Sync(); err == nil {
-		t.Fatal("poisoned writer accepted sync")
-	}
-	if got := w.Records(); got != 1 {
-		t.Fatalf("Records moved after poison: %d", got)
+	if got := l.Seq(); got != 2 {
+		t.Fatalf("Seq moved after poison: %d", got)
 	}
 }
 
@@ -329,17 +329,11 @@ func (f *flakyWriter) Write(p []byte) (int, error) {
 func TestReaderChunkedMatchesRecordStream(t *testing.T) {
 	// The buffered reader must produce exactly the same records as the
 	// source stream regardless of how the source fragments reads.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	var want []Record
 	for i := int64(1); i <= 5000; i++ {
-		rec := Record{Kind: KindUpdate, Txn: i, Entity: i % 97, Before: i - 1, After: i}
-		want = append(want, rec)
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		want = append(want, Record{Kind: KindUpdate, Txn: i, Entity: i % 97, Before: i - 1, After: i})
 	}
-	r := NewReader(&fragmentedReader{data: buf.Bytes()})
+	r := NewReader(&fragmentedReader{data: logBytes(t, want)})
 	for i, wr := range want {
 		got, err := r.Next()
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // MaxPartitions bounds a Set: commit records carry the partition set as
@@ -161,8 +162,8 @@ type logUpdate struct {
 // transaction's outcome under the cross-partition ordering rule, and
 // redoes committed after-images through apply. A transaction is
 // committed iff a commit record is present in every log of its mask (a
-// mask of 0 means "only the log the record was read from" — the
-// single-log legacy layout).
+// mask of 0 means "only the log the record was read from" — what a
+// plain single Log writes).
 //
 // Redo replays each log's updates in that log's order, which is correct
 // under partitioned placement: every entity is logged in exactly one
@@ -234,7 +235,7 @@ func RecoverSet(readers []*Reader, apply func(entity int64, value int64)) (SetRe
 			// one is a violation.
 			missing := t.mask &^ t.commits
 			present := t.commits & t.mask
-			if present != 0 && highestBit(present) > lowestBit(missing) {
+			if present != 0 && bits.Len64(uint64(present))-1 > bits.TrailingZeros64(uint64(missing)) {
 				stats.OrderViolations++
 			} else {
 				stats.CrossPartial++
@@ -253,22 +254,4 @@ func RecoverSet(readers []*Reader, apply func(entity int64, value int64)) (SetRe
 		}
 	}
 	return stats, nil
-}
-
-func lowestBit(m int64) int {
-	for i := 0; i < 64; i++ {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return 64
-}
-
-func highestBit(m int64) int {
-	for i := 63; i >= 0; i-- {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
 }

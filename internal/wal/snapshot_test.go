@@ -98,18 +98,8 @@ func TestSnapshotTrailingGarbageDetected(t *testing.T) {
 // FuzzReadSnapshot feeds arbitrary bytes to the snapshot decoder: it
 // must never panic, and anything it accepts must re-encode to an image
 // that decodes identically (mirrors FuzzReaderNext for the log codec).
+// Seeds: testdata/fuzz/FuzzReadSnapshot.
 func FuzzReadSnapshot(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteSnapshot(&buf, buildSnapshot(10))
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-7])
-	mut := append([]byte(nil), valid...)
-	mut[13] ^= 0xff
-	f.Add(mut)
-	f.Add([]byte{})
-	f.Add([]byte("GWALSNP1"))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {

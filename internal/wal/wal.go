@@ -12,20 +12,20 @@
 // transactions is an implicit undo — the engine never externalizes
 // uncommitted state anywhere except this log.
 //
-// The package has three layers (see docs/WAL.md):
+// The package has two layers (see docs/WAL.md):
 //
-//   - Writer/Reader: the record codec over any io stream. Writer is the
-//     low-level sequential appender; Reader scans in buffered chunks.
-//   - Log: a group-commit pipeline over one sink. Committers enqueue
-//     their record group and park; a single background flusher
-//     coalesces everything queued since the last flush into one
-//     buffered write and one Sync, then wakes the whole cohort. Set
-//     spreads a Log per partition with a cross-partition ordering rule
-//     that RecoverSet verifies.
-//   - Snapshot + Dir: checksummed point-in-time images behind the log
-//     sequence numbers, installed atomically and followed by log
-//     truncation, so recovery time is bounded by write rate since the
-//     last checkpoint rather than by history.
+//   - Record + Reader: the record codec, and a buffered scanner over any
+//     io stream of records.
+//   - Log, Set, Dir: the one appender and its recovery. Log is a
+//     group-commit pipeline over one sink: committers enqueue their
+//     record group and park; a single background flusher coalesces
+//     everything queued since the last flush into one buffered write and
+//     one Sync, then wakes the whole cohort. Set spreads a Log per
+//     partition with a cross-partition ordering rule that RecoverSet —
+//     the one recovery classifier — verifies. Dir keeps a Set's files
+//     beside checksummed snapshots, installed atomically and followed by
+//     log truncation, so recovery time is bounded by write rate since
+//     the last checkpoint rather than by history.
 package wal
 
 import (
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 )
 
 // Kind discriminates log records.
@@ -129,78 +128,6 @@ func unmarshal(buf []byte) (Record, error) {
 	return r, nil
 }
 
-// syncer is optionally implemented by a log sink (e.g. *os.File).
-type syncer interface{ Sync() error }
-
-// Writer appends records to a log sink. It is safe for concurrent use;
-// AppendGroup writes a transaction's records contiguously. A write
-// error poisons the Writer: the failing record may have reached the
-// sink partially, so any later append would interleave with the torn
-// bytes — every subsequent call fails fast with the original error
-// instead.
-type Writer struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-	n   int64 // records fully handed to the sink
-	err error // poison: the first write error, sticky
-}
-
-// NewWriter returns a Writer over sink.
-func NewWriter(sink io.Writer) *Writer {
-	return &Writer{w: sink, buf: make([]byte, recordSize)}
-}
-
-// Append writes one record.
-func (w *Writer) Append(r Record) error {
-	return w.AppendGroup([]Record{r})
-}
-
-// AppendGroup writes records contiguously under one lock acquisition —
-// the unit the engine uses for "updates + commit". On a mid-group write
-// error the failed record is not counted (the sink may hold a torn
-// fragment of it) and the Writer is poisoned.
-func (w *Writer) AppendGroup(rs []Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return fmt.Errorf("wal: writer poisoned: %w", w.err)
-	}
-	for _, r := range rs {
-		r.marshal(w.buf)
-		if _, err := w.w.Write(w.buf); err != nil {
-			w.err = err
-			return fmt.Errorf("wal: append: %w", err)
-		}
-		w.n++
-	}
-	return nil
-}
-
-// Sync flushes the sink if it supports syncing (no-op otherwise) —
-// called by the per-commit-sync path to make a commit record durable.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return fmt.Errorf("wal: writer poisoned: %w", w.err)
-	}
-	if s, ok := w.w.(syncer); ok {
-		if err := s.Sync(); err != nil {
-			w.err = err
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// Records returns the number of records appended.
-func (w *Writer) Records() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
 // readerChunk is how many bytes Reader pulls from its source per fill —
 // recovery reads the log in large sequential chunks instead of one
 // 37-byte ReadFull per record.
@@ -276,16 +203,16 @@ func allZero(p []byte) bool {
 	return true
 }
 
-// RecoverStats summarizes one recovery pass.
+// RecoverStats summarizes RecoverSet's scan of one log
+// (SetRecoverStats.Logs[k]); transaction outcomes, which may span logs,
+// are counted on SetRecoverStats.
 type RecoverStats struct {
 	// Records is the number of intact records scanned.
 	Records int
-	// Committed and Aborted count transaction outcomes found.
+	// Committed and Aborted count the commit and abort records found in
+	// this log.
 	Committed int
 	Aborted   int
-	// Incomplete counts transactions with no outcome record (in flight
-	// at the crash); their updates were discarded.
-	Incomplete int
 	// Torn reports whether the scan ended at a corrupt tail rather than
 	// a clean EOF.
 	Torn bool
@@ -294,70 +221,4 @@ type RecoverStats struct {
 	// above it — reusing a surviving transaction's ID corrupts the next
 	// recovery's per-transaction evidence.
 	MaxTxn int64
-}
-
-// Recover scans a single log and replays the after-images of committed
-// transactions, in log order, through apply. A corrupt record ends the
-// scan (torn tail); everything before it is recovered. Partition masks
-// on commit records are ignored: a single log is its own partition
-// (RecoverSet is the multi-log variant that verifies masks).
-func Recover(r *Reader, apply func(entity int64, value int64)) (RecoverStats, error) {
-	var stats RecoverStats
-	type pending struct {
-		order   int
-		updates []Record
-	}
-	txns := make(map[int64]*pending)
-	var committed [][]Record
-
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if errors.Is(err, ErrCorrupt) {
-			stats.Torn = true
-			break
-		}
-		if err != nil {
-			return stats, err
-		}
-		stats.Records++
-		if rec.Txn > stats.MaxTxn {
-			stats.MaxTxn = rec.Txn
-		}
-		switch rec.Kind {
-		case KindBegin:
-			if txns[rec.Txn] == nil {
-				txns[rec.Txn] = &pending{order: stats.Records}
-			}
-		case KindUpdate:
-			p := txns[rec.Txn]
-			if p == nil {
-				p = &pending{order: stats.Records}
-				txns[rec.Txn] = p
-			}
-			p.updates = append(p.updates, rec)
-		case KindCommit:
-			if p := txns[rec.Txn]; p != nil {
-				committed = append(committed, p.updates)
-				delete(txns, rec.Txn)
-			}
-			stats.Committed++
-		case KindAbort:
-			delete(txns, rec.Txn)
-			stats.Aborted++
-		}
-	}
-	stats.Incomplete = len(txns)
-
-	// Redo committed transactions in commit order. Locking serialized
-	// conflicting transactions, so commit order is consistent with the
-	// update order on every entity.
-	for _, updates := range committed {
-		for _, u := range updates {
-			apply(u.Entity, u.After)
-		}
-	}
-	return stats, nil
 }

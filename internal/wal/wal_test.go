@@ -8,17 +8,31 @@ import (
 	"testing/quick"
 )
 
-func TestRoundTripSingleRecord(t *testing.T) {
+// logBytes returns the headerless record stream a Log over a plain
+// io.Writer produces for the given commit groups.
+func logBytes(t testing.TB, groups ...[]Record) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	want := Record{Kind: KindUpdate, Txn: 42, Entity: 7, Before: 100, After: 75}
-	if err := w.Append(want); err != nil {
+	l := NewLog(&buf)
+	for _, g := range groups {
+		if err := l.Commit(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 1 {
-		t.Fatalf("records %d", w.Records())
-	}
-	r := NewReader(&buf)
+	return buf.Bytes()
+}
+
+// recoverBytes runs the one recovery classifier over a single log image.
+func recoverBytes(log []byte, apply func(e, v int64)) (SetRecoverStats, error) {
+	return RecoverSet([]*Reader{NewReader(bytes.NewReader(log))}, apply)
+}
+
+func TestRoundTripSingleRecord(t *testing.T) {
+	want := Record{Kind: KindUpdate, Txn: 42, Entity: 7, Before: 100, After: 75}
+	r := NewReader(bytes.NewReader(logBytes(t, []Record{want})))
 	got, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -40,12 +54,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Before: before,
 			After:  after,
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.Append(rec); err != nil {
-			return false
-		}
-		got, err := NewReader(&buf).Next()
+		got, err := NewReader(bytes.NewReader(logBytes(t, []Record{rec}))).Next()
 		return err == nil && got == rec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -53,18 +62,13 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAppendGroupContiguous(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+func TestCommitGroupContiguous(t *testing.T) {
 	group := []Record{
 		{Kind: KindBegin, Txn: 1},
 		{Kind: KindUpdate, Txn: 1, Entity: 3, Before: 0, After: 5},
 		{Kind: KindCommit, Txn: 1},
 	}
-	if err := w.AppendGroup(group); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(logBytes(t, group)))
 	for i, want := range group {
 		got, err := r.Next()
 		if err != nil || got != want {
@@ -74,17 +78,9 @@ func TestAppendGroupContiguous(t *testing.T) {
 }
 
 func TestTornTailDetected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append(Record{Kind: KindBegin, Txn: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(Record{Kind: KindCommit, Txn: 1}); err != nil {
-		t.Fatal(err)
-	}
+	log := logBytes(t, []Record{{Kind: KindBegin, Txn: 1}, {Kind: KindCommit, Txn: 1}})
 	// Tear the second record in half.
-	torn := buf.Bytes()[:recordSize+recordSize/2]
-	r := NewReader(bytes.NewReader(torn))
+	r := NewReader(bytes.NewReader(log[:recordSize+recordSize/2]))
 	if _, err := r.Next(); err != nil {
 		t.Fatalf("first record should read cleanly: %v", err)
 	}
@@ -94,12 +90,7 @@ func TestTornTailDetected(t *testing.T) {
 }
 
 func TestBitFlipDetected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Append(Record{Kind: KindUpdate, Txn: 9, Entity: 1, Before: 2, After: 3}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := logBytes(t, []Record{{Kind: KindUpdate, Txn: 9, Entity: 1, Before: 2, After: 3}})
 	data[5] ^= 0x40 // flip a bit in the txn field
 	if _, err := NewReader(bytes.NewReader(data)).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("bit flip not detected")
@@ -117,74 +108,39 @@ func TestBadKindDetected(t *testing.T) {
 	}
 }
 
-func TestSyncNoopWithoutSyncer(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{})
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type syncCounter struct {
-	bytes.Buffer
-	syncs int
-}
-
-func (s *syncCounter) Sync() error { s.syncs++; return nil }
-
-func TestSyncCallsSinkSyncer(t *testing.T) {
-	var sink syncCounter
-	w := NewWriter(&sink)
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.syncs != 1 {
-		t.Fatalf("syncs %d", sink.syncs)
-	}
-}
-
 // buildLog writes a canned multi-transaction log and returns its bytes.
-func buildLog(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	emit := func(rs ...Record) {
-		t.Helper()
-		if err := w.AppendGroup(rs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Txn 1 commits: entity 0: 10 -> 5; entity 1: 10 -> 15.
-	emit(
-		Record{Kind: KindBegin, Txn: 1},
-		Record{Kind: KindUpdate, Txn: 1, Entity: 0, Before: 10, After: 5},
-		Record{Kind: KindUpdate, Txn: 1, Entity: 1, Before: 10, After: 15},
-		Record{Kind: KindCommit, Txn: 1},
+func buildLog(t testing.TB) []byte {
+	return logBytes(t,
+		// Txn 1 commits: entity 0: 10 -> 5; entity 1: 10 -> 15.
+		[]Record{
+			{Kind: KindBegin, Txn: 1},
+			{Kind: KindUpdate, Txn: 1, Entity: 0, Before: 10, After: 5},
+			{Kind: KindUpdate, Txn: 1, Entity: 1, Before: 10, After: 15},
+			{Kind: KindCommit, Txn: 1},
+		},
+		// Txn 2 aborts: its update must be ignored.
+		[]Record{
+			{Kind: KindBegin, Txn: 2},
+			{Kind: KindUpdate, Txn: 2, Entity: 0, Before: 5, After: 9999},
+			{Kind: KindAbort, Txn: 2},
+		},
+		// Txn 3 commits over txn 1's result: entity 1: 15 -> 20.
+		[]Record{
+			{Kind: KindBegin, Txn: 3},
+			{Kind: KindUpdate, Txn: 3, Entity: 1, Before: 15, After: 20},
+			{Kind: KindCommit, Txn: 3},
+		},
+		// Txn 4 never commits (in flight at the crash).
+		[]Record{
+			{Kind: KindBegin, Txn: 4},
+			{Kind: KindUpdate, Txn: 4, Entity: 2, Before: 10, After: 0},
+		},
 	)
-	// Txn 2 aborts: its update must be ignored.
-	emit(
-		Record{Kind: KindBegin, Txn: 2},
-		Record{Kind: KindUpdate, Txn: 2, Entity: 0, Before: 5, After: 9999},
-		Record{Kind: KindAbort, Txn: 2},
-	)
-	// Txn 3 commits over txn 1's result: entity 1: 15 -> 20.
-	emit(
-		Record{Kind: KindBegin, Txn: 3},
-		Record{Kind: KindUpdate, Txn: 3, Entity: 1, Before: 15, After: 20},
-		Record{Kind: KindCommit, Txn: 3},
-	)
-	// Txn 4 never commits (in flight at the crash).
-	emit(
-		Record{Kind: KindBegin, Txn: 4},
-		Record{Kind: KindUpdate, Txn: 4, Entity: 2, Before: 10, After: 0},
-	)
-	return buf.Bytes()
 }
 
 func TestRecoverRedoesCommittedOnly(t *testing.T) {
 	state := map[int64]int64{0: 10, 1: 10, 2: 10}
-	stats, err := Recover(NewReader(bytes.NewReader(buildLog(t))), func(e, v int64) {
-		state[e] = v
-	})
+	stats, err := recoverBytes(buildLog(t), func(e, v int64) { state[e] = v })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +150,8 @@ func TestRecoverRedoesCommittedOnly(t *testing.T) {
 	if stats.Committed != 2 || stats.Aborted != 1 || stats.Incomplete != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
-	if stats.Torn {
-		t.Fatal("clean log reported torn")
+	if l := stats.Logs[0]; l.Torn || l.Records != 12 || l.Committed != 2 || l.Aborted != 1 || l.MaxTxn != 4 {
+		t.Fatalf("per-log stats %+v", l)
 	}
 }
 
@@ -205,13 +161,11 @@ func TestRecoverTornTail(t *testing.T) {
 	// txn 3's updates must then be discarded.
 	cut := recordSize*9 + 3
 	state := map[int64]int64{0: 10, 1: 10, 2: 10}
-	stats, err := Recover(NewReader(bytes.NewReader(log[:cut])), func(e, v int64) {
-		state[e] = v
-	})
+	stats, err := recoverBytes(log[:cut], func(e, v int64) { state[e] = v })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Torn {
+	if !stats.Logs[0].Torn {
 		t.Fatal("torn tail not reported")
 	}
 	if state[0] != 5 || state[1] != 15 || state[2] != 10 {
@@ -229,10 +183,7 @@ func TestRecoverEveryPrefixIsConsistent(t *testing.T) {
 	log := buildLog(t)
 	for cut := 0; cut <= len(log); cut++ {
 		state := map[int64]int64{0: 10, 1: 10, 2: 10}
-		_, err := Recover(NewReader(bytes.NewReader(log[:cut])), func(e, v int64) {
-			state[e] = v
-		})
-		if err != nil {
+		if _, err := recoverBytes(log[:cut], func(e, v int64) { state[e] = v }); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		// Valid post-states: {} (nothing), txn1 only, txn1+txn3.
@@ -246,10 +197,10 @@ func TestRecoverEveryPrefixIsConsistent(t *testing.T) {
 }
 
 func TestRecoverEmptyLog(t *testing.T) {
-	stats, err := Recover(NewReader(bytes.NewReader(nil)), func(int64, int64) {
+	stats, err := recoverBytes(nil, func(int64, int64) {
 		t.Fatal("apply called on empty log")
 	})
-	if err != nil || stats.Records != 0 {
+	if err != nil || stats.Logs[0].Records != 0 {
 		t.Fatalf("empty log: %+v, %v", stats, err)
 	}
 }
@@ -266,11 +217,12 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func BenchmarkAppend(b *testing.B) {
-	w := NewWriter(io.Discard)
-	rec := Record{Kind: KindUpdate, Txn: 1, Entity: 2, Before: 3, After: 4}
+func BenchmarkCommit(b *testing.B) {
+	l := NewLog(io.Discard)
+	defer l.Close()
+	rec := []Record{{Kind: KindUpdate, Txn: 1, Entity: 2, Before: 3, After: 4}}
 	for i := 0; i < b.N; i++ {
-		if err := w.Append(rec); err != nil {
+		if err := l.Commit(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

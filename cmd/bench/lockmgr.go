@@ -1,11 +1,16 @@
 // The lockmgr benchmark suite: in-process cost of an acquire/release
 // pair through lockmgr.Table with the lock-free fast path enabled vs
 // force-disabled (the stripe-locked baseline). The headline comparison
-// — uncontended single-granule claim, fast vs stripe-locked — is the
-// PR's acceptance number (≥ 5×). Multi-granule claims (where the fast
-// path falls back by design) and a contended shared pool are reported
-// alongside to show the fallback costs nothing and contended
-// throughput degrades gracefully rather than collapsing.
+// — uncontended single-granule claim, fast vs stripe-locked — carries a
+// ≥ 2× floor (re-derived when the stripe-locked path it divides by
+// stopped allocating: 780 → ~350 ns, 11 → 1 allocs/op, with the fast
+// side where it was) and a zero-allocation budget. Multi-granule conservative
+// claims — the paper's transaction shape, granted by a batch of CASes
+// under the claim's stripes — carry a floor of their own (≥ 3×, and at
+// most one allocation per cycle on the fast side), at 16 stripes and on
+// the single stripe the engine and lockd actually build. A contended
+// shared pool is reported alongside to show contended throughput
+// degrades gracefully rather than collapsing.
 //
 // Honesty notes: GOMAXPROCS is recorded (on one CPU the contended
 // scenario measures handoff cost, not parallelism), and every fast
@@ -149,8 +154,17 @@ func lmContendedBench(sc lmScenario) (lsEntry, error) {
 // comparison of the slow path against itself.
 func lmRecord(sc lmScenario, table *lockmgr.Table, r testing.BenchmarkResult) (lsEntry, error) {
 	fs := table.FastStats()
-	if sc.fast && sc.granules <= 1 && sc.pool == 0 && fs.Grants == 0 {
+	if sc.fast && sc.pool == 0 && fs.Grants == 0 {
 		return lsEntry{}, fmt.Errorf("%s: fast path enabled but granted nothing (fallbacks=%d)", sc.name, fs.Fallbacks)
+	}
+	// The uncontended fast cycle is allocation-free by design; a batch
+	// claim is allowed one (a stripe set too large for its stack buffer).
+	budget := int64(0)
+	if sc.granules > 1 {
+		budget = 1
+	}
+	if sc.fast && sc.pool == 0 && r.AllocsPerOp() > budget {
+		return lsEntry{}, fmt.Errorf("%s: %d allocs per claim+release, budget is %d", sc.name, r.AllocsPerOp(), budget)
 	}
 	if !sc.fast && (fs.Grants != 0 || fs.Releases != 0) {
 		return lsEntry{}, fmt.Errorf("%s: fast path disabled but counted %d grants / %d releases", sc.name, fs.Grants, fs.Releases)
@@ -184,6 +198,8 @@ func runLockmgr(quick bool) ([]byte, error) {
 		{name: "lockmgr/claim-1g/slow/shards=1", fast: false, shards: 1, granules: 1},
 		{name: "lockmgr/claim-8g/fast", fast: true, shards: 16, granules: 8},
 		{name: "lockmgr/claim-8g/slow", fast: false, shards: 16, granules: 8},
+		{name: "lockmgr/claim-16g/fast/shards=1", fast: true, shards: 1, granules: 16},
+		{name: "lockmgr/claim-16g/slow/shards=1", fast: false, shards: 1, granules: 16},
 		{name: "lockmgr/contended/fast", fast: true, shards: 16, pool: 16},
 		{name: "lockmgr/contended/slow", fast: false, shards: 16, pool: 16},
 	}
@@ -219,13 +235,15 @@ func runLockmgr(quick bool) ([]byte, error) {
 		target         float64
 	}{
 		{"fast path, uncontended claim (fast vs stripe-locked, headline)",
-			"lockmgr/claim-1g/fast", "lockmgr/claim-1g/slow", 5},
+			"lockmgr/claim-1g/fast", "lockmgr/claim-1g/slow", 2},
 		{"fast path, uncontended incremental step",
 			"lockmgr/step-1g/fast", "lockmgr/step-1g/slow", 0},
 		{"fast path, single stripe (no sharding help)",
 			"lockmgr/claim-1g/fast/shards=1", "lockmgr/claim-1g/slow/shards=1", 0},
-		{"multi-granule claim parity (fast path falls back)",
-			"lockmgr/claim-8g/fast", "lockmgr/claim-8g/slow", 0},
+		{"multi-granule claim (batch CAS vs stripe-locked maps)",
+			"lockmgr/claim-8g/fast", "lockmgr/claim-8g/slow", 3},
+		{"multi-granule claim, single stripe (the engine's and lockd's table)",
+			"lockmgr/claim-16g/fast/shards=1", "lockmgr/claim-16g/slow/shards=1", 3},
 		{"contended shared pool (graceful degradation)",
 			"lockmgr/contended/fast", "lockmgr/contended/slow", 0},
 	}

@@ -8,39 +8,35 @@ import (
 
 // AtomicWord guards the packed fast-path word state machine from the
 // lock-free-fast-path PR: the 64-bit word in fastState may only move
-// through FREE / FAST / SLOW / TOMB via the transition helpers in
-// fastpath.go, and even there only along the edges of the transition
-// table. The word's whole correctness argument (benign ABA, map-state
-// authority while SLOW, terminal tombstones) is a property of that
-// table; a raw atomic on the word anywhere else silently voids it.
+// through FREE / FAST / SLOW via the transition helpers in fastpath.go,
+// and even there only along the edges of the transition table. The
+// word's whole correctness argument (benign ABA, map-state authority
+// while SLOW) is a property of that table; a raw atomic on the word
+// anywhere else silently voids it.
 //
 // The word layout the analyzer checks against (fastpath.go):
 //
 //	0                     FREE
 //	1<<63                 SLOW  (fpSlowBit)
-//	1<<63 | 1<<62         TOMB  (fpSlowBit|fpTombBit)
 //	1<<61 [| 1<<60] | txn FAST  (fpFastBit, fpModeXBit)
 //
 // Allowed transitions: FREE→FAST and FAST→FAST via CAS (grant,
-// sole-holder upgrade), FAST→FREE via CAS (fast release), anything
-// non-terminal→SLOW via CAS (demotion), FREE→TOMB via CAS (eviction
-// of an idle slot), and Store(FREE) (promotion, under the stripe
-// mutex). TOMB is terminal.
+// sole-holder upgrade), FAST→FREE via CAS (fast release, batch-claim
+// rollback), anything→SLOW via CAS (demotion), and Store(FREE)
+// (promotion, under the stripe mutex).
 var AtomicWord = &Analyzer{
 	Name: "atomicword",
 	Doc: "forbid raw atomic operations on the packed fast-path word " +
 		"outside the fastpath.go transition helpers, and check the " +
-		"FREE/FAST/SLOW/TOMB transition table inside them",
+		"FREE/FAST/SLOW transition table inside them",
 	Run: runAtomicWord,
 }
 
-// The canonical packed-word bits (mirrors fpSlowBit/fpTombBit/fpFastBit
-// in internal/lockmgr/fastpath.go; the analyzer re-declares them so it
-// can classify constant operands in any package that adopts the
-// layout).
+// The canonical packed-word bits (mirrors fpSlowBit/fpFastBit in
+// internal/lockmgr/fastpath.go; the analyzer re-declares them so it can
+// classify constant operands in any package that adopts the layout).
 const (
 	awSlowBit = 1 << 63
-	awTombBit = 1 << 62
 	awFastBit = 1 << 61
 )
 
@@ -51,7 +47,6 @@ const (
 	wsUnknown wordState = iota // not statically classifiable (e.g. a loaded word)
 	wsFree
 	wsSlow
-	wsTomb
 	wsFast
 )
 
@@ -61,8 +56,6 @@ func (s wordState) String() string {
 		return "FREE"
 	case wsSlow:
 		return "SLOW"
-	case wsTomb:
-		return "TOMB"
 	case wsFast:
 		return "FAST"
 	default:
@@ -99,7 +92,7 @@ func runAtomicWord(p *Pass) error {
 			if !inHelpers {
 				p.Reportf(call.Pos(),
 					"raw atomic %s on the packed fast-path word outside the %s transition helpers; "+
-						"the word may only move through FREE/FAST/SLOW/TOMB there",
+						"the word may only move through FREE/FAST/SLOW there",
 					op, wordFile)
 				return true
 			}
@@ -147,12 +140,7 @@ func checkWordTransition(p *Pass, call *ast.CallExpr, op string) {
 		old := classifyWord(p, call.Args[0])
 		next := classifyWord(p, call.Args[1])
 		switch {
-		case old == wsTomb:
-			p.Reportf(call.Pos(), "packed-word CAS out of TOMB: tombstones are terminal")
-		case next == wsTomb && old != wsFree:
-			p.Reportf(call.Pos(),
-				"packed-word CAS %s→TOMB: only an idle (FREE) slot may be tombstoned", old)
-		case next == wsFast && (old == wsSlow || old == wsTomb):
+		case next == wsFast && old == wsSlow:
 			p.Reportf(call.Pos(),
 				"packed-word CAS %s→FAST: FAST is entered from FREE (grant) or FAST (upgrade) only", old)
 		case next == wsFree && old != wsFast:
@@ -162,7 +150,7 @@ func checkWordTransition(p *Pass, call *ast.CallExpr, op string) {
 		case next == wsUnknown:
 			p.Reportf(call.Pos(),
 				"packed-word CAS to a state the analyzer cannot classify; build the new word "+
-					"with the fpPack/fpSlow/fpTomb constructors")
+					"with fpPack or the fpSlow constant")
 		}
 	default:
 		// Swap, Add, And, Or, ...: arithmetic on the word can fabricate
@@ -182,8 +170,6 @@ func classifyWord(p *Pass, e ast.Expr) wordState {
 		switch {
 		case v == 0:
 			return wsFree
-		case v&awSlowBit != 0 && v&awTombBit != 0:
-			return wsTomb
 		case v&awSlowBit != 0:
 			return wsSlow
 		case v&awFastBit != 0:

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // HotPath guards the measured zero-allocation hot paths (the fast-path
@@ -16,7 +17,9 @@ import (
 //   - use defer — a defer frame per call on a ~128ns path is real money
 //     and hides the unlock ordering the lockorder analyzer checks;
 //   - call into fmt or reflect — both allocate and both appeared in
-//     past regressions via "harmless" error/diagnostic paths.
+//     past regressions via "harmless" error/diagnostic paths — or the
+//     sort.Slice family, which is reflect behind a friendlier name
+//     (slices.Sort and slices.SortFunc are the typed replacements).
 //
 // The check is intraprocedural and includes function literals declared
 // inside the annotated body (they run on the same path). Cold error
@@ -24,8 +27,8 @@ import (
 // with a justification.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc: "forbid map iteration, defer and fmt/reflect calls inside " +
-		"functions annotated //granulint:hotpath",
+	Doc: "forbid map iteration, defer and fmt/reflect/sort.Slice calls " +
+		"inside functions annotated //granulint:hotpath",
 	Run: runHotPath,
 }
 
@@ -49,11 +52,16 @@ func runHotPath(p *Pass) error {
 				p.Reportf(v.Pos(), "hotpath function %s uses defer; unlock/cleanup explicitly on this path", name)
 			case *ast.CallExpr:
 				if pkg, fn, ok := calleePkgFunc(p.TypesInfo, v); ok {
-					if pkg == "fmt" || pkg == "reflect" {
+					switch {
+					case pkg == "fmt" || pkg == "reflect":
 						p.Reportf(v.Pos(),
 							"hotpath function %s calls %s.%s; fmt/reflect allocate — use a "+
 								"preallocated typed error or move the call off the hot path",
 							name, pkg, fn)
+					case pkg == "sort" && strings.HasPrefix(fn, "Slice"):
+						p.Reportf(v.Pos(),
+							"hotpath function %s calls sort.%s, which swaps through reflect; "+
+								"use slices.Sort or slices.SortFunc", name, fn)
 					}
 				}
 			}

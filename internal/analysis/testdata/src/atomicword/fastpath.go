@@ -1,13 +1,12 @@
 // Fixture for the atomicword analyzer, helper-file half: this file is
 // named fastpath.go, so atomics on the packed word are allowed — but
-// only along the FREE/FAST/SLOW/TOMB transition table.
+// only along the FREE/FAST/SLOW transition table.
 package atomicword
 
 import "sync/atomic"
 
 const (
 	fpSlowBit = 1 << 63
-	fpTombBit = 1 << 62
 	fpFastBit = 1 << 61
 )
 
@@ -25,18 +24,16 @@ func legal(fs *fastState, txn uint64) bool {
 	if fs.word.CompareAndSwap(fpPack(txn), 0) { // FAST→FREE: release
 		return true
 	}
-	fs.word.CompareAndSwap(0, fpSlowBit|fpTombBit) // FREE→TOMB: evict idle slot
 	fs.word.CompareAndSwap(fpPack(txn), fpSlowBit) // FAST→SLOW: demote
+	fs.word.CompareAndSwap(0, fpSlowBit)           // FREE→SLOW: demote
 	fs.word.Store(0)                               // promotion under the stripe mutex
 	return false
 }
 
 func illegal(fs *fastState, txn, w uint64) {
-	fs.word.Store(fpSlowBit)                               // want `Store with a non-FREE value`
-	fs.word.CompareAndSwap(fpSlowBit|fpTombBit, 0)         // want `CAS out of TOMB`
-	fs.word.CompareAndSwap(fpSlowBit, fpSlowBit|fpTombBit) // want `only an idle \(FREE\) slot may be tombstoned`
-	fs.word.CompareAndSwap(fpSlowBit, fpPack(txn))         // want `FAST is entered from FREE`
-	fs.word.CompareAndSwap(fpSlowBit, 0)                   // want `FREE is entered by releasing a FAST holder`
-	fs.word.CompareAndSwap(0, w)                           // want `cannot classify`
-	fs.word.Add(1)                                         // want `only moves by Load, transition-table CAS, or promotion Store`
+	fs.word.Store(fpSlowBit)                       // want `Store with a non-FREE value`
+	fs.word.CompareAndSwap(fpSlowBit, fpPack(txn)) // want `FAST is entered from FREE`
+	fs.word.CompareAndSwap(fpSlowBit, 0)           // want `FREE is entered by releasing a FAST holder`
+	fs.word.CompareAndSwap(0, w)                   // want `cannot classify`
+	fs.word.Add(1)                                 // want `only moves by Load, transition-table CAS, or promotion Store`
 }

@@ -1,10 +1,12 @@
 // Fixture for the hotpath analyzer: annotated functions may not range
-// over maps, defer, or call into fmt/reflect.
+// over maps, defer, or call into fmt/reflect or the sort.Slice family.
 package hotpath
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 )
 
 //granulint:hotpath
@@ -30,6 +32,16 @@ func badLiteral(m map[int]int) func() int {
 		}
 		return n
 	}
+}
+
+// sort.Slice swaps through reflect; the typed sorts do not.
+//
+//granulint:hotpath
+func badSort(s []int) {
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })       // want `calls sort.Slice, which swaps through reflect`
+	sort.SliceStable(s, func(i, j int) bool { return s[i] < s[j] }) // want `calls sort.SliceStable, which swaps through reflect`
+	sort.Ints(s)
+	slices.Sort(s)
 }
 
 // Unannotated functions may do all of it.

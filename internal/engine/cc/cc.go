@@ -104,6 +104,7 @@ type Instance interface {
 	// any data access. Pessimistic protocols block or restart here;
 	// optimistic protocols return nil immediately. A restart demand
 	// satisfies errors.Is(err, ErrRestart) or is lockmgr.ErrDeadlock.
+	// reqs belongs to the caller, who reuses it once End has returned.
 	Acquire(ctx context.Context, tx *Tx, reqs []lockmgr.Request) error
 	// Read returns entity e's value as seen by tx, the transaction's
 	// own earlier writes included. Infallible after a nil Acquire.

@@ -21,10 +21,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -404,11 +406,26 @@ func (s store) Apply(e int, delta int64) (before, after int64) {
 
 func (s store) GranuleOf(e int) lockmgr.Granule { return s.db.GranuleOf(e) }
 
-// lockSet computes the deduplicated granule requests of a transaction:
-// exclusive if any op writes within the granule, shared otherwise.
-func (db *DB) lockSet(t Txn) ([]lockmgr.Request, error) {
-	modes := make(map[lockmgr.Granule]lockmgr.Mode)
-	order := make([]lockmgr.Granule, 0, len(t.Ops))
+// lockScratch is the reusable staging buffer of a transaction's granule
+// requests. The protocol is done with the requests when End returns (a
+// parked claim references them only until it resolves), so Execute
+// takes one from a pool instead of building a map and two slices per
+// call.
+type lockScratch struct {
+	reqs []lockmgr.Request
+	idx  []int32 // dedupe's sort scratch
+}
+
+var lockScratchPool = sync.Pool{New: func() any { return new(lockScratch) }}
+
+// lockSet computes the deduplicated granule requests of a transaction
+// into sc, in order of first appearance: exclusive if any op writes
+// within the granule, shared otherwise. Ops that walk the entities in
+// ascending order — the paper's sequential placement — are merged as
+// they are appended; any other order is deduplicated afterwards.
+func (db *DB) lockSet(sc *lockScratch, t Txn) ([]lockmgr.Request, error) {
+	reqs := sc.reqs[:0]
+	ascending := true
 	for _, op := range t.Ops {
 		if op.Entity < 0 || op.Entity >= db.cfg.DBSize {
 			return nil, fmt.Errorf("engine: entity %d outside [0, %d)", op.Entity, db.cfg.DBSize)
@@ -418,18 +435,46 @@ func (db *DB) lockSet(t Txn) ([]lockmgr.Request, error) {
 		if op.Delta != 0 {
 			mode = lockmgr.ModeExclusive
 		}
-		if have, ok := modes[g]; !ok {
-			modes[g] = mode
-			order = append(order, g)
-		} else if mode > have {
-			modes[g] = mode
+		if n := len(reqs); n > 0 {
+			last := &reqs[n-1]
+			if last.Granule == g {
+				last.Mode = max(last.Mode, mode)
+				continue
+			}
+			ascending = ascending && last.Granule < g
 		}
+		reqs = append(reqs, lockmgr.Request{Granule: g, Mode: mode})
 	}
-	reqs := make([]lockmgr.Request, len(order))
-	for i, g := range order {
-		reqs[i] = lockmgr.Request{Granule: g, Mode: modes[g]}
+	if !ascending {
+		reqs = sc.dedupe(reqs)
 	}
+	sc.reqs = reqs
 	return reqs, nil
+}
+
+// dedupe merges requests for the same granule into the first of them,
+// in place: an index stably sorted by granule brings each granule's
+// requests together, earliest first, without disturbing reqs' order.
+func (sc *lockScratch) dedupe(reqs []lockmgr.Request) []lockmgr.Request {
+	idx := sc.idx[:0]
+	for i := range reqs {
+		idx = append(idx, int32(i))
+	}
+	sc.idx = idx
+	slices.SortStableFunc(idx, func(a, b int32) int {
+		return cmp.Compare(reqs[a].Granule, reqs[b].Granule)
+	})
+	const merged = lockmgr.Mode(-1) // marks a request folded into an earlier one
+	first := idx[0]
+	for _, i := range idx[1:] {
+		if reqs[i].Granule != reqs[first].Granule {
+			first = i
+			continue
+		}
+		reqs[first].Mode = max(reqs[first].Mode, reqs[i].Mode)
+		reqs[i].Mode = merged
+	}
+	return slices.DeleteFunc(reqs, func(r lockmgr.Request) bool { return r.Mode == merged })
 }
 
 // Execute runs one transaction to commit under the configured protocol,
@@ -445,7 +490,9 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 	if len(t.Ops) == 0 {
 		return 0, nil
 	}
-	reqs, err := db.lockSet(t)
+	sc := lockScratchPool.Get().(*lockScratch)
+	defer lockScratchPool.Put(sc)
+	reqs, err := db.lockSet(sc, t)
 	if err != nil {
 		return 0, err
 	}
@@ -595,7 +642,7 @@ func (db *DB) Checkpoint(ctx context.Context) error {
 		return fmt.Errorf("engine: checkpoint needs an OpenDurable database")
 	}
 	t := db.FullReadTxn()
-	reqs, err := db.lockSet(t)
+	reqs, err := db.lockSet(new(lockScratch), t)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,9 @@ import (
 // on — a single-granule S or X request against a granule nobody else
 // holds — by granting through one compare-and-swap on a packed atomic
 // word, and falling back to the existing stripe-locked machinery the
-// moment any conflict, waiter, or multi-granule request is observed.
+// moment any conflict or waiter is observed. A multi-granule
+// conservative claim gets the same economics from a batch of such CASes
+// under its stripe locks (fastClaimBatch).
 //
 // # Packed word
 //
@@ -26,7 +28,6 @@ import (
 //	0                                  FREE: no holder, fast grants allowed
 //	fpSlowBit                          SLOW: state lives in the stripe-locked
 //	                                   map; fast ops must take the slow path
-//	fpSlowBit|fpTombBit                TOMB: index entry evicted; terminal
 //	fpFastBit [|fpModeXBit] | txn      FAST: exactly one holder (txn, in S
 //	                                   or X); no waiters, no map entry
 //
@@ -46,6 +47,13 @@ import (
 //   - The per-transaction hold set is updated in the same ts.mu critical
 //     section as the word CAS, so ReleaseAll and the duplicate-claim
 //     check serialize against fast grants exactly as against slow ones.
+//   - A batch claim CASes its words only while holding every stripe of
+//     the claim plus the transaction's hold-set stripe. Nothing else can
+//     move a word that is FAST for that transaction (demotion needs the
+//     stripe, the transaction's own release needs the hold-set stripe),
+//     so rolling a failed batch back FAST→FREE cannot fail, and what a
+//     lock-free probe can see of a batch that rolls back is a holder
+//     that released at once.
 //
 // # Waiting discipline
 //
@@ -60,23 +68,21 @@ import (
 
 const (
 	fpSlowBit  = 1 << 63
-	fpTombBit  = 1 << 62
 	fpFastBit  = 1 << 61
 	fpModeXBit = 1 << 60
 
 	fpSlow = fpSlowBit
-	fpTomb = fpSlowBit | fpTombBit
 
 	fpTxnBits = 48
 	fpTxnMask = (1 << fpTxnBits) - 1
 
-	// fpSlots is the per-shard fast-index capacity (power of two) and
-	// fpProbe the linear-probe window. Hot granules live in the index;
-	// an acquire whose granule cannot claim a slot just uses the slow
-	// path, so the cap bounds memory without affecting correctness.
-	fpSlots = 2048
-	fpMask  = fpSlots - 1
-	fpProbe = 4
+	// A shard's fast index starts at fpMinSlots when its first granule
+	// is promoted and doubles whenever it would pass half full, up to
+	// fpMaxSlots. Records are never removed, so the cap is what bounds
+	// the memory a client naming ever-new granules can pin; a granule
+	// that finds the index full at the cap just stays on the slow path.
+	fpMinSlots = 64
+	fpMaxSlots = 1 << 20
 
 	// Adaptive spin bounds. The seed is deliberately small: a granule
 	// must demonstrate short hold times before the table burns cycles
@@ -174,64 +180,81 @@ func (t *Table) SetFastPath(on bool) { t.fastOn.Store(on) }
 // FastPathEnabled reports whether the fast path is active.
 func (t *Table) FastPathEnabled() bool { return t.fastOn.Load() }
 
-// fastLookup finds g's fast record without any lock. Slots are only
-// ever written nil→non-nil (eviction replaces the pointer, never
-// clears it), so a nil slot proves g was never inserted in its window.
+// fastIndex is one generation of a shard's lock-free granule index: an
+// open-addressed table of shared fastState records, at most half full
+// so every probe sequence ends at an empty slot. Slots of a published
+// generation only ever move nil→non-nil, under s.mu.
+type fastIndex struct {
+	slots []atomic.Pointer[fastState]
+	mask  uint64
+}
+
+// fpHome is where g's probe sequence starts. It takes the hash's high
+// half: the low bits chose the shard, so they are the same for every
+// granule of the index.
+//
+//granulint:hotpath
+func fpHome(g Granule) uint64 { return mix64(uint64(g)) >> 32 }
+
+// put stores fs in the first empty slot of its probe sequence. Caller
+// holds s.mu and guarantees the table is not full.
+func (ix *fastIndex) put(fs *fastState) {
+	for i := fpHome(fs.granule); ; i++ {
+		if slot := &ix.slots[i&ix.mask]; slot.Load() == nil {
+			slot.Store(fs)
+			return
+		}
+	}
+}
+
+// fastLookup finds g's fast record without any lock. A reader racing an
+// insert or a growth may miss a record published after it loaded the
+// index; a miss only ever sends the caller to the slow path.
 //
 //granulint:hotpath
 func (s *shard) fastLookup(g Granule) *fastState {
-	h := mix64(uint64(g))
-	for i := uint64(0); i < fpProbe; i++ {
-		fs := s.fast[(h+i)&fpMask].Load()
-		if fs == nil {
-			return nil
-		}
-		if fs.granule == g {
-			return fs
-		}
-	}
-	return nil
-}
-
-// fastInsert publishes a fast record for g, evicting an idle tenant if
-// the probe window is full. Caller holds s.mu, which serializes all
-// slot writes for the shard; eviction is safe against lock-free fast
-// ops because the victim's word is tombstoned by CAS first — an
-// in-flight CAS on the victim either lands before (aborting the
-// eviction) or fails against the tombstone and falls back. Returns nil
-// when no slot can be claimed (g simply stays slow-path only).
-//
-//granulint:hotpath
-func (s *shard) fastInsert(g Granule) *fastState {
-	h := mix64(uint64(g))
-	var victim *atomic.Pointer[fastState]
-	for i := uint64(0); i < fpProbe; i++ {
-		slot := &s.fast[(h+i)&fpMask]
-		fs := slot.Load()
-		if fs == nil {
-			nfs := &fastState{granule: g}
-			nfs.spin.Store(fpSpinSeed)
-			slot.Store(nfs)
-			return nfs
-		}
-		if fs.granule == g {
-			return fs
-		}
-		if victim == nil && fs.word.Load() == 0 {
-			victim = slot
-		}
-	}
-	if victim == nil {
+	ix := s.fast.Load()
+	if ix == nil {
 		return nil
 	}
-	old := victim.Load()
-	if !old.word.CompareAndSwap(0, fpTomb) {
-		return nil // tenant got busy between probe and eviction
+	for i := fpHome(g); ; i++ {
+		fs := ix.slots[i&ix.mask].Load()
+		if fs == nil || fs.granule == g {
+			return fs
+		}
 	}
-	nfs := &fastState{granule: g}
-	nfs.spin.Store(fpSpinSeed)
-	victim.Store(nfs)
-	return nfs
+}
+
+// fastInsert publishes a FREE fast record for g, which must have none
+// (the caller looked it up under s.mu, which serializes all index
+// writes of the shard). An index that would pass half full is replaced
+// by one of twice the size holding the same records: they are shared,
+// not copied, so a CAS in flight through the old generation lands on
+// the word every later reader sees.
+func (s *shard) fastInsert(g Granule) {
+	ix := s.fast.Load()
+	if ix == nil || 2*(s.fastN+1) > len(ix.slots) {
+		n := fpMinSlots
+		if ix != nil {
+			if n = 2 * len(ix.slots); n > fpMaxSlots {
+				return
+			}
+		}
+		grown := &fastIndex{slots: make([]atomic.Pointer[fastState], n), mask: uint64(n - 1)}
+		if ix != nil {
+			for i := range ix.slots {
+				if fs := ix.slots[i].Load(); fs != nil {
+					grown.put(fs)
+				}
+			}
+		}
+		s.fast.Store(grown)
+		ix = grown
+	}
+	fs := &fastState{granule: g}
+	fs.spin.Store(fpSpinSeed)
+	ix.put(fs)
+	s.fastN++
 }
 
 // demoteLocked forces g's word to SLOW, materializing a fast holder
@@ -246,16 +269,11 @@ func (t *Table) demoteLocked(s *shard, g Granule) {
 	for {
 		w := fs.word.Load()
 		if w&fpSlowBit != 0 {
-			return // already SLOW (or tombstoned; a tomb never resurrects)
+			return // already SLOW
 		}
 		if fs.word.CompareAndSwap(w, fpSlow) {
 			if fpIsFast(w) {
-				gs := s.granules[g]
-				if gs == nil {
-					gs = &granuleState{holders: make(map[TxnID]Mode, 1)}
-					s.granules[g] = gs
-				}
-				gs.holders[fpTxnOf(w)] = fpModeOf(w)
+				s.stateLocked(g).holders[fpTxnOf(w)] = fpModeOf(w)
 			}
 			return
 		}
@@ -275,7 +293,7 @@ func (t *Table) promoteLocked(s *shard, g Granule) {
 		if len(gs.holders) != 0 || len(gs.waiters) != 0 {
 			return
 		}
-		delete(s.granules, g)
+		s.collectLocked(g, gs)
 	}
 	for _, c := range s.claimQ {
 		for _, r := range c.reqs {
@@ -351,7 +369,7 @@ func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fast
 			}
 			return fastSpin
 		default:
-			return fastFallback // SLOW or TOMB
+			return fastFallback // SLOW
 		}
 	}
 }
@@ -505,9 +523,41 @@ func (t *Table) fastTryClaimOnce(fs *fastState, txn TxnID, g Granule, mode Mode)
 			// first-acquisition rule is violated whatever path we take.
 			return fastAlready
 		default:
-			return fastFallback // compatible share, SLOW, or TOMB
+			return fastFallback // compatible share or SLOW
 		}
 	}
+}
+
+// fastClaimBatch is the lock-free grant of a multi-granule conservative
+// claim: every request's word goes FREE→FAST(txn, mode) and the hold set
+// is filled in one append. On the first word that is not FREE (a holder,
+// a SLOW episode, a granule never promoted) it frees the words it took
+// and reports false, and the caller decides through the stripe maps.
+// Caller holds every stripe of reqs and ts.mu, has checked that txn
+// holds nothing, and passes distinct granules.
+//
+//granulint:hotpath
+func (t *Table) fastClaimBatch(ts *txnShard, txn TxnID, reqs []Request) bool {
+	for i, r := range reqs {
+		fs := t.shardFor(r.Granule).fastLookup(r.Granule)
+		if fs != nil && fs.word.CompareAndSwap(0, fpPack(txn, r.Mode)) {
+			continue
+		}
+		for _, u := range reqs[:i] {
+			// Only this goroutine can move a word that is FAST for txn
+			// while it holds the stripes and ts.mu (see the invariants).
+			if !t.shardFor(u.Granule).fastLookup(u.Granule).word.CompareAndSwap(fpPack(txn, u.Mode), 0) {
+				panic("lockmgr: batch claim rollback lost a word it owns")
+			}
+		}
+		t.fpFallbacks.Add(1)
+		t.omFastFallback()
+		return false
+	}
+	ts.fillLocked(txn, reqs)
+	t.fpGrants.Add(1)
+	t.omFastGrant()
+	return true
 }
 
 // fastReleaseAll releases txn's entire hold set by CAS alone when every
@@ -560,9 +610,13 @@ func (t *Table) fastReleaseAll(txn TxnID) bool {
 // Caller holds s.mu (which pins slot assignments; the words themselves
 // may still move, making the count a snapshot like the rest of Stats).
 func (s *shard) lockedFastGranules() int {
+	ix := s.fast.Load()
+	if ix == nil {
+		return 0
+	}
 	n := 0
-	for i := range s.fast {
-		if fs := s.fast[i].Load(); fs != nil && fpIsFast(fs.word.Load()) {
+	for i := range ix.slots {
+		if fs := ix.slots[i].Load(); fs != nil && fpIsFast(fs.word.Load()) {
 			n++
 		}
 	}

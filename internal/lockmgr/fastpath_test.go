@@ -37,7 +37,7 @@ func TestFastPackRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, w := range []uint64{0, fpSlow, fpTomb} {
+	for _, w := range []uint64{0, fpSlow} {
 		if fpIsFast(w) {
 			t.Fatalf("word %#x misread as FAST", w)
 		}
@@ -296,12 +296,12 @@ func TestFastPathSpinBudgetAdapts(t *testing.T) {
 	tab.ReleaseAll(2)
 }
 
-// TestFastPathIndexEviction churns far more granules than the per-shard
-// fast index holds, forcing evictions, and checks every cycle still
-// grants and releases cleanly.
-func TestFastPathIndexEviction(t *testing.T) {
-	tab := NewTable() // one shard: all granules compete for one index
-	const n = 3 * fpSlots
+// TestFastPathIndexGrows cycles far more granules than a shard's fast
+// index starts with: the index must grow to hold them all, so that once
+// every granule has been promoted, every later cycle is a fast grant.
+func TestFastPathIndexGrows(t *testing.T) {
+	tab := NewTable() // one shard: all granules share one index
+	const n = 64 * fpMinSlots
 	txn := TxnID(1)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
@@ -316,8 +316,12 @@ func TestFastPathIndexEviction(t *testing.T) {
 	if got := tab.granuleRecords(); got != 0 {
 		t.Fatalf("%d granule records leaked", got)
 	}
-	if fp := tab.FastStats(); fp.Grants == 0 {
-		t.Fatal("index churn should still serve some fast grants")
+	if fp := tab.FastStats(); fp.Grants != n || fp.Fallbacks != 0 {
+		t.Fatalf("second round should be %d fast grants with no fallback, got %+v", n, fp)
+	}
+	s := tab.shards[0]
+	if ix := s.fast.Load(); s.fastN != n || 2*n > len(ix.slots) {
+		t.Fatalf("index holds %d records in %d slots, want %d at most half full", s.fastN, len(ix.slots), n)
 	}
 }
 

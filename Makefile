@@ -99,7 +99,9 @@ tools:
 # internal/locksrv/harden_test.go and the wire-protocol suite in
 # proto2_test.go), the lock table again under the race detector at 1, 2
 # and 4 Ps (its batch-claim and fast-path claims are multicore claims;
-# the default run only ever sees the host's CPU count), a 10s fuzz pass over each of the two parsers that
+# the default run only ever sees the host's CPU count) and the lock
+# service likewise (a parked claim's continuation runs on whichever
+# goroutine releases, usually another session's reader), a 10s fuzz pass over each of the two parsers that
 # face the network (the frame reader and the request-body executor)
 # and each of the four that face the disk (the WAL record reader, the
 # RecoverSet classifier, the log file header and the snapshot decoder),
@@ -134,6 +136,7 @@ verify: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
+	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteV2Body$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderNext$$' -fuzztime=10s ./internal/wal/

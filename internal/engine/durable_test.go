@@ -154,8 +154,10 @@ func copyDir(t *testing.T, src string) string {
 func TestDurableCrashCutsAcrossSnapshotAndTailBoundary(t *testing.T) {
 	// Build a directory holding a snapshot plus post-checkpoint tails,
 	// then cut the artifacts at many byte offsets:
-	//   - log tails cut anywhere → recovery conserves the total balance
-	//     (the crash model: appends can tear);
+	//   - both log tails cut, as a pair, at points a crash can leave
+	//     them in → recovery conserves the total balance (the crash
+	//     model: appends can tear);
+	//   - one log's header torn → recovery refuses;
 	//   - snapshot cut anywhere → recovery fails loudly (the crash
 	//     model: the rename is atomic, so a torn snapshot under the
 	//     live name is damage, not a crash, and must never be
@@ -176,10 +178,35 @@ func TestDurableCrashCutsAcrossSnapshotAndTailBoundary(t *testing.T) {
 	if err := db.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RunClosed(context.Background(), Workload{
-		Workers: 2, TxnsPerWorker: 10, TransfersPerTxn: 2, Seed: 16,
-	}); err != nil {
-		t.Fatal(err)
+	// The tail is written one transaction at a time, with both logs'
+	// lengths noted in between. A commit appends to log 0 and waits for
+	// it to be durable before it appends to log 1 (wal.Set.Commit), and
+	// nothing else is writing, so the states a crash can leave are
+	// exactly: log 0 cut anywhere inside the transaction's append with
+	// log 1 not yet touched, or log 0 whole with log 1 cut anywhere
+	// inside its append. (Cutting one log with the other whole is not
+	// among them — a later transaction that read what a discarded one
+	// wrote survives on the whole log — and recovery owes it nothing.)
+	logNames := [2]string{"wal-0.log", "wal-1.log"}
+	sizes := func() (n [2]int) {
+		for k, name := range logNames {
+			fi, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n[k] = int(fi.Size())
+		}
+		return n
+	}
+	const tailTxns = 16
+	marks := [][2]int{sizes()}
+	for i := 0; i < tailTxns; i++ {
+		if _, err := db.RunClosed(context.Background(), Workload{
+			Workers: 1, TxnsPerWorker: 1, TransfersPerTxn: 2, Seed: uint64(16 + i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		marks = append(marks, sizes())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -191,47 +218,70 @@ func TestDurableCrashCutsAcrossSnapshotAndTailBoundary(t *testing.T) {
 			WithNodes(2), WithGranules(6), WithInitialValue(100),
 			WithWALOptions(wal.WithPreallocate(0)))
 	}
-
-	// Tail cuts: every byte of the header region and the first records
-	// (the snapshot/tail boundary), then a prime stride through the
-	// rest, ending exactly at the file length.
-	for k := 0; k < 2; k++ {
-		name := "wal-" + string(rune('0'+k)) + ".log"
-		orig, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
+	var orig [2][]byte
+	for k, name := range logNames {
+		if orig[k], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
-		cuts := map[int]bool{len(orig): true}
-		for cut := 0; cut <= wal.LogHeaderSize+3*wal.RecordSize && cut <= len(orig); cut++ {
-			cuts[cut] = true
-		}
-		for cut := wal.LogHeaderSize; cut < len(orig); cut += 13 {
-			cuts[cut] = true
-		}
-		for cut := range cuts {
-			clone := copyDir(t, dir)
-			if err := os.WriteFile(filepath.Join(clone, name), orig[:cut], 0o644); err != nil {
+	}
+	if last := marks[tailTxns]; last != [2]int{len(orig[0]), len(orig[1])} || last == marks[0] {
+		t.Fatalf("log lengths %d/%d, noted %v after the tail and %v before it", len(orig[0]), len(orig[1]), last, marks[0])
+	}
+
+	// Paired tail cuts: every byte of the first transactions' appends
+	// (the snapshot/tail boundary), then a prime stride, always with
+	// both ends of each append.
+	cutPair := func(c0, c1 int) {
+		t.Helper()
+		clone := copyDir(t, dir)
+		for k, c := range [2]int{c0, c1} {
+			if err := os.WriteFile(filepath.Join(clone, logNames[k]), orig[k][:c], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			db2, _, err := reopen(clone)
-			if cut > 0 && cut < wal.LogHeaderSize {
-				// Torn header: must refuse, not misread. (An empty file
-				// is a fresh log, handled below: the snapshot still
-				// covers the pre-checkpoint state and the mask rule
-				// discards the lost partition's tail transactions.)
-				if err == nil {
-					db2.Close()
-					t.Fatalf("log %d cut %d: torn header accepted", k, cut)
-				}
-				continue
+		}
+		db2, _, err := reopen(clone)
+		if err != nil {
+			t.Fatalf("logs cut at %d/%d: %v", c0, c1, err)
+		}
+		defer db2.Close()
+		if got := db2.TotalBalance(); got != wantTotal {
+			t.Fatalf("logs cut at %d/%d: total %d, want %d", c0, c1, got, wantTotal)
+		}
+	}
+	crossLog := 0
+	for i := 0; i < tailTxns; i++ {
+		from, to := marks[i], marks[i+1]
+		if to[0] > from[0] && to[1] > from[1] {
+			crossLog++
+		}
+		stride := 13
+		if i < 2 {
+			stride = 1
+		}
+		for c0 := from[0]; c0 < to[0]; c0 += stride {
+			cutPair(c0, from[1])
+		}
+		for c1 := from[1]; c1 < to[1]; c1 += stride {
+			cutPair(to[0], c1)
+		}
+	}
+	cutPair(len(orig[0]), len(orig[1]))
+	if crossLog == 0 {
+		t.Fatal("no tail transaction wrote to both logs: the cross-log cuts tested nothing")
+	}
+
+	// A torn header on either log, the other whole: must refuse, not
+	// misread.
+	for k, name := range logNames {
+		for cut := 1; cut < wal.LogHeaderSize; cut++ {
+			clone := copyDir(t, dir)
+			if err := os.WriteFile(filepath.Join(clone, name), orig[k][:cut], 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if err != nil {
-				t.Fatalf("log %d cut %d: %v", k, cut, err)
+			if db2, _, err := reopen(clone); err == nil {
+				db2.Close()
+				t.Fatalf("log %d cut %d: torn header accepted", k, cut)
 			}
-			if got := db2.TotalBalance(); got != wantTotal {
-				t.Fatalf("log %d cut %d: total %d, want %d", k, cut, got, wantTotal)
-			}
-			db2.Close()
 		}
 	}
 

@@ -287,13 +287,18 @@ func (t *Table) demoteLocked(s *shard, g Granule) {
 // claim naming it; an empty map entry is garbage-collected regardless
 // (preserving the historical GC). A granule a parked claim wants must
 // stay SLOW: its eventual release has to run the claim-resolution
-// sweep, which a fast release deliberately skips. Caller holds s.mu.
-func (t *Table) promoteLocked(s *shard, g Granule) {
+// sweep, which a fast release deliberately skips. claimed is set by a
+// caller that already knows a parked claim names g; otherwise the
+// stripe's claim queue is searched. Caller holds s.mu.
+func (t *Table) promoteLocked(s *shard, g Granule, claimed bool) {
 	if gs := s.granules[g]; gs != nil {
 		if len(gs.holders) != 0 || len(gs.waiters) != 0 {
 			return
 		}
 		s.collectLocked(g, gs)
+	}
+	if claimed {
+		return
 	}
 	for _, c := range s.claimQ {
 		for _, r := range c.reqs {

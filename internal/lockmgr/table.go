@@ -137,7 +137,7 @@ type shard struct {
 	// contended hot spot) does not allocate a record and a holders map
 	// per episode.
 	free   []*granuleState
-	claimQ []*claimWaiter // FIFO (by claim seq) of parked claims touching this shard
+	claimQ []*ParkedClaim // FIFO (by claim seq) of parked claims touching this shard
 	stats  Stats
 	// fast is the shard's lock-free granule index (fastpath.go), nil
 	// until the first granule is promoted and replaced by a larger one
@@ -443,17 +443,35 @@ type granuleState struct {
 	waiters []*stepWaiter // FIFO
 }
 
-// claimWaiter is a parked conservative AcquireAll request. It sits in
-// the claim queue of every shard its granules hash onto; resolution
-// (grant, duplicate failure, withdrawal) always happens while holding
-// all of those shard locks, which is what guards the resolved flag.
-type claimWaiter struct {
+// ParkedClaim is a parked conservative claim. It sits in the claim
+// queue of every shard its granules hash onto; resolution (grant,
+// duplicate failure, withdrawal) always happens while holding all of
+// those shard locks, which is what guards the resolved flag — so a
+// claim is resolved exactly once, by a release or by Withdraw, never
+// both. The outcome of a resolved claim is delivered after the stripe
+// locks are dropped (Deliver): to the resolve callback of an
+// AcquireAllAsync claim, on the resolving goroutine, or to the channel
+// a blocking AcquireAll waits on.
+type ParkedClaim struct {
 	seq      uint64
 	txn      TxnID
 	reqs     []Request
-	shards   []uint64 // sorted unique shard indexes of reqs
+	shards   []uint64    // sorted unique shard indexes of reqs
+	resolve  func(error) // nil for a blocking AcquireAll, which waits on ch
 	ch       chan error
+	err      error // the outcome, set with resolved
 	resolved bool
+}
+
+// Deliver hands a resolved claim its outcome. The table calls it for
+// every claim it resolves except those ReleaseAllDeferred returns,
+// which the caller must deliver, each exactly once.
+func (w *ParkedClaim) Deliver() {
+	if w.resolve != nil {
+		w.resolve(w.err)
+		return
+	}
+	w.ch <- w.err
 }
 
 // stepWaiter is a parked incremental Acquire request.
@@ -858,9 +876,9 @@ func errAlreadyHolds(txn TxnID) error {
 //
 // The claim locks every stripe its granules hash onto, in ascending
 // index order. A blocked claim is queued on all of those stripes and
-// re-evaluated whenever a release touches any of them.
+// re-evaluated whenever a release names one of its granules.
 func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error {
-	_, w, err := t.claim(txn, reqs, true)
+	_, w, err := t.claim(txn, reqs, true, nil)
 	if w == nil {
 		return err
 	}
@@ -868,7 +886,7 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 	case err := <-w.ch:
 		return err
 	case <-ctx.Done():
-		if t.withdrawClaim(w) {
+		if t.Withdraw(w) {
 			return ctx.Err()
 		}
 		// The claim was resolved before we could withdraw it — granted,
@@ -876,6 +894,18 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 		// outcome.
 		return <-w.ch
 	}
+}
+
+// AcquireAllAsync is AcquireAll for a caller that must not block. A
+// claim the table can decide now is decided as by TryAcquireAll and
+// resolve is never called. Otherwise the claim parks and is returned:
+// resolve then runs exactly once with the outcome (nil for a grant), on
+// the goroutine whose release resolved the claim and after that
+// goroutine dropped the table's locks — unless Withdraw takes the claim
+// back first. resolve must not block. reqs belongs to the table until
+// the claim is resolved or withdrawn.
+func (t *Table) AcquireAllAsync(txn TxnID, reqs []Request, resolve func(error)) (granted bool, parked *ParkedClaim, err error) {
+	return t.claim(txn, reqs, true, resolve)
 }
 
 // TryAcquireAll attempts the conservative claim without parking: it
@@ -886,15 +916,16 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 // callers measuring wait times can skip the clock entirely for grants
 // that never waited.
 func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
-	granted, _, err := t.claim(txn, reqs, false)
+	granted, _, err := t.claim(txn, reqs, false, nil)
 	return granted, err
 }
 
-// claim is the conservative-claim core behind AcquireAll and
-// TryAcquireAll. It grants the whole request set at once if the table
-// allows it now. If not, it queues the claim on every stripe it touches
-// and returns the waiter when park is set, and otherwise changes
-// nothing.
+// claim is the conservative-claim core behind AcquireAll,
+// AcquireAllAsync and TryAcquireAll. It grants the whole request set at
+// once if the table allows it now. If not, it queues the claim on every
+// stripe it touches and returns the waiter when park is set (its outcome
+// goes to resolve, or to the waiter's channel when resolve is nil), and
+// otherwise changes nothing.
 //
 // A one-request claim tries the lock-free word first. Everything else
 // is decided under the claim's stripes: a batch of CASes that succeeds
@@ -903,7 +934,7 @@ func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
 // which also serves shared readers and granules a waiter keeps SLOW.
 //
 //granulint:hotpath
-func (t *Table) claim(txn TxnID, reqs []Request, park bool) (granted bool, w *claimWaiter, err error) {
+func (t *Table) claim(txn TxnID, reqs []Request, park bool, resolve func(error)) (granted bool, w *ParkedClaim, err error) {
 	fast := t.fastOn.Load() && fpPackable(txn)
 	if len(reqs) != 1 {
 		reqs = coalesce(reqs)
@@ -962,7 +993,7 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool) (granted bool, w *cl
 		// The failed probe demoted granules it is not going to hold;
 		// give the holderless ones their fast-path eligibility back.
 		for _, r := range reqs {
-			t.promoteLocked(t.shardFor(r.Granule), r.Granule)
+			t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
 		}
 		t.unlockShards(sh)
 		return false, nil, nil
@@ -971,12 +1002,15 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool) (granted bool, w *cl
 	if t.mask != 0 {
 		held = slices.Clone(sh) // sh lives in this frame
 	}
-	w = &claimWaiter{
-		seq:    t.claimSeq.Add(1),
-		txn:    txn,
-		reqs:   reqs,
-		shards: held,
-		ch:     make(chan error, 1),
+	w = &ParkedClaim{
+		seq:     t.claimSeq.Add(1),
+		txn:     txn,
+		reqs:    reqs,
+		shards:  held,
+		resolve: resolve,
+	}
+	if resolve == nil {
+		w.ch = make(chan error, 1)
 	}
 	for _, i := range sh {
 		s := t.shards[i]
@@ -1027,9 +1061,12 @@ func (t *Table) grantAll(ts *txnShard, txn TxnID, reqs []Request) {
 	ts.fillLocked(txn, reqs)
 }
 
-// withdrawClaim removes a parked claim from every stripe queue it sits
-// in; it reports whether the claim was still parked.
-func (t *Table) withdrawClaim(w *claimWaiter) bool {
+// Withdraw takes a parked claim back: it removes the claim from every
+// stripe queue it sits in and reports whether it was still parked. True
+// means the claim's outcome will never be delivered; false means a
+// release resolved it first and its outcome is, or is about to be,
+// delivered.
+func (t *Table) Withdraw(w *ParkedClaim) bool {
 	t.lockShards(w.shards)
 	defer t.unlockShards(w.shards)
 	if w.resolved {
@@ -1039,14 +1076,14 @@ func (t *Table) withdrawClaim(w *claimWaiter) bool {
 	w.resolved = true
 	// Granules only this claim was keeping slow can go fast again.
 	for _, r := range w.reqs {
-		t.promoteLocked(t.shardFor(r.Granule), r.Granule)
+		t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
 	}
 	return true
 }
 
 // removeClaimLocked deletes w from the claim queue of every stripe it
 // touches. Caller holds all of w's stripes.
-func (t *Table) removeClaimLocked(w *claimWaiter) {
+func (t *Table) removeClaimLocked(w *ParkedClaim) {
 	for _, i := range w.shards {
 		s := t.shards[i]
 		for j, c := range s.claimQ {
@@ -1266,18 +1303,37 @@ func (t *Table) detForget(txn TxnID) {
 
 // ReleaseAll releases every granule held by txn, wakes whatever can now
 // run, and clears txn from the waits-for graph. It locks the stripes of
-// txn's held granules in canonical ascending order; parked claims on
-// those stripes are re-evaluated (in global claim arrival order) after
-// the stripe locks are dropped.
+// txn's held granules in canonical ascending order; parked claims that
+// name a released granule are re-evaluated (in global claim arrival
+// order) after the stripe locks are dropped, and the outcomes of those
+// it resolves are delivered last, with no table lock held.
 func (t *Table) ReleaseAll(txn TxnID) {
+	var buf [releaseBufCap]*ParkedClaim
+	for _, w := range t.ReleaseAllDeferred(txn, buf[:0]) {
+		w.Deliver()
+	}
+}
+
+// releaseBufCap sizes the on-stack buffers of a slow release: the
+// granule snapshot, the parked claims to re-evaluate and the claims
+// resolved. A release past any of them allocates.
+const releaseBufCap = 16
+
+// ReleaseAllDeferred is the release core, and ReleaseAll for a caller
+// that holds a lock of its own which the resolve callbacks of parked
+// claims take: it appends the claims the release resolved to resolved
+// instead of delivering their outcomes, and the caller calls Deliver on
+// each once it has dropped that lock.
+func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*ParkedClaim {
 	// When every held granule is fast-held, the whole release is CAS
 	// traffic; the attempt costs one hold-set scan and never undoes
 	// progress (release needs no cross-granule atomicity).
 	if t.fastOn.Load() && fpPackable(txn) && t.fastReleaseAll(txn) {
-		return
+		return resolved
 	}
 	ts := t.txnShardFor(txn)
-	var snapshot []Granule
+	var sbuf [releaseBufCap]Granule
+	snapshot := sbuf[:0]
 	var buf [shardSetCap]uint64
 	var sh []uint64
 	for {
@@ -1288,7 +1344,7 @@ func (t *Table) ReleaseAll(txn TxnID) {
 			ts.recycleLocked(hm)
 			ts.mu.Unlock()
 			t.detForget(txn)
-			return
+			return resolved
 		}
 		snapshot = snapshot[:0]
 		for _, e := range hm.entries {
@@ -1332,20 +1388,41 @@ func (t *Table) ReleaseAll(txn TxnID) {
 	for _, g := range snapshot {
 		t.wakeStepWaiters(t.shardFor(g), g)
 	}
-	// Snapshot parked claims on the touched stripes; they are resolved
-	// after the stripe locks drop, in claim arrival order.
-	var cands []*claimWaiter
+	// Pick the parked claims to re-evaluate once the stripe locks drop,
+	// in claim arrival order. A release changes the verdict only of a
+	// claim that names a granule it freed: grantable reads nothing but
+	// the holders of the claim's own granules. Under StrictFIFO every
+	// claim of the touched stripes goes, because one that stays parked
+	// blocks whatever is queued behind it there.
+	var cbuf [releaseBufCap]*ParkedClaim
+	cands := cbuf[:0]
+	var nbuf [releaseBufCap]bool
+	named := nbuf[:] // named[i]: a parked claim wants snapshot[i]
+	if len(snapshot) > len(nbuf) {
+		named = make([]bool, len(snapshot))
+	}
 	for _, i := range sh {
-		cands = append(cands, t.shards[i].claimQ...)
+		for _, w := range t.shards[i].claimQ {
+			hit := false
+			for _, r := range w.reqs {
+				if j, ok := slices.BinarySearch(snapshot, r.Granule); ok {
+					named[j], hit = true, true
+				}
+			}
+			if hit || t.strict {
+				cands = append(cands, w)
+			}
+		}
 	}
 	// Garbage-collect empty granule entries so long-running tables do
 	// not accumulate one record per granule ever touched — and promote
-	// the collected granules back to fast-path eligibility.
-	for _, g := range snapshot {
-		t.promoteLocked(t.shardFor(g), g)
+	// the collected granules nobody is parked on back to fast-path
+	// eligibility.
+	for j, g := range snapshot {
+		t.promoteLocked(t.shardFor(g), g, named[j])
 	}
 	t.unlockShards(sh)
-	t.resolveClaims(cands)
+	return t.resolveClaims(cands, resolved)
 }
 
 // sameGranules reports whether hs still lists exactly the snapshot, in
@@ -1410,14 +1487,14 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 }
 
 // resolveClaims re-evaluates parked claims in global arrival order,
-// granting those that became compatible and failing duplicates. cands
-// may contain a claim several times (once per touched stripe) and must
-// not be assumed still parked. No stripe locks are held on entry.
-func (t *Table) resolveClaims(cands []*claimWaiter) {
-	if len(cands) == 0 {
-		return
+// granting those that became compatible and failing duplicates, and
+// appends the ones it resolved to resolved for the caller to deliver.
+// cands may contain a claim several times (once per touched stripe) and
+// must not be assumed still parked. No stripe locks are held on entry.
+func (t *Table) resolveClaims(cands, resolved []*ParkedClaim) []*ParkedClaim {
+	if len(cands) > 1 {
+		slices.SortFunc(cands, func(a, b *ParkedClaim) int { return cmp.Compare(a.seq, b.seq) })
 	}
-	slices.SortFunc(cands, func(a, b *claimWaiter) int { return cmp.Compare(a.seq, b.seq) })
 	var blocked map[uint64]struct{}
 	for i, w := range cands {
 		if i > 0 && cands[i-1] == w {
@@ -1429,13 +1506,16 @@ func (t *Table) resolveClaims(cands []*claimWaiter) {
 			blocked = markBlocked(blocked, w.shards)
 			continue
 		}
-		if t.tryResolveClaim(w) {
-			continue
-		}
-		if t.strict {
-			blocked = markBlocked(blocked, w.shards)
+		switch t.tryResolveClaim(w) {
+		case claimResolved:
+			resolved = append(resolved, w)
+		case claimParked:
+			if t.strict {
+				blocked = markBlocked(blocked, w.shards)
+			}
 		}
 	}
+	return resolved
 }
 
 func intersects(blocked map[uint64]struct{}, sh []uint64) bool {
@@ -1457,14 +1537,23 @@ func markBlocked(blocked map[uint64]struct{}, sh []uint64) map[uint64]struct{} {
 	return blocked
 }
 
+// claimVerdict is what tryResolveClaim found.
+type claimVerdict int8
+
+const (
+	claimParked   claimVerdict = iota // still blocked
+	claimResolved                     // resolved by this call; the caller delivers
+	claimGone                         // resolved or withdrawn by someone else
+)
+
 // tryResolveClaim attempts to resolve one parked claim: grant it, or
-// fail it as a duplicate of a same-txn grant. It reports whether the
-// claim was resolved (true) or remains parked (false).
-func (t *Table) tryResolveClaim(w *claimWaiter) bool {
+// fail it as a duplicate of a same-txn grant. The outcome of a claim it
+// resolves is left in w.err for the caller to deliver.
+func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
 	t.lockShards(w.shards)
 	defer t.unlockShards(w.shards)
 	if w.resolved {
-		return true
+		return claimGone
 	}
 	// Claim granules are demoted when the claim parks and promotion
 	// skips claim-referenced granules, so they should still be slow;
@@ -1484,16 +1573,15 @@ func (t *Table) tryResolveClaim(w *claimWaiter) bool {
 		// would have; the lock service's orphan-retry loop handles
 		// ErrAlreadyHolds.
 		t.removeClaimLocked(w)
-		w.resolved = true
+		w.resolved, w.err = true, errAlreadyHolds(w.txn)
 		for _, r := range w.reqs {
-			t.promoteLocked(t.shardFor(r.Granule), r.Granule)
+			t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
 		}
-		w.ch <- fmt.Errorf("lockmgr: transaction %d: %w", w.txn, ErrAlreadyHolds)
-		return true
+		return claimResolved
 	}
 	if !t.grantable(w.txn, w.reqs) {
 		ts.mu.Unlock()
-		return false
+		return claimParked
 	}
 	t.grantAll(ts, w.txn, w.reqs)
 	ts.mu.Unlock()
@@ -1501,6 +1589,5 @@ func (t *Table) tryResolveClaim(w *claimWaiter) bool {
 	w.resolved = true
 	t.shards[w.shards[0]].stats.Grants++
 	t.omGrant()
-	w.ch <- nil
-	return true
+	return claimResolved
 }

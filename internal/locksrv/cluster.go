@@ -362,7 +362,8 @@ func probeV2(hbp **ClientV2, addr string, dial func(string) (net.Conn, error), t
 // conflict with reconstructed or live state. Mirrors releaseCore's
 // patience with a condemned predecessor session's teardown: a lease
 // retried across a reconnect must not lose to its own dying session.
-func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, owned *ownedSet) (byte, string) {
+func (s *Server) leaseCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
+	ctx := sess.ctx
 	if len(reqs) == 0 {
 		return statusBadRequest, "lease without granules"
 	}
@@ -373,9 +374,7 @@ func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID
 	var tick *time.Timer
 	defer func() { stopTimer(tick) }()
 	for {
-		s.mu.Lock()
-		owner, ok := s.owners[txn]
-		s.mu.Unlock()
+		owner, ok := s.ownerOf(txn)
 		if ok && owner == sess {
 			return statusOK, "" // refresh: grants already live on this session
 		}
@@ -389,10 +388,8 @@ func (s *Server) leaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID
 		} else {
 			granted, err := s.table.TryAcquireAll(txn, reqs)
 			if granted {
-				s.mu.Lock()
-				s.owners[txn] = sess
-				s.mu.Unlock()
-				owned.add(txn)
+				s.setOwner(txn, sess)
+				sess.owned.add(txn)
 				s.om.clusterReasserts.Inc()
 				return statusOK, ""
 			}

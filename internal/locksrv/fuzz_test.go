@@ -3,12 +3,14 @@ package locksrv
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 // fuzzAllocBudget bounds what decoding one input may allocate: a frame
@@ -120,56 +122,109 @@ func wellFormedBody(op byte, b []byte) bool {
 	return false
 }
 
+// sinkConn is a connection that records what the server writes to it
+// and has nothing to read.
+type sinkConn struct {
+	net.Conn // nil: any method the tests do not expect panics
+	mu       sync.Mutex
+	buf      bytes.Buffer
+	closed   bool
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.buf.Write(p)
+}
+
+func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
+func (c *sinkConn) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	return nil
+}
+
+// written returns a copy of everything written so far.
+func (c *sinkConn) written() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return bytes.Clone(c.buf.Bytes())
+}
+
+// sinkSession returns a session over a sinkConn whose reader counts as
+// blocked, so every reply is written out as it is produced.
+func sinkSession() (*session, *sinkConn) {
+	conn := &sinkConn{}
+	sess := newSession(conn)
+	sess.idle.Store(true)
+	return sess, conn
+}
+
 // FuzzExecuteV2Body feeds arbitrary op bytes and bodies to the request
-// executor, as the frame loop would after readFrame. It must never
-// panic or allocate past the frame cap, must answer every request with
-// one well-formed response frame under the request's id, and must
-// answer a body the wire format does not admit with bad_request (an
-// unknown op with unknown_op). The session context is already
-// cancelled, so a claim that would park returns at once instead. Seeds:
+// dispatch, as the frame loop would after readFrame: to the inline
+// dispatch on the session reader and, for what that declines, to the
+// executor — and to the executor alone, as on a server with a journal.
+// Either must never panic or allocate past the frame cap, must answer
+// every request with one well-formed response frame under the
+// request's id, and must answer a body the wire format does not admit
+// with bad_request (an unknown op with unknown_op). The session has
+// begun to end (parkClosed, context cancelled), so a claim that would
+// park is answered at once instead. Seeds:
 // testdata/fuzz/FuzzExecuteV2Body, one body per op as the protocol and
 // batch tests encode them, plus each op's malformed shapes (truncated,
 // trailing byte, zero count, a count far beyond the body carrying it).
 func FuzzExecuteV2Body(f *testing.F) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		if len(body) > maxFrame-frameHeader {
 			t.Skip("readFrame never delivers a body this long")
 		}
-		// A fresh server per input: grants left by one input must not
-		// change what the next one sees.
-		srv := NewServer(nil, nil)
-		sess := &session{cancel: func() {}}
-		const id = 0x0123456789ABCDEF
-		var resp *frameBuf
-		if n := allocated(func() { resp = srv.executeV2(ctx, sess, op, id, body, newOwnedSet()) }); n > fuzzAllocBudget {
-			t.Fatalf("op %d allocated %d bytes for a %d-byte body", op, n, len(body))
-		}
-		defer putFrame(resp)
-		br := bufio.NewReader(bytes.NewReader(resp.bytes()))
-		fb, status, gotID, _, err := readFrame(br)
-		if err != nil {
-			t.Fatalf("op %d: response is not a frame: %v", op, err)
-		}
-		defer putFrame(fb)
-		if _, err := br.ReadByte(); err != io.EOF {
-			t.Fatalf("op %d: bytes after the response frame", op)
-		}
-		if gotID != id {
-			t.Fatalf("op %d: response id %#x", op, gotID)
-		}
-		switch {
-		case op < opAcquire || op > opLease:
-			if status != statusUnknownOp {
-				t.Fatalf("unknown op %d answered status %d", op, status)
+		for _, inline := range []bool{true, false} {
+			// A fresh server per input: grants left by one input must not
+			// change what the next one sees.
+			srv := NewServer(nil, nil)
+			sess, conn := sinkSession()
+			sess.cancel()
+			sess.parkClosed = true
+			sess.pending.Add(1)
+			const id = 0x0123456789ABCDEF
+			if n := allocated(func() {
+				if !inline || !srv.serveInline(sess, op, id, body) {
+					srv.execute(sess, op, id, body)
+				}
+			}); n > fuzzAllocBudget {
+				t.Fatalf("op %d allocated %d bytes for a %d-byte body", op, n, len(body))
 			}
-		case !wellFormedBody(op, body):
-			if status != statusBadRequest {
-				t.Fatalf("op %d: malformed %d-byte body answered status %d", op, len(body), status)
+			// A sub-claim refused as already held is classified on a
+			// goroutine of its own; the batch answers when it reports.
+			for sess.pending.Load() != 0 {
+				runtime.Gosched()
 			}
-		case status > statusUnavailable:
-			t.Fatalf("op %d: status %d outside the taxonomy", op, status)
+			br := bufio.NewReader(bytes.NewReader(conn.written()))
+			fb, status, gotID, _, err := readFrame(br)
+			if err != nil {
+				t.Fatalf("op %d: response is not a frame: %v", op, err)
+			}
+			defer putFrame(fb)
+			if _, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("op %d: bytes after the response frame", op)
+			}
+			if gotID != id {
+				t.Fatalf("op %d: response id %#x", op, gotID)
+			}
+			switch {
+			case op < opAcquire || op > opLease:
+				if status != statusUnknownOp {
+					t.Fatalf("unknown op %d answered status %d", op, status)
+				}
+			case !wellFormedBody(op, body):
+				if status != statusBadRequest {
+					t.Fatalf("op %d: malformed %d-byte body answered status %d", op, len(body), status)
+				}
+			case status > statusUnavailable:
+				t.Fatalf("op %d: status %d outside the taxonomy", op, status)
+			}
 		}
 	})
 }

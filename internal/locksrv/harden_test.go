@@ -125,9 +125,8 @@ func TestForeignReleaseRejected(t *testing.T) {
 
 // ownerOf returns the session currently recorded as owning txn.
 func ownerOf(srv *Server, txn int64) *session {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return srv.owners[lockmgr.TxnID(txn)]
+	owner, _ := srv.ownerOf(lockmgr.TxnID(txn))
+	return owner
 }
 
 // TestReleaseRetryWhileOwnerTearsDown pins the transport-fault release

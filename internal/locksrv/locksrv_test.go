@@ -72,12 +72,7 @@ func dialRaw(t *testing.T, addr string) *rawSession {
 
 // acquireFrame is the wire form of an exclusive single-granule claim.
 func acquireFrame(id uint64, txn, granule int64) []byte {
-	fb := getFrame()
-	defer putFrame(fb)
-	fb.start(opAcquire, id)
-	appendAcquireBody(fb, txn, xreq(granule), 0)
-	fb.finish()
-	return append([]byte(nil), fb.bytes()...)
+	return timedAcquireFrame(id, txn, 0, granule)
 }
 
 // roundTrip writes one request frame and reads one response frame.

@@ -7,11 +7,12 @@
 // semantics as calling internal/lockmgr in-process.
 //
 // The wire protocol is length-prefixed binary frames with request ids,
-// announced by the 4-byte magic "GLK2": requests pipeline, execute
-// concurrently, and responses return out of order as each completes, so
-// one connection carries many in-flight operations — including batched
+// announced by the 4-byte magic "GLK2": requests pipeline, a claim that
+// must wait parks without holding up the requests behind it, and
+// responses return out of order as each completes, so one connection
+// carries many in-flight operations — including batched
 // acquireN/releaseN — with responses coalesced into few writes (see
-// proto2.go and docs/LOCKSRV.md). A connection that opens with anything
+// server2.go, proto2.go and docs/LOCKSRV.md). A connection that opens with anything
 // but the magic is closed. A dropped connection releases every lock its
 // transactions still hold, so client crashes cannot strand granules.
 //
@@ -166,8 +167,11 @@ func (o *ownedSet) snapshot() []lockmgr.TxnID {
 
 // session is one connection's server-side state.
 type session struct {
-	conn   net.Conn
-	cancel context.CancelFunc // aborts the session's blocked acquires
+	conn net.Conn
+	// ctx is done once the session is condemned; executor-path waits
+	// select on it. cancel ends it.
+	ctx    context.Context
+	cancel context.CancelFunc
 	// closing is set the moment the session is condemned (disconnect,
 	// idle reap, forced drain, teardown), possibly before its teardown
 	// has force-released its grants. Requests arriving for this
@@ -176,13 +180,97 @@ type session struct {
 	// "owned by a dying predecessor, wait out its teardown" from "owned
 	// by a live peer, genuine protocol violation".
 	closing atomic.Bool
+
+	owned *ownedSet // transactions granted on this session
+
+	// pending counts requests decoded but not yet answered: parked
+	// claims and requests on executors (an inline request is answered
+	// before the next is decoded). waiting is set while the session's
+	// own goroutine sleeps on wake for pending to fall — below the
+	// in-flight cap, or to zero at session end.
+	pending atomic.Int64
+	waiting atomic.Bool
+	wake    chan struct{}
+
+	// The write side (server2.go): replies are appended to wbuf by
+	// whichever goroutine produced them and written out in batches.
+	wmu     sync.Mutex
+	wbuf    []byte
+	wn      int         // replies in wbuf
+	wspare  []byte      // the buffer wbuf alternates with while one is being written
+	writing bool        // a goroutine is writing a taken buffer out, wmu released
+	wdone   *sync.Cond  // on wmu: a write finished
+	werr    error       // first write error, or the read error of a dead connection
+	idle    atomic.Bool // the reader is blocked or gone: an appender flushes at once
+
+	// Claims parked in the lock table as continuations (server2.go).
+	pmu        sync.Mutex
+	parked     map[*parkedAcquire]struct{}
+	parkClosed bool // session end has begun: nothing parks any more
+
+	reqs []lockmgr.Request // the reader's decode scratch
+}
+
+func newSession(conn net.Conn) *session {
+	ctx, cancel := context.WithCancel(context.Background())
+	sess := &session{
+		conn:   conn,
+		ctx:    ctx,
+		cancel: cancel,
+		owned:  newOwnedSet(),
+		wake:   make(chan struct{}, 1),
+		parked: make(map[*parkedAcquire]struct{}),
+	}
+	sess.wdone = sync.NewCond(&sess.wmu)
+	return sess
 }
 
 // shutdown condemns the session: marks it closing, then cancels its
-// context to abort any blocked acquire.
+// context to abort executor-path waits and wake its own goroutine,
+// which withdraws the session's parked claims.
 func (sess *session) shutdown() {
 	sess.closing.Store(true)
 	sess.cancel()
+}
+
+// ownerStripes is the number of stripes of the owners record.
+const (
+	ownerStripeBits = 6
+	ownerStripes    = 1 << ownerStripeBits
+)
+
+// ownerStripe is one stripe of Server.owners.
+type ownerStripe struct {
+	mu sync.Mutex
+	m  map[lockmgr.TxnID]*session
+}
+
+// ownerStripe returns the stripe recording txn's owner.
+//
+//granulint:hotpath
+func (s *Server) ownerStripe(txn lockmgr.TxnID) *ownerStripe {
+	// Fibonacci hashing: transaction ids are often sequential per client
+	// with a client number in the high bits.
+	return &s.owners[uint64(txn)*0x9e3779b97f4a7c15>>(64-ownerStripeBits)]
+}
+
+// ownerOf returns the session txn is recorded as granted on, if any.
+func (s *Server) ownerOf(txn lockmgr.TxnID) (*session, bool) {
+	o := s.ownerStripe(txn)
+	o.mu.Lock()
+	owner, ok := o.m[txn]
+	o.mu.Unlock()
+	return owner, ok
+}
+
+// setOwner records txn as granted on sess.
+//
+//granulint:hotpath
+func (s *Server) setOwner(txn lockmgr.TxnID, sess *session) {
+	o := s.ownerStripe(txn)
+	o.mu.Lock()
+	o.m[txn] = sess
+	o.mu.Unlock()
 }
 
 // Server serves a lock table over a listener. Create with NewServer,
@@ -197,11 +285,14 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
-	owners   map[lockmgr.TxnID]*session
 	closed   bool
 	wg       sync.WaitGroup
 
-	inflight atomic.Int64 // requests decoded but not yet responded to
+	// owners records the session each transaction was granted on,
+	// striped by transaction id: every acquire and release of every
+	// session passes through it, and a release holds its stripe across
+	// the lock table's release (releaseOwned).
+	owners [ownerStripes]ownerStripe
 
 	om    *serverMetrics // always non-nil after NewServer
 	waits waitRing
@@ -266,7 +357,15 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.table.WaitersCount()) })
 	reg.NewGaugeFunc("granulock_locksrv_inflight",
 		"Requests decoded but not yet responded to, across all sessions.",
-		func() float64 { return float64(s.inflight.Load()) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			n := int64(0)
+			for sess := range s.sessions {
+				n += sess.pending.Load()
+			}
+			return float64(n)
+		})
 	reg.NewGaugeFunc("granulock_locksrv_cluster_recovering",
 		"Adopted partitions whose lease-reassert recovery window is still open.",
 		func() float64 {
@@ -363,7 +462,9 @@ func NewServer(lis net.Listener, table *lockmgr.Table, opts ...ServerOption) *Se
 		grace:        500 * time.Millisecond,
 		writeTimeout: 10 * time.Second,
 		sessions:     make(map[*session]struct{}),
-		owners:       make(map[lockmgr.TxnID]*session),
+	}
+	for i := range s.owners {
+		s.owners[i].m = make(map[lockmgr.TxnID]*session)
 	}
 	for _, o := range opts {
 		o(s)
@@ -400,12 +501,11 @@ func (s *Server) Serve() error {
 			}
 			return fmt.Errorf("locksrv: accept: %w", err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		sess := &session{conn: conn, cancel: cancel}
+		sess := newSession(conn)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			cancel()
+			sess.cancel()
 			conn.Close()
 			continue
 		}
@@ -413,7 +513,7 @@ func (s *Server) Serve() error {
 		s.wg.Add(1)
 		s.mu.Unlock()
 		s.om.sessionsTotal.Inc()
-		go s.handle(ctx, sess)
+		go s.handle(sess)
 	}
 }
 
@@ -451,14 +551,15 @@ func (s *Server) Close() error {
 	case <-done:
 	case <-time.After(s.grace):
 		// Grace expired: force, in two phases. Cancelling a session's
-		// context aborts its blocked acquires, which respond with the
-		// typed "closed" code — but only if the connection survives
-		// long enough for the writer to flush those responses. Closing
-		// the conn in the same breath as the cancel loses that race:
-		// pipelined clients see a bare transport error instead of
-		// "closed" and burn their whole retry budget against a dead
-		// listener. So cancel everything first, give the writers a
-		// bounded flush window, and hard-close only the stragglers.
+		// context makes it withdraw its parked claims and aborts its
+		// executor-path waits, all of which respond with the typed
+		// "closed" code — but only if the connection survives long
+		// enough for those responses to be written. Closing the conn in
+		// the same breath as the cancel loses that race: pipelined
+		// clients see a bare transport error instead of "closed" and
+		// burn their whole retry budget against a dead listener. So
+		// cancel everything first, give the sessions a bounded window
+		// to answer, and hard-close only the stragglers.
 		s.mu.Lock()
 		for sess := range s.sessions {
 			sess.shutdown()
@@ -497,24 +598,30 @@ const forceFlushWait = 250 * time.Millisecond
 // executing is not idleness — the deadline is re-armed and the read
 // retried, so a session blocked in a long acquire is never reaped under
 // its client, which is silently waiting for the response.
+//
+// Every read of the connection may block, so each is bracketed by
+// beginWait/endWait: replies still buffered are written out first, and
+// replies other goroutines produce meanwhile are flushed by them.
 type sessionReader struct {
-	s       *Server
-	conn    net.Conn
-	pending *atomic.Int64 // requests decoded but not yet responded to
-	reaped  bool          // ended by idle reap
+	s      *Server
+	sess   *session
+	reaped bool // ended by idle reap
 }
 
 func (r *sessionReader) Read(p []byte) (int, error) {
+	conn := r.sess.conn
 	for {
 		if r.s.idleTimeout > 0 {
-			r.conn.SetReadDeadline(time.Now().Add(r.s.idleTimeout))
+			conn.SetReadDeadline(time.Now().Add(r.s.idleTimeout))
 			if r.s.draining() {
 				// Drain began between arming and this check; restore
 				// its expired deadline so this read cannot linger.
-				r.conn.SetReadDeadline(time.Now())
+				conn.SetReadDeadline(time.Now())
 			}
 		}
-		n, err := r.conn.Read(p)
+		r.s.beginWait(r.sess)
+		n, err := conn.Read(p)
+		r.sess.endWait()
 		if n > 0 {
 			return n, nil // deliver data; any error will recur
 		}
@@ -528,8 +635,8 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 		if r.s.draining() {
 			return 0, err // drain: stop reading new requests
 		}
-		if r.pending.Load() > 0 {
-			continue // a request is executing; the session is not idle
+		if r.sess.pending.Load() > 0 {
+			continue // a request is parked or executing; the session is not idle
 		}
 		r.reaped = r.s.idleTimeout > 0
 		return 0, err
@@ -537,46 +644,66 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 }
 
 // teardown ends a session: condemn it, close its connection, and
-// force-release every transaction it still owns.
-func (s *Server) teardown(sess *session, owned *ownedSet) {
+// force-release every transaction it still owns. The session's parked
+// claims were withdrawn and its executors are done (see handle), so
+// nothing can add to the owned set any more.
+func (s *Server) teardown(sess *session) {
 	sess.shutdown()
 	sess.conn.Close()
 	s.mu.Lock()
 	delete(s.sessions, sess)
 	s.mu.Unlock()
 	forced := int64(0)
-	var released []lockmgr.TxnID
-	for _, txn := range owned.snapshot() {
-		// Ownership check and release are one atomic step under
-		// s.mu: a transaction this session was granted may since
-		// have been re-granted on a live successor session (the
-		// client retried an acquire whose response a transport
-		// fault ate, and the retry won before this teardown ran).
-		// Those locks are the successor's; force-releasing them
-		// here would strip a live session's grants and break mutual
-		// exclusion. Holding s.mu across ReleaseAll keeps a
-		// successor's grant-then-record from interleaving with the
-		// check (grant recording also runs under s.mu).
-		s.mu.Lock()
-		if owner, ok := s.owners[txn]; ok && owner != sess {
-			s.mu.Unlock()
-			continue
+	for _, txn := range sess.owned.snapshot() {
+		// Nobody else releases a transaction recorded on this session,
+		// so what it holds now is what the release below frees.
+		held := s.table.HeldBy(txn) > 0
+		if s.releaseOwned(sess, txn) {
+			if held {
+				forced++
+			}
+			s.journalRelease(txn)
 		}
-		delete(s.owners, txn)
-		if s.table.HeldBy(txn) > 0 {
-			forced++
-		}
-		s.table.ReleaseAll(txn)
-		s.mu.Unlock()
-		released = append(released, txn)
 	}
 	if forced > 0 {
 		s.om.forceReleases.Add(forced)
 	}
-	// Journal outside s.mu: a journal write blocks for a log flush.
-	for _, txn := range released {
-		s.journalRelease(txn)
+}
+
+// releaseOwned releases everything txn holds unless the transaction is
+// recorded as granted on a session other than sess, and reports whether
+// it did.
+//
+// The ownership check and the release are one atomic step under the
+// transaction's owner stripe: a transaction this session was granted
+// may since have been re-granted on a live successor session (the
+// client retried an acquire whose response a transport fault ate, and
+// the retry won before this session's teardown ran). Those locks are
+// the successor's; releasing them here would strip a live session's
+// grants and break mutual exclusion. Holding the stripe across the
+// release keeps a successor's grant-then-record from interleaving with
+// the check (grant recording takes the same stripe) — which is why the
+// parked claims the release resolves are delivered only after the
+// stripe is dropped: their continuations record ownership, possibly in
+// this very stripe.
+//
+//granulint:hotpath
+func (s *Server) releaseOwned(sess *session, txn lockmgr.TxnID) bool {
+	var buf [4]*lockmgr.ParkedClaim
+	o := s.ownerStripe(txn)
+	o.mu.Lock()
+	if owner, recorded := o.m[txn]; recorded && owner != sess {
+		o.mu.Unlock()
+		return false
 	}
+	delete(o.m, txn)
+	resolved := s.table.ReleaseAllDeferred(txn, buf[:0])
+	o.mu.Unlock()
+	sess.owned.remove(txn)
+	for _, w := range resolved {
+		w.Deliver()
+	}
+	return true
 }
 
 // Draining reports whether Close has begun — the server still finishes
@@ -600,8 +727,8 @@ func (s *Server) draining() bool {
 // died mid-flight, the client reconnected and resent on a fresh session
 // — so instead of rejecting a legitimate retry with a terminal error,
 // wait out the predecessor's teardown and complete idempotently
-// (mirroring acquireCore's orphan handling).
-func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.TxnID, owned *ownedSet) (byte, string) {
+// (mirroring acquireBlocking's orphan handling).
+func (s *Server) releaseCore(sess *session, txn lockmgr.TxnID) (byte, string) {
 	// The race deadline is only needed once a foreign owner is actually
 	// observed; reading the clock lazily keeps the common case — a
 	// release by the rightful owner — free of time syscalls.
@@ -609,88 +736,118 @@ func (s *Server) releaseCore(ctx context.Context, sess *session, txn lockmgr.Txn
 	var tick *time.Timer
 	defer func() { stopTimer(tick) }()
 	for {
-		s.mu.Lock()
-		if owner, ok := s.owners[txn]; ok && owner != sess {
-			closing := owner.closing.Load()
-			s.mu.Unlock()
-			if raceDeadline.IsZero() {
-				raceDeadline = time.Now().Add(ownerRaceWait)
-			}
-			if !closing && time.Now().After(raceDeadline) {
-				// Still owned by a session that looks alive after the
-				// race bound: a genuine foreign release.
-				s.om.foreignReleases.Inc()
-				return statusNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
-			}
-			// Owner condemned (teardown clears the entry shortly) or
-			// apparently alive but possibly an undetected disconnect;
-			// wait and re-check.
-			tick = resetTimer(tick, time.Millisecond)
-			select {
-			case <-ctx.Done():
-				return statusClosed, "session closed"
-			case <-tick.C:
-			}
-			continue
+		if s.releaseOwned(sess, txn) {
+			s.journalRelease(txn)
+			return statusOK, ""
 		}
-		delete(s.owners, txn)
-		// Release under s.mu so the ownership check stays atomic with
-		// the release (same discipline as session teardown).
-		s.table.ReleaseAll(txn)
-		s.mu.Unlock()
-		owned.remove(txn)
-		s.journalRelease(txn)
-		return statusOK, ""
+		if raceDeadline.IsZero() {
+			raceDeadline = time.Now().Add(ownerRaceWait)
+		}
+		owner, _ := s.ownerOf(txn)
+		if owner != nil && !owner.closing.Load() && time.Now().After(raceDeadline) {
+			// Still owned by a session that looks alive after the race
+			// bound: a genuine foreign release.
+			s.om.foreignReleases.Inc()
+			return statusNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
+		}
+		// Owner condemned (teardown clears the entry shortly) or
+		// apparently alive but possibly an undetected disconnect; wait
+		// and re-check.
+		tick = resetTimer(tick, time.Millisecond)
+		select {
+		case <-sess.ctx.Done():
+			return statusClosed, "session closed"
+		case <-tick.C:
+		}
 	}
 }
 
-// acquireCore runs one conservative claim with the request's wait
-// deadline, records its wait time, and classifies the outcome. It
-// returns (statusOK, "") on grant, else a status from the shared
-// taxonomy plus detail.
-func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, owned *ownedSet) (byte, string) {
+// checkAcquire validates an acquire's arguments.
+func checkAcquire(reqs []lockmgr.Request, timeoutMS int64) (byte, string) {
 	if len(reqs) == 0 {
 		return statusBadRequest, "acquire without granules"
 	}
 	if timeoutMS < 0 {
 		return statusBadRequest, "negative timeout_ms"
 	}
-	actx := ctx
-	if timeoutMS > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
-		defer cancel()
+	return statusOK, ""
+}
+
+// grantNow records an acquire the table granted without waiting. An
+// immediate grant waited zero time by definition, so the zero sample is
+// recorded without reading the clock — at service rates the two time
+// syscalls per acquire are a measurable tax.
+//
+//granulint:hotpath
+func (s *Server) grantNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
+	s.waits.add(0)
+	s.om.waitMS.Observe(0)
+	return s.finishAcquire(sess, txn, reqs, 0, nil)
+}
+
+// acquireCore runs one conservative claim on the calling goroutine,
+// blocking it for as long as the claim waits: the executor path, for
+// servers whose acquires can also wait on a journal flush or a cluster
+// recovery window. It returns (statusOK, "") on grant, else a status
+// from the shared taxonomy plus detail.
+func (s *Server) acquireCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64) (byte, string) {
+	if st, msg := checkAcquire(reqs, timeoutMS); st != statusOK {
+		return st, msg
 	}
+	// The wait deadline is built only where something can wait: an
+	// acquire granted at once never pays for a context and its timer.
+	var start time.Time
 	// Cluster routing: serve only granules this node owns (or adopted),
 	// parking behind an open recovery window; redirect the rest. The
 	// nil check keeps unclustered servers on the exact prior path.
 	if s.cluster != nil {
-		if st, msg := s.clusterAdmit(actx, reqs, false); st != statusOK {
+		start = time.Now()
+		actx, cancel := deadlineContext(sess.ctx, start, timeoutMS)
+		st, msg := s.clusterAdmit(actx, reqs, false)
+		cancel()
+		if st != statusOK {
 			return st, msg
 		}
 	}
-	// Fast path: an immediate grant waited zero time by definition, so
-	// record the zero sample without reading the clock — at service
-	// rates the two time syscalls per acquire are a measurable tax.
-	granted, err := s.table.TryAcquireAll(txn, reqs)
-	if granted {
-		s.waits.add(0)
-		s.om.waitMS.Observe(0)
-		return s.finishAcquire(sess, txn, reqs, timeoutMS, nil, owned)
+	// A refusal (ErrAlreadyHolds) is acquireBlocking's to classify.
+	if granted, _ := s.table.TryAcquireAll(txn, reqs); granted {
+		return s.grantNow(sess, txn, reqs)
 	}
-	start := time.Now()
+	if start.IsZero() {
+		start = time.Now()
+	}
+	return s.acquireBlocking(sess, txn, reqs, timeoutMS, start)
+}
+
+// deadlineContext derives the context of an acquire that arrived at
+// start with the wire timeout timeoutMS (zero: no deadline).
+func deadlineContext(ctx context.Context, start time.Time, timeoutMS int64) (context.Context, context.CancelFunc) {
+	if timeoutMS <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, start.Add(time.Duration(timeoutMS)*time.Millisecond))
+}
+
+// acquireBlocking waits for a claim on the calling goroutine, under the
+// deadline of a request that arrived at start. It also sorts out a
+// claim for a transaction that already holds locks (ErrAlreadyHolds),
+// which is either misuse or a retry racing its predecessor session's
+// teardown — the one case a parked continuation hands back to a
+// goroutine, because it polls.
+func (s *Server) acquireBlocking(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, start time.Time) (byte, string) {
+	actx, cancel := deadlineContext(sess.ctx, start, timeoutMS)
+	defer cancel()
 	// The orphan-retry loop below polls every millisecond; the timer is
 	// allocated once per call and reset, not once per poll.
 	var tick *time.Timer
 	defer func() { stopTimer(tick) }()
+	var err error
 	for {
 		err = s.table.AcquireAll(actx, txn, reqs)
 		if err == nil || !errors.Is(err, lockmgr.ErrAlreadyHolds) {
 			break
 		}
-		s.mu.Lock()
-		owner, ok := s.owners[txn]
-		s.mu.Unlock()
+		owner, ok := s.ownerOf(txn)
 		if ok && owner == sess {
 			// A second conservative claim on this very session: real
 			// misuse, never a retry.
@@ -718,16 +875,21 @@ func (s *Server) acquireCore(ctx context.Context, sess *session, txn lockmgr.Txn
 		}
 		break
 	}
+	s.recordWait(start)
+	return s.finishAcquire(sess, txn, reqs, timeoutMS, err)
+}
+
+// recordWait samples the wait of an acquire that parked at start.
+func (s *Server) recordWait(start time.Time) {
 	waitMS := float64(time.Since(start)) / float64(time.Millisecond)
 	s.waits.add(waitMS)
 	s.om.waitMS.Observe(waitMS)
-	return s.finishAcquire(sess, txn, reqs, timeoutMS, err, owned)
 }
 
 // finishAcquire journals the grant, records ownership, and classifies
-// the acquire outcome, shared by the zero-wait fast path and the
-// blocking path.
-func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, err error, owned *ownedSet) (byte, string) {
+// the acquire outcome, shared by the zero-wait grant, the blocking path
+// and the continuation of a parked claim.
+func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, err error) (byte, string) {
 	switch {
 	case err == nil:
 		// Journal before recording ownership or replying: a grant the
@@ -735,10 +897,8 @@ func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.
 		if st, msg := s.journalGrant(txn, reqs); st != statusOK {
 			return st, msg
 		}
-		s.mu.Lock()
-		s.owners[txn] = sess
-		s.mu.Unlock()
-		owned.add(txn)
+		s.setOwner(txn, sess)
+		sess.owned.add(txn)
 		s.om.grants.Inc()
 		return statusOK, ""
 	case errors.Is(err, context.DeadlineExceeded):
@@ -747,8 +907,7 @@ func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.
 		s.om.timeouts.Inc()
 		return statusTimeout, fmt.Sprintf("acquire timed out after %dms", timeoutMS)
 	case errors.Is(err, context.Canceled):
-		// The session's context was cancelled: disconnect or forced
-		// drain.
+		// The session was condemned: disconnect or forced drain.
 		s.om.cancels.Inc()
 		return statusClosed, "session closed"
 	default:

@@ -3,10 +3,12 @@ package locksrv
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,10 +16,31 @@ import (
 )
 
 // v2MaxInflight caps how many requests one v2 session may have
-// executing at once. The cap bounds executor goroutines per connection;
-// excess frames wait in the read loop, which is exactly the
+// unanswered at once: claims parked in the lock table plus requests on
+// executors. Excess frames wait in the read loop, which is exactly the
 // back-pressure a pipelining client expects.
 const v2MaxInflight = 256
+
+// flushBatch is the number of replies a session buffers before they are
+// written out; the reader also writes out whatever is buffered before
+// any read that may block. Flushing only before a blocking read makes
+// the fewest syscalls, but each connection's pipelined callers then fall
+// into lockstep — all wait for one write, all send at once — and the
+// 99th-percentile latency triples; a small batch breaks the lockstep
+// for a fraction of the syscalls saved. The value comes from the sweep
+// recorded in docs/LOCKSRV.md ("Throughput").
+const flushBatch = 4
+
+// wbufLimit is how many bytes of replies may queue behind a write in
+// progress before the goroutines producing more wait for it (see
+// flushLocked); only a connection whose peer has stopped reading gets
+// there.
+const wbufLimit = 64 << 10
+
+// scratchReqsMax bounds the request-decode scratch a session keeps
+// between frames, so one huge claim does not pin its memory for the
+// life of the connection.
+const scratchReqsMax = 1024
 
 // v2Work is one decoded request frame awaiting execution.
 type v2Work struct {
@@ -32,30 +55,35 @@ type execWorker struct {
 	ch chan v2Work
 }
 
-// handle runs one session: a reader that decodes frames and dispatches
-// each to a pooled executor goroutine (capped at v2MaxInflight per
-// session), and a single writer that drains completed responses,
-// coalescing them into few syscalls by flushing only when the response
-// queue goes idle. Responses therefore return out of order, matched to
-// requests by id. Because reading and executing are separate
-// goroutines, the reader notices a disconnect while executors are
-// parked in blocking acquires and cancels them at once. Transactions
-// granted on this session are tracked and force-released when it ends,
-// however it ends.
+// handle runs one session to completion on one goroutine. The reader
+// decodes a frame and, when nothing but the lock table can make the
+// request wait (serveInline), executes it right there and appends the
+// reply to the session's write buffer: no hand-off to an executor, none
+// to a writer. A claim that must wait is parked in the table as a
+// continuation (parkedAcquire), not as a goroutine; the release that
+// resolves it — usually on another session's reader — finishes the
+// acquire and appends its reply to this session's buffer. Responses
+// therefore return out of order, matched to requests by id, while the
+// requests of one connection that do not wait are served in arrival
+// order.
 //
+// Requests that can wait on something else — a journal flush before
+// the acknowledgement (group commit needs them concurrent), a cluster
+// recovery window, another session's teardown, a batch — go to pooled
+// executor goroutines, which answer through the same write buffer.
 // Executors are recycled rather than spawned per frame: a fresh
 // goroutine starts with a minimal stack that the execute call chain
 // immediately has to grow, and at service request rates those stack
 // copies show up as a top-five CPU item. A worker that has run once
 // keeps its grown stack for the rest of the session.
-func (s *Server) handle(ctx context.Context, sess *session) {
+//
+// Transactions granted on this session are tracked and force-released
+// when it ends, however it ends.
+func (s *Server) handle(sess *session) {
 	defer s.wg.Done()
-	conn := sess.conn
-	owned := newOwnedSet()
-	var pending atomic.Int64 // requests decoded but not yet responded to
-	sr := &sessionReader{s: s, conn: conn, pending: &pending}
+	sr := &sessionReader{s: s, sess: sess}
 	br := bufio.NewReader(sr)
-	defer s.teardown(sess, owned)
+	defer s.teardown(sess)
 
 	var magic [len(protoMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != protoMagic {
@@ -66,52 +94,6 @@ func (s *Server) handle(ctx context.Context, sess *session) {
 	}
 	s.om.v2Sessions.Inc()
 
-	respCh := make(chan *frameBuf, v2MaxInflight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		// The write deadline is armed once per batch, not per frame:
-		// each SetWriteDeadline modifies a runtime poll timer, and at
-		// pipelined frame rates that churn outweighs the writes
-		// themselves. One deadline covering the whole batch bounds a
-		// stalled client just as well.
-		armed := false
-		for fb := range respCh {
-			if s.writeTimeout > 0 && !armed {
-				conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-				armed = true
-			}
-			_, err := bw.Write(fb.bytes())
-			putFrame(fb)
-			pending.Add(-1)
-			s.inflight.Add(-1)
-			if err != nil {
-				return
-			}
-			s.om.framesWritten.Inc()
-			// Flush on idle: as long as more responses are queued, keep
-			// filling the buffer; the syscall happens when the pipeline
-			// drains (or the buffer fills, via bufio). The yield first is
-			// what makes this work on few CPUs: a completing executor
-			// hands the scheduler straight to this goroutine, so the
-			// queue looks empty while the other executors are runnable
-			// but haven't run — give them one scheduler round to enqueue
-			// before paying the syscall.
-			if len(respCh) == 0 {
-				runtime.Gosched()
-			}
-			if len(respCh) == 0 {
-				if err := bw.Flush(); err != nil {
-					return
-				}
-				armed = false
-			}
-		}
-		bw.Flush()
-	}()
-
-	var execWG sync.WaitGroup
 	free := make(chan *execWorker, v2MaxInflight)
 	var workers []*execWorker
 	spawn := func() *execWorker {
@@ -119,42 +101,46 @@ func (s *Server) handle(ctx context.Context, sess *session) {
 		workers = append(workers, w)
 		go func() {
 			for wk := range w.ch {
-				resp := s.executeV2(ctx, sess, wk.op, wk.id, wk.body, owned)
+				s.execute(sess, wk.op, wk.id, wk.body)
 				putFrame(wk.fb)
-				select {
-				case respCh <- resp:
-				case <-writerDone:
-					// Writer died on a write error; account for the
-					// request ourselves.
-					putFrame(resp)
-					pending.Add(-1)
-					s.inflight.Add(-1)
-				}
-				execWG.Done()
 				free <- w // cap == max workers: never blocks
 			}
 		}()
 		return w
 	}
-readLoop:
 	for {
 		fb, op, id, body, err := readFrame(br)
 		if err != nil {
 			if sr.reaped {
 				s.om.idleReaps.Inc()
+			}
+			if sr.reaped || !s.draining() {
+				// Real disconnect, torn frame or idle reap: framing is
+				// lost or nobody is listening, so the session ends, what
+				// it still has parked is withdrawn unanswered and
+				// teardown releases its grants. Under drain, unanswered
+				// requests get the grace period instead.
 				sess.shutdown()
-			} else if !s.draining() {
-				// Real disconnect or torn frame: framing is lost either
-				// way, so the session ends and teardown releases its
-				// grants. Under drain, in-flight requests get the grace
-				// period instead.
-				sess.shutdown()
+				sess.failWrites(err)
 			}
 			break
 		}
 		s.om.framesRead.Inc()
-		pending.Add(1)
-		s.inflight.Add(1)
+		if sess.pending.Load() >= v2MaxInflight {
+			// Pipeline saturated: wait for an answer to go out, or for
+			// the session to be condemned.
+			ok := s.awaitPending(sess, v2MaxInflight, sess.ctx.Done())
+			sess.endWait()
+			if !ok {
+				putFrame(fb)
+				break
+			}
+		}
+		sess.pending.Add(1)
+		if s.serveInline(sess, op, id, body) {
+			putFrame(fb)
+			continue
+		}
 		var w *execWorker
 		select {
 		case w = <-free:
@@ -162,92 +148,450 @@ readLoop:
 			if len(workers) < v2MaxInflight {
 				w = spawn()
 			} else {
-				// Pipeline saturated: wait for an executor, or for the
-				// session to be condemned.
-				select {
-				case w = <-free:
-				case <-ctx.Done():
-					putFrame(fb)
-					pending.Add(-1)
-					s.inflight.Add(-1)
-					break readLoop
-				}
+				// Every worker answered (pending is under the cap) but
+				// one has yet to put itself back: it is about to.
+				w = <-free
 			}
 		}
-		execWG.Add(1)
 		w.ch <- v2Work{fb: fb, op: op, id: id, body: body}
 	}
-	execWG.Wait()
+	// No more requests. Wait for the unanswered ones: until the session
+	// is condemned (forced drain; at once for a disconnect), then
+	// withdraw what is still parked and wait out the continuations and
+	// executors already running — a grant recorded after teardown's
+	// sweep would strand its locks.
+	if !s.awaitPending(sess, 1, sess.ctx.Done()) {
+		s.cancelParked(sess)
+		s.awaitPending(sess, 1, nil)
+	}
 	for _, w := range workers {
 		close(w.ch)
 	}
-	close(respCh)
-	<-writerDone
-	// If the writer exited on error, queued responses were never
-	// consumed; settle their accounting.
-	for fb := range respCh {
-		putFrame(fb)
-		pending.Add(-1)
-		s.inflight.Add(-1)
+	// Every request is answered, but the last replies may have been left
+	// to a goroutine that is still writing: let it finish before
+	// teardown closes the connection under it.
+	sess.wmu.Lock()
+	for sess.writing {
+		sess.wdone.Wait()
+	}
+	sess.wmu.Unlock()
+}
+
+// beginWait is called by the session's own goroutine before it may
+// block: it marks the session idle, so that a goroutine appending a
+// reply from now on writes it out itself, and writes out what is
+// buffered. The mark comes first, under wmu: a reply appended while
+// this flush has wmu released for its write is then the flush's own to
+// write (flushLocked goes round again for an idle session) — marked
+// afterwards, it would be nobody's.
+func (s *Server) beginWait(sess *session) {
+	sess.wmu.Lock()
+	sess.idle.Store(true)
+	s.flushLocked(sess)
+	sess.wmu.Unlock()
+}
+
+// endWait ends beginWait's idle period: the reader is running again and
+// will flush what accumulates. It takes no lock: an appender that still
+// sees the mark merely flushes once more.
+func (sess *session) endWait() { sess.idle.Store(false) }
+
+// awaitPending sleeps the session's own goroutine until fewer than n
+// requests are unanswered, or done closes (reported as false). It
+// leaves the session idle: the caller ends that with endWait, or is
+// finished with reading for good.
+func (s *Server) awaitPending(sess *session, n int64, done <-chan struct{}) bool {
+	s.beginWait(sess)
+	sess.waiting.Store(true)
+	defer sess.waiting.Store(false)
+	for sess.pending.Load() >= n {
+		select {
+		case <-sess.wake:
+		case <-done:
+			return false
+		}
+	}
+	return true
+}
+
+// failWrites makes every later reply a no-op: the connection is dead,
+// and a withdrawn claim's "closed" has nobody to go to.
+func (sess *session) failWrites(err error) {
+	sess.wmu.Lock()
+	if sess.werr == nil {
+		sess.werr = err
+	}
+	sess.wmu.Unlock()
+}
+
+// flushLocked writes the buffered replies out. wmu is not held across
+// the write — on a busy connection it would park every other goroutine
+// with a reply for it, the session's own reader included — so one
+// goroutine at a time is the writer: it takes the buffer, writes with
+// wmu released, and before it leaves writes out again whatever arrived
+// meanwhile that is due (a goroutine that finds a writer at work leaves
+// its reply to it). One write deadline covers a whole batch: each
+// SetWriteDeadline modifies a runtime poll timer, and per frame that
+// churn would outweigh the write. A failed or timed-out write ends the
+// session: the connection is closed, the reader's next read fails, and
+// teardown follows — which bounds the backlog, too: past wbufLimit
+// nobody leaves replies to a writer that is not getting anywhere, they
+// wait for it. Caller holds wmu, which flushLocked may release and
+// retake.
+func (s *Server) flushLocked(sess *session) {
+	for sess.writing {
+		if len(sess.wbuf) < wbufLimit {
+			return
+		}
+		sess.wdone.Wait()
+	}
+	for len(sess.wbuf) > 0 && sess.werr == nil {
+		out := sess.wbuf
+		sess.wbuf, sess.wn = sess.wspare[:0], 0
+		sess.writing = true
+		sess.wmu.Unlock()
+		if s.writeTimeout > 0 {
+			sess.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+		}
+		_, err := sess.conn.Write(out)
+		sess.wmu.Lock()
+		sess.writing = false
+		sess.wdone.Broadcast()
+		sess.wspare = out[:0]
+		if err != nil {
+			sess.werr = err
+			sess.conn.Close()
+		}
+		if sess.wn < flushBatch && !sess.idle.Load() {
+			break // the reader flushes the rest
+		}
 	}
 }
 
-// executeV2 performs one v2 request and returns its response frame
-// (pooled; ownership passes to the caller).
-func (s *Server) executeV2(ctx context.Context, sess *session, op byte, id uint64, body []byte, owned *ownedSet) *frameBuf {
+// sent completes a reply just appended to wbuf: the flush policy, then
+// the request's accounting — in that order: a session whose requests
+// are all accounted for may be torn down, and its last reply must be
+// on the wire by then. Caller holds wmu; sent releases it.
+//
+//granulint:hotpath
+func (s *Server) sent(sess *session) {
+	if sess.werr != nil {
+		sess.wbuf, sess.wn = sess.wbuf[:0], 0
+	} else {
+		s.om.framesWritten.Inc()
+		sess.wn++
+		if sess.wn >= flushBatch {
+			s.flushLocked(sess)
+		} else if sess.idle.Load() && !sess.writing {
+			// Nobody else will write this reply out. If the session has
+			// other requests unanswered, their replies may be about to
+			// join this one — the cohort a journal flush just released,
+			// the sub-claims of a batch: give the goroutines producing
+			// them one scheduler round before paying the syscall (on few
+			// CPUs they are runnable but have not run).
+			if sess.pending.Load() > 1 {
+				sess.wmu.Unlock()
+				runtime.Gosched()
+				sess.wmu.Lock()
+			}
+			if sess.wn >= flushBatch || sess.idle.Load() {
+				s.flushLocked(sess)
+			}
+		}
+	}
+	sess.wmu.Unlock()
+	if n := sess.pending.Add(-1); (n == 0 || n == v2MaxInflight-1) && sess.waiting.Load() {
+		select {
+		case sess.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// reply answers request id with a plain response frame: the status,
+// and for an error the detail message as body. Any goroutine may call
+// it; the frame is encoded straight into the session's write buffer.
+//
+//granulint:hotpath
+func (s *Server) reply(sess *session, id uint64, status byte, msg string) {
+	sess.wmu.Lock()
+	b := binary.BigEndian.AppendUint32(sess.wbuf, uint32(frameHeader+len(msg)))
+	b = append(b, status)
+	b = binary.BigEndian.AppendUint64(b, id)
+	sess.wbuf = append(b, msg...)
+	s.sent(sess)
+}
+
+// replyFrame answers with a frame built elsewhere (stats, batches),
+// which it consumes.
+func (s *Server) replyFrame(sess *session, fb *frameBuf) {
+	sess.wmu.Lock()
+	sess.wbuf = append(sess.wbuf, fb.bytes()...)
+	putFrame(fb)
+	s.sent(sess)
+}
+
+// lockOnly reports whether nothing but the lock table can make this
+// server's acquires and releases wait: it journals no grants and routes
+// by no cluster ring.
+//
+//granulint:hotpath
+func (s *Server) lockOnly() bool { return s.journal == nil && s.cluster == nil }
+
+// serveInline is the dispatch predicate and the inline executor in one:
+// it runs the request on the calling goroutine — the session's reader —
+// when nothing but the lock table can make it wait, and reports false,
+// having changed nothing, when the request needs an executor: the
+// server journals grants or routes by cluster partition, the op is a
+// batch or a lease, or the transaction is entangled with another
+// session (a retry racing its predecessor's teardown, or misuse).
+//
+//granulint:hotpath
+func (s *Server) serveInline(sess *session, op byte, id uint64, body []byte) bool {
+	if !s.lockOnly() {
+		return false
+	}
+	fr := frameReader{b: body}
 	switch op {
 	case opAcquire:
-		fr := frameReader{b: body}
-		txn, reqs, timeoutMS := parseAcquireBody(&fr)
-		if !fr.done() {
-			return replyFrame(id, statusBadRequest, "malformed acquire body")
+		txn, reqs, timeoutMS := parseAcquireBody(&fr, sess.reqs[:0])
+		if cap(reqs) <= scratchReqsMax {
+			sess.reqs = reqs
 		}
-		st, msg := s.acquireCore(ctx, sess, txn, reqs, timeoutMS, owned)
-		return replyFrame(id, st, msg)
+		if !fr.done() {
+			s.reply(sess, id, statusBadRequest, "malformed acquire body")
+			return true
+		}
+		if st, msg := checkAcquire(reqs, timeoutMS); st != statusOK {
+			s.reply(sess, id, st, msg)
+			return true
+		}
+		granted, err := s.table.TryAcquireAll(txn, reqs)
+		switch {
+		case granted:
+			st, msg := s.grantNow(sess, txn, reqs)
+			s.reply(sess, id, st, msg)
+		case err != nil:
+			return false // ErrAlreadyHolds: acquireBlocking sorts it out
+		default:
+			// The table keeps the requests while the claim is parked;
+			// the scratch is reused by the next frame.
+			s.park(&parkedAcquire{s: s, sess: sess, id: id, txn: txn, reqs: slices.Clone(reqs), timeoutMS: timeoutMS})
+		}
+		return true
 	case opRelease:
-		fr := frameReader{b: body}
 		txn := lockmgr.TxnID(fr.u64())
 		if !fr.done() {
-			return replyFrame(id, statusBadRequest, "malformed release body")
+			s.reply(sess, id, statusBadRequest, "malformed release body")
+			return true
 		}
-		st, msg := s.releaseCore(ctx, sess, txn, owned)
-		return replyFrame(id, st, msg)
+		if !s.releaseOwned(sess, txn) {
+			return false // granted on another session: releaseCore waits it out
+		}
+		s.reply(sess, id, statusOK, "")
+		return true
 	case opStats:
-		if len(body) != 0 {
-			return replyFrame(id, statusBadRequest, "stats takes no body")
-		}
-		ls := s.table.Stats()
-		ss := s.serverStats()
-		payload, err := json.Marshal(statsReply{Stats: &ls, Server: &ss})
-		if err != nil {
-			return replyFrame(id, statusBadRequest, err.Error())
-		}
-		fb := getFrame()
-		fb.start(statusOK, id)
-		fb.appendBytes(payload)
-		fb.finish()
-		return fb
-	case opAcquireN:
-		return s.executeAcquireN(ctx, sess, id, body, owned)
-	case opReleaseN:
-		return s.executeReleaseN(ctx, sess, id, body, owned)
-	case opLease:
-		return s.executeLease(ctx, sess, id, body, owned)
-	default:
-		return replyFrame(id, statusUnknownOp, "unknown op")
+		s.replyFrame(sess, s.statsFrame(id, body))
+		return true
 	}
+	return false
+}
+
+// execute performs one request on an executor goroutine and answers it
+// (a batch of claims may answer later, when its last claim resolves).
+func (s *Server) execute(sess *session, op byte, id uint64, body []byte) {
+	fr := frameReader{b: body}
+	switch op {
+	case opAcquire:
+		txn, reqs, timeoutMS := parseAcquireBody(&fr, nil)
+		if !fr.done() {
+			s.reply(sess, id, statusBadRequest, "malformed acquire body")
+			return
+		}
+		st, msg := s.acquireCore(sess, txn, reqs, timeoutMS)
+		s.reply(sess, id, st, msg)
+	case opRelease:
+		txn := lockmgr.TxnID(fr.u64())
+		if !fr.done() {
+			s.reply(sess, id, statusBadRequest, "malformed release body")
+			return
+		}
+		st, msg := s.releaseCore(sess, txn)
+		s.reply(sess, id, st, msg)
+	case opStats:
+		s.replyFrame(sess, s.statsFrame(id, body))
+	case opAcquireN:
+		s.executeAcquireN(sess, id, body)
+	case opReleaseN:
+		s.replyFrame(sess, s.executeReleaseN(sess, id, body))
+	case opLease:
+		s.replyFrame(sess, s.executeLease(sess, id, body))
+	default:
+		s.reply(sess, id, statusUnknownOp, "unknown op")
+	}
+}
+
+// statsFrame builds the stats response.
+func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
+	if len(body) != 0 {
+		return errorFrame(id, statusBadRequest, "stats takes no body")
+	}
+	ls := s.table.Stats()
+	ss := s.serverStats()
+	payload, err := json.Marshal(statsReply{Stats: &ls, Server: &ss})
+	if err != nil {
+		return errorFrame(id, statusBadRequest, err.Error())
+	}
+	fb := getFrame()
+	fb.start(statusOK, id)
+	fb.appendBytes(payload)
+	fb.finish()
+	return fb
+}
+
+// parkedAcquire is an acquire waiting in the lock table as a
+// continuation: what it takes to finish the request once the claim is
+// resolved, by whichever goroutine resolves it. Exactly one of three
+// things ends it, and the lock table's resolved flag decides which: a
+// release resolves the claim (resolved), its deadline withdraws it
+// (expire), or the end of its session withdraws it (cancelParked).
+type parkedAcquire struct {
+	s         *Server
+	sess      *session
+	txn       lockmgr.TxnID
+	reqs      []lockmgr.Request
+	timeoutMS int64
+	start     time.Time
+	// Guarded by sess.pmu: the claim and its deadline timer (nil without
+	// one) while the acquire is registered in sess.parked, and whether
+	// the claim has left the table's queues — which a release can bring
+	// about before park has registered it.
+	claim    *lockmgr.ParkedClaim
+	timer    *time.Timer
+	unparked bool
+
+	// The outcome goes to request id as a reply frame, or, for a
+	// sub-claim of an acquireN, into slot idx of its batch.
+	id    uint64
+	batch *batchReply
+	idx   int
+}
+
+// park queues pa's claim in the lock table, or finishes the acquire at
+// once when the table can decide it after all. The claim is registered
+// with its session only after the table call — sess.pmu is not held
+// across it, the sessions' readers would convoy on it — so a release
+// may resolve the claim before it is registered (unparked says so, and
+// nothing is registered), and the session's end may have begun
+// meanwhile (the parker then withdraws the claim itself).
+func (s *Server) park(pa *parkedAcquire) {
+	sess := pa.sess
+	pa.start = time.Now()
+	_, claim, err := s.table.AcquireAllAsync(pa.txn, pa.reqs, pa.resolved)
+	if claim == nil {
+		pa.finish(err) // granted since the probe, or ErrAlreadyHolds
+		return
+	}
+	sess.pmu.Lock()
+	closed := sess.parkClosed
+	if !pa.unparked && !closed {
+		pa.claim = claim
+		sess.parked[pa] = struct{}{}
+		if pa.timeoutMS > 0 {
+			pa.timer = time.AfterFunc(time.Duration(pa.timeoutMS)*time.Millisecond, pa.expire)
+		}
+	}
+	sess.pmu.Unlock()
+	if closed && s.table.Withdraw(claim) {
+		pa.finish(context.Canceled)
+	}
+}
+
+// resolved is the lock table's callback: a release granted the claim,
+// or failed it as a duplicate. It runs on the releasing goroutine,
+// after that goroutine dropped the table's locks and its owner stripe.
+func (pa *parkedAcquire) resolved(err error) {
+	pa.unpark()
+	pa.finish(err)
+}
+
+// expire is the wait deadline.
+func (pa *parkedAcquire) expire() {
+	if pa.s.table.Withdraw(pa.claim) {
+		pa.unpark()
+		pa.finish(context.DeadlineExceeded)
+	}
+}
+
+// unpark forgets a claim that is no longer parked.
+func (pa *parkedAcquire) unpark() {
+	pa.sess.pmu.Lock()
+	pa.unparked = true
+	delete(pa.sess.parked, pa)
+	timer := pa.timer
+	pa.sess.pmu.Unlock()
+	if timer != nil {
+		timer.Stop()
+	}
+}
+
+// cancelParked begins the end of a session: nothing parks any more, and
+// every claim still parked is withdrawn and answered "closed" (into the
+// void, if the connection is dead). A claim a release resolves first is
+// finished by that release.
+func (s *Server) cancelParked(sess *session) {
+	sess.pmu.Lock()
+	sess.parkClosed = true
+	parked := make([]*parkedAcquire, 0, len(sess.parked))
+	claims := make([]*lockmgr.ParkedClaim, 0, len(sess.parked))
+	for pa := range sess.parked {
+		parked = append(parked, pa)
+		claims = append(claims, pa.claim)
+	}
+	sess.pmu.Unlock()
+	for i, pa := range parked {
+		if s.table.Withdraw(claims[i]) {
+			pa.unpark()
+			pa.finish(context.Canceled)
+		}
+	}
+}
+
+// finish completes the acquire with the claim's outcome and answers it.
+func (pa *parkedAcquire) finish(err error) {
+	s := pa.s
+	if errors.Is(err, lockmgr.ErrAlreadyHolds) {
+		// Misuse, or a retry racing its predecessor session's teardown:
+		// telling them apart polls, so it takes a goroutine. The request
+		// stays pending, which keeps the session waiting for it.
+		go func() {
+			pa.answer(s.acquireBlocking(pa.sess, pa.txn, pa.reqs, pa.timeoutMS, pa.start))
+		}()
+		return
+	}
+	s.recordWait(pa.start)
+	pa.answer(s.finishAcquire(pa.sess, pa.txn, pa.reqs, pa.timeoutMS, err))
+}
+
+// answer delivers the acquire's status.
+func (pa *parkedAcquire) answer(st byte, msg string) {
+	if pa.batch != nil {
+		pa.batch.set(pa.idx, st, msg)
+		return
+	}
+	pa.s.reply(pa.sess, pa.id, st, msg)
 }
 
 // executeLease processes a lease assert: per-transaction grant
 // refresh/reconstruction (see leaseCore), answered as a batch frame.
 // Items run sequentially — leaseCore never parks on a lock queue, so
 // one item cannot starve the rest the way a blocked acquire could.
-func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, body []byte, owned *ownedSet) *frameBuf {
+func (s *Server) executeLease(sess *session, id uint64, body []byte) *frameBuf {
 	fr := frameReader{b: body}
 	fr.u64() // lease id: carried for observability, no fencing use yet
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return replyFrame(id, statusBadRequest, "malformed lease count")
+		return errorFrame(id, statusBadRequest, "malformed lease count")
 	}
 	type item struct {
 		txn  lockmgr.TxnID
@@ -256,122 +600,156 @@ func (s *Server) executeLease(ctx context.Context, sess *session, id uint64, bod
 	items := make([]item, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txn := lockmgr.TxnID(fr.u64())
-		n := fr.u32()
-		if fr.bad || n > uint32(fr.left()/9) {
-			return replyFrame(id, statusBadRequest, "malformed lease body")
-		}
-		reqs := make([]lockmgr.Request, 0, n)
-		for j := uint32(0); j < n; j++ {
-			g := lockmgr.Granule(fr.u64())
-			mode := lockmgr.ModeShared
-			if fr.byte() != 0 {
-				mode = lockmgr.ModeExclusive
-			}
-			reqs = append(reqs, lockmgr.Request{Granule: g, Mode: mode})
+		reqs := parseRequests(&fr, nil)
+		if fr.bad {
+			return errorFrame(id, statusBadRequest, "malformed lease body")
 		}
 		items = append(items, item{txn, reqs})
 	}
 	if !fr.done() {
-		return replyFrame(id, statusBadRequest, "malformed lease body")
+		return errorFrame(id, statusBadRequest, "malformed lease body")
 	}
 	s.om.batchOps.Add(int64(k))
 	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i := range items {
-		sts[i], msgs[i] = s.leaseCore(ctx, sess, items[i].txn, items[i].reqs, owned)
+		sts[i], msgs[i] = s.leaseCore(sess, items[i].txn, items[i].reqs)
 	}
 	return batchFrame(id, sts, msgs)
 }
 
 // parseAcquireBody decodes one acquire body (txn, timeout, granule+mode
-// list) from the cursor; used both standalone and inside acquireN.
-func parseAcquireBody(fr *frameReader) (lockmgr.TxnID, []lockmgr.Request, int64) {
+// list) from the cursor, appending the requests to dst; used both
+// standalone and inside acquireN.
+//
+//granulint:hotpath
+func parseAcquireBody(fr *frameReader, dst []lockmgr.Request) (lockmgr.TxnID, []lockmgr.Request, int64) {
 	txn := lockmgr.TxnID(fr.u64())
 	timeoutMS := int64(fr.u64())
+	return txn, parseRequests(fr, dst), timeoutMS
+}
+
+// parseRequests decodes n(4) then n × (granule(8) mode(1)), appending
+// to dst. The count is bounded by the bytes left before anything is
+// allocated for it.
+//
+//granulint:hotpath
+func parseRequests(fr *frameReader, dst []lockmgr.Request) []lockmgr.Request {
 	n := fr.u32()
 	if fr.bad || n > uint32(fr.left()/9) {
 		fr.bad = true
-		return txn, nil, timeoutMS
+		return dst
 	}
-	reqs := make([]lockmgr.Request, 0, n)
+	dst = slices.Grow(dst, int(n))
 	for i := uint32(0); i < n; i++ {
 		g := lockmgr.Granule(fr.u64())
 		mode := lockmgr.ModeShared
 		if fr.byte() != 0 {
 			mode = lockmgr.ModeExclusive
 		}
-		reqs = append(reqs, lockmgr.Request{Granule: g, Mode: mode})
+		dst = append(dst, lockmgr.Request{Granule: g, Mode: mode})
 	}
-	return txn, reqs, timeoutMS
+	return dst
 }
 
-// executeAcquireN runs the sub-claims of a batch concurrently — they
-// are independent transactions, and running them serially would let one
-// blocked claim starve the rest of the batch — and responds once with
-// every sub-result. The frame-level status is OK; per-item statuses and
-// messages travel in the body.
-func (s *Server) executeAcquireN(ctx context.Context, sess *session, id uint64, body []byte, owned *ownedSet) *frameBuf {
+// batchReply collects the sub-results of an acquireN by countdown: each
+// sub-claim reports once, from whatever goroutine finished it, and the
+// last report answers the frame. The frame-level status is OK;
+// per-item statuses and messages travel in the body.
+type batchReply struct {
+	s    *Server
+	sess *session
+	id   uint64
+	sts  []byte
+	msgs []string
+	left atomic.Int32
+}
+
+func (b *batchReply) set(i int, st byte, msg string) {
+	b.sts[i], b.msgs[i] = st, msg
+	if b.left.Add(-1) == 0 {
+		b.s.replyFrame(b.sess, batchFrame(b.id, b.sts, b.msgs))
+	}
+}
+
+// executeAcquireN starts the sub-claims of a batch — independent
+// transactions: run serially, one blocked claim would starve the rest —
+// and returns without waiting for them; the batch answers when its
+// last sub-claim reports (batchReply). A sub-claim that only the lock
+// table can make wait is probed here and parked as a continuation if it
+// must; on a server where a grant also waits for the journal or the
+// cluster, each runs acquireCore on a goroutine of its own.
+func (s *Server) executeAcquireN(sess *session, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
-		return replyFrame(id, statusBadRequest, "malformed acquireN count")
+		s.reply(sess, id, statusBadRequest, "malformed acquireN count")
+		return
 	}
-	type sub struct {
-		txn       lockmgr.TxnID
-		reqs      []lockmgr.Request
-		timeoutMS int64
-	}
-	subs := make([]sub, 0, k)
+	subs := make([]parkedAcquire, 0, k)
 	for i := uint32(0); i < k; i++ {
-		txn, reqs, timeoutMS := parseAcquireBody(&fr)
-		subs = append(subs, sub{txn, reqs, timeoutMS})
+		txn, reqs, timeoutMS := parseAcquireBody(&fr, nil)
+		subs = append(subs, parkedAcquire{s: s, sess: sess, txn: txn, reqs: reqs, timeoutMS: timeoutMS, idx: int(i)})
 	}
 	if !fr.done() {
-		return replyFrame(id, statusBadRequest, "malformed acquireN body")
+		s.reply(sess, id, statusBadRequest, "malformed acquireN body")
+		return
 	}
 	s.om.batchOps.Add(int64(k))
-	sts := make([]byte, k)
-	msgs := make([]string, k)
-	var wg sync.WaitGroup
+	b := &batchReply{s: s, sess: sess, id: id, sts: make([]byte, k), msgs: make([]string, k)}
+	b.left.Store(int32(k))
+	lockOnly := s.lockOnly()
 	for i := range subs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sts[i], msgs[i] = s.acquireCore(ctx, sess, subs[i].txn, subs[i].reqs, subs[i].timeoutMS, owned)
-		}()
+		pa := &subs[i]
+		pa.batch = b
+		if !lockOnly {
+			go func() { pa.answer(s.acquireCore(sess, pa.txn, pa.reqs, pa.timeoutMS)) }()
+			continue
+		}
+		if st, msg := checkAcquire(pa.reqs, pa.timeoutMS); st != statusOK {
+			pa.answer(st, msg)
+			continue
+		}
+		granted, err := s.table.TryAcquireAll(pa.txn, pa.reqs)
+		switch {
+		case granted:
+			pa.answer(s.grantNow(sess, pa.txn, pa.reqs))
+		case err != nil:
+			pa.start = time.Now()
+			pa.finish(err)
+		default:
+			s.park(pa)
+		}
 	}
-	wg.Wait()
-	return batchFrame(id, sts, msgs)
 }
 
 // executeReleaseN releases a batch of transactions sequentially
 // (releases never block) and responds with per-item statuses.
-func (s *Server) executeReleaseN(ctx context.Context, sess *session, id uint64, body []byte, owned *ownedSet) *frameBuf {
+func (s *Server) executeReleaseN(sess *session, id uint64, body []byte) *frameBuf {
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > uint32(fr.left()/8) {
-		return replyFrame(id, statusBadRequest, "malformed releaseN count")
+		return errorFrame(id, statusBadRequest, "malformed releaseN count")
 	}
 	txns := make([]lockmgr.TxnID, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txns = append(txns, lockmgr.TxnID(fr.u64()))
 	}
 	if !fr.done() {
-		return replyFrame(id, statusBadRequest, "malformed releaseN body")
+		return errorFrame(id, statusBadRequest, "malformed releaseN body")
 	}
 	s.om.batchOps.Add(int64(k))
 	sts := make([]byte, k)
 	msgs := make([]string, k)
 	for i, txn := range txns {
-		sts[i], msgs[i] = s.releaseCore(ctx, sess, txn, owned)
+		sts[i], msgs[i] = s.releaseCore(sess, txn)
 	}
 	return batchFrame(id, sts, msgs)
 }
 
-// replyFrame builds a plain response frame: the status, and for an
-// error the detail message as body.
-func replyFrame(id uint64, status byte, msg string) *frameBuf {
+// errorFrame builds a plain response frame for the paths that return
+// one: the status and the detail message as body.
+func errorFrame(id uint64, status byte, msg string) *frameBuf {
 	fb := getFrame()
 	fb.start(status, id)
 	fb.appendBytes([]byte(msg))

@@ -1,0 +1,436 @@
+package locksrv
+
+import (
+	"bufio"
+	"bytes"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"granulock/internal/lockmgr"
+	"granulock/internal/rng"
+)
+
+// The run-to-completion session: requests executed on the reader,
+// parked claims as continuations, replies written by whoever produced
+// them. These tests pin its lifecycle under -race (CI also runs the
+// package at -cpu 1,2,4: continuations run on foreign goroutines).
+
+// frame encodes one request frame.
+func frame(op byte, id uint64, body func(fb *frameBuf)) []byte {
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.start(op, id)
+	if body != nil {
+		body(fb)
+	}
+	fb.finish()
+	return bytes.Clone(fb.bytes())
+}
+
+func timedAcquireFrame(id uint64, txn int64, timeoutMS int64, granules ...int64) []byte {
+	return frame(opAcquire, id, func(fb *frameBuf) { appendAcquireBody(fb, txn, xreq(granules...), timeoutMS) })
+}
+
+func releaseFrame(id uint64, txn int64) []byte {
+	return frame(opRelease, id, func(fb *frameBuf) { fb.appendU64(uint64(txn)) })
+}
+
+// readReply reads one response frame within five seconds.
+func (r *rawSession) readReply() (status byte, id uint64, body string) {
+	r.t.Helper()
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fb, status, id, b, err := readFrame(r.br)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer putFrame(fb)
+	return status, id, string(b)
+}
+
+// replies decodes every frame in b.
+func replies(t *testing.T, b []byte) (statuses []byte, ids []uint64) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(b))
+	for {
+		fb, status, id, _, err := readFrame(br)
+		if err == io.EOF {
+			return statuses, ids
+		}
+		if err != nil {
+			t.Fatalf("torn reply stream: %v", err)
+		}
+		putFrame(fb)
+		statuses, ids = append(statuses, status), append(ids, id)
+	}
+}
+
+// TestParkedClaimEndsExactlyOnce races everything that can end one
+// parked claim — the release that grants it, its deadline, the end of
+// its session, and a disconnect (the end of a session whose connection
+// is already dead) — in an order and at offsets drawn from a seed, and
+// requires exactly one ending: one reply (none into a dead connection),
+// one outcome counter, one wait sample, the request accounted for once,
+// and a table that agrees with the outcome.
+func TestParkedClaimEndsExactlyOnce(t *testing.T) {
+	const (
+		granule = 5
+		holder  = lockmgr.TxnID(1)
+		waiter  = lockmgr.TxnID(2)
+		reqID   = 77
+	)
+	var outcomes ServerStats
+	for seed := uint64(1); seed <= 200; seed++ {
+		src := rng.New(seed)
+		srv := NewServer(nil, nil)
+		sess, conn := sinkSession()
+		if ok, err := srv.table.TryAcquireAll(holder, xreq(granule)); !ok || err != nil {
+			t.Fatalf("seed %d: holder: %v %v", seed, ok, err)
+		}
+		timeoutMS := int64(src.IntRange(1, 3))
+		sess.pending.Add(1)
+		body := timedAcquireFrame(reqID, int64(waiter), timeoutMS, granule)[4+frameHeader:]
+		if !srv.serveInline(sess, opAcquire, reqID, body) {
+			t.Fatalf("seed %d: a lock-only acquire was not served inline", seed)
+		}
+		if n := srv.table.WaitersCount(); n != 1 {
+			t.Fatalf("seed %d: %d waiters after the park", seed, n)
+		}
+		dead := src.Bernoulli(0.3)
+		enders := []func(){
+			func() { srv.table.ReleaseAll(holder) },
+			func() {
+				if dead {
+					sess.failWrites(io.EOF)
+				}
+				srv.cancelParked(sess)
+			},
+		}
+		src.Shuffle(len(enders), func(i, j int) { enders[i], enders[j] = enders[j], enders[i] })
+		var wg sync.WaitGroup
+		for _, end := range enders {
+			delay := time.Duration(src.Intn(int(timeoutMS)*1500)) * time.Microsecond
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				time.Sleep(delay)
+				end()
+			}()
+		}
+		wg.Wait()
+		for deadline := time.Now().Add(5 * time.Second); sess.pending.Load() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: request never answered (pending %d)", seed, sess.pending.Load())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		time.Sleep(time.Duration(timeoutMS)*time.Millisecond + time.Millisecond) // a late deadline must find nothing to do
+		if n := sess.pending.Load(); n != 0 {
+			t.Fatalf("seed %d: request accounted %d times too often", seed, -n)
+		}
+		st := srv.Stats()
+		if n := st.Grants + st.Timeouts + st.Cancels; n != 1 || st.WaitSamples != 1 {
+			t.Fatalf("seed %d: %d grants, %d timeouts, %d cancels, %d wait samples for one parked claim", seed, st.Grants, st.Timeouts, st.Cancels, st.WaitSamples)
+		}
+		statuses, ids := replies(t, conn.written())
+		switch {
+		case len(statuses) > 1, len(statuses) == 1 && ids[0] != reqID:
+			t.Fatalf("seed %d: replies %v to ids %v", seed, statuses, ids)
+		case len(statuses) == 0 && !dead:
+			t.Fatalf("seed %d: no reply on a live connection", seed)
+		case len(statuses) == 1:
+			want := map[byte]int64{statusOK: st.Grants, statusTimeout: st.Timeouts, statusClosed: st.Cancels}
+			if want[statuses[0]] != 1 {
+				t.Fatalf("seed %d: replied status %d, counted %+v", seed, statuses[0], st)
+			}
+		}
+		held := srv.table.HeldBy(waiter)
+		owner, owned := srv.ownerOf(waiter)
+		if granted := st.Grants == 1; granted != (held == 1) || granted != (owned && owner == sess) {
+			t.Fatalf("seed %d: grants %d, waiter holds %d, owner recorded %v", seed, st.Grants, held, owned)
+		}
+		sess.pmu.Lock()
+		left := len(sess.parked)
+		sess.pmu.Unlock()
+		if left != 0 || srv.table.WaitersCount() != 0 {
+			t.Fatalf("seed %d: %d claims still registered, %d still queued", seed, left, srv.table.WaitersCount())
+		}
+		outcomes.Grants += st.Grants
+		outcomes.Timeouts += st.Timeouts
+		outcomes.Cancels += st.Cancels
+	}
+	if outcomes.Grants == 0 || outcomes.Timeouts == 0 || outcomes.Cancels == 0 {
+		t.Fatalf("the race never ended one way: %d grants, %d timeouts, %d cancels", outcomes.Grants, outcomes.Timeouts, outcomes.Cancels)
+	}
+	t.Logf("%d grants, %d timeouts, %d cancels", outcomes.Grants, outcomes.Timeouts, outcomes.Cancels)
+}
+
+// TestDisconnectWithParkedClaims: a connection that dies with N claims
+// parked leaves none of them in the table's queues, is sent nothing
+// afterwards — not even the "closed" a drained session's claims get —
+// and is never granted anything.
+func TestDisconnectWithParkedClaims(t *testing.T) {
+	const n = 40
+	addr, srv := startServerOpts(t)
+	holder := dial(t, addr)
+	if err := holder.AcquireAll(1, xreq(5)); err != nil {
+		t.Fatal(err)
+	}
+	raw := dialRaw(t, addr)
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst = append(burst, acquireFrame(uint64(i), int64(100+i), 5)...)
+	}
+	if _, err := raw.conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Table().WaitersCount() == n })
+	// Half-close: the server reads EOF, the test can still read whatever
+	// the server writes from here on.
+	if err := raw.conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	raw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rest, err := io.ReadAll(raw.br); err != nil || len(rest) != 0 {
+		t.Fatalf("server wrote %d bytes to a dead session (read error %v)", len(rest), err)
+	}
+	if w := srv.Table().WaitersCount(); w != 0 {
+		t.Fatalf("%d claims of the dead session still queued", w)
+	}
+	if err := holder.ReleaseAll(1); err != nil {
+		t.Fatal(err)
+	}
+	if h := srv.Table().HoldersCount(); h != 0 {
+		t.Fatalf("%d holders after the only live one released", h)
+	}
+	if st := srv.Stats(); st.Cancels != n || st.Grants != 1 {
+		t.Fatalf("cancels %d grants %d, want %d and 1", st.Cancels, st.Grants, n)
+	}
+}
+
+// TestParkedClaimsBackPressure: parked claims count against the
+// session's in-flight cap. With the cap reached the read loop stalls —
+// the next frame, though grantable at once, is not executed — until
+// one parked claim resolves.
+func TestParkedClaimsBackPressure(t *testing.T) {
+	addr, srv := startServerOpts(t)
+	holder := dial(t, addr)
+	if err := holder.AcquireAll(1, xreq(5)); err != nil {
+		t.Fatal(err)
+	}
+	raw := dialRaw(t, addr)
+	var burst []byte
+	for i := 0; i < v2MaxInflight; i++ {
+		burst = append(burst, acquireFrame(uint64(i), int64(1000+i), 5)...)
+	}
+	const extra = 5000
+	burst = append(burst, acquireFrame(extra, extra, 9)...) // granule 9 is free
+	if _, err := raw.conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Table().WaitersCount() == v2MaxInflight })
+	time.Sleep(50 * time.Millisecond)
+	if srv.Table().HeldBy(extra) != 0 {
+		t.Fatalf("request %d was executed with %d already in flight", v2MaxInflight+1, v2MaxInflight)
+	}
+	if err := holder.ReleaseAll(1); err != nil { // grants exactly one parked claim
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Table().HeldBy(extra) == 1 })
+	if w := srv.Table().WaitersCount(); w != v2MaxInflight-1 {
+		t.Fatalf("%d waiters after one grant, want %d", w, v2MaxInflight-1)
+	}
+}
+
+// TestLoneRequestAnsweredAtOnce: replies are written out in batches,
+// but a batch never waits to fill — not for a lone request, and not for
+// a lone grant produced by another session's release while the waiter's
+// own reader sits blocked in a read.
+func TestLoneRequestAnsweredAtOnce(t *testing.T) {
+	addr, _ := startServerOpts(t)
+	raw := dialRaw(t, addr)
+	start := time.Now()
+	if st, id, body := raw.roundTrip(acquireFrame(1, 1, 5)); st != statusOK || id != 1 {
+		t.Fatalf("lone acquire: status %d id %d %q", st, id, body)
+	}
+	other := dialRaw(t, addr)
+	if _, err := other.conn.Write(acquireFrame(2, 2, 5)); err != nil { // parks behind txn 1
+		t.Fatal(err)
+	}
+	if st, id, body := raw.roundTrip(releaseFrame(3, 1)); st != statusOK || id != 3 {
+		t.Fatalf("lone release: status %d id %d %q", st, id, body)
+	}
+	if st, id, body := other.readReply(); st != statusOK || id != 2 {
+		t.Fatalf("cross-session grant: status %d id %d %q", st, id, body)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("three lone replies took %v", d)
+	}
+}
+
+// TestPipelinedSameTxnInArrivalOrder: acquire, release and re-acquire
+// of one transaction id, pipelined in a single write, are served in
+// arrival order — each finds the state the one before it left — and
+// answered in that order. (With an executor per frame the re-acquire
+// could overtake the release and be refused as already holding.)
+func TestPipelinedSameTxnInArrivalOrder(t *testing.T) {
+	addr, srv := startServerOpts(t)
+	raw := dialRaw(t, addr)
+	const rounds = 300
+	for r := 0; r < rounds; r++ {
+		txn, id := int64(10+r), uint64(3*r)
+		burst := append(acquireFrame(id, txn, 3), releaseFrame(id+1, txn)...)
+		burst = append(burst, acquireFrame(id+2, txn, 3)...)
+		burst = append(burst, releaseFrame(id+3, txn)...)
+		if _, err := raw.conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 4; k++ {
+			if st, got, body := raw.readReply(); st != statusOK || got != id+k {
+				t.Fatalf("round %d: reply %d has status %d id %d %q", r, k, st, got, body)
+			}
+		}
+	}
+	if h := srv.Table().HoldersCount(); h != 0 {
+		t.Fatalf("%d holders left", h)
+	}
+}
+
+// discardConn swallows what the server writes.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+func (discardConn) Close() error                     { return nil }
+
+// TestInlineGrantAllocationFree is the server-side budget of the
+// service's commonest exchange: an acquire granted at once and its
+// release, both executed on the session reader and answered into the
+// session's write buffer, allocate nothing in the steady state — no
+// executor hand-off, no context, no response frame, no request slice.
+// It sits beside lockmgr's TestBatchClaimAllocationFree, which pins the
+// same for the table underneath.
+func TestInlineGrantAllocationFree(t *testing.T) {
+	srv := NewServer(nil, nil)
+	sess := newSession(discardConn{})
+	const txn = 42
+	acquire := timedAcquireFrame(1, txn, 1000, 10, 11, 12, 13)[4+frameHeader:]
+	release := releaseFrame(2, txn)[4+frameHeader:]
+	cycle := func() {
+		sess.pending.Add(2)
+		if !srv.serveInline(sess, opAcquire, 1, acquire) || !srv.serveInline(sess, opRelease, 2, release) {
+			t.Fatal("a lock-only request was not served inline")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // promote the granules, size the buffers
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("%v allocations per inline acquire+release, want 0", avg)
+	}
+	if st := srv.Stats(); st.Grants != 2017 || st.Holders != 0 || sess.pending.Load() != 0 {
+		t.Fatalf("grants %d holders %d pending %d", st.Grants, st.Holders, sess.pending.Load())
+	}
+	// A dispatch that declines must leave the request to the executor
+	// untouched: with a journal installed nothing is served inline.
+	journaled := NewServer(nil, nil, WithJournal(newMemJournal()))
+	if journaled.serveInline(sess, opAcquire, 1, acquire) || journaled.serveInline(sess, opRelease, 2, release) {
+		t.Fatal("a journaling server served a request inline")
+	}
+}
+
+// stalledConn blocks every write until released (one receive from
+// release per write; close it to let all through), like a peer that has
+// stopped reading with its socket buffers full, and counts what got out.
+type stalledConn struct {
+	discardConn
+	entered chan struct{} // one token per write begun
+	release chan struct{}
+	written atomic.Int64
+}
+
+func (c *stalledConn) Write(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.release
+	c.written.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// TestReplyDuringReadersFlushIsWritten: the reader flushes before it
+// blocks, with the buffer mutex released for the write; a reply another
+// goroutine appends meanwhile finds a writer at work and is left to
+// it. The reader must write that reply out too before it blocks —
+// nobody else will. (Marking the session idle only after the flush
+// lost such replies: the flush saw a busy reader and left them to it.)
+func TestReplyDuringReadersFlushIsWritten(t *testing.T) {
+	srv := NewServer(nil, nil)
+	conn := &stalledConn{entered: make(chan struct{}, 4), release: make(chan struct{})}
+	sess := newSession(conn)
+	sess.pending.Add(2)
+	srv.reply(sess, 1, statusOK, "") // the reader is running: buffered
+	blocked := make(chan struct{})
+	go func() {
+		srv.beginWait(sess) // the reader is about to block
+		close(blocked)
+	}()
+	<-conn.entered
+	srv.reply(sess, 2, statusOK, "") // arrives mid-write: left to the writer
+	conn.release <- struct{}{}
+	select {
+	case <-conn.entered: // the flush went round again
+		conn.release <- struct{}{}
+	case <-blocked:
+		t.Fatal("the reader went to sleep on a reply nobody will write out")
+	case <-time.After(5 * time.Second):
+		t.Fatal("flush never finished")
+	}
+	<-blocked
+	if got, want := conn.written.Load(), int64(2*(4+frameHeader)); got != want {
+		t.Fatalf("%d bytes written before the reader blocked, want %d", got, want)
+	}
+}
+
+// TestWriteBacklogBounded: while one goroutine is stuck writing to a
+// stalled connection the others leave their replies in the buffer and
+// go on — up to wbufLimit. Past it they wait for the write, so the
+// backlog of a peer that has stopped reading stops growing (the write
+// timeout then ends the session).
+func TestWriteBacklogBounded(t *testing.T) {
+	srv := NewServer(nil, nil)
+	conn := &stalledConn{entered: make(chan struct{}, 16), release: make(chan struct{})}
+	sess := newSession(conn)
+	sess.idle.Store(true)
+	msg := string(make([]byte, 1000))
+	const frameLen = 4 + frameHeader + 1000
+	answer := func() {
+		sess.pending.Add(1)
+		srv.reply(sess, 1, statusBadRequest, msg)
+	}
+	go answer() // becomes the writer and stalls
+	<-conn.entered
+	for i := 0; i < wbufLimit/frameLen; i++ {
+		answer() // returns at once: left to the writer
+	}
+	blocked := make(chan struct{})
+	go func() {
+		answer() // the buffer is past the limit: waits for the writer
+		close(blocked)
+	}()
+	select {
+	case <-blocked:
+		t.Fatal("a reply past the backlog limit did not wait for the stalled write")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(conn.release)
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting reply was never released")
+	}
+	if n := sess.pending.Load(); n != 0 {
+		t.Fatalf("%d replies unaccounted for", n)
+	}
+}

@@ -94,7 +94,11 @@ tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
 # verify is the PR gate: the lint suite (granulint invariant analyzers
-# plus pinned staticcheck where installed), go vet, the race-enabled
+# plus pinned staticcheck where installed), go vet, the tier-1 command
+# itself (build and the plain test suite: the allocation pins on pooled
+# paths run only here — under the race detector sync.Pool drops a
+# quarter of its Puts, so they skip there by the internal/race build-tag
+# constant), the race-enabled
 # test suite (which includes the locksrv fault-injection suite in
 # internal/locksrv/harden_test.go and the wire-protocol suite in
 # proto2_test.go), the lock table again under the race detector at 1, 2
@@ -134,6 +138,7 @@ tools:
 # conserves the bank-transfer invariant.
 verify: lint
 	$(GO) vet ./...
+	$(GO) build ./... && $(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/

@@ -19,7 +19,13 @@ import (
 //   - call into fmt or reflect — both allocate and both appeared in
 //     past regressions via "harmless" error/diagnostic paths — or the
 //     sort.Slice family, which is reflect behind a friendlier name
-//     (slices.Sort and slices.SortFunc are the typed replacements).
+//     (slices.Sort and slices.SortFunc are the typed replacements);
+//   - call make, start a goroutine, or build a function literal that
+//     captures a variable of the enclosing function — each is a heap
+//     object per call on a path whose budget is none (the parked-claim
+//     records exist so that blocking costs no waiter, channel or
+//     closure); buffers are retained by their owner and callbacks are
+//     bound once, when the owner is made.
 //
 // The check is intraprocedural and includes function literals declared
 // inside the annotated body (they run on the same path). Cold error
@@ -27,8 +33,8 @@ import (
 // with a justification.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc: "forbid map iteration, defer and fmt/reflect/sort.Slice calls " +
-		"inside functions annotated //granulint:hotpath",
+	Doc: "forbid map iteration, defer, fmt/reflect/sort.Slice calls, make, go " +
+		"statements and capturing closures inside functions annotated //granulint:hotpath",
 	Run: runHotPath,
 }
 
@@ -50,7 +56,20 @@ func runHotPath(p *Pass) error {
 				}
 			case *ast.DeferStmt:
 				p.Reportf(v.Pos(), "hotpath function %s uses defer; unlock/cleanup explicitly on this path", name)
+			case *ast.GoStmt:
+				p.Reportf(v.Pos(), "hotpath function %s starts a goroutine; hand the work to one that exists", name)
+			case *ast.FuncLit:
+				if captured := capturedVar(p.TypesInfo, fd, v); captured != "" {
+					p.Reportf(v.Pos(),
+						"hotpath function %s builds a closure over %s (one heap object per call); "+
+							"bind the callback once, where its owner is made", name, captured)
+				}
 			case *ast.CallExpr:
+				if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" {
+					if _, builtin := p.TypesInfo.Uses[id].(*types.Builtin); builtin {
+						p.Reportf(v.Pos(), "hotpath function %s calls make; reuse a buffer its owner retains", name)
+					}
+				}
 				if pkg, fn, ok := calleePkgFunc(p.TypesInfo, v); ok {
 					switch {
 					case pkg == "fmt" || pkg == "reflect":
@@ -69,4 +88,27 @@ func runHotPath(p *Pass) error {
 		})
 	})
 	return nil
+}
+
+// capturedVar names a variable of fd — a parameter, result, receiver or
+// local — that lit refers to from outside its own body, or returns ""
+// when lit captures nothing (such a literal is a static function value
+// and allocates nothing).
+func capturedVar(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) string {
+	name := ""
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || name != "" {
+			return name == ""
+		}
+		v, isVar := info.Uses[id].(*types.Var)
+		if !isVar || v.IsField() {
+			return true
+		}
+		if pos := v.Pos(); pos >= fd.Pos() && pos < fd.End() && (pos < lit.Pos() || pos >= lit.End()) {
+			name = id.Name
+		}
+		return true
+	})
+	return name
 }

@@ -1,5 +1,6 @@
 // Fixture for the hotpath analyzer: annotated functions may not range
-// over maps, defer, or call into fmt/reflect or the sort.Slice family.
+// over maps, defer, call into fmt/reflect or the sort.Slice family, call
+// make, start a goroutine or build a capturing closure.
 package hotpath
 
 import (
@@ -25,7 +26,7 @@ func bad(m map[int]int) int {
 //
 //granulint:hotpath
 func badLiteral(m map[int]int) func() int {
-	return func() int {
+	return func() int { // want `builds a closure over m`
 		n := 0
 		for range m { // want `ranges over a map`
 			n++
@@ -38,10 +39,23 @@ func badLiteral(m map[int]int) func() int {
 //
 //granulint:hotpath
 func badSort(s []int) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })       // want `calls sort.Slice, which swaps through reflect`
-	sort.SliceStable(s, func(i, j int) bool { return s[i] < s[j] }) // want `calls sort.SliceStable, which swaps through reflect`
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })       // want `calls sort.Slice, which swaps through reflect` `builds a closure over s`
+	sort.SliceStable(s, func(i, j int) bool { return s[i] < s[j] }) // want `calls sort.SliceStable, which swaps through reflect` `builds a closure over s`
 	sort.Ints(s)
 	slices.Sort(s)
+	slices.SortFunc(s, func(a, b int) int { return a - b }) // captures nothing: a static function value
+}
+
+// A heap object per call: a buffer, a goroutine, a closure over the
+// function's own variables.
+//
+//granulint:hotpath
+func badAlloc(n int, done chan struct{}) []int {
+	buf := make([]int, n) // want `calls make`
+	go func() {           // want `starts a goroutine` `builds a closure over done`
+		close(done)
+	}()
+	return buf
 }
 
 // Unannotated functions may do all of it.

@@ -406,14 +406,16 @@ func (s store) Apply(e int, delta int64) (before, after int64) {
 
 func (s store) GranuleOf(e int) lockmgr.Granule { return s.db.GranuleOf(e) }
 
-// lockScratch is the reusable staging buffer of a transaction's granule
-// requests. The protocol is done with the requests when End returns (a
-// parked claim references them only until it resolves), so Execute
-// takes one from a pool instead of building a map and two slices per
-// call.
+// lockScratch is the reusable per-call state of Execute: the staging
+// buffer of the transaction's granule requests and the attempt's cc.Tx,
+// which reaches the protocol through an interface and would otherwise be
+// a heap object per attempt. The protocol is done with both when End
+// returns, so Execute takes one from a pool instead of building a map,
+// two slices and a Tx per call.
 type lockScratch struct {
 	reqs []lockmgr.Request
 	idx  []int32 // dedupe's sort scratch
+	tx   cc.Tx   // reset per attempt; its update buffer is kept
 }
 
 var lockScratchPool = sync.Pool{New: func() any { return new(lockScratch) }}
@@ -508,7 +510,8 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 			// the rest of its life (wound-wait/wait-die anti-starvation).
 			priority = int64(txnID)
 		}
-		tx := &cc.Tx{ID: txnID, Priority: priority, Attempt: attempt}
+		tx := &sc.tx
+		*tx = cc.Tx{ID: txnID, Priority: priority, Attempt: attempt, Updates: tx.Updates[:0]}
 		actx := db.inst.Begin(ctx, tx)
 		err := db.inst.Acquire(actx, tx, reqs)
 		var sum int64

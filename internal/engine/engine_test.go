@@ -9,6 +9,7 @@ import (
 
 	"granulock/internal/engine/cc"
 	"granulock/internal/lockmgr"
+	"granulock/internal/race"
 )
 
 // mustOpen opens an in-memory database or fails the test.
@@ -452,5 +453,36 @@ func TestProtocolNames(t *testing.T) {
 	}
 	if Conservative != "conservative" || ClaimAsNeeded != "claim-as-needed" {
 		t.Fatal("protocol names")
+	}
+}
+
+// TestExecuteAllocationFree pins the engine's share of a transaction
+// that meets no conflict under the conservative protocol at zero heap
+// objects: the granule requests and the attempt's cc.Tx ride in the
+// pooled lockScratch, and the lock table's batch claim allocates nothing
+// (lockmgr's TestBatchClaimAllocationFree). The other protocols keep
+// per-attempt state of their own; theirs is reported, not pinned.
+func TestExecuteAllocationFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	ctx := context.Background()
+	txn := Txn{Ops: []Op{{Entity: 3, Delta: 1}, {Entity: 410}, {Entity: 411, Delta: -1}, {Entity: 980}}, Work: 10}
+	for _, name := range cc.Names() {
+		db := openBase(t, WithProtocol(Protocol(name)))
+		run := func() {
+			if _, err := db.Execute(ctx, txn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			run() // promote the granules, fill the pools
+		}
+		avg := testing.AllocsPerRun(1000, run)
+		t.Logf("%-16s %v allocations per uncontended Execute", name, avg)
+		if Protocol(name) == Conservative && avg != 0 {
+			t.Errorf("conservative: %v allocations per uncontended Execute, want 0", avg)
+		}
+		db.Close()
 	}
 }

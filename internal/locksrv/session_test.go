@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,25 @@ func replies(t *testing.T, b []byte) (statuses []byte, ids []uint64) {
 	}
 }
 
+// capParked bounds srv's free list of parked-acquire records, so that a
+// record an ending lets go of is the one the next park takes.
+func capParked(srv *Server, n int) {
+	srv.pfmu.Lock()
+	srv.pfreeMax = n
+	srv.pfmu.Unlock()
+}
+
+// awaitAnswered waits until every request of sess is accounted for.
+func awaitAnswered(t *testing.T, seed uint64, sess *session) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); sess.pending.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("seed %d: request never answered (pending %d)", seed, sess.pending.Load())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 // TestParkedClaimEndsExactlyOnce races everything that can end one
 // parked claim — the release that grants it, its deadline, the end of
 // its session, and a disconnect (the end of a session whose connection
@@ -75,20 +95,36 @@ func replies(t *testing.T, b []byte) (statuses []byte, ids []uint64) {
 // requires exactly one ending: one reply (none into a dead connection),
 // one outcome counter, one wait sample, the request accounted for once,
 // and a table that agrees with the outcome.
+//
+// Every ending also races a reuse: the server keeps one or two records,
+// and the moment the claim is answered another session parks a claim on
+// another granule, in the record the ending just let go of if it let
+// go. Whatever of the first claim is still on its way — a deadline that
+// fired while the release was resolving, the loser of the race above —
+// must find its own, finished claim or nothing: the next claim stays
+// parked through it, and ends once, by its own holder's release.
 func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 	const (
-		granule = 5
-		holder  = lockmgr.TxnID(1)
-		waiter  = lockmgr.TxnID(2)
-		reqID   = 77
+		granule  = 5
+		holder   = lockmgr.TxnID(1)
+		waiter   = lockmgr.TxnID(2)
+		reqID    = 77
+		granule2 = 6
+		holder2  = lockmgr.TxnID(3)
+		waiter2  = lockmgr.TxnID(4)
+		reqID2   = 78
 	)
 	var outcomes ServerStats
+	reused := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		src := rng.New(seed)
 		srv := NewServer(nil, nil)
+		capParked(srv, 1+int(seed%2))
 		sess, conn := sinkSession()
-		if ok, err := srv.table.TryAcquireAll(holder, xreq(granule)); !ok || err != nil {
-			t.Fatalf("seed %d: holder: %v %v", seed, ok, err)
+		for txn, g := range map[lockmgr.TxnID]int64{holder: granule, holder2: granule2} {
+			if ok, err := srv.table.TryAcquireAll(txn, xreq(g)); !ok || err != nil {
+				t.Fatalf("seed %d: holder %d: %v %v", seed, txn, ok, err)
+			}
 		}
 		timeoutMS := int64(src.IntRange(1, 3))
 		sess.pending.Add(1)
@@ -96,7 +132,10 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 		if !srv.serveInline(sess, opAcquire, reqID, body) {
 			t.Fatalf("seed %d: a lock-only acquire was not served inline", seed)
 		}
-		if n := srv.table.WaitersCount(); n != 1 {
+		// One waiter — or none any more: on a loaded host the deadline
+		// beats even this look.
+		first := anyParked(sess)
+		if n := srv.table.WaitersCount(); n > 1 {
 			t.Fatalf("seed %d: %d waiters after the park", seed, n)
 		}
 		dead := src.Bernoulli(0.3)
@@ -120,20 +159,29 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 				end()
 			}()
 		}
-		wg.Wait()
-		for deadline := time.Now().Add(5 * time.Second); sess.pending.Load() != 0; {
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: request never answered (pending %d)", seed, sess.pending.Load())
-			}
-			time.Sleep(50 * time.Microsecond)
+		// The next tenant, the moment the first claim is answered — the
+		// other ender may still be on its way.
+		awaitAnswered(t, seed, sess)
+		next, nextConn := sinkSession()
+		next.pending.Add(1)
+		body2 := timedAcquireFrame(reqID2, int64(waiter2), 60_000, granule2)[4+frameHeader:]
+		if !srv.serveInline(next, opAcquire, reqID2, body2) {
+			t.Fatalf("seed %d: the next acquire was not served inline", seed)
 		}
+		if second := onlyParked(t, next); second == first {
+			reused++
+			if first.fired {
+				t.Fatalf("seed %d: a record whose timer had fired was used again", seed)
+			}
+		}
+		wg.Wait()
 		time.Sleep(time.Duration(timeoutMS)*time.Millisecond + time.Millisecond) // a late deadline must find nothing to do
 		if n := sess.pending.Load(); n != 0 {
 			t.Fatalf("seed %d: request accounted %d times too often", seed, -n)
 		}
 		st := srv.Stats()
 		if n := st.Grants + st.Timeouts + st.Cancels; n != 1 || st.WaitSamples != 1 {
-			t.Fatalf("seed %d: %d grants, %d timeouts, %d cancels, %d wait samples for one parked claim", seed, st.Grants, st.Timeouts, st.Cancels, st.WaitSamples)
+			t.Fatalf("seed %d: %d grants, %d timeouts, %d cancels, %d wait samples for one ended claim", seed, st.Grants, st.Timeouts, st.Cancels, st.WaitSamples)
 		}
 		statuses, ids := replies(t, conn.written())
 		switch {
@@ -155,8 +203,20 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 		sess.pmu.Lock()
 		left := len(sess.parked)
 		sess.pmu.Unlock()
-		if left != 0 || srv.table.WaitersCount() != 0 {
-			t.Fatalf("seed %d: %d claims still registered, %d still queued", seed, left, srv.table.WaitersCount())
+		if left != 0 {
+			t.Fatalf("seed %d: %d claims still registered", seed, left)
+		}
+		// The next claim sat through all of it, and ends by its own
+		// holder's release alone.
+		if n, w := next.pending.Load(), srv.table.WaitersCount(); n != 1 || w != 1 || len(nextConn.written()) != 0 {
+			t.Fatalf("seed %d: the next claim was ended by the first one's leftovers: pending %d, %d waiters, reply %x", seed, n, w, nextConn.written())
+		}
+		srv.table.ReleaseAll(holder2)
+		awaitAnswered(t, seed, next)
+		statuses, ids = replies(t, nextConn.written())
+		if end := srv.Stats(); len(statuses) != 1 || statuses[0] != statusOK || ids[0] != reqID2 ||
+			end.Grants != st.Grants+1 || end.Timeouts != st.Timeouts || end.Cancels != st.Cancels || end.WaitSamples != 2 || srv.table.HeldBy(waiter2) != 1 {
+			t.Fatalf("seed %d: next claim: replies %v to %v, stats %+v", seed, statuses, ids, end)
 		}
 		outcomes.Grants += st.Grants
 		outcomes.Timeouts += st.Timeouts
@@ -165,29 +225,132 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 	if outcomes.Grants == 0 || outcomes.Timeouts == 0 || outcomes.Cancels == 0 {
 		t.Fatalf("the race never ended one way: %d grants, %d timeouts, %d cancels", outcomes.Grants, outcomes.Timeouts, outcomes.Cancels)
 	}
-	t.Logf("%d grants, %d timeouts, %d cancels", outcomes.Grants, outcomes.Timeouts, outcomes.Cancels)
+	if reused == 0 {
+		t.Fatal("no ending ever raced a reuse of its record")
+	}
+	t.Logf("%d grants, %d timeouts, %d cancels; %d of 200 next claims parked in the record just let go of", outcomes.Grants, outcomes.Timeouts, outcomes.Cancels, reused)
+}
+
+// anyParked returns an acquire registered as parked on sess, nil if
+// there is none.
+func anyParked(sess *session) *parkedAcquire {
+	sess.pmu.Lock()
+	defer sess.pmu.Unlock()
+	for pa := range sess.parked {
+		return pa
+	}
+	return nil
+}
+
+// onlyParked returns the one acquire registered as parked on sess.
+func onlyParked(t *testing.T, sess *session) *parkedAcquire {
+	t.Helper()
+	pa := anyParked(sess)
+	if pa == nil {
+		t.Fatal("no claim registered, want 1")
+	}
+	return pa
+}
+
+// lateExpire builds the case the fired-timer rule exists for, step by
+// step: a claim's deadline fires while the release that grants it is
+// between resolving the claim and delivering the outcome, so the timer
+// can no longer be stopped; the claim is answered; the server, which
+// keeps one record, parks the next claim; and only then does the first
+// claim's expire get to run. It reports whether the next claim survived
+// that. With recycleFired the delivery is redone by hand the way a
+// server without the rule would do it — the record goes back to the
+// free list although its timer had fired.
+func lateExpire(t *testing.T, recycleFired bool) (survived bool) {
+	t.Helper()
+	const granule = 5
+	srv := NewServer(nil, nil)
+	capParked(srv, 1)
+	sess, conn := sinkSession()
+	if ok, err := srv.table.TryAcquireAll(1, xreq(granule)); !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	parkOne := func(id uint64, txn, timeoutMS int64) *parkedAcquire {
+		sess.pending.Add(1)
+		if !srv.serveInline(sess, opAcquire, id, timedAcquireFrame(id, txn, timeoutMS, granule)[4+frameHeader:]) {
+			t.Fatal("a lock-only acquire was not served inline")
+		}
+		return onlyParked(t, sess)
+	}
+	first := parkOne(1, 2, 1)
+	resolved := srv.table.ReleaseAllDeferred(1, nil)
+	if len(resolved) != 1 {
+		t.Fatalf("the release resolved %d claims", len(resolved))
+	}
+	time.Sleep(20 * time.Millisecond) // the deadline fires, finds the claim resolved and leaves
+	if recycleFired {
+		sess.pmu.Lock()
+		first.unpark()
+		first.fired = false // the mutant: recycle a record whose timer already fired
+		sess.pmu.Unlock()
+		first.finish(nil, first.claim.Requests())
+	} else {
+		resolved[0].Deliver()
+		if !first.fired {
+			t.Fatal("the deadline had not fired by the time the claim was delivered")
+		}
+	}
+	if statuses, _ := replies(t, conn.written()); len(statuses) != 1 || statuses[0] != statusOK {
+		t.Fatalf("first claim answered %v", statuses)
+	}
+	next := parkOne(2, 3, 60_000)
+	if reused := next == first; reused != recycleFired {
+		t.Fatalf("the next claim parked in the first one's record: %v", reused)
+	}
+	first.expire() // the late one
+	return srv.table.WaitersCount() == 1 && sess.pending.Load() == 1
+}
+
+// TestLateExpireSparesTheNextTenant: a record whose deadline timer had
+// already fired when it was stopped is not used again, so the late
+// expire finds its own, finished claim. The seeded mutant — recycle it
+// anyway — is what the check exists to catch: the late expire then
+// withdraws the next claim, 60 seconds early.
+func TestLateExpireSparesTheNextTenant(t *testing.T) {
+	if !lateExpire(t, false) {
+		t.Fatal("a late expire ended the claim parked after its own")
+	}
+	if lateExpire(t, true) {
+		t.Fatal("the mutant (recycle a record whose timer already fired) went undetected")
+	}
 }
 
 // TestDisconnectWithParkedClaims: a connection that dies with N claims
 // parked leaves none of them in the table's queues, is sent nothing
 // afterwards — not even the "closed" a drained session's claims get —
-// and is never granted anything.
+// and is never granted anything. The server keeps two records, and a
+// live session parks as many claims while the dead one's are withdrawn,
+// in the very records those let go of: none of the live claims is
+// cancelled with them.
 func TestDisconnectWithParkedClaims(t *testing.T) {
 	const n = 40
 	addr, srv := startServerOpts(t)
+	capParked(srv, 2)
 	holder := dial(t, addr)
 	if err := holder.AcquireAll(1, xreq(5)); err != nil {
 		t.Fatal(err)
 	}
 	raw := dialRaw(t, addr)
-	var burst []byte
+	var burst, liveBurst []byte
 	for i := 0; i < n; i++ {
 		burst = append(burst, acquireFrame(uint64(i), int64(100+i), 5)...)
+		liveBurst = append(liveBurst, timedAcquireFrame(uint64(i), int64(200+i), 60_000, 5)...)
 	}
 	if _, err := raw.conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return srv.Table().WaitersCount() == n })
+	live := dialRaw(t, addr)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := live.conn.Write(liveBurst)
+		wrote <- err
+	}()
 	// Half-close: the server reads EOF, the test can still read whatever
 	// the server writes from here on.
 	if err := raw.conn.(*net.TCPConn).CloseWrite(); err != nil {
@@ -197,17 +360,18 @@ func TestDisconnectWithParkedClaims(t *testing.T) {
 	if rest, err := io.ReadAll(raw.br); err != nil || len(rest) != 0 {
 		t.Fatalf("server wrote %d bytes to a dead session (read error %v)", len(rest), err)
 	}
-	if w := srv.Table().WaitersCount(); w != 0 {
-		t.Fatalf("%d claims of the dead session still queued", w)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return srv.Table().WaitersCount() == n && srv.Stats().Cancels == n })
 	if err := holder.ReleaseAll(1); err != nil {
 		t.Fatal(err)
 	}
-	if h := srv.Table().HoldersCount(); h != 0 {
-		t.Fatalf("%d holders after the only live one released", h)
+	if st, _, body := live.readReply(); st != statusOK {
+		t.Fatalf("the live session's grant: status %d %q", st, body)
 	}
-	if st := srv.Stats(); st.Cancels != n || st.Grants != 1 {
-		t.Fatalf("cancels %d grants %d, want %d and 1", st.Cancels, st.Grants, n)
+	if st, h, w := srv.Stats(), srv.Table().HoldersCount(), srv.Table().WaitersCount(); st.Cancels != n || st.Grants != 2 || h != 1 || w != n-1 {
+		t.Fatalf("cancels %d grants %d holders %d waiters %d, want %d, 2, 1 and %d", st.Cancels, st.Grants, h, w, n, n-1)
 	}
 }
 
@@ -339,6 +503,50 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 	journaled := NewServer(nil, nil, WithJournal(newMemJournal()))
 	if journaled.serveInline(sess, opAcquire, 1, acquire) || journaled.serveInline(sess, opRelease, 2, release) {
 		t.Fatal("a journaling server served a request inline")
+	}
+}
+
+// TestParkedClaimAllocationFree is the budget of the exchange the
+// contended end of the service runs on: an acquire that parks behind
+// another session's transaction, that session's release, which grants
+// the parked claim and writes its reply from the releasing reader, and
+// the waiter's own release. The parked acquire's record — claim, request
+// copy, deadline timer, callbacks — comes back from the server's free
+// list, so a cycle allocates nothing except when a record is retired
+// (one in parkedRecordUses parks: record, timer, two bound callbacks).
+func TestParkedClaimAllocationFree(t *testing.T) {
+	srv := NewServer(nil, nil)
+	a, b := newSession(discardConn{}), newSession(discardConn{})
+	b.idle.Store(true) // its reader sits in a read: the grant is written by the releaser
+	body := func(f []byte) []byte { return f[4+frameHeader:] }
+	hold, wait := body(timedAcquireFrame(1, 1, 1000, 10, 11)), body(timedAcquireFrame(2, 2, 1000, 11, 12))
+	rel1, rel2 := body(releaseFrame(3, 1)), body(releaseFrame(4, 2))
+	cycle := func() {
+		a.pending.Add(2)
+		b.pending.Add(2)
+		ok := srv.serveInline(a, opAcquire, 1, hold) && srv.serveInline(b, opAcquire, 2, wait)
+		if !ok || srv.table.WaitersCount() != 1 {
+			t.Fatal("the second claim did not park")
+		}
+		if !srv.serveInline(a, opRelease, 3, rel1) || srv.table.HeldBy(2) != 2 || !srv.serveInline(b, opRelease, 4, rel2) {
+			t.Fatal("the release did not grant the parked claim")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	const cycles = 20 * parkedRecordUses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if got, retired := after.Mallocs-before.Mallocs, uint64(cycles/parkedRecordUses+1); got > 5*retired {
+		t.Fatalf("%d allocations in %d park/grant cycles, want at most the %d retired records' 4 each and change", got, cycles, retired)
+	}
+	if st := srv.Stats(); st.Holders != 0 || st.Timeouts != 0 || a.pending.Load() != 0 || b.pending.Load() != 0 {
+		t.Fatalf("holders %d timeouts %d pending %d/%d", st.Holders, st.Timeouts, a.pending.Load(), b.pending.Load())
 	}
 }
 

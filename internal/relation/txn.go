@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"granulock/internal/lockmgr"
 )
@@ -215,17 +216,27 @@ func (t *Txn) Abort() error {
 // Exec runs fn inside a transaction, committing on success, aborting
 // and retrying on deadlock, and aborting on any other error.
 func (db *DB) Exec(ctx context.Context, fn func(*Txn) error) error {
-	for {
+	for attempt := 0; ; attempt++ {
 		txn := db.Begin(ctx)
 		err := fn(txn)
 		if err == nil {
 			return txn.Commit()
 		}
 		_ = txn.Abort()
-		if errors.Is(err, lockmgr.ErrDeadlock) {
-			continue // victim retries
+		if !errors.Is(err, lockmgr.ErrDeadlock) {
+			return err
 		}
-		return err
+		// The victim retries, after a pause: restarted at once it takes
+		// its first lock back before the survivor has run, and the same
+		// cycle forms again — for minutes, on a busy host. The window
+		// doubles from 50µs to 3.2ms and the transaction id picks the
+		// point in it, so competing victims come back apart.
+		window := 50 * time.Microsecond << min(attempt, 6)
+		select {
+		case <-time.After(window * time.Duration(txn.id%16+1) / 16):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 

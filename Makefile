@@ -105,22 +105,24 @@ tools:
 # and 4 Ps (its batch-claim and fast-path claims are multicore claims;
 # the default run only ever sees the host's CPU count) and the lock
 # service likewise (a parked claim's continuation runs on whichever
-# goroutine releases, usually another session's reader), a 10s fuzz pass over each of the two parsers that
-# face the network (the frame reader and the request-body executor)
-# and each of the four that face the disk (the WAL record reader, the
-# RecoverSet classifier, the log file header and the snapshot decoder),
+# goroutine releases, usually another session's reader), and the
+# relational layer, whose hierarchical locks are that same table's, a
+# 10s fuzz pass over each of the two parsers that
+# face the network (the frame reader and the request-body executor),
+# each of the four that face the disk (the WAL record reader, the
+# RecoverSet classifier, the log file header and the snapshot decoder)
+# and the one that faces a scrape (the /metrics text parser),
 # the frozen benchmark module's vet and short tests (benchmark/ is a
 # module of its own that root `go test ./...` does not reach, so this
 # step is what compiles it against every API change), the lockd
 # admin-endpoint smoke test (real lock traffic scraped through
 # /metrics and validated as Prometheus text), the faulty network
 # lock-service smoke run plus the 3-node cluster kill-one-node
-# failover smoke run, and quick benchmark smoke runs: the model suite
-# regenerates
-# BENCH_model.json with shortened figure sweeps, the lock-service
-# suite exercises every connection mode and stripe count end to end (its
-# quick report goes to a scratch path — the checked-in
-# BENCH_locksrv.json is full-fidelity only, via `make benchsrv`), and
+# failover smoke run, and quick benchmark smoke runs, every report of
+# which goes to a scratch path (the checked-in BENCH_*.json files are
+# full-fidelity only, via `make bench` and its siblings): the model
+# suite runs shortened figure sweeps, the lock-service
+# suite exercises every connection mode and stripe count end to end, and
 # the lockmgr suite is diffed against the checked-in baseline: quick
 # vs full reports compare machine-independent speedup ratios, failing
 # on a >25% ratio drop or any acceptance target missed (the fast-path
@@ -142,19 +144,21 @@ verify: lint
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
+	$(GO) test -race -cpu 1,2,4 ./internal/relation/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteV2Body$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderNext$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverSet$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLogHeader$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime=10s ./internal/obs/
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race -count=2 -run 'TestAdmin' ./cmd/lockd/
 	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -ltot 100
 	$(GO) run ./cmd/locksim -net 6 -cluster 3 -nettxns 600 -netfaults -ltot 100
 	$(GO) run ./cmd/locksim -engine -protocol wound-wait -dbsize 400 -ltot 40 -ntrans 8
 	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20
-	$(GO) run ./cmd/bench -suite model -quick -out BENCH_model.json
+	$(GO) run ./cmd/bench -suite model -quick -out /tmp/BENCH_model.quick.json
 	$(GO) run ./cmd/bench -suite locksrv -quick -out /tmp/BENCH_locksrv.quick.json
 	$(GO) run ./cmd/bench -suite lockmgr -quick -out /tmp/BENCH_lockmgr.quick.json -compare BENCH_lockmgr.json
 	$(GO) run ./cmd/bench -suite engine -quick -out /tmp/BENCH_engine.quick.json -compare BENCH_engine.json

@@ -6,11 +6,11 @@ import (
 	"granulock/internal/lockmgr"
 )
 
-// hierarchical uses the multigranularity lock manager with a
-// database→granule hierarchy, intention modes and best-effort lock
-// escalation — the "block level and file level" regime the paper's
-// conclusions recommend. Acquisition is claim-as-needed with deadlock
-// detection and victim restart.
+// hierarchical runs Gray's multigranularity protocol over the lock
+// table: a database→granule hierarchy, intention modes on the root and
+// best-effort lock escalation — the "block level and file level" regime
+// the paper's conclusions recommend. Acquisition is claim-as-needed with
+// deadlock detection and victim restart.
 type hierarchical struct{}
 
 func (hierarchical) Name() string { return "hierarchical" }
@@ -20,61 +20,34 @@ func (hierarchical) New(cfg Config) (Instance, error) {
 	if cfg.EscalationThreshold > 0 {
 		hopts = append(hopts, lockmgr.WithEscalation(cfg.EscalationThreshold))
 	}
-	return &hierInstance{
-		directAccess: directAccess{store: cfg.Store, record: cfg.RecordUpdates},
-		hier:         lockmgr.NewHierTable(hopts...),
-	}, nil
+	f := newFlatLocking(cfg)
+	return &hierInstance{flatLocking: f, hier: lockmgr.NewHierTable(f.table, hopts...)}, nil
 }
 
 type hierInstance struct {
-	directAccess
+	flatLocking
 	hier *lockmgr.HierTable
 }
 
-func (i *hierInstance) Begin(ctx context.Context, _ *Tx) context.Context { return ctx }
+// hierRoot is the database node, above every granule: granules are
+// numbered from zero.
+const hierRoot lockmgr.Granule = -1
 
 func (i *hierInstance) Acquire(ctx context.Context, tx *Tx, reqs []lockmgr.Request) error {
+	path := [2]lockmgr.Granule{hierRoot}
 	for _, r := range reqs {
-		mode := lockmgr.GModeS
-		if r.Mode == lockmgr.ModeExclusive {
-			mode = lockmgr.GModeX
-		}
-		path := []lockmgr.NodeID{"db", granuleNode(r.Granule)}
-		if err := i.hier.Lock(ctx, tx.ID, path, mode); err != nil {
+		path[1] = r.Granule
+		if err := i.hier.Lock(ctx, tx.ID, path[:], r.Mode); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (i *hierInstance) Commit(_ context.Context, tx *Tx, persist func([]Update) error) error {
-	return commitApplied(tx, persist)
-}
-
 func (i *hierInstance) End(tx *Tx) { i.hier.ReleaseAll(tx.ID) }
 
 func (i *hierInstance) Stats() Stats {
-	return Stats{Lock: i.hier.Stats(), Escalations: i.hier.Escalations()}
-}
-
-// granuleNode names a granule in the two-level hierarchy.
-func granuleNode(g lockmgr.Granule) lockmgr.NodeID {
-	return lockmgr.NodeID("db/g" + itoa64(int64(g)))
-}
-
-// itoa64 formats a non-negative int64 without fmt in the lock path.
-func itoa64(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for v > 0 {
-		pos--
-		buf[pos] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[pos:])
+	return Stats{Lock: i.table.Stats(), Escalations: i.hier.Escalations()}
 }
 
 func init() { Register(hierarchical{}) }

@@ -33,9 +33,9 @@ func commitApplied(tx *Tx, persist func([]Update) error) error {
 	return nil
 }
 
-// flatLocking is the chassis shared by the flat-table protocols
-// (conservative, claim-as-needed, wound-wait, wait-die): one
-// lockmgr.Table plus direct storage access.
+// flatLocking is the chassis shared by the locking protocols
+// (conservative, claim-as-needed, hierarchical, wound-wait, wait-die):
+// one lockmgr.Table plus direct storage access.
 type flatLocking struct {
 	directAccess
 	table *lockmgr.Table

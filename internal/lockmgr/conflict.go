@@ -7,12 +7,16 @@
 //     locks; conflicts are drawn from the fraction of the lock space each
 //     active transaction holds.
 //
-//   - Table, HierTable and Detector are real lock managers: a granule
-//     lock table with shared/exclusive modes and conservative
-//     all-or-nothing preclaiming, a multi-granularity (IS/IX/S/SIX/X)
-//     hierarchical table, and a waits-for-graph deadlock detector for the
-//     claim-as-needed protocol. They power the executable mini-DBMS in
-//     internal/engine that cross-validates the simulation's conclusions.
+//   - Table is the real lock manager, the one type that grants, parks
+//     and wakes: a striped granule lock table with five modes (S and X,
+//     and the intention modes IS, IX and SIX, under one compatibility
+//     matrix and one lattice join), conservative all-or-nothing
+//     preclaiming, and claim-as-needed acquisition with a waits-for-graph
+//     deadlock detector (Detector). HierTable is Gray's multi-granularity
+//     protocol as a policy over it — path expansion and best-effort lock
+//     escalation, with nodes of the hierarchy being granules of the
+//     table. They power the executable mini-DBMS in internal/engine that
+//     cross-validates the simulation's conclusions.
 package lockmgr
 
 import (

@@ -6,15 +6,14 @@ package lockmgr
 // holders blocking a writer.
 //
 // Detector is not itself synchronized; Table calls it under its own
-// mutex. It is exported because the hierarchical table and the engine's
-// tests use it directly.
+// mutex. It is exported because the engine's tests use it directly.
 type Detector struct {
 	out   map[TxnID]map[TxnID]struct{}
 	edges int // running edge count, so Edges() is O(1)
 
 	// DFS scratch, reused across InCycle calls. Callers already
-	// serialize detector access (Table under detMu, HierTable under its
-	// table mutex), so a per-call allocation buys nothing but GC work —
+	// serialize detector access (Table under detMu), so a per-call
+	// allocation buys nothing but GC work —
 	// and InCycle runs on every block, squarely on the contended path.
 	visited map[TxnID]struct{}
 	stack   []TxnID

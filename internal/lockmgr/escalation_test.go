@@ -2,26 +2,25 @@ package lockmgr
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 )
 
 func TestAbsorbs(t *testing.T) {
 	cases := []struct {
-		held, want GMode
+		held, want Mode
 		ok         bool
 	}{
-		{GModeX, GModeX, true},
-		{GModeX, GModeS, true},
-		{GModeX, GModeIX, true},
-		{GModeS, GModeS, true},
-		{GModeS, GModeIS, true},
-		{GModeS, GModeX, false},
-		{GModeSIX, GModeS, true},
-		{GModeSIX, GModeX, false},
-		{GModeIS, GModeS, false},
-		{GModeIX, GModeX, false},
+		{ModeExclusive, ModeExclusive, true},
+		{ModeExclusive, ModeShared, true},
+		{ModeExclusive, ModeIX, true},
+		{ModeShared, ModeShared, true},
+		{ModeShared, ModeIS, true},
+		{ModeShared, ModeExclusive, false},
+		{ModeSIX, ModeShared, true},
+		{ModeSIX, ModeExclusive, false},
+		{ModeIS, ModeShared, false},
+		{ModeIX, ModeExclusive, false},
 	}
 	for _, c := range cases {
 		if got := absorbs(c.held, c.want); got != c.ok {
@@ -31,11 +30,11 @@ func TestAbsorbs(t *testing.T) {
 }
 
 func TestEscalationTriggersAtThreshold(t *testing.T) {
-	h := NewHierTable(WithEscalation(3))
+	h := NewHierTable(NewTable(), WithEscalation(3))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		p := path("db", "rel", fmt.Sprintf("g%d", i))
-		if err := h.Lock(ctx, 1, p, GModeX); err != nil {
+		p := path(nDB, nRel, nG0+Granule(i))
+		if err := h.Lock(ctx, 1, p, ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,16 +42,16 @@ func TestEscalationTriggersAtThreshold(t *testing.T) {
 		t.Fatalf("escalations %d, want 1", h.Escalations())
 	}
 	// Writers under IX escalate the parent to X.
-	if m, ok := h.Held(1, "rel"); !ok || m != GModeX {
+	if m, ok := h.held(1, nRel); !ok || m != ModeExclusive {
 		t.Fatalf("relation mode %v/%v after escalation, want X", m, ok)
 	}
 }
 
 func TestEscalationAbsorbsFurtherChildren(t *testing.T) {
-	h := NewHierTable(WithEscalation(2))
+	h := NewHierTable(NewTable(), WithEscalation(2))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeX); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,32 +59,32 @@ func TestEscalationAbsorbsFurtherChildren(t *testing.T) {
 		t.Fatalf("escalations %d", h.Escalations())
 	}
 	// The next child lock is absorbed: no per-child holder appears.
-	if err := h.Lock(ctx, 1, path("db", "rel", "g99"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+99), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if _, held := h.Held(1, "g99"); held {
+	if _, held := h.held(1, nG0+99); held {
 		t.Fatal("absorbed child still took its own lock")
 	}
 }
 
 func TestEscalationReaderGetsS(t *testing.T) {
-	h := NewHierTable(WithEscalation(2))
+	h := NewHierTable(NewTable(), WithEscalation(2))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeS); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeShared); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m, ok := h.Held(1, "rel"); !ok || m != GModeS {
+	if m, ok := h.held(1, nRel); !ok || m != ModeShared {
 		t.Fatalf("relation mode %v/%v, want S", m, ok)
 	}
 	// Another reader of a different granule is still compatible.
-	if err := h.Lock(ctx, 2, path("db", "rel", "g5"), GModeS); err != nil {
+	if err := h.Lock(ctx, 2, path(nDB, nRel, nG0+5), ModeShared); err != nil {
 		t.Fatal(err)
 	}
 	// But a writer now blocks on the whole relation.
 	done := make(chan error, 1)
-	go func() { done <- h.Lock(ctx, 3, path("db", "rel", "g9"), GModeX) }()
+	go func() { done <- h.Lock(ctx, 3, path(nDB, nRel, nG0+9), ModeExclusive) }()
 	select {
 	case <-done:
 		t.Fatal("writer not blocked by escalated S")
@@ -99,53 +98,53 @@ func TestEscalationReaderGetsS(t *testing.T) {
 }
 
 func TestEscalationSkippedWhenIncompatible(t *testing.T) {
-	h := NewHierTable(WithEscalation(2))
+	h := NewHierTable(NewTable(), WithEscalation(2))
 	ctx := context.Background()
-	// Txn 2 writes one granule: its IX on "rel" blocks an S escalation
+	// Txn 2 writes one granule: its IX on nRel blocks an S escalation
 	// and its granule would conflict with an X escalation.
-	if err := h.Lock(ctx, 2, path("db", "rel", "gz"), GModeX); err != nil {
+	if err := h.Lock(ctx, 2, path(nDB, nRel, nG0+99), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeS); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeShared); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if h.Escalations() != 0 {
 		t.Fatalf("escalated against an incompatible holder (%d)", h.Escalations())
 	}
-	if m, _ := h.Held(1, "rel"); m != GModeIS {
+	if m, _ := h.held(1, nRel); m != ModeIS {
 		t.Fatalf("relation mode %v, want IS (no escalation)", m)
 	}
 }
 
 func TestEscalationDisabledByDefault(t *testing.T) {
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeX); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if h.Escalations() != 0 {
 		t.Fatal("escalation fired without opt-in")
 	}
-	if m, _ := h.Held(1, "rel"); m != GModeIX {
+	if m, _ := h.held(1, nRel); m != ModeIX {
 		t.Fatalf("relation mode %v, want IX", m)
 	}
 }
 
 func TestEscalationStateClearedOnRelease(t *testing.T) {
-	h := NewHierTable(WithEscalation(3))
+	h := NewHierTable(NewTable(), WithEscalation(3))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeX); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h.ReleaseAll(1)
 	// A fresh transaction (same ID) must start counting from zero.
-	if err := h.Lock(ctx, 1, path("db", "rel", "g9"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+9), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
 	if h.Escalations() != 0 {
@@ -155,16 +154,16 @@ func TestEscalationStateClearedOnRelease(t *testing.T) {
 }
 
 func TestEscalationOnlyOncePerParent(t *testing.T) {
-	h := NewHierTable(WithEscalation(2))
+	h := NewHierTable(NewTable(), WithEscalation(2))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeX); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Further absorbed locks must not re-escalate.
 	for i := 10; i < 20; i++ {
-		if err := h.Lock(ctx, 1, path("db", "rel", fmt.Sprintf("g%d", i)), GModeX); err != nil {
+		if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+Granule(i)), ModeExclusive); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,28 +44,34 @@ func ExampleTable_AcquireAll() {
 	// after release: 0
 }
 
-// ExampleHierTable shows multigranularity locking: two writers on
-// different granules of the same relation coexist via intention locks.
+// ExampleHierTable shows multigranularity locking over the one lock
+// table: nodes of the hierarchy are granules, and two writers on
+// different granules of the same relation coexist because each holds the
+// relation, and the database above it, in an intention mode only.
 func ExampleHierTable() {
-	h := lockmgr.NewHierTable()
+	const db, rel, g1, g2 lockmgr.Granule = 0, 1, 2, 3
+	tab := lockmgr.NewTable()
+	h := lockmgr.NewHierTable(tab)
 	ctx := context.Background()
-	path := func(g string) []lockmgr.NodeID {
-		return []lockmgr.NodeID{"db", "rel", lockmgr.NodeID(g)}
-	}
-	_ = h.Lock(ctx, 1, path("g1"), lockmgr.GModeX)
-	_ = h.Lock(ctx, 2, path("g2"), lockmgr.GModeX)
-	m1, _ := h.Held(1, "rel")
-	m2, _ := h.Held(2, "rel")
-	fmt.Println("relation intentions:", m1, m2)
+	_ = h.Lock(ctx, 1, []lockmgr.Granule{db, rel, g1}, lockmgr.ModeExclusive)
+	_ = h.Lock(ctx, 2, []lockmgr.Granule{db, rel, g2}, lockmgr.ModeExclusive)
+	fmt.Println("both hold the relation in IX:",
+		tab.HoldsAtLeast(1, rel, lockmgr.ModeIX), tab.HoldsAtLeast(2, rel, lockmgr.ModeIX))
+	fmt.Println("either holds it in X:",
+		tab.HoldsAtLeast(1, rel, lockmgr.ModeExclusive) || tab.HoldsAtLeast(2, rel, lockmgr.ModeExclusive))
+	fmt.Println("a scan of the relation would wait for:", tab.ConflictingHolders(3, rel, lockmgr.ModeShared))
 	// Output:
-	// relation intentions: IX IX
+	// both hold the relation in IX: true true
+	// either holds it in X: false
+	// a scan of the relation would wait for: [1 2]
 }
 
-// ExampleGCompatible prints a corner of Gray's compatibility matrix.
+// ExampleGCompatible prints a corner of Gray's compatibility matrix,
+// the one every grant decision of the table reads.
 func ExampleGCompatible() {
-	fmt.Println("IS vs IX:", lockmgr.GCompatible(lockmgr.GModeIS, lockmgr.GModeIX))
-	fmt.Println("S  vs IX:", lockmgr.GCompatible(lockmgr.GModeS, lockmgr.GModeIX))
-	fmt.Println("X  vs IS:", lockmgr.GCompatible(lockmgr.GModeX, lockmgr.GModeIS))
+	fmt.Println("IS vs IX:", lockmgr.GCompatible(lockmgr.ModeIS, lockmgr.ModeIX))
+	fmt.Println("S  vs IX:", lockmgr.GCompatible(lockmgr.ModeShared, lockmgr.ModeIX))
+	fmt.Println("X  vs IS:", lockmgr.GCompatible(lockmgr.ModeExclusive, lockmgr.ModeIS))
 	// Output:
 	// IS vs IX: true
 	// S  vs IX: false

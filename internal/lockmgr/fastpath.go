@@ -44,6 +44,14 @@ import (
 //     names the granule: promotion back out of SLOW (promoteLocked)
 //     requires zero holders, zero waiters and no claim-queue reference.
 //     A fast grant therefore can never overtake a parked request.
+//   - FAST ⇒ the holder's mode is S or X. The word has one mode bit, so
+//     a request in an intention mode (IS, IX, SIX) never takes a fast
+//     grant (fastMode) and finds its granule's state in the map: a
+//     transaction that holds a granule FAST and asks for an intention
+//     mode on it is demoted like any other slow-path caller, and the
+//     join lands in the map. A hold-set entry in an intention mode
+//     therefore always names a SLOW word, which fastReleaseAll's CAS
+//     cannot match.
 //   - The per-transaction hold set is updated in the same ts.mu critical
 //     section as the word CAS, so ReleaseAll and the duplicate-claim
 //     check serialize against fast grants exactly as against slow ones.
@@ -93,7 +101,15 @@ const (
 	fpSpinMax  = 64
 )
 
-// fpPack builds a FAST word: single holder txn in the given mode.
+// fastMode reports whether a FAST word can carry m: the packed word has
+// one mode bit, S or X, so a request in an intention mode — and any
+// upgrade into one — is decided under the stripe lock.
+//
+//granulint:hotpath
+func fastMode(m Mode) bool { return m <= ModeExclusive }
+
+// fpPack builds a FAST word: single holder txn in the given mode, S or
+// X (fastMode).
 //
 //granulint:hotpath
 func fpPack(txn TxnID, mode Mode) uint64 {
@@ -351,7 +367,7 @@ func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fast
 			ts.mu.Unlock()
 			continue // word moved under us; re-evaluate
 		case fpIsFast(w) && fpTxnOf(w) == txn:
-			if fpModeOf(w) >= mode {
+			if covers(fpModeOf(w), mode) {
 				return fastGranted // already held strongly enough
 			}
 			// Sole holder upgrading S→X: grantable by definition.
@@ -367,7 +383,7 @@ func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fast
 			ts.mu.Unlock()
 			return fastFallback // demoted mid-upgrade; slow path resolves it
 		case fpIsFast(w):
-			if Compatible(mode, fpModeOf(w)) {
+			if GCompatible(mode, fpModeOf(w)) {
 				// S alongside S: the word cannot encode two holders; the
 				// slow path grants it against the materialized holder set.
 				return fastFallback
@@ -521,7 +537,7 @@ func (t *Table) fastTryClaimOnce(fs *fastState, txn TxnID, g Granule, mode Mode)
 			}
 			ts.mu.Unlock()
 			continue // word moved under us; re-evaluate
-		case fpIsFast(w) && fpTxnOf(w) != txn && !Compatible(mode, fpModeOf(w)):
+		case fpIsFast(w) && fpTxnOf(w) != txn && !GCompatible(mode, fpModeOf(w)):
 			return fastSpin
 		case fpIsFast(w) && fpTxnOf(w) == txn:
 			// The word says txn already holds this granule, so the
@@ -545,7 +561,7 @@ func (t *Table) fastTryClaimOnce(fs *fastState, txn TxnID, g Granule, mode Mode)
 func (t *Table) fastClaimBatch(ts *txnShard, txn TxnID, reqs []Request) bool {
 	for i, r := range reqs {
 		fs := t.shardFor(r.Granule).fastLookup(r.Granule)
-		if fs != nil && fs.word.CompareAndSwap(0, fpPack(txn, r.Mode)) {
+		if fs != nil && fastMode(r.Mode) && fs.word.CompareAndSwap(0, fpPack(txn, r.Mode)) {
 			continue
 		}
 		for _, u := range reqs[:i] {

@@ -2,145 +2,64 @@ package lockmgr
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
+	"sync/atomic"
 )
-
-// GMode is a multi-granularity lock mode (Gray's hierarchical locking
-// protocol). The paper's conclusions point at exactly this mechanism:
-// "providing granularity at the block level and at the file level, as is
-// done in the Gamma database machine, may be adequate".
-type GMode int8
-
-const (
-	// GModeIS signals intent to lock descendants in shared mode.
-	GModeIS GMode = iota
-	// GModeIX signals intent to lock descendants in exclusive mode.
-	GModeIX
-	// GModeS locks the whole subtree for reading.
-	GModeS
-	// GModeSIX locks the subtree for reading with intent to write parts.
-	GModeSIX
-	// GModeX locks the whole subtree for writing.
-	GModeX
-)
-
-var gModeNames = [...]string{"IS", "IX", "S", "SIX", "X"}
-
-// String returns the conventional mode name.
-func (m GMode) String() string {
-	if m < 0 || int(m) >= len(gModeNames) {
-		return fmt.Sprintf("GMode(%d)", int8(m))
-	}
-	return gModeNames[m]
-}
-
-// gCompat is Gray's compatibility matrix, indexed [requested][held].
-var gCompat = [5][5]bool{
-	GModeIS:  {GModeIS: true, GModeIX: true, GModeS: true, GModeSIX: true, GModeX: false},
-	GModeIX:  {GModeIS: true, GModeIX: true, GModeS: false, GModeSIX: false, GModeX: false},
-	GModeS:   {GModeIS: true, GModeIX: false, GModeS: true, GModeSIX: false, GModeX: false},
-	GModeSIX: {GModeIS: true, GModeIX: false, GModeS: false, GModeSIX: false, GModeX: false},
-	GModeX:   {GModeIS: false, GModeIX: false, GModeS: false, GModeSIX: false, GModeX: false},
-}
-
-// GCompatible reports whether a requested mode is compatible with a held
-// mode owned by a different transaction.
-func GCompatible(requested, held GMode) bool {
-	return gCompat[requested][held]
-}
-
-// combine returns the effective mode of a transaction holding both a and
-// b on the same node: S+IX (in either order) strengthens to SIX; other
-// pairs resolve to the stronger mode under IS < IX < SIX < X and
-// IS < S < SIX < X.
-func combine(a, b GMode) GMode {
-	if a == b {
-		return a
-	}
-	if (a == GModeS && b == GModeIX) || (a == GModeIX && b == GModeS) {
-		return GModeSIX
-	}
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // IntentionFor returns the intention mode ancestors must carry so that a
 // descendant may be locked in mode m: IS for read modes, IX for modes
 // that can write.
-func IntentionFor(m GMode) GMode {
+func IntentionFor(m Mode) Mode {
 	switch m {
-	case GModeIS, GModeS:
-		return GModeIS
+	case ModeIS, ModeShared:
+		return ModeIS
 	default:
-		return GModeIX
+		return ModeIX
 	}
 }
 
-// NodeID names one node of the lock hierarchy, e.g. "db", "db/accounts",
-// "db/accounts/g17". The table treats IDs as opaque; the caller supplies
-// root-to-target paths.
-type NodeID string
+// absorbs reports whether holding `held` on an ancestor makes a request
+// for `want` on a descendant redundant: X covers everything, S and SIX
+// cover reads.
+func absorbs(held, want Mode) bool {
+	switch held {
+	case ModeExclusive:
+		return true
+	case ModeShared, ModeSIX:
+		return want == ModeShared || want == ModeIS
+	default:
+		return false
+	}
+}
 
-// HierTable is a blocking multi-granularity lock table over an arbitrary
-// hierarchy. Transactions lock a node by locking the path from the root:
-// intention modes on ancestors, the requested mode on the target.
-// Waiting requests participate in deadlock detection; victims receive
-// ErrDeadlock and should ReleaseAll and retry.
+// HierTable is multi-granularity locking (Gray's hierarchical protocol)
+// as a policy over a Table — the mechanism the paper's conclusions point
+// at: "providing granularity at the block level and at the file level,
+// as is done in the Gamma database machine, may be adequate". It grants,
+// parks and wakes nothing itself: a node of the hierarchy is a granule
+// of the table, and locking a node is acquiring the path to it from the
+// root, intention modes on the ancestors and the requested mode on the
+// target. Waiting, FIFO order and deadlock detection are Table.Acquire's,
+// so the victim of a deadlock receives ErrDeadlock and should ReleaseAll
+// and retry. All that is kept here is what lock escalation counts.
+//
+// The table may be shared with flat users as long as their granules and
+// the hierarchy's node ids are distinct. One transaction's calls must
+// not overlap, which is how the engine and the relational layer run
+// theirs.
 type HierTable struct {
-	mu       sync.Mutex
-	nodes    map[NodeID]*hierNode
-	held     map[TxnID]map[NodeID]GMode
-	detector *Detector
-	waiters  map[*hierWait]struct{}
-	stats    Stats
+	t        *Table
 	escAt    int // escalation threshold; 0 = off
-	escCount int64
-	// children tracks, per transaction and parent node, the child nodes
-	// currently locked and the mode each is held in — the escalation
-	// trigger, and (adaptive mode) the record needed to undo one.
-	children map[TxnID]map[NodeID]map[NodeID]GMode
-
-	// Adaptive contention management (WithAdaptiveEscalation): hot
-	// parents are not escalated, and an escalated coarse lock that
-	// blocks another transaction is rolled back to its fine-grained
-	// form instead of making the requester wait.
-	hotAt      int  // node heat at which escalation is suppressed; 0 = off
-	deesc      bool // de-escalate coarse locks that block others
-	deescCount int64
-	escaped    map[TxnID]map[NodeID]*escRecord
+	escCount atomic.Int64
+	// kids holds, per transaction that has locked below the root, its
+	// childSets. Each is read and written by its own transaction only.
+	kids sync.Map
 }
 
-type hierNode struct {
-	holders map[TxnID]GMode
-	// heat estimates data contention on this node: parking against it
-	// heats it, grants cool it. Heat gates escalation in adaptive mode —
-	// Thomasian's observation that coarsening under high data contention
-	// multiplies conflicts instead of saving overhead.
-	heat int
-}
-
-// escRecord remembers what an escalation replaced, so it can be undone.
-type escRecord struct {
-	prev GMode // the parent's (intention) mode before the coarse grant
-	// absorbed accumulates descendant locks that Lock skipped because
-	// the coarse lock covered them; de-escalation must materialize them
-	// or the absorbed accesses would lose their cover. While the coarse
-	// lock is held these grants are vacuously compatible (an X parent
-	// excludes all other subtree holders; an S parent limits co-holders
-	// to reads, and only reads are absorbed).
-	absorbed map[NodeID]GMode
-}
-
-// hierWait is one parked hierarchical request (on one node).
-type hierWait struct {
-	txn  TxnID
-	node NodeID
-	mode GMode
-	ch   chan error
-}
+// childSets is one transaction's escalation trigger: per parent node,
+// the children locked under it since the parent was last escalated.
+type childSets map[Granule]map[Granule]struct{}
 
 // HierOption configures a HierTable.
 type HierOption func(*HierTable)
@@ -159,42 +78,9 @@ func WithEscalation(threshold int) HierOption {
 	return func(h *HierTable) { h.escAt = threshold }
 }
 
-// WithAdaptiveEscalation enables escalation as WithEscalation does, plus
-// two contention adaptations:
-//
-//   - Hot-granule suppression: a parent whose heat (blocks observed
-//     against it, cooled by grants) has reached hotAt is not escalated —
-//     under high data contention a coarse lock multiplies conflicts, so
-//     the table keeps fine granularity exactly where the paper's
-//     trade-off says fine granularity earns its overhead. hotAt <= 0
-//     disables suppression.
-//   - De-escalation: when a request blocks against an escalated coarse
-//     lock, the coarse lock is rolled back to the intention mode it
-//     replaced (re-granting any absorbed descendant locks) and the
-//     request re-evaluates, usually proceeding under ordinary
-//     fine-grained compatibility.
-//
-// Adaptive escalation changes blocking decisions (a request that would
-// have parked against a coarse lock may now proceed), so it is a
-// separate opt-in from the decision-preserving WithEscalation.
-func WithAdaptiveEscalation(threshold, hotAt int) HierOption {
-	return func(h *HierTable) {
-		h.escAt = threshold
-		h.hotAt = hotAt
-		h.deesc = true
-	}
-}
-
-// NewHierTable returns an empty hierarchical lock table.
-func NewHierTable(opts ...HierOption) *HierTable {
-	h := &HierTable{
-		nodes:    make(map[NodeID]*hierNode),
-		held:     make(map[TxnID]map[NodeID]GMode),
-		detector: NewDetector(),
-		waiters:  make(map[*hierWait]struct{}),
-		children: make(map[TxnID]map[NodeID]map[NodeID]GMode),
-		escaped:  make(map[TxnID]map[NodeID]*escRecord),
-	}
+// NewHierTable returns a hierarchical locking policy over t.
+func NewHierTable(t *Table, opts ...HierOption) *HierTable {
+	h := &HierTable{t: t}
 	for _, o := range opts {
 		o(h)
 	}
@@ -202,336 +88,77 @@ func NewHierTable(opts ...HierOption) *HierTable {
 }
 
 // Escalations returns the number of successful lock escalations.
-func (h *HierTable) Escalations() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.escCount
-}
-
-// Deescalations returns the number of coarse locks rolled back to their
-// fine-grained form because they blocked another transaction (only
-// possible under WithAdaptiveEscalation).
-func (h *HierTable) Deescalations() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.deescCount
-}
-
-// absorbs reports whether holding `held` on an ancestor makes a request
-// for `want` on a descendant redundant: X covers everything, S and SIX
-// cover reads.
-func absorbs(held, want GMode) bool {
-	switch held {
-	case GModeX:
-		return true
-	case GModeS, GModeSIX:
-		return want == GModeS || want == GModeIS
-	default:
-		return false
-	}
-}
-
-// Stats returns a snapshot of the activity counters.
-func (h *HierTable) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
-
-// Held returns the effective mode txn holds on node, if any.
-func (h *HierTable) Held(txn TxnID, node NodeID) (GMode, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	m, ok := h.held[txn][node]
-	return m, ok
-}
+func (h *HierTable) Escalations() int64 { return h.escCount.Load() }
 
 // Lock acquires mode on the last node of path, taking the appropriate
 // intention mode on every ancestor first (top-down, the hierarchical
-// protocol's required order). On deadlock the requester is the victim and
-// receives ErrDeadlock with its already-acquired locks still held; the
-// caller should ReleaseAll.
-func (h *HierTable) Lock(ctx context.Context, txn TxnID, path []NodeID, mode GMode) error {
+// protocol's required order). A coarse lock txn already holds on an
+// ancestor, directly or by escalation, absorbs the rest of the path. On
+// deadlock the requester is the victim and receives ErrDeadlock with its
+// already-acquired locks still held; the caller should ReleaseAll.
+func (h *HierTable) Lock(ctx context.Context, txn TxnID, path []Granule, mode Mode) error {
 	if len(path) == 0 {
-		return fmt.Errorf("lockmgr: empty lock path")
+		return errors.New("lockmgr: empty lock path")
 	}
 	for i, node := range path {
 		want := mode
 		if i < len(path)-1 {
 			want = IntentionFor(mode)
 		}
-		// A coarse lock already held on this ancestor (directly or via
-		// escalation) absorbs the rest of the path.
-		h.mu.Lock()
-		if held, ok := h.held[txn][node]; ok && absorbs(held, mode) {
-			if rec := h.escaped[txn][node]; rec != nil {
-				if i == len(path)-1 {
-					// The caller explicitly requested a mode on the
-					// escalated node itself. If the pre-escalation mode
-					// would not cover it, the coarse lock is now held by
-					// request, not by adaptation: make it direct so a
-					// later de-escalation cannot strip it.
-					if combine(rec.prev, mode) != rec.prev {
-						delete(h.escaped[txn], node)
-					}
-				} else {
-					// The cover is an escalated lock that may later be
-					// rolled back: remember the locks this access would
-					// have taken so de-escalation can materialize them.
-					for j := i + 1; j < len(path); j++ {
-						want := mode
-						if j < len(path)-1 {
-							want = IntentionFor(mode)
-						}
-						rec.absorbed[path[j]] = combine(rec.absorbed[path[j]], want)
-					}
-				}
-			}
-			h.mu.Unlock()
+		held, ok := h.t.heldMode(txn, node)
+		if ok && absorbs(held, mode) {
 			return nil
 		}
-		h.mu.Unlock()
-		if err := h.lockNode(ctx, txn, node, want); err != nil {
-			return err
+		if !ok || !covers(held, want) {
+			if err := h.t.Acquire(ctx, txn, node, want); err != nil {
+				return err
+			}
 		}
-		if i > 0 {
+		if i > 0 && h.escAt > 0 {
 			h.noteChild(txn, path[i-1], node)
 		}
 	}
 	return nil
 }
 
-// noteChild records that txn holds a lock on child under parent and
-// triggers best-effort escalation at the threshold.
-func (h *HierTable) noteChild(txn TxnID, parent, child NodeID) {
-	if h.escAt <= 0 {
-		return
+// noteChild records that txn holds a lock on child under parent and, at
+// the threshold, tries to escalate: the parent's intention mode says
+// what the children may do — IX or SIX means writes, so the coarse lock
+// must be X; IS means reads, so S suffices.
+func (h *HierTable) noteChild(txn TxnID, parent, child Granule) {
+	v, ok := h.kids.Load(txn)
+	if !ok {
+		v = childSets{}
+		h.kids.Store(txn, v)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	perTxn := h.children[txn]
-	if perTxn == nil {
-		perTxn = make(map[NodeID]map[NodeID]GMode)
-		h.children[txn] = perTxn
-	}
-	set := perTxn[parent]
+	sets := v.(childSets)
+	set := sets[parent]
 	if set == nil {
-		set = make(map[NodeID]GMode)
-		perTxn[parent] = set
+		set = make(map[Granule]struct{}, h.escAt)
+		sets[parent] = set
 	}
-	set[child] = h.held[txn][child]
+	set[child] = struct{}{}
 	if len(set) < h.escAt {
 		return
 	}
-	// Escalate: the parent's intention mode says what the children may
-	// do — IX or SIX means writes, so the coarse lock must be X;
-	// IS means reads, so S suffices.
-	parentHeld, ok := h.held[txn][parent]
-	if ok && absorbs(parentHeld, GModeX) {
+	target := ModeShared
+	switch held, _ := h.t.heldMode(txn, parent); held {
+	case ModeExclusive:
 		return // already escalated
+	case ModeIX, ModeSIX:
+		target = ModeExclusive
 	}
-	n := h.nodes[parent]
-	if n == nil {
-		return
-	}
-	if h.hotAt > 0 && n.heat >= h.hotAt {
-		// Hot parent: other transactions keep colliding here, so a
-		// coarse lock would convert overhead savings into blocking.
-		// Keep fine granularity and try again once the node cools.
-		return
-	}
-	target := GModeS
-	if parentHeld == GModeIX || parentHeld == GModeSIX {
-		target = GModeX
-	}
-	if !h.nodeCompatible(n, txn, target) {
+	if !h.t.TryUpgrade(txn, parent, target) {
 		return // best-effort: skip rather than wait
 	}
-	if h.deesc {
-		perEsc := h.escaped[txn]
-		if perEsc == nil {
-			perEsc = make(map[NodeID]*escRecord)
-			h.escaped[txn] = perEsc
-		}
-		perEsc[parent] = &escRecord{prev: parentHeld, absorbed: make(map[NodeID]GMode)}
-	}
-	h.grantNode(n, txn, parent, target)
-	h.escCount++
-	delete(perTxn, parent)
+	h.escCount.Add(1)
+	delete(sets, parent)
 }
 
-// deescalateLocked rolls holder's escalated lock on node back to the
-// intention mode it replaced, first materializing any absorbed
-// descendant locks (compatibility is vacuous while the coarse lock
-// still excludes conflicting subtree holders). Returns false when
-// holder has no escalation to undo on node. Caller holds h.mu.
-func (h *HierTable) deescalateLocked(holder TxnID, node NodeID) bool {
-	rec := h.escaped[holder][node]
-	if rec == nil {
-		return false
-	}
-	delete(h.escaped[holder], node)
-	for child, m := range rec.absorbed {
-		cn := h.nodes[child]
-		if cn == nil {
-			cn = &hierNode{holders: make(map[TxnID]GMode, 1)}
-			h.nodes[child] = cn
-		}
-		if have, ok := cn.holders[holder]; ok {
-			m = combine(have, m)
-		}
-		cn.holders[holder] = m
-		h.held[holder][child] = m
-	}
-	n := h.nodes[node]
-	n.holders[holder] = rec.prev
-	h.held[holder][node] = rec.prev
-	h.deescCount++
-	return true
-}
-
-// lockNode acquires one mode on one node, waiting as needed.
-func (h *HierTable) lockNode(ctx context.Context, txn TxnID, node NodeID, mode GMode) error {
-	h.mu.Lock()
-	for {
-		n := h.nodes[node]
-		if n == nil {
-			n = &hierNode{holders: make(map[TxnID]GMode, 1)}
-			h.nodes[node] = n
-		}
-		if have, ok := n.holders[txn]; ok && combine(have, mode) == have {
-			if rec := h.escaped[txn][node]; rec != nil && combine(rec.prev, mode) != rec.prev {
-				// The request is covered only because of the escalated
-				// coarse lock. The caller asked for this mode explicitly,
-				// so a later de-escalation must not strip it: convert the
-				// escalated grant into a direct one.
-				delete(h.escaped[txn], node)
-			}
-			h.mu.Unlock()
-			return nil // already held strongly enough
-		}
-		if h.nodeCompatible(n, txn, mode) {
-			h.grantNode(n, txn, node, mode)
-			// An explicit grant on a node this txn had escalated makes
-			// the coarse hold a direct one; it is no longer undoable.
-			delete(h.escaped[txn], node)
-			h.stats.Grants++
-			if n.heat > 0 {
-				n.heat--
-			}
-			h.mu.Unlock()
-			return nil
-		}
-		if h.deesc {
-			// Before parking, check whether any blocker's incompatibility
-			// exists only because of an escalated coarse lock — if so,
-			// undo the escalation and re-evaluate instead of waiting.
-			undone := false
-			for holder, held := range n.holders {
-				if holder == txn || GCompatible(mode, held) {
-					continue
-				}
-				if h.deescalateLocked(holder, node) {
-					undone = true
-				}
-			}
-			if undone {
-				continue
-			}
-		}
-		n.heat++
-		// Park: record waits-for edges to incompatible holders, check for
-		// a cycle (requester is victim), then wait for any release.
-		w := &hierWait{txn: txn, node: node, mode: mode, ch: make(chan error, 1)}
-		h.detector.RemoveWaiter(txn)
-		for holder, held := range n.holders {
-			if holder != txn && !GCompatible(mode, held) {
-				h.detector.AddEdge(txn, holder)
-			}
-		}
-		if h.detector.InCycle(txn) {
-			h.detector.RemoveWaiter(txn)
-			h.stats.Deadlocks++
-			h.mu.Unlock()
-			return ErrDeadlock
-		}
-		h.waiters[w] = struct{}{}
-		h.stats.Blocks++
-		h.mu.Unlock()
-
-		select {
-		case <-w.ch:
-			// A release happened; re-evaluate from scratch.
-		case <-ctx.Done():
-			h.mu.Lock()
-			delete(h.waiters, w)
-			h.detector.RemoveWaiter(txn)
-			h.mu.Unlock()
-			return ctx.Err()
-		}
-		h.mu.Lock()
-		delete(h.waiters, w)
-		h.detector.RemoveWaiter(txn)
-	}
-}
-
-// nodeCompatible reports whether txn may take mode on n now. Caller
-// holds h.mu.
-func (h *HierTable) nodeCompatible(n *hierNode, txn TxnID, mode GMode) bool {
-	for holder, held := range n.holders {
-		if holder == txn {
-			continue
-		}
-		if !GCompatible(mode, held) {
-			return false
-		}
-	}
-	return true
-}
-
-// grantNode records the grant and wakes parked requests so their
-// waits-for edges track the changed holder set (a grant can add a
-// blocker for an existing waiter, e.g. a reader joining while a writer
-// waits). Caller holds h.mu.
-func (h *HierTable) grantNode(n *hierNode, txn TxnID, node NodeID, mode GMode) {
-	if have, ok := n.holders[txn]; ok {
-		mode = combine(have, mode)
-	}
-	n.holders[txn] = mode
-	hm := h.held[txn]
-	if hm == nil {
-		hm = make(map[NodeID]GMode, 4)
-		h.held[txn] = hm
-	}
-	hm[node] = mode
-	for w := range h.waiters {
-		select {
-		case w.ch <- nil:
-		default:
-		}
-	}
-}
-
-// ReleaseAll releases every node held by txn and wakes all parked
-// requests so they can re-evaluate.
+// ReleaseAll releases every node held by txn.
 func (h *HierTable) ReleaseAll(txn TxnID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for node := range h.held[txn] {
-		n := h.nodes[node]
-		delete(n.holders, txn)
-		if len(n.holders) == 0 {
-			delete(h.nodes, node)
-		}
+	if h.escAt > 0 {
+		h.kids.Delete(txn)
 	}
-	delete(h.held, txn)
-	delete(h.children, txn)
-	delete(h.escaped, txn)
-	h.detector.RemoveTxn(txn)
-	for w := range h.waiters {
-		select {
-		case w.ch <- nil:
-		default: // already signalled
-		}
-	}
+	h.t.ReleaseAll(txn)
 }

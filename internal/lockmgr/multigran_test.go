@@ -9,26 +9,33 @@ import (
 	"time"
 )
 
+// allModes lists the five lock modes.
+var allModes = []Mode{ModeShared, ModeExclusive, ModeIS, ModeIX, ModeSIX}
+
 func TestGCompatibilityMatrix(t *testing.T) {
-	// Gray's matrix, row = requested, column = held.
-	compat := map[[2]GMode]bool{
-		{GModeIS, GModeIS}: true, {GModeIS, GModeIX}: true, {GModeIS, GModeS}: true, {GModeIS, GModeSIX}: true, {GModeIS, GModeX}: false,
-		{GModeIX, GModeIS}: true, {GModeIX, GModeIX}: true, {GModeIX, GModeS}: false, {GModeIX, GModeSIX}: false, {GModeIX, GModeX}: false,
-		{GModeS, GModeIS}: true, {GModeS, GModeIX}: false, {GModeS, GModeS}: true, {GModeS, GModeSIX}: false, {GModeS, GModeX}: false,
-		{GModeSIX, GModeIS}: true, {GModeSIX, GModeIX}: false, {GModeSIX, GModeS}: false, {GModeSIX, GModeSIX}: false, {GModeSIX, GModeX}: false,
-		{GModeX, GModeIS}: false, {GModeX, GModeIX}: false, {GModeX, GModeS}: false, {GModeX, GModeSIX}: false, {GModeX, GModeX}: false,
+	// Gray's matrix written out, row = requested, column = held.
+	const y, n = true, false
+	want := [5][5]bool{
+		//               S  X  IS IX SIX
+		ModeShared:    {y, n, y, n, n},
+		ModeExclusive: {n, n, n, n, n},
+		ModeIS:        {y, n, y, y, y},
+		ModeIX:        {n, n, y, y, n},
+		ModeSIX:       {n, n, y, n, n},
 	}
-	for pair, want := range compat {
-		if got := GCompatible(pair[0], pair[1]); got != want {
-			t.Errorf("GCompatible(%v, %v) = %v, want %v", pair[0], pair[1], got, want)
+	for _, req := range allModes {
+		for _, held := range allModes {
+			if got := GCompatible(req, held); got != want[req][held] {
+				t.Errorf("GCompatible(%v, %v) = %v, want %v", req, held, got, want[req][held])
+			}
 		}
 	}
 }
 
 func TestGCompatibilitySymmetry(t *testing.T) {
 	// Lock compatibility is symmetric.
-	for a := GModeIS; a <= GModeX; a++ {
-		for b := GModeIS; b <= GModeX; b++ {
+	for _, a := range allModes {
+		for _, b := range allModes {
 			if GCompatible(a, b) != GCompatible(b, a) {
 				t.Errorf("asymmetric compatibility: %v vs %v", a, b)
 			}
@@ -37,66 +44,74 @@ func TestGCompatibilitySymmetry(t *testing.T) {
 }
 
 func TestCombine(t *testing.T) {
-	cases := []struct{ a, b, want GMode }{
-		{GModeS, GModeIX, GModeSIX},
-		{GModeIX, GModeS, GModeSIX},
-		{GModeIS, GModeIX, GModeIX},
-		{GModeIS, GModeS, GModeS},
-		{GModeS, GModeX, GModeX},
-		{GModeSIX, GModeIS, GModeSIX},
-		{GModeX, GModeX, GModeX},
+	// What a transaction holds after being granted both modes on one node.
+	cases := []struct{ a, b, want Mode }{
+		{ModeShared, ModeIX, ModeSIX},
+		{ModeIX, ModeShared, ModeSIX},
+		{ModeIS, ModeIX, ModeIX},
+		{ModeIS, ModeShared, ModeShared},
+		{ModeShared, ModeExclusive, ModeExclusive},
+		{ModeSIX, ModeIS, ModeSIX},
+		{ModeExclusive, ModeExclusive, ModeExclusive},
 	}
 	for _, c := range cases {
-		if got := combine(c.a, c.b); got != c.want {
-			t.Errorf("combine(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := joinMode(c.a, c.b); got != c.want {
+			t.Errorf("joinMode(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestIntentionFor(t *testing.T) {
-	if IntentionFor(GModeS) != GModeIS || IntentionFor(GModeIS) != GModeIS {
+	if IntentionFor(ModeShared) != ModeIS || IntentionFor(ModeIS) != ModeIS {
 		t.Fatal("read modes need IS intention")
 	}
-	for _, m := range []GMode{GModeX, GModeIX, GModeSIX} {
-		if IntentionFor(m) != GModeIX {
+	for _, m := range []Mode{ModeExclusive, ModeIX, ModeSIX} {
+		if IntentionFor(m) != ModeIX {
 			t.Fatalf("write mode %v needs IX intention", m)
 		}
 	}
 }
 
 func TestGModeString(t *testing.T) {
-	names := map[GMode]string{GModeIS: "IS", GModeIX: "IX", GModeS: "S", GModeSIX: "SIX", GModeX: "X"}
+	names := map[Mode]string{ModeIS: "IS", ModeIX: "IX", ModeShared: "S", ModeSIX: "SIX", ModeExclusive: "X"}
 	for m, want := range names {
 		if m.String() != want {
-			t.Errorf("GMode %d String = %q, want %q", m, m.String(), want)
+			t.Errorf("Mode %d String = %q, want %q", m, m.String(), want)
 		}
 	}
-	if GMode(99).String() == "" {
-		t.Fatal("unknown GMode String empty")
+	if Mode(99).String() == "" || Mode(-1).String() == "" {
+		t.Fatal("unknown Mode String empty")
 	}
 }
 
-func path(ids ...string) []NodeID {
-	out := make([]NodeID, len(ids))
-	for i, s := range ids {
-		out[i] = NodeID(s)
-	}
-	return out
-}
+// Node ids of the test hierarchy: a database, relations under it, and
+// granules under a relation.
+const (
+	nDB Granule = iota + 1000
+	nRel
+	nR1
+	nR2
+	nG0 // granule i is nG0 + i
+)
+
+func path(ids ...Granule) []Granule { return ids }
+
+// held returns the mode txn holds node in through h's table.
+func (h *HierTable) held(txn TxnID, node Granule) (Mode, bool) { return h.t.heldMode(txn, node) }
 
 func TestHierLockSetsIntentions(t *testing.T) {
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	if err := h.Lock(ctx, 1, path("db", "rel", "g1"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+1), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := h.Held(1, "db"); !ok || m != GModeIX {
+	if m, ok := h.held(1, nDB); !ok || m != ModeIX {
 		t.Fatalf("root mode %v/%v, want IX", m, ok)
 	}
-	if m, ok := h.Held(1, "rel"); !ok || m != GModeIX {
+	if m, ok := h.held(1, nRel); !ok || m != ModeIX {
 		t.Fatalf("relation mode %v/%v, want IX", m, ok)
 	}
-	if m, ok := h.Held(1, "g1"); !ok || m != GModeX {
+	if m, ok := h.held(1, nG0+1); !ok || m != ModeExclusive {
 		t.Fatalf("granule mode %v/%v, want X", m, ok)
 	}
 }
@@ -104,25 +119,25 @@ func TestHierLockSetsIntentions(t *testing.T) {
 func TestHierFineGrainedConcurrency(t *testing.T) {
 	// Two writers on different granules of the same relation coexist via
 	// intention locks — the whole point of multigranularity locking.
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	if err := h.Lock(ctx, 1, path("db", "rel", "g1"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+1), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Lock(ctx, 2, path("db", "rel", "g2"), GModeX); err != nil {
+	if err := h.Lock(ctx, 2, path(nDB, nRel, nG0+2), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHierCoarseLockExcludesFine(t *testing.T) {
 	// An S lock on the relation blocks a writer on any of its granules.
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	if err := h.Lock(ctx, 1, path("db", "rel"), GModeS); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel), ModeShared); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- h.Lock(ctx, 2, path("db", "rel", "g1"), GModeX) }()
+	go func() { done <- h.Lock(ctx, 2, path(nDB, nRel, nG0+1), ModeExclusive) }()
 	select {
 	case <-done:
 		t.Fatal("granule writer not blocked by relation S lock")
@@ -135,10 +150,10 @@ func TestHierCoarseLockExcludesFine(t *testing.T) {
 }
 
 func TestHierReadersShareRelation(t *testing.T) {
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
 	for txn := TxnID(1); txn <= 5; txn++ {
-		if err := h.Lock(ctx, txn, path("db", "rel"), GModeS); err != nil {
+		if err := h.Lock(ctx, txn, path(nDB, nRel), ModeShared); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,20 +161,20 @@ func TestHierReadersShareRelation(t *testing.T) {
 
 func TestHierSIXComposition(t *testing.T) {
 	// Holding S then IX on the same node strengthens to SIX.
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	if err := h.Lock(ctx, 1, path("db", "rel"), GModeS); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel), ModeShared); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Lock(ctx, 1, path("db", "rel", "g1"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nRel, nG0+1), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if m, _ := h.Held(1, "rel"); m != GModeSIX {
+	if m, _ := h.held(1, nRel); m != ModeSIX {
 		t.Fatalf("relation mode %v, want SIX", m)
 	}
 	// Another reader of the relation must now wait (SIX vs S).
 	done := make(chan error, 1)
-	go func() { done <- h.Lock(ctx, 2, path("db", "rel"), GModeS) }()
+	go func() { done <- h.Lock(ctx, 2, path(nDB, nRel), ModeShared) }()
 	select {
 	case <-done:
 		t.Fatal("S granted against SIX")
@@ -172,18 +187,18 @@ func TestHierSIXComposition(t *testing.T) {
 }
 
 func TestHierDeadlockDetected(t *testing.T) {
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	if err := h.Lock(ctx, 1, path("db", "r1"), GModeX); err != nil {
+	if err := h.Lock(ctx, 1, path(nDB, nR1), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Lock(ctx, 2, path("db", "r2"), GModeX); err != nil {
+	if err := h.Lock(ctx, 2, path(nDB, nR2), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
 	step := make(chan error, 1)
-	go func() { step <- h.Lock(ctx, 1, path("db", "r2"), GModeX) }()
+	go func() { step <- h.Lock(ctx, 1, path(nDB, nR2), ModeExclusive) }()
 	time.Sleep(20 * time.Millisecond)
-	err := h.Lock(ctx, 2, path("db", "r1"), GModeX)
+	err := h.Lock(ctx, 2, path(nDB, nR1), ModeExclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -195,13 +210,13 @@ func TestHierDeadlockDetected(t *testing.T) {
 }
 
 func TestHierContextCancel(t *testing.T) {
-	h := NewHierTable()
-	if err := h.Lock(context.Background(), 1, path("db"), GModeX); err != nil {
+	h := NewHierTable(NewTable())
+	if err := h.Lock(context.Background(), 1, path(nDB), ModeExclusive); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- h.Lock(ctx, 2, path("db"), GModeS) }()
+	go func() { done <- h.Lock(ctx, 2, path(nDB), ModeShared) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -211,8 +226,8 @@ func TestHierContextCancel(t *testing.T) {
 }
 
 func TestHierEmptyPath(t *testing.T) {
-	h := NewHierTable()
-	if err := h.Lock(context.Background(), 1, nil, GModeS); err == nil {
+	h := NewHierTable(NewTable())
+	if err := h.Lock(context.Background(), 1, nil, ModeShared); err == nil {
 		t.Fatal("empty path accepted")
 	}
 }
@@ -220,7 +235,7 @@ func TestHierEmptyPath(t *testing.T) {
 func TestHierConcurrentStress(t *testing.T) {
 	// Mixed readers/writers over a two-level hierarchy with retry on
 	// deadlock: must terminate with exclusive access honored per granule.
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	const workers = 12
 	const iters = 100
 	var critical [4]atomic.Int32
@@ -233,10 +248,10 @@ func TestHierConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				txn := TxnID(1 + w + workers*(i+1))
 				g := (w + i) % 4
-				p := path("db", "rel", string(rune('a'+g)))
-				mode := GModeS
+				p := path(nDB, nRel, nG0+Granule(g))
+				mode := ModeShared
 				if (w+i)%3 == 0 {
-					mode = GModeX
+					mode = ModeExclusive
 				}
 				for {
 					err := h.Lock(context.Background(), txn, p, mode)
@@ -250,7 +265,7 @@ func TestHierConcurrentStress(t *testing.T) {
 					t.Errorf("lock: %v", err)
 					return
 				}
-				if mode == GModeX {
+				if mode == ModeExclusive {
 					if critical[g].Add(1) != 1 {
 						t.Errorf("X not exclusive on granule %d", g)
 					}
@@ -270,12 +285,12 @@ func TestHierConcurrentStress(t *testing.T) {
 }
 
 func BenchmarkHierLockRelease(b *testing.B) {
-	h := NewHierTable()
+	h := NewHierTable(NewTable())
 	ctx := context.Background()
-	p := path("db", "rel", "g1")
+	p := path(nDB, nRel, nG0+1)
 	for i := 0; i < b.N; i++ {
 		txn := TxnID(i + 1)
-		if err := h.Lock(ctx, txn, p, GModeS); err != nil {
+		if err := h.Lock(ctx, txn, p, ModeShared); err != nil {
 			b.Fatal(err)
 		}
 		h.ReleaseAll(txn)

@@ -12,7 +12,11 @@ import (
 	"granulock/internal/obs"
 )
 
-// Mode is a granule lock mode for the flat lock table.
+// Mode is a lock mode: shared and exclusive, plus the three intention
+// modes of Gray's hierarchical protocol, which a transaction takes on
+// the ancestors of what it reads or writes (HierTable). ModeShared and
+// ModeExclusive keep the values 0 and 1 that the wire protocol, the
+// grant journal and the packed word's mode bit carry.
 type Mode int8
 
 const (
@@ -20,25 +24,63 @@ const (
 	ModeShared Mode = iota
 	// ModeExclusive permits a single writer.
 	ModeExclusive
+	// ModeIS signals intent to lock descendants in shared mode.
+	ModeIS
+	// ModeIX signals intent to lock descendants in exclusive mode.
+	ModeIX
+	// ModeSIX locks the subtree for reading with intent to write parts.
+	ModeSIX
 )
 
-// String returns the conventional one-letter mode name.
+var modeNames = [...]string{"S", "X", "IS", "IX", "SIX"}
+
+// String returns the conventional mode name.
 func (m Mode) String() string {
-	switch m {
-	case ModeShared:
-		return "S"
-	case ModeExclusive:
-		return "X"
-	default:
+	if m < 0 || int(m) >= len(modeNames) {
 		return fmt.Sprintf("Mode(%d)", int8(m))
 	}
+	return modeNames[m]
 }
 
-// Compatible reports whether two flat modes may be held simultaneously by
-// different transactions.
-func Compatible(a, b Mode) bool {
-	return a == ModeShared && b == ModeShared
+// compat is Gray's compatibility matrix, indexed [requested][held].
+var compat = [...][5]bool{
+	ModeShared:    {ModeShared: true, ModeExclusive: false, ModeIS: true, ModeIX: false, ModeSIX: false},
+	ModeExclusive: {ModeShared: false, ModeExclusive: false, ModeIS: false, ModeIX: false, ModeSIX: false},
+	ModeIS:        {ModeShared: true, ModeExclusive: false, ModeIS: true, ModeIX: true, ModeSIX: true},
+	ModeIX:        {ModeShared: false, ModeExclusive: false, ModeIS: true, ModeIX: true, ModeSIX: false},
+	ModeSIX:       {ModeShared: false, ModeExclusive: false, ModeIS: true, ModeIX: false, ModeSIX: false},
 }
+
+// GCompatible reports whether a requested mode is compatible with a mode
+// held by a different transaction (Gray's matrix).
+//
+//granulint:hotpath
+func GCompatible(requested, held Mode) bool { return compat[requested][held] }
+
+// join is the mode lattice, IS < IX < SIX < X and IS < S < SIX < X:
+// join[a][b] is the weakest mode at least as strong as both. It is not
+// max: S and IX are unordered and join to SIX.
+var join = [...][5]Mode{
+	ModeShared:    {ModeShared: ModeShared, ModeExclusive: ModeExclusive, ModeIS: ModeShared, ModeIX: ModeSIX, ModeSIX: ModeSIX},
+	ModeExclusive: {ModeShared: ModeExclusive, ModeExclusive: ModeExclusive, ModeIS: ModeExclusive, ModeIX: ModeExclusive, ModeSIX: ModeExclusive},
+	ModeIS:        {ModeShared: ModeShared, ModeExclusive: ModeExclusive, ModeIS: ModeIS, ModeIX: ModeIX, ModeSIX: ModeSIX},
+	ModeIX:        {ModeShared: ModeSIX, ModeExclusive: ModeExclusive, ModeIS: ModeIX, ModeIX: ModeIX, ModeSIX: ModeSIX},
+	ModeSIX:       {ModeShared: ModeSIX, ModeExclusive: ModeExclusive, ModeIS: ModeSIX, ModeIX: ModeSIX, ModeSIX: ModeSIX},
+}
+
+// joinMode returns the mode a transaction holds once it has been granted
+// both a and b on one granule: every merge of two modes in the table —
+// a re-acquisition, a duplicate granule in a claim — goes through it.
+//
+//granulint:hotpath
+func joinMode(a, b Mode) Mode { return join[a][b] }
+
+// covers reports whether holding have makes a request for want
+// redundant. Modes are not totally ordered, so this is a join test, not
+// a comparison.
+//
+//granulint:hotpath
+func covers(have, want Mode) bool { return join[have][want] == have }
 
 // TxnID identifies a transaction to the lock managers.
 type TxnID int64
@@ -820,14 +862,20 @@ func (t *Table) granuleRecords() int {
 	return n
 }
 
-// HoldsAtLeast reports whether txn holds granule g in mode want or
-// stronger.
+// HoldsAtLeast reports whether txn holds granule g in a mode that covers
+// want.
 func (t *Table) HoldsAtLeast(txn TxnID, g Granule, want Mode) bool {
+	have, ok := t.heldMode(txn, g)
+	return ok && covers(have, want)
+}
+
+// heldMode returns the mode txn holds g in, if it holds it.
+func (t *Table) heldMode(txn TxnID, g Granule) (Mode, bool) {
 	ts := t.txnShardFor(txn)
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	have, ok := ts.held[txn].get(g)
-	return ok && have >= want
+	ts.mu.Unlock()
+	return have, ok
 }
 
 // ConflictingHolders returns a snapshot of the transactions that hold
@@ -846,7 +894,7 @@ func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
 	// so the probe does not evict the granule from the fast path.
 	if fs := s.fastLookup(g); fs != nil {
 		if holder, held, ok := fpPeek(fs); ok {
-			if holder != txn && !Compatible(want, held) {
+			if holder != txn && !GCompatible(want, held) {
 				return []TxnID{holder}
 			}
 			return nil
@@ -858,26 +906,12 @@ func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
 	}
 	var out []TxnID
 	for holder, held := range gs.holders {
-		if holder != txn && !Compatible(want, held) {
+		if holder != txn && !GCompatible(want, held) {
 			out = append(out, holder)
 		}
 	}
 	slices.Sort(out)
 	return out
-}
-
-// joinMode returns the weakest mode at least as strong as both of its
-// arguments — the join of the flat S/X mode lattice. For two modes the
-// join coincides with max, but the merge rule is spelled as a join so
-// it stays correct by construction if the lattice ever grows a mode
-// pair whose join is not the greater element — as S and IX do in the
-// hierarchical lattice, where their join is SIX (see combine in
-// multigran.go, this function's multigranular sibling).
-func joinMode(a, b Mode) Mode {
-	if b > a {
-		return b
-	}
-	return a
 }
 
 // coalesceScanMax is the claim size up to which an unsorted request set
@@ -1013,7 +1047,7 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool, w *ParkedClaim) (gra
 	fast := t.fastOn.Load() && fpPackable(txn)
 	if len(reqs) != 1 {
 		reqs = coalesce(reqs)
-	} else if fast {
+	} else if fast && fastMode(reqs[0].Mode) {
 		// The dominant shape at coarse granularity needs no coalescing
 		// or stripe ordering, on this path or the next.
 		switch t.fastClaim(txn, reqs[0].Granule, reqs[0].Mode, park) {
@@ -1106,16 +1140,8 @@ func (t *Table) demoteAllLocked(reqs []Request) {
 func (t *Table) grantable(txn TxnID, reqs []Request) bool {
 	for _, r := range reqs {
 		gs := t.shardFor(r.Granule).granules[r.Granule]
-		if gs == nil {
-			continue
-		}
-		for holder, mode := range gs.holders {
-			if holder == txn {
-				continue
-			}
-			if !Compatible(r.Mode, mode) {
-				return false
-			}
+		if gs != nil && !compatibleWithOthers(gs, txn, r.Mode) {
+			return false
 		}
 	}
 	return true
@@ -1176,34 +1202,27 @@ func (t *Table) removeClaimLocked(w *ParkedClaim) {
 // Acquire incrementally acquires one granule (the claim-as-needed
 // protocol). It may wait; if the wait would close a cycle in the
 // waits-for graph the request fails with ErrDeadlock and the caller is
-// the victim. Lock upgrades (S held, X requested) are supported and wait
-// for concurrent readers to drain. The uncontended path touches only the
-// granule's stripe and the transaction's hold-set stripe — never the
-// detector.
+// the victim. A mode txn already holds on g is joined with the request
+// (S held and X requested gives X, S and IX give SIX); such an upgrade
+// waits for the holders it conflicts with to drain. The uncontended path
+// touches only the granule's stripe and the transaction's hold-set
+// stripe — never the detector.
 func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) error {
-	if t.fastOn.Load() && fpPackable(txn) && t.fastAcquire(txn, g, mode) {
+	if fastMode(mode) && t.fastOn.Load() && fpPackable(txn) && t.fastAcquire(txn, g, mode) {
 		return nil
 	}
 	s := t.shardFor(g)
 	s.mu.Lock()
 	t.demoteLocked(s, g)
 	gs := s.stateLocked(g)
-	if have, ok := gs.holders[txn]; ok && have >= mode {
+	if have, ok := gs.holders[txn]; ok && covers(have, mode) {
 		s.mu.Unlock()
 		return nil // already held strongly enough
 	}
 	if t.stepGrantable(gs, txn, mode) {
 		t.grantStep(gs, txn, g, mode)
 		s.stats.Grants++
-		if len(gs.waiters) > 0 {
-			// An upgrade strengthens the holder set without a release;
-			// the waits-for edges of parked requests must track the
-			// change.
-			t.detMu.Lock()
-			t.syncWaiterEdgesLocked(s, gs)
-			t.mirrorEdges()
-			t.detMu.Unlock()
-		}
+		t.upgradedLocked(s, gs)
 		s.mu.Unlock()
 		t.omGrant()
 		return nil
@@ -1250,19 +1269,70 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 	}
 }
 
+// upgradedLocked re-points the waits-for edges of the requests parked on
+// gs after a grant that no release preceded: it strengthened the holder
+// set, so a parked request may have a new blocker. Caller holds the
+// granule's stripe.
+func (t *Table) upgradedLocked(s *shard, gs *granuleState) {
+	if len(gs.waiters) == 0 {
+		return
+	}
+	t.detMu.Lock()
+	t.syncWaiterEdgesLocked(s, gs)
+	t.mirrorEdges()
+	t.detMu.Unlock()
+}
+
+// TryUpgrade strengthens the hold txn has on g to its join with mode if
+// every other holder is compatible with mode right now, and reports
+// whether txn holds the join afterwards. It never waits, so it cannot
+// deadlock; it overtakes requests parked on g, as every upgrade does;
+// and it is not an acquire call, so it counts no grant. Lock escalation
+// (HierTable) is its caller: trading many fine locks for one coarse one
+// is worth having only when it is free.
+func (t *Table) TryUpgrade(txn TxnID, g Granule, mode Mode) bool {
+	s := t.shardFor(g)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t.demoteLocked(s, g)
+	gs := s.granules[g]
+	if gs == nil {
+		return false
+	}
+	have, ok := gs.holders[txn]
+	switch {
+	case !ok:
+		return false
+	case covers(have, mode):
+		return true
+	case !compatibleWithOthers(gs, txn, mode):
+		return false
+	}
+	t.grantStep(gs, txn, g, mode)
+	t.upgradedLocked(s, gs)
+	return true
+}
+
+// compatibleWithOthers reports whether mode is compatible with what
+// every transaction but txn holds on gs. Caller holds the granule's
+// stripe.
+func compatibleWithOthers(gs *granuleState, txn TxnID, mode Mode) bool {
+	for holder, held := range gs.holders {
+		if holder != txn && !GCompatible(mode, held) {
+			return false
+		}
+	}
+	return true
+}
+
 // stepGrantable reports whether txn may take g in mode now. Caller holds
 // the granule's stripe. FIFO fairness: a request must also not overtake
 // earlier waiters unless it is compatible with them too (readers may join
 // readers even if a writer waits only when they precede the writer; we
 // keep it simple and strict to avoid writer starvation).
 func (t *Table) stepGrantable(gs *granuleState, txn TxnID, mode Mode) bool {
-	for holder, held := range gs.holders {
-		if holder == txn {
-			continue // upgrade: only other holders matter
-		}
-		if !Compatible(mode, held) {
-			return false
-		}
+	if !compatibleWithOthers(gs, txn, mode) {
+		return false // an upgrade too: only other holders matter
 	}
 	// No overtaking: if others are already parked on this granule, queue
 	// behind them (except pure upgrades, which take priority to drain).
@@ -1277,7 +1347,10 @@ func (t *Table) stepGrantable(gs *granuleState, txn TxnID, mode Mode) bool {
 // stripe is taken nested (granule stripes are never acquired while a
 // hold-set stripe is held, so the nesting cannot cycle).
 func (t *Table) grantStep(gs *granuleState, txn TxnID, g Granule, mode Mode) {
-	gs.holders[txn] = joinMode(mode, gs.holders[txn])
+	if have, ok := gs.holders[txn]; ok {
+		mode = joinMode(mode, have)
+	}
+	gs.holders[txn] = mode
 	t.recordHeld(txn, g, mode)
 }
 
@@ -1321,7 +1394,7 @@ func (t *Table) dropWaiter(gs *granuleState, w *stepWaiter) bool {
 func (t *Table) refreshEdgesLocked(gs *granuleState, w *stepWaiter, idx int) {
 	t.det.RemoveWaiter(w.txn)
 	for holder, held := range gs.holders {
-		if holder != w.txn && !Compatible(w.mode, held) {
+		if holder != w.txn && !GCompatible(w.mode, held) {
 			t.det.AddEdge(w.txn, holder)
 		}
 	}
@@ -1531,14 +1604,7 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 	var woken []*stepWaiter
 	for len(gs.waiters) > 0 {
 		w := gs.waiters[0]
-		granted := true
-		for holder, held := range gs.holders {
-			if holder != w.txn && !Compatible(w.mode, held) {
-				granted = false
-				break
-			}
-		}
-		if !granted {
+		if !compatibleWithOthers(gs, w.txn, w.mode) {
 			break
 		}
 		gs.waiters[0] = nil // do not keep the woken waiter reachable

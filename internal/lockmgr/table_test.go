@@ -24,6 +24,13 @@ func mustAcquireAll(t *testing.T, tab *Table, txn TxnID, r []Request) {
 	}
 }
 
+func mustAcquire(t *testing.T, tab *Table, txn TxnID, g Granule, mode Mode) {
+	t.Helper()
+	if err := tab.Acquire(context.Background(), txn, g, mode); err != nil {
+		t.Fatalf("Acquire(%d, %d, %v): %v", txn, g, mode, err)
+	}
+}
+
 func TestAcquireAllDisjointGrantsImmediately(t *testing.T) {
 	tab := NewTable()
 	mustAcquireAll(t, tab, 1, reqs(ModeExclusive, 1, 2, 3))

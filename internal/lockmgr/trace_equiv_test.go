@@ -152,9 +152,13 @@ const (
 	traceHot      = 12
 )
 
+// intentionModes are the modes a FAST word cannot carry.
+var intentionModes = [...]Mode{ModeIS, ModeIX, ModeSIX}
+
 // genClaim draws one conservative request set the way a careless caller
-// would send it: 2…64 requests (mostly few) in no order, S and X mixed,
-// and granules named twice in differing modes.
+// would send it: 2…64 requests (mostly few) in no order, S and X mixed
+// with the occasional intention mode, and granules named twice in
+// differing modes.
 func genClaim(src *rng.Source) []Request {
 	k := 2 + src.Intn(7)
 	switch roll := src.Float64(); {
@@ -169,6 +173,9 @@ func genClaim(src *rng.Source) []Request {
 		if src.Bernoulli(0.4) {
 			m = ModeExclusive
 		}
+		if src.Bernoulli(0.1) {
+			m = intentionModes[src.Intn(len(intentionModes))]
+		}
 		if len(rs) > 0 && src.Bernoulli(0.15) {
 			rs = append(rs, Request{Granule: rs[src.Intn(len(rs))].Granule, Mode: m})
 			continue
@@ -182,8 +189,10 @@ func genClaim(src *rng.Source) []Request {
 // conservative claims (genClaim, plus a claim of the whole table,
 // descending, first thing — its release is what makes every granule
 // eligible for lock-free grants — and again halfway through, into the
-// traffic), incremental steps and releases over a small granule set (so
-// parks and conflicts actually happen). Each txn
+// traffic), incremental steps in all five modes — S then IX on one
+// granule among them, the upgrade whose result, SIX, is neither — and
+// releases over a small granule set (so parks and conflicts actually
+// happen). Each txn
 // id is used for exactly one transaction, and every transaction uses
 // exactly one protocol — conservative (claim) or incremental (steps) —
 // matching the table's contract. (A txn mixing protocols could observe
@@ -231,7 +240,15 @@ func genTrace(seed uint64, n int) []traceOp {
 			if src.Bernoulli(0.5) {
 				m = ModeExclusive
 			}
-			ops = append(ops, traceOp{kind: "step", txn: txn, g: Granule(src.Intn(traceHot)), mode: m})
+			g := Granule(src.Intn(traceHot))
+			switch roll := src.Float64(); {
+			case roll < 0.25:
+				m = intentionModes[src.Intn(len(intentionModes))]
+			case roll < 0.35:
+				ops = append(ops, traceOp{kind: "step", txn: txn, g: g, mode: ModeShared})
+				m = ModeIX
+			}
+			ops = append(ops, traceOp{kind: "step", txn: txn, g: g, mode: m})
 		case len(consActive)+len(incActive) > 0:
 			i := src.Intn(len(consActive) + len(incActive))
 			var txn TxnID

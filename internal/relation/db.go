@@ -8,10 +8,12 @@ import (
 	"granulock/internal/lockmgr"
 )
 
-// DB is a catalog of tables sharing one hierarchical lock manager.
-// All methods are safe for concurrent use.
+// DB is a catalog of tables sharing one lock table, locked
+// hierarchically: database, table, granule. All methods are safe for
+// concurrent use.
 type DB struct {
 	name  string
+	table *lockmgr.Table
 	locks *lockmgr.HierTable
 
 	mu     sync.RWMutex
@@ -47,9 +49,11 @@ func NewDB(name string, opts ...Option) *DB {
 	if o.escalation > 0 {
 		hopts = append(hopts, lockmgr.WithEscalation(o.escalation))
 	}
+	table := lockmgr.NewTable()
 	return &DB{
 		name:   name,
-		locks:  lockmgr.NewHierTable(hopts...),
+		table:  table,
+		locks:  lockmgr.NewHierTable(table, hopts...),
 		tables: make(map[string]*Table),
 	}
 }
@@ -69,7 +73,7 @@ func (db *DB) Stats() Stats {
 		Commits:     db.commits.Load(),
 		Aborts:      db.aborts.Load(),
 		Deadlocks:   db.deadlocks.Load(),
-		Lock:        db.locks.Stats(),
+		Lock:        db.table.Stats(),
 		Escalations: db.locks.Escalations(),
 	}
 }
@@ -80,6 +84,7 @@ func (db *DB) Stats() Stats {
 // ranges need few locks — the paper's best placement).
 type Table struct {
 	name        string
+	ord         int // position in the catalog, from 1
 	schema      Schema
 	granuleSize int
 
@@ -133,7 +138,7 @@ func (db *DB) CreateTable(name string, schema Schema, parts, granuleSize int) (*
 	if _, exists := db.tables[name]; exists {
 		return nil, fmt.Errorf("relation: table %q already exists", name)
 	}
-	t := &Table{name: name, schema: schema, granuleSize: granuleSize}
+	t := &Table{name: name, ord: len(db.tables) + 1, schema: schema, granuleSize: granuleSize}
 	t.parts = make([]*part, parts)
 	for i := range t.parts {
 		t.parts[i] = &part{}
@@ -163,21 +168,23 @@ func (t *Table) Rows() int64 { return t.next.Load() }
 // GranuleOf returns the lock granule covering tuple id.
 func (t *Table) GranuleOf(id int64) int64 { return id / int64(t.granuleSize) }
 
-// nodePath returns the root-to-granule lock path for tuple id.
-func (db *DB) granulePath(t *Table, id int64) []lockmgr.NodeID {
-	return []lockmgr.NodeID{
-		lockmgr.NodeID(db.name),
-		lockmgr.NodeID(db.name + "/" + t.name),
-		lockmgr.NodeID(fmt.Sprintf("%s/%s/g%d", db.name, t.name, t.GranuleOf(id))),
-	}
-}
+// Nodes of the lock hierarchy are granules of the lock table: the
+// database is dbNode, table k (its ordinal) is k<<granuleBits, and lock
+// granule g of table k is one past g below that.
+const (
+	dbNode      lockmgr.Granule = 0
+	granuleBits                 = 40
+)
 
 // tablePath returns the root-to-table lock path.
-func (db *DB) tablePath(t *Table) []lockmgr.NodeID {
-	return []lockmgr.NodeID{
-		lockmgr.NodeID(db.name),
-		lockmgr.NodeID(db.name + "/" + t.name),
-	}
+func (t *Table) tablePath() [2]lockmgr.Granule {
+	return [2]lockmgr.Granule{dbNode, lockmgr.Granule(t.ord) << granuleBits}
+}
+
+// granulePath returns the root-to-granule lock path for tuple id.
+func (t *Table) granulePath(id int64) [3]lockmgr.Granule {
+	p := t.tablePath()
+	return [3]lockmgr.Granule{p[0], p[1], p[1] + lockmgr.Granule(t.GranuleOf(id)) + 1}
 }
 
 // locate returns the partition and in-partition index of tuple id.

@@ -148,7 +148,7 @@ func (t *Txn) Lookup(idx *Index, value Datum) ([]Tuple, error) {
 	}
 	var out []Tuple
 	for _, id := range idx.ids(value) {
-		if err := t.lock(t.db.granulePath(idx.table, id), lockmgr.GModeS); err != nil {
+		if err := t.lockGranule(idx.table, id, lockmgr.ModeShared); err != nil {
 			return nil, err
 		}
 		tup, live := idx.table.get(id)
@@ -176,7 +176,7 @@ func (t *Txn) SumInt(table *Table, column string) (int64, error) {
 	if table.schema.Columns[col].Type != Int {
 		return 0, fmt.Errorf("relation: column %q is not Int", column)
 	}
-	if err := t.lock(t.db.tablePath(table), lockmgr.GModeS); err != nil {
+	if err := t.lockTable(table, lockmgr.ModeShared); err != nil {
 		return 0, err
 	}
 	var sum int64

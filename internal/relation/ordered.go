@@ -96,7 +96,7 @@ func (t *Txn) RangeLookup(oidx *OrderedIndex, from, to int64) ([]Tuple, error) {
 	}
 	var out []Tuple
 	for _, id := range oidx.candidates(from, to) {
-		if err := t.lock(t.db.granulePath(oidx.table, id), lockmgr.GModeS); err != nil {
+		if err := t.lockGranule(oidx.table, id, lockmgr.ModeShared); err != nil {
 			return nil, err
 		}
 		tup, live := oidx.table.get(id)

@@ -221,8 +221,7 @@ func TestRangeScanLocksBestPlacement(t *testing.T) {
 	}
 	granules := 0
 	for g := int64(0); g < 20; g++ {
-		node := lockmgr.NodeID(fmt.Sprintf("bank/accounts/g%d", g))
-		if _, held := db.locks.Held(txn.ID(), node); held {
+		if p := tbl.granulePath(g * int64(tbl.granuleSize)); db.table.HoldsAtLeast(txn.ID(), p[2], lockmgr.ModeIS) {
 			granules++
 		}
 	}

@@ -46,12 +46,24 @@ func (db *DB) Begin(ctx context.Context) *Txn {
 func (t *Txn) ID() lockmgr.TxnID { return t.id }
 
 // lock acquires a node path, translating deadlock victimhood.
-func (t *Txn) lock(path []lockmgr.NodeID, mode lockmgr.GMode) error {
+func (t *Txn) lock(path []lockmgr.Granule, mode lockmgr.Mode) error {
 	err := t.db.locks.Lock(t.ctx, t.id, path, mode)
 	if errors.Is(err, lockmgr.ErrDeadlock) {
 		t.db.deadlocks.Add(1)
 	}
 	return err
+}
+
+// lockGranule locks the granule of tuple id of table, and lockTable the
+// whole table.
+func (t *Txn) lockGranule(table *Table, id int64, mode lockmgr.Mode) error {
+	p := table.granulePath(id)
+	return t.lock(p[:], mode)
+}
+
+func (t *Txn) lockTable(table *Table, mode lockmgr.Mode) error {
+	p := table.tablePath()
+	return t.lock(p[:], mode)
 }
 
 // Insert appends a tuple and returns its id. The new tuple's granule is
@@ -64,7 +76,7 @@ func (t *Txn) Insert(table *Table, tup Tuple) (int64, error) {
 		return 0, err
 	}
 	id := table.next.Add(1) - 1
-	if err := t.lock(t.db.granulePath(table, id), lockmgr.GModeX); err != nil {
+	if err := t.lockGranule(table, id, lockmgr.ModeExclusive); err != nil {
 		return 0, err
 	}
 	table.put(id, tup.clone(), false)
@@ -77,7 +89,7 @@ func (t *Txn) Get(table *Table, id int64) (Tuple, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	if err := t.lock(t.db.granulePath(table, id), lockmgr.GModeS); err != nil {
+	if err := t.lockGranule(table, id, lockmgr.ModeShared); err != nil {
 		return nil, err
 	}
 	tup, ok := table.get(id)
@@ -100,7 +112,7 @@ func (t *Txn) Update(table *Table, id int64, column string, d Datum) error {
 	if d.Type != table.schema.Columns[col].Type {
 		return fmt.Errorf("relation: column %q expects %v, got %v", column, table.schema.Columns[col].Type, d.Type)
 	}
-	if err := t.lock(t.db.granulePath(table, id), lockmgr.GModeX); err != nil {
+	if err := t.lockGranule(table, id, lockmgr.ModeExclusive); err != nil {
 		return err
 	}
 	old, ok := table.setCol(id, col, d)
@@ -116,7 +128,7 @@ func (t *Txn) Delete(table *Table, id int64) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	if err := t.lock(t.db.granulePath(table, id), lockmgr.GModeX); err != nil {
+	if err := t.lockGranule(table, id, lockmgr.ModeExclusive); err != nil {
 		return err
 	}
 	if _, ok := table.get(id); !ok {
@@ -141,7 +153,7 @@ func (t *Txn) RangeScan(table *Table, from, to int64) ([]Tuple, error) {
 		return nil, nil
 	}
 	for g := table.GranuleOf(from); g <= table.GranuleOf(to-1); g++ {
-		if err := t.lock(t.db.granulePath(table, g*int64(table.granuleSize)), lockmgr.GModeS); err != nil {
+		if err := t.lockGranule(table, g*int64(table.granuleSize), lockmgr.ModeShared); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +174,7 @@ func (t *Txn) Scan(table *Table, keep func(Tuple) bool) ([]Tuple, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	if err := t.lock(t.db.tablePath(table), lockmgr.GModeS); err != nil {
+	if err := t.lockTable(table, lockmgr.ModeShared); err != nil {
 		return nil, err
 	}
 	var out []Tuple

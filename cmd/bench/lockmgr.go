@@ -20,13 +20,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"granulock/internal/lockmgr"
 )
@@ -74,7 +69,7 @@ func lmWarm(table *lockmgr.Table, granules int) error {
 // when sc.granules is 0. Every iteration is a fresh transaction over a
 // cycling working set, so each pair pays full first-acquisition cost —
 // no re-acquire shortcuts.
-func lmPairBench(sc lmScenario) (lsEntry, error) {
+func lmPairBench(sc lmScenario) (entry, error) {
 	table := lmTable(sc)
 	ctx := context.Background()
 	var failure error
@@ -112,7 +107,7 @@ func lmPairBench(sc lmScenario) (lsEntry, error) {
 		}
 	})
 	if failure != nil {
-		return lsEntry{}, fmt.Errorf("%s: %w", sc.name, failure)
+		return entry{}, failure
 	}
 	return lmRecord(sc, table, r)
 }
@@ -121,7 +116,7 @@ func lmPairBench(sc lmScenario) (lsEntry, error) {
 // small shared pool of exclusively-locked granules — the regime where
 // the fast path's CAS keeps failing and the adaptive spin-then-park
 // discipline takes over.
-func lmContendedBench(sc lmScenario) (lsEntry, error) {
+func lmContendedBench(sc lmScenario) (entry, error) {
 	table := lmTable(sc)
 	ctx := context.Background()
 	var failure error
@@ -142,7 +137,7 @@ func lmContendedBench(sc lmScenario) (lsEntry, error) {
 		})
 	})
 	if failure != nil {
-		return lsEntry{}, fmt.Errorf("%s: %w", sc.name, failure)
+		return entry{}, failure
 	}
 	return lmRecord(sc, table, r)
 }
@@ -152,10 +147,10 @@ func lmContendedBench(sc lmScenario) (lsEntry, error) {
 // "fast" entry must have fast-path grants, a "slow" entry must have
 // none. A silent misconfiguration here would make the headline ratio a
 // comparison of the slow path against itself.
-func lmRecord(sc lmScenario, table *lockmgr.Table, r testing.BenchmarkResult) (lsEntry, error) {
+func lmRecord(sc lmScenario, table *lockmgr.Table, r testing.BenchmarkResult) (entry, error) {
 	fs := table.FastStats()
 	if sc.fast && sc.pool == 0 && fs.Grants == 0 {
-		return lsEntry{}, fmt.Errorf("%s: fast path enabled but granted nothing (fallbacks=%d)", sc.name, fs.Fallbacks)
+		return entry{}, fmt.Errorf("fast path enabled but granted nothing (fallbacks=%d)", fs.Fallbacks)
 	}
 	// The uncontended fast cycle is allocation-free by design; a batch
 	// claim is allowed one (a stripe set too large for its stack buffer).
@@ -164,14 +159,13 @@ func lmRecord(sc lmScenario, table *lockmgr.Table, r testing.BenchmarkResult) (l
 		budget = 1
 	}
 	if sc.fast && sc.pool == 0 && r.AllocsPerOp() > budget {
-		return lsEntry{}, fmt.Errorf("%s: %d allocs per claim+release, budget is %d", sc.name, r.AllocsPerOp(), budget)
+		return entry{}, fmt.Errorf("%d allocs per claim+release, budget is %d", r.AllocsPerOp(), budget)
 	}
 	if !sc.fast && (fs.Grants != 0 || fs.Releases != 0) {
-		return lsEntry{}, fmt.Errorf("%s: fast path disabled but counted %d grants / %d releases", sc.name, fs.Grants, fs.Releases)
+		return entry{}, fmt.Errorf("fast path disabled but counted %d grants / %d releases", fs.Grants, fs.Releases)
 	}
 	ns := float64(r.NsPerOp())
-	return lsEntry{
-		Name:        sc.name,
+	return entry{
 		Shards:      sc.shards,
 		Pool:        sc.pool,
 		Fast:        sc.fast,
@@ -182,13 +176,12 @@ func lmRecord(sc lmScenario, table *lockmgr.Table, r testing.BenchmarkResult) (l
 	}, nil
 }
 
-// runLockmgr executes the lockmgr fast-path suite and returns the
-// marshalled BENCH_lockmgr.json document. The workload is iteration-
-// scaled by the benchmark harness, so -quick changes nothing about the
-// measurement itself; the flag is still recorded so -compare can tell
-// a CI smoke report from the checked-in full run and fall back to
-// machine-independent ratio comparison.
-func runLockmgr(quick bool) ([]byte, error) {
+// runLockmgr fills rep with the lockmgr fast-path suite. The workload is
+// iteration-scaled by the benchmark harness, so -quick changes nothing
+// about the measurement itself; the flag is still recorded so -compare
+// can tell a CI smoke report from the checked-in full run and fall back
+// to machine-independent ratio comparison.
+func runLockmgr(rep *report) error {
 	scenarios := []lmScenario{
 		{name: "lockmgr/claim-1g/fast", fast: true, shards: 16, granules: 1},
 		{name: "lockmgr/claim-1g/slow", fast: false, shards: 16, granules: 1},
@@ -203,34 +196,17 @@ func runLockmgr(quick bool) ([]byte, error) {
 		{name: "lockmgr/contended/fast", fast: true, shards: 16, pool: 16},
 		{name: "lockmgr/contended/slow", fast: false, shards: 16, pool: 16},
 	}
-
-	rep := lsReport{
-		Schema:     "granulock-bench-lockmgr/v1",
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      quick,
-	}
-
 	for _, sc := range scenarios {
-		if benchFilter != "" && !strings.Contains(sc.name, benchFilter) {
-			continue
-		}
-		fmt.Fprintln(os.Stderr, "bench: "+sc.name)
-		var e lsEntry
-		var err error
+		bench := lmPairBench
 		if sc.pool > 0 {
-			e, err = lmContendedBench(sc)
-		} else {
-			e, err = lmPairBench(sc)
+			bench = lmContendedBench
 		}
-		if err != nil {
-			return nil, err
+		if err := rep.add(sc.name, func() (entry, error) { return bench(sc) }); err != nil {
+			return err
 		}
-		rep.Benchmarks = append(rep.Benchmarks, e)
 	}
 
-	comparisons := []struct {
+	for _, c := range []struct {
 		name, num, den string
 		target         float64
 	}{
@@ -246,37 +222,10 @@ func runLockmgr(quick bool) ([]byte, error) {
 			"lockmgr/claim-16g/fast/shards=1", "lockmgr/claim-16g/slow/shards=1", 3},
 		{"contended shared pool (graceful degradation)",
 			"lockmgr/contended/fast", "lockmgr/contended/slow", 0},
-	}
-	for _, c := range comparisons {
-		if benchFilter != "" {
-			break
+	} {
+		if err := rep.compare(c.name, c.num, c.den, c.target); err != nil {
+			return err
 		}
-		cmp, err := compare(rep.Benchmarks, c.name, c.num, c.den, c.target)
-		if err != nil {
-			return nil, err
-		}
-		rep.Comparisons = append(rep.Comparisons, cmp)
 	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-
-	for _, e := range rep.Benchmarks {
-		fmt.Printf("%-36s %12.1f ns/op %10.0f allocs/op %14.0f ops/sec\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.OpsPerSec)
-	}
-	for _, c := range rep.Comparisons {
-		mark := ""
-		if c.Target > 0 {
-			if c.Pass {
-				mark = fmt.Sprintf("  PASS (target %.3gx)", c.Target)
-			} else {
-				mark = fmt.Sprintf("  FAIL (target %.3gx)", c.Target)
-			}
-		}
-		fmt.Printf("%-58s %6.2fx%s\n", c.Name, c.Speedup, mark)
-	}
-	return data, nil
+	return nil
 }

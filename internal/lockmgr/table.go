@@ -1222,7 +1222,7 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 	if t.stepGrantable(gs, txn, mode) {
 		t.grantStep(gs, txn, g, mode)
 		s.stats.Grants++
-		t.upgradedLocked(s, gs)
+		t.wakeStepWaiters(s, g) // an upgrade may have given a parked request a new blocker
 		s.mu.Unlock()
 		t.omGrant()
 		return nil
@@ -1256,31 +1256,18 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 		if t.dropWaiter(gs, w) {
 			t.detMu.Lock()
 			t.det.RemoveWaiter(txn)
-			// Waiters queued behind w held an ahead-edge to it; refresh
-			// so the withdrawn wait cannot fabricate a cycle.
-			t.syncWaiterEdgesLocked(s, gs)
 			t.mirrorEdges()
 			t.detMu.Unlock()
+			// Waiters queued behind w were blocked by it (no overtaking):
+			// with w gone the new head may be grantable, and the rest
+			// must lose their ahead-edge to it.
+			t.wakeStepWaiters(s, g)
 			s.mu.Unlock()
 			return ctx.Err()
 		}
 		s.mu.Unlock()
 		return <-w.ch
 	}
-}
-
-// upgradedLocked re-points the waits-for edges of the requests parked on
-// gs after a grant that no release preceded: it strengthened the holder
-// set, so a parked request may have a new blocker. Caller holds the
-// granule's stripe.
-func (t *Table) upgradedLocked(s *shard, gs *granuleState) {
-	if len(gs.waiters) == 0 {
-		return
-	}
-	t.detMu.Lock()
-	t.syncWaiterEdgesLocked(s, gs)
-	t.mirrorEdges()
-	t.detMu.Unlock()
 }
 
 // TryUpgrade strengthens the hold txn has on g to its join with mode if
@@ -1309,7 +1296,7 @@ func (t *Table) TryUpgrade(txn TxnID, g Granule, mode Mode) bool {
 		return false
 	}
 	t.grantStep(gs, txn, g, mode)
-	t.upgradedLocked(s, gs)
+	t.wakeStepWaiters(s, g) // the stronger hold may be a parked request's new blocker
 	return true
 }
 
@@ -1404,9 +1391,9 @@ func (t *Table) refreshEdgesLocked(gs *granuleState, w *stepWaiter, idx int) {
 }
 
 // syncWaiterEdgesLocked refreshes the edges of every waiter of gs and
-// aborts any whose refreshed edges close a cycle. Caller holds the
-// granule's stripe and detMu.
-func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) {
+// aborts any whose refreshed edges close a cycle, reporting whether it
+// aborted one. Caller holds the granule's stripe and detMu.
+func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) (aborted bool) {
 	remaining := append([]*stepWaiter(nil), gs.waiters...)
 	for _, w := range remaining {
 		idx := -1
@@ -1426,8 +1413,10 @@ func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) {
 			s.stats.Deadlocks++
 			t.omDeadlock()
 			w.ch <- ErrDeadlock
+			aborted = true
 		}
 	}
+	return aborted
 }
 
 // mirrorEdges refreshes the lock-free edge-count mirror. Caller holds
@@ -1592,9 +1581,16 @@ func sameGranules(hs *holdSet, snapshot []Granule) bool {
 	return true
 }
 
-// wakeStepWaiters grants incremental waiters of g in FIFO order while
-// compatible, refreshing the waits-for edges of those still blocked and
-// aborting any whose refreshed edges close a cycle. Caller holds the
+// wakeStepWaiters settles g's queue of incremental waiters after
+// anything that can unblock one — a release, a waiter leaving the queue
+// without one (cancelled, or aborted as a cycle victim), an upgrade that
+// re-points edges: it grants from the head in FIFO order while
+// compatible, then refreshes the waits-for edges of those still parked
+// and aborts any whose refreshed edges close a cycle. An abort can
+// expose a grantable head, and a grant changes the blockers of the
+// rest, so the two steps repeat until a refresh aborts nobody: a waiter
+// left parked always has an edge to what blocks it. Grants take the
+// hold-set stripe and therefore run outside detMu. Caller holds the
 // granule's stripe.
 func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 	gs := s.granules[g]
@@ -1602,25 +1598,26 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 		return
 	}
 	var woken []*stepWaiter
-	for len(gs.waiters) > 0 {
-		w := gs.waiters[0]
-		if !compatibleWithOthers(gs, w.txn, w.mode) {
-			break
+	for unsettled := true; unsettled; {
+		n := len(woken)
+		for len(gs.waiters) > 0 {
+			w := gs.waiters[0]
+			if !compatibleWithOthers(gs, w.txn, w.mode) {
+				break
+			}
+			gs.waiters[0] = nil // do not keep the woken waiter reachable
+			gs.waiters = gs.waiters[1:]
+			t.grantStep(gs, w.txn, g, w.mode)
+			s.stats.Grants++
+			woken = append(woken, w)
 		}
-		gs.waiters[0] = nil // do not keep the woken waiter reachable
-		gs.waiters = gs.waiters[1:]
-		t.grantStep(gs, w.txn, g, w.mode)
-		s.stats.Grants++
-		woken = append(woken, w)
-	}
-	// Detector bookkeeping in one batch: woken waiters stop waiting, and
-	// the blockers of those still parked changed.
-	if len(woken) > 0 || len(gs.waiters) > 0 {
+		// Detector bookkeeping in one batch: woken waiters stop waiting,
+		// and the blockers of those still parked changed.
 		t.detMu.Lock()
-		for _, w := range woken {
+		for _, w := range woken[n:] {
 			t.det.RemoveWaiter(w.txn)
 		}
-		t.syncWaiterEdgesLocked(s, gs)
+		unsettled = t.syncWaiterEdgesLocked(s, gs)
 		t.mirrorEdges()
 		t.detMu.Unlock()
 	}

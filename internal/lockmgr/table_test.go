@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -412,6 +413,118 @@ func TestIncrementalContextCancel(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if tab.HeldBy(2) != 0 {
 		t.Fatal("cancelled waiter was granted")
+	}
+}
+
+// waitParked waits until tab has n parked requests.
+func waitParked(t *testing.T, tab *Table, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); tab.WaitersCount() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests parked, want %d", tab.WaitersCount(), n)
+		}
+	}
+}
+
+// granted fails the test unless the parked request behind done is
+// granted promptly.
+func granted(t *testing.T, what string, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatalf("%s still parked 500ms after its last blocker left the queue", what)
+	}
+}
+
+// A waiter that leaves the queue without a release — a cancelled context
+// is how wound-wait delivers a wound — must hand the head of the queue
+// on: whoever was parked only behind it is granted at once.
+func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
+	// Txn 1 holds S, txn 2 parks for X, txn 3 parks for S behind it.
+	type lockFunc func(ctx context.Context, txn TxnID, mode Mode) error
+	cases := []struct {
+		name string
+		lock func(tab *Table) lockFunc
+	}{
+		{"table", func(tab *Table) lockFunc {
+			return func(ctx context.Context, txn TxnID, mode Mode) error { return tab.Acquire(ctx, txn, 1, mode) }
+		}},
+		// Every hierarchical and relational transaction queues on the
+		// root: S held there, a writer's IX parked, a reader's IS behind.
+		{"hier-root", func(tab *Table) lockFunc {
+			h := NewHierTable(tab)
+			return func(ctx context.Context, txn TxnID, mode Mode) error {
+				if txn == 1 {
+					return h.Lock(ctx, txn, path(nDB), mode)
+				}
+				return h.Lock(ctx, txn, path(nDB, nRel), mode)
+			}
+		}},
+	}
+	for _, fast := range []bool{true, false} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/fast=%v", tc.name, fast), func(t *testing.T) {
+				tab := NewTable(WithFastPath(fast))
+				lock := tc.lock(tab)
+				if err := lock(context.Background(), 1, ModeShared); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				head := make(chan error, 1)
+				go func() { head <- lock(ctx, 2, ModeExclusive) }()
+				waitParked(t, tab, 1)
+				next := make(chan error, 1)
+				go func() { next <- lock(context.Background(), 3, ModeShared) }()
+				waitParked(t, tab, 2)
+				cancel()
+				if err := <-head; !errors.Is(err, context.Canceled) {
+					t.Fatalf("head waiter: err = %v, want context.Canceled", err)
+				}
+				granted(t, "waiter behind the cancelled head", next)
+			})
+		}
+	}
+}
+
+// The same lost wake-up, extended to the hang it caused: the waiter left
+// parked behind a cancelled head had no waits-for edge, so when a holder
+// then waited on something it held, the detector saw no cycle and both
+// parked forever with Deadlocks == 0. Settled, the waiter is granted and
+// the holder's wait is an ordinary one.
+func TestCancelledHeadWaiterLeavesNoEdgelessWaiter(t *testing.T) {
+	for _, fast := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
+			tab := NewTable(WithFastPath(fast))
+			bg := context.Background()
+			mustAcquire(t, tab, 1, 1, ModeShared)
+			mustAcquire(t, tab, 3, 2, ModeExclusive)
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			head := make(chan error, 1)
+			go func() { head <- tab.Acquire(ctx, 2, 1, ModeExclusive) }()
+			waitParked(t, tab, 1)
+			next := make(chan error, 1)
+			go func() { next <- tab.Acquire(bg, 3, 1, ModeShared) }()
+			waitParked(t, tab, 2)
+			cancel()
+			if err := <-head; !errors.Is(err, context.Canceled) {
+				t.Fatalf("head waiter: err = %v, want context.Canceled", err)
+			}
+			holder := make(chan error, 1)
+			go func() { holder <- tab.Acquire(bg, 1, 2, ModeExclusive) }() // 1 waits on 3
+			granted(t, "txn 3, behind the cancelled head", next)
+			tab.ReleaseAll(3)
+			granted(t, "txn 1, waiting on txn 3's granule", holder)
+			tab.ReleaseAll(1)
+			if s := tab.Stats(); s.Deadlocks != 0 {
+				t.Fatalf("%d deadlock victims in a schedule with no cycle", s.Deadlocks)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@ GO ?= go
 # (the build environment is offline; CI installs the pin itself).
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: build test vet race bench locknet lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
+.PHONY: build test vet race bench pairs locknet lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,15 @@ bench:
 	$(GO) run ./cmd/bench -suite lockmgr
 	$(GO) run ./cmd/bench -suite cluster
 	$(GO) run ./cmd/bench -suite recovery
+
+# pairs is how a performance claim is measured here: N alternating runs of
+# one benchmark/ workload, commit REF against the working tree, each side's
+# median and quartiles per end-to-end metric and the pairs won
+# (scripts/pairs.sh; needs jq). `make pairs REF=HEAD~1 WORKLOAD=locksrv-spread`
+N ?= 10
+SEED ?= 1
+pairs:
+	bash scripts/pairs.sh $(REF) $(WORKLOAD) $(N) $(SEED) $(SECONDS)
 
 # locknet is the ISSUE 3 acceptance scenario: 1000 transactions through
 # the network lock service behind the fault-injecting transport (drops,

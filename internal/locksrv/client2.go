@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,17 +126,12 @@ type ClientV2 struct {
 	cfg clientCfg
 
 	// mu guards the connection state and the pending map. The write
-	// path is a per-connection writer goroutine fed through wch: callers
-	// enqueue frames, the writer copies them into a bufio buffer and
-	// flushes only when the queue runs dry, so a burst of concurrent
-	// calls becomes one syscall. (Flushing inline from the caller cannot
-	// coalesce on few CPUs: the sender reaches its own flush before the
-	// next sender has run at all.)
+	// side is the connection's connWriter, the server's: a caller encodes
+	// its frame straight into the connection's buffer and, if nobody is
+	// writing, writes it out itself — after one scheduler round, so that
+	// a burst of concurrent calls becomes one syscall.
 	mu      sync.Mutex
-	conn    net.Conn
-	wch     chan *frameBuf // current connection's writer queue
-	wdone   chan struct{}  // closed when the current connection dies
-	gen     uint64         // bumped on every (re)connect; stale failures are ignored
+	w       *connWriter // the current connection; nil while there is none
 	pending map[uint64]chan v2Reply
 	closed  bool
 	everUp  bool // a connection has succeeded before (reconnect accounting)
@@ -260,63 +254,45 @@ func DialV2(addr string, opts ...ClientOption) (*ClientV2, error) {
 	for _, o := range opts {
 		o(&c.cfg)
 	}
-	if _, err := c.ensureConn(); err != nil {
+	if err := c.ensureConn(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// ensureConn returns the generation of a live connection, dialing one
-// if needed. Dials are single-flighted: concurrent callers wait for the
-// first dial instead of racing their own.
-func (c *ClientV2) ensureConn() (uint64, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, ErrClientClosed
-	}
-	if c.conn != nil {
-		gen := c.gen
-		c.mu.Unlock()
-		return gen, nil
-	}
-	c.mu.Unlock()
-
+// ensureConn dials a connection if there is none. Dials are
+// single-flighted: concurrent callers wait for the first dial instead of
+// racing their own.
+func (c *ClientV2) ensureConn() error {
 	c.dialMu.Lock()
 	defer c.dialMu.Unlock()
-	// Re-check under the dial lock: another caller may have connected.
+	// Check under the dial lock: another caller may have connected.
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, ErrClientClosed
-	}
-	if c.conn != nil {
-		gen := c.gen
-		c.mu.Unlock()
-		return gen, nil
-	}
+	closed, connected := c.closed, c.w != nil
 	c.mu.Unlock()
-
+	if closed {
+		return ErrClientClosed
+	}
+	if connected {
+		return nil
+	}
 	conn, err := c.cfg.dial(c.cfg.addr)
 	if err != nil {
-		return 0, fmt.Errorf("locksrv: dial: %w", err)
+		return fmt.Errorf("locksrv: dial: %w", err)
 	}
 	if _, err := conn.Write([]byte(protoMagic)); err != nil {
 		conn.Close()
-		return 0, fmt.Errorf("locksrv: send magic: %w", err)
+		return fmt.Errorf("locksrv: send magic: %w", err)
 	}
+	w := new(connWriter)
+	w.init(conn)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
-		return 0, ErrClientClosed
+		return ErrClientClosed
 	}
-	c.conn = conn
-	c.wch = make(chan *frameBuf, v2MaxInflight)
-	c.wdone = make(chan struct{})
-	c.gen++
-	gen := c.gen
-	wch, wdone := c.wch, c.wdone
+	c.w = w
 	if c.everUp {
 		c.reconnects.Add(1)
 		if c.cfg.mReconnects != nil {
@@ -325,58 +301,19 @@ func (c *ClientV2) ensureConn() (uint64, error) {
 	}
 	c.everUp = true
 	c.mu.Unlock()
-	go c.readLoop(conn, gen)
-	go c.writeLoop(conn, wch, wdone, gen)
-	return gen, nil
-}
-
-// writeLoop owns one connection's write side: it drains queued frames
-// into a buffered writer and flushes only when the queue is empty — the
-// syscall count tracks bursts, not frames.
-func (c *ClientV2) writeLoop(conn net.Conn, wch chan *frameBuf, wdone chan struct{}, gen uint64) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		select {
-		case fb := <-wch:
-			_, err := bw.Write(fb.bytes())
-			putFrame(fb)
-			if err == nil && len(wch) == 0 {
-				// An enqueueing caller hands the scheduler straight to
-				// this goroutine, so the queue can look empty while the
-				// rest of a burst is runnable but hasn't run; yield one
-				// scheduler round before paying the flush syscall.
-				runtime.Gosched()
-			}
-			if err == nil && len(wch) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				c.failConn(gen, fmt.Errorf("locksrv: send: %w", err))
-				// failConn closed wdone; fall through to the drain below
-				// on the next iteration.
-			}
-		case <-wdone:
-			for {
-				select {
-				case fb := <-wch:
-					putFrame(fb)
-				default:
-					return
-				}
-			}
-		}
-	}
+	go c.readLoop(w)
+	return nil
 }
 
 // readLoop owns one connection's read side: it matches response frames
 // to pending calls until the connection dies, then fails whatever is
 // still in flight.
-func (c *ClientV2) readLoop(conn net.Conn, gen uint64) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+func (c *ClientV2) readLoop(w *connWriter) {
+	br := bufio.NewReaderSize(w.conn, 64<<10)
 	for {
 		fb, status, id, body, err := readFrame(br)
 		if err != nil {
-			c.failConn(gen, fmt.Errorf("locksrv: receive: %w", err))
+			c.failConn(w, fmt.Errorf("locksrv: receive: %w", err))
 			return
 		}
 		var bodyCopy []byte
@@ -396,96 +333,87 @@ func (c *ClientV2) readLoop(conn net.Conn, gen uint64) {
 	}
 }
 
-// failConn tears down the generation's connection (if still current)
-// and fails every in-flight call with a transport error, which their
-// retry loops handle.
-func (c *ClientV2) failConn(gen uint64, err error) {
+// failConn tears down w's connection (if still current) and fails every
+// in-flight call with a transport error, which their retry loops
+// handle.
+func (c *ClientV2) failConn(w *connWriter, err error) {
 	c.mu.Lock()
-	if c.gen != gen || c.conn == nil {
+	if c.w != w {
 		c.mu.Unlock()
 		return // already superseded
 	}
-	conn := c.conn
-	c.conn = nil
-	c.wch = nil
-	wdone := c.wdone
-	c.wdone = nil
+	c.w = nil
 	calls := c.pending
 	c.pending = make(map[uint64]chan v2Reply)
 	c.mu.Unlock()
-	close(wdone)
-	conn.Close()
+	w.conn.Close()
 	for _, ch := range calls {
 		ch <- v2Reply{err: err}
 	}
 }
 
-// send registers the call and hands its frame to the connection's
-// writer. Ownership of fb passes to send.
-func (c *ClientV2) send(gen, id uint64, fb *frameBuf, ch chan v2Reply) error {
+// send registers a call and appends its frame, which build completes,
+// to the connection's write buffer, dialing a connection first if there
+// is none. The check for a live connection, the registration and the
+// append are one sequence — mu is dropped only once the writer's mutex
+// is held — so if that connection dies at any point from here on,
+// failConn finds the call registered and fails it: the caller gets its
+// transport error from the returned channel.
+func (c *ClientV2) send(op byte, build func(fb *frameBuf)) (chan v2Reply, error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.w == nil {
 		c.mu.Unlock()
-		putFrame(fb)
-		return ErrClientClosed
+		if err := c.ensureConn(); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		if c.w == nil {
+			// Closed, or the fresh connection is already dead.
+			closed := c.closed
+			c.mu.Unlock()
+			if closed {
+				return nil, ErrClientClosed
+			}
+			return nil, errConnLost
+		}
 	}
-	if c.conn == nil || c.gen != gen {
-		c.mu.Unlock()
-		putFrame(fb)
-		return errConnLost
-	}
+	w := c.w
+	id := c.idSeq.Add(1)
+	ch := replyChPool.Get().(chan v2Reply)
 	c.pending[id] = ch
-	wch, wdone := c.wch, c.wdone
+	w.mu.Lock()
 	c.mu.Unlock()
-	select {
-	case wch <- fb:
-		return nil
-	case <-wdone:
-		// The connection died between registration and enqueue; failConn
-		// already failed (or will fail) the registered channel, so the
-		// caller still gets its transport error from ch.
-		putFrame(fb)
-		return nil
+	w.buf.start(op, id)
+	build(&w.buf)
+	w.buf.finish()
+	if err := w.appended(true); err != nil {
+		c.failConn(w, fmt.Errorf("locksrv: send: %w", err))
 	}
+	return ch, nil
 }
 
 // roundTrip2 performs one request with transport retries. build encodes
 // the request body into the supplied frame (already started).
 func (c *ClientV2) roundTrip2(op byte, build func(fb *frameBuf)) (v2Reply, error) {
 	var lastErr error
-	timer := newSleeper(c.cfg.sleep, c.closeCh)
-	defer timer.stop()
+	var timer *sleeper // made by the first retry
 	for attempt := 0; attempt <= c.cfg.retries; attempt++ {
-		if c.isClosed() {
-			if lastErr != nil {
+		if attempt > 0 {
+			if c.isClosed() {
 				return v2Reply{}, fmt.Errorf("%w (after: %v)", ErrClientClosed, lastErr)
 			}
-			return v2Reply{}, ErrClientClosed
-		}
-		if attempt > 0 {
 			c.retried.Add(1)
 			if c.cfg.mRetries != nil {
 				c.cfg.mRetries.Inc()
 			}
+			if timer == nil {
+				timer = newSleeper(c.cfg.sleep, c.closeCh)
+				defer timer.stop()
+			}
 			timer.sleep(c.backoffDelay(attempt - 1))
 		}
-		gen, err := c.ensureConn()
+		ch, err := c.send(op, build)
 		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return v2Reply{}, err
-			}
-			lastErr = err
-			continue
-		}
-		id := c.idSeq.Add(1)
-		ch := replyChPool.Get().(chan v2Reply)
-		fb := getFrame()
-		fb.start(op, id)
-		build(fb)
-		fb.finish()
-		if err := c.send(gen, id, fb, ch); err != nil {
-			// send failed before registering the call: ch is still empty.
-			replyChPool.Put(ch)
 			if errors.Is(err, ErrClientClosed) {
 				return v2Reply{}, err
 			}
@@ -924,20 +852,14 @@ func (c *ClientV2) Close() error {
 	if c.closeCh != nil {
 		close(c.closeCh)
 	}
-	conn := c.conn
-	c.conn = nil
-	c.wch = nil
-	wdone := c.wdone
-	c.wdone = nil
+	w := c.w
+	c.w = nil
 	calls := c.pending
 	c.pending = make(map[uint64]chan v2Reply)
 	c.mu.Unlock()
 	var err error
-	if wdone != nil {
-		close(wdone)
-	}
-	if conn != nil {
-		err = conn.Close()
+	if w != nil {
+		err = w.conn.Close()
 	}
 	for _, ch := range calls {
 		ch <- v2Reply{err: ErrClientClosed}

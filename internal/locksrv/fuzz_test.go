@@ -158,7 +158,7 @@ func (c *sinkConn) written() []byte {
 func sinkSession() (*session, *sinkConn) {
 	conn := &sinkConn{}
 	sess := newSession(conn)
-	sess.idle.Store(true)
+	sess.w.owned.Store(false)
 	return sess, conn
 }
 

@@ -79,11 +79,14 @@ const frameHeader = 1 + 8
 // cannot make a reader allocate unbounded memory.
 const maxFrame = 4 << 20
 
-// frameBuf is a pooled, reusable frame being built or read. The first 4
-// bytes are always the length prefix, so a finished frame is written to
-// the connection with a single Write.
+// frameBuf is a buffer frames are built in or read into: a pooled,
+// reusable one holds a single frame, a connection's write buffer
+// (connWriter) the frames not yet written out, one after another. Every
+// frame begins with its length prefix, so finished frames are written to
+// the connection as they stand.
 type frameBuf struct {
 	b    []byte
+	off  int // where the frame being built begins
 	uses int
 }
 
@@ -108,12 +111,14 @@ func putFrame(f *frameBuf) {
 	framePool.Put(f)
 }
 
-// start begins a frame with the given op/status and request id, leaving
-// the length prefix to be patched by finish.
+// start begins a frame with the given op/status and request id after
+// what the buffer already holds, leaving the length prefix to be patched
+// by finish.
 //
 //granulint:hotpath
 func (f *frameBuf) start(op byte, id uint64) {
-	f.b = append(f.b[:0], 0, 0, 0, 0, op)
+	f.off = len(f.b)
+	f.b = append(f.b, 0, 0, 0, 0, op)
 	f.b = binary.BigEndian.AppendUint64(f.b, id)
 }
 
@@ -121,7 +126,7 @@ func (f *frameBuf) start(op byte, id uint64) {
 //
 //granulint:hotpath
 func (f *frameBuf) finish() {
-	binary.BigEndian.PutUint32(f.b[:4], uint32(len(f.b)-4))
+	binary.BigEndian.PutUint32(f.b[f.off:], uint32(len(f.b)-f.off-4))
 }
 
 // bytes returns the wire form (length prefix included).
@@ -142,6 +147,9 @@ func (f *frameBuf) appendByte(v byte) { f.b = append(f.b, v) }
 func (f *frameBuf) appendBytes(p []byte) {
 	f.b = append(f.b, p...)
 }
+
+//granulint:hotpath
+func (f *frameBuf) appendString(s string) { f.b = append(f.b, s...) }
 
 // readFrame reads one frame into a pooled frameBuf. On success the
 // returned body aliases the frameBuf; the caller must putFrame it when

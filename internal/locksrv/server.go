@@ -192,16 +192,10 @@ type session struct {
 	waiting atomic.Bool
 	wake    chan struct{}
 
-	// The write side (server2.go): replies are appended to wbuf by
-	// whichever goroutine produced them and written out in batches.
-	wmu     sync.Mutex
-	wbuf    []byte
-	wn      int         // replies in wbuf
-	wspare  []byte      // the buffer wbuf alternates with while one is being written
-	writing bool        // a goroutine is writing a taken buffer out, wmu released
-	wdone   *sync.Cond  // on wmu: a write finished
-	werr    error       // first write error, or the read error of a dead connection
-	idle    atomic.Bool // the reader is blocked or gone: an appender flushes at once
+	// The write side (writer.go): replies are appended by whichever
+	// goroutine produced them. The session's reader owns the buffer while
+	// it runs and gives it up while it is blocked (server2.go).
+	w connWriter
 
 	// Claims parked in the lock table as continuations (server2.go).
 	pmu        sync.Mutex
@@ -221,7 +215,8 @@ func newSession(conn net.Conn) *session {
 		wake:   make(chan struct{}, 1),
 		parked: make(map[*parkedAcquire]struct{}),
 	}
-	sess.wdone = sync.NewCond(&sess.wmu)
+	sess.w.init(conn)
+	sess.w.own() // the reader is about to run
 	return sess
 }
 
@@ -509,6 +504,7 @@ func (s *Server) Serve() error {
 			return fmt.Errorf("locksrv: accept: %w", err)
 		}
 		sess := newSession(conn)
+		sess.w.timeout = s.writeTimeout
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -606,13 +602,17 @@ const forceFlushWait = 250 * time.Millisecond
 // retried, so a session blocked in a long acquire is never reaped under
 // its client, which is silently waiting for the response.
 //
-// Every read of the connection may block, so each is bracketed by
-// beginWait/endWait: replies still buffered are written out first, and
-// replies other goroutines produce meanwhile are flushed by them.
+// Every read of the connection may block, so for each the reader gives
+// up the session's write buffer (connWriter.release, own): replies still
+// buffered are written out first, and replies other goroutines produce
+// meanwhile are written out by them.
 type sessionReader struct {
 	s      *Server
 	sess   *session
 	reaped bool // ended by idle reap
+	// burst is the size of the last read, until the replies to the first
+	// half of it have been written out (handle).
+	burst int
 }
 
 func (r *sessionReader) Read(p []byte) (int, error) {
@@ -626,10 +626,11 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 				conn.SetReadDeadline(time.Now())
 			}
 		}
-		r.s.beginWait(r.sess)
+		r.sess.w.release()
 		n, err := conn.Read(p)
-		r.sess.endWait()
+		r.sess.w.own()
 		if n > 0 {
+			r.burst = n
 			return n, nil // deliver data; any error will recur
 		}
 		if err == nil {

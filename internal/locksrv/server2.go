@@ -3,11 +3,9 @@ package locksrv
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -20,22 +18,6 @@ import (
 // executors. Excess frames wait in the read loop, which is exactly the
 // back-pressure a pipelining client expects.
 const v2MaxInflight = 256
-
-// flushBatch is the number of replies a session buffers before they are
-// written out; the reader also writes out whatever is buffered before
-// any read that may block. Flushing only before a blocking read makes
-// the fewest syscalls, but each connection's pipelined callers then fall
-// into lockstep — all wait for one write, all send at once — and the
-// 99th-percentile latency triples; a small batch breaks the lockstep
-// for a fraction of the syscalls saved. The value comes from the sweep
-// recorded in docs/LOCKSRV.md ("Throughput").
-const flushBatch = 4
-
-// wbufLimit is how many bytes of replies may queue behind a write in
-// progress before the goroutines producing more wait for it (see
-// flushLocked); only a connection whose peer has stopped reading gets
-// there.
-const wbufLimit = 64 << 10
 
 // scratchReqsMax bounds the request-decode scratch a session keeps
 // between frames, so one huge claim does not pin its memory for the
@@ -58,14 +40,14 @@ type execWorker struct {
 // handle runs one session to completion on one goroutine. The reader
 // decodes a frame and, when nothing but the lock table can make the
 // request wait (serveInline), executes it right there and appends the
-// reply to the session's write buffer: no hand-off to an executor, none
-// to a writer. A claim that must wait is parked in the table as a
-// continuation (parkedAcquire), not as a goroutine; the release that
-// resolves it — usually on another session's reader — finishes the
-// acquire and appends its reply to this session's buffer. Responses
-// therefore return out of order, matched to requests by id, while the
-// requests of one connection that do not wait are served in arrival
-// order.
+// reply to the session's write buffer (connWriter): no hand-off to an
+// executor, none to a writer. A claim that must wait is parked in the
+// table as a continuation (parkedAcquire), not as a goroutine; the
+// release that resolves it — usually on another session's reader —
+// finishes the acquire and appends its reply to this session's buffer.
+// Responses therefore return out of order, matched to requests by id,
+// while the requests of one connection that do not wait are served in
+// arrival order.
 //
 // Requests that can wait on something else — a journal flush before
 // the acknowledgement (group commit needs them concurrent), a cluster
@@ -76,6 +58,16 @@ type execWorker struct {
 // immediately has to grow, and at service request rates those stack
 // copies show up as a top-five CPU item. A worker that has run once
 // keeps its grown stack for the rest of the session.
+//
+// The reader writes the buffered replies out twice per burst of
+// requests, whatever its size: when it has decoded half of what its
+// last read returned, and before any read that may block
+// (sessionReader). Writing only before a blocking read makes the fewest
+// syscalls, but each connection's pipelined callers then fall into
+// lockstep — all wait for one write, all send at once, the server idle
+// meanwhile; the write at half gives the client's reader and callers
+// the first half to work on while the server finishes the second. A
+// lone request is half and end at once.
 //
 // Transactions granted on this session are tracked and force-released
 // when it ends, however it ends.
@@ -109,6 +101,12 @@ func (s *Server) handle(sess *session) {
 		return w
 	}
 	for {
+		// Half of the last read is decoded: write its replies out. (With
+		// nothing left to decode, the read below does that.)
+		if left := br.Buffered(); left > 0 && left <= sr.burst/2 {
+			sr.burst = 0
+			sess.w.flush()
+		}
 		fb, op, id, body, err := readFrame(br)
 		if err != nil {
 			if sr.reaped {
@@ -121,7 +119,7 @@ func (s *Server) handle(sess *session) {
 				// teardown releases its grants. Under drain, unanswered
 				// requests get the grace period instead.
 				sess.shutdown()
-				sess.failWrites(err)
+				sess.w.fail(err)
 			}
 			break
 		}
@@ -130,7 +128,7 @@ func (s *Server) handle(sess *session) {
 			// Pipeline saturated: wait for an answer to go out, or for
 			// the session to be condemned.
 			ok := s.awaitPending(sess, v2MaxInflight, sess.ctx.Done())
-			sess.endWait()
+			sess.w.own()
 			if !ok {
 				putFrame(fb)
 				break
@@ -170,38 +168,15 @@ func (s *Server) handle(sess *session) {
 	// Every request is answered, but the last replies may have been left
 	// to a goroutine that is still writing: let it finish before
 	// teardown closes the connection under it.
-	sess.wmu.Lock()
-	for sess.writing {
-		sess.wdone.Wait()
-	}
-	sess.wmu.Unlock()
+	sess.w.quiesce()
 }
-
-// beginWait is called by the session's own goroutine before it may
-// block: it marks the session idle, so that a goroutine appending a
-// reply from now on writes it out itself, and writes out what is
-// buffered. The mark comes first, under wmu: a reply appended while
-// this flush has wmu released for its write is then the flush's own to
-// write (flushLocked goes round again for an idle session) — marked
-// afterwards, it would be nobody's.
-func (s *Server) beginWait(sess *session) {
-	sess.wmu.Lock()
-	sess.idle.Store(true)
-	s.flushLocked(sess)
-	sess.wmu.Unlock()
-}
-
-// endWait ends beginWait's idle period: the reader is running again and
-// will flush what accumulates. It takes no lock: an appender that still
-// sees the mark merely flushes once more.
-func (sess *session) endWait() { sess.idle.Store(false) }
 
 // awaitPending sleeps the session's own goroutine until fewer than n
-// requests are unanswered, or done closes (reported as false). It
-// leaves the session idle: the caller ends that with endWait, or is
-// finished with reading for good.
+// requests are unanswered, or done closes (reported as false). It gives
+// up the write buffer: the caller takes it back (own), or is finished
+// with reading for good.
 func (s *Server) awaitPending(sess *session, n int64, done <-chan struct{}) bool {
-	s.beginWait(sess)
+	sess.w.release()
 	sess.waiting.Store(true)
 	defer sess.waiting.Store(false)
 	for sess.pending.Load() >= n {
@@ -214,92 +189,21 @@ func (s *Server) awaitPending(sess *session, n int64, done <-chan struct{}) bool
 	return true
 }
 
-// failWrites makes every later reply a no-op: the connection is dead,
-// and a withdrawn claim's "closed" has nobody to go to.
-func (sess *session) failWrites(err error) {
-	sess.wmu.Lock()
-	if sess.werr == nil {
-		sess.werr = err
-	}
-	sess.wmu.Unlock()
-}
-
-// flushLocked writes the buffered replies out. wmu is not held across
-// the write — on a busy connection it would park every other goroutine
-// with a reply for it, the session's own reader included — so one
-// goroutine at a time is the writer: it takes the buffer, writes with
-// wmu released, and before it leaves writes out again whatever arrived
-// meanwhile that is due (a goroutine that finds a writer at work leaves
-// its reply to it). One write deadline covers a whole batch: each
-// SetWriteDeadline modifies a runtime poll timer, and per frame that
-// churn would outweigh the write. A failed or timed-out write ends the
-// session: the connection is closed, the reader's next read fails, and
-// teardown follows — which bounds the backlog, too: past wbufLimit
-// nobody leaves replies to a writer that is not getting anywhere, they
-// wait for it. Caller holds wmu, which flushLocked may release and
-// retake.
-func (s *Server) flushLocked(sess *session) {
-	for sess.writing {
-		if len(sess.wbuf) < wbufLimit {
-			return
-		}
-		sess.wdone.Wait()
-	}
-	for len(sess.wbuf) > 0 && sess.werr == nil {
-		out := sess.wbuf
-		sess.wbuf, sess.wn = sess.wspare[:0], 0
-		sess.writing = true
-		sess.wmu.Unlock()
-		if s.writeTimeout > 0 {
-			sess.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		_, err := sess.conn.Write(out)
-		sess.wmu.Lock()
-		sess.writing = false
-		sess.wdone.Broadcast()
-		sess.wspare = out[:0]
-		if err != nil {
-			sess.werr = err
-			sess.conn.Close()
-		}
-		if sess.wn < flushBatch && !sess.idle.Load() {
-			break // the reader flushes the rest
-		}
-	}
-}
-
-// sent completes a reply just appended to wbuf: the flush policy, then
-// the request's accounting — in that order: a session whose requests
-// are all accounted for may be torn down, and its last reply must be
-// on the wire by then. Caller holds wmu; sent releases it.
+// sent completes a reply just appended to the session's write buffer:
+// the writer's policy, then the request's accounting — in that order: a
+// session whose requests are all accounted for may be torn down, and
+// its last reply must be on the wire by then. A reply that nobody else
+// will write out waits one scheduler round when the session has other
+// requests unanswered: their replies may be about to join it — the
+// cohort a journal flush just released, the sub-claims of a batch.
+// Caller holds the writer's mutex; sent releases it.
 //
 //granulint:hotpath
 func (s *Server) sent(sess *session) {
-	if sess.werr != nil {
-		sess.wbuf, sess.wn = sess.wbuf[:0], 0
-	} else {
+	if sess.w.err == nil {
 		s.om.framesWritten.Inc()
-		sess.wn++
-		if sess.wn >= flushBatch {
-			s.flushLocked(sess)
-		} else if sess.idle.Load() && !sess.writing {
-			// Nobody else will write this reply out. If the session has
-			// other requests unanswered, their replies may be about to
-			// join this one — the cohort a journal flush just released,
-			// the sub-claims of a batch: give the goroutines producing
-			// them one scheduler round before paying the syscall (on few
-			// CPUs they are runnable but have not run).
-			if sess.pending.Load() > 1 {
-				sess.wmu.Unlock()
-				runtime.Gosched()
-				sess.wmu.Lock()
-			}
-			if sess.wn >= flushBatch || sess.idle.Load() {
-				s.flushLocked(sess)
-			}
-		}
 	}
-	sess.wmu.Unlock()
+	_ = sess.w.appended(sess.pending.Load() > 1) // a write error ends the session through its reader
 	if n := sess.pending.Add(-1); (n == 0 || n == v2MaxInflight-1) && sess.waiting.Load() {
 		select {
 		case sess.wake <- struct{}{}:
@@ -314,19 +218,19 @@ func (s *Server) sent(sess *session) {
 //
 //granulint:hotpath
 func (s *Server) reply(sess *session, id uint64, status byte, msg string) {
-	sess.wmu.Lock()
-	b := binary.BigEndian.AppendUint32(sess.wbuf, uint32(frameHeader+len(msg)))
-	b = append(b, status)
-	b = binary.BigEndian.AppendUint64(b, id)
-	sess.wbuf = append(b, msg...)
+	w := &sess.w
+	w.mu.Lock()
+	w.buf.start(status, id)
+	w.buf.appendString(msg)
+	w.buf.finish()
 	s.sent(sess)
 }
 
 // replyFrame answers with a frame built elsewhere (stats, batches),
 // which it consumes.
 func (s *Server) replyFrame(sess *session, fb *frameBuf) {
-	sess.wmu.Lock()
-	sess.wbuf = append(sess.wbuf, fb.bytes()...)
+	sess.w.mu.Lock()
+	sess.w.buf.appendBytes(fb.bytes())
 	putFrame(fb)
 	s.sent(sess)
 }
@@ -859,7 +763,7 @@ func (s *Server) executeReleaseN(sess *session, id uint64, body []byte) *frameBu
 func errorFrame(id uint64, status byte, msg string) *frameBuf {
 	fb := getFrame()
 	fb.start(status, id)
-	fb.appendBytes([]byte(msg))
+	fb.appendString(msg)
 	fb.finish()
 	return fb
 }
@@ -873,7 +777,7 @@ func batchFrame(id uint64, sts []byte, msgs []string) *frameBuf {
 	for i, st := range sts {
 		fb.appendByte(st)
 		fb.appendU32(uint32(len(msgs[i])))
-		fb.appendBytes([]byte(msgs[i]))
+		fb.appendString(msgs[i])
 	}
 	fb.finish()
 	return fb

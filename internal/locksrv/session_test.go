@@ -7,7 +7,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,7 +142,7 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 			func() { srv.table.ReleaseAll(holder) },
 			func() {
 				if dead {
-					sess.failWrites(io.EOF)
+					sess.w.fail(io.EOF)
 				}
 				srv.cancelParked(sess)
 			},
@@ -517,7 +516,7 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 func TestParkedClaimAllocationFree(t *testing.T) {
 	srv := NewServer(nil, nil)
 	a, b := newSession(discardConn{}), newSession(discardConn{})
-	b.idle.Store(true) // its reader sits in a read: the grant is written by the releaser
+	b.w.owned.Store(false) // its reader sits in a read: the grant is written by the releaser
 	body := func(f []byte) []byte { return f[4+frameHeader:] }
 	hold, wait := body(timedAcquireFrame(1, 1, 1000, 10, 11)), body(timedAcquireFrame(2, 2, 1000, 11, 12))
 	rel1, rel2 := body(releaseFrame(3, 1)), body(releaseFrame(4, 2))
@@ -547,98 +546,5 @@ func TestParkedClaimAllocationFree(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Holders != 0 || st.Timeouts != 0 || a.pending.Load() != 0 || b.pending.Load() != 0 {
 		t.Fatalf("holders %d timeouts %d pending %d/%d", st.Holders, st.Timeouts, a.pending.Load(), b.pending.Load())
-	}
-}
-
-// stalledConn blocks every write until released (one receive from
-// release per write; close it to let all through), like a peer that has
-// stopped reading with its socket buffers full, and counts what got out.
-type stalledConn struct {
-	discardConn
-	entered chan struct{} // one token per write begun
-	release chan struct{}
-	written atomic.Int64
-}
-
-func (c *stalledConn) Write(p []byte) (int, error) {
-	c.entered <- struct{}{}
-	<-c.release
-	c.written.Add(int64(len(p)))
-	return len(p), nil
-}
-
-// TestReplyDuringReadersFlushIsWritten: the reader flushes before it
-// blocks, with the buffer mutex released for the write; a reply another
-// goroutine appends meanwhile finds a writer at work and is left to
-// it. The reader must write that reply out too before it blocks —
-// nobody else will. (Marking the session idle only after the flush
-// lost such replies: the flush saw a busy reader and left them to it.)
-func TestReplyDuringReadersFlushIsWritten(t *testing.T) {
-	srv := NewServer(nil, nil)
-	conn := &stalledConn{entered: make(chan struct{}, 4), release: make(chan struct{})}
-	sess := newSession(conn)
-	sess.pending.Add(2)
-	srv.reply(sess, 1, statusOK, "") // the reader is running: buffered
-	blocked := make(chan struct{})
-	go func() {
-		srv.beginWait(sess) // the reader is about to block
-		close(blocked)
-	}()
-	<-conn.entered
-	srv.reply(sess, 2, statusOK, "") // arrives mid-write: left to the writer
-	conn.release <- struct{}{}
-	select {
-	case <-conn.entered: // the flush went round again
-		conn.release <- struct{}{}
-	case <-blocked:
-		t.Fatal("the reader went to sleep on a reply nobody will write out")
-	case <-time.After(5 * time.Second):
-		t.Fatal("flush never finished")
-	}
-	<-blocked
-	if got, want := conn.written.Load(), int64(2*(4+frameHeader)); got != want {
-		t.Fatalf("%d bytes written before the reader blocked, want %d", got, want)
-	}
-}
-
-// TestWriteBacklogBounded: while one goroutine is stuck writing to a
-// stalled connection the others leave their replies in the buffer and
-// go on — up to wbufLimit. Past it they wait for the write, so the
-// backlog of a peer that has stopped reading stops growing (the write
-// timeout then ends the session).
-func TestWriteBacklogBounded(t *testing.T) {
-	srv := NewServer(nil, nil)
-	conn := &stalledConn{entered: make(chan struct{}, 16), release: make(chan struct{})}
-	sess := newSession(conn)
-	sess.idle.Store(true)
-	msg := string(make([]byte, 1000))
-	const frameLen = 4 + frameHeader + 1000
-	answer := func() {
-		sess.pending.Add(1)
-		srv.reply(sess, 1, statusBadRequest, msg)
-	}
-	go answer() // becomes the writer and stalls
-	<-conn.entered
-	for i := 0; i < wbufLimit/frameLen; i++ {
-		answer() // returns at once: left to the writer
-	}
-	blocked := make(chan struct{})
-	go func() {
-		answer() // the buffer is past the limit: waits for the writer
-		close(blocked)
-	}()
-	select {
-	case <-blocked:
-		t.Fatal("a reply past the backlog limit did not wait for the stalled write")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(conn.release)
-	select {
-	case <-blocked:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the waiting reply was never released")
-	}
-	if n := sess.pending.Load(); n != 0 {
-		t.Fatalf("%d replies unaccounted for", n)
 	}
 }

@@ -115,7 +115,7 @@ verify-smoke: locknet
 # a durable engine killed at random write/sync/checkpoint points; every recovery must conserve the invariant
 	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20
 # quick cmd/bench runs into /tmp (the checked-in reports are full-fidelity only, via `make bench`);
-# -compare fails on a missed floor (lockmgr 2x/3x/3x + allocation budget, cluster 1.8x, recovery 2x)
+# -compare fails on a missed floor (lockmgr 2x/3x + zero-allocation budget, cluster 1.8x, recovery 2x)
 # or a same-run ratio more than 25% under the checked-in one
 	$(GO) run ./cmd/bench -suite model -quick -out /tmp/BENCH_model.quick.json
 	$(GO) run ./cmd/bench -suite lockmgr -quick -out /tmp/BENCH_lockmgr.quick.json -compare BENCH_lockmgr.json

@@ -43,9 +43,6 @@ const benchRTTDelay = 8 * time.Millisecond
 // given — the admission capacity a partition terminates.
 const benchStreamsPerNode = 8
 
-// benchShards is the stripe count of every server's lock table.
-const benchShards = 16
-
 // delayConn injects a fixed delay ahead of every write, modelling the
 // client->server propagation of a network with a real RTT. Responses
 // ride the same TCP connection, so one request/response exchange pays
@@ -87,7 +84,7 @@ func startBenchCluster(n int) ([]string, []*locksrv.Server, error) {
 	}
 	servers := make([]*locksrv.Server, n)
 	for i := range servers {
-		servers[i] = locksrv.NewServer(listeners[i], lockmgr.NewTable(lockmgr.WithShards(benchShards)),
+		servers[i] = locksrv.NewServer(listeners[i], lockmgr.NewTable(),
 			locksrv.WithCluster(locksrv.ClusterConfig{
 				Nodes: addrs,
 				Self:  i,
@@ -141,7 +138,6 @@ func runStreams(clients []locker, pairsPerStream int) (entry, error) {
 	pairs := int64(len(clients)) * int64(pairsPerStream)
 	ns := float64(elapsed.Nanoseconds())
 	return entry{
-		Shards:    benchShards,
 		Clients:   len(clients),
 		RTTMs:     float64(2*benchRTTDelay) / float64(time.Millisecond),
 		Ops:       pairs,
@@ -188,7 +184,7 @@ func runDirectDelayScenario(pairsPerStream int) (entry, error) {
 	if err != nil {
 		return entry{}, err
 	}
-	srv := locksrv.NewServer(lis, lockmgr.NewTable(lockmgr.WithShards(benchShards)))
+	srv := locksrv.NewServer(lis, lockmgr.NewTable())
 	go srv.Serve()
 	defer srv.Close()
 

@@ -58,7 +58,7 @@ type entry struct {
 	Name string `json:"name"`
 
 	// The configuration axes of the lockmgr and cluster suites.
-	Shards  int     `json:"shards,omitempty"`  // lock-table stripes
+	Procs   int     `json:"procs,omitempty"`   // GOMAXPROCS the entry ran at
 	Pool    int     `json:"pool,omitempty"`    // shared granule pool (contended runs)
 	Fast    bool    `json:"fast,omitempty"`    // lock-free fast path enabled
 	Nodes   int     `json:"nodes,omitempty"`   // cluster members

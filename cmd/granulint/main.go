@@ -2,8 +2,8 @@
 // granulint analyzer suite (internal/analysis) over Go packages and
 // exits non-zero on any unsuppressed finding. It is the static half of
 // `make verify` — the analyzers mechanize the concurrency invariants
-// (stripe lock order, the packed fast-path word's state machine, the
-// zero-alloc hot paths, the wire error taxonomy, metric naming) that
+// (the packed fast-path word's state machine, the zero-alloc hot
+// paths, the wire error taxonomy, metric naming) that
 // the test suite can only catch by luck of interleaving.
 //
 // Usage:

@@ -53,7 +53,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // FuncHasDirective reports whether fd's doc comment carries the given
-// granulint directive verb (e.g. "hotpath", "ordered").
+// granulint directive verb (e.g. "hotpath").
 func (p *Pass) FuncHasDirective(fd *ast.FuncDecl, verb string) bool {
 	if fd.Doc == nil {
 		return false
@@ -78,7 +78,7 @@ func (p *Pass) PkgHasDirective(verb string) bool {
 	return false
 }
 
-// All is the granulint analyzer registry: the five invariant analyzers
+// All is the granulint analyzer registry: the four invariant analyzers
 // plus the directive validator that keeps the annotation grammar
 // itself well-formed.
 // Populated in init to break the declaration cycle through the
@@ -87,7 +87,6 @@ var All []*Analyzer
 
 func init() {
 	All = []*Analyzer{
-		LockOrder,
 		AtomicWord,
 		HotPath,
 		ErrTaxonomy,

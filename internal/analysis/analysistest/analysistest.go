@@ -6,7 +6,7 @@
 // Fixtures live in testdata/src/<pkg>/ next to the test. Each expected
 // finding is declared by a comment on the finding's line:
 //
-//	t.shards[1].mu.Lock() // want `out of ascending index order`
+//	for k := range m { // want `ranges over a map`
 //
 // The comment holds one regexp per expected finding on that line, as
 // backquoted or double-quoted Go strings. Fixtures are full,

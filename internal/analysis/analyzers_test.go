@@ -11,8 +11,6 @@ import (
 // testdata/src/ and must produce exactly the findings its `// want`
 // comments declare — no more, no fewer.
 
-func TestLockOrder(t *testing.T) { analysistest.Run(t, analysis.LockOrder, "lockorder") }
-
 func TestAtomicWord(t *testing.T) { analysistest.Run(t, analysis.AtomicWord, "atomicword") }
 
 func TestHotPath(t *testing.T) { analysistest.Run(t, analysis.HotPath, "hotpath") }

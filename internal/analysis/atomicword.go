@@ -23,7 +23,7 @@ import (
 // Allowed transitions: FREE→FAST and FAST→FAST via CAS (grant,
 // sole-holder upgrade), FAST→FREE via CAS (fast release, batch-claim
 // rollback), anything→SLOW via CAS (demotion), and Store(FREE)
-// (promotion, under the stripe mutex).
+// (promotion, under the table latch).
 var AtomicWord = &Analyzer{
 	Name: "atomicword",
 	Doc: "forbid raw atomic operations on the packed fast-path word " +
@@ -128,11 +128,11 @@ func checkWordTransition(p *Pass, call *ast.CallExpr, op string) {
 		return
 	case "Store":
 		if len(call.Args) == 1 && classifyWord(p, call.Args[0]) == wsFree {
-			return // promotion back to FREE, legal only under the stripe mutex
+			return // promotion back to FREE, legal only under the table latch
 		}
 		p.Reportf(call.Pos(),
 			"packed-word Store with a non-FREE value; only promotion (Store(0) under the "+
-				"stripe mutex) may bypass CAS")
+				"table latch) may bypass CAS")
 	case "CompareAndSwap":
 		if len(call.Args) != 2 {
 			return
@@ -146,7 +146,7 @@ func checkWordTransition(p *Pass, call *ast.CallExpr, op string) {
 		case next == wsFree && old != wsFast:
 			p.Reportf(call.Pos(),
 				"packed-word CAS %s→FREE: FREE is entered by releasing a FAST holder; "+
-					"promotion out of SLOW uses Store(0) under the stripe mutex", old)
+					"promotion out of SLOW uses Store(0) under the table latch", old)
 		case next == wsUnknown:
 			p.Reportf(call.Pos(),
 				"packed-word CAS to a state the analyzer cannot classify; build the new word "+

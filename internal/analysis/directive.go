@@ -14,11 +14,6 @@ import (
 //	    On a function's doc comment: the function is a measured hot
 //	    path; the hotpath analyzer forbids map iteration, defer and
 //	    fmt/reflect calls inside it.
-//	//granulint:ordered
-//	    On a function's doc comment: the function acquires multiple
-//	    stripe mutexes but its contract guarantees canonical ascending
-//	    order (e.g. it requires a sorted index slice); the lockorder
-//	    analyzer skips its body.
 //	//granulint:wireboundary
 //	    Anywhere in a package: the package serves a wire protocol; the
 //	    errtaxonomy analyzer requires every error it constructs in
@@ -33,7 +28,6 @@ const directivePrefix = "//granulint:"
 // directiveVerbs is the set of known verbs.
 var directiveVerbs = map[string]bool{
 	"hotpath":      true,
-	"ordered":      true,
 	"wireboundary": true,
 	"ignore":       true,
 }
@@ -147,7 +141,7 @@ var Directive = &Analyzer{
 func runDirective(p *Pass) error {
 	for _, d := range p.dirs.all {
 		if !directiveVerbs[d.verb] {
-			p.Reportf(d.pos, "unknown granulint directive %q (known: hotpath, ordered, wireboundary, ignore)", d.verb)
+			p.Reportf(d.pos, "unknown granulint directive %q (known: hotpath, wireboundary, ignore)", d.verb)
 			continue
 		}
 		if d.verb != "ignore" {

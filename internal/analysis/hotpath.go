@@ -15,7 +15,7 @@ import (
 //     iterator state and was the single largest cost profiling found on
 //     the claim/release cycle before the hold-set vector rewrite;
 //   - use defer — a defer frame per call on a ~128ns path is real money
-//     and hides the unlock ordering the lockorder analyzer checks;
+//     and hides the unlock ordering;
 //   - call into fmt or reflect — both allocate and both appeared in
 //     past regressions via "harmless" error/diagnostic paths — or the
 //     sort.Slice family, which is reflect behind a friendlier name

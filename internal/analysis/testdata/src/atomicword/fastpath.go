@@ -26,7 +26,7 @@ func legal(fs *fastState, txn uint64) bool {
 	}
 	fs.word.CompareAndSwap(fpPack(txn), fpSlowBit) // FAST→SLOW: demote
 	fs.word.CompareAndSwap(0, fpSlowBit)           // FREE→SLOW: demote
-	fs.word.Store(0)                               // promotion under the stripe mutex
+	fs.word.Store(0)                               // promotion under the table latch
 	return false
 }
 

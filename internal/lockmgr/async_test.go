@@ -20,112 +20,110 @@ import (
 // ReleaseAllDeferred, or never, once Withdraw took it back — and the one
 // record serves claim after claim, of any size, without a new object.
 func TestAcquireAllAsync(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		tab := NewTable(WithShards(shards))
-		x := func(gs ...Granule) []Request {
-			out := make([]Request, len(gs))
-			for i, g := range gs {
-				out[i] = Request{Granule: g, Mode: ModeExclusive}
-			}
-			return out
+	tab := NewTable()
+	x := func(gs ...Granule) []Request {
+		out := make([]Request, len(gs))
+		for i, g := range gs {
+			out[i] = Request{Granule: g, Mode: ModeExclusive}
 		}
-		calls, outcome := 0, error(nil)
-		resolve := &ParkedClaim{Resolve: func(err error) { calls++; outcome = err }}
+		return out
+	}
+	calls, outcome := 0, error(nil)
+	resolve := &ParkedClaim{Resolve: func(err error) { calls++; outcome = err }}
 
-		granted, parked, err := tab.AcquireAllAsync(1, x(1, 2), resolve)
-		if !granted || parked != nil || err != nil {
-			t.Fatalf("free claim: granted %v parked %v err %v", granted, parked, err)
-		}
-		if _, _, err := tab.AcquireAllAsync(1, x(3), resolve); !errors.Is(err, ErrAlreadyHolds) {
-			t.Fatalf("second claim of a holder: %v", err)
-		}
-		granted, parked, err = tab.AcquireAllAsync(2, x(2, 3), resolve)
-		if granted || parked != resolve || err != nil {
-			t.Fatalf("blocked claim: granted %v parked %v err %v", granted, parked, err)
-		}
-		if w := tab.WaitersCount(); w != 1 {
-			t.Fatalf("%d waiters", w)
-		}
+	granted, parked, err := tab.AcquireAllAsync(1, x(1, 2), resolve)
+	if !granted || parked != nil || err != nil {
+		t.Fatalf("free claim: granted %v parked %v err %v", granted, parked, err)
+	}
+	if _, _, err := tab.AcquireAllAsync(1, x(3), resolve); !errors.Is(err, ErrAlreadyHolds) {
+		t.Fatalf("second claim of a holder: %v", err)
+	}
+	granted, parked, err = tab.AcquireAllAsync(2, x(2, 3), resolve)
+	if granted || parked != resolve || err != nil {
+		t.Fatalf("blocked claim: granted %v parked %v err %v", granted, parked, err)
+	}
+	if w := tab.WaitersCount(); w != 1 {
+		t.Fatalf("%d waiters", w)
+	}
 
-		resolved := tab.ReleaseAllDeferred(1, nil)
-		if len(resolved) != 1 || resolved[0] != parked {
-			t.Fatalf("release resolved %v, want the parked claim", resolved)
-		}
-		if calls != 0 {
-			t.Fatal("outcome delivered before the caller asked")
-		}
-		if tab.HeldBy(2) != 2 || tab.WaitersCount() != 0 {
-			t.Fatalf("after the release txn 2 holds %d, %d waiters", tab.HeldBy(2), tab.WaitersCount())
-		}
-		if tab.Withdraw(parked) {
-			t.Fatal("withdrew a claim a release had resolved")
-		}
-		resolved[0].Deliver()
-		if calls != 1 || outcome != nil {
-			t.Fatalf("delivered %d times, outcome %v", calls, outcome)
-		}
+	resolved := tab.ReleaseAllDeferred(1, nil)
+	if len(resolved) != 1 || resolved[0] != parked {
+		t.Fatalf("release resolved %v, want the parked claim", resolved)
+	}
+	if calls != 0 {
+		t.Fatal("outcome delivered before the caller asked")
+	}
+	if tab.HeldBy(2) != 2 || tab.WaitersCount() != 0 {
+		t.Fatalf("after the release txn 2 holds %d, %d waiters", tab.HeldBy(2), tab.WaitersCount())
+	}
+	if tab.Withdraw(parked) {
+		t.Fatal("withdrew a claim a release had resolved")
+	}
+	resolved[0].Deliver()
+	if calls != 1 || outcome != nil {
+		t.Fatalf("delivered %d times, outcome %v", calls, outcome)
+	}
 
-		// A withdrawn claim is never resolved.
-		_, parked, _ = tab.AcquireAllAsync(3, x(3), resolve)
-		if parked == nil || !tab.Withdraw(parked) || tab.Withdraw(parked) {
-			t.Fatal("withdraw of a parked claim should succeed exactly once")
-		}
-		tab.ReleaseAll(2)
-		if calls != 1 || tab.HeldBy(3) != 0 || tab.HoldersCount() != 0 || tab.WaitersCount() != 0 {
-			t.Fatalf("withdrawn claim resolved: %d calls, txn 3 holds %d", calls, tab.HeldBy(3))
-		}
+	// A withdrawn claim is never resolved.
+	_, parked, _ = tab.AcquireAllAsync(3, x(3), resolve)
+	if parked == nil || !tab.Withdraw(parked) || tab.Withdraw(parked) {
+		t.Fatal("withdraw of a parked claim should succeed exactly once")
+	}
+	tab.ReleaseAll(2)
+	if calls != 1 || tab.HeldBy(3) != 0 || tab.HoldersCount() != 0 || tab.WaitersCount() != 0 {
+		t.Fatalf("withdrawn claim resolved: %d calls, txn 3 holds %d", calls, tab.HeldBy(3))
+	}
 
-		// The same record, claim after claim: granted by a release on
-		// even rounds, withdrawn on odd ones, with a claim past the
-		// record's inline arrays every seventh round. The table's copy is
-		// the claim's own — the caller's slice is overwritten at once.
-		held, claim, wide := x(5), x(5), x(5, 6, 7, 8, 9, 10)
-		calls = 0
-		cycle := func(round int) {
-			if ok, err := tab.TryAcquireAll(100, held); !ok || err != nil {
-				t.Fatal(ok, err)
-			}
-			reqs := claim
-			if round%7 == 0 {
-				reqs = wide
-			}
-			if _, parked, err := tab.AcquireAllAsync(200, reqs, resolve); parked != resolve || err != nil {
-				t.Fatalf("round %d: parked %v err %v", round, parked, err)
-			}
-			want := len(reqs)
-			reqs[0].Granule = 99
-			if round%2 == 1 {
-				if !tab.Withdraw(resolve) {
-					t.Fatalf("round %d: claim not withdrawn", round)
-				}
-				want = 0
-			}
-			tab.ReleaseAll(100)
-			if got := resolve.Requests(); len(got) != len(reqs) || got[0].Granule != 5 {
-				t.Fatalf("round %d: the record holds %v", round, got)
-			}
-			reqs[0].Granule = 5
-			if tab.HeldBy(200) != want || tab.WaitersCount() != 0 || !resolve.Reusable() {
-				t.Fatalf("round %d: txn 200 holds %d, want %d; %d waiters", round, tab.HeldBy(200), want, tab.WaitersCount())
-			}
-			tab.ReleaseAll(200)
+	// The same record, claim after claim: granted by a release on
+	// even rounds, withdrawn on odd ones, with a claim past the
+	// record's inline arrays every seventh round. The table's copy is
+	// the claim's own — the caller's slice is overwritten at once.
+	held, claim, wide := x(5), x(5), x(5, 6, 7, 8, 9, 10)
+	calls = 0
+	cycle := func(round int) {
+		if ok, err := tab.TryAcquireAll(100, held); !ok || err != nil {
+			t.Fatal(ok, err)
 		}
-		for round := 0; round < 1000; round++ {
-			cycle(round)
+		reqs := claim
+		if round%7 == 0 {
+			reqs = wide
 		}
-		if calls != 500 || outcome != nil {
-			t.Fatalf("%d of 1000 claims resolved (outcome %v), want the 500 not withdrawn", calls, outcome)
+		if _, parked, err := tab.AcquireAllAsync(200, reqs, resolve); parked != resolve || err != nil {
+			t.Fatalf("round %d: parked %v err %v", round, parked, err)
 		}
-		round := 0
-		if avg := testing.AllocsPerRun(100, func() { round++; cycle(round) }); avg != 0 {
-			t.Fatalf("%v allocations per park and its ending in a reused record, want 0", avg)
+		want := len(reqs)
+		reqs[0].Granule = 99
+		if round%2 == 1 {
+			if !tab.Withdraw(resolve) {
+				t.Fatalf("round %d: claim not withdrawn", round)
+			}
+			want = 0
 		}
+		tab.ReleaseAll(100)
+		if got := resolve.Requests(); len(got) != len(reqs) || got[0].Granule != 5 {
+			t.Fatalf("round %d: the record holds %v", round, got)
+		}
+		reqs[0].Granule = 5
+		if tab.HeldBy(200) != want || tab.WaitersCount() != 0 {
+			t.Fatalf("round %d: txn 200 holds %d, want %d; %d waiters", round, tab.HeldBy(200), want, tab.WaitersCount())
+		}
+		tab.ReleaseAll(200)
+	}
+	for round := 0; round < 1000; round++ {
+		cycle(round)
+	}
+	if calls != 500 || outcome != nil {
+		t.Fatalf("%d of 1000 claims resolved (outcome %v), want the 500 not withdrawn", calls, outcome)
+	}
+	round := 0
+	if avg := testing.AllocsPerRun(100, func() { round++; cycle(round) }); avg != 0 {
+		t.Fatalf("%v allocations per park and its ending in a reused record, want 0", avg)
 	}
 }
 
-// TestReleaseReevaluatesOnlyNamedClaims: a release resolves — and, off
-// StrictFIFO, so much as looks at — only parked claims naming a granule
-// it freed, however many other claims share the stripe. The claim on
+// TestReleaseReevaluatesOnlyNamedClaims: a release resolves — and so
+// much as looks at — only parked claims naming a granule it freed,
+// however many other claims are queued. The claim on
 // the other granule stays parked, promotion of the freed granule still
 // respects the claim that wants it, and ReleaseAll (plain) delivers by
 // itself.
@@ -175,8 +173,8 @@ func TestReleaseReevaluatesOnlyNamedClaims(t *testing.T) {
 
 // TestBlockingClaimAllocations: a blocking AcquireAll that parks — the
 // engine does on every claim at ltot 1 — allocates nothing while the
-// pool holds a record: the record carries the request copy, the stripe
-// list and the channel the caller sleeps on, and the release that
+// pool holds a record: the record carries the request copy and the
+// channel the caller sleeps on, and the release that
 // re-evaluates the parked claim works from stack buffers. What is left
 // is the retirement of pooled records: a record and its channel per
 // claimRecordUses blocked claims.
@@ -233,60 +231,58 @@ func TestBlockingClaimAllocations(t *testing.T) {
 // TestPooledClaimRecordsUnderChurn races what the record pool makes
 // dangerous: blocking claims that give up on a deadline — their records
 // go back to the pool at once and park the next claim — against
-// releases that picked those very claims for re-evaluation a moment
-// earlier and still hold the pointers. A release must find a record it
-// picked either still carrying the claim it saw or untouched since
-// (ParkedClaim.pins); under -race a record re-parked beneath it is a
-// reported data race, and a claim evaluated under another claim's
-// stripes shows up as a broken exclusion below.
+// releases that resolve parked claims and hand their records back. A
+// release looks at a claim only under the latch that guards its queue,
+// and a record is the owner's again once its outcome is delivered or it
+// is withdrawn: under -race a record re-parked while the table still
+// uses it is a reported data race, and a claim granted twice shows up
+// as a broken exclusion below.
 func TestPooledClaimRecordsUnderChurn(t *testing.T) {
 	const workers, rounds, granules = 8, 400, 3
-	for _, shards := range []int{1, 4} {
-		tab := NewTable(WithShards(shards))
-		var busy [granules]atomic.Int32
-		var granted, gaveUp atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				src := rng.New(uint64(w + 1))
-				for i := 0; i < rounds; i++ {
-					txn := TxnID(w*rounds + i + 1)
-					reqs := []Request{{Granule: Granule(src.Intn(granules)), Mode: ModeExclusive}}
-					if g := Granule(src.Intn(granules)); g > reqs[0].Granule {
-						reqs = append(reqs, Request{Granule: g, Mode: ModeExclusive})
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), time.Duration(src.Intn(150))*time.Microsecond)
-					err := tab.AcquireAll(ctx, txn, reqs)
-					cancel()
-					if err != nil {
-						if !errors.Is(err, context.DeadlineExceeded) {
-							t.Errorf("txn %d: %v", txn, err)
-						}
-						gaveUp.Add(1)
-						continue
-					}
-					granted.Add(1)
-					for _, r := range reqs {
-						if !busy[r.Granule].CompareAndSwap(0, 1) {
-							t.Errorf("txn %d granted granule %d while another transaction holds it", txn, r.Granule)
-						}
-					}
-					runtime.Gosched()
-					for _, r := range reqs {
-						busy[r.Granule].Store(0)
-					}
-					tab.ReleaseAll(txn)
+	tab := NewTable()
+	var busy [granules]atomic.Int32
+	var granted, gaveUp atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := rng.New(uint64(w + 1))
+			for i := 0; i < rounds; i++ {
+				txn := TxnID(w*rounds + i + 1)
+				reqs := []Request{{Granule: Granule(src.Intn(granules)), Mode: ModeExclusive}}
+				if g := Granule(src.Intn(granules)); g > reqs[0].Granule {
+					reqs = append(reqs, Request{Granule: g, Mode: ModeExclusive})
 				}
-			}()
-		}
-		wg.Wait()
-		if h, w := tab.HoldersCount(), tab.WaitersCount(); h != 0 || w != 0 {
-			t.Fatalf("%d shards: %d holders, %d waiters left", shards, h, w)
-		}
-		if granted.Load() == 0 || gaveUp.Load() == 0 {
-			t.Fatalf("%d shards: %d claims granted, %d gave up: the race never happened", shards, granted.Load(), gaveUp.Load())
-		}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(src.Intn(150))*time.Microsecond)
+				err := tab.AcquireAll(ctx, txn, reqs)
+				cancel()
+				if err != nil {
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("txn %d: %v", txn, err)
+					}
+					gaveUp.Add(1)
+					continue
+				}
+				granted.Add(1)
+				for _, r := range reqs {
+					if !busy[r.Granule].CompareAndSwap(0, 1) {
+						t.Errorf("txn %d granted granule %d while another transaction holds it", txn, r.Granule)
+					}
+				}
+				runtime.Gosched()
+				for _, r := range reqs {
+					busy[r.Granule].Store(0)
+				}
+				tab.ReleaseAll(txn)
+			}
+		}()
+	}
+	wg.Wait()
+	if h, w := tab.HoldersCount(), tab.WaitersCount(); h != 0 || w != 0 {
+		t.Fatalf("%d holders, %d waiters left", h, w)
+	}
+	if granted.Load() == 0 || gaveUp.Load() == 0 {
+		t.Fatalf("%d claims granted, %d gave up: the race never happened", granted.Load(), gaveUp.Load())
 	}
 }

@@ -8,11 +8,11 @@
 //     active transaction holds.
 //
 //   - Table is the real lock manager, the one type that grants, parks
-//     and wakes: a striped granule lock table with five modes (S and X,
-//     and the intention modes IS, IX and SIX, under one compatibility
-//     matrix and one lattice join), conservative all-or-nothing
-//     preclaiming, and claim-as-needed acquisition with a waits-for-graph
-//     deadlock detector (Detector). HierTable is Gray's multi-granularity
+//     and wakes: a granule lock table under one latch, with five modes
+//     (S and X, and the intention modes IS, IX and SIX, under one
+//     compatibility matrix and one lattice join), conservative
+//     all-or-nothing preclaiming, and claim-as-needed acquisition with a
+//     waits-for-graph deadlock detector (Detector). HierTable is Gray's multi-granularity
 //     protocol as a policy over it — path expansion and best-effort lock
 //     escalation, with nodes of the hierarchy being granules of the
 //     table. They power the executable mini-DBMS in internal/engine that

@@ -12,7 +12,7 @@ type Detector struct {
 	edges int // running edge count, so Edges() is O(1)
 
 	// DFS scratch, reused across InCycle calls. Callers already
-	// serialize detector access (Table under detMu), so a per-call
+	// serialize detector access (Table under its latch), so a per-call
 	// allocation buys nothing but GC work —
 	// and InCycle runs on every block, squarely on the contended path.
 	visited map[TxnID]struct{}

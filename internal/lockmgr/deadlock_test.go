@@ -116,6 +116,27 @@ func TestDetectorMultipleBlockers(t *testing.T) {
 	}
 }
 
+func TestDetectorEdgeCounter(t *testing.T) {
+	d := NewDetector()
+	d.AddEdge(1, 2)
+	d.AddEdge(1, 2) // duplicate: not double-counted
+	d.AddEdge(1, 3)
+	d.AddEdge(2, 3)
+	d.AddEdge(3, 3) // self-edge: ignored
+	if got := d.Edges(); got != 3 {
+		t.Fatalf("Edges = %d, want 3", got)
+	}
+	d.RemoveWaiter(1)
+	if got := d.Edges(); got != 1 {
+		t.Fatalf("Edges after RemoveWaiter = %d, want 1", got)
+	}
+	d.AddEdge(1, 3)
+	d.RemoveTxn(3) // removes 1→3 and 2→3
+	if got := d.Edges(); got != 0 {
+		t.Fatalf("Edges after RemoveTxn = %d, want 0", got)
+	}
+}
+
 func BenchmarkInCycle(b *testing.B) {
 	d := NewDetector()
 	for i := TxnID(1); i < 1000; i++ {

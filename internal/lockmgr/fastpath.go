@@ -7,27 +7,27 @@ import (
 
 // The lock-free uncontended fast path.
 //
-// The stripe mutex is the residual hot-path cost of the sharded table:
+// The table's latch is the residual hot-path cost of the lock table:
 // even a perfectly uncontended acquire/release pair pays two mutex
-// round trips plus map traffic on the granule stripe. The fast path
-// removes both for the common case the paper's trade-off curves hinge
+// round trips plus map traffic under it. The fast path removes both
+// for the common case the paper's trade-off curves hinge
 // on — a single-granule S or X request against a granule nobody else
 // holds — by granting through one compare-and-swap on a packed atomic
-// word, and falling back to the existing stripe-locked machinery the
-// moment any conflict or waiter is observed. A multi-granule
-// conservative claim gets the same economics from a batch of such CASes
-// under its stripe locks (fastClaimBatch).
+// word, and falling back to the latched machinery the moment any
+// conflict or waiter is observed. A multi-granule conservative claim
+// gets the same economics from a batch of such CASes under the latch
+// (fastClaimBatch).
 //
 // # Packed word
 //
-// Each fast-eligible granule owns one 64-bit word in a per-shard
+// Each fast-eligible granule owns one 64-bit word in the table's
 // lock-free index. The word fully describes the granule's fast-path
 // state, so CAS ABA is benign (a word that reads the same *is* the
 // same state):
 //
 //	0                                  FREE: no holder, fast grants allowed
-//	fpSlowBit                          SLOW: state lives in the stripe-locked
-//	                                   map; fast ops must take the slow path
+//	fpSlowBit                          SLOW: state lives in the latched map;
+//	                                   fast ops must take the slow path
 //	fpFastBit [|fpModeXBit] | txn      FAST: exactly one holder (txn, in S
 //	                                   or X); no waiters, no map entry
 //
@@ -39,7 +39,7 @@ import (
 //   - Map state authoritative ⇔ word is SLOW. Every slow-path operation
 //     demotes the granules it touches (demoteLocked) before reading or
 //     writing the map, materializing a FAST holder into the holders map.
-//     While a word is SLOW only stripe-mutex holders may write it.
+//     While a word is SLOW only the latch holder may write it.
 //   - FAST or FREE ⇒ no map entry, no step waiters, and no parked claim
 //     names the granule: promotion back out of SLOW (promoteLocked)
 //     requires zero holders, zero waiters and no claim-queue reference.
@@ -52,16 +52,16 @@ import (
 //     join lands in the map. A hold-set entry in an intention mode
 //     therefore always names a SLOW word, which fastReleaseAll's CAS
 //     cannot match.
-//   - The per-transaction hold set is updated in the same ts.mu critical
-//     section as the word CAS, so ReleaseAll and the duplicate-claim
-//     check serialize against fast grants exactly as against slow ones.
-//   - A batch claim CASes its words only while holding every stripe of
-//     the claim plus the transaction's hold-set stripe. Nothing else can
-//     move a word that is FAST for that transaction (demotion needs the
-//     stripe, the transaction's own release needs the hold-set stripe),
-//     so rolling a failed batch back FAST→FREE cannot fail, and what a
-//     lock-free probe can see of a batch that rolls back is a holder
-//     that released at once.
+//   - The per-transaction hold set is updated in the same holds.mu
+//     critical section as the word CAS, so ReleaseAll and the
+//     duplicate-claim check serialize against fast grants exactly as
+//     against slow ones.
+//   - A batch claim CASes its words only while holding the latch and
+//     holds.mu. Nothing else can move a word that is FAST for that
+//     transaction (demotion needs the latch, the transaction's own
+//     release needs holds.mu), so rolling a failed batch back FAST→FREE
+//     cannot fail, and what a lock-free probe can see of a batch that
+//     rolls back is a holder that released at once.
 //
 // # Waiting discipline
 //
@@ -84,7 +84,7 @@ const (
 	fpTxnBits = 48
 	fpTxnMask = (1 << fpTxnBits) - 1
 
-	// A shard's fast index starts at fpMinSlots when its first granule
+	// The fast index starts at fpMinSlots when its first granule
 	// is promoted and doubles whenever it would pass half full, up to
 	// fpMaxSlots. Records are never removed, so the cap is what bounds
 	// the memory a client naming ever-new granules can pin; a granule
@@ -103,7 +103,7 @@ const (
 
 // fastMode reports whether a FAST word can carry m: the packed word has
 // one mode bit, S or X, so a request in an intention mode — and any
-// upgrade into one — is decided under the stripe lock.
+// upgrade into one — is decided under the latch.
 //
 //granulint:hotpath
 func fastMode(m Mode) bool { return m <= ModeExclusive }
@@ -170,8 +170,8 @@ type fastState struct {
 // FastPathStats counts fast-path activity. All fields are cumulative.
 type FastPathStats struct {
 	Grants    int64 // acquisitions granted by CAS alone (claims, steps, upgrades)
-	Releases  int64 // ReleaseAll calls completed without any stripe mutex
-	Fallbacks int64 // fast attempts that deferred to the stripe-locked path
+	Releases  int64 // ReleaseAll calls completed without the latch
+	Fallbacks int64 // fast attempts that deferred to the latched path
 	SpinWins  int64 // conflicting requests granted while spinning
 	SpinParks int64 // conflicting requests that exhausted their spin budget
 }
@@ -189,31 +189,40 @@ func (t *Table) FastStats() FastPathStats {
 
 // SetFastPath enables or disables the lock-free fast path at runtime.
 // Disabling never strands state: granules granted through the fast path
-// are migrated into the stripe-locked map lazily, the next time any
+// are migrated into the latched map lazily, the next time any
 // slow-path operation touches them.
 func (t *Table) SetFastPath(on bool) { t.fastOn.Store(on) }
 
 // FastPathEnabled reports whether the fast path is active.
 func (t *Table) FastPathEnabled() bool { return t.fastOn.Load() }
 
-// fastIndex is one generation of a shard's lock-free granule index: an
+// fastIndex is one generation of the table's lock-free granule index: an
 // open-addressed table of shared fastState records, at most half full
 // so every probe sequence ends at an empty slot. Slots of a published
-// generation only ever move nil→non-nil, under s.mu.
+// generation only ever move nil→non-nil, under t.mu.
 type fastIndex struct {
 	slots []atomic.Pointer[fastState]
 	mask  uint64
 }
 
-// fpHome is where g's probe sequence starts. It takes the hash's high
-// half: the low bits chose the shard, so they are the same for every
-// granule of the index.
+// fpHome is where g's probe sequence starts: granule ids are often
+// small and sequential, so the index needs a real mixer to spread them.
 //
 //granulint:hotpath
-func fpHome(g Granule) uint64 { return mix64(uint64(g)) >> 32 }
+func fpHome(g Granule) uint64 { return mix64(uint64(g)) }
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
 
 // put stores fs in the first empty slot of its probe sequence. Caller
-// holds s.mu and guarantees the table is not full.
+// holds t.mu and guarantees the index is not full.
 func (ix *fastIndex) put(fs *fastState) {
 	for i := fpHome(fs.granule); ; i++ {
 		if slot := &ix.slots[i&ix.mask]; slot.Load() == nil {
@@ -228,8 +237,8 @@ func (ix *fastIndex) put(fs *fastState) {
 // index; a miss only ever sends the caller to the slow path.
 //
 //granulint:hotpath
-func (s *shard) fastLookup(g Granule) *fastState {
-	ix := s.fast.Load()
+func (t *Table) fastLookup(g Granule) *fastState {
+	ix := t.fast.Load()
 	if ix == nil {
 		return nil
 	}
@@ -242,14 +251,14 @@ func (s *shard) fastLookup(g Granule) *fastState {
 }
 
 // fastInsert publishes a FREE fast record for g, which must have none
-// (the caller looked it up under s.mu, which serializes all index
-// writes of the shard). An index that would pass half full is replaced
+// (the caller looked it up under t.mu, which serializes all index
+// writes). An index that would pass half full is replaced
 // by one of twice the size holding the same records: they are shared,
 // not copied, so a CAS in flight through the old generation lands on
 // the word every later reader sees.
-func (s *shard) fastInsert(g Granule) {
-	ix := s.fast.Load()
-	if ix == nil || 2*(s.fastN+1) > len(ix.slots) {
+func (t *Table) fastInsert(g Granule) {
+	ix := t.fast.Load()
+	if ix == nil || 2*(t.fastN+1) > len(ix.slots) {
 		n := fpMinSlots
 		if ix != nil {
 			if n = 2 * len(ix.slots); n > fpMaxSlots {
@@ -264,21 +273,21 @@ func (s *shard) fastInsert(g Granule) {
 				}
 			}
 		}
-		s.fast.Store(grown)
+		t.fast.Store(grown)
 		ix = grown
 	}
 	fs := &fastState{granule: g}
 	fs.spin.Store(fpSpinSeed)
 	ix.put(fs)
-	s.fastN++
+	t.fastN++
 }
 
 // demoteLocked forces g's word to SLOW, materializing a fast holder
-// into the stripe map so every existing slow-path routine sees it.
-// Caller holds s.mu. Must be called before any slow-path read or write
+// into the map so every existing slow-path routine sees it.
+// Caller holds t.mu. Must be called before any slow-path read or write
 // of g's map state; returns after which the map is authoritative.
-func (t *Table) demoteLocked(s *shard, g Granule) {
-	fs := s.fastLookup(g)
+func (t *Table) demoteLocked(g Granule) {
+	fs := t.fastLookup(g)
 	if fs == nil {
 		return // no fast record ⇒ no fast grants possible ⇒ map already authoritative
 	}
@@ -289,7 +298,7 @@ func (t *Table) demoteLocked(s *shard, g Granule) {
 		}
 		if fs.word.CompareAndSwap(w, fpSlow) {
 			if fpIsFast(w) {
-				s.stateLocked(g).holders[fpTxnOf(w)] = fpModeOf(w)
+				t.stateLocked(g).holders[fpTxnOf(w)] = fpModeOf(w)
 			}
 			return
 		}
@@ -305,32 +314,32 @@ func (t *Table) demoteLocked(s *shard, g Granule) {
 // stay SLOW: its eventual release has to run the claim-resolution
 // sweep, which a fast release deliberately skips. claimed is set by a
 // caller that already knows a parked claim names g; otherwise the
-// stripe's claim queue is searched. Caller holds s.mu.
-func (t *Table) promoteLocked(s *shard, g Granule, claimed bool) {
-	if gs := s.granules[g]; gs != nil {
+// claim queue is searched. Caller holds t.mu.
+func (t *Table) promoteLocked(g Granule, claimed bool) {
+	if gs := t.granules[g]; gs != nil {
 		if len(gs.holders) != 0 || len(gs.waiters) != 0 {
 			return
 		}
-		s.collectLocked(g, gs)
+		t.collectLocked(g, gs)
 	}
 	if claimed {
 		return
 	}
-	for _, c := range s.claimQ {
+	for _, c := range t.claimQ {
 		for _, r := range c.reqs {
 			if r.Granule == g {
 				return
 			}
 		}
 	}
-	fs := s.fastLookup(g)
+	fs := t.fastLookup(g)
 	if fs == nil {
 		// First promotion is what makes a granule fast-eligible; the
 		// insert publishes the word already FREE.
-		s.fastInsert(g)
+		t.fastInsert(g)
 		return
 	}
-	// While SLOW, only stripe-mutex holders write the word.
+	// While SLOW, only the latch holder writes the word.
 	fs.word.Store(0)
 }
 
@@ -338,7 +347,7 @@ func (t *Table) promoteLocked(s *shard, g Granule, claimed bool) {
 type fastOutcome int8
 
 const (
-	fastFallback fastOutcome = iota // defer to the stripe-locked path
+	fastFallback fastOutcome = iota // defer to the latched path
 	fastGranted                     // lock granted (hold set updated)
 	fastAlready                     // conservative claim: txn already holds locks
 	fastSpin                        // conflicting single holder: spinning may pay
@@ -355,32 +364,32 @@ func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fast
 		w := fs.word.Load()
 		switch {
 		case w == 0:
-			ts := t.txnShardFor(txn)
-			ts.mu.Lock()
+			h := &t.holds
+			h.mu.Lock()
 			if fs.word.CompareAndSwap(0, fpPack(txn, mode)) {
-				t.recordHeldLocked(ts, txn, g, mode)
-				ts.mu.Unlock()
+				t.recordHeldLocked(txn, g, mode)
+				h.mu.Unlock()
 				t.fpGrants.Add(1)
 				t.omFastGrant()
 				return fastGranted
 			}
-			ts.mu.Unlock()
+			h.mu.Unlock()
 			continue // word moved under us; re-evaluate
 		case fpIsFast(w) && fpTxnOf(w) == txn:
 			if covers(fpModeOf(w), mode) {
 				return fastGranted // already held strongly enough
 			}
 			// Sole holder upgrading S→X: grantable by definition.
-			ts := t.txnShardFor(txn)
-			ts.mu.Lock()
+			h := &t.holds
+			h.mu.Lock()
 			if fs.word.CompareAndSwap(w, fpPack(txn, ModeExclusive)) {
-				t.recordHeldLocked(ts, txn, g, ModeExclusive)
-				ts.mu.Unlock()
+				t.recordHeldLocked(txn, g, ModeExclusive)
+				h.mu.Unlock()
 				t.fpGrants.Add(1)
 				t.omFastGrant()
 				return fastGranted
 			}
-			ts.mu.Unlock()
+			h.mu.Unlock()
 			return fastFallback // demoted mid-upgrade; slow path resolves it
 		case fpIsFast(w):
 			if GCompatible(mode, fpModeOf(w)) {
@@ -397,12 +406,12 @@ func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fast
 
 // fastAcquire runs the lock-free attempt plus the adaptive
 // spin-then-park discipline for Acquire. Returns (true, nil) when the
-// grant completed without the stripe mutex; (false, _) defers to the
+// grant completed without the latch; (false, _) defers to the
 // slow path.
 //
 //granulint:hotpath
 func (t *Table) fastAcquire(txn TxnID, g Granule, mode Mode) bool {
-	fs := t.shardFor(g).fastLookup(g)
+	fs := t.fastLookup(g)
 	if fs == nil {
 		return false
 	}
@@ -458,12 +467,12 @@ func (t *Table) fastSpinThenTry(fs *fastState, txn TxnID, g Granule, mode Mode) 
 
 // fastClaim is the lock-free attempt at a single-granule conservative
 // claim: the first-acquisition check, the CAS and the hold-set record
-// happen in one ts.mu critical section, so duplicate-claim resolution
+// happen in one holds.mu critical section, so duplicate-claim resolution
 // and ReleaseAll serialize against it exactly as against the slow path.
 //
 //granulint:hotpath
 func (t *Table) fastClaim(txn TxnID, g Granule, mode Mode, spin bool) fastOutcome {
-	fs := t.shardFor(g).fastLookup(g)
+	fs := t.fastLookup(g)
 	if fs == nil {
 		return fastFallback
 	}
@@ -471,7 +480,7 @@ func (t *Table) fastClaim(txn TxnID, g Granule, mode Mode, spin bool) fastOutcom
 	if out == fastSpin {
 		if !spin {
 			// A no-wait caller treats the incompatible holder as a
-			// definitive "blocked now" without touching any stripe.
+			// definitive "blocked now" without taking the latch.
 			return fastBlocked
 		}
 		budget := int(fs.spin.Load())
@@ -517,25 +526,25 @@ func (t *Table) fastTryClaimOnce(fs *fastState, txn TxnID, g Granule, mode Mode)
 		w := fs.word.Load()
 		switch {
 		case w == 0:
-			ts := t.txnShardFor(txn)
-			ts.mu.Lock()
-			hs := ts.held[txn]
+			h := &t.holds
+			h.mu.Lock()
+			hs := h.held[txn]
 			if hs.size() != 0 {
-				ts.mu.Unlock()
+				h.mu.Unlock()
 				return fastAlready
 			}
 			if fs.word.CompareAndSwap(0, fpPack(txn, mode)) {
 				if hs == nil {
-					hs = ts.allocLocked(1)
-					ts.held[txn] = hs
+					hs = h.allocLocked(1)
+					h.held[txn] = hs
 				}
 				hs.set(g, mode)
-				ts.mu.Unlock()
+				h.mu.Unlock()
 				t.fpGrants.Add(1)
 				t.omFastGrant()
 				return fastGranted
 			}
-			ts.mu.Unlock()
+			h.mu.Unlock()
 			continue // word moved under us; re-evaluate
 		case fpIsFast(w) && fpTxnOf(w) != txn && !GCompatible(mode, fpModeOf(w)):
 			return fastSpin
@@ -553,21 +562,21 @@ func (t *Table) fastTryClaimOnce(fs *fastState, txn TxnID, g Granule, mode Mode)
 // claim: every request's word goes FREE→FAST(txn, mode) and the hold set
 // is filled in one append. On the first word that is not FREE (a holder,
 // a SLOW episode, a granule never promoted) it frees the words it took
-// and reports false, and the caller decides through the stripe maps.
-// Caller holds every stripe of reqs and ts.mu, has checked that txn
+// and reports false, and the caller decides through the map. Caller
+// holds t.mu and t.holds.mu, has checked that txn
 // holds nothing, and passes distinct granules.
 //
 //granulint:hotpath
-func (t *Table) fastClaimBatch(ts *txnShard, txn TxnID, reqs []Request) bool {
+func (t *Table) fastClaimBatch(txn TxnID, reqs []Request) bool {
 	for i, r := range reqs {
-		fs := t.shardFor(r.Granule).fastLookup(r.Granule)
+		fs := t.fastLookup(r.Granule)
 		if fs != nil && fastMode(r.Mode) && fs.word.CompareAndSwap(0, fpPack(txn, r.Mode)) {
 			continue
 		}
 		for _, u := range reqs[:i] {
 			// Only this goroutine can move a word that is FAST for txn
-			// while it holds the stripes and ts.mu (see the invariants).
-			if !t.shardFor(u.Granule).fastLookup(u.Granule).word.CompareAndSwap(fpPack(txn, u.Mode), 0) {
+			// while it holds the latch and holds.mu (see the invariants).
+			if !t.fastLookup(u.Granule).word.CompareAndSwap(fpPack(txn, u.Mode), 0) {
 				panic("lockmgr: batch claim rollback lost a word it owns")
 			}
 		}
@@ -575,7 +584,7 @@ func (t *Table) fastClaimBatch(ts *txnShard, txn TxnID, reqs []Request) bool {
 		t.omFastFallback()
 		return false
 	}
-	ts.fillLocked(txn, reqs)
+	t.holds.fillLocked(txn, reqs)
 	t.fpGrants.Add(1)
 	t.omFastGrant()
 	return true
@@ -586,31 +595,31 @@ func (t *Table) fastClaimBatch(ts *txnShard, txn TxnID, reqs []Request) bool {
 // granules already freed were genuinely released (release is not
 // atomic across granules; 2PL only needs acquire-side atomicity) — and
 // reports false so the caller finishes through the slow path, which
-// re-snapshots the shrunken hold set. Fast-freed granules can have no
+// reads the shrunken hold set under the latch. Fast-freed granules can have no
 // waiters and no parked claims (see the invariants), so skipping the
 // wake/claim sweeps is sound, not just fast.
 //
 //granulint:hotpath
 func (t *Table) fastReleaseAll(txn TxnID) bool {
-	ts := t.txnShardFor(txn)
-	ts.mu.Lock()
-	hs := ts.held[txn]
+	h := &t.holds
+	h.mu.Lock()
+	hs := h.held[txn]
 	if hs.size() == 0 {
-		delete(ts.held, txn)
-		ts.recycleLocked(hs)
-		ts.mu.Unlock()
+		delete(h.held, txn)
+		h.recycleLocked(hs)
+		h.mu.Unlock()
 		t.detForget(txn)
 		return true
 	}
 	// Walk the entry vector from the tail so a partial release keeps it
 	// exact: each freed granule is pruned by truncation, and on an
 	// obstacle everything not yet freed is still present for the slow
-	// path's re-snapshot.
+	// path to release.
 	for i := len(hs.entries) - 1; i >= 0; i-- {
 		e := hs.entries[i]
-		fs := t.shardFor(e.g).fastLookup(e.g)
+		fs := t.fastLookup(e.g)
 		if fs == nil || !fs.word.CompareAndSwap(fpPack(txn, e.mode), 0) {
-			ts.mu.Unlock()
+			h.mu.Unlock()
 			return false // this granule is slow-path business now
 		}
 		if hs.m != nil {
@@ -618,20 +627,20 @@ func (t *Table) fastReleaseAll(txn TxnID) bool {
 		}
 		hs.entries = hs.entries[:i]
 	}
-	delete(ts.held, txn)
-	ts.recycleLocked(hs)
-	ts.mu.Unlock()
+	delete(h.held, txn)
+	h.recycleLocked(hs)
+	h.mu.Unlock()
 	t.fpReleases.Add(1)
 	t.omFastRelease()
 	t.detForget(txn)
 	return true
 }
 
-// lockedFastGranules counts FAST-held granules in the shard's index.
-// Caller holds s.mu (which pins slot assignments; the words themselves
+// lockedFastGranules counts FAST-held granules in the index. Caller
+// holds t.mu (which freezes slot assignments; the words themselves
 // may still move, making the count a snapshot like the rest of Stats).
-func (s *shard) lockedFastGranules() int {
-	ix := s.fast.Load()
+func (t *Table) lockedFastGranules() int {
+	ix := t.fast.Load()
 	if ix == nil {
 		return 0
 	}

@@ -11,13 +11,13 @@ import (
 
 // warmFast makes g fast-eligible: the first claim/release cycle over a
 // granule runs on the slow path, and the release-side garbage collection
-// promotes the granule into the shard's lock-free index.
+// promotes the granule into the table's lock-free index.
 func warmFast(t *testing.T, tab *Table, g Granule) {
 	t.Helper()
 	const warmTxn = TxnID(1 << 40) // far outside the ids tests use
 	mustAcquireAll(t, tab, warmTxn, reqs(ModeExclusive, g))
 	tab.ReleaseAll(warmTxn)
-	if fs := tab.shardFor(g).fastLookup(g); fs == nil || fs.word.Load() != 0 {
+	if fs := tab.fastLookup(g); fs == nil || fs.word.Load() != 0 {
 		t.Fatalf("granule %d not promoted to fast-path eligibility after warm-up", g)
 	}
 }
@@ -50,7 +50,7 @@ func TestFastPackRoundTrip(t *testing.T) {
 }
 
 func TestFastPathUncontendedClaimCycle(t *testing.T) {
-	tab := NewTable(WithShards(4))
+	tab := NewTable()
 	g := Granule(7)
 	warmFast(t, tab, g)
 	if fp := tab.FastStats(); fp.Grants != 0 {
@@ -146,7 +146,7 @@ func TestFastPathSharedReadersFallBackToMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second reader cannot be encoded in the single-holder word: it
-	// must demote the granule and join through the stripe map.
+	// must demote the granule and join through the granule map.
 	if err := tab.Acquire(ctx, 2, g, ModeShared); err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +241,8 @@ func TestFastPathDisabledByOption(t *testing.T) {
 }
 
 // TestFastPathRuntimeToggle flips the fast path off while fast-held
-// locks exist: the slow path must lazily migrate them into the stripe
-// maps and release them correctly.
+// locks exist: the slow path must lazily migrate them into the granule
+// map and release them correctly.
 func TestFastPathRuntimeToggle(t *testing.T) {
 	tab := NewTable()
 	ctx := context.Background()
@@ -273,7 +273,7 @@ func TestFastPathSpinBudgetAdapts(t *testing.T) {
 	ctx := context.Background()
 	g := Granule(2)
 	warmFast(t, tab, g)
-	fs := tab.shardFor(g).fastLookup(g)
+	fs := tab.fastLookup(g)
 	if got := fs.spin.Load(); got != fpSpinSeed {
 		t.Fatalf("spin budget = %d, want seed %d", got, fpSpinSeed)
 	}
@@ -296,11 +296,11 @@ func TestFastPathSpinBudgetAdapts(t *testing.T) {
 	tab.ReleaseAll(2)
 }
 
-// TestFastPathIndexGrows cycles far more granules than a shard's fast
-// index starts with: the index must grow to hold them all, so that once
+// TestFastPathIndexGrows cycles far more granules than the fast index
+// starts with: the index must grow to hold them all, so that once
 // every granule has been promoted, every later cycle is a fast grant.
 func TestFastPathIndexGrows(t *testing.T) {
-	tab := NewTable() // one shard: all granules share one index
+	tab := NewTable()
 	const n = 64 * fpMinSlots
 	txn := TxnID(1)
 	for round := 0; round < 2; round++ {
@@ -319,9 +319,8 @@ func TestFastPathIndexGrows(t *testing.T) {
 	if fp := tab.FastStats(); fp.Grants != n || fp.Fallbacks != 0 {
 		t.Fatalf("second round should be %d fast grants with no fallback, got %+v", n, fp)
 	}
-	s := tab.shards[0]
-	if ix := s.fast.Load(); s.fastN != n || 2*n > len(ix.slots) {
-		t.Fatalf("index holds %d records in %d slots, want %d at most half full", s.fastN, len(ix.slots), n)
+	if ix := tab.fast.Load(); tab.fastN != n || 2*n > len(ix.slots) {
+		t.Fatalf("index holds %d records in %d slots, want %d at most half full", tab.fastN, len(ix.slots), n)
 	}
 }
 
@@ -347,7 +346,7 @@ func TestFastPathUnpackableTxnUsesSlowPath(t *testing.T) {
 // conservative probe records nothing: no hold-set entries, no granule
 // records beyond those that already existed.
 func TestTryAcquireAllNoPartialStateOnFailure(t *testing.T) {
-	tab := NewTable(WithShards(8))
+	tab := NewTable()
 	mustAcquireAll(t, tab, 1, reqs(ModeExclusive, 30))
 	ok, err := tab.TryAcquireAll(2, []Request{
 		{Granule: 10, Mode: ModeShared},
@@ -376,7 +375,7 @@ func TestTryAcquireAllNoPartialStateOnFailure(t *testing.T) {
 // overlapping granule sets (run under -race in CI): failed probes must
 // leave zero recorded state and the table must drain to empty.
 func TestTryAcquireAllRace(t *testing.T) {
-	tab := NewTable(WithShards(8))
+	tab := NewTable()
 	const workers = 8
 	const iters = 300
 	var wg sync.WaitGroup
@@ -418,9 +417,9 @@ func TestTryAcquireAllRace(t *testing.T) {
 
 // TestFastPathConcurrentStress mixes fast claims, incremental steps and
 // releases over a small granule set with the fast path active, checking
-// mutual exclusion the same way the sharded stress tests do.
+// mutual exclusion the same way the conservative stress test does.
 func TestFastPathConcurrentStress(t *testing.T) {
-	tab := NewTable(WithShards(4))
+	tab := NewTable()
 	const workers = 8
 	const iters = 200
 	const granules = 6

@@ -145,11 +145,11 @@ func TestFastWordNeverCarriesIntentionMode(t *testing.T) {
 	// An intention mode on top of a fast-held S: the S grant is fast, the
 	// upgrade demotes, and the word is never FAST in SIX.
 	mustAcquire(t, tab, 50, g, ModeShared)
-	if fs := tab.shardFor(g).fastLookup(g); fs == nil || !fpIsFast(fs.word.Load()) {
+	if fs := tab.fastLookup(g); fs == nil || !fpIsFast(fs.word.Load()) {
 		t.Fatal("S grant did not take the fast word")
 	}
 	mustAcquire(t, tab, 50, g, ModeIX)
-	if fs := tab.shardFor(g).fastLookup(g); fpIsFast(fs.word.Load()) {
+	if fs := tab.fastLookup(g); fpIsFast(fs.word.Load()) {
 		t.Fatal("word still FAST after an upgrade into SIX")
 	}
 	if m, _ := tab.heldMode(50, g); m != ModeSIX {

@@ -113,54 +113,46 @@ type Stats struct {
 	Deadlocks int64 // claim-as-needed waits aborted as deadlock victims
 }
 
-func (s *Stats) add(o Stats) {
-	s.Grants += o.Grants
-	s.Blocks += o.Blocks
-	s.Deadlocks += o.Deadlocks
-}
-
 // Table is a granule lock table supporting both conservative
 // (all-or-nothing preclaim, deadlock-free) and incremental
 // (claim-as-needed, deadlock-detected) acquisition. All methods are safe
 // for concurrent use.
 //
-// The table is striped: granules hash onto a power-of-two number of
-// shards (WithShards, default 1), each with its own mutex, granule map,
-// claim queue and activity counters, so uncontended traffic on distinct
-// granules scales with cores instead of serializing behind one table
-// mutex. Multi-granule operations (conservative claims, ReleaseAll) lock
-// every involved shard in canonical ascending index order — the
-// shard-ordered discipline that keeps the stripes themselves
-// deadlock-free. Per-transaction hold sets are striped separately by
-// transaction id, and the waits-for deadlock Detector sits behind its
-// own dedicated mutex that is touched only on block/unblock transitions,
-// never on the uncontended-grant fast path. With one shard the table
-// behaves exactly as the historical single-mutex implementation (the
-// simulation model keeps that default, so golden runs are unaffected).
+// One latch, mu, guards the table: the granule map, the queue of parked
+// conservative claims, the incremental waiters, the waits-for graph and
+// the activity counters. A single-holder grant or release on a granule
+// nobody else wants skips it altogether through the lock-free fast path
+// (fastpath.go). The per-transaction hold sets sit behind a mutex of
+// their own, which the fast path takes instead of the latch and
+// everything else takes inside it.
 type Table struct {
-	shards []*shard
-	mask   uint64
-	txns   []*txnShard
-	strict bool
-
-	// The waits-for graph is global (deadlock cycles cross shards) and
-	// guarded by its own mutex, ordered after every shard and txn-stripe
-	// lock. detEdges mirrors det.Edges() so release paths can skip the
-	// detector entirely while nothing in the table is blocked.
-	detMu    sync.Mutex
-	det      *Detector
+	mu       sync.Mutex
+	granules map[Granule]*granuleState
+	// free recycles granule records the release-path GC emptied, so a
+	// granule that keeps falling to the slow path (shared readers, a
+	// contended hot spot) does not allocate a record and a holders map
+	// per episode.
+	free   []*granuleState
+	claimQ []*ParkedClaim // parked conservative claims, in arrival order
+	stats  Stats
+	det    *Detector
+	// detEdges mirrors det.Edges() so a fast release can skip the latch
+	// while nothing in the table waits.
 	detEdges atomic.Int64
+	// fast is the lock-free granule index (fastpath.go), nil until the
+	// first granule is promoted and replaced by a larger one as it fills;
+	// fastN counts its records. Both are written under mu; lookups are
+	// lock-free.
+	fast  atomic.Pointer[fastIndex]
+	fastN int
 
-	// claimSeq orders parked conservative claims globally. It is drawn
-	// while holding every shard of the claim, so per-shard queue order
-	// always agrees with seq order for claims that share a shard.
-	claimSeq atomic.Uint64
+	holds holdSets
 
 	om *tableMetrics // nil unless WithMetrics attached
 
 	// Lock-free fast path (fastpath.go). fastOn gates it at runtime; the
-	// counters are table-global atomics because fast operations never
-	// hold a stripe mutex to attribute activity under.
+	// counters are atomics because fast operations never hold the latch
+	// to count under.
 	fastOn      atomic.Bool
 	fpGrants    atomic.Int64
 	fpReleases  atomic.Int64
@@ -169,62 +161,38 @@ type Table struct {
 	fpSpinParks atomic.Int64
 }
 
-// shard is one granule stripe: a slice of the lock table guarded by its
-// own mutex.
-type shard struct {
-	mu       sync.Mutex
-	granules map[Granule]*granuleState
-	// free recycles granule records the release-path GC emptied, so a
-	// granule that keeps falling to the slow path (shared readers, a
-	// contended hot spot) does not allocate a record and a holders map
-	// per episode.
-	free   []*granuleState
-	claimQ []*ParkedClaim // FIFO (by claim seq) of parked claims touching this shard
-	stats  Stats
-	// fast is the shard's lock-free granule index (fastpath.go), nil
-	// until the first granule is promoted and replaced by a larger one
-	// as it fills; fastN counts its records. Both are written under mu;
-	// lookups are lock-free.
-	fast  atomic.Pointer[fastIndex]
-	fastN int
-}
-
-// granuleFreeMax bounds a shard's free list of granule records.
+// granuleFreeMax bounds the table's free list of granule records.
 const granuleFreeMax = 256
 
 // stateLocked returns g's map record, creating an empty one if absent.
-// Caller holds s.mu. A recycled record may still be referenced by an
+// Caller holds t.mu. A recycled record may still be referenced by an
 // Acquire that parked on its previous granule and was since resolved;
 // all such a caller does with it is fail to find its waiter.
-func (s *shard) stateLocked(g Granule) *granuleState {
-	gs := s.granules[g]
+func (t *Table) stateLocked(g Granule) *granuleState {
+	gs := t.granules[g]
 	if gs == nil {
-		if n := len(s.free); n > 0 {
-			gs = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
+		if n := len(t.free); n > 0 {
+			gs = t.free[n-1]
+			t.free[n-1] = nil
+			t.free = t.free[:n-1]
 		} else {
 			gs = &granuleState{holders: make(map[TxnID]Mode, 1)}
 		}
-		s.granules[g] = gs
+		t.granules[g] = gs
 	}
 	return gs
 }
 
 // collectLocked removes g's empty record from the map and keeps it for
-// reuse. Caller holds s.mu.
-func (s *shard) collectLocked(g Granule, gs *granuleState) {
-	delete(s.granules, g)
-	if len(s.free) < granuleFreeMax {
+// reuse. Caller holds t.mu.
+func (t *Table) collectLocked(g Granule, gs *granuleState) {
+	delete(t.granules, g)
+	if len(t.free) < granuleFreeMax {
 		gs.waiters = gs.waiters[:0]
-		s.free = append(s.free, gs)
+		t.free = append(t.free, gs)
 	}
 }
 
-// txnShard is one stripe of the per-transaction hold sets, keyed by
-// transaction-id hash. Its lock is only ever taken while holding the
-// relevant granule-shard locks or alone, one txn stripe at a time, so it
-// cannot participate in a lock-order cycle.
 // holdSet is one transaction's hold set: granule → strongest mode
 // held. Storage is a flat entry vector: hold sets are tiny for the
 // dominant transaction shapes, and a vector keeps the claim/release
@@ -313,7 +281,10 @@ func (h *holdSet) set(g Granule, mode Mode) {
 	}
 }
 
-type txnShard struct {
+// holdSets is every transaction's hold set. Its mutex is taken alone by
+// the fast path and inside the table's latch by everything else, never
+// the other way round.
+type holdSets struct {
 	mu   sync.Mutex
 	held map[TxnID]*holdSet
 	// pool recycles emptied hold sets: the per-transaction map is the
@@ -323,13 +294,13 @@ type txnShard struct {
 }
 
 // allocLocked returns an empty hold set, reusing a recycled one when
-// available. Caller holds ts.mu.
-func (ts *txnShard) allocLocked(hint int) *holdSet {
-	if n := len(ts.pool); n > 0 {
-		h := ts.pool[n-1]
-		ts.pool[n-1] = nil
-		ts.pool = ts.pool[:n-1]
-		return h
+// available. Caller holds h.mu.
+func (h *holdSets) allocLocked(hint int) *holdSet {
+	if n := len(h.pool); n > 0 {
+		hs := h.pool[n-1]
+		h.pool[n-1] = nil
+		h.pool = h.pool[:n-1]
+		return hs
 	}
 	if hint < 4 {
 		hint = 4
@@ -339,14 +310,14 @@ func (ts *txnShard) allocLocked(hint int) *holdSet {
 
 // fillLocked records reqs, whose granules are distinct, as the whole
 // hold set of txn, which holds nothing: one append into a pooled
-// vector, with no membership probe. Caller holds ts.mu.
+// vector, with no membership probe. Caller holds h.mu.
 //
 //granulint:hotpath
-func (ts *txnShard) fillLocked(txn TxnID, reqs []Request) {
-	hs := ts.held[txn]
+func (h *holdSets) fillLocked(txn TxnID, reqs []Request) {
+	hs := h.held[txn]
 	if hs == nil {
-		hs = ts.allocLocked(len(reqs))
-		ts.held[txn] = hs
+		hs = h.allocLocked(len(reqs))
+		h.held[txn] = hs
 	}
 	for _, r := range reqs {
 		hs.entries = append(hs.entries, holdEntry{g: r.Granule, mode: r.Mode})
@@ -354,15 +325,15 @@ func (ts *txnShard) fillLocked(txn TxnID, reqs []Request) {
 }
 
 // recycleLocked clears hs and keeps it for reuse. Safe only once hs is
-// unreachable from ts.held — no caller retains a hold-set reference
-// across an unlock of ts.mu. Caller holds ts.mu.
-func (ts *txnShard) recycleLocked(hs *holdSet) {
-	if hs == nil || len(ts.pool) >= 64 {
+// unreachable from h.held — no caller retains a hold-set reference
+// across an unlock of h.mu. Caller holds h.mu.
+func (h *holdSets) recycleLocked(hs *holdSet) {
+	if hs == nil || len(h.pool) >= 64 {
 		return
 	}
 	hs.entries = hs.entries[:0]
 	hs.m = nil // spilled accelerator maps are not worth pooling
-	ts.pool = append(ts.pool, hs)
+	h.pool = append(h.pool, hs)
 }
 
 // tableMetrics mirrors the Stats counters into an obs.Registry, the
@@ -392,9 +363,6 @@ func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
 	reg.NewGaugeFunc("granulock_lockmgr_waiters",
 		"Requests currently parked (conservative claims plus incremental waiters).",
 		func() float64 { return float64(t.WaitersCount()) })
-	reg.NewGaugeFunc("granulock_lockmgr_shards",
-		"Granule stripes in the lock table (power of two).",
-		func() float64 { return float64(len(t.shards)) })
 	reg.NewGaugeFunc("granulock_lockmgr_fastpath_enabled",
 		"Whether the lock-free uncontended fast path is active (0/1).",
 		func() float64 {
@@ -411,11 +379,11 @@ func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
 		deadlocks: reg.NewCounter("granulock_lockmgr_deadlocks_total",
 			"Claim-as-needed waits aborted as deadlock victims."),
 		fpGrants: reg.NewCounter("granulock_lockmgr_fastpath_grants_total",
-			"Acquisitions granted by the lock-free fast path (CAS alone, no stripe mutex)."),
+			"Acquisitions granted by the lock-free fast path (CAS alone, no table latch)."),
 		fpReleases: reg.NewCounter("granulock_lockmgr_fastpath_releases_total",
 			"ReleaseAll calls completed entirely on the lock-free fast path."),
 		fpFallbacks: reg.NewCounter("granulock_lockmgr_fastpath_fallbacks_total",
-			"Fast-path attempts that deferred to the stripe-locked slow path."),
+			"Fast-path attempts that deferred to the latched slow path."),
 		fpSpinWins: reg.NewCounter("granulock_lockmgr_fastpath_spin_wins_total",
 			"Conflicting requests granted while spinning, before parking."),
 		fpSpinParks: reg.NewCounter("granulock_lockmgr_fastpath_spin_parks_total",
@@ -423,10 +391,9 @@ func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
 	}
 }
 
-// omGrant, omWait and omDeadlock bump the registry twins of the
-// per-shard Stats counters. They take no locks (obs counters are
-// atomic); the Stats counters themselves are incremented under the
-// owning shard's mutex.
+// omGrant, omWait and omDeadlock bump the registry twins of the Stats
+// counters. They take no locks (obs counters are atomic); the Stats
+// counters themselves are incremented under the latch.
 func (t *Table) omGrant() {
 	if t.om != nil {
 		t.om.grants.Inc()
@@ -492,15 +459,14 @@ type granuleState struct {
 // AcquireAll draws one, with the channel it waits on, from a pool. A
 // record must not be copied, and carries one claim at a time.
 //
-// While parked, the record sits in the claim queue of every shard its
-// granules hash onto; resolution (grant, duplicate failure, withdrawal)
-// always happens while holding all of those shard locks, which is what
-// guards the parked flag — so a claim is resolved exactly once, by a
-// release or by Withdraw, never both. The outcome of a resolved claim is
-// delivered after the stripe locks are dropped (Deliver): to Resolve, on
-// the resolving goroutine, or to the channel a blocking AcquireAll waits
-// on. From then on the table holds no reference to the record, with one
-// exception the owner asks about before parking it again (Reusable).
+// While parked, the record sits in the table's claim queue. It is
+// resolved (grant, duplicate failure, withdrawal) only under the table's
+// latch, which guards the parked flag, so a claim is resolved exactly
+// once, by a release or by Withdraw, never both. The outcome of a
+// resolved claim is delivered after the latch is dropped (Deliver): to
+// Resolve, on the resolving goroutine, or to the channel a blocking
+// AcquireAll waits on. From then on the table holds no reference to the
+// record, and its owner may park the next claim in it.
 type ParkedClaim struct {
 	// Resolve receives the outcome of a claim parked by AcquireAllAsync
 	// (nil for a grant). The owner sets it once, before the record's
@@ -508,27 +474,20 @@ type ParkedClaim struct {
 	// one allocation there, not per claim. It must not block.
 	Resolve func(error)
 
-	seq    uint64
 	txn    TxnID
 	reqs   []Request     // the table's copy of the claim
-	shards []uint64      // sorted unique shard indexes of reqs
 	ch     chan struct{} // pool records only: a blocking AcquireAll waits here for err
 	err    error         // the outcome of a resolved claim
-	parked bool          // queued; guarded by the locks of shards
+	parked bool          // queued; guarded by the table's latch
 	uses   int           // pool records only: claims carried so far
-	// pins counts releases that picked the claim for re-evaluation while
-	// it was queued and have yet to look at it: they dropped the stripe
-	// locks in between, so the claim may be resolved before they do.
-	pins atomic.Int32
 
-	// Where reqs and shards start out; a larger claim spills to a slice
-	// the record then keeps.
-	reqArr   [claimInline]Request
-	shardArr [claimInline]uint64
+	// Where reqs starts out; a larger claim spills to a slice the record
+	// then keeps.
+	reqArr [claimInline]Request
 }
 
 // claimInline is the claim size a record holds without spilling: like
-// the table's other fixed buffers (shardSetCap, releaseBufCap), the mean
+// the table's other fixed buffers (releaseBufCap), the mean
 // transaction's sixteen granules.
 const claimInline = 16
 
@@ -538,32 +497,24 @@ var claimPool = sync.Pool{New: func() any { return &ParkedClaim{ch: make(chan st
 
 // claimRecordUses is how many claims a pooled record carries before it
 // is left to the collector. Nothing in the table needs a record retired:
-// this keeps the blocking path's allocation rate at 1/32 of a record and
+// this keeps the blocking path's allocation rate at 1/24 of a record and
 // its channel per blocked claim instead of exactly zero, which the
 // repository's frozen benchmark cannot report — it compares end-to-end
 // metrics as ratios and refuses a zero as "not measured"
 // (benchmark/metrics.go, render), so with every claim blocking and
 // nothing allocated engine-coarse has no result at all. The runtime
 // counts small allocations a span at a time, and the benchmark's smoke
-// test cuts 200 ms into ten slices of which five must see one: at 32 its
-// engine-coarse cell read zero in 1 of about 100 runs, at 64 with a
-// 200-byte record in 7 of 8.
-const claimRecordUses = 32
+// test cuts 200 ms into ten slices of which five must see one. A record
+// is 336 bytes, 23 to a span of its size class, so at 24 a span is
+// refilled every ~550 blocked claims: about as often as a 512-byte
+// record retired every 32 was, which read zero in 1 of about 100 runs
+// (at 64 with a 200-byte record, 7 of 8).
+const claimRecordUses = 24
 
 // Requests returns the table's copy of the claim last parked in w: what
 // a continuation needs to finish the request. It is valid until w is
 // parked again.
 func (w *ParkedClaim) Requests() []Request { return w.reqs }
-
-// Reusable reports whether the table is done with a record whose claim
-// has been resolved or withdrawn: no release that picked it while it
-// was queued is still on its way to look at it. Such a release finds
-// the claim resolved and leaves, so false is rare and short-lived; an
-// owner that sees it abandons the record to the collector rather than
-// wait — parking a record a release still points at would show that
-// release the next claim's fields while it holds the previous claim's
-// locks.
-func (w *ParkedClaim) Reusable() bool { return w.pins.Load() == 0 }
 
 // Deliver hands a resolved claim its outcome. The table calls it for
 // every claim it resolves except those ReleaseAllDeferred returns,
@@ -581,7 +532,7 @@ func (w *ParkedClaim) Deliver() {
 
 // recycle returns the record of a finished blocking claim to the pool.
 func (w *ParkedClaim) recycle() {
-	if w.uses++; w.uses >= claimRecordUses || !w.Reusable() {
+	if w.uses++; w.uses >= claimRecordUses {
 		return
 	}
 	claimPool.Put(w)
@@ -599,69 +550,36 @@ type stepWaiter struct {
 type Option func(*tableConfig)
 
 type tableConfig struct {
-	strict bool
-	shards int
-	reg    *obs.Registry
-	fast   bool
+	reg  *obs.Registry
+	fast bool
 }
-
-// StrictFIFO makes conservative preclaim grants strictly first-come,
-// first-served: a parked claim blocks every claim behind it, trading
-// concurrency for starvation freedom. With multiple shards the
-// guarantee is per stripe: a parked claim blocks later claims that
-// touch any of its shards. The default allows compatible later claims
-// to overtake.
-func StrictFIFO() Option { return func(c *tableConfig) { c.strict = true } }
-
-// WithShards stripes the table over n granule shards (rounded up to the
-// next power of two, minimum 1). More shards let independent granule
-// traffic proceed on independent mutexes; shards=1 reproduces the
-// historical single-mutex behavior exactly.
-func WithShards(n int) Option { return func(c *tableConfig) { c.shards = n } }
 
 // WithMetrics mirrors the table's activity into reg: grant/wait/
 // deadlock counters plus scrape-time gauges for holders, locked
-// granules, parked waiters and the shard count (family prefix
-// granulock_lockmgr_). One table per registry: the gauges read this
-// table's state.
+// granules and parked waiters (family prefix granulock_lockmgr_). One
+// table per registry: the gauges read this table's state.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(c *tableConfig) { c.reg = reg }
 }
 
 // WithFastPath enables or disables the lock-free uncontended fast path
-// (fastpath.go) at construction; the default is enabled. Disabled, the
-// table behaves exactly as the all-stripe-locked implementation.
-// SetFastPath flips the switch at runtime.
+// (fastpath.go) at construction; the default is enabled. Disabled, every
+// operation takes the table's latch. SetFastPath flips the switch at
+// runtime.
 func WithFastPath(on bool) Option {
 	return func(c *tableConfig) { c.fast = on }
 }
 
-// nextPow2 rounds n up to the next power of two, minimum 1.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // NewTable returns an empty lock table.
 func NewTable(opts ...Option) *Table {
-	cfg := tableConfig{shards: 1, fast: true}
+	cfg := tableConfig{fast: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	n := nextPow2(cfg.shards)
 	t := &Table{
-		shards: make([]*shard, n),
-		mask:   uint64(n - 1),
-		txns:   make([]*txnShard, n),
-		strict: cfg.strict,
-		det:    NewDetector(),
-	}
-	for i := range t.shards {
-		t.shards[i] = &shard{granules: make(map[Granule]*granuleState)}
-		t.txns[i] = &txnShard{held: make(map[TxnID]*holdSet)}
+		granules: make(map[Granule]*granuleState),
+		holds:    holdSets{held: make(map[TxnID]*holdSet)},
+		det:      NewDetector(),
 	}
 	t.fastOn.Store(cfg.fast)
 	if cfg.reg != nil {
@@ -670,196 +588,75 @@ func NewTable(opts ...Option) *Table {
 	return t
 }
 
-// Shards returns the number of granule stripes (a power of two).
-func (t *Table) Shards() int { return len(t.shards) }
-
-// mix64 is the splitmix64 finalizer: granule and transaction ids are
-// often small and sequential, so stripe selection needs a real mixer to
-// spread them across shards.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// shardIndex returns the stripe index of a granule.
-func (t *Table) shardIndex(g Granule) uint64 {
-	if t.mask == 0 {
-		return 0
-	}
-	return mix64(uint64(g)) & t.mask
-}
-
-// shardFor returns the stripe owning a granule.
-func (t *Table) shardFor(g Granule) *shard { return t.shards[t.shardIndex(g)] }
-
-// txnShardFor returns the stripe owning a transaction's hold set.
-func (t *Table) txnShardFor(txn TxnID) *txnShard {
-	if t.mask == 0 {
-		return t.txns[0]
-	}
-	return t.txns[mix64(uint64(txn))&t.mask]
-}
-
-// shardSetCap sizes the on-stack buffer callers hand shardSet: claims
-// that touch at most this many distinct stripes compute their lock
-// order without allocating.
-const shardSetCap = 16
-
-// shardSet appends to buf the sorted, deduplicated stripe indexes
-// touched by a request set — the canonical lock order for multi-granule
-// operations.
-//
-//granulint:hotpath
-func (t *Table) shardSet(buf []uint64, reqs []Request) []uint64 {
-	if t.mask == 0 {
-		return zeroShard
-	}
-	for _, r := range reqs {
-		if i := t.shardIndex(r.Granule); !slices.Contains(buf, i) {
-			buf = append(buf, i)
-		}
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-// granuleShardSet is shardSet over bare granules (the release path).
-func (t *Table) granuleShardSet(buf []uint64, gs []Granule) []uint64 {
-	if t.mask == 0 {
-		return zeroShard
-	}
-	for _, g := range gs {
-		if i := t.shardIndex(g); !slices.Contains(buf, i) {
-			buf = append(buf, i)
-		}
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-// zeroShard is the shared single-stripe index set: immutable, so every
-// single-shard operation can use it without allocating.
-var zeroShard = []uint64{0}
-
-// lockShards locks the given stripes; idx must be sorted ascending and
-// deduplicated (the canonical order).
-//
-//granulint:ordered
-func (t *Table) lockShards(idx []uint64) {
-	for _, i := range idx {
-		t.shards[i].mu.Lock()
-	}
-}
-
-// unlockShards releases stripes locked by lockShards.
-func (t *Table) unlockShards(idx []uint64) {
-	for j := len(idx) - 1; j >= 0; j-- {
-		t.shards[idx[j]].mu.Unlock()
-	}
-}
-
-// Stats returns a snapshot of the activity counters, aggregated across
-// shards. The snapshot is per-shard-consistent, not globally atomic:
-// each stripe's counters are read under that stripe's lock, but
-// activity may land in an already-read stripe while later stripes are
-// being read. Counters only ever increase, so the aggregate is a valid
-// lower bound at the time the last stripe was read.
+// Stats returns a snapshot of the activity counters.
 func (t *Table) Stats() Stats {
-	var s Stats
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		s.add(sh.stats)
-		sh.mu.Unlock()
-	}
-	// Fast-path grants never held a stripe mutex; they accumulate in a
-	// table-global atomic and fold in here so Grants counts every
-	// acquisition whatever path served it.
+	t.mu.Lock()
+	s := t.stats
+	t.mu.Unlock()
+	// Fast-path grants never held the latch; they accumulate in an
+	// atomic and fold in here so Grants counts every acquisition
+	// whatever path served it.
 	s.Grants += t.fpGrants.Load()
 	return s
 }
 
 // HeldBy returns the number of granules txn currently holds.
 func (t *Table) HeldBy(txn TxnID) int {
-	ts := t.txnShardFor(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.held[txn].size()
+	t.holds.mu.Lock()
+	defer t.holds.mu.Unlock()
+	return t.holds.held[txn].size()
 }
 
 // HoldersCount returns the number of transactions currently holding at
 // least one granule. A clean table reports 0; after a drain this is the
-// residual-holder count a lock service must bring to zero. Like Stats,
-// the count is per-stripe-consistent rather than globally atomic.
+// residual-holder count a lock service must bring to zero.
 func (t *Table) HoldersCount() int {
+	t.holds.mu.Lock()
+	defer t.holds.mu.Unlock()
 	n := 0
-	for _, ts := range t.txns {
-		ts.mu.Lock()
-		for _, hm := range ts.held {
-			if hm.size() > 0 {
-				n++
-			}
+	for _, hm := range t.holds.held {
+		if hm.size() > 0 {
+			n++
 		}
-		ts.mu.Unlock()
 	}
 	return n
 }
 
 // LockedGranules returns the number of granules with at least one
-// holder (per-stripe-consistent). A granule held through the fast path
-// has no map entry — its holder lives in the packed word — so both
-// populations are counted; they are disjoint by the fast-path
-// invariant (FAST word ⇔ no map entry).
+// holder. A granule held through the fast path has no map entry — its
+// holder lives in the packed word — so both populations are counted;
+// they are disjoint by the fast-path invariant (FAST word ⇔ no map
+// entry).
 func (t *Table) LockedGranules() int {
-	n := 0
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, gs := range sh.granules {
-			if len(gs.holders) > 0 {
-				n++
-			}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.lockedFastGranules()
+	for _, gs := range t.granules {
+		if len(gs.holders) > 0 {
+			n++
 		}
-		n += sh.lockedFastGranules()
-		sh.mu.Unlock()
 	}
 	return n
 }
 
 // WaitersCount returns the number of requests currently parked: both
-// conservative whole-claim waiters and incremental per-granule waiters
-// (per-stripe-consistent). A claim parked across several stripes is
-// counted once, in its home stripe (the lowest-indexed shard it
-// touches).
+// conservative whole-claim waiters and incremental per-granule waiters.
 func (t *Table) WaitersCount() int {
-	n := 0
-	for i, sh := range t.shards {
-		sh.mu.Lock()
-		for _, w := range sh.claimQ {
-			if w.shards[0] == uint64(i) {
-				n++
-			}
-		}
-		for _, gs := range sh.granules {
-			n += len(gs.waiters)
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.claimQ)
+	for _, gs := range t.granules {
+		n += len(gs.waiters)
 	}
 	return n
 }
 
-// granuleRecords counts granule entries across all stripes, including
-// empty ones awaiting GC (test hook for the release-path GC).
+// granuleRecords counts granule entries, including empty ones awaiting
+// GC (test hook for the release-path GC).
 func (t *Table) granuleRecords() int {
-	n := 0
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		n += len(sh.granules)
-		sh.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.granules)
 }
 
 // HoldsAtLeast reports whether txn holds granule g in a mode that covers
@@ -871,28 +668,26 @@ func (t *Table) HoldsAtLeast(txn TxnID, g Granule, want Mode) bool {
 
 // heldMode returns the mode txn holds g in, if it holds it.
 func (t *Table) heldMode(txn TxnID, g Granule) (Mode, bool) {
-	ts := t.txnShardFor(txn)
-	ts.mu.Lock()
-	have, ok := ts.held[txn].get(g)
-	ts.mu.Unlock()
+	t.holds.mu.Lock()
+	have, ok := t.holds.held[txn].get(g)
+	t.holds.mu.Unlock()
 	return have, ok
 }
 
 // ConflictingHolders returns a snapshot of the transactions that hold
 // granule g in a mode incompatible with want, excluding txn itself,
 // sorted ascending. The snapshot is advisory: holders can change the
-// moment the stripe unlocks, so callers layering restart policies over
+// moment the latch drops, so callers layering restart policies over
 // it (wound-wait / wait-die, internal/engine/cc) must keep the
 // deadlock detector armed as their safety net for decisions that race
 // a concurrent grant.
 func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
-	s := t.shardFor(g)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// A FAST word is the granule's entire state (no map entry exists
 	// while it holds); read it non-destructively rather than demoting,
 	// so the probe does not evict the granule from the fast path.
-	if fs := s.fastLookup(g); fs != nil {
+	if fs := t.fastLookup(g); fs != nil {
 		if holder, held, ok := fpPeek(fs); ok {
 			if holder != txn && !GCompatible(want, held) {
 				return []TxnID{holder}
@@ -900,7 +695,7 @@ func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
 			return nil
 		}
 	}
-	gs := s.granules[g]
+	gs := t.granules[g]
 	if gs == nil {
 		return nil
 	}
@@ -978,9 +773,8 @@ func errAlreadyHolds(txn TxnID) error {
 // AcquireAll returns early with ctx.Err() if the context is cancelled
 // while parked.
 //
-// The claim locks every stripe its granules hash onto, in ascending
-// index order. A blocked claim is queued on all of those stripes and
-// re-evaluated whenever a release names one of its granules.
+// A blocked claim joins the table's claim queue and is re-evaluated, in
+// arrival order, whenever a release frees one of its granules.
 func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error {
 	_, w, err := t.claim(txn, reqs, true, nil)
 	if w == nil {
@@ -1009,10 +803,10 @@ func (t *Table) AcquireAll(ctx context.Context, txn TxnID, reqs []Request) error
 // leaves pc untouched. Otherwise the claim parks in pc, which is
 // returned: pc.Resolve then runs exactly once with the outcome (nil for
 // a grant), on the goroutine whose release resolved the claim and after
-// that goroutine dropped the table's locks — unless Withdraw takes the
+// that goroutine dropped the table's latch — unless Withdraw takes the
 // claim back first. The table copies reqs into pc (Requests), so the
 // slice is the caller's again when the call returns. pc must not hold a
-// parked claim, and after one must be Reusable.
+// parked claim.
 func (t *Table) AcquireAllAsync(txn TxnID, reqs []Request, pc *ParkedClaim) (granted bool, parked *ParkedClaim, err error) {
 	return t.claim(txn, reqs, true, pc)
 }
@@ -1032,15 +826,15 @@ func (t *Table) TryAcquireAll(txn TxnID, reqs []Request) (bool, error) {
 // claim is the conservative-claim core behind AcquireAll,
 // AcquireAllAsync and TryAcquireAll. It grants the whole request set at
 // once if the table allows it now. If not, and park is set, it queues
-// the claim on every stripe it touches, in w or, when w is nil (the
-// blocking form, whose outcome goes to the record's channel), in a
-// pooled record, and returns that record; otherwise it changes nothing.
+// the claim, in w or, when w is nil (the blocking form, whose outcome
+// goes to the record's channel), in a pooled record, and returns that
+// record; otherwise it changes nothing.
 //
 // A one-request claim tries the lock-free word first. Everything else
-// is decided under the claim's stripes: a batch of CASes that succeeds
-// exactly when every granule is FREE — a state in which the map path
-// below would have granted too — and, after it, the map path itself,
-// which also serves shared readers and granules a waiter keeps SLOW.
+// is decided under the latch: a batch of CASes that succeeds exactly
+// when every granule is FREE — a state in which the map path below
+// would have granted too — and, after it, the map path itself, which
+// also serves shared readers and granules a waiter keeps SLOW.
 //
 //granulint:hotpath
 func (t *Table) claim(txn TxnID, reqs []Request, park bool, w *ParkedClaim) (granted bool, parked *ParkedClaim, err error) {
@@ -1049,7 +843,7 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool, w *ParkedClaim) (gra
 		reqs = coalesce(reqs)
 	} else if fast && fastMode(reqs[0].Mode) {
 		// The dominant shape at coarse granularity needs no coalescing
-		// or stripe ordering, on this path or the next.
+		// or latch, on this path or the next.
 		switch t.fastClaim(txn, reqs[0].Granule, reqs[0].Mode, park) {
 		case fastGranted:
 			return true, nil, nil
@@ -1058,88 +852,82 @@ func (t *Table) claim(txn TxnID, reqs []Request, park bool, w *ParkedClaim) (gra
 		case fastBlocked:
 			// A single incompatible fast holder is a definitive answer
 			// for a claim that will not wait: it would not be grantable
-			// under the stripe lock either.
+			// under the latch either.
 			return false, nil, nil
 		}
 	}
-	ts := t.txnShardFor(txn)
+	h := &t.holds
 	if len(reqs) == 0 {
 		// An empty claim conflicts with nothing; it only has to respect
 		// the first-acquisition rule.
-		ts.mu.Lock()
-		already := ts.held[txn].size() != 0
-		ts.mu.Unlock()
+		h.mu.Lock()
+		already := h.held[txn].size() != 0
+		h.mu.Unlock()
 		if already {
 			return false, nil, errAlreadyHolds(txn)
 		}
 		return true, nil, nil
 	}
-	var buf [shardSetCap]uint64
-	sh := t.shardSet(buf[:0], reqs)
-	t.lockShards(sh)
-	ts.mu.Lock()
-	if ts.held[txn].size() != 0 {
-		ts.mu.Unlock()
-		t.unlockShards(sh)
+	t.mu.Lock()
+	h.mu.Lock()
+	if h.held[txn].size() != 0 {
+		h.mu.Unlock()
+		t.mu.Unlock()
 		return false, nil, errAlreadyHolds(txn)
 	}
-	if fast && len(reqs) > 1 && t.fastClaimBatch(ts, txn, reqs) {
-		ts.mu.Unlock()
-		t.unlockShards(sh)
+	if fast && len(reqs) > 1 && t.fastClaimBatch(txn, reqs) {
+		h.mu.Unlock()
+		t.mu.Unlock()
 		return true, nil, nil
 	}
 	t.demoteAllLocked(reqs)
 	if t.grantable(txn, reqs) {
-		t.grantAll(ts, txn, reqs)
-		ts.mu.Unlock()
-		t.shards[sh[0]].stats.Grants++
-		t.unlockShards(sh)
+		t.grantAll(txn, reqs)
+		h.mu.Unlock()
+		t.stats.Grants++
+		t.mu.Unlock()
 		t.omGrant()
 		return true, nil, nil
 	}
-	ts.mu.Unlock()
+	h.mu.Unlock()
 	if !park {
 		// The failed probe demoted granules it is not going to hold;
 		// give the holderless ones their fast-path eligibility back.
 		for _, r := range reqs {
-			t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
+			t.promoteLocked(r.Granule, false)
 		}
-		t.unlockShards(sh)
+		t.mu.Unlock()
 		return false, nil, nil
 	}
 	if w == nil {
 		w = claimPool.Get().(*ParkedClaim)
 	}
 	if w.reqs == nil {
-		w.reqs, w.shards = w.reqArr[:0], w.shardArr[:0]
+		w.reqs = w.reqArr[:0]
 	}
-	w.seq, w.txn, w.parked = t.claimSeq.Add(1), txn, true
+	w.txn, w.parked = txn, true
 	w.reqs = append(w.reqs[:0], reqs...)
-	w.shards = append(w.shards[:0], sh...) // sh lives in this frame
-	for _, i := range sh {
-		s := t.shards[i]
-		s.claimQ = append(s.claimQ, w)
-	}
-	t.shards[sh[0]].stats.Blocks++
-	t.unlockShards(sh)
+	t.claimQ = append(t.claimQ, w)
+	t.stats.Blocks++
+	t.mu.Unlock()
 	t.omWait()
 	return false, w, nil
 }
 
-// demoteAllLocked demotes every requested granule, making the stripe
-// map authoritative before a multi-granule slow-path decision. Caller
-// holds every involved stripe.
+// demoteAllLocked demotes every requested granule, making the map
+// authoritative before a multi-granule slow-path decision. Caller holds
+// t.mu.
 func (t *Table) demoteAllLocked(reqs []Request) {
 	for _, r := range reqs {
-		t.demoteLocked(t.shardFor(r.Granule), r.Granule)
+		t.demoteLocked(r.Granule)
 	}
 }
 
 // grantable reports whether every request is compatible with current
-// holders other than txn itself. Caller holds every involved stripe.
+// holders other than txn itself. Caller holds t.mu.
 func (t *Table) grantable(txn TxnID, reqs []Request) bool {
 	for _, r := range reqs {
-		gs := t.shardFor(r.Granule).granules[r.Granule]
+		gs := t.granules[r.Granule]
 		if gs != nil && !compatibleWithOthers(gs, txn, r.Mode) {
 			return false
 		}
@@ -1148,54 +936,45 @@ func (t *Table) grantable(txn TxnID, reqs []Request) bool {
 }
 
 // grantAll records txn, which holds nothing, as holder of every request
-// (distinct granules). Caller holds every involved stripe plus ts
-// (txn's hold-set stripe).
-func (t *Table) grantAll(ts *txnShard, txn TxnID, reqs []Request) {
+// (distinct granules). Caller holds t.mu and t.holds.mu.
+func (t *Table) grantAll(txn TxnID, reqs []Request) {
 	for _, r := range reqs {
-		t.shardFor(r.Granule).stateLocked(r.Granule).holders[txn] = r.Mode
+		t.stateLocked(r.Granule).holders[txn] = r.Mode
 	}
-	ts.fillLocked(txn, reqs)
+	t.holds.fillLocked(txn, reqs)
 }
 
-// Withdraw takes a parked claim back: it removes the claim from every
-// stripe queue it sits in and reports whether it was still parked. True
-// means the claim's outcome will never be delivered; false means a
-// release resolved it first and its outcome is, or is about to be,
-// delivered. Only the record's owner may call it, and only on the claim
-// it parked: a late Withdraw that could reach the record's next claim
-// would end that claim instead.
+// Withdraw takes a parked claim back: it removes the claim from the
+// claim queue and reports whether it was still parked. True means the
+// claim's outcome will never be delivered; false means a release
+// resolved it first and its outcome is, or is about to be, delivered.
+// Only the record's owner may call it, and only on the claim it parked:
+// a late Withdraw that could reach the record's next claim would end
+// that claim instead.
 //
 //granulint:hotpath
 func (t *Table) Withdraw(w *ParkedClaim) bool {
-	t.lockShards(w.shards)
+	t.mu.Lock()
 	if !w.parked {
-		t.unlockShards(w.shards)
+		t.mu.Unlock()
 		return false
 	}
 	t.removeClaimLocked(w)
 	w.parked = false
 	// Granules only this claim was keeping slow can go fast again.
 	for _, r := range w.reqs {
-		t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
+		t.promoteLocked(r.Granule, false)
 	}
-	t.unlockShards(w.shards)
+	t.mu.Unlock()
 	return true
 }
 
-// removeClaimLocked deletes w from the claim queue of every stripe it
-// touches. Caller holds all of w's stripes.
+// removeClaimLocked deletes w from the claim queue. Caller holds t.mu.
 func (t *Table) removeClaimLocked(w *ParkedClaim) {
-	for _, i := range w.shards {
-		s := t.shards[i]
-		for j, c := range s.claimQ {
-			if c == w {
-				// Delete clears the vacated tail slot, so the resolved
-				// record is not kept reachable by the queue's backing
-				// array.
-				s.claimQ = slices.Delete(s.claimQ, j, j+1)
-				break
-			}
-		}
+	if i := slices.Index(t.claimQ, w); i >= 0 {
+		// Delete clears the vacated tail slot, so the resolved record is
+		// not kept reachable by the queue's backing array.
+		t.claimQ = slices.Delete(t.claimQ, i, i+1)
 	}
 }
 
@@ -1204,68 +983,60 @@ func (t *Table) removeClaimLocked(w *ParkedClaim) {
 // waits-for graph the request fails with ErrDeadlock and the caller is
 // the victim. A mode txn already holds on g is joined with the request
 // (S held and X requested gives X, S and IX give SIX); such an upgrade
-// waits for the holders it conflicts with to drain. The uncontended path
-// touches only the granule's stripe and the transaction's hold-set
-// stripe — never the detector.
+// waits for the holders it conflicts with to drain.
 func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) error {
 	if fastMode(mode) && t.fastOn.Load() && fpPackable(txn) && t.fastAcquire(txn, g, mode) {
 		return nil
 	}
-	s := t.shardFor(g)
-	s.mu.Lock()
-	t.demoteLocked(s, g)
-	gs := s.stateLocked(g)
+	t.mu.Lock()
+	t.demoteLocked(g)
+	gs := t.stateLocked(g)
 	if have, ok := gs.holders[txn]; ok && covers(have, mode) {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return nil // already held strongly enough
 	}
 	if t.stepGrantable(gs, txn, mode) {
 		t.grantStep(gs, txn, g, mode)
-		s.stats.Grants++
-		t.wakeStepWaiters(s, g) // an upgrade may have given a parked request a new blocker
-		s.mu.Unlock()
+		t.stats.Grants++
+		t.wakeStepWaiters(g) // an upgrade may have given a parked request a new blocker
+		t.mu.Unlock()
 		t.omGrant()
 		return nil
 	}
 	w := &stepWaiter{txn: txn, granule: g, mode: mode, ch: make(chan error, 1)}
 	gs.waiters = append(gs.waiters, w)
-	s.stats.Blocks++
-	t.detMu.Lock()
+	t.stats.Blocks++
 	t.refreshEdgesLocked(gs, w, len(gs.waiters)-1)
 	if t.det.InCycle(txn) {
 		// The newest edge closed a cycle: this requester is the victim.
 		t.dropWaiter(gs, w)
 		t.det.RemoveWaiter(txn)
-		s.stats.Deadlocks++
+		t.stats.Deadlocks++
 		t.mirrorEdges()
-		t.detMu.Unlock()
-		s.mu.Unlock()
+		t.mu.Unlock()
 		t.omDeadlock()
 		return ErrDeadlock
 	}
 	t.mirrorEdges()
-	t.detMu.Unlock()
-	s.mu.Unlock()
+	t.mu.Unlock()
 	t.omWait()
 
 	select {
 	case err := <-w.ch:
 		return err
 	case <-ctx.Done():
-		s.mu.Lock()
+		t.mu.Lock()
 		if t.dropWaiter(gs, w) {
-			t.detMu.Lock()
 			t.det.RemoveWaiter(txn)
 			t.mirrorEdges()
-			t.detMu.Unlock()
 			// Waiters queued behind w were blocked by it (no overtaking):
 			// with w gone the new head may be grantable, and the rest
 			// must lose their ahead-edge to it.
-			t.wakeStepWaiters(s, g)
-			s.mu.Unlock()
+			t.wakeStepWaiters(g)
+			t.mu.Unlock()
 			return ctx.Err()
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return <-w.ch
 	}
 }
@@ -1278,11 +1049,10 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 // (HierTable) is its caller: trading many fine locks for one coarse one
 // is worth having only when it is free.
 func (t *Table) TryUpgrade(txn TxnID, g Granule, mode Mode) bool {
-	s := t.shardFor(g)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t.demoteLocked(s, g)
-	gs := s.granules[g]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.demoteLocked(g)
+	gs := t.granules[g]
 	if gs == nil {
 		return false
 	}
@@ -1296,13 +1066,12 @@ func (t *Table) TryUpgrade(txn TxnID, g Granule, mode Mode) bool {
 		return false
 	}
 	t.grantStep(gs, txn, g, mode)
-	t.wakeStepWaiters(s, g) // the stronger hold may be a parked request's new blocker
+	t.wakeStepWaiters(g) // the stronger hold may be a parked request's new blocker
 	return true
 }
 
 // compatibleWithOthers reports whether mode is compatible with what
-// every transaction but txn holds on gs. Caller holds the granule's
-// stripe.
+// every transaction but txn holds on gs. Caller holds t.mu.
 func compatibleWithOthers(gs *granuleState, txn TxnID, mode Mode) bool {
 	for holder, held := range gs.holders {
 		if holder != txn && !GCompatible(mode, held) {
@@ -1313,10 +1082,10 @@ func compatibleWithOthers(gs *granuleState, txn TxnID, mode Mode) bool {
 }
 
 // stepGrantable reports whether txn may take g in mode now. Caller holds
-// the granule's stripe. FIFO fairness: a request must also not overtake
-// earlier waiters unless it is compatible with them too (readers may join
-// readers even if a writer waits only when they precede the writer; we
-// keep it simple and strict to avoid writer starvation).
+// t.mu. FIFO fairness: a request must also not overtake earlier waiters
+// unless it is compatible with them too (readers may join readers even
+// if a writer waits only when they precede the writer; we keep it
+// simple and strict to avoid writer starvation).
 func (t *Table) stepGrantable(gs *granuleState, txn TxnID, mode Mode) bool {
 	if !compatibleWithOthers(gs, txn, mode) {
 		return false // an upgrade too: only other holders matter
@@ -1329,40 +1098,32 @@ func (t *Table) stepGrantable(gs *granuleState, txn TxnID, mode Mode) bool {
 	return true
 }
 
-// grantStep records txn as holder of g, in both the granule's stripe and
-// txn's hold-set stripe. Caller holds the granule's stripe; the hold-set
-// stripe is taken nested (granule stripes are never acquired while a
-// hold-set stripe is held, so the nesting cannot cycle).
+// grantStep records txn as holder of g, in both the granule's record and
+// txn's hold set. Caller holds t.mu.
 func (t *Table) grantStep(gs *granuleState, txn TxnID, g Granule, mode Mode) {
 	if have, ok := gs.holders[txn]; ok {
 		mode = joinMode(mode, have)
 	}
 	gs.holders[txn] = mode
-	t.recordHeld(txn, g, mode)
+	t.holds.mu.Lock()
+	t.recordHeldLocked(txn, g, mode)
+	t.holds.mu.Unlock()
 }
 
-// recordHeld updates txn's hold set with g at mode (strengthen only).
-func (t *Table) recordHeld(txn TxnID, g Granule, mode Mode) {
-	ts := t.txnShardFor(txn)
-	ts.mu.Lock()
-	t.recordHeldLocked(ts, txn, g, mode)
-	ts.mu.Unlock()
-}
-
-// recordHeldLocked is recordHeld with ts (txn's hold-set stripe)
-// already locked — the form the fast path uses to keep the hold-set
+// recordHeldLocked updates txn's hold set with g at mode (strengthen
+// only). Caller holds t.holds.mu — the fast path keeps the hold-set
 // update inside the same critical section as its word CAS.
-func (t *Table) recordHeldLocked(ts *txnShard, txn TxnID, g Granule, mode Mode) {
-	hm := ts.held[txn]
+func (t *Table) recordHeldLocked(txn TxnID, g Granule, mode Mode) {
+	hm := t.holds.held[txn]
 	if hm == nil {
-		hm = ts.allocLocked(4)
-		ts.held[txn] = hm
+		hm = t.holds.allocLocked(4)
+		t.holds.held[txn] = hm
 	}
 	hm.set(g, mode)
 }
 
 // dropWaiter removes w from its granule's wait queue; reports whether it
-// was still parked. Caller holds the granule's stripe.
+// was still parked. Caller holds t.mu.
 func (t *Table) dropWaiter(gs *granuleState, w *stepWaiter) bool {
 	for i, x := range gs.waiters {
 		if x == w {
@@ -1376,8 +1137,7 @@ func (t *Table) dropWaiter(gs *granuleState, w *stepWaiter) bool {
 // refreshEdgesLocked points w's waits-for edges at the current
 // incompatible holders of its granule and at every waiter queued ahead
 // of it (the no-overtaking rule makes those real blockers too). idx is
-// w's position in gs.waiters. Caller holds the granule's stripe and
-// detMu.
+// w's position in gs.waiters. Caller holds t.mu.
 func (t *Table) refreshEdgesLocked(gs *granuleState, w *stepWaiter, idx int) {
 	t.det.RemoveWaiter(w.txn)
 	for holder, held := range gs.holders {
@@ -1392,17 +1152,11 @@ func (t *Table) refreshEdgesLocked(gs *granuleState, w *stepWaiter, idx int) {
 
 // syncWaiterEdgesLocked refreshes the edges of every waiter of gs and
 // aborts any whose refreshed edges close a cycle, reporting whether it
-// aborted one. Caller holds the granule's stripe and detMu.
-func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) (aborted bool) {
+// aborted one. Caller holds t.mu.
+func (t *Table) syncWaiterEdgesLocked(gs *granuleState) (aborted bool) {
 	remaining := append([]*stepWaiter(nil), gs.waiters...)
 	for _, w := range remaining {
-		idx := -1
-		for i, x := range gs.waiters {
-			if x == w {
-				idx = i
-				break
-			}
-		}
+		idx := slices.Index(gs.waiters, w)
 		if idx < 0 {
 			continue // aborted by an earlier iteration
 		}
@@ -1410,7 +1164,7 @@ func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) (aborted bool)
 		if t.det.InCycle(w.txn) {
 			t.dropWaiter(gs, w)
 			t.det.RemoveWaiter(w.txn)
-			s.stats.Deadlocks++
+			t.stats.Deadlocks++
 			t.omDeadlock()
 			w.ch <- ErrDeadlock
 			aborted = true
@@ -1420,30 +1174,38 @@ func (t *Table) syncWaiterEdgesLocked(s *shard, gs *granuleState) (aborted bool)
 }
 
 // mirrorEdges refreshes the lock-free edge-count mirror. Caller holds
-// detMu.
+// t.mu.
 func (t *Table) mirrorEdges() {
 	t.detEdges.Store(int64(t.det.Edges()))
 }
 
-// detForget clears txn from the waits-for graph. It skips the detector
-// lock entirely when the graph is empty — the common case for
-// conservative workloads, whose claims never create edges.
+// detForgetLocked clears txn from the waits-for graph, if the graph has
+// any edge at all: conservative workloads, whose claims never create
+// one, skip the detector entirely. Caller holds t.mu.
+func (t *Table) detForgetLocked(txn TxnID) {
+	if t.detEdges.Load() == 0 {
+		return
+	}
+	t.det.RemoveTxn(txn)
+	t.mirrorEdges()
+}
+
+// detForget is detForgetLocked for the fast release, which holds no
+// lock: it takes the latch only when the graph has an edge.
 func (t *Table) detForget(txn TxnID) {
 	if t.detEdges.Load() == 0 {
 		return
 	}
-	t.detMu.Lock()
-	t.det.RemoveTxn(txn)
-	t.mirrorEdges()
-	t.detMu.Unlock()
+	t.mu.Lock()
+	t.detForgetLocked(txn)
+	t.mu.Unlock()
 }
 
 // ReleaseAll releases every granule held by txn, wakes whatever can now
-// run, and clears txn from the waits-for graph. It locks the stripes of
-// txn's held granules in canonical ascending order; parked claims that
-// name a released granule are re-evaluated (in global claim arrival
-// order) after the stripe locks are dropped, and the outcomes of those
-// it resolves are delivered last, with no table lock held.
+// run, and clears txn from the waits-for graph. Parked claims that name
+// a released granule are re-evaluated in arrival order, and the
+// outcomes of those it resolves are delivered last, once the latch has
+// been dropped.
 func (t *Table) ReleaseAll(txn TxnID) {
 	var buf [releaseBufCap]*ParkedClaim
 	for _, w := range t.ReleaseAllDeferred(txn, buf[:0]) {
@@ -1452,7 +1214,7 @@ func (t *Table) ReleaseAll(txn TxnID) {
 }
 
 // releaseBufCap sizes the on-stack buffers of a slow release: the
-// granule snapshot, the parked claims to re-evaluate and the claims
+// granules freed, the parked claims to re-evaluate and the claims
 // resolved. A release past any of them allocates.
 const releaseBufCap = 16
 
@@ -1468,117 +1230,75 @@ func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*Parked
 	if t.fastOn.Load() && fpPackable(txn) && t.fastReleaseAll(txn) {
 		return resolved
 	}
-	ts := t.txnShardFor(txn)
-	var sbuf [releaseBufCap]Granule
-	snapshot := sbuf[:0]
-	var buf [shardSetCap]uint64
-	var sh []uint64
-	for {
-		ts.mu.Lock()
-		hm := ts.held[txn]
-		if hm.size() == 0 {
-			delete(ts.held, txn)
-			ts.recycleLocked(hm)
-			ts.mu.Unlock()
-			t.detForget(txn)
-			return resolved
-		}
-		snapshot = snapshot[:0]
+	var fbuf [releaseBufCap]Granule
+	freed := fbuf[:0]
+	t.mu.Lock()
+	h := &t.holds
+	h.mu.Lock()
+	if hm := h.held[txn]; hm != nil {
 		for _, e := range hm.entries {
-			snapshot = append(snapshot, e.g)
+			freed = append(freed, e.g)
 		}
-		ts.mu.Unlock()
-		sh = t.granuleShardSet(buf[:0], snapshot)
-		t.lockShards(sh)
-		ts.mu.Lock()
-		if sameGranules(ts.held[txn], snapshot) {
-			break
-		}
-		// txn's hold set changed between snapshot and stripe lock (a
-		// racing same-txn grant, e.g. a duplicate claim waking): retry
-		// with fresh stripes.
-		ts.mu.Unlock()
-		t.unlockShards(sh)
+		h.recycleLocked(hm)
+	}
+	delete(h.held, txn)
+	h.mu.Unlock()
+	t.detForgetLocked(txn)
+	if len(freed) == 0 {
+		t.mu.Unlock()
+		return resolved
 	}
 	// Canonical (ascending) wake order: the order in which granules wake
-	// their waiters can influence deadlock-victim selection. Releases
-	// must make the same decisions on every run and at every stripe
-	// count.
-	slices.Sort(snapshot)
-	// Granules still held through the fast path (fastReleaseAll skipped
-	// or beaten to a granule) are materialized into the stripe maps
-	// before the map-based release below.
-	for _, g := range snapshot {
-		t.demoteLocked(t.shardFor(g), g)
-	}
-	for _, g := range snapshot {
-		if gs := t.shardFor(g).granules[g]; gs != nil {
+	// their waiters can influence deadlock-victim selection, and releases
+	// must make the same decisions on every run. Granules still held
+	// through the fast path (fastReleaseAll skipped or beaten to a
+	// granule) are materialized into the map before the release.
+	slices.Sort(freed)
+	for _, g := range freed {
+		t.demoteLocked(g)
+		if gs := t.granules[g]; gs != nil {
 			delete(gs.holders, txn)
 		}
 	}
-	hm := ts.held[txn]
-	delete(ts.held, txn)
-	ts.recycleLocked(hm)
-	ts.mu.Unlock()
-	t.detForget(txn)
-
-	for _, g := range snapshot {
-		t.wakeStepWaiters(t.shardFor(g), g)
+	for _, g := range freed {
+		t.wakeStepWaiters(g)
 	}
-	// Pick the parked claims to re-evaluate once the stripe locks drop,
-	// in claim arrival order. A release changes the verdict only of a
-	// claim that names a granule it freed: grantable reads nothing but
-	// the holders of the claim's own granules. Under StrictFIFO every
-	// claim of the touched stripes goes, because one that stays parked
-	// blocks whatever is queued behind it there. Each pick is pinned: the
-	// claim may be resolved, and its record handed back to its owner,
-	// before resolveClaims gets to it.
+	// Pick the parked claims to re-evaluate, in arrival order. A release
+	// changes the verdict only of a claim that names a granule it freed:
+	// grantable reads nothing but the holders of the claim's own
+	// granules.
 	var cbuf [releaseBufCap]*ParkedClaim
 	cands := cbuf[:0]
 	var nbuf [releaseBufCap]bool
-	named := nbuf[:] // named[i]: a parked claim wants snapshot[i]
-	if len(snapshot) > len(nbuf) {
-		named = make([]bool, len(snapshot))
+	named := nbuf[:] // named[i]: a parked claim wants freed[i]
+	if len(freed) > len(nbuf) {
+		named = make([]bool, len(freed))
 	}
-	for _, i := range sh {
-		for _, w := range t.shards[i].claimQ {
-			hit := false
-			for _, r := range w.reqs {
-				if j, ok := slices.BinarySearch(snapshot, r.Granule); ok {
-					named[j], hit = true, true
-				}
+	for _, w := range t.claimQ {
+		hit := false
+		for _, r := range w.reqs {
+			if j, ok := slices.BinarySearch(freed, r.Granule); ok {
+				named[j], hit = true, true
 			}
-			if hit || t.strict {
-				w.pins.Add(1)
-				cands = append(cands, w)
-			}
+		}
+		if hit {
+			cands = append(cands, w)
 		}
 	}
 	// Garbage-collect empty granule entries so long-running tables do
 	// not accumulate one record per granule ever touched — and promote
 	// the collected granules nobody is parked on back to fast-path
 	// eligibility.
-	for j, g := range snapshot {
-		t.promoteLocked(t.shardFor(g), g, named[j])
+	for j, g := range freed {
+		t.promoteLocked(g, named[j])
 	}
-	t.unlockShards(sh)
-	return t.resolveClaims(cands, resolved)
-}
-
-// sameGranules reports whether hs still lists exactly the snapshot, in
-// order. Hold sets only grow or are torn down whole, so a set that was
-// replaced by an equal one in another order is reported changed, which
-// costs the caller one retry.
-func sameGranules(hs *holdSet, snapshot []Granule) bool {
-	if hs.size() != len(snapshot) {
-		return false
-	}
-	for i, e := range hs.entries {
-		if e.g != snapshot[i] {
-			return false
+	for _, w := range cands {
+		if t.tryResolveClaimLocked(w) {
+			resolved = append(resolved, w)
 		}
 	}
-	return true
+	t.mu.Unlock()
+	return resolved
 }
 
 // wakeStepWaiters settles g's queue of incremental waiters after
@@ -1589,11 +1309,9 @@ func sameGranules(hs *holdSet, snapshot []Granule) bool {
 // and aborts any whose refreshed edges close a cycle. An abort can
 // expose a grantable head, and a grant changes the blockers of the
 // rest, so the two steps repeat until a refresh aborts nobody: a waiter
-// left parked always has an edge to what blocks it. Grants take the
-// hold-set stripe and therefore run outside detMu. Caller holds the
-// granule's stripe.
-func (t *Table) wakeStepWaiters(s *shard, g Granule) {
-	gs := s.granules[g]
+// left parked always has an edge to what blocks it. Caller holds t.mu.
+func (t *Table) wakeStepWaiters(g Granule) {
+	gs := t.granules[g]
 	if gs == nil || len(gs.waiters) == 0 {
 		return
 	}
@@ -1608,18 +1326,16 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 			gs.waiters[0] = nil // do not keep the woken waiter reachable
 			gs.waiters = gs.waiters[1:]
 			t.grantStep(gs, w.txn, g, w.mode)
-			s.stats.Grants++
+			t.stats.Grants++
 			woken = append(woken, w)
 		}
 		// Detector bookkeeping in one batch: woken waiters stop waiting,
 		// and the blockers of those still parked changed.
-		t.detMu.Lock()
 		for _, w := range woken[n:] {
 			t.det.RemoveWaiter(w.txn)
 		}
-		unsettled = t.syncWaiterEdgesLocked(s, gs)
+		unsettled = t.syncWaiterEdgesLocked(gs)
 		t.mirrorEdges()
-		t.detMu.Unlock()
 	}
 	for _, w := range woken {
 		t.omGrant()
@@ -1627,87 +1343,20 @@ func (t *Table) wakeStepWaiters(s *shard, g Granule) {
 	}
 }
 
-// resolveClaims re-evaluates parked claims in global arrival order,
-// granting those that became compatible and failing duplicates, and
-// appends the ones it resolved to resolved for the caller to deliver.
-// cands may contain a claim several times (once per touched stripe) and
-// must not be assumed still parked; every entry carries a pin, dropped
-// here once the entry has been looked at. No stripe locks are held on
-// entry.
-func (t *Table) resolveClaims(cands, resolved []*ParkedClaim) []*ParkedClaim {
-	if len(cands) > 1 {
-		slices.SortFunc(cands, func(a, b *ParkedClaim) int { return cmp.Compare(a.seq, b.seq) })
-	}
-	var blocked map[uint64]struct{}
-	for i, w := range cands {
-		switch {
-		case i > 0 && cands[i-1] == w:
-			// One entry per touched stripe: already looked at.
-		case t.strict && intersects(blocked, w.shards):
-			// Strict FIFO: a still-parked claim blocks everything queued
-			// behind it on its stripes.
-			blocked = markBlocked(blocked, w.shards)
-		default:
-			switch t.tryResolveClaim(w) {
-			case claimResolved:
-				resolved = append(resolved, w)
-			case claimParked:
-				if t.strict {
-					blocked = markBlocked(blocked, w.shards)
-				}
-			}
-		}
-		w.pins.Add(-1)
-	}
-	return resolved
-}
-
-func intersects(blocked map[uint64]struct{}, sh []uint64) bool {
-	for _, i := range sh {
-		if _, ok := blocked[i]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func markBlocked(blocked map[uint64]struct{}, sh []uint64) map[uint64]struct{} {
-	if blocked == nil {
-		blocked = make(map[uint64]struct{}, len(sh))
-	}
-	for _, i := range sh {
-		blocked[i] = struct{}{}
-	}
-	return blocked
-}
-
-// claimVerdict is what tryResolveClaim found.
-type claimVerdict int8
-
-const (
-	claimParked   claimVerdict = iota // still blocked
-	claimResolved                     // resolved by this call; the caller delivers
-	claimGone                         // resolved or withdrawn by someone else
-)
-
-// tryResolveClaim attempts to resolve one parked claim: grant it, or
-// fail it as a duplicate of a same-txn grant. The outcome of a claim it
-// resolves is left in w.err for the caller to deliver.
-func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
-	t.lockShards(w.shards)
-	defer t.unlockShards(w.shards)
-	if !w.parked {
-		return claimGone
-	}
+// tryResolveClaimLocked attempts to resolve one parked claim: grant it,
+// or fail it as a duplicate of a same-txn grant. It reports whether it
+// did; the outcome is left in w.err for the caller to deliver once the
+// latch is dropped. Caller holds t.mu.
+func (t *Table) tryResolveClaimLocked(w *ParkedClaim) bool {
 	// Claim granules are demoted when the claim parks and promotion
 	// skips claim-referenced granules, so they should still be slow;
 	// the demote is a cheap invariant guard against a fast grant racing
 	// in between this claim's park and its resolution.
 	t.demoteAllLocked(w.reqs)
-	ts := t.txnShardFor(w.txn)
-	ts.mu.Lock()
-	if ts.held[w.txn].size() != 0 {
-		ts.mu.Unlock()
+	h := &t.holds
+	h.mu.Lock()
+	if h.held[w.txn].size() != 0 {
+		h.mu.Unlock()
 		// The txn already holds locks, so this parked claim is a
 		// duplicate: a retried claim (new session) racing its
 		// predecessor's withdrawal. grantable ignores self-conflicts,
@@ -1719,19 +1368,19 @@ func (t *Table) tryResolveClaim(w *ParkedClaim) claimVerdict {
 		t.removeClaimLocked(w)
 		w.parked, w.err = false, errAlreadyHolds(w.txn)
 		for _, r := range w.reqs {
-			t.promoteLocked(t.shardFor(r.Granule), r.Granule, false)
+			t.promoteLocked(r.Granule, false)
 		}
-		return claimResolved
+		return true
 	}
 	if !t.grantable(w.txn, w.reqs) {
-		ts.mu.Unlock()
-		return claimParked
+		h.mu.Unlock()
+		return false
 	}
-	t.grantAll(ts, w.txn, w.reqs)
-	ts.mu.Unlock()
+	t.grantAll(w.txn, w.reqs)
+	h.mu.Unlock()
 	t.removeClaimLocked(w)
 	w.parked, w.err = false, nil
-	t.shards[w.shards[0]].stats.Grants++
+	t.stats.Grants++
 	t.omGrant()
-	return claimResolved
+	return true
 }

@@ -409,11 +409,14 @@ const parkedFreeMax = 2 * v2MaxInflight
 // left to the collector, for the reason lockmgr retires its pooled
 // records (claimRecordUses): a service whose steady state allocates
 // exactly nothing is one the repository's frozen benchmark cannot
-// report on. At 16 the contended service's allocation is a record, its
-// timer and its two bound callbacks per sixteen parks — what the ten
-// 20 ms slices of the benchmark's smoke test need to see (at 24 one of
-// 16 smoke runs of locksrv-hot read zero).
-const parkedRecordUses = 16
+// report on. The contended service's allocation is a record, its timer
+// and its two bound callbacks per parkedRecordUses parks, and the ten
+// 20 ms slices of the benchmark's smoke test see it a span refill at a
+// time. A record is 448 bytes, 18 to a span of its size class, so 12
+// uses refill one every 216 parks, at ≈45 B per locksrv-hot operation;
+// a 616-byte record, 12 to a span, read zero in one of 16 smoke runs
+// at 24 uses, a refill every 288 parks.
+const parkedRecordUses = 12
 
 // getParked returns a record for one acquire of sess that has to wait,
 // from the free list when it has one.
@@ -436,11 +439,11 @@ func (s *Server) getParked(sess *session, txn lockmgr.TxnID, timeoutMS int64) *p
 }
 
 // letGo drops one of the record's two users; the last one recycles it,
-// unless a late expire or a release's stale pick may still look at it.
+// unless a late expire may still look at it.
 //
 //granulint:hotpath
 func (pa *parkedAcquire) letGo() {
-	if pa.refs.Add(-1) != 0 || pa.fired || !pa.claim.Reusable() {
+	if pa.refs.Add(-1) != 0 || pa.fired {
 		return
 	}
 	if pa.uses++; pa.uses >= parkedRecordUses {
@@ -496,7 +499,7 @@ func (s *Server) park(pa *parkedAcquire, reqs []lockmgr.Request) {
 
 // resolved is the lock table's callback: a release granted the claim,
 // or failed it as a duplicate. It runs on the releasing goroutine,
-// after that goroutine dropped the table's locks and its owner stripe.
+// after that goroutine dropped the table's latch and its owner stripe.
 //
 //granulint:hotpath
 func (pa *parkedAcquire) resolved(err error) {

@@ -92,6 +92,8 @@ verify-test:
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
 	$(GO) test -race -cpu 1,2,4 ./internal/relation/
+# the age policies' verdicts are the lock table's, made under its latch: multicore claims too
+	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols' ./internal/engine/
 # benchmark/ is its own module, which root `go test ./...` does not reach: this compiles it against every API change
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 # lockd admin endpoint: real lock traffic scraped through /metrics
@@ -110,12 +112,13 @@ verify-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime=10s ./internal/obs/
 
 verify-smoke: locknet
-# one protocol through the engine's balance invariant
+# the two age policies through the engine's balance invariant
 	$(GO) run ./cmd/locksim -engine -protocol wound-wait -dbsize 400 -ltot 40 -ntrans 8
+	$(GO) run ./cmd/locksim -engine -protocol wait-die -dbsize 400 -ltot 40 -ntrans 8
 # a durable engine killed at random write/sync/checkpoint points; every recovery must conserve the invariant
 	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20
 # quick cmd/bench runs into /tmp (the checked-in reports are full-fidelity only, via `make bench`);
-# -compare fails on a missed floor (lockmgr 2x/3x + zero-allocation budget, cluster 1.8x, recovery 2x)
+# -compare fails on a missed floor (lockmgr 1.5x/3x + zero-allocation budget, cluster 1.8x, recovery 2x)
 # or a same-run ratio more than 25% under the checked-in one
 	$(GO) run ./cmd/bench -suite model -quick -out /tmp/BENCH_model.quick.json
 	$(GO) run ./cmd/bench -suite lockmgr -quick -out /tmp/BENCH_lockmgr.quick.json -compare BENCH_lockmgr.json

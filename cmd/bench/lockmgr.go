@@ -2,9 +2,10 @@
 // pair through lockmgr.Table with the lock-free fast path enabled vs
 // force-disabled (every operation under the table's latch). The headline
 // comparison — uncontended single-granule claim, fast vs latched —
-// carries a ≥ 2× floor (re-derived when the latched path it divides by
-// stopped allocating: 780 → ~350 ns, 11 → 1 allocs/op, with the fast
-// side where it was). A 16-granule conservative claim — the paper's
+// carries a ≥ 1.5× floor: the lowest of 23 quick runs on a 2-vCPU host
+// (1.58–2.37×, median 1.89×), rounded down to a tenth, once the latched
+// path it divides by had lost its stripes and cost ~200 ns against the
+// fast side's ~110. A 16-granule conservative claim — the paper's
 // transaction shape, granted by a batch of CASes under the latch —
 // carries a floor of its own (≥ 3×). Every fast uncontended cycle has a
 // zero-allocation budget. A contended shared pool is reported at
@@ -212,7 +213,7 @@ func runLockmgr(rep *report) error {
 		target         float64
 	}{
 		{"fast path, uncontended claim (fast vs latched, headline)",
-			"lockmgr/claim-1g/fast", "lockmgr/claim-1g/slow", 2},
+			"lockmgr/claim-1g/fast", "lockmgr/claim-1g/slow", 1.5},
 		{"fast path, uncontended incremental step",
 			"lockmgr/step-1g/fast", "lockmgr/step-1g/slow", 0},
 		{"16-granule claim (batch CAS vs latched map)",

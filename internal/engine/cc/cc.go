@@ -21,8 +21,8 @@
 // Restart demands use one taxonomy: any error with
 // errors.Is(err, ErrRestart) (or lockmgr.ErrDeadlock, the detector's
 // verdict) tells the engine to call End, back off, and re-run the
-// transaction with a fresh lock-table identity but its original
-// Priority. Anything else is terminal for the Execute call.
+// transaction as a fresh attempt (a new ID) with its original Priority.
+// Anything else is terminal for the Execute call.
 package cc
 
 import (
@@ -59,7 +59,10 @@ type Update struct {
 // preserved across restarts, so age-based policies (wound-wait,
 // wait-die) cannot starve a transaction that keeps losing.
 type Tx struct {
-	// ID is this attempt's lock-table transaction identity.
+	// ID is this attempt's identity, fresh per attempt: the locking
+	// protocols lock under it, except wound-wait and wait-die, which
+	// lock under Priority so that a transaction's age is its identity
+	// in the lock table.
 	ID lockmgr.TxnID
 	// Priority orders transactions by age: smaller is older. It equals
 	// the ID of the transaction's first attempt.
@@ -95,9 +98,9 @@ type Config struct {
 // be safe for concurrent use by many transactions.
 type Instance interface {
 	// Begin registers per-attempt state on tx and returns the context
-	// the attempt's Acquire waits must run under. Most protocols return
-	// ctx unchanged; wound-wait derives a cancellable context so an
-	// older transaction can interrupt the attempt's lock waits.
+	// the attempt's Acquire waits must run under. Every built-in
+	// protocol returns ctx unchanged; the age policies interrupt a
+	// wounded attempt's lock waits inside the lock table instead.
 	Begin(ctx context.Context, tx *Tx) context.Context
 	// Acquire claims access rights for the transaction's declared lock
 	// set (deduplicated, exclusive-wins, in first-touch order) before

@@ -2,43 +2,22 @@ package cc
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"sync/atomic"
 
 	"granulock/internal/lockmgr"
 )
 
-// The age-priority restart policies of Rosenkrantz/Stearns/Lewis,
-// recommended for high-data-contention regimes by Thomasian's line of
-// work (PAPERS.md): instead of detecting deadlock cycles after they
-// form, every lock conflict is resolved immediately by transaction age
-// (Tx.Priority — smaller is older, preserved across restarts so a
-// repeatedly-restarted transaction ages into invincibility).
-//
-//   - wait-die: an older requester waits for a younger holder; a
-//     younger requester dies (restarts) rather than wait for an older
-//     holder. Wait edges only ever point old→young, so they cannot
-//     form a cycle.
-//   - wound-wait: an older requester wounds (restarts) younger
-//     conflicting holders and then waits; a younger requester waits
-//     for older holders. The old transaction never queues behind the
-//     young for long — the wound clears its path.
-//
-// Both are layered over the flat lock table through
-// lockmgr.ConflictingHolders, which is an advisory snapshot: a holder
-// can appear between the policy check and the park. The table's
-// waits-for deadlock detector therefore stays armed as the safety
-// net — a cycle that slips through the race window is broken by the
-// detector and surfaces as an ordinary restart, reusing the engine's
-// existing victim retry/backoff machinery.
-//
-// A wound interrupts the victim only while it can still abort cheaply:
-// during its acquisition phase, before any write is applied (the
-// engine writes nothing until Acquire returns nil). A victim past
-// acquisition is commit-immune — it holds everything it needs, will
-// commit and release promptly, and the wounding transaction simply
-// waits that out. Wounding therefore never requires undo.
+// wound-wait and wait-die, the age-priority restart policies of
+// Rosenkrantz, Stearns and Lewis that Thomasian's line of work (PAPERS.md)
+// recommends for high data contention: every conflict is resolved at
+// once by age (Tx.Priority, smaller is older, kept across restarts so a
+// loser ages into invincibility), so wait edges cannot form a cycle and
+// no detector runs. The verdict is the lock table's (Table.AcquireAged);
+// the instance locks under TxnID(Priority), unique among live
+// transactions because End releases everything before a retry. A wound
+// stops its victim only during acquisition, before any write: a victim
+// past its last acquire commits (commit immunity), so no wound needs an
+// undo.
 type prioProtocol struct {
 	name  string
 	wound bool
@@ -47,107 +26,37 @@ type prioProtocol struct {
 func (p prioProtocol) Name() string { return p.name }
 
 func (p prioProtocol) New(cfg Config) (Instance, error) {
-	return &prioInstance{
-		flatLocking: newFlatLocking(cfg),
-		wound:       p.wound,
-		active:      make(map[lockmgr.TxnID]*prioTx),
-	}, nil
-}
-
-// prioTx is one attempt's priority-policy state.
-type prioTx struct {
-	prio    int64
-	cancel  context.CancelCauseFunc
-	wounded atomic.Bool
+	return &prioInstance{flatLocking: newFlatLocking(cfg), wound: p.wound}, nil
 }
 
 type prioInstance struct {
 	flatLocking
 	wound bool // true: wound-wait; false: wait-die
 
-	// mu guards active, the id→state map of attempts between Begin and
-	// End. Policy decisions (who is older, who gets wounded) read it.
-	mu     sync.Mutex
-	active map[lockmgr.TxnID]*prioTx
-
 	wounds atomic.Int64
 	dies   atomic.Int64
 }
 
-func (i *prioInstance) Begin(ctx context.Context, tx *Tx) context.Context {
-	actx, cancel := context.WithCancelCause(ctx)
-	pt := &prioTx{prio: tx.Priority, cancel: cancel}
-	tx.priv = pt
-	i.mu.Lock()
-	i.active[tx.ID] = pt
-	i.mu.Unlock()
-	return actx
-}
-
 func (i *prioInstance) Acquire(ctx context.Context, tx *Tx, reqs []lockmgr.Request) error {
-	pt := tx.priv.(*prioTx)
+	id := lockmgr.TxnID(tx.Priority)
 	for _, r := range reqs {
-		if pt.wounded.Load() {
+		switch err := i.table.AcquireAged(ctx, id, r.Granule, r.Mode, i.wound); err {
+		case nil:
+		case lockmgr.ErrWounded:
 			i.wounds.Add(1)
 			return ErrWounded
-		}
-		if err := i.acquireOne(ctx, tx, pt, r); err != nil {
-			return err
+		case lockmgr.ErrDie:
+			i.dies.Add(1)
+			return ErrDie
+		default:
+			return err // caller cancellation
 		}
 	}
 	return nil
 }
 
-// acquireOne resolves one request: apply the age policy against a
-// holder snapshot, then park in the lock table (under the wound-aware
-// attempt context).
-func (i *prioInstance) acquireOne(ctx context.Context, tx *Tx, pt *prioTx, r lockmgr.Request) error {
-	holders := i.table.ConflictingHolders(tx.ID, r.Granule, r.Mode)
-	if len(holders) > 0 {
-		i.mu.Lock()
-		for _, h := range holders {
-			o := i.active[h]
-			if o == nil {
-				// The holder is already releasing; nothing to decide.
-				continue
-			}
-			if i.wound {
-				if o.prio > pt.prio && o.wounded.CompareAndSwap(false, true) {
-					// Older requester wounds the younger holder: its
-					// attempt context aborts any lock wait it is
-					// parked in; a holder past acquisition ignores
-					// the wound and commits (commit-immune).
-					o.cancel(ErrWounded)
-				}
-			} else if o.prio < pt.prio {
-				// wait-die: younger requester dies against an older
-				// holder instead of waiting.
-				i.mu.Unlock()
-				i.dies.Add(1)
-				return ErrDie
-			}
-		}
-		i.mu.Unlock()
-	}
-	if err := i.table.Acquire(ctx, tx.ID, r.Granule, r.Mode); err != nil {
-		if cause := context.Cause(ctx); cause != nil && errors.Is(cause, ErrRestart) {
-			// The park was interrupted by a wound, not by the caller.
-			i.wounds.Add(1)
-			return cause
-		}
-		return err // detector verdict (race-window cycle) or caller cancellation
-	}
-	return nil
-}
-
-func (i *prioInstance) End(tx *Tx) {
-	pt := tx.priv.(*prioTx)
-	i.mu.Lock()
-	delete(i.active, tx.ID)
-	i.mu.Unlock()
-	pt.cancel(nil)
-	i.table.ReleaseAll(tx.ID)
-}
+// End releases under the identity Acquire locked under.
+func (i *prioInstance) End(tx *Tx) { i.table.ReleaseAll(lockmgr.TxnID(tx.Priority)) }
 
 func (i *prioInstance) Stats() Stats {
 	return Stats{

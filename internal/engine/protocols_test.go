@@ -124,46 +124,59 @@ func TestOptimisticValidationDeterministic(t *testing.T) {
 	}
 }
 
-// TestWoundWaitVictimStorm pits one long transaction against a crowd of
-// short ones on overlapping granules. The long transaction is older
-// than most of the crowd for most of the run, so it wounds repeatedly;
-// conservation and completion are the assertions, starvation-freedom is
-// the point (wounded victims keep their original priority and age into
-// invincibility).
+// TestWoundWaitVictimStorm runs a crowd of eight clients, four transfers
+// each, over four granules, so nearly every transaction conflicts and
+// the age policies restart constantly. Conservation and completion are
+// the first assertions; starvation-freedom is the point (restarted
+// transactions keep their original priority and age into
+// invincibility). The age verdict is the lock table's, made against
+// every blocker, so no wait can close a cycle: the detector never fires,
+// and every restart is the policy's own — a wound under wound-wait, a
+// death under wait-die.
 func TestWoundWaitVictimStorm(t *testing.T) {
 	for _, protocol := range []Protocol{WoundWait, WaitDie} {
 		protocol := protocol
 		t.Run(protocol, func(t *testing.T) {
-			db, err := Open(100,
-				WithNodes(2),
-				WithGranules(4),
-				WithProtocol(protocol),
-				WithInitialValue(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := db.TotalBalance()
-			done := make(chan error, 1)
-			go func() {
-				_, err := db.RunClosed(context.Background(), Workload{
-					Workers: 8, TxnsPerWorker: 100, TransfersPerTxn: 4,
-					WorkPerTxn: 5000, Seed: 11,
-				})
-				done <- err
-			}()
-			select {
-			case err := <-done:
+			for seed := uint64(1); seed <= 5; seed++ {
+				db, err := Open(100,
+					WithNodes(2),
+					WithGranules(4),
+					WithProtocol(protocol),
+					WithInitialValue(100))
 				if err != nil {
 					t.Fatal(err)
 				}
-			case <-time.After(60 * time.Second):
-				t.Fatalf("%s storm hung (starvation?)", protocol)
+				want := db.TotalBalance()
+				done := make(chan error, 1)
+				go func() {
+					_, err := db.RunClosed(context.Background(), Workload{
+						Workers: 8, TxnsPerWorker: 100, TransfersPerTxn: 4,
+						WorkPerTxn: 5000, Seed: seed,
+					})
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(60 * time.Second):
+					t.Fatalf("%s storm hung on seed %d (starvation?)", protocol, seed)
+				}
+				if got := db.TotalBalance(); got != want {
+					t.Fatalf("seed %d: conservation violated: %d, want %d", seed, got, want)
+				}
+				s := db.Stats()
+				t.Logf("seed %d: restarts=%d wounds=%d dies=%d deadlocks=%d", seed, s.Restarts, s.Wounds, s.Dies, s.Lock.Deadlocks)
+				policy := s.Wounds
+				if protocol == WaitDie {
+					policy = s.Dies
+				}
+				if s.Lock.Deadlocks != 0 || s.Restarts != policy {
+					t.Fatalf("seed %d: %d restarts, %d by the policy, %d deadlock victims; want every restart the policy's and none from the detector",
+						seed, s.Restarts, policy, s.Lock.Deadlocks)
+				}
 			}
-			if got := db.TotalBalance(); got != want {
-				t.Fatalf("conservation violated: %d, want %d", got, want)
-			}
-			s := db.Stats()
-			t.Logf("%s: restarts=%d wounds=%d dies=%d", protocol, s.Restarts, s.Wounds, s.Dies)
 		})
 	}
 }

@@ -59,11 +59,12 @@ func ExampleHierTable() {
 		tab.HoldsAtLeast(1, rel, lockmgr.ModeIX), tab.HoldsAtLeast(2, rel, lockmgr.ModeIX))
 	fmt.Println("either holds it in X:",
 		tab.HoldsAtLeast(1, rel, lockmgr.ModeExclusive) || tab.HoldsAtLeast(2, rel, lockmgr.ModeExclusive))
-	fmt.Println("a scan of the relation would wait for:", tab.ConflictingHolders(3, rel, lockmgr.ModeShared))
+	scan, _ := tab.TryAcquireAll(3, []lockmgr.Request{{Granule: rel, Mode: lockmgr.ModeShared}})
+	fmt.Println("a scan of the relation is granted now:", scan)
 	// Output:
 	// both hold the relation in IX: true true
 	// either holds it in X: false
-	// a scan of the relation would wait for: [1 2]
+	// a scan of the relation is granted now: false
 }
 
 // ExampleGCompatible prints a corner of Gray's compatibility matrix,

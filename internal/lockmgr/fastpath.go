@@ -145,18 +145,6 @@ func fpModeOf(w uint64) Mode {
 //granulint:hotpath
 func fpPackable(txn TxnID) bool { return txn > 0 && txn <= fpTxnMask }
 
-// fpPeek reads fs's word without moving it: when the word is FAST it
-// returns the holder and mode with ok=true; any other state returns
-// ok=false. The read-only probe exists so advisory snapshots
-// (ConflictingHolders) can observe a fast holder without demoting it.
-func fpPeek(fs *fastState) (holder TxnID, mode Mode, ok bool) {
-	w := fs.word.Load()
-	if !fpIsFast(w) {
-		return 0, 0, false
-	}
-	return fpTxnOf(w), fpModeOf(w), true
-}
-
 // fastState is one granule's fast-path record. The granule field is
 // immutable after publication; all coordination goes through word.
 type fastState struct {
@@ -352,80 +340,103 @@ const (
 	fastAlready                     // conservative claim: txn already holds locks
 	fastSpin                        // conflicting single holder: spinning may pay
 	fastBlocked                     // definitively blocked right now (no-wait callers)
+	fastWounded                     // incremental step: txn carries a wound (AcquireAged)
+	fastDie                         // incremental step: wait-die refuses to wait (AcquireAged)
 )
 
 // fastTryStep is one lock-free attempt at an incremental Acquire.
 // It handles re-acquire and sole-holder upgrade; any state it cannot
-// prove safe defers to the slow path.
+// prove safe defers to the slow path. A grant checks the wound bit in
+// the holds.mu section that records it, so a wounded transaction cannot
+// slip a grant past the wound. With fastSpin it also names the holder
+// in the way.
 //
 //granulint:hotpath
-func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) fastOutcome {
+func (t *Table) fastTryStep(fs *fastState, txn TxnID, g Granule, mode Mode) (fastOutcome, TxnID) {
 	for {
 		w := fs.word.Load()
 		switch {
 		case w == 0:
 			h := &t.holds
 			h.mu.Lock()
+			hs := h.held[txn]
+			if hs != nil && hs.wounded {
+				h.mu.Unlock()
+				return fastWounded, 0
+			}
 			if fs.word.CompareAndSwap(0, fpPack(txn, mode)) {
-				t.recordHeldLocked(txn, g, mode)
+				h.recordLocked(txn, hs, g, mode)
 				h.mu.Unlock()
 				t.fpGrants.Add(1)
 				t.omFastGrant()
-				return fastGranted
+				return fastGranted, 0
 			}
 			h.mu.Unlock()
 			continue // word moved under us; re-evaluate
 		case fpIsFast(w) && fpTxnOf(w) == txn:
 			if covers(fpModeOf(w), mode) {
-				return fastGranted // already held strongly enough
+				return fastGranted, 0 // already held strongly enough
 			}
 			// Sole holder upgrading S→X: grantable by definition.
 			h := &t.holds
 			h.mu.Lock()
+			hs := h.held[txn]
+			if hs != nil && hs.wounded {
+				h.mu.Unlock()
+				return fastWounded, 0
+			}
 			if fs.word.CompareAndSwap(w, fpPack(txn, ModeExclusive)) {
-				t.recordHeldLocked(txn, g, ModeExclusive)
+				h.recordLocked(txn, hs, g, ModeExclusive)
 				h.mu.Unlock()
 				t.fpGrants.Add(1)
 				t.omFastGrant()
-				return fastGranted
+				return fastGranted, 0
 			}
 			h.mu.Unlock()
-			return fastFallback // demoted mid-upgrade; slow path resolves it
+			return fastFallback, 0 // demoted mid-upgrade; slow path resolves it
 		case fpIsFast(w):
 			if GCompatible(mode, fpModeOf(w)) {
 				// S alongside S: the word cannot encode two holders; the
 				// slow path grants it against the materialized holder set.
-				return fastFallback
+				return fastFallback, 0
 			}
-			return fastSpin
+			return fastSpin, fpTxnOf(w)
 		default:
-			return fastFallback // SLOW
+			return fastFallback, 0 // SLOW
 		}
 	}
 }
 
 // fastAcquire runs the lock-free attempt plus the adaptive
-// spin-then-park discipline for Acquire. Returns (true, nil) when the
-// grant completed without the latch; (false, _) defers to the
-// slow path.
+// spin-then-park discipline for Acquire. It returns fastGranted when the
+// grant completed without the latch, fastWounded when txn carries a
+// wound, fastDie when wait-die refuses the wait, and fastFallback to
+// defer to the slow path. A request judged by age meets the holder in
+// its way with the verdict before it spins, not after it parks: a
+// wounded holder can then release while the request spins.
 //
 //granulint:hotpath
-func (t *Table) fastAcquire(txn TxnID, g Granule, mode Mode) bool {
+func (t *Table) fastAcquire(txn TxnID, g Granule, mode Mode, age agePolicy) fastOutcome {
 	fs := t.fastLookup(g)
 	if fs == nil {
-		return false
+		return fastFallback
 	}
-	switch t.fastTryStep(fs, txn, g, mode) {
-	case fastGranted:
-		return true
+	switch out, holder := t.fastTryStep(fs, txn, g, mode); out {
+	case fastGranted, fastWounded:
+		return out
 	case fastSpin:
+		if age != ageNone {
+			if out := t.judgeFast(txn, g, mode, holder, age); out != fastSpin {
+				return out
+			}
+		}
 		if t.fastSpinThenTry(fs, txn, g, mode) {
-			return true
+			return fastGranted
 		}
 	}
 	t.fpFallbacks.Add(1)
 	t.omFastFallback()
-	return false
+	return fastFallback
 }
 
 // fastSpinThenTry spins on a conflicting FAST holder, retrying the
@@ -437,7 +448,7 @@ func (t *Table) fastSpinThenTry(fs *fastState, txn TxnID, g Granule, mode Mode) 
 	budget := int(fs.spin.Load())
 	for i := 0; i < budget; i++ {
 		runtime.Gosched()
-		switch t.fastTryStep(fs, txn, g, mode) {
+		switch out, _ := t.fastTryStep(fs, txn, g, mode); out {
 		case fastGranted:
 			t.fpSpinWins.Add(1)
 			t.omFastSpinWin()

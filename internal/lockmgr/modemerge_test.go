@@ -90,8 +90,12 @@ func TestGCombineAllPairs(t *testing.T) {
 					if got := tab.TryUpgrade(other, 7, m); got {
 						t.Errorf("fast=%v: TryUpgrade by a non-holder succeeded", fast)
 					}
-					blocked := len(tab.ConflictingHolders(other, 7, m)) != 0
-					if blocked == GCompatible(m, want) {
+					ok, err := tab.TryAcquireAll(other, []Request{{Granule: 7, Mode: m}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					tab.ReleaseAll(other)
+					if blocked := !ok; blocked == GCompatible(m, want) {
 						t.Errorf("fast=%v: holding %v, a %v request blocked=%v", fast, want, m, blocked)
 					}
 				}

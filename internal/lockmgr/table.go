@@ -99,6 +99,14 @@ type Request struct {
 // should ReleaseAll and retry.
 var ErrDeadlock = errors.New("lockmgr: deadlock detected, transaction chosen as victim")
 
+// ErrWounded and ErrDie are AcquireAged's restart verdicts, wound-wait's
+// and wait-die's. Like a deadlock victim's, the loser's locks remain
+// held; the caller should ReleaseAll and retry.
+var (
+	ErrWounded = errors.New("lockmgr: wounded by an older transaction")
+	ErrDie     = errors.New("lockmgr: wait-die: the request would wait for an older transaction")
+)
+
 // ErrAlreadyHolds is wrapped by AcquireAll when the transaction already
 // holds locks: a conservative claim must be the transaction's first
 // acquisition. Callers that multiplex transactions over sessions (the
@@ -143,8 +151,9 @@ type Table struct {
 	// first granule is promoted and replaced by a larger one as it fills;
 	// fastN counts its records. Both are written under mu; lookups are
 	// lock-free.
-	fast  atomic.Pointer[fastIndex]
-	fastN int
+	fast      atomic.Pointer[fastIndex]
+	fastN     int
+	unsettled []Granule // queues a wound took a request from, for wakeStepWaiters
 
 	holds holdSets
 
@@ -205,10 +214,13 @@ func (t *Table) collectLocked(g Granule, gs *granuleState) {
 // claim fills the vector in one append (fillLocked) and is never probed
 // per granule. Hold sets are grow-only until teardown (2PL releases
 // everything at once); the one per-granule removal, fastReleaseAll,
-// prunes from the tail, which a vector supports by truncation.
+// prunes from the tail, which a vector supports by truncation. waiting
+// and wounded are how AcquireAged reaches a holder it wounds.
 type holdSet struct {
 	entries []holdEntry
 	m       map[Granule]Mode // nil, or a complete index of entries
+	waiting *stepWaiter      // last request parked by AcquireAged; stale once it left its queue
+	wounded bool             // wounded while unparked: its next grant fails with ErrWounded
 }
 
 // holdEntry is one granule of a hold set.
@@ -333,7 +345,21 @@ func (h *holdSets) recycleLocked(hs *holdSet) {
 	}
 	hs.entries = hs.entries[:0]
 	hs.m = nil // spilled accelerator maps are not worth pooling
+	hs.waiting, hs.wounded = nil, false
 	h.pool = append(h.pool, hs)
+}
+
+// wounded reports whether txn carries a wound; if not, a non-nil parking
+// is recorded as the request txn parks. Caller holds the table's latch.
+func (h *holdSets) wounded(txn TxnID, parking *stepWaiter) bool {
+	h.mu.Lock()
+	hs := h.held[txn]
+	wounded := hs != nil && hs.wounded
+	if !wounded && hs != nil && parking != nil {
+		hs.waiting = parking
+	}
+	h.mu.Unlock()
+	return wounded
 }
 
 // tableMetrics mirrors the Stats counters into an obs.Registry, the
@@ -543,8 +569,19 @@ type stepWaiter struct {
 	txn     TxnID
 	granule Granule
 	mode    Mode
+	age     agePolicy
 	ch      chan error
 }
+
+// agePolicy is how an incremental request that has to wait is judged:
+// by the waits-for detector (Acquire) or by age (AcquireAged).
+type agePolicy int8
+
+const (
+	ageNone agePolicy = iota
+	ageWaitDie
+	ageWoundWait
+)
 
 // Option configures a Table.
 type Option func(*tableConfig)
@@ -672,41 +709,6 @@ func (t *Table) heldMode(txn TxnID, g Granule) (Mode, bool) {
 	have, ok := t.holds.held[txn].get(g)
 	t.holds.mu.Unlock()
 	return have, ok
-}
-
-// ConflictingHolders returns a snapshot of the transactions that hold
-// granule g in a mode incompatible with want, excluding txn itself,
-// sorted ascending. The snapshot is advisory: holders can change the
-// moment the latch drops, so callers layering restart policies over
-// it (wound-wait / wait-die, internal/engine/cc) must keep the
-// deadlock detector armed as their safety net for decisions that race
-// a concurrent grant.
-func (t *Table) ConflictingHolders(txn TxnID, g Granule, want Mode) []TxnID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// A FAST word is the granule's entire state (no map entry exists
-	// while it holds); read it non-destructively rather than demoting,
-	// so the probe does not evict the granule from the fast path.
-	if fs := t.fastLookup(g); fs != nil {
-		if holder, held, ok := fpPeek(fs); ok {
-			if holder != txn && !GCompatible(want, held) {
-				return []TxnID{holder}
-			}
-			return nil
-		}
-	}
-	gs := t.granules[g]
-	if gs == nil {
-		return nil
-	}
-	var out []TxnID
-	for holder, held := range gs.holders {
-		if holder != txn && !GCompatible(want, held) {
-			out = append(out, holder)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // coalesceScanMax is the claim size up to which an unsorted request set
@@ -985,8 +987,43 @@ func (t *Table) removeClaimLocked(w *ParkedClaim) {
 // (S held and X requested gives X, S and IX give SIX); such an upgrade
 // waits for the holders it conflicts with to drain.
 func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) error {
-	if fastMode(mode) && t.fastOn.Load() && fpPackable(txn) && t.fastAcquire(txn, g, mode) {
-		return nil
+	return t.acquireStep(ctx, txn, g, mode, ageNone)
+}
+
+// AcquireAged is Acquire with conflicts resolved by age, the TxnID
+// (smaller is older), instead of by the detector. A request that has to
+// wait is judged, under the latch that would park it, against its
+// blockers: the holders it conflicts with and the requests queued ahead
+// of it. Under wait-die (wound false) it fails with ErrDie if one is
+// older. Under wound-wait every younger one is wounded: a parked victim
+// fails at once with ErrWounded, an unparked one at its next request
+// that needs a grant, and one that never asks again keeps its locks
+// until it releases. Parked requests are judged again when their queue
+// settles, since an upgrade can hand them a new blocker. So every wait
+// edge obeys age, or ends at a wounded transaction that never waits
+// again, and no cycle can form. A table's incremental requests should
+// all take one of Acquire or AcquireAged with one policy. A retry may
+// reuse its TxnID, keeping its age, once ReleaseAll has run; the release
+// also clears its wound.
+func (t *Table) AcquireAged(ctx context.Context, txn TxnID, g Granule, mode Mode, wound bool) error {
+	age := ageWaitDie
+	if wound {
+		age = ageWoundWait
+	}
+	return t.acquireStep(ctx, txn, g, mode, age)
+}
+
+// acquireStep is the core of Acquire and AcquireAged.
+func (t *Table) acquireStep(ctx context.Context, txn TxnID, g Granule, mode Mode, age agePolicy) error {
+	if fastMode(mode) && t.fastOn.Load() && fpPackable(txn) {
+		switch t.fastAcquire(txn, g, mode, age) {
+		case fastGranted:
+			return nil
+		case fastWounded:
+			return ErrWounded
+		case fastDie:
+			return ErrDie
+		}
 	}
 	t.mu.Lock()
 	t.demoteLocked(g)
@@ -995,7 +1032,22 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 		t.mu.Unlock()
 		return nil // already held strongly enough
 	}
-	if t.stepGrantable(gs, txn, mode) {
+	if age != ageNone && t.holds.wounded(txn, nil) {
+		t.mu.Unlock()
+		return ErrWounded
+	}
+	grantable := t.stepGrantable(gs, txn, mode)
+	if !grantable && age != ageNone {
+		if t.judgeLocked(gs, txn, mode, len(gs.waiters), age) {
+			t.mu.Unlock()
+			return ErrDie
+		}
+		if len(t.unsettled) > 0 { // a wound emptied a queue, maybe this one
+			t.wakeStepWaiters(g)
+			grantable = t.stepGrantable(gs, txn, mode)
+		}
+	}
+	if grantable {
 		t.grantStep(gs, txn, g, mode)
 		t.stats.Grants++
 		t.wakeStepWaiters(g) // an upgrade may have given a parked request a new blocker
@@ -1003,21 +1055,27 @@ func (t *Table) Acquire(ctx context.Context, txn TxnID, g Granule, mode Mode) er
 		t.omGrant()
 		return nil
 	}
-	w := &stepWaiter{txn: txn, granule: g, mode: mode, ch: make(chan error, 1)}
+	w := &stepWaiter{txn: txn, granule: g, mode: mode, age: age, ch: make(chan error, 1)}
+	if age != ageNone && t.holds.wounded(txn, w) { // wounded while the queues settled
+		t.mu.Unlock()
+		return ErrWounded
+	}
 	gs.waiters = append(gs.waiters, w)
 	t.stats.Blocks++
-	t.refreshEdgesLocked(gs, w, len(gs.waiters)-1)
-	if t.det.InCycle(txn) {
-		// The newest edge closed a cycle: this requester is the victim.
-		t.dropWaiter(gs, w)
-		t.det.RemoveWaiter(txn)
-		t.stats.Deadlocks++
+	if age == ageNone {
+		t.refreshEdgesLocked(gs, w, len(gs.waiters)-1)
+		if t.det.InCycle(txn) {
+			// The newest edge closed a cycle: this requester is the victim.
+			t.dropWaiter(gs, w)
+			t.det.RemoveWaiter(txn)
+			t.stats.Deadlocks++
+			t.mirrorEdges()
+			t.mu.Unlock()
+			t.omDeadlock()
+			return ErrDeadlock
+		}
 		t.mirrorEdges()
-		t.mu.Unlock()
-		t.omDeadlock()
-		return ErrDeadlock
 	}
-	t.mirrorEdges()
 	t.mu.Unlock()
 	t.omWait()
 
@@ -1105,21 +1163,22 @@ func (t *Table) grantStep(gs *granuleState, txn TxnID, g Granule, mode Mode) {
 		mode = joinMode(mode, have)
 	}
 	gs.holders[txn] = mode
-	t.holds.mu.Lock()
-	t.recordHeldLocked(txn, g, mode)
-	t.holds.mu.Unlock()
+	h := &t.holds
+	h.mu.Lock()
+	h.recordLocked(txn, h.held[txn], g, mode)
+	h.mu.Unlock()
 }
 
-// recordHeldLocked updates txn's hold set with g at mode (strengthen
-// only). Caller holds t.holds.mu — the fast path keeps the hold-set
-// update inside the same critical section as its word CAS.
-func (t *Table) recordHeldLocked(txn TxnID, g Granule, mode Mode) {
-	hm := t.holds.held[txn]
-	if hm == nil {
-		hm = t.holds.allocLocked(4)
-		t.holds.held[txn] = hm
+// recordLocked updates hs, txn's hold set or nil if it has none yet,
+// with g at mode (strengthen only). Caller holds h.mu — the fast path
+// keeps the hold-set update inside the same critical section as its
+// word CAS.
+func (h *holdSets) recordLocked(txn TxnID, hs *holdSet, g Granule, mode Mode) {
+	if hs == nil {
+		hs = h.allocLocked(4)
+		h.held[txn] = hs
 	}
-	hm.set(g, mode)
+	hs.set(g, mode)
 }
 
 // dropWaiter removes w from its granule's wait queue; reports whether it
@@ -1150,15 +1209,108 @@ func (t *Table) refreshEdgesLocked(gs *granuleState, w *stepWaiter, idx int) {
 	}
 }
 
+// judgeLocked applies age to a request of txn for mode on gs that cannot
+// be granted, against its blockers: the holders it conflicts with and
+// the first ahead waiters of gs, the ones queued before it. Under
+// wait-die it reports true, die, if a blocker is older; under wound-wait
+// it wounds every younger blocker. Caller holds t.mu.
+func (t *Table) judgeLocked(gs *granuleState, txn TxnID, mode Mode, ahead int, age agePolicy) (die bool) {
+	for i := ahead - 1; i >= 0; i-- { // from the back: a wound deletes gs.waiters[i]
+		w := gs.waiters[i]
+		if age == ageWaitDie && w.txn < txn {
+			return true
+		}
+		if age == ageWoundWait && w.txn > txn {
+			t.woundParkedLocked(gs, w)
+		}
+	}
+	for holder, held := range gs.holders {
+		if holder == txn || GCompatible(mode, held) {
+			continue
+		}
+		if age == ageWaitDie && holder < txn {
+			return true
+		}
+		if age == ageWoundWait && holder > txn {
+			t.woundLocked(holder)
+		}
+	}
+	return false
+}
+
+// judgeFast is judgeLocked for a granule whose lock-free word named one
+// conflicting holder, before the request spins: a wounded holder can
+// then release while it spins, not after it parks. It returns fastDie or
+// fastWounded for a request that fails, fastSpin for one that may wait.
+func (t *Table) judgeFast(txn TxnID, g Granule, mode Mode, holder TxnID, age agePolicy) fastOutcome {
+	if age == ageWaitDie {
+		if held, ok := t.heldMode(holder, g); ok && holder < txn && !GCompatible(mode, held) {
+			return fastDie
+		}
+		return fastSpin
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.holds.wounded(txn, nil) {
+		return fastWounded // a wounded request wounds nobody
+	}
+	if held, ok := t.heldMode(holder, g); ok && holder > txn && !GCompatible(mode, held) {
+		t.woundLocked(holder)
+		t.wakeStepWaiters(g) // g has no queue; this settles what the wound unsettled
+	}
+	return fastSpin
+}
+
+// woundLocked wounds v, a holder: a parked request of v fails now, else
+// v is marked. Caller holds t.mu.
+func (t *Table) woundLocked(v TxnID) {
+	h := &t.holds
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs := h.held[v]
+	if hs == nil || hs.wounded {
+		return
+	}
+	if w := hs.waiting; w != nil {
+		if gs := t.granules[w.granule]; gs != nil && t.woundParkedLocked(gs, w) {
+			return
+		}
+	}
+	hs.wounded = true
+}
+
+// woundParkedLocked fails w with ErrWounded if it is still parked in gs,
+// and reports whether it was. Its queue joins t.unsettled to be settled:
+// a request that leaves a queue without a release and without a settle
+// strands those queued behind it, the lost wake-up that once hung
+// wound-wait when wounds cancelled the victim's context. Caller holds
+// t.mu.
+func (t *Table) woundParkedLocked(gs *granuleState, w *stepWaiter) bool {
+	if !t.dropWaiter(gs, w) {
+		return false
+	}
+	w.ch <- ErrWounded
+	t.unsettled = append(t.unsettled, w.granule)
+	return true
+}
+
 // syncWaiterEdgesLocked refreshes the edges of every waiter of gs and
-// aborts any whose refreshed edges close a cycle, reporting whether it
-// aborted one. Caller holds t.mu.
+// aborts any whose refreshed edges close a cycle (or that wait-die now
+// refuses), reporting whether it aborted one. Caller holds t.mu.
 func (t *Table) syncWaiterEdgesLocked(gs *granuleState) (aborted bool) {
 	remaining := append([]*stepWaiter(nil), gs.waiters...)
 	for _, w := range remaining {
 		idx := slices.Index(gs.waiters, w)
 		if idx < 0 {
 			continue // aborted by an earlier iteration
+		}
+		if w.age != ageNone {
+			if t.judgeLocked(gs, w.txn, w.mode, idx, w.age) {
+				t.dropWaiter(gs, w)
+				w.ch <- ErrDie
+				aborted = true
+			}
+			continue
 		}
 		t.refreshEdgesLocked(gs, w, idx)
 		if t.det.InCycle(w.txn) {
@@ -1303,14 +1455,31 @@ func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*Parked
 
 // wakeStepWaiters settles g's queue of incremental waiters after
 // anything that can unblock one — a release, a waiter leaving the queue
-// without one (cancelled, or aborted as a cycle victim), an upgrade that
-// re-points edges: it grants from the head in FIFO order while
-// compatible, then refreshes the waits-for edges of those still parked
-// and aborts any whose refreshed edges close a cycle. An abort can
-// expose a grantable head, and a grant changes the blockers of the
-// rest, so the two steps repeat until a refresh aborts nobody: a waiter
-// left parked always has an edge to what blocks it. Caller holds t.mu.
+// without one (cancelled, wounded, or aborted as a cycle victim or by
+// wait-die), an upgrade that re-points edges: it grants from the head in
+// FIFO order while compatible, then refreshes the waits-for edges of
+// those still parked and aborts any whose refreshed edges close a cycle
+// (or judges them by age again, under AcquireAged). An abort can expose
+// a grantable head, and a grant changes the blockers of the rest, so the
+// two steps repeat until a refresh aborts nobody: a waiter left parked
+// always has an edge to what blocks it. A wound dealt on the way takes a
+// request out of its queue, which is then settled the same way, until
+// t.unsettled is empty. Caller holds t.mu.
 func (t *Table) wakeStepWaiters(g Granule) {
+	for {
+		t.settleQueueLocked(g)
+		n := len(t.unsettled)
+		if n == 0 {
+			return
+		}
+		g = t.unsettled[n-1]
+		t.unsettled = t.unsettled[:n-1]
+	}
+}
+
+// settleQueueLocked is wakeStepWaiters for g's queue alone. Caller holds
+// t.mu.
+func (t *Table) settleQueueLocked(g Granule) {
 	gs := t.granules[g]
 	if gs == nil || len(gs.waiters) == 0 {
 		return

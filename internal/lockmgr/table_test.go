@@ -432,8 +432,8 @@ func granted(t *testing.T, what string, done <-chan error) {
 }
 
 // A waiter that leaves the queue without a release — a cancelled context
-// is how wound-wait delivers a wound — must hand the head of the queue
-// on: whoever was parked only behind it is granted at once.
+// here, a wound in TestWoundParkedHolder — must hand the head of the
+// queue on: whoever was parked only behind it is granted at once.
 func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
 	// Txn 1 holds S, txn 2 parks for X, txn 3 parks for S behind it.
 	type lockFunc func(ctx context.Context, txn TxnID, mode Mode) error
@@ -454,6 +454,12 @@ func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
 				}
 				return h.Lock(ctx, txn, path(nDB, nRel), mode)
 			}
+		}},
+		// Judged by age (wound-wait): 2 and 3 are younger than holder 1
+		// and 3 than 2, so both wait, and no detector edge is there to
+		// clear.
+		{"aged", func(tab *Table) lockFunc {
+			return func(ctx context.Context, txn TxnID, mode Mode) error { return tab.AcquireAged(ctx, txn, 1, mode, true) }
 		}},
 	}
 	for _, fast := range []bool{true, false} {

@@ -96,6 +96,8 @@ verify-test:
 	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols' ./internal/engine/
 # benchmark/ is its own module, which root `go test ./...` does not reach: this compiles it against every API change
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+# the two engine smoke runs again, five times: each must see allocation to report (the retired pooled records keep it visible)
+	cd benchmark && $(GO) test -short -count=5 -run 'TestSmoke/engine-(fine|coarse)$$' ./...
 # lockd admin endpoint: real lock traffic scraped through /metrics
 	$(GO) test -race -count=2 -run 'TestAdmin' ./cmd/lockd/
 
@@ -118,7 +120,7 @@ verify-smoke: locknet
 # a durable engine killed at random write/sync/checkpoint points; every recovery must conserve the invariant
 	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20
 # quick cmd/bench runs into /tmp (the checked-in reports are full-fidelity only, via `make bench`);
-# -compare fails on a missed floor (lockmgr 1.5x/3x + zero-allocation budget, cluster 1.8x, recovery 2x)
+# -compare fails on a missed floor (lockmgr batch economy + zero-allocation budget, cluster 1.8x, recovery 2x)
 # or a same-run ratio more than 25% under the checked-in one
 	$(GO) run ./cmd/bench -suite model -quick -out /tmp/BENCH_model.quick.json
 	$(GO) run ./cmd/bench -suite lockmgr -quick -out /tmp/BENCH_lockmgr.quick.json -compare BENCH_lockmgr.json

@@ -227,7 +227,7 @@ func runCluster(rep *report) error {
 		{"cluster routing overhead (1-node cluster vs direct v2)",
 			"locksrv/cluster/rtt/nodes=1", "locksrv/cluster/rtt/direct-v2", 0},
 	} {
-		if err := rep.compare(c.name, c.num, c.den, c.target); err != nil {
+		if err := rep.compare(c.name, c.num, c.den, 1, c.target); err != nil {
 			return err
 		}
 	}

@@ -10,8 +10,8 @@
 //
 // The model suite measures the simulation engine and two representative
 // figure sweeps against the recorded seed engine (model.go). The lockmgr
-// suite measures the in-process lock table with the lock-free fast path
-// enabled vs force-disabled (lockmgr.go). The cluster suite measures the
+// suite measures the in-process lock table's claim and release cycles,
+// uncontended and contended (lockmgr.go). The cluster suite measures the
 // partitioned lock cluster's 1/2/4-node scaling curve over a fixed-RTT
 // transport (cluster.go). The recovery suite measures snapshot-bounded
 // vs full-history reopen of a durable engine on real file-backed logs
@@ -60,7 +60,6 @@ type entry struct {
 	// The configuration axes of the lockmgr and cluster suites.
 	Procs   int     `json:"procs,omitempty"`   // GOMAXPROCS the entry ran at
 	Pool    int     `json:"pool,omitempty"`    // shared granule pool (contended runs)
-	Fast    bool    `json:"fast,omitempty"`    // lock-free fast path enabled
 	Nodes   int     `json:"nodes,omitempty"`   // cluster members
 	Clients int     `json:"clients,omitempty"` // serial client streams
 	RTTMs   float64 `json:"rtt_ms,omitempty"`  // injected round-trip time per acquire+release pair
@@ -92,11 +91,13 @@ func (e entry) throughput() float64 {
 	return e.EventsPerSec
 }
 
-// comparison is a ratio between two entries of one run.
+// comparison is a ratio between two entries of one run: scale times the
+// numerator's throughput over the denominator's.
 type comparison struct {
 	Name        string  `json:"name"`
 	Numerator   string  `json:"numerator"`
 	Denominator string  `json:"denominator"`
+	Scale       float64 `json:"scale,omitempty"` // omitted when 1
 	Speedup     float64 `json:"speedup"`
 	Target      float64 `json:"target,omitempty"` // acceptance floor, when one exists
 	Pass        bool    `json:"pass,omitempty"`
@@ -135,9 +136,11 @@ func (r *report) add(name string, run func() (entry, error)) error {
 	return nil
 }
 
-// compare appends the throughput ratio of two recorded entries, with its
-// acceptance floor when target is positive.
-func (r *report) compare(name, num, den string, target float64) error {
+// compare appends scale times the throughput ratio of two recorded
+// entries, with its acceptance floor when target is positive. A scale
+// other than 1 compares entries whose operations differ in size, such as
+// claims of one and of sixteen granules, per unit.
+func (r *report) compare(name, num, den string, scale, target float64) error {
 	find := func(n string) (float64, error) {
 		for _, e := range r.Benchmarks {
 			if e.Name == n && e.throughput() > 0 {
@@ -154,7 +157,10 @@ func (r *report) compare(name, num, den string, target float64) error {
 	if err != nil {
 		return err
 	}
-	c := comparison{Name: name, Numerator: num, Denominator: den, Speedup: n / d, Target: target}
+	c := comparison{Name: name, Numerator: num, Denominator: den, Speedup: scale * n / d, Target: target}
+	if scale != 1 {
+		c.Scale = scale
+	}
 	c.Pass = target > 0 && c.Speedup >= target
 	r.Comparisons = append(r.Comparisons, c)
 	return nil
@@ -263,7 +269,7 @@ func run(suite, out string, quick bool, compare, cpuprofile string) error {
 // where a quick run on an arbitrary runner is diffed against the
 // checked-in full-fidelity report from another machine — absolute
 // throughput is not comparable and the diff uses the reports' recorded
-// speedup ratios instead (fast vs slow measured within one process on
+// speedup ratios instead (both sides measured within one process on
 // one machine), with a 25% tolerance. Either way, any recorded
 // comparison carrying an acceptance target must pass in the fresh run.
 func compareReports(oldRep, newRep *report, oldPath string) error {
@@ -306,9 +312,9 @@ func compareReports(oldRep, newRep *report, oldPath string) error {
 }
 
 // compareRatios diffs the recorded speedup ratios of two reports.
-// Ratios divide out the machine: a fast-vs-slow speedup measured on a
-// CI runner is directly comparable to the same speedup measured on the
-// baseline machine, while their absolute ops/sec are not. The
+// Ratios divide out the machine: a speedup measured on a CI runner is
+// directly comparable to the same speedup measured on the baseline
+// machine, while their absolute ops/sec are not. The
 // tolerance is wider than the throughput diff's because a ratio
 // compounds the noise of two measurements; the hard floor is the
 // recorded acceptance targets, which checkTargets enforces on the

@@ -72,13 +72,13 @@ func TestCompareReports(t *testing.T) {
 
 func TestReportCompare(t *testing.T) {
 	r := &report{Benchmarks: []entry{{Name: "fast", OpsPerSec: 300}, {Name: "slow", OpsPerSec: 100}}}
-	if err := r.compare("gated", "fast", "slow", 3); err != nil {
+	if err := r.compare("gated", "fast", "slow", 1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.compare("missed", "slow", "fast", 1); err != nil {
+	if err := r.compare("missed", "slow", "fast", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.compare("ungated", "fast", "slow", 0); err != nil {
+	if err := r.compare("ungated", "fast", "slow", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := []comparison{
@@ -91,7 +91,7 @@ func TestReportCompare(t *testing.T) {
 			t.Errorf("comparison %d = %+v, want %+v", i, c, want[i])
 		}
 	}
-	if err := r.compare("typo", "fast", "sloww", 0); err == nil {
+	if err := r.compare("typo", "fast", "sloww", 1, 0); err == nil {
 		t.Error("a comparison naming a missing entry was accepted")
 	}
 	if err := checkTargets(r); err == nil || !strings.Contains(err.Error(), "missed") {

@@ -108,5 +108,5 @@ func runRecovery(rep *report) error {
 	// 2x floor still gates every fresh run via its recorded target.
 	return rep.compare(
 		fmt.Sprintf("wal: snapshot-bounded vs full-history recovery (%d-txn history)", 4*historyTxns),
-		"wal/recovery/snapshot-bounded", "wal/recovery/full-history", 2.0)
+		"wal/recovery/snapshot-bounded", "wal/recovery/full-history", 1, 2.0)
 }

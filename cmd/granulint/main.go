@@ -1,10 +1,9 @@
 // Command granulint is the repo's invariant multichecker: it runs the
 // granulint analyzer suite (internal/analysis) over Go packages and
 // exits non-zero on any unsuppressed finding. It is the static half of
-// `make verify` — the analyzers mechanize the concurrency invariants
-// (the packed fast-path word's state machine, the zero-alloc hot
-// paths, the wire error taxonomy, metric naming) that
-// the test suite can only catch by luck of interleaving.
+// `make verify` — the analyzers mechanize the invariants (the zero-alloc
+// hot paths, the wire error taxonomy, metric naming) that the test suite
+// can only catch by luck.
 //
 // Usage:
 //

@@ -44,7 +44,7 @@ func TestFixtureModule(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (findings)\n%s", code, out)
 	}
-	for _, analyzer := range []string{"atomicword", "hotpath", "errtaxonomy", "metricname", "directive"} {
+	for _, analyzer := range []string{"hotpath", "errtaxonomy", "metricname", "directive"} {
 		if !strings.Contains(out, " "+analyzer+": ") {
 			t.Errorf("no %s finding in output:\n%s", analyzer, out)
 		}
@@ -61,7 +61,7 @@ func TestRunFilter(t *testing.T) {
 	if !strings.Contains(out, " hotpath: ") {
 		t.Errorf("no hotpath finding in filtered output:\n%s", out)
 	}
-	for _, analyzer := range []string{"atomicword", "errtaxonomy", "metricname"} {
+	for _, analyzer := range []string{"errtaxonomy", "metricname"} {
 		if strings.Contains(out, " "+analyzer+": ") {
 			t.Errorf("-run hotpath leaked a %s finding:\n%s", analyzer, out)
 		}
@@ -87,7 +87,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, out)
 	}
-	for _, analyzer := range []string{"atomicword", "hotpath", "errtaxonomy", "metricname", "directive"} {
+	for _, analyzer := range []string{"hotpath", "errtaxonomy", "metricname", "directive"} {
 		if !strings.Contains(out, analyzer) {
 			t.Errorf("-list omits %s:\n%s", analyzer, out)
 		}

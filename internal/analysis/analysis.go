@@ -13,7 +13,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"granulock/internal/analysis/load"
 )
@@ -78,7 +77,7 @@ func (p *Pass) PkgHasDirective(verb string) bool {
 	return false
 }
 
-// All is the granulint analyzer registry: the four invariant analyzers
+// All is the granulint analyzer registry: the three invariant analyzers
 // plus the directive validator that keeps the annotation grammar
 // itself well-formed.
 // Populated in init to break the declaration cycle through the
@@ -87,7 +86,6 @@ var All []*Analyzer
 
 func init() {
 	All = []*Analyzer{
-		AtomicWord,
 		HotPath,
 		ErrTaxonomy,
 		MetricName,
@@ -193,13 +191,4 @@ func (p *Pass) enclosingFuncs(fn func(*ast.File, *ast.FuncDecl)) {
 			}
 		}
 	}
-}
-
-// baseFilename returns the file's base name ("fastpath.go") for a pos.
-func (p *Pass) baseFilename(pos token.Pos) string {
-	full := p.Fset.Position(pos).Filename
-	if i := strings.LastIndexByte(full, '/'); i >= 0 {
-		return full[i+1:]
-	}
-	return full
 }

@@ -11,8 +11,6 @@ import (
 // testdata/src/ and must produce exactly the findings its `// want`
 // comments declare — no more, no fewer.
 
-func TestAtomicWord(t *testing.T) { analysistest.Run(t, analysis.AtomicWord, "atomicword") }
-
 func TestHotPath(t *testing.T) { analysistest.Run(t, analysis.HotPath, "hotpath") }
 
 func TestErrTaxonomy(t *testing.T) { analysistest.Run(t, analysis.ErrTaxonomy, "errtaxonomy") }

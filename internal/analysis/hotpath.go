@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// HotPath guards the measured zero-allocation hot paths (the fast-path
-// acquire/release cycle pinned at ~zero allocs in BENCH_lockmgr.json,
-// the v2 frame codec, the discrete-event loop). Functions annotated
+// HotPath guards the measured zero-allocation hot paths (the lock
+// table's claim/release cycle pinned at zero allocs in
+// BENCH_lockmgr.json, the v2 frame codec, the discrete-event loop). Functions annotated
 // //granulint:hotpath may not:
 //
 //   - range over a map — Go's randomized map iteration allocates its

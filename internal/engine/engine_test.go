@@ -476,7 +476,7 @@ func TestExecuteAllocationFree(t *testing.T) {
 			}
 		}
 		for i := 0; i < 16; i++ {
-			run() // promote the granules, fill the pools
+			run() // make the granule records, fill the pools
 		}
 		avg := testing.AllocsPerRun(1000, run)
 		t.Logf("%-16s %v allocations per uncontended Execute", name, avg)

@@ -12,8 +12,8 @@ import (
 )
 
 // The verdicts of AcquireAged, one schedule each. Age is the TxnID:
-// txn 1 is older than txn 5. Every schedule runs with the fast path on
-// and off, and none of them may touch the waits-for detector.
+// txn 1 is older than txn 5. None of them may touch the waits-for
+// detector.
 
 // park starts an AcquireAged that is expected to wait, and returns the
 // channel its outcome arrives on.
@@ -57,22 +57,21 @@ func mustAged(t *testing.T, tab *Table, txn TxnID, g Granule, mode Mode, wound b
 // edge: an age-judged table never needs one.
 func noDetector(t *testing.T, tab *Table) {
 	t.Helper()
-	tab.mu.Lock()
-	edges := tab.det.Edges()
-	tab.mu.Unlock()
-	if edges != 0 || tab.detEdges.Load() != 0 {
-		t.Fatalf("age-judged table has %d waits-for edges (mirror %d)", edges, tab.detEdges.Load())
+	if edges := graphEdges(tab); edges != 0 {
+		t.Fatalf("age-judged table has %d waits-for edges", edges)
 	}
 	if d := tab.Stats().Deadlocks; d != 0 {
 		t.Fatalf("age-judged table counted %d deadlock victims", d)
 	}
 }
 
-// forEachFast runs f on a fresh table with the fast path on and off.
+// forEachFast runs f twice, each time on a fresh table. The subtest
+// names are historical: fast=true and fast=false once chose whether the
+// table had a lock-free fast path, which it no longer has.
 func forEachFast(t *testing.T, f func(t *testing.T, tab *Table)) {
 	for _, fast := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
-			tab := NewTable(WithFastPath(fast))
+			tab := NewTable()
 			f(t, tab)
 			noDetector(t, tab)
 		})
@@ -85,7 +84,6 @@ func forEachFast(t *testing.T, f func(t *testing.T, tab *Table)) {
 func TestWoundParkedHolder(t *testing.T) {
 	forEachFast(t, func(t *testing.T, tab *Table) {
 		const g1, g2 = 1, 2
-		warmFast(t, tab, g1) // the victim holds g1 on a FAST word, if the table has them
 		mustAged(t, tab, 3, g2, ModeShared, true)
 		mustAged(t, tab, 5, g1, ModeExclusive, true)
 		victim := park(tab, 5, g2, ModeExclusive, true) // younger than holder 3: waits
@@ -134,25 +132,19 @@ func TestWoundWaitWoundsYoungerQueuedAhead(t *testing.T) {
 }
 
 // A wounded holder that is not parked is marked: its next request that
-// needs a grant fails, whether a free fast-path word would grant it or
-// the latch would, while a lock it already holds is still its own. The
-// release clears the wound, so the retry under the same id proceeds.
+// needs a grant fails, on a free granule too, while a lock it already
+// holds is still its own. The release clears the wound, so the retry
+// under the same id proceeds.
 func TestWoundUnparkedHolder(t *testing.T) {
 	forEachFast(t, func(t *testing.T, tab *Table) {
 		const g1, gFree, gShared = 1, 2, 3
-		warmFast(t, tab, g1)
-		warmFast(t, tab, gFree)
 		mustAged(t, tab, 9, gShared, ModeShared, true)
 		mustAged(t, tab, 5, g1, ModeExclusive, true)
 		older := park(tab, 1, g1, ModeExclusive, true) // wounds 5, then waits for it
 		waitParked(t, tab, 1)
 
-		before := tab.FastStats()
 		if err := aged(tab, 5, gFree, ModeExclusive, true); err != ErrWounded {
 			t.Fatalf("request on a free granule: err = %v, want ErrWounded", err)
-		}
-		if after := tab.FastStats(); after.Grants != before.Grants || after.Fallbacks != before.Fallbacks {
-			t.Fatalf("wounded request moved the fast path: %+v -> %+v", before, after)
 		}
 		if err := aged(tab, 5, gShared, ModeShared, true); err != ErrWounded {
 			t.Fatalf("request a shared holder would grant: err = %v, want ErrWounded", err)
@@ -172,7 +164,6 @@ func TestWoundUnparkedHolder(t *testing.T) {
 // its release hands the granule on and leaves nothing behind.
 func TestWoundedHolderReleasesCleanly(t *testing.T) {
 	forEachFast(t, func(t *testing.T, tab *Table) {
-		warmFast(t, tab, 1)
 		mustAged(t, tab, 5, 1, ModeExclusive, true)
 		mustAged(t, tab, 5, 2, ModeExclusive, true)
 		older := park(tab, 1, 1, ModeExclusive, true)
@@ -186,9 +177,9 @@ func TestWoundedHolderReleasesCleanly(t *testing.T) {
 		if h, g, w := tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount(); h+g+w != 0 {
 			t.Fatalf("after release: %d holders, %d locked granules, %d waiters", h, g, w)
 		}
-		tab.holds.mu.Lock()
-		left := len(tab.holds.held)
-		tab.holds.mu.Unlock()
+		tab.mu.Lock()
+		left := len(tab.held)
+		tab.mu.Unlock()
 		if left != 0 {
 			t.Fatalf("%d hold-set records survive the release", left)
 		}

@@ -174,9 +174,9 @@ func TestReleaseReevaluatesOnlyNamedClaims(t *testing.T) {
 // TestBlockingClaimAllocations: a blocking AcquireAll that parks — the
 // engine does on every claim at ltot 1 — allocates nothing while the
 // pool holds a record: the record carries the request copy and the
-// channel the caller sleeps on, and the release that
-// re-evaluates the parked claim works from stack buffers. What is left
-// is the retirement of pooled records: a record and its channel per
+// channel the caller sleeps on, and the release that re-evaluates the
+// parked claim works from the table's own scratch. What is left is the
+// retirement of pooled records: a record and its channel per
 // claimRecordUses blocked claims.
 func TestBlockingClaimAllocations(t *testing.T) {
 	if race.Enabled {

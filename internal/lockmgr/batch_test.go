@@ -12,35 +12,28 @@ import (
 	"granulock/internal/rng"
 )
 
-// TestBatchClaimUsesFastPath pins the batch path's bookkeeping: a
-// multi-granule claim over promoted, free granules is one fast grant
-// and one fast release with no map record, and a claim that meets a
-// holder rolls its words back and parks like any slow claim.
+// TestBatchClaimUsesFastPath pins a multi-granule claim's bookkeeping: a
+// claim over free granules is one grant whose holds are all visible at
+// once, and a claim that meets a holder parks holding nothing, is
+// granted by the release, and leaves nothing behind. The name is
+// historical: the claim was once granted by a batch of compare-and-swaps
+// on a lock-free path the table no longer has.
 func TestBatchClaimUsesFastPath(t *testing.T) {
 	tab := NewTable()
 	all := []Request{{5, ModeShared}, {3, ModeExclusive}, {9, ModeExclusive}, {1, ModeShared}}
-	mustAcquireAll(t, tab, 100, all) // first touch: slow, promoted on release
+	mustAcquireAll(t, tab, 100, all)
 	tab.ReleaseAll(100)
-	if fp := tab.FastStats(); fp.Grants != 0 {
-		t.Fatalf("first touch should be slow-path only, got %+v", fp)
-	}
 
 	mustAcquireAll(t, tab, 1, all[:3])
-	if fp := tab.FastStats(); fp.Grants != 1 || fp.Fallbacks != 1 {
-		t.Fatalf("warm 3-granule claim should be one fast grant (after the cold claim's one fallback), got %+v", fp)
-	}
-	if n := tab.granuleRecords(); n != 0 {
-		t.Fatalf("batch grant left %d map records", n)
-	}
 	if n := tab.LockedGranules(); n != 3 || tab.HeldBy(1) != 3 || !tab.HoldsAtLeast(1, 3, ModeExclusive) {
-		t.Fatalf("LockedGranules %d, HeldBy %d after a 3-granule batch grant", n, tab.HeldBy(1))
+		t.Fatalf("LockedGranules %d, HeldBy %d after a 3-granule claim", n, tab.HeldBy(1))
 	}
 	if got := tab.Stats().Grants; got != 2 {
-		t.Fatalf("Stats().Grants = %d, want 2 (one per claim, whatever path)", got)
+		t.Fatalf("Stats().Grants = %d, want 2 (one per claim)", got)
 	}
 
-	// Txn 2 takes granule 1's word, then meets txn 1 on granule 9: it
-	// must give granule 1 back before it parks.
+	// Txn 2 wants granule 1, which is free, and granule 9, which txn 1
+	// holds: it parks holding neither.
 	ch := make(chan error, 1)
 	go func() { ch <- tab.AcquireAll(context.Background(), 2, []Request{all[3], all[2]}) }()
 	waitFor(t, func() bool { return tab.WaitersCount() == 1 })
@@ -52,14 +45,11 @@ func TestBatchClaimUsesFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.ReleaseAll(2)
-	if fp := tab.FastStats(); fp.Releases != 0 {
-		t.Fatalf("both releases had slow-path work to do (a parked claim, map holders), got %+v", fp)
-	}
 
 	mustAcquireAll(t, tab, 3, all)
 	tab.ReleaseAll(3)
-	if fp := tab.FastStats(); fp.Grants != 2 || fp.Releases != 1 {
-		t.Fatalf("after the conflict drained the set should be lock-free again, got %+v", fp)
+	if got := tab.Stats().Grants; got != 4 {
+		t.Fatalf("Stats().Grants = %d, want 4", got)
 	}
 	if h, g, w := tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount(); h != 0 || g != 0 || w != 0 {
 		t.Fatalf("%d holders, %d locked granules, %d waiters left", h, g, w)
@@ -69,8 +59,9 @@ func TestBatchClaimUsesFastPath(t *testing.T) {
 // TestBatchClaimAllocationFree is the steady-state budget of the
 // paper's transaction shape on the table the engine and lockd build: a
 // 16-granule claim and its release, cycling over 4096 granules,
-// allocate nothing once every granule has been promoted — which takes
-// a fast index that grows to hold them all.
+// allocate nothing once every granule has a record — the records stay
+// resident — and the hold-set pool is filled. A set of sixteen entries
+// has not grown past holdSpill, so it is never retired.
 func TestBatchClaimAllocationFree(t *testing.T) {
 	const granules, k = 4096, 16
 	for _, order := range []string{"ascending", "shuffled"} {
@@ -97,15 +88,18 @@ func TestBatchClaimAllocationFree(t *testing.T) {
 				tab.ReleaseAll(txn)
 			}
 			for i := 0; i < 2*len(claims); i++ {
-				cycle() // first pass promotes, second fills the hold-set pool
+				cycle() // first pass makes the records, second fills the hold-set pool
 			}
-			before := tab.FastStats()
+			before := tab.Stats()
 			if avg := testing.AllocsPerRun(4*len(claims), cycle); avg != 0 {
 				t.Fatalf("%v allocations per 16-granule claim+release, want 0", avg)
 			}
-			after := tab.FastStats()
-			if n := int64(4*len(claims) + 1); after.Grants-before.Grants != n || after.Releases-before.Releases != n || after.Fallbacks != before.Fallbacks {
-				t.Fatalf("measured cycles left the fast path: %+v -> %+v", before, after)
+			after := tab.Stats()
+			if n := int64(4*len(claims) + 1); after.Grants-before.Grants != n || after.Blocks != before.Blocks {
+				t.Fatalf("measured cycles were not %d immediate grants: %+v -> %+v", n, before, after)
+			}
+			if n := tab.granuleRecords(); n != granules {
+				t.Fatalf("%d granule records for %d granules", n, granules)
 			}
 		})
 	}
@@ -149,10 +143,10 @@ func (e *exclusion) leave(txn TxnID, g Granule, mode Mode) {
 }
 
 // TestBatchClaimConcurrentStress races every way into the table against
-// the batch path (run under -race, at several -cpu values in CI):
-// overlapping multi-granule claimers, single-granule claimers on the
-// lock-free word, incremental steppers that deadlock and restart, and
-// claims cancelled while parked. Holders check mutual exclusion
+// multi-granule claims (run under -race, at several -cpu values in CI):
+// overlapping multi-granule claimers, single-granule claimers,
+// incremental steppers that deadlock and restart, and claims cancelled
+// while parked. Holders check mutual exclusion
 // themselves, and the table must end empty.
 //
 // The subtest names are historical: shards=1 and shards=4 were the
@@ -253,8 +247,8 @@ func TestBatchClaimConcurrentStress(t *testing.T) {
 			if h, g, w := tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount(); h != 0 || g != 0 || w != 0 {
 				t.Fatalf("%d holders, %d locked granules, %d waiters left", h, g, w)
 			}
-			if fp := tab.FastStats(); fp.Grants == 0 || fp.Fallbacks == 0 {
-				t.Fatalf("stress should both grant and fall back on the fast path, got %+v", fp)
+			if s := tab.Stats(); s.Grants == 0 || s.Blocks == 0 {
+				t.Fatalf("stress should both grant at once and park, got %+v", s)
 			}
 		})
 	}

@@ -1,9 +1,6 @@
 package lockmgr
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // The mode-merge audit: the merge of two lock modes held or requested by
 // one transaction must be the lattice join — the weakest mode at least as
@@ -64,106 +61,41 @@ func TestJoinModeIsAJoin(t *testing.T) {
 // TestGCombineAllPairs drives the merge through the table for every
 // mode pair, S+IX→SIX included — the case a naive max would get wrong:
 // a transaction granted a and then b on one granule holds their join,
-// in the granule's holder map and in its own hold set alike.
+// in the granule's holder vector and in its own hold set alike.
 func TestGCombineAllPairs(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		tab := NewTable(WithFastPath(fast))
-		// One earlier episode makes the granule eligible for fast grants.
-		mustAcquire(t, tab, 99, 7, ModeExclusive)
-		tab.ReleaseAll(99)
-		txn := TxnID(1)
-		for _, a := range allModes {
-			for _, b := range allModes {
-				mustAcquire(t, tab, txn, 7, a)
-				mustAcquire(t, tab, txn, 7, b)
-				want := joinMode(a, b)
-				if got, ok := tab.heldMode(txn, 7); !ok || got != want {
-					t.Errorf("fast=%v: %v then %v holds %v/%v, want %v", fast, a, b, got, ok, want)
-				}
-				for _, m := range allModes {
-					if got := tab.HoldsAtLeast(txn, 7, m); got != covers(want, m) {
-						t.Errorf("fast=%v: holding %v, HoldsAtLeast(%v) = %v", fast, want, m, got)
-					}
-					// What the other transactions may still take is decided
-					// by the holder map, which must carry the join too.
-					other := txn + 1000
-					if got := tab.TryUpgrade(other, 7, m); got {
-						t.Errorf("fast=%v: TryUpgrade by a non-holder succeeded", fast)
-					}
-					ok, err := tab.TryAcquireAll(other, []Request{{Granule: 7, Mode: m}})
-					if err != nil {
-						t.Fatal(err)
-					}
-					tab.ReleaseAll(other)
-					if blocked := !ok; blocked == GCompatible(m, want) {
-						t.Errorf("fast=%v: holding %v, a %v request blocked=%v", fast, want, m, blocked)
-					}
-				}
-				tab.ReleaseAll(txn)
-				txn++
-			}
-		}
-	}
-}
-
-// TestFastWordNeverCarriesIntentionMode pins FAST ⇒ S or X: an
-// acquire–release cycle in an intention mode, alone or as an upgrade of
-// a fast-held S or X, on a granule that is eligible for fast grants,
-// moves none of the fast-path counters and leaves the granule eligible.
-func TestFastWordNeverCarriesIntentionMode(t *testing.T) {
 	tab := NewTable()
-	ctx := context.Background()
-	const g = Granule(3)
-	cycle := func(txn TxnID, modes ...Mode) {
-		t.Helper()
-		for _, m := range modes {
-			mustAcquire(t, tab, txn, g, m)
+	txn := TxnID(1)
+	for _, a := range allModes {
+		for _, b := range allModes {
+			mustAcquire(t, tab, txn, 7, a)
+			mustAcquire(t, tab, txn, 7, b)
+			want := joinMode(a, b)
+			if got, ok := tab.heldMode(txn, 7); !ok || got != want {
+				t.Errorf("%v then %v holds %v/%v, want %v", a, b, got, ok, want)
+			}
+			for _, m := range allModes {
+				if got := tab.HoldsAtLeast(txn, 7, m); got != covers(want, m) {
+					t.Errorf("holding %v, HoldsAtLeast(%v) = %v", want, m, got)
+				}
+				// What the other transactions may still take is decided
+				// by the granule's holder vector, which must carry the
+				// join too.
+				other := txn + 1000
+				if got := tab.TryUpgrade(other, 7, m); got {
+					t.Errorf("TryUpgrade by a non-holder succeeded")
+				}
+				ok, err := tab.TryAcquireAll(other, []Request{{Granule: 7, Mode: m}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab.ReleaseAll(other)
+				if blocked := !ok; blocked == GCompatible(m, want) {
+					t.Errorf("holding %v, a %v request blocked=%v", want, m, blocked)
+				}
+			}
+			tab.ReleaseAll(txn)
+			txn++
 		}
-		tab.ReleaseAll(txn)
-	}
-	cycle(1, ModeExclusive) // slow episode; its release promotes g
-	before := tab.FastStats()
-	cycle(2, ModeShared)
-	if d := tab.FastStats(); d.Grants != before.Grants+1 || d.Releases != before.Releases+1 {
-		t.Fatalf("g is not fast-eligible: %+v → %+v", before, d)
-	}
-	before = tab.FastStats()
-	txn := TxnID(10)
-	for _, m := range []Mode{ModeIS, ModeIX, ModeSIX} {
-		cycle(txn, m)
-		if err := tab.AcquireAll(ctx, txn+1, []Request{{g, m}}); err != nil {
-			t.Fatal(err)
-		}
-		tab.ReleaseAll(txn + 1)
-		if err := tab.AcquireAll(ctx, txn+2, []Request{{g, m}, {g + 1, ModeShared}}); err != nil {
-			t.Fatal(err)
-		}
-		tab.ReleaseAll(txn + 2)
-		txn += 3
-	}
-	after := tab.FastStats()
-	after.Fallbacks = before.Fallbacks // a batch that meets an intention mode falls back, and says so
-	if after != before {
-		t.Fatalf("intention-mode cycles moved the fast path: %+v → %+v", before, tab.FastStats())
-	}
-	// An intention mode on top of a fast-held S: the S grant is fast, the
-	// upgrade demotes, and the word is never FAST in SIX.
-	mustAcquire(t, tab, 50, g, ModeShared)
-	if fs := tab.fastLookup(g); fs == nil || !fpIsFast(fs.word.Load()) {
-		t.Fatal("S grant did not take the fast word")
-	}
-	mustAcquire(t, tab, 50, g, ModeIX)
-	if fs := tab.fastLookup(g); fpIsFast(fs.word.Load()) {
-		t.Fatal("word still FAST after an upgrade into SIX")
-	}
-	if m, _ := tab.heldMode(50, g); m != ModeSIX {
-		t.Fatalf("S then IX holds %v, want SIX", m)
-	}
-	tab.ReleaseAll(50)
-	before = tab.FastStats()
-	cycle(51, ModeExclusive)
-	if d := tab.FastStats(); d.Grants != before.Grants+1 {
-		t.Fatal("g did not return to the fast path after its intention-mode episode")
 	}
 }
 

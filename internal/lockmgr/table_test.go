@@ -462,10 +462,12 @@ func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
 			return func(ctx context.Context, txn TxnID, mode Mode) error { return tab.AcquireAged(ctx, txn, 1, mode, true) }
 		}},
 	}
+	// The fast= axis is historical: it once chose whether the table had a
+	// lock-free fast path. Both subtests now run the same schedule.
 	for _, fast := range []bool{true, false} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/fast=%v", tc.name, fast), func(t *testing.T) {
-				tab := NewTable(WithFastPath(fast))
+				tab := NewTable()
 				lock := tc.lock(tab)
 				if err := lock(context.Background(), 1, ModeShared); err != nil {
 					t.Fatal(err)
@@ -493,10 +495,12 @@ func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
 // then waited on something it held, the detector saw no cycle and both
 // parked forever with Deadlocks == 0. Settled, the waiter is granted and
 // the holder's wait is an ordinary one.
+//
+// The fast= subtest names are historical, as in the test above.
 func TestCancelledHeadWaiterLeavesNoEdgelessWaiter(t *testing.T) {
 	for _, fast := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
-			tab := NewTable(WithFastPath(fast))
+			tab := NewTable()
 			bg := context.Background()
 			mustAcquire(t, tab, 1, 1, ModeShared)
 			mustAcquire(t, tab, 3, 2, ModeExclusive)
@@ -536,16 +540,40 @@ func TestReleaseAllIdempotentAndUnknown(t *testing.T) {
 	}
 }
 
+// TestTableGarbageCollectsGranules pins the resident-record bound: an
+// empty granule record stays in the table, so a granule claimed again
+// finds its record, until the table holds granuleResident of them; past
+// that, a release deletes the empty records it leaves, so a client that
+// names ever-new granules cannot grow the table without bound.
 func TestTableGarbageCollectsGranules(t *testing.T) {
 	tab := NewTable()
+	cycle := func(txn TxnID, g Granule) {
+		t.Helper()
+		mustAcquireAll(t, tab, txn, reqs(ModeExclusive, g))
+		tab.ReleaseAll(txn)
+	}
 	for i := 0; i < 1000; i++ {
-		mustAcquireAll(t, tab, 1, reqs(ModeExclusive, Granule(i)))
-		tab.ReleaseAll(1)
+		cycle(1, 7)
 	}
-	n := tab.granuleRecords()
-	if n != 0 {
-		t.Fatalf("%d granule records leaked", n)
+	if n := tab.granuleRecords(); n != 1 {
+		t.Fatalf("one granule claimed 1000 times has %d records, want 1", n)
 	}
+	for i := 0; i < granuleResident+1000; i++ {
+		cycle(TxnID(i+2), Granule(i))
+	}
+	if n := tab.granuleRecords(); n > granuleResident {
+		t.Fatalf("%d granule records after %d distinct granules, want at most %d", n, granuleResident+1000, granuleResident)
+	}
+	if h, g, w := tab.HoldersCount(), tab.LockedGranules(), tab.WaitersCount(); h != 0 || g != 0 || w != 0 {
+		t.Fatalf("%d holders, %d locked granules, %d waiters left", h, g, w)
+	}
+}
+
+// graphEdges reads the waits-for graph's edge count under the latch.
+func graphEdges(tab *Table) int {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	return tab.det.Edges()
 }
 
 func TestConcurrentConservativeStress(t *testing.T) {
@@ -643,7 +671,7 @@ func TestConcurrentClaimAsNeededStress(t *testing.T) {
 // The three TestSharded* tests keep the names they had when the table
 // was striped; they now run on the one latch, where what they check
 // still holds: multi-granule claims drain without a wedge, the
-// detector sees every cycle, and the waits-for edge mirror empties.
+// detector sees every cycle, and the waits-for graph empties.
 
 // TestShardedConservativeStress: many goroutines claim overlapping
 // three-granule sets while a sampler reads the activity counters and
@@ -734,8 +762,9 @@ func TestShardedConservativeStress(t *testing.T) {
 // TestShardedCrossStripeCycle builds a deterministic two-transaction
 // deadlock: txn 1 parks behind txn 2's granule, then txn 2's request
 // for txn 1's granule closes the cycle and must fail synchronously
-// with ErrDeadlock. Once both are gone the waits-for edge mirror the
-// fast release reads must be back at zero.
+// with ErrDeadlock. Once both are gone the waits-for graph, which a
+// release consults before it clears a transaction from it, must be
+// empty.
 func TestShardedCrossStripeCycle(t *testing.T) {
 	tab := NewTable()
 	a, b := Granule(1), Granule(2)
@@ -757,15 +786,15 @@ func TestShardedCrossStripeCycle(t *testing.T) {
 		t.Fatalf("survivor's parked acquire: %v", err)
 	}
 	tab.ReleaseAll(1)
-	if n := tab.detEdges.Load(); n != 0 {
-		t.Fatalf("edge mirror nonzero after drain: %d", n)
+	if n := graphEdges(tab); n != 0 {
+		t.Fatalf("waits-for graph has %d edges after drain", n)
 	}
 }
 
 // TestShardedIncrementalDeadlocks drives claim-as-needed transactions
 // through opposite granule orders until deadlock victims appear, and
 // checks that victims are counted, no holder is left and the waits-for
-// edge mirror drains.
+// graph drains.
 func TestShardedIncrementalDeadlocks(t *testing.T) {
 	tab := NewTable()
 	const workers = 8
@@ -810,8 +839,8 @@ func TestShardedIncrementalDeadlocks(t *testing.T) {
 	if n := tab.HoldersCount(); n != 0 {
 		t.Fatalf("%d holders leaked", n)
 	}
-	if n := tab.detEdges.Load(); n != 0 {
-		t.Fatalf("waits-for edge mirror nonzero after drain: %d", n)
+	if n := graphEdges(tab); n != 0 {
+		t.Fatalf("waits-for graph has %d edges after drain", n)
 	}
 }
 

@@ -38,10 +38,8 @@ const (
 // table's occupancy (holders, locked granules, parked waiters) once the
 // op has settled. Ops that park are unblocked by later releases in the
 // trace; the generator guarantees every parked request is eventually
-// released, so the replay always terminates. An optional beforeOp hook
-// runs before each op is issued (used to toggle the fast path
-// mid-trace).
-func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, tab *Table)) []string {
+// released, so the replay always terminates.
+func runTrace(t *testing.T, tab *Table, ops []traceOp) []string {
 	t.Helper()
 	ctx := context.Background()
 	type pending struct {
@@ -84,9 +82,6 @@ func runTrace(t *testing.T, tab *Table, ops []traceOp, beforeOp ...func(i int, t
 		parked = still
 	}
 	for i, op := range ops {
-		for _, hook := range beforeOp {
-			hook(i, tab)
-		}
 		switch op.kind {
 		case "claim", "step":
 			ch := make(chan error, 1)
@@ -152,7 +147,7 @@ const (
 	traceHot      = 12
 )
 
-// intentionModes are the modes a FAST word cannot carry.
+// intentionModes are the three intention modes.
 var intentionModes = [...]Mode{ModeIS, ModeIX, ModeSIX}
 
 // genClaim draws one conservative request set the way a careless caller
@@ -187,8 +182,7 @@ func genClaim(src *rng.Source) []Request {
 
 // genTrace generates a deterministic mixed trace: multi-granule
 // conservative claims (genClaim, plus a claim of the whole table,
-// descending, first thing — its release is what makes every granule
-// eligible for lock-free grants — and again halfway through, into the
+// descending, first thing and again halfway through, into the
 // traffic), incremental steps in all five modes — S then IX on one
 // granule among them, the upgrade whose result, SIX, is neither — and
 // releases over a small granule set (so parks and conflicts actually
@@ -271,11 +265,11 @@ func genTrace(seed uint64, n int) []traceOp {
 }
 
 // traceHashes pin what the table decides on genTrace(seed, 120): the
-// FNV-64a hash of runTrace's per-op outcome and occupancy strings with
-// the fast path off (hashTrace). They were recorded on the striped
-// table this one replaced, at one stripe, so a replay that reproduces
-// them makes every grant, park, deadlock and duplicate decision that
-// table made.
+// FNV-64a hash of runTrace's per-op outcome and occupancy strings
+// (hashTrace). They were recorded on the striped table this one
+// replaced, at one stripe and with its lock-free fast path off, so a
+// replay that reproduces them makes every grant, park, deadlock and
+// duplicate decision that table made.
 var traceHashes = map[uint64]uint64{
 	1:        0xd387fab4111223d8,
 	42:       0x96755ad9d90f58ec,
@@ -303,69 +297,44 @@ func checkTraceHash(t *testing.T, variant string, seed uint64, results []string)
 	}
 }
 
-// TestShardEquivalenceOnTrace pins the one-latch table to the striped
-// table it replaced. That table decided every op of these traces the
-// same at 1, 4 and 16 stripes, and its one-stripe decisions are
-// traceHashes, which a replay with the fast path off must reproduce.
-// The name is historical: no stripes are compared any more, only the
-// fast-off replay against the pinned hash.
+// TestShardEquivalenceOnTrace pins the table to the striped table it
+// replaced. That table decided every op of these traces the same at 1,
+// 4 and 16 stripes, and its one-stripe decisions are traceHashes, which
+// a replay must reproduce. The name is historical: no stripes are
+// compared any more, only the replay against the pinned hash.
 func TestShardEquivalenceOnTrace(t *testing.T) {
 	for _, seed := range traceSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkTraceHash(t, "fast-off", seed, runTrace(t, NewTable(WithFastPath(false)), genTrace(seed, 120)))
+			checkTraceHash(t, "replay", seed, runTrace(t, NewTable(), genTrace(seed, 120)))
 		})
 	}
 }
 
-// TestFastPathEquivalenceOnTrace is the fast path's golden pin: a
-// recorded trace replayed with the lock-free fast path force-enabled
-// and randomly toggled mid-trace must yield the same grant / park /
-// deadlock / duplicate decisions and the same occupancy after every
-// operation as with it force-disabled.
-//
-// The strict subtest axis is historical: it once chose the table's
-// strict arrival-order option, which is gone. It now chooses the check. With
-// strict=false each replay is compared op by op with a fast-off replay,
-// so a divergence names its op; with strict=true each must reproduce the
-// pinned hash by itself.
-// The fast path is a grant-mechanism detail; it must never change which
-// requests conflict — a lock-free grant, of one word or a batch, is
-// only taken in states where the map path would have granted
-// immediately, and the demote/promote protocol forbids fast grants
-// wherever a waiter or parked claim could be overtaken.
+// TestFastPathEquivalenceOnTrace once pinned a lock-free fast path,
+// force-enabled and toggled mid-trace, to the latched table's decisions.
+// The name and both subtest axes are historical: the table has one path
+// now, and strict, which once chose an arrival-order option, chooses the
+// check. With strict=false two fresh replays are compared op by op, so a
+// decision that depends on anything but the trace (a map's iteration
+// order, a goroutine's timing) names its op; with strict=true a replay
+// must reproduce the pinned hash by itself.
 func TestFastPathEquivalenceOnTrace(t *testing.T) {
 	for _, seed := range traceSeeds {
 		for _, strict := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d/strict=%v", seed, strict), func(t *testing.T) {
 				ops := genTrace(seed, 120)
-				check := func(variant string, got []string) {
-					t.Helper()
-					checkTraceHash(t, variant, seed, got)
+				got := runTrace(t, NewTable(), ops)
+				if strict {
+					checkTraceHash(t, "replay", seed, got)
+					return
 				}
-				if !strict {
-					base := runTrace(t, NewTable(WithFastPath(false)), ops)
-					check = func(variant string, got []string) {
-						t.Helper()
-						for i := range base {
-							if got[i] != base[i] {
-								t.Fatalf("%s: op %d (%s txn %d) decided %q, fast-off decided %q",
-									variant, i, ops[i].kind, ops[i].txn, got[i], base[i])
-							}
-						}
+				base := runTrace(t, NewTable(), ops)
+				for i := range base {
+					if got[i] != base[i] {
+						t.Fatalf("op %d (%s txn %d) decided %q, then %q on a fresh table",
+							i, ops[i].kind, ops[i].txn, got[i], base[i])
 					}
 				}
-				on := NewTable(WithFastPath(true))
-				check("fast-on", runTrace(t, on, ops))
-				t.Logf("fast-on: %+v", on.FastStats())
-				if fp := on.FastStats(); fp.Grants == 0 || fp.Fallbacks == 0 {
-					t.Fatalf("the trace should both grant and fall back on the fast path, got %+v", fp)
-				}
-				// Random mid-trace toggling: every op may run against
-				// fast words left behind by earlier fast-enabled ops,
-				// exercising the lazy demotion protocol.
-				src := rng.New(seed ^ 0xdead)
-				toggle := func(_ int, tab *Table) { tab.SetFastPath(src.Bernoulli(0.5)) }
-				check("fast-toggled", runTrace(t, NewTable(), ops, toggle))
 			})
 		}
 	}

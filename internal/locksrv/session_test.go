@@ -489,7 +489,7 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 16; i++ {
-		cycle() // promote the granules, size the buffers
+		cycle() // make the granule records, size the buffers
 	}
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
 		t.Fatalf("%v allocations per inline acquire+release, want 0", avg)

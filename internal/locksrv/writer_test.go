@@ -380,7 +380,7 @@ func TestClientRoundTripAllocations(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		cycle() // promote the granules, size the buffers, fill the pools
+		cycle() // make the granule records, size the buffers, fill the pools
 	}
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
 		t.Fatalf("%v allocations per acquire+release round trip, want 0", avg)

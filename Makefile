@@ -98,11 +98,11 @@ verify-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 # the two engine smoke runs again, five times: each must see allocation to report (the retired pooled records keep it visible)
 	cd benchmark && $(GO) test -short -count=5 -run 'TestSmoke/engine-(fine|coarse)$$' ./...
-# lockd admin endpoint: real lock traffic scraped through /metrics
-	$(GO) test -race -count=2 -run 'TestAdmin' ./cmd/lockd/
+# lockd admin endpoint: real lock traffic scraped through /metrics; lockd over its file-backed grant journal under contending clients
+	$(GO) test -race -count=2 -run 'TestAdmin|TestJournal' ./cmd/lockd/
 
 verify-fuzz:
-# 10 s each: the two parsers that face the network (frame reader, request-body executor)
+# 10 s each: the two parsers that face the network (frame reader, request-body dispatch)
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/locksrv/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteV2Body$$' -fuzztime=10s ./internal/locksrv/
 # the four that face the disk (WAL record reader, RecoverSet classifier, log file header, snapshot decoder)

@@ -164,54 +164,36 @@ func (cl *clusterState) recoveringCount() int {
 	return n
 }
 
-// clusterAdmit routes one granule set: it returns (statusOK, "") when
-// this node serves every granule (parking first if a covering takeover's
-// recovery window is still open and this is not a lease re-assert),
-// or a redirect/timeout/closed outcome. Nil cluster admits everything.
-func (s *Server) clusterAdmit(ctx context.Context, reqs []lockmgr.Request, reassert bool) (byte, string) {
+// route checks that this node serves every granule of reqs. A granule
+// another node owns and has not handed over is answered with a redirect.
+// Otherwise route returns statusOK and, for a fresh acquire (not a
+// lease re-assert, which is the reconstruction) of a granule behind a
+// takeover's recovery window that is still open, the window's seal to
+// wait for. A nil cluster serves everything.
+func (s *Server) route(reqs []lockmgr.Request, reassert bool) (sealed chan struct{}, st byte, msg string) {
 	cl := s.cluster
 	if cl == nil {
-		return statusOK, ""
+		return nil, statusOK, ""
 	}
-	for {
-		var wait chan struct{}
-		for _, r := range reqs {
-			owner := cl.ring.Owner(uint64(r.Granule))
-			if owner == cl.cfg.Self {
-				continue
-			}
-			t := cl.takeoverOf(owner)
-			if t == nil {
-				s.om.clusterRedirects.Inc()
-				return statusRedirect, redirectDetail(owner, cl.cfg.Nodes[owner])
-			}
-			select {
-			case <-t.sealed:
-			default:
-				// Recovery window open: re-asserts pass (they are the
-				// reconstruction), fresh acquires park until the seal.
-				if !reassert {
-					wait = t.sealed
-				}
-			}
+	for _, r := range reqs {
+		owner := cl.ring.Owner(uint64(r.Granule))
+		if owner == cl.cfg.Self {
+			continue
 		}
-		if wait == nil {
-			return statusOK, ""
+		t := cl.takeoverOf(owner)
+		if t == nil {
+			s.om.clusterRedirects.Inc()
+			return nil, statusRedirect, redirectDetail(owner, cl.cfg.Nodes[owner])
 		}
-		s.om.clusterParked.Inc()
 		select {
-		case <-wait:
-			// Re-check from the top: other granules of the claim may
-			// park behind a different window.
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.om.timeouts.Inc()
-				return statusTimeout, "acquire timed out parked behind partition recovery"
+		case <-t.sealed:
+		default:
+			if !reassert {
+				sealed = t.sealed
 			}
-			s.om.cancels.Inc()
-			return statusClosed, "session closed"
 		}
 	}
+	return sealed, statusOK, ""
 }
 
 // BeginTakeover adopts node's partition: it opens the recovery window
@@ -355,63 +337,60 @@ func probeV2(hbp **ClientV2, addr string, dial func(string) (net.Conn, error), t
 	}
 }
 
-// leaseCore handles one transaction of a lease assert: a refresh when
-// this session already owns the transaction, a reconstruction when the
-// transaction is unknown and its asserted grants are free (the
-// failover path — first assert wins), lease_expired when the grants
-// conflict with reconstructed or live state. Mirrors releaseCore's
-// patience with a condemned predecessor session's teardown: a lease
+// leaseNow decides one transaction of a lease assert without waiting: a
+// refresh when this session already owns the transaction, a
+// reconstruction when the transaction is unknown and its asserted
+// grants are free (the failover path — first assert wins), lease_expired
+// when the grants conflict with reconstructed or live state. It decides
+// nothing (false) while the transaction is recorded on another session
+// or held with no owner recorded, which leaseCore waits out: a lease
 // retried across a reconnect must not lose to its own dying session.
-func (s *Server) leaseCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
-	ctx := sess.ctx
+func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string, bool) {
 	if len(reqs) == 0 {
-		return statusBadRequest, "lease without granules"
+		return statusBadRequest, "lease without granules", true
 	}
-	if st, msg := s.clusterAdmit(ctx, reqs, true); st != statusOK {
-		return st, msg
+	if _, st, msg := s.route(reqs, true); st != statusOK {
+		return st, msg, true
 	}
+	switch owner, ok := s.ownerOf(txn); {
+	case ok && owner == sess:
+		return statusOK, "", true // refresh: grants already live on this session
+	case ok:
+		return 0, "", false
+	}
+	granted, err := s.table.TryAcquireAll(txn, reqs)
+	switch {
+	case granted:
+		s.setOwner(txn, sess)
+		sess.owned.add(txn)
+		s.om.clusterReasserts.Inc()
+		return statusOK, "", true
+	case err == nil:
+		// The asserted granules are held by someone else: a conflicting
+		// claim won the reconstruction race, or the window sealed and
+		// fresh acquires took the granules.
+		s.om.clusterLeaseExpired.Inc()
+		return statusLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn), true
+	}
+	return 0, "", false // ErrAlreadyHolds with no owner recorded: a teardown is mid-release
+}
+
+// leaseCore decides a lease item leaseNow could not, on a goroutine of
+// its own: it waits the other owner out (awaitOwner) and decides again.
+// Locks that stay with another live session past the race bound are
+// lost to this lease: lease_expired.
+func (s *Server) leaseCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
 	start := time.Now()
-	var tick *time.Timer
-	defer func() { stopTimer(tick) }()
 	for {
-		owner, ok := s.ownerOf(txn)
-		if ok && owner == sess {
-			return statusOK, "" // refresh: grants already live on this session
-		}
-		if ok {
-			if !owner.closing.Load() && time.Since(start) > ownerRaceWait {
-				s.om.clusterLeaseExpired.Inc()
-				return statusLeaseExpired, fmt.Sprintf("transaction %d is granted on another live session", txn)
-			}
-			// Condemned (or not-yet-detected dead) predecessor: wait its
-			// teardown out, then reconstruct.
-		} else {
-			granted, err := s.table.TryAcquireAll(txn, reqs)
-			if granted {
-				s.setOwner(txn, sess)
-				sess.owned.add(txn)
-				s.om.clusterReasserts.Inc()
-				return statusOK, ""
-			}
-			if err == nil {
-				// The asserted granules are held by someone else: a
-				// conflicting claim won the reconstruction race, or the
-				// window sealed and fresh acquires took the granules.
-				s.om.clusterLeaseExpired.Inc()
-				return statusLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn)
-			}
-			// ErrAlreadyHolds with no owners entry: a teardown is
-			// mid-release; retry until it completes.
-			if time.Since(start) > ownerRaceWait {
-				s.om.clusterLeaseExpired.Inc()
-				return statusLeaseExpired, fmt.Sprintf("transaction %d: stale grants did not clear", txn)
-			}
-		}
-		tick = resetTimer(tick, time.Millisecond)
-		select {
-		case <-ctx.Done():
+		switch err := s.awaitOwner(sess.ctx, sess, txn, start); {
+		case errors.Is(err, errOwnerLive):
+			s.om.clusterLeaseExpired.Inc()
+			return statusLeaseExpired, fmt.Sprintf("transaction %d is granted on another live session", txn)
+		case err != nil:
 			return statusClosed, "session closed"
-		case <-tick.C:
+		}
+		if st, msg, decided := s.leaseNow(sess, txn, reqs); decided {
+			return st, msg
 		}
 	}
 }

@@ -302,6 +302,29 @@ func TestClusterFailoverExpiresUnreasserted(t *testing.T) {
 	}
 }
 
+// TestClusterRecoveryWaitCountsFromArrival: an acquire that waits
+// behind an open recovery window and is granted at once after the seal
+// waited the whole window, and its wait sample says so — it counts from
+// the acquire's arrival, not from the seal.
+func TestClusterRecoveryWaitCountsFromArrival(t *testing.T) {
+	addrs, servers := startCluster(t, 2, func(i int, cfg *ClusterConfig) {
+		cfg.RecoveryGrace = 200 * time.Millisecond
+	})
+	if !servers[1].BeginTakeover(0) {
+		t.Fatal("BeginTakeover refused")
+	}
+	c := dial(t, addrs[1], WithRetries(0))
+	if err := c.AcquireAll(1, xreq(granulesOwnedBy(2, 0, 1)...)); err != nil {
+		t.Fatal(err)
+	}
+	if st := servers[1].Stats(); st.WaitSamples != 1 || st.WaitP99MS < 150 {
+		t.Fatalf("%d wait samples, p99 %.1f ms; want one of at least 150 ms", st.WaitSamples, st.WaitP99MS)
+	}
+	if err := c.ReleaseAll(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The acceptance scenario under -race: a 3-node cluster with the real
 // heartbeat failure detector, a worker fleet, and one node killed
 // mid-run. The run must finish and drain with zero stranded granules

@@ -163,15 +163,15 @@ func sinkSession() (*session, *sinkConn) {
 }
 
 // FuzzExecuteV2Body feeds arbitrary op bytes and bodies to the request
-// dispatch, as the frame loop would after readFrame: to the inline
-// dispatch on the session reader and, for what that declines, to the
-// executor — and to the executor alone, as on a server with a journal.
-// Either must never panic or allocate past the frame cap, must answer
-// every request with one well-formed response frame under the
-// request's id, and must answer a body the wire format does not admit
-// with bad_request (an unknown op with unknown_op). The session has
-// begun to end (parkClosed, context cancelled), so a claim that would
-// park is answered at once instead. Seeds:
+// dispatch, as the frame loop would after readFrame: to serve on the
+// session reader of a plain, a journaled and a clustered (one-node
+// ring) server. Each must never panic or allocate past the frame cap,
+// must answer every request with one well-formed response frame under
+// the request's id — from a goroutine of its own when the answer waits
+// on the journal — and must answer a body the wire format does not
+// admit with bad_request (an unknown op with unknown_op). The session
+// has begun to end (parkClosed, context cancelled), so a claim that
+// would park is answered at once instead. Seeds:
 // testdata/fuzz/FuzzExecuteV2Body, one body per op as the protocol and
 // batch tests encode them, plus each op's malformed shapes (truncated,
 // trailing byte, zero count, a count far beyond the body carrying it).
@@ -180,24 +180,25 @@ func FuzzExecuteV2Body(f *testing.F) {
 		if len(body) > maxFrame-frameHeader {
 			t.Skip("readFrame never delivers a body this long")
 		}
-		for _, inline := range []bool{true, false} {
+		for _, opts := range [][]ServerOption{
+			nil,
+			{WithJournal(newMemJournal())},
+			{WithCluster(ClusterConfig{Nodes: []string{"127.0.0.1:1"}})},
+		} {
 			// A fresh server per input: grants left by one input must not
 			// change what the next one sees.
-			srv := NewServer(nil, nil)
+			srv := NewServer(nil, nil, opts...)
 			sess, conn := sinkSession()
 			sess.cancel()
 			sess.parkClosed = true
 			sess.pending.Add(1)
 			const id = 0x0123456789ABCDEF
-			if n := allocated(func() {
-				if !inline || !srv.serveInline(sess, op, id, body) {
-					srv.execute(sess, op, id, body)
-				}
-			}); n > fuzzAllocBudget {
+			if n := allocated(func() { srv.serve(sess, op, id, body) }); n > fuzzAllocBudget {
 				t.Fatalf("op %d allocated %d bytes for a %d-byte body", op, n, len(body))
 			}
-			// A sub-claim refused as already held is classified on a
-			// goroutine of its own; the batch answers when it reports.
+			// A grant waiting on the journal, or a sub-claim refused as
+			// already held, is answered from a goroutine of its own; a
+			// batch answers when its last item reports.
 			for sess.pending.Load() != 0 {
 				runtime.Gosched()
 			}

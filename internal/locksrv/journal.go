@@ -2,6 +2,7 @@ package locksrv
 
 import (
 	"fmt"
+	"slices"
 
 	"granulock/internal/lockmgr"
 )
@@ -36,19 +37,24 @@ func WithJournal(j Journal) ServerOption {
 	return func(s *Server) { s.journal = j }
 }
 
-// journalGrant runs the grant through the journal, undoing the table
-// grant if the journal refuses. Called without s.mu held (journal
-// writes block for a log flush) and before ownership is recorded, so
-// failure leaves no trace of the transaction.
-func (s *Server) journalGrant(txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
-	if s.journal == nil {
-		return statusOK, ""
-	}
-	if err := s.journal.Grant(txn, reqs); err != nil {
-		s.table.ReleaseAll(txn)
-		return statusUnavailable, fmt.Sprintf("grant journal: %v", err)
-	}
-	return statusOK, ""
+// journalGrant makes acquire a's grant of reqs durable before anything
+// acknowledges it, on a goroutine of its own — a journal write blocks
+// for a log flush, a wait no reader and no releasing goroutine may take
+// on — and then records the grant and answers it (settle). A grant the
+// journal refuses is withdrawn from the table and answered unavailable;
+// ownership was never recorded, so it leaves no trace of the
+// transaction.
+func (s *Server) journalGrant(a acq, reqs []lockmgr.Request) {
+	own := slices.Clone(reqs)
+	go func() {
+		if err := s.journal.Grant(a.txn, own); err != nil {
+			s.table.ReleaseAll(a.txn)
+			s.answer(a, statusUnavailable, fmt.Sprintf("grant journal: %v", err))
+			return
+		}
+		st, msg := s.settle(a, nil)
+		s.answer(a, st, msg)
+	}()
 }
 
 // journalRelease records a transaction's end, best-effort (see Journal).

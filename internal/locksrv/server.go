@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,8 +132,10 @@ func (r *waitRing) quantiles() (p50, p90, p99 float64, n int64) {
 	return qs[0], qs[1], qs[2], n
 }
 
-// ownedSet tracks the transactions granted on one session. A session's
-// executors run concurrently, so the set carries its own mutex.
+// ownedSet tracks the transactions granted on one session. A grant is
+// recorded by whichever goroutine finished it — the session's reader,
+// another session's releasing reader, a goroutine that waited on the
+// journal — so the set carries its own mutex.
 type ownedSet struct {
 	mu sync.Mutex
 	m  map[lockmgr.TxnID]struct{}
@@ -168,8 +171,9 @@ func (o *ownedSet) snapshot() []lockmgr.TxnID {
 // session is one connection's server-side state.
 type session struct {
 	conn net.Conn
-	// ctx is done once the session is condemned; executor-path waits
-	// select on it. cancel ends it.
+	// ctx is done once the session is condemned; the goroutines of its
+	// requests that wait on anything but the lock table select on it.
+	// cancel ends it.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// closing is set the moment the session is condemned (disconnect,
@@ -184,10 +188,11 @@ type session struct {
 	owned *ownedSet // transactions granted on this session
 
 	// pending counts requests decoded but not yet answered: parked
-	// claims and requests on executors (an inline request is answered
-	// before the next is decoded). waiting is set while the session's
-	// own goroutine sleeps on wake for pending to fall — below the
-	// in-flight cap, or to zero at session end.
+	// claims and requests whose goroutine waits on the journal, a
+	// recovery window or a predecessor's teardown (any other request is
+	// answered before the next is decoded). waiting is set while the
+	// session's own goroutine sleeps on wake for pending to fall — below
+	// the in-flight cap, or to zero at session end.
 	pending atomic.Int64
 	waiting atomic.Bool
 	wake    chan struct{}
@@ -221,8 +226,8 @@ func newSession(conn net.Conn) *session {
 }
 
 // shutdown condemns the session: marks it closing, then cancels its
-// context to abort executor-path waits and wake its own goroutine,
-// which withdraws the session's parked claims.
+// context to end the waits of its requests' goroutines and wake its own
+// goroutine, which withdraws the session's parked claims.
 func (sess *session) shutdown() {
 	sess.closing.Store(true)
 	sess.cancel()
@@ -554,8 +559,8 @@ func (s *Server) Close() error {
 	case <-done:
 	case <-time.After(s.grace):
 		// Grace expired: force, in two phases. Cancelling a session's
-		// context makes it withdraw its parked claims and aborts its
-		// executor-path waits, all of which respond with the typed
+		// context makes it withdraw its parked claims and ends its
+		// requests' other waits, all of which respond with the typed
 		// "closed" code — but only if the connection survives long
 		// enough for those responses to be written. Closing the conn in
 		// the same breath as the cancel loses that race: pipelined
@@ -652,9 +657,9 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 }
 
 // teardown ends a session: condemn it, close its connection, and
-// force-release every transaction it still owns. The session's parked
-// claims were withdrawn and its executors are done (see handle), so
-// nothing can add to the owned set any more.
+// force-release every transaction it still owns. Every request of the
+// session has been answered (see handle), so nothing can add to the
+// owned set any more.
 func (s *Server) teardown(sess *session) {
 	sess.shutdown()
 	sess.conn.Close()
@@ -726,221 +731,120 @@ func (s *Server) draining() bool {
 	return s.closed
 }
 
-// releaseCore releases everything txn holds, guarding ownership per
-// session. It returns (statusOK, "") on success, else a status from the
-// shared taxonomy plus detail. A release whose transaction is owned by
-// a live peer session is foreign and rejected with not_owner. But if
-// the recorded owner is a condemned session whose teardown hasn't run
-// yet, this is the transport-fault retry shape — the send of a release
-// died mid-flight, the client reconnected and resent on a fresh session
-// — so instead of rejecting a legitimate retry with a terminal error,
-// wait out the predecessor's teardown and complete idempotently
-// (mirroring acquireBlocking's orphan handling).
-func (s *Server) releaseCore(sess *session, txn lockmgr.TxnID) (byte, string) {
-	// The race deadline is only needed once a foreign owner is actually
-	// observed; reading the clock lazily keeps the common case — a
-	// release by the rightful owner — free of time syscalls.
-	var raceDeadline time.Time
-	var tick *time.Timer
-	defer func() { stopTimer(tick) }()
+// errOwnerLive is awaitOwner's verdict that a transaction's locks stay
+// with another session that is not going away.
+var errOwnerLive = errors.New("locksrv: transaction granted on a live session")
+
+// awaitOwner is the one owner-race wait of acquire, release and lease,
+// which answer its verdict each with a status of its own: it waits out
+// the teardown of a predecessor session txn may still be recorded on,
+// polling every millisecond. It returns nil once the owner record is
+// gone and the table holds nothing for txn, or the record is sess's;
+// errOwnerLive once the locks have stayed ownerRaceWait since start
+// with an owner not condemned (a live session, or a grant not yet
+// recorded); ctx's error when ctx ends. Never called on a reader.
+func (s *Server) awaitOwner(ctx context.Context, sess *session, txn lockmgr.TxnID, start time.Time) error {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
 	for {
-		if s.releaseOwned(sess, txn) {
-			s.journalRelease(txn)
-			return statusOK, ""
-		}
-		if raceDeadline.IsZero() {
-			raceDeadline = time.Now().Add(ownerRaceWait)
-		}
 		owner, _ := s.ownerOf(txn)
-		if owner != nil && !owner.closing.Load() && time.Now().After(raceDeadline) {
-			// Still owned by a session that looks alive after the race
-			// bound: a genuine foreign release.
-			s.om.foreignReleases.Inc()
-			return statusNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
+		switch {
+		case owner == sess, owner == nil && s.table.HeldBy(txn) == 0:
+			return nil
+		case (owner == nil || !owner.closing.Load()) && time.Since(start) > ownerRaceWait:
+			return errOwnerLive
 		}
-		// Owner condemned (teardown clears the entry shortly) or
-		// apparently alive but possibly an undetected disconnect; wait
-		// and re-check.
-		tick = resetTimer(tick, time.Millisecond)
 		select {
-		case <-sess.ctx.Done():
-			return statusClosed, "session closed"
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-tick.C:
 		}
 	}
 }
 
-// checkAcquire validates an acquire's arguments.
-func checkAcquire(reqs []lockmgr.Request, timeoutMS int64) (byte, string) {
-	if len(reqs) == 0 {
-		return statusBadRequest, "acquire without granules"
+// releaseCore completes, on a goroutine of its own, a release whose
+// answer waits: it journals one the reader made (released), and makes
+// one the reader could not, txn being recorded on another session. A
+// condemned owner whose teardown has not run yet, or whose disconnect
+// is not even detected, is the transport-fault retry shape — a release
+// died mid-flight and was resent on a fresh session — so the release
+// waits the owner out (awaitOwner) and completes idempotently; only an
+// owner alive past the race bound makes it foreign: not_owner.
+func (s *Server) releaseCore(sess *session, txn lockmgr.TxnID, released bool) (byte, string) {
+	start := time.Now()
+	for !released {
+		switch err := s.awaitOwner(sess.ctx, sess, txn, start); {
+		case errors.Is(err, errOwnerLive):
+			s.om.foreignReleases.Inc()
+			return statusNotOwner, fmt.Sprintf("transaction %d was granted on another session", txn)
+		case err != nil:
+			return statusClosed, "session closed"
+		}
+		released = s.releaseOwned(sess, txn)
 	}
-	if timeoutMS < 0 {
-		return statusBadRequest, "negative timeout_ms"
-	}
+	s.journalRelease(txn)
 	return statusOK, ""
 }
 
-// grantNow records an acquire the table granted without waiting. An
-// immediate grant waited zero time by definition, so the zero sample is
-// recorded without reading the clock — at service rates the two time
-// syscalls per acquire are a measurable tax.
+// errDuplicateClaim answers a conservative claim for a transaction that
+// holds locks on this session, or on a live peer: misuse, never a retry.
+var errDuplicateClaim = fmt.Errorf("%w: transaction already holds locks; conservative claims must be the first acquisition", ErrBadRequest)
+
+// sideline takes acquire a off the path onto a goroutine of its own,
+// with a copy of its requests, for a wait that is not the lock table's:
+// the seal of the recovery window it routed into (sealed), or — sealed
+// nil — the teardown of a predecessor session its transaction still
+// holds locks for: a retried acquire whose reply a transport fault ate,
+// or misuse, answered bad_request once the transaction proves to be this
+// session's or a live peer's (awaitOwner). The wait counts from the
+// acquire's arrival and ends at its deadline or its session's end; then
+// the claim goes down the path again.
+func (s *Server) sideline(a acq, reqs []lockmgr.Request, sealed <-chan struct{}) {
+	if a.start.IsZero() {
+		a.start = time.Now()
+	}
+	own := slices.Clone(reqs)
+	go func() {
+		ctx, cancel := a.sess.ctx, context.CancelFunc(func() {})
+		if a.timeoutMS > 0 {
+			ctx, cancel = context.WithDeadline(ctx, a.start.Add(time.Duration(a.timeoutMS)*time.Millisecond))
+		}
+		defer cancel()
+		var err error
+		if sealed != nil {
+			select {
+			case <-sealed:
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		} else {
+			err = s.awaitOwner(ctx, a.sess, a.txn, a.start)
+			// Misuse, not a retry: the transaction is this session's, or a live peer's.
+			if owner, _ := s.ownerOf(a.txn); errors.Is(err, errOwnerLive) || err == nil && owner == a.sess {
+				err = errDuplicateClaim
+			}
+		}
+		if err != nil {
+			s.finish(a, own, err)
+			return
+		}
+		s.acquire(a, own)
+	}()
+}
+
+// recordWait samples the wait of an acquire that arrived at start. A
+// zero start is a claim the table decided at once: it waited no time,
+// and the sample is recorded without reading the clock — at service
+// rates the two time syscalls per acquire are a measurable tax.
 //
 //granulint:hotpath
-func (s *Server) grantNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string) {
-	s.waits.add(0)
-	s.om.waitMS.Observe(0)
-	return s.finishAcquire(sess, txn, reqs, 0, nil)
-}
-
-// acquireCore runs one conservative claim on the calling goroutine,
-// blocking it for as long as the claim waits: the executor path, for
-// servers whose acquires can also wait on a journal flush or a cluster
-// recovery window. It returns (statusOK, "") on grant, else a status
-// from the shared taxonomy plus detail.
-func (s *Server) acquireCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64) (byte, string) {
-	if st, msg := checkAcquire(reqs, timeoutMS); st != statusOK {
-		return st, msg
-	}
-	// The wait deadline is built only where something can wait: an
-	// acquire granted at once never pays for a context and its timer.
-	var start time.Time
-	// Cluster routing: serve only granules this node owns (or adopted),
-	// parking behind an open recovery window; redirect the rest. The
-	// nil check keeps unclustered servers on the exact prior path.
-	if s.cluster != nil {
-		start = time.Now()
-		actx, cancel := deadlineContext(sess.ctx, start, timeoutMS)
-		st, msg := s.clusterAdmit(actx, reqs, false)
-		cancel()
-		if st != statusOK {
-			return st, msg
-		}
-	}
-	// A refusal (ErrAlreadyHolds) is acquireBlocking's to classify.
-	if granted, _ := s.table.TryAcquireAll(txn, reqs); granted {
-		return s.grantNow(sess, txn, reqs)
-	}
-	if start.IsZero() {
-		start = time.Now()
-	}
-	return s.acquireBlocking(sess, txn, reqs, timeoutMS, start)
-}
-
-// deadlineContext derives the context of an acquire that arrived at
-// start with the wire timeout timeoutMS (zero: no deadline).
-func deadlineContext(ctx context.Context, start time.Time, timeoutMS int64) (context.Context, context.CancelFunc) {
-	if timeoutMS <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithDeadline(ctx, start.Add(time.Duration(timeoutMS)*time.Millisecond))
-}
-
-// acquireBlocking waits for a claim on the calling goroutine, under the
-// deadline of a request that arrived at start. It also sorts out a
-// claim for a transaction that already holds locks (ErrAlreadyHolds),
-// which is either misuse or a retry racing its predecessor session's
-// teardown — the one case a parked continuation hands back to a
-// goroutine, because it polls.
-func (s *Server) acquireBlocking(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, start time.Time) (byte, string) {
-	actx, cancel := deadlineContext(sess.ctx, start, timeoutMS)
-	defer cancel()
-	// The orphan-retry loop below polls every millisecond; the timer is
-	// allocated once per call and reset, not once per poll.
-	var tick *time.Timer
-	defer func() { stopTimer(tick) }()
-	var err error
-	for {
-		err = s.table.AcquireAll(actx, txn, reqs)
-		if err == nil || !errors.Is(err, lockmgr.ErrAlreadyHolds) {
-			break
-		}
-		owner, ok := s.ownerOf(txn)
-		if ok && owner == sess {
-			// A second conservative claim on this very session: real
-			// misuse, never a retry.
-			break
-		}
-		if ok && !owner.closing.Load() && time.Since(start) > ownerRaceWait {
-			// Owned by a session still alive after the race bound:
-			// duplicate txn ids across live sessions, real misuse.
-			break
-		}
-		// Orphaned grant: the txn's locks were granted on a session
-		// that is now tearing down (a client retried an acquire whose
-		// response was lost in a transport fault) — the owners entry is
-		// already gone, maps to the condemned predecessor, or maps to a
-		// predecessor whose disconnect the server hasn't detected yet
-		// (TCP orders nothing across connections). Its ReleaseAll is
-		// imminent; wait it out within the deadline rather than failing
-		// a legitimate retry.
-		tick = resetTimer(tick, time.Millisecond)
-		select {
-		case <-actx.Done():
-			err = actx.Err()
-		case <-tick.C:
-			continue
-		}
-		break
-	}
-	s.recordWait(start)
-	return s.finishAcquire(sess, txn, reqs, timeoutMS, err)
-}
-
-// recordWait samples the wait of an acquire that parked at start.
 func (s *Server) recordWait(start time.Time) {
-	waitMS := float64(time.Since(start)) / float64(time.Millisecond)
+	waitMS := 0.0
+	if !start.IsZero() {
+		waitMS = float64(time.Since(start)) / float64(time.Millisecond)
+	}
 	s.waits.add(waitMS)
 	s.om.waitMS.Observe(waitMS)
-}
-
-// finishAcquire journals the grant, records ownership, and classifies
-// the acquire outcome, shared by the zero-wait grant, the blocking path
-// and the continuation of a parked claim.
-func (s *Server) finishAcquire(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request, timeoutMS int64, err error) (byte, string) {
-	switch {
-	case err == nil:
-		// Journal before recording ownership or replying: a grant the
-		// journal cannot make durable is withdrawn, leaving no trace.
-		if st, msg := s.journalGrant(txn, reqs); st != statusOK {
-			return st, msg
-		}
-		s.setOwner(txn, sess)
-		sess.owned.add(txn)
-		s.om.grants.Inc()
-		return statusOK, ""
-	case errors.Is(err, context.DeadlineExceeded):
-		// The per-acquire deadline expired; the claim was withdrawn and
-		// the transaction holds nothing.
-		s.om.timeouts.Inc()
-		return statusTimeout, fmt.Sprintf("acquire timed out after %dms", timeoutMS)
-	case errors.Is(err, context.Canceled):
-		// The session was condemned: disconnect or forced drain.
-		s.om.cancels.Inc()
-		return statusClosed, "session closed"
-	default:
-		// Protocol misuse (e.g. a second conservative claim while the
-		// first is still held).
-		return statusBadRequest, err.Error()
-	}
-}
-
-// resetTimer arms t for d, allocating it on first use. The timer's
-// channel must have been drained or fired (the select discipline in the
-// poll loops guarantees it).
-func resetTimer(t *time.Timer, d time.Duration) *time.Timer {
-	if t == nil {
-		return time.NewTimer(d)
-	}
-	t.Reset(d)
-	return t
-}
-
-// stopTimer releases a possibly-nil poll timer.
-func stopTimer(t *time.Timer) {
-	if t != nil {
-		t.Stop()
-	}
 }
 
 // serverStats snapshots the service-level gauges and counters.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 	"granulock/internal/lockmgr"
 )
 
-// v2MaxInflight caps how many requests one v2 session may have
-// unanswered at once: claims parked in the lock table plus requests on
-// executors. Excess frames wait in the read loop, which is exactly the
-// back-pressure a pipelining client expects.
+// v2MaxInflight caps how many requests one session may have unanswered
+// at once — parked claims and requests waiting on goroutines of their
+// own — and so what one client can make the server hold. Excess frames
+// wait in the read loop: the back-pressure a pipelining client expects.
 const v2MaxInflight = 256
 
 // scratchReqsMax bounds the request-decode scratch a session keeps
@@ -24,40 +25,21 @@ const v2MaxInflight = 256
 // life of the connection.
 const scratchReqsMax = 1024
 
-// v2Work is one decoded request frame awaiting execution.
-type v2Work struct {
-	fb   *frameBuf
-	op   byte
-	id   uint64
-	body []byte
-}
-
-// execWorker is one pooled executor goroutine's inbox.
-type execWorker struct {
-	ch chan v2Work
-}
-
-// handle runs one session to completion on one goroutine. The reader
-// decodes a frame and, when nothing but the lock table can make the
-// request wait (serveInline), executes it right there and appends the
-// reply to the session's write buffer (connWriter): no hand-off to an
-// executor, none to a writer. A claim that must wait is parked in the
-// table as a continuation (parkedAcquire), not as a goroutine; the
-// release that resolves it — usually on another session's reader —
-// finishes the acquire and appends its reply to this session's buffer.
-// Responses therefore return out of order, matched to requests by id,
-// while the requests of one connection that do not wait are served in
-// arrival order.
-//
-// Requests that can wait on something else — a journal flush before
-// the acknowledgement (group commit needs them concurrent), a cluster
-// recovery window, another session's teardown, a batch — go to pooled
-// executor goroutines, which answer through the same write buffer.
-// Executors are recycled rather than spawned per frame: a fresh
-// goroutine starts with a minimal stack that the execute call chain
-// immediately has to grow, and at service request rates those stack
-// copies show up as a top-five CPU item. A worker that has run once
-// keeps its grown stack for the rest of the session.
+// handle runs one session to completion on one goroutine, on every
+// server: plain, journaled or clustered. The reader decodes a frame,
+// executes it right there (serve) and appends the reply to the session's
+// write buffer (connWriter): no hand-off to an executor, none to a
+// writer. The reader never waits on a request. A claim that waits on the
+// lock table is parked in the table as a continuation (parkedAcquire),
+// not as a goroutine; the release that resolves it — usually on another
+// session's reader — finishes the acquire and appends its reply to this
+// session's buffer. A request that waits on anything else — its grant's
+// journal flush, a cluster recovery window's seal, the teardown of a
+// predecessor session its transaction is still recorded on — gets a
+// goroutine of its own for that wait only, which answers through the
+// same buffer. Responses therefore return out of order, matched to
+// requests by id; the requests of one connection are served in arrival
+// order as long as nothing but the lock table makes them wait.
 //
 // The reader writes the buffered replies out twice per burst of
 // requests, whatever its size: when it has decoded half of what its
@@ -85,21 +67,6 @@ func (s *Server) handle(sess *session) {
 		return // never spoke the protocol: close without a reply
 	}
 	s.om.v2Sessions.Inc()
-
-	free := make(chan *execWorker, v2MaxInflight)
-	var workers []*execWorker
-	spawn := func() *execWorker {
-		w := &execWorker{ch: make(chan v2Work)}
-		workers = append(workers, w)
-		go func() {
-			for wk := range w.ch {
-				s.execute(sess, wk.op, wk.id, wk.body)
-				putFrame(wk.fb)
-				free <- w // cap == max workers: never blocks
-			}
-		}()
-		return w
-	}
 	for {
 		// Half of the last read is decoded: write its replies out. (With
 		// nothing left to decode, the read below does that.)
@@ -135,35 +102,17 @@ func (s *Server) handle(sess *session) {
 			}
 		}
 		sess.pending.Add(1)
-		if s.serveInline(sess, op, id, body) {
-			putFrame(fb)
-			continue
-		}
-		var w *execWorker
-		select {
-		case w = <-free:
-		default:
-			if len(workers) < v2MaxInflight {
-				w = spawn()
-			} else {
-				// Every worker answered (pending is under the cap) but
-				// one has yet to put itself back: it is about to.
-				w = <-free
-			}
-		}
-		w.ch <- v2Work{fb: fb, op: op, id: id, body: body}
+		s.serve(sess, op, id, body)
+		putFrame(fb)
 	}
 	// No more requests. Wait for the unanswered ones: until the session
 	// is condemned (forced drain; at once for a disconnect), then
 	// withdraw what is still parked and wait out the continuations and
-	// executors already running — a grant recorded after teardown's
+	// the waits already running — a grant recorded after teardown's
 	// sweep would strand its locks.
 	if !s.awaitPending(sess, 1, sess.ctx.Done()) {
 		s.cancelParked(sess)
 		s.awaitPending(sess, 1, nil)
-	}
-	for _, w := range workers {
-		close(w.ch)
 	}
 	// Every request is answered, but the last replies may have been left
 	// to a goroutine that is still writing: let it finish before
@@ -235,26 +184,14 @@ func (s *Server) replyFrame(sess *session, fb *frameBuf) {
 	s.sent(sess)
 }
 
-// lockOnly reports whether nothing but the lock table can make this
-// server's acquires and releases wait: it journals no grants and routes
-// by no cluster ring.
+// serve executes one request on the session's reader and answers it —
+// or leaves the answer to what the request waits on: the release that
+// resolves its parked claim, or the goroutine that waits on its journal
+// flush, its recovery window or its predecessor's teardown. Nothing
+// that outlives the call points into body.
 //
 //granulint:hotpath
-func (s *Server) lockOnly() bool { return s.journal == nil && s.cluster == nil }
-
-// serveInline is the dispatch predicate and the inline executor in one:
-// it runs the request on the calling goroutine — the session's reader —
-// when nothing but the lock table can make it wait, and reports false,
-// having changed nothing, when the request needs an executor: the
-// server journals grants or routes by cluster partition, the op is a
-// batch or a lease, or the transaction is entangled with another
-// session (a retry racing its predecessor's teardown, or misuse).
-//
-//granulint:hotpath
-func (s *Server) serveInline(sess *session, op byte, id uint64, body []byte) bool {
-	if !s.lockOnly() {
-		return false
-	}
+func (s *Server) serve(sess *session, op byte, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	switch op {
 	case opAcquire:
@@ -264,72 +201,24 @@ func (s *Server) serveInline(sess *session, op byte, id uint64, body []byte) boo
 		}
 		if !fr.done() {
 			s.reply(sess, id, statusBadRequest, "malformed acquire body")
-			return true
-		}
-		if st, msg := checkAcquire(reqs, timeoutMS); st != statusOK {
-			s.reply(sess, id, st, msg)
-			return true
-		}
-		granted, err := s.table.TryAcquireAll(txn, reqs)
-		switch {
-		case granted:
-			st, msg := s.grantNow(sess, txn, reqs)
-			s.reply(sess, id, st, msg)
-		case err != nil:
-			return false // ErrAlreadyHolds: acquireBlocking sorts it out
-		default:
-			pa := s.getParked(sess, txn, timeoutMS)
-			pa.id = id
-			s.park(pa, reqs)
-		}
-		return true
-	case opRelease:
-		txn := lockmgr.TxnID(fr.u64())
-		if !fr.done() {
-			s.reply(sess, id, statusBadRequest, "malformed release body")
-			return true
-		}
-		if !s.releaseOwned(sess, txn) {
-			return false // granted on another session: releaseCore waits it out
-		}
-		s.reply(sess, id, statusOK, "")
-		return true
-	case opStats:
-		s.replyFrame(sess, s.statsFrame(id, body))
-		return true
-	}
-	return false
-}
-
-// execute performs one request on an executor goroutine and answers it
-// (a batch of claims may answer later, when its last claim resolves).
-func (s *Server) execute(sess *session, op byte, id uint64, body []byte) {
-	fr := frameReader{b: body}
-	switch op {
-	case opAcquire:
-		txn, reqs, timeoutMS := parseAcquireBody(&fr, nil)
-		if !fr.done() {
-			s.reply(sess, id, statusBadRequest, "malformed acquire body")
 			return
 		}
-		st, msg := s.acquireCore(sess, txn, reqs, timeoutMS)
-		s.reply(sess, id, st, msg)
+		s.acquire(acq{sess: sess, txn: txn, timeoutMS: timeoutMS, id: id}, reqs)
 	case opRelease:
 		txn := lockmgr.TxnID(fr.u64())
 		if !fr.done() {
 			s.reply(sess, id, statusBadRequest, "malformed release body")
 			return
 		}
-		st, msg := s.releaseCore(sess, txn)
-		s.reply(sess, id, st, msg)
+		s.release(sess, id, txn)
 	case opStats:
 		s.replyFrame(sess, s.statsFrame(id, body))
 	case opAcquireN:
-		s.executeAcquireN(sess, id, body)
+		s.serveAcquireN(sess, id, body)
 	case opReleaseN:
-		s.replyFrame(sess, s.executeReleaseN(sess, id, body))
+		s.serveReleaseN(sess, id, body)
 	case opLease:
-		s.replyFrame(sess, s.executeLease(sess, id, body))
+		s.serveLease(sess, id, body)
 	default:
 		s.reply(sess, id, statusUnknownOp, "unknown op")
 	}
@@ -353,6 +242,142 @@ func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
 	return fb
 }
 
+// acq is one acquire on its way down the one path (acquire): whose claim
+// it is, its wait deadline, when it arrived — stamped only once it first
+// waits, so that a claim granted at once never reads the clock — and
+// where its outcome goes: a reply to request id or, for a sub-claim of
+// an acquireN, slot idx of its batch.
+type acq struct {
+	sess      *session
+	txn       lockmgr.TxnID
+	timeoutMS int64
+	start     time.Time
+	id        uint64
+	batch     *batchReply
+	idx       int
+}
+
+// acquire takes one claim down the path every acquire follows, alone or
+// as an acquireN sub-claim, and a claim that waited on something other
+// than the lock table comes back to: validate it; route it through the
+// cluster ring — a redirect is answered at once, a claim behind an open
+// recovery window waits for the seal on a goroutine of its own
+// (sideline); ask the lock table, and park the claim if it must wait;
+// finish it.
+//
+//granulint:hotpath
+func (s *Server) acquire(a acq, reqs []lockmgr.Request) {
+	switch {
+	case len(reqs) == 0:
+		s.answer(a, statusBadRequest, "acquire without granules")
+		return
+	case a.timeoutMS < 0:
+		s.answer(a, statusBadRequest, "negative timeout_ms")
+		return
+	}
+	if s.cluster != nil {
+		sealed, st, msg := s.route(reqs, false)
+		if st != statusOK {
+			s.answer(a, st, msg)
+			return
+		}
+		if sealed != nil {
+			s.om.clusterParked.Inc()
+			s.sideline(a, reqs, sealed)
+			return
+		}
+	}
+	granted, err := s.table.TryAcquireAll(a.txn, reqs)
+	if !granted && err == nil {
+		s.park(s.getParked(a), reqs)
+		return
+	}
+	s.finish(a, reqs, err)
+}
+
+// finish completes acquire a, whose claim for reqs the lock table
+// decided with err (nil: granted), on whichever goroutine decided it.
+// Two outcomes wait on something else, on a goroutine of their own: a
+// grant the journal must make durable first (journalGrant) — so a
+// release that resolves a parked claim never waits on the waiter's
+// flush — and a refusal because the transaction already holds locks,
+// perhaps a retry racing its predecessor's teardown (sideline).
+//
+//granulint:hotpath
+func (s *Server) finish(a acq, reqs []lockmgr.Request, err error) {
+	if errors.Is(err, lockmgr.ErrAlreadyHolds) {
+		s.sideline(a, reqs, nil)
+		return
+	}
+	s.recordWait(a.start)
+	if err == nil && s.journal != nil {
+		s.journalGrant(a, reqs)
+		return
+	}
+	st, msg := s.settle(a, err)
+	s.answer(a, st, msg)
+}
+
+// settle records acquire a's outcome err and classifies it: a grant
+// becomes the session's, anything else is counted.
+func (s *Server) settle(a acq, err error) (byte, string) {
+	switch {
+	case err == nil:
+		s.setOwner(a.txn, a.sess)
+		a.sess.owned.add(a.txn)
+		s.om.grants.Inc()
+		return statusOK, ""
+	case errors.Is(err, context.DeadlineExceeded):
+		// The per-acquire deadline expired; the claim was withdrawn and
+		// the transaction holds nothing.
+		s.om.timeouts.Inc()
+		return statusTimeout, fmt.Sprintf("acquire timed out after %dms", a.timeoutMS)
+	case errors.Is(err, context.Canceled):
+		// The session was condemned: disconnect or forced drain.
+		s.om.cancels.Inc()
+		return statusClosed, "session closed"
+	default:
+		// Protocol misuse (e.g. a second conservative claim while the
+		// first is still held).
+		return statusBadRequest, err.Error()
+	}
+}
+
+// answer delivers acquire a's status where it goes.
+//
+//granulint:hotpath
+func (s *Server) answer(a acq, st byte, msg string) {
+	if a.batch != nil {
+		a.batch.set(a.idx, st, msg)
+		return
+	}
+	s.reply(a.sess, a.id, st, msg)
+}
+
+// release releases everything txn holds and answers, on the session's
+// reader. A release whose answer waits — for the journal to record it,
+// or for the teardown of a predecessor session txn is still recorded
+// on — is answered by a goroutine of its own (releaseLate).
+//
+//granulint:hotpath
+func (s *Server) release(sess *session, id uint64, txn lockmgr.TxnID) {
+	released := s.releaseOwned(sess, txn)
+	if released && s.journal == nil {
+		s.reply(sess, id, statusOK, "")
+		return
+	}
+	s.releaseLate(sess, id, txn, released)
+}
+
+// releaseLate answers a release on a goroutine of its own, once
+// releaseCore is done with it.
+func (s *Server) releaseLate(sess *session, id uint64, txn lockmgr.TxnID, released bool) {
+	go func() {
+		st, msg := s.releaseCore(sess, txn, released)
+		s.reply(sess, id, st, msg)
+	}()
+}
+
 // parkedAcquire is an acquire waiting in the lock table as a
 // continuation: what it takes to finish the request once the claim is
 // resolved, by whichever goroutine resolves it. Exactly one of three
@@ -368,7 +393,7 @@ func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
 // free list to park and puts it back when the last of the two goroutines
 // that may be using it lets go (refs): park itself, which registers the
 // claim only after the table call and so possibly after a release has
-// already ended it, and the ending, whose last act is answer. What must
+// already ended it, and the ending, whose last act is finish. What must
 // never happen is that a late caller reaches the record's next tenant —
 // a Withdraw meant for this claim would end that one. Hence cancelParked
 // withdraws under the session's pmu, where a registered record cannot be
@@ -376,14 +401,11 @@ func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
 // it was stopped is not used again (fired): its expire may still be on
 // the way, and must find its own, resolved claim.
 type parkedAcquire struct {
-	claim     lockmgr.ParkedClaim
-	s         *Server
-	sess      *session
-	txn       lockmgr.TxnID
-	timeoutMS int64
-	start     time.Time
-	refs      atomic.Int32
-	uses      int // acquires carried so far; the last user's to count
+	claim lockmgr.ParkedClaim
+	s     *Server
+	acq   // the acquire, and where its outcome goes
+	refs  atomic.Int32
+	uses  int // acquires carried so far; the last user's to count
 	// Guarded by sess.pmu: the deadline timer (nil until the record first
 	// parks with one; armed says whether it is set for this claim),
 	// whether the claim has left the table's queues — which a release can
@@ -393,12 +415,6 @@ type parkedAcquire struct {
 	armed    bool
 	unparked bool
 	fired    bool
-
-	// The outcome goes to request id as a reply frame, or, for a
-	// sub-claim of an acquireN, into slot idx of its batch.
-	id    uint64
-	batch *batchReply
-	idx   int
 }
 
 // parkedFreeMax bounds the server's free list of parkedAcquire records:
@@ -418,9 +434,9 @@ const parkedFreeMax = 2 * v2MaxInflight
 // at 24 uses, a refill every 288 parks.
 const parkedRecordUses = 12
 
-// getParked returns a record for one acquire of sess that has to wait,
-// from the free list when it has one.
-func (s *Server) getParked(sess *session, txn lockmgr.TxnID, timeoutMS int64) *parkedAcquire {
+// getParked returns a record for acquire a, which has to wait, from the
+// free list when it has one.
+func (s *Server) getParked(a acq) *parkedAcquire {
 	var pa *parkedAcquire
 	s.pfmu.Lock()
 	if n := len(s.pfree); n > 0 {
@@ -433,7 +449,7 @@ func (s *Server) getParked(sess *session, txn lockmgr.TxnID, timeoutMS int64) *p
 		pa = &parkedAcquire{s: s}
 		pa.claim.Resolve = pa.resolved
 	}
-	pa.sess, pa.txn, pa.timeoutMS, pa.unparked = sess, txn, timeoutMS, false
+	pa.acq, pa.unparked = a, false
 	pa.refs.Store(2) // park and the ending
 	return pa
 }
@@ -450,7 +466,7 @@ func (pa *parkedAcquire) letGo() {
 		return
 	}
 	s := pa.s
-	pa.sess, pa.batch = nil, nil
+	pa.acq = acq{}
 	s.pfmu.Lock()
 	if len(s.pfree) < s.pfreeMax {
 		s.pfree = append(s.pfree, pa)
@@ -464,12 +480,17 @@ func (pa *parkedAcquire) letGo() {
 // not held across it, the sessions' readers would convoy on it — so a
 // release may resolve the claim before it is registered (unparked says
 // so, and nothing is registered), and the session's end may have begun
-// meanwhile (the parker then withdraws the claim itself).
+// meanwhile (the parker then withdraws the claim itself). The deadline
+// counts from the acquire's arrival, which lies before park for a claim
+// that waited on a recovery window or a predecessor's teardown first.
 //
 //granulint:hotpath
 func (s *Server) park(pa *parkedAcquire, reqs []lockmgr.Request) {
 	sess := pa.sess
-	pa.start = time.Now()
+	now := time.Now()
+	if pa.start.IsZero() {
+		pa.start = now
+	}
 	_, claim, err := s.table.AcquireAllAsync(pa.txn, reqs, &pa.claim)
 	if claim == nil {
 		pa.finish(err, reqs) // granted since the probe, or ErrAlreadyHolds
@@ -481,7 +502,7 @@ func (s *Server) park(pa *parkedAcquire, reqs []lockmgr.Request) {
 	if !pa.unparked && !closed {
 		sess.parked[pa] = struct{}{}
 		if pa.timeoutMS > 0 {
-			d := time.Duration(pa.timeoutMS) * time.Millisecond
+			d := time.Duration(pa.timeoutMS)*time.Millisecond - now.Sub(pa.start)
 			if pa.timer == nil {
 				pa.timer = time.AfterFunc(d, pa.expire)
 			} else {
@@ -556,75 +577,13 @@ func (s *Server) cancelParked(sess *session) {
 	}
 }
 
-// finish completes the acquire of reqs with the claim's outcome and
-// answers it.
+// finish completes the acquire with the claim's outcome and lets go of
+// the record: the ending's last use of it.
 //
 //granulint:hotpath
 func (pa *parkedAcquire) finish(err error, reqs []lockmgr.Request) {
-	s := pa.s
-	if errors.Is(err, lockmgr.ErrAlreadyHolds) {
-		// Misuse, or a retry racing its predecessor session's teardown:
-		// telling them apart polls, so it takes a goroutine, and a copy of
-		// the requests that outlives the caller's scratch. The request
-		// stays pending, which keeps the session waiting for it.
-		reqs = slices.Clone(reqs)
-		//granulint:ignore hotpath a refused claim is misuse or a retry after a transport fault, not the blocking path; its orphan poll sleeps, which a continuation may not
-		go func() {
-			pa.answer(s.acquireBlocking(pa.sess, pa.txn, reqs, pa.timeoutMS, pa.start))
-		}()
-		return
-	}
-	s.recordWait(pa.start)
-	pa.answer(s.finishAcquire(pa.sess, pa.txn, reqs, pa.timeoutMS, err))
-}
-
-// answer delivers the acquire's status: the ending's last use of the
-// record.
-//
-//granulint:hotpath
-func (pa *parkedAcquire) answer(st byte, msg string) {
-	if pa.batch != nil {
-		pa.batch.set(pa.idx, st, msg)
-	} else {
-		pa.s.reply(pa.sess, pa.id, st, msg)
-	}
+	pa.s.finish(pa.acq, reqs, err)
 	pa.letGo()
-}
-
-// executeLease processes a lease assert: per-transaction grant
-// refresh/reconstruction (see leaseCore), answered as a batch frame.
-// Items run sequentially — leaseCore never parks on a lock queue, so
-// one item cannot starve the rest the way a blocked acquire could.
-func (s *Server) executeLease(sess *session, id uint64, body []byte) *frameBuf {
-	fr := frameReader{b: body}
-	fr.u64() // lease id: carried for observability, no fencing use yet
-	k := fr.u32()
-	if fr.bad || k == 0 || k > v2MaxInflight {
-		return errorFrame(id, statusBadRequest, "malformed lease count")
-	}
-	type item struct {
-		txn  lockmgr.TxnID
-		reqs []lockmgr.Request
-	}
-	items := make([]item, 0, k)
-	for i := uint32(0); i < k; i++ {
-		txn := lockmgr.TxnID(fr.u64())
-		reqs := parseRequests(&fr, nil)
-		if fr.bad {
-			return errorFrame(id, statusBadRequest, "malformed lease body")
-		}
-		items = append(items, item{txn, reqs})
-	}
-	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed lease body")
-	}
-	s.om.batchOps.Add(int64(k))
-	sts := make([]byte, k)
-	msgs := make([]string, k)
-	for i := range items {
-		sts[i], msgs[i] = s.leaseCore(sess, items[i].txn, items[i].reqs)
-	}
-	return batchFrame(id, sts, msgs)
 }
 
 // parseAcquireBody decodes one acquire body (txn, timeout, granule+mode
@@ -661,10 +620,10 @@ func parseRequests(fr *frameReader, dst []lockmgr.Request) []lockmgr.Request {
 	return dst
 }
 
-// batchReply collects the sub-results of an acquireN by countdown: each
-// sub-claim reports once, from whatever goroutine finished it, and the
-// last report answers the frame. The frame-level status is OK;
-// per-item statuses and messages travel in the body.
+// batchReply is the answer to a batch frame (acquireN, releaseN,
+// lease): frame status OK, per-item statuses and messages in the body.
+// The sub-claims of an acquireN report by countdown (set), each from
+// whatever goroutine finished it, and the last report answers the frame.
 type batchReply struct {
 	s    *Server
 	sess *session
@@ -674,91 +633,142 @@ type batchReply struct {
 	left atomic.Int32
 }
 
+func (s *Server) newBatch(sess *session, id uint64, k int) *batchReply {
+	b := &batchReply{s: s, sess: sess, id: id, sts: make([]byte, k), msgs: make([]string, k)}
+	b.left.Store(int32(k))
+	return b
+}
+
 func (b *batchReply) set(i int, st byte, msg string) {
 	b.sts[i], b.msgs[i] = st, msg
 	if b.left.Add(-1) == 0 {
-		b.s.replyFrame(b.sess, batchFrame(b.id, b.sts, b.msgs))
+		b.send()
 	}
 }
 
-// executeAcquireN starts the sub-claims of a batch — independent
-// transactions: run serially, one blocked claim would starve the rest —
-// and returns without waiting for them; the batch answers when its
-// last sub-claim reports (batchReply). A sub-claim that only the lock
-// table can make wait is probed here and parked as a continuation if it
-// must; on a server where a grant also waits for the journal or the
-// cluster, each runs acquireCore on a goroutine of its own.
-func (s *Server) executeAcquireN(sess *session, id uint64, body []byte) {
+// send answers the frame with the statuses recorded.
+func (b *batchReply) send() {
+	b.s.replyFrame(b.sess, batchFrame(b.id, b.sts, b.msgs))
+}
+
+// complete answers the frame once the items in late are decided too —
+// by decide, which waits, and so on one goroutine of their own.
+func (b *batchReply) complete(late []int, decide func(i int) (byte, string)) {
+	if late == nil {
+		b.send()
+		return
+	}
+	go func() {
+		for _, i := range late {
+			b.sts[i], b.msgs[i] = decide(i)
+		}
+		b.send()
+	}()
+}
+
+// item is one transaction's claim inside a batch frame.
+type item struct {
+	txn       lockmgr.TxnID
+	reqs      []lockmgr.Request
+	timeoutMS int64 // acquireN only
+}
+
+// serveAcquireN takes the sub-claims of a batch — independent
+// transactions — down the one path, each with the batch as where its
+// outcome goes, and returns without waiting for them: the batch answers
+// when its last sub-claim reports.
+func (s *Server) serveAcquireN(sess *session, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > v2MaxInflight {
 		s.reply(sess, id, statusBadRequest, "malformed acquireN count")
 		return
 	}
-	type sub struct {
-		txn       lockmgr.TxnID
-		reqs      []lockmgr.Request
-		timeoutMS int64
-	}
-	subs := make([]sub, 0, k)
+	subs := make([]item, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txn, reqs, timeoutMS := parseAcquireBody(&fr, nil)
-		subs = append(subs, sub{txn, reqs, timeoutMS})
+		subs = append(subs, item{txn, reqs, timeoutMS})
 	}
 	if !fr.done() {
 		s.reply(sess, id, statusBadRequest, "malformed acquireN body")
 		return
 	}
 	s.om.batchOps.Add(int64(k))
-	b := &batchReply{s: s, sess: sess, id: id, sts: make([]byte, k), msgs: make([]string, k)}
-	b.left.Store(int32(k))
-	lockOnly := s.lockOnly()
+	b := s.newBatch(sess, id, int(k))
 	for i, c := range subs {
-		if !lockOnly {
-			go func() {
-				st, msg := s.acquireCore(sess, c.txn, c.reqs, c.timeoutMS)
-				b.set(i, st, msg)
-			}()
-			continue
-		}
-		if st, msg := checkAcquire(c.reqs, c.timeoutMS); st != statusOK {
-			b.set(i, st, msg)
-			continue
-		}
-		// A refusal (ErrAlreadyHolds) is park's to pass on.
-		if granted, _ := s.table.TryAcquireAll(c.txn, c.reqs); granted {
-			st, msg := s.grantNow(sess, c.txn, c.reqs)
-			b.set(i, st, msg)
-			continue
-		}
-		pa := s.getParked(sess, c.txn, c.timeoutMS)
-		pa.batch, pa.idx = b, i
-		s.park(pa, c.reqs)
+		s.acquire(acq{sess: sess, txn: c.txn, timeoutMS: c.timeoutMS, batch: b, idx: i}, c.reqs)
 	}
 }
 
-// executeReleaseN releases a batch of transactions sequentially
-// (releases never block) and responds with per-item statuses.
-func (s *Server) executeReleaseN(sess *session, id uint64, body []byte) *frameBuf {
+// serveReleaseN releases a batch of transactions on the session's
+// reader and answers with per-item statuses — from one goroutine when
+// an item's answer waits on the journal or on an owner's teardown.
+func (s *Server) serveReleaseN(sess *session, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	k := fr.u32()
 	if fr.bad || k == 0 || k > uint32(fr.left()/8) {
-		return errorFrame(id, statusBadRequest, "malformed releaseN count")
+		s.reply(sess, id, statusBadRequest, "malformed releaseN count")
+		return
 	}
 	txns := make([]lockmgr.TxnID, 0, k)
 	for i := uint32(0); i < k; i++ {
 		txns = append(txns, lockmgr.TxnID(fr.u64()))
 	}
 	if !fr.done() {
-		return errorFrame(id, statusBadRequest, "malformed releaseN body")
+		s.reply(sess, id, statusBadRequest, "malformed releaseN body")
+		return
 	}
 	s.om.batchOps.Add(int64(k))
-	sts := make([]byte, k)
-	msgs := make([]string, k)
+	released := make([]bool, k)
+	var late []int
 	for i, txn := range txns {
-		sts[i], msgs[i] = s.releaseCore(sess, txn)
+		if released[i] = s.releaseOwned(sess, txn); !released[i] || s.journal != nil {
+			late = append(late, i)
+		}
 	}
-	return batchFrame(id, sts, msgs)
+	s.newBatch(sess, id, int(k)).complete(late, func(i int) (byte, string) {
+		return s.releaseCore(sess, txns[i], released[i])
+	})
+}
+
+// serveLease processes a lease assert: per-transaction grant
+// refresh/reconstruction (leaseNow), answered as a batch frame — from
+// one goroutine when an item waits on a predecessor session's teardown
+// (leaseCore).
+func (s *Server) serveLease(sess *session, id uint64, body []byte) {
+	fr := frameReader{b: body}
+	fr.u64() // lease id: carried for observability, no fencing use yet
+	k := fr.u32()
+	if fr.bad || k == 0 || k > v2MaxInflight {
+		s.reply(sess, id, statusBadRequest, "malformed lease count")
+		return
+	}
+	items := make([]item, 0, k)
+	for i := uint32(0); i < k; i++ {
+		txn := lockmgr.TxnID(fr.u64())
+		reqs := parseRequests(&fr, nil)
+		if fr.bad {
+			s.reply(sess, id, statusBadRequest, "malformed lease body")
+			return
+		}
+		items = append(items, item{txn: txn, reqs: reqs})
+	}
+	if !fr.done() {
+		s.reply(sess, id, statusBadRequest, "malformed lease body")
+		return
+	}
+	s.om.batchOps.Add(int64(k))
+	b := s.newBatch(sess, id, int(k))
+	var late []int
+	for i, it := range items {
+		var decided bool
+		if b.sts[i], b.msgs[i], decided = s.leaseNow(sess, it.txn, it.reqs); !decided {
+			late = append(late, i)
+		}
+	}
+	b.complete(late, func(i int) (byte, string) {
+		return s.leaseCore(sess, items[i].txn, items[i].reqs)
+	})
 }
 
 // errorFrame builds a plain response frame for the paths that return

@@ -127,10 +127,7 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 		}
 		timeoutMS := int64(src.IntRange(1, 3))
 		sess.pending.Add(1)
-		body := timedAcquireFrame(reqID, int64(waiter), timeoutMS, granule)[4+frameHeader:]
-		if !srv.serveInline(sess, opAcquire, reqID, body) {
-			t.Fatalf("seed %d: a lock-only acquire was not served inline", seed)
-		}
+		srv.serve(sess, opAcquire, reqID, timedAcquireFrame(reqID, int64(waiter), timeoutMS, granule)[4+frameHeader:])
 		// One waiter — or none any more: on a loaded host the deadline
 		// beats even this look.
 		first := anyParked(sess)
@@ -163,10 +160,7 @@ func TestParkedClaimEndsExactlyOnce(t *testing.T) {
 		awaitAnswered(t, seed, sess)
 		next, nextConn := sinkSession()
 		next.pending.Add(1)
-		body2 := timedAcquireFrame(reqID2, int64(waiter2), 60_000, granule2)[4+frameHeader:]
-		if !srv.serveInline(next, opAcquire, reqID2, body2) {
-			t.Fatalf("seed %d: the next acquire was not served inline", seed)
-		}
+		srv.serve(next, opAcquire, reqID2, timedAcquireFrame(reqID2, int64(waiter2), 60_000, granule2)[4+frameHeader:])
 		if second := onlyParked(t, next); second == first {
 			reused++
 			if first.fired {
@@ -271,9 +265,7 @@ func lateExpire(t *testing.T, recycleFired bool) (survived bool) {
 	}
 	parkOne := func(id uint64, txn, timeoutMS int64) *parkedAcquire {
 		sess.pending.Add(1)
-		if !srv.serveInline(sess, opAcquire, id, timedAcquireFrame(id, txn, timeoutMS, granule)[4+frameHeader:]) {
-			t.Fatal("a lock-only acquire was not served inline")
-		}
+		srv.serve(sess, opAcquire, id, timedAcquireFrame(id, txn, timeoutMS, granule)[4+frameHeader:])
 		return onlyParked(t, sess)
 	}
 	first := parkOne(1, 2, 1)
@@ -327,8 +319,20 @@ func TestLateExpireSparesTheNextTenant(t *testing.T) {
 // in the very records those let go of: none of the live claims is
 // cancelled with them.
 func TestDisconnectWithParkedClaims(t *testing.T) {
+	plainAndJournaled(t, testDisconnectWithParkedClaims)
+}
+
+// plainAndJournaled runs a session suite as subtests plain, on a server
+// without options, and journaled, on one that journals its grants: the
+// two run the same sessions.
+func plainAndJournaled(t *testing.T, suite func(t *testing.T, opts ...ServerOption)) {
+	t.Run("plain", func(t *testing.T) { suite(t) })
+	t.Run("journaled", func(t *testing.T) { suite(t, WithJournal(newMemJournal())) })
+}
+
+func testDisconnectWithParkedClaims(t *testing.T, opts ...ServerOption) {
 	const n = 40
-	addr, srv := startServerOpts(t)
+	addr, srv := startServerOpts(t, opts...)
 	capParked(srv, 2)
 	holder := dial(t, addr)
 	if err := holder.AcquireAll(1, xreq(5)); err != nil {
@@ -379,7 +383,11 @@ func TestDisconnectWithParkedClaims(t *testing.T) {
 // the next frame, though grantable at once, is not executed — until
 // one parked claim resolves.
 func TestParkedClaimsBackPressure(t *testing.T) {
-	addr, srv := startServerOpts(t)
+	plainAndJournaled(t, testParkedClaimsBackPressure)
+}
+
+func testParkedClaimsBackPressure(t *testing.T, opts ...ServerOption) {
+	addr, srv := startServerOpts(t, opts...)
 	holder := dial(t, addr)
 	if err := holder.AcquireAll(1, xreq(5)); err != nil {
 		t.Fatal(err)
@@ -413,7 +421,11 @@ func TestParkedClaimsBackPressure(t *testing.T) {
 // a lone grant produced by another session's release while the waiter's
 // own reader sits blocked in a read.
 func TestLoneRequestAnsweredAtOnce(t *testing.T) {
-	addr, _ := startServerOpts(t)
+	plainAndJournaled(t, testLoneRequestAnsweredAtOnce)
+}
+
+func testLoneRequestAnsweredAtOnce(t *testing.T, opts ...ServerOption) {
+	addr, _ := startServerOpts(t, opts...)
 	raw := dialRaw(t, addr)
 	start := time.Now()
 	if st, id, body := raw.roundTrip(acquireFrame(1, 1, 5)); st != statusOK || id != 1 {
@@ -431,6 +443,73 @@ func TestLoneRequestAnsweredAtOnce(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("three lone replies took %v", d)
+	}
+}
+
+// TestParkedClaimIsNotAGoroutine: on a journaled and on a clustered
+// server too, a claim that waits on the lock table is a record in the
+// table's queue, not a goroutine. Two hundred claims pipelined on one
+// held granule park without the server starting a goroutine apiece, and
+// the holder's release hands the granule down them in arrival order —
+// each released as it is granted — until nothing is held.
+func TestParkedClaimIsNotAGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) (string, *Server)
+	}{
+		{"journaled", func(t *testing.T) (string, *Server) {
+			return startServerOpts(t, WithJournal(newMemJournal()))
+		}},
+		{"clustered", func(t *testing.T) (string, *Server) {
+			addrs, servers := startCluster(t, 1, nil)
+			return addrs[0], servers[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 200
+			addr, srv := tc.start(t)
+			holder := dial(t, addr)
+			if err := holder.AcquireAll(1, xreq(5)); err != nil {
+				t.Fatal(err)
+			}
+			raw := dialRaw(t, addr)
+			if st, _, body := raw.roundTrip(frame(opStats, n+1000, nil)); st != statusOK {
+				t.Fatalf("stats: status %d %q", st, body)
+			}
+			before := runtime.NumGoroutine()
+			var burst []byte
+			for i := 0; i < n; i++ {
+				burst = append(burst, acquireFrame(uint64(i), int64(100+i), 5)...)
+			}
+			if _, err := raw.conn.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return srv.Table().WaitersCount() == n })
+			if grew := runtime.NumGoroutine() - before; grew >= 20 {
+				t.Fatalf("%d parked claims grew the process by %d goroutines", n, grew)
+			}
+			if err := holder.ReleaseAll(1); err != nil {
+				t.Fatal(err)
+			}
+			for next, released := uint64(0), 0; released < n; {
+				st, id, body := raw.readReply()
+				if st != statusOK {
+					t.Fatalf("reply to %d: status %d %q", id, st, body)
+				}
+				if id >= n {
+					released++
+					continue
+				}
+				if id != next {
+					t.Fatalf("claim %d granted while claim %d, which arrived first, waits", id, next)
+				}
+				next++
+				if _, err := raw.conn.Write(releaseFrame(n+id, int64(100+id))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, func() bool { return srv.Table().HoldersCount() == 0 && srv.Table().WaitersCount() == 0 })
+		})
 	}
 }
 
@@ -484,9 +563,8 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 	release := releaseFrame(2, txn)[4+frameHeader:]
 	cycle := func() {
 		sess.pending.Add(2)
-		if !srv.serveInline(sess, opAcquire, 1, acquire) || !srv.serveInline(sess, opRelease, 2, release) {
-			t.Fatal("a lock-only request was not served inline")
-		}
+		srv.serve(sess, opAcquire, 1, acquire)
+		srv.serve(sess, opRelease, 2, release)
 	}
 	for i := 0; i < 16; i++ {
 		cycle() // make the granule records, size the buffers
@@ -496,12 +574,6 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Grants != 2017 || st.Holders != 0 || sess.pending.Load() != 0 {
 		t.Fatalf("grants %d holders %d pending %d", st.Grants, st.Holders, sess.pending.Load())
-	}
-	// A dispatch that declines must leave the request to the executor
-	// untouched: with a journal installed nothing is served inline.
-	journaled := NewServer(nil, nil, WithJournal(newMemJournal()))
-	if journaled.serveInline(sess, opAcquire, 1, acquire) || journaled.serveInline(sess, opRelease, 2, release) {
-		t.Fatal("a journaling server served a request inline")
 	}
 }
 
@@ -523,13 +595,16 @@ func TestParkedClaimAllocationFree(t *testing.T) {
 	cycle := func() {
 		a.pending.Add(2)
 		b.pending.Add(2)
-		ok := srv.serveInline(a, opAcquire, 1, hold) && srv.serveInline(b, opAcquire, 2, wait)
-		if !ok || srv.table.WaitersCount() != 1 {
+		srv.serve(a, opAcquire, 1, hold)
+		srv.serve(b, opAcquire, 2, wait)
+		if srv.table.WaitersCount() != 1 {
 			t.Fatal("the second claim did not park")
 		}
-		if !srv.serveInline(a, opRelease, 3, rel1) || srv.table.HeldBy(2) != 2 || !srv.serveInline(b, opRelease, 4, rel2) {
+		srv.serve(a, opRelease, 3, rel1)
+		if srv.table.HeldBy(2) != 2 {
 			t.Fatal("the release did not grant the parked claim")
 		}
+		srv.serve(b, opRelease, 4, rel2)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()

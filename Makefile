@@ -6,7 +6,7 @@ GO ?= go
 # (the build environment is offline; CI installs the pin itself).
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: build test vet race bench pairs locknet lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
+.PHONY: build test vet race bench pairs lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
 
 build:
 	$(GO) build ./...
@@ -40,17 +40,6 @@ N ?= 10
 SEED ?= 1
 pairs:
 	bash scripts/pairs.sh $(REF) $(WORKLOAD) $(N) $(SEED) $(SECONDS)
-
-# locknet is the ISSUE 3 acceptance scenario: 1000 transactions through
-# the network lock service behind the fault-injecting transport (drops,
-# delays, partial writes); runNet fails unless the drain strands zero
-# granules. Runs once against a single server, then once against a
-# 3-node partitioned cluster with one node killed mid-run
-# (runNetCluster fails unless the takeover happens and the survivors
-# drain clean). See docs/LOCKSRV.md.
-locknet:
-	$(GO) run ./cmd/locksim -net 8 -nettxns 1000 -netfaults -ltot 100
-	$(GO) run ./cmd/locksim -net 6 -cluster 3 -nettxns 600 -netfaults -ltot 100
 
 # granulint runs the repo's own invariant analyzers (internal/analysis,
 # see docs/ANALYSIS.md) over every package; any unsuppressed finding
@@ -88,12 +77,13 @@ verify-test:
 	$(GO) build ./... && $(GO) test ./...
 # everything again under the race detector
 	$(GO) test -race ./...
-# the lock table, the lock service and the relational layer at 1, 2 and 4 Ps: their claims are multicore claims
+# the lock table, the lock service (its faulty fleet and cluster failover included) and the relational layer at 1, 2 and 4 Ps: their claims are multicore claims
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
 	$(GO) test -race -cpu 1,2,4 ./internal/relation/
-# the age policies' verdicts are the lock table's, made under its latch: multicore claims too
-	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols' ./internal/engine/
+# the age policies' verdicts are the lock table's, made under its latch: multicore claims too;
+# and a durable engine killed at random write/sync/checkpoint points, where every recovery must conserve the balance
+	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols|TestDurablePowerCutCycles' ./internal/engine/
 # benchmark/ is its own module, which root `go test ./...` does not reach: this compiles it against every API change
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 # the two engine smoke runs again, five times: each must see allocation to report (the retired pooled records keep it visible)
@@ -113,12 +103,7 @@ verify-fuzz:
 # the one that faces a scrape (/metrics text)
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime=10s ./internal/obs/
 
-verify-smoke: locknet
-# the two age policies through the engine's balance invariant
-	$(GO) run ./cmd/locksim -engine -protocol wound-wait -dbsize 400 -ltot 40 -ntrans 8
-	$(GO) run ./cmd/locksim -engine -protocol wait-die -dbsize 400 -ltot 40 -ntrans 8
-# a durable engine killed at random write/sync/checkpoint points; every recovery must conserve the invariant
-	$(GO) run -race ./cmd/locksim -crash 6 -dbsize 300 -ltot 30 -npros 3 -crashtxns 20
+verify-smoke:
 # quick cmd/bench runs into /tmp (the checked-in reports are full-fidelity only, via `make bench`);
 # -compare fails on a missed floor (lockmgr batch economy + zero-allocation budget, cluster 1.8x, recovery 2x)
 # or a same-run ratio more than 25% under the checked-in one

@@ -6,7 +6,8 @@
 // reduced horizon (the shapes are stable well before the paper's
 // tmax=1000) and reports, as custom metrics, the quantities the paper's
 // discussion hinges on — e.g. the throughput at the optimum versus at
-// the extremes. Regenerate the full-resolution artifacts with:
+// the extremes. Regenerate the full-resolution artifacts (every paper
+// figure and extension, plus REPORT.txt) with:
 //
 //	go run ./cmd/figures -out results
 package granulock_test

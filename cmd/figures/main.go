@@ -1,12 +1,15 @@
-// Command figures regenerates the paper's evaluation: Table 1 and
-// Figures 2 through 12. Each experiment is written as a text report
-// (tables plus ASCII charts) and a CSV file.
+// Command figures regenerates the paper's evaluation: Table 1, Figures
+// 2 through 12 and the extension experiments beyond the paper. Each
+// experiment is written as a text report (tables plus ASCII charts) and
+// a CSV file, and every run ends with REPORT.txt: the wall time of each
+// experiment, then the simulated and analytic optimal granularity of
+// the base configuration.
 //
 // Usage:
 //
-//	figures [-out results] [-only fig2,fig9] [-tmax 1000] [-reps 1]
+//	figures [-out results] [-only fig2,fig9] [-tmax 1000] [-reps 1] [-seed 1] [-q]
 //
-// With no flags the full suite runs at the paper's horizon into
+// With no flags every experiment runs at the paper's horizon into
 // ./results. Use -tmax 200 for a fast smoke run.
 package main
 
@@ -31,8 +34,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	outDir := fs.String("out", "results", "output directory")
-	only := fs.String("only", "", "comma-separated experiment ids (default: all paper figures); 'table1' selects the parameter table")
-	ext := fs.Bool("ext", false, "also run the extension experiments (ext-sched, ext-requeue, ext-locksharing)")
+	only := fs.String("only", "", "comma-separated experiment ids (default: every paper figure and extension); 'table1' selects the parameter table")
 	tmax := fs.Float64("tmax", 0, "override simulation horizon (0 = paper default)")
 	reps := fs.Int("reps", 1, "replications per point")
 	seed := fs.Uint64("seed", 1, "base random seed")
@@ -45,10 +47,7 @@ func run(args []string) error {
 		return err
 	}
 
-	ids := granulock.FigureIDs()
-	if *ext {
-		ids = append(ids, granulock.ExtensionIDs()...)
-	}
+	ids := append(granulock.FigureIDs(), granulock.ExtensionIDs()...)
 	wantTable := true
 	if *only != "" {
 		sel := strings.Split(*only, ",")
@@ -75,6 +74,15 @@ func run(args []string) error {
 		}
 	}
 
+	// The base configuration at the run's horizon and seed, for the
+	// optimum the report ends with.
+	p := granulock.DefaultParams()
+	p.Seed = *seed
+	if *tmax > 0 {
+		p.TMax = *tmax
+	}
+	var report strings.Builder
+	fmt.Fprintf(&report, "granulock reproduction report — tmax=%v, reps=%d, seed=%d\n\n", p.TMax, *reps, *seed)
 	opts := granulock.Options{TMax: *tmax, Seed: *seed, Replications: *reps}
 	for _, id := range ids {
 		start := time.Now()
@@ -90,9 +98,28 @@ func run(args []string) error {
 		if err := os.WriteFile(csv, []byte(granulock.RenderCSV(fig)), 0o644); err != nil {
 			return err
 		}
+		elapsed := time.Since(start).Seconds()
+		fmt.Fprintf(&report, "%-24s %7.1fs\n", id, elapsed)
 		if !*quiet {
-			fmt.Printf("wrote %s and %s (%.1fs)\n", txt, csv, time.Since(start).Seconds())
+			fmt.Printf("wrote %s and %s (%.1fs)\n", txt, csv, elapsed)
 		}
+	}
+
+	simBest, _, err := granulock.OptimalGranularity(p)
+	if err != nil {
+		return err
+	}
+	anaBest, _, err := granulock.PredictOptimalGranularity(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(&report, "\noptimal granularity: simulated %d, analytic %d\n", simBest, anaBest)
+	path := filepath.Join(*outDir, "REPORT.txt")
+	if err := os.WriteFile(path, []byte(report.String()), 0o644); err != nil {
+		return err
+	}
+	if !*quiet {
+		fmt.Println("wrote", path)
 	}
 	return nil
 }

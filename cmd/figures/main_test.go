@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,18 @@ func TestRunWritesSelectedFigure(t *testing.T) {
 	txt, _ := os.ReadFile(filepath.Join(dir, "fig7.txt"))
 	if !strings.Contains(string(txt), "Figure 7") {
 		t.Fatal("figure text content wrong")
+	}
+	// Every run ends with the report: one timing line per id, then the
+	// simulated and analytic optimum.
+	report, err := os.ReadFile(filepath.Join(dir, "REPORT.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "\nfig7 ") {
+		t.Fatalf("report has no fig7 timing line:\n%s", report)
+	}
+	if !regexp.MustCompile(`\noptimal granularity: simulated \d+, analytic \d+\n$`).Match(report) {
+		t.Fatalf("report does not end with the optimum line:\n%s", report)
 	}
 }
 

@@ -10,42 +10,6 @@
 //	locksim -npros 30 -ltot 100 -tmax 1000
 //	locksim -npros 10 -ltot 5000 -placement worst -json
 //	locksim -reps 5 -npros 20        # replicated with 95% CIs
-//
-// With -net N the command instead drives N worker sessions through the
-// network lock service (internal/locksrv) on an in-process server —
-// optionally through a fault-injecting transport — and verifies that a
-// graceful drain strands no granules:
-//
-//	locksim -net 8 -nettxns 1000 -netfaults -ltot 100
-//
-// With -cluster N (N ≥ 2, alongside -net) the harness instead stands
-// up an N-node partitioned lock cluster and drives cluster-aware
-// clients through it; -netkill (default true) kills one node a third
-// of the way through the run, forcing a heartbeat-detected takeover
-// and lease re-assertion under live traffic:
-//
-//	locksim -net 8 -cluster 3 -nettxns 1000 -ltot 100
-//	locksim -net 8 -cluster 3 -netfaults -netkill=false -ltot 100
-//
-// With -engine the command instead runs one closed workload on the
-// executable engine (internal/engine) under a chosen concurrency-
-// control protocol, printing throughput, restart and lock statistics
-// and checking the balance invariant. -protocol names a protocol from
-// the cc registry; -protocol list prints the registered names:
-//
-//	locksim -engine -protocol wound-wait -ltot 100 -ntrans 8
-//	locksim -engine -protocol optimistic -dbsize 1000 -ltot 50 -json
-//	locksim -protocol list
-//
-// With -crash N the command runs N kill-and-recover cycles of the
-// durable engine (engine.OpenDurable) against one write-ahead-log
-// directory: each cycle crashes at a random injected point — mid
-// record, mid group flush, or mid snapshot install — then reopens the
-// directory and verifies the recovered state conserves the total
-// balance. -npros is the partition-log count, -ltot the granule count:
-//
-//	locksim -crash 6 -dbsize 400 -ltot 40 -npros 4
-//	locksim -crash 10 -protocol optimistic -crashtxns 40 -json
 package main
 
 import (
@@ -53,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"granulock"
 	tracepkg "granulock/internal/trace"
@@ -91,75 +54,9 @@ func run(args []string, out *os.File) error {
 	trace := fs.Int("trace", 0, "print the first N transaction lifecycle events")
 	traceFile := fs.String("tracefile", "", "write the full event trace as JSON lines to this file")
 	quantiles := fs.Bool("quantiles", false, "also print response-time P50/P90/P99")
-	netWorkers := fs.Int("net", 0, "run the network lock-service harness with this many worker sessions instead of the simulation")
-	netTxns := fs.Int("nettxns", 1000, "transactions to run across the -net workers")
-	netLocksPer := fs.Int("netlocksper", 4, "maximum granules claimed per -net transaction")
-	netTimeout := fs.Duration("nettimeout", 200*time.Millisecond, "per-acquire wait deadline for -net transactions")
-	netFaults := fs.Bool("netfaults", false, "inject transport faults (drops, delays, partial writes) into the -net clients")
-	clusterNodes := fs.Int("cluster", 0, "run the -net harness against a partitioned cluster with this many nodes (0: single server)")
-	netKill := fs.Bool("netkill", true, "kill one cluster node a third of the way through a -cluster run")
-	engineMode := fs.Bool("engine", false, "run the executable engine (one closed workload) instead of the simulation; -ltot is the granule count, -ntrans the workers, -npros the nodes")
-	protocol := fs.String("protocol", "", "engine concurrency-control protocol (with -engine); \"list\" prints the registry")
-	engTxns := fs.Int("engtxns", 200, "transactions per worker for the -engine workload")
-	crashCycles := fs.Int("crash", 0, "run this many durable-engine kill-and-recover cycles instead of the simulation")
-	crashTxns := fs.Int("crashtxns", 30, "transfers per worker per -crash cycle")
-	crashDir := fs.String("crashdir", "", "WAL directory for -crash (empty: fresh temp dir, removed afterwards)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateProtocol(*protocol); err != nil {
-		return err
-	}
-
-	if *crashCycles > 0 {
-		return runCrashMode(crashConfig{
-			dbsize:   p.DBSize,
-			granules: p.Ltot,
-			nodes:    p.NPros,
-			workers:  4,
-			cycles:   *crashCycles,
-			txns:     *crashTxns,
-			protocol: *protocol,
-			dir:      *crashDir,
-			seed:     *seed,
-			asJSON:   *asJSON,
-		}, out)
-	}
-
-	if *engineMode {
-		return runEngineMode(engineConfig{
-			dbsize:   p.DBSize,
-			granules: p.Ltot,
-			nodes:    p.NPros,
-			workers:  p.NTrans,
-			txns:     *engTxns,
-			protocol: *protocol,
-			seed:     *seed,
-			asJSON:   *asJSON,
-		}, out)
-	}
-
-	if *netWorkers > 0 {
-		cfg := netConfig{
-			workers:  *netWorkers,
-			txns:     *netTxns,
-			ltot:     p.Ltot,
-			locksPer: *netLocksPer,
-			timeout:  *netTimeout,
-			faults:   *netFaults,
-			seed:     *seed,
-			asJSON:   *asJSON,
-		}
-		if *clusterNodes > 0 {
-			return runNetCluster(clusterNetConfig{
-				netConfig: cfg,
-				nodes:     *clusterNodes,
-				kill:      *netKill,
-			}, out)
-		}
-		return runNet(cfg, out)
-	}
-
 	p.Seed = *seed
 	var err error
 	if p.Placement, err = parsePlacement(*placement); err != nil {

@@ -92,38 +92,6 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunNetFaulty drives the network lock-service harness through the
-// fault-injecting transport and requires the drain invariant: zero
-// stranded granules. This is the ISSUE 3 acceptance scenario at test
-// scale (the full 1000-txn run is exercised by `make verify`).
-func TestRunNetFaulty(t *testing.T) {
-	out, err := capture(t, []string{"-net", "4", "-nettxns", "200", "-netfaults", "-ltot", "50"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "residual holders 0 (granules 0, waiters 0)") {
-		t.Fatalf("missing clean-drain line:\n%s", out)
-	}
-}
-
-// TestRunNetJSON checks the machine-readable summary.
-func TestRunNetJSON(t *testing.T) {
-	out, err := capture(t, []string{"-net", "2", "-nettxns", "50", "-json"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, `"residual_holders":0`) {
-		t.Fatalf("json output missing residual_holders: %s", out)
-	}
-}
-
-// TestRunNetValidation rejects nonsense harness parameters.
-func TestRunNetValidation(t *testing.T) {
-	if _, err := capture(t, []string{"-net", "2", "-netlocksper", "0"}); err == nil {
-		t.Error("locksper 0 accepted")
-	}
-}
-
 func TestRunMixAndMPL(t *testing.T) {
 	out, err := capture(t, []string{"-tmax", "200", "-mix", "-mpl", "3"})
 	if err != nil {
@@ -131,51 +99,5 @@ func TestRunMixAndMPL(t *testing.T) {
 	}
 	if !strings.Contains(out, "totcom") {
 		t.Fatalf("output: %s", out)
-	}
-}
-
-// TestRunCrash runs the durable-engine kill-and-recover harness: every
-// cycle must reopen to a balance-conserving state whatever the injected
-// power cut tore (this is the ISSUE crash-recovery acceptance scenario
-// at test scale; `make verify` runs it bigger and under -race).
-func TestRunCrash(t *testing.T) {
-	dir := t.TempDir()
-	out, err := capture(t, []string{
-		"-crash", "5", "-dbsize", "200", "-ltot", "20", "-npros", "2",
-		"-crashtxns", "20", "-crashdir", dir, "-seed", "3",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "consistent       true") {
-		t.Fatalf("missing consistency line:\n%s", out)
-	}
-	// The same directory reopens across cycles, so the log files must
-	// exist afterwards.
-	if _, err := os.Stat(filepath.Join(dir, "wal-0.log")); err != nil {
-		t.Fatalf("wal-0.log missing after crash run: %v", err)
-	}
-}
-
-// TestRunCrashJSON checks the machine-readable crash summary and that
-// mid-snapshot kills actually occur over enough seeds.
-func TestRunCrashJSON(t *testing.T) {
-	out, err := capture(t, []string{
-		"-crash", "4", "-dbsize", "120", "-ltot", "12", "-npros", "3",
-		"-crashtxns", "12", "-seed", "7", "-json",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, `"consistent":true`) {
-		t.Fatalf("json output missing consistent: %s", out)
-	}
-}
-
-// TestRunCrashValidation rejects a partition count beyond the WAL's
-// 64-partition commit-mask limit.
-func TestRunCrashValidation(t *testing.T) {
-	if _, err := capture(t, []string{"-crash", "1", "-npros", "65"}); err == nil {
-		t.Error("65 partitions accepted")
 	}
 }

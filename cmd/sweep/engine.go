@@ -12,15 +12,8 @@ import (
 	"granulock/internal/engine/cc"
 )
 
-// validateProtocol resolves -protocol against the cc registry; "list"
-// prints the registered names and exits.
+// validateProtocol resolves -protocol against the cc registry.
 func validateProtocol(name string) error {
-	if name == "list" {
-		for _, n := range cc.Names() {
-			fmt.Println(n)
-		}
-		os.Exit(0)
-	}
 	if name == "" {
 		return nil
 	}

@@ -17,10 +17,12 @@
 //
 // -metrics appends the run's metric registry — cell progress counters,
 // per-cell wall-time histogram, and the last cell's simulation gauges —
-// to stderr in Prometheus text format after the table.
+// to stderr in Prometheus text format after the table. It applies to
+// the simulation only and is rejected with -engine.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +31,7 @@ import (
 	"time"
 
 	"granulock"
+	"granulock/internal/engine/cc"
 	"granulock/internal/obs"
 )
 
@@ -58,12 +61,21 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *protocol == "list" {
+		for _, n := range cc.Names() {
+			fmt.Fprintln(out, n)
+		}
+		return nil
+	}
 	if err := validateProtocol(*protocol); err != nil {
 		return err
 	}
 	p.Seed = *seed
 
 	if *engineMode {
+		if *withMetrics {
+			return errors.New("-metrics reports the simulation's registry; it cannot be combined with -engine")
+		}
 		return runEngineSweep(p, *protocol, *param, *values, *metric, out)
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,10 +50,27 @@ func TestSweepValidation(t *testing.T) {
 		{"-metric", "bogus"},
 		{"-values", "not-a-number"},
 		{"-param", "ltot", "-values", "0", "-tmax", "100"}, // invalid model params
+		{"-protocol", "bogus"},
+		{"-engine", "-metrics", "-values", "1"}, // the engine fills no registry
 	}
 	for _, args := range bad {
 		if _, err := capture(t, args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestSweepProtocolList checks that -protocol list prints every
+// registered protocol and returns instead of sweeping.
+func TestSweepProtocolList(t *testing.T) {
+	out, err := capture(t, []string{"-protocol", "list"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Fields(out)
+	for _, want := range []string{"claim-as-needed", "conservative", "hierarchical", "optimistic", "wait-die", "wound-wait"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("protocol %q not listed in %q", want, out)
 		}
 	}
 }

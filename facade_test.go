@@ -144,3 +144,140 @@ func TestRunReplicationsOption(t *testing.T) {
 		t.Fatal("zero replications accepted")
 	}
 }
+
+func TestDefaultParamsValid(t *testing.T) {
+	p := granulock.DefaultParams()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("default params invalid: %v", err)
+	}
+	if p.DBSize != 5000 || p.NTrans != 10 || p.IOTime != 0.2 {
+		t.Fatalf("defaults drifted from Table 1: %+v", p)
+	}
+}
+
+func TestSimulateMatchesModel(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.TMax = 200
+	a, err := granulock.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := granulock.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("facade runs not deterministic")
+	}
+}
+
+// replicated runs p over reps seeds and returns the full summary.
+func replicated(p granulock.Params, reps int) (granulock.Replicated, error) {
+	var r granulock.Replicated
+	_, err := granulock.Run(p, granulock.WithReplications(reps), granulock.WithReplicatedSummary(&r))
+	return r, err
+}
+
+func TestSimulateReplicatedValidation(t *testing.T) {
+	p := granulock.DefaultParams()
+	if _, err := replicated(p, 0); err == nil {
+		t.Fatal("reps=0 accepted")
+	}
+	p.DBSize = 0
+	if _, err := replicated(p, 2); err == nil {
+		t.Fatal("invalid params accepted")
+	}
+}
+
+func TestSimulateReplicatedSummaries(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.TMax = 200
+	r, err := replicated(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Runs) != 4 {
+		t.Fatalf("%d runs", len(r.Runs))
+	}
+	if r.Throughput.N != 4 || r.Throughput.Mean <= 0 {
+		t.Fatalf("throughput summary %+v", r.Throughput)
+	}
+	if r.Throughput.CI95 <= 0 {
+		t.Fatalf("zero CI across distinct seeds: %+v", r.Throughput)
+	}
+	if r.MeanResponse.Mean <= 0 || r.LockOverhead.Mean <= 0 {
+		t.Fatal("summaries not populated")
+	}
+	// Replications must use distinct seeds.
+	if r.Runs[0] == r.Runs[1] {
+		t.Fatal("replications identical")
+	}
+}
+
+func TestSimulateReplicatedDeterministic(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.TMax = 200
+	a, err := replicated(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The interruptible path must produce the same ensemble.
+	var b granulock.Replicated
+	if _, err := granulock.Run(p, granulock.WithReplications(3), granulock.WithReplicatedSummary(&b),
+		granulock.WithContext(context.Background())); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Runs {
+		if a.Runs[i] != b.Runs[i] {
+			t.Fatalf("replication %d diverged", i)
+		}
+	}
+}
+
+func TestOptimalGranularity(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.TMax = 500
+	best, curve, err := granulock.OptimalGranularity(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) == 0 {
+		t.Fatal("empty curve")
+	}
+	// The paper's central observation: the optimum is neither one lock
+	// nor one lock per entity.
+	if best <= 1 || best >= p.DBSize {
+		t.Fatalf("optimal granularity %d at an extreme; curve %+v", best, curve)
+	}
+	// best must actually be the argmax of the curve.
+	bestThroughput := -1.0
+	for _, pt := range curve {
+		if pt.Ltot == best {
+			bestThroughput = pt.Throughput
+		}
+	}
+	for _, pt := range curve {
+		if pt.Throughput > bestThroughput {
+			t.Fatalf("curve point %+v beats reported optimum %d", pt, best)
+		}
+	}
+	// The context variant walks the same (cached) curve.
+	best2, curve2, err := granulock.OptimalGranularityContext(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best2 != best || len(curve2) != len(curve) {
+		t.Fatalf("context variant: best %d over %d points, want %d over %d", best2, len(curve2), best, len(curve))
+	}
+}
+
+func TestOptimalGranularityValidation(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.NTrans = 0
+	if _, _, err := granulock.OptimalGranularity(p); err == nil {
+		t.Fatal("invalid params accepted")
+	}
+	if _, _, err := granulock.OptimalGranularityContext(context.Background(), p); err == nil {
+		t.Fatal("invalid params accepted with a context")
+	}
+}

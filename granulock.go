@@ -33,9 +33,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
+	"sync"
 
 	"granulock/internal/analytic"
-	"granulock/internal/core"
 	"granulock/internal/experiments"
 	"granulock/internal/model"
 	"granulock/internal/obs"
@@ -83,13 +84,27 @@ type Figure = experiments.Figure
 type Options = experiments.Options
 
 // Replicated summarizes repeated runs of one configuration.
-type Replicated = core.Replicated
+type Replicated struct {
+	// Runs holds the per-replication metrics in seed order.
+	Runs []Metrics
+	// Throughput, MeanResponse, UsefulCPU, UsefulIO and LockOverhead
+	// summarize the headline outputs with 95% confidence half-widths.
+	Throughput   stats.Summary
+	MeanResponse stats.Summary
+	UsefulCPU    stats.Summary
+	UsefulIO     stats.Summary
+	LockOverhead stats.Summary
+}
 
 // PointSummary is one point of a granularity tuning curve.
-type PointSummary = core.PointSummary
+type PointSummary struct {
+	Ltot         int
+	Throughput   float64
+	MeanResponse float64
+}
 
 // DefaultParams returns the paper's Table 1 configuration.
-func DefaultParams() Params { return core.DefaultParams() }
+func DefaultParams() Params { return experiments.BaseParams() }
 
 // Registry is a metric registry: labeled families of counters, gauges
 // and histograms with Prometheus text-format exposition. Attach one to
@@ -187,7 +202,7 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 		if c.obs != nil {
 			return Metrics{}, errors.New("granulock: WithObserver is incompatible with WithReplications: an observer watches one run")
 		}
-		rep, err := core.SimulateReplicatedContext(c.ctx, p, c.reps)
+		rep, err := replicate(c.ctx, p, c.reps)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -212,7 +227,7 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	case obsv != nil:
 		m, err = model.RunObserved(p, obsv)
 	default:
-		m, err = core.Simulate(p)
+		m, err = model.Run(p)
 	}
 	if err != nil {
 		return Metrics{}, err
@@ -223,17 +238,93 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	return m, nil
 }
 
+// replicate runs reps >= 1 independent replications (seeds Seed,
+// Seed+1, ...) in parallel and summarizes them. A nil ctx runs the
+// plain uninterruptible path; completed summaries are identical
+// either way.
+func replicate(ctx context.Context, p Params, reps int) (Replicated, error) {
+	if err := p.Validate(); err != nil {
+		return Replicated{}, err
+	}
+	runs := make([]Metrics, reps)
+	errs := make([]error, reps)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range runs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			q := p
+			q.Seed = p.Seed + uint64(i)
+			if ctx == nil {
+				runs[i], errs[i] = model.Run(q)
+			} else {
+				runs[i], errs[i] = model.RunContext(ctx, q, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Replicated{}, err
+		}
+	}
+
+	var thr, resp, ucpu, uio, lock stats.Welford
+	for _, m := range runs {
+		thr.Add(m.Throughput)
+		resp.Add(m.MeanResponse)
+		ucpu.Add(m.UsefulCPUs)
+		uio.Add(m.UsefulIOs)
+		lock.Add(m.LockCPUs + m.LockIOs)
+	}
+	return Replicated{
+		Runs:         runs,
+		Throughput:   thr.Summarize(),
+		MeanResponse: resp.Summarize(),
+		UsefulCPU:    ucpu.Summarize(),
+		UsefulIO:     uio.Summarize(),
+		LockOverhead: lock.Summarize(),
+	}, nil
+}
+
 // OptimalGranularity sweeps the number of locks and returns the
 // throughput-maximizing value together with the whole curve.
 func OptimalGranularity(p Params) (best int, curve []PointSummary, err error) {
-	return core.OptimalGranularity(p)
+	return OptimalGranularityContext(nil, p)
 }
 
 // OptimalGranularityContext is OptimalGranularity bounded by a
 // context: cancellation is checked before each grid point and inside
 // in-flight simulations.
 func OptimalGranularityContext(ctx context.Context, p Params) (best int, curve []PointSummary, err error) {
-	return core.OptimalGranularityContext(ctx, p)
+	if err := p.Validate(); err != nil {
+		return 0, nil, err
+	}
+	grid := experiments.LtotSweep(p.DBSize)
+	curve = make([]PointSummary, len(grid))
+	bestThroughput := -1.0
+	for i, ltot := range grid {
+		if ctx != nil && ctx.Err() != nil {
+			return 0, nil, ctx.Err()
+		}
+		q := p
+		q.Ltot = ltot
+		// Cells are deduplicated with the figure sweeps: tuning after
+		// (or during) a figure run reuses every shared simulation.
+		m, err := experiments.CachedRunContext(ctx, q)
+		if err != nil {
+			return 0, nil, err
+		}
+		curve[i] = PointSummary{Ltot: ltot, Throughput: m.Throughput, MeanResponse: m.MeanResponse}
+		if m.Throughput > bestThroughput {
+			bestThroughput = m.Throughput
+			best = ltot
+		}
+	}
+	return best, curve, nil
 }
 
 // FigureIDs lists the reproducible figures ("fig2" .. "fig12") in paper

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"granulock/internal/engine/cc"
+	"granulock/internal/rng"
 	"granulock/internal/wal"
 )
 
@@ -307,38 +309,38 @@ func TestDurableCrashCutsAcrossSnapshotAndTailBoundary(t *testing.T) {
 	}
 }
 
+// powerCut is the in-process power cut of the durable fault tests: one
+// injector shared by every partition log and the snapshot writer lets
+// budget bytes through, tears the write that crosses zero (its
+// in-budget bytes still land) and fails everything after, syncs
+// included, so all logs and any in-flight snapshot die at one instant.
+func powerCut(budget int64) wal.FaultInjector {
+	var left atomic.Int64
+	left.Store(budget)
+	return func(op string, n int) (int, error) {
+		if op == "sync" {
+			if left.Load() <= 0 {
+				return 0, errors.New("power lost")
+			}
+			return 0, nil
+		}
+		got := left.Add(int64(-n))
+		if got < 0 {
+			return int(max(got+int64(n), 0)), errors.New("power lost")
+		}
+		return n, nil
+	}
+}
+
 func TestDurableFaultInjectionConservesBalance(t *testing.T) {
-	// The in-process "power cut": a shared injector lets a random
-	// number of bytes through, allows one final torn write, then fails
-	// everything — all partition logs and any in-flight snapshot die at
-	// the same moment. Reopening without the injector must always
-	// recover a balance-conserving state.
+	// Reopening after a power cut at any byte budget must always recover
+	// a balance-conserving state.
 	const dbsize = 40
 	for budget := int64(0); budget < 4000; budget += 211 {
-		var left atomic.Int64
-		left.Store(budget)
-		inject := wal.FaultInjector(func(op string, n int) (int, error) {
-			if op == "sync" {
-				if left.Load() <= 0 {
-					return 0, errors.New("power lost")
-				}
-				return 0, nil
-			}
-			got := left.Add(int64(-n))
-			if got < 0 {
-				allow := got + int64(n)
-				if allow < 0 {
-					allow = 0
-				}
-				return int(allow), errors.New("power lost")
-			}
-			return n, nil
-		})
-
 		dir := t.TempDir()
 		db, _, err := OpenDurable(dir, dbsize,
 			WithNodes(2), WithGranules(4), WithInitialValue(100),
-			WithWALOptions(wal.WithPreallocate(0), wal.WithFaultInjector(inject)))
+			WithWALOptions(wal.WithPreallocate(0), wal.WithFaultInjector(powerCut(budget))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,6 +373,133 @@ func TestDurableFaultInjectionConservesBalance(t *testing.T) {
 		}
 		db2.Close()
 	}
+}
+
+// TestDurablePowerCutCycles kills a durable engine again and again over
+// one reused WAL directory. Each cycle reopens the directory behind a
+// power cut with a random byte budget, sometimes arms a checkpoint
+// failpoint at one of the snapshot-install stages, and streams
+// transfers from concurrent workers with a checkpoint halfway; the
+// first error anywhere is the crash, and the cycle abandons the engine
+// as a killed process would. After every cycle the directory must
+// reopen without the injector and conserve the total balance, whatever
+// the crash tore. Across the seeds at least one cycle must die at a
+// failpoint and one before it acknowledged anything, so the test cannot
+// pass without exercising both ends of a cycle.
+func TestDurablePowerCutCycles(t *testing.T) {
+	const (
+		dbsize   = 300
+		granules = 30
+		nodes    = 3
+		workers  = 4
+		cycles   = 6
+		txns     = 20 // transfers per worker per cycle
+	)
+	open := func(dir string, walOpts ...wal.LogOption) (*DB, error) {
+		db, _, err := OpenDurable(dir, dbsize,
+			WithNodes(nodes), WithGranules(granules), WithInitialValue(100),
+			WithWALOptions(append(walOpts, wal.WithPreallocate(0))...))
+		return db, err
+	}
+	// The budget ceiling is about twice one cycle's write volume (its
+	// records plus one snapshot), so cuts land early, mid-traffic and
+	// mid-snapshot, and some cycles survive untouched.
+	estimate := workers*txns*(4+nodes)*wal.RecordSize + dbsize*16 + 4096
+	stages := []string{"snapshot-tmp", "snapshot-installed", "truncate-0"}
+
+	var failpointKills, unackedCuts int
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		dir := t.TempDir()
+		src := rng.New(seed)
+		for cycle := 0; cycle < cycles; cycle++ {
+			budget := int64(src.Intn(2 * estimate))
+			if src.Intn(6) == 0 {
+				// Cut inside the first record the reopened engine
+				// writes: OpenDurable itself writes nothing.
+				budget = int64(src.Intn(wal.RecordSize))
+			}
+			stage := ""
+			if src.Intn(3) == 0 {
+				stage = stages[src.Intn(len(stages))]
+			}
+			var acked int64
+			if db, err := open(dir, wal.WithFaultInjector(powerCut(budget))); err == nil {
+				var killed atomic.Bool
+				if stage != "" {
+					db.WALDir().SetFailpoint(func(s string) error {
+						if s != stage {
+							return nil
+						}
+						killed.Store(true)
+						return errors.New("failpoint: killed at " + s)
+					})
+				}
+				acked = powerCutTraffic(db, src, workers, txns/2)
+				if killed.Load() {
+					failpointKills++
+				}
+				db.Close() // a poisoned close only reports the poison
+			}
+			if acked == 0 {
+				unackedCuts++
+			}
+
+			db, err := open(dir)
+			if err != nil {
+				t.Fatalf("seed %d cycle %d (budget %d, failpoint %q): recovery: %v", seed, cycle, budget, stage, err)
+			}
+			got := db.TotalBalance()
+			db.Close()
+			if want := int64(dbsize * 100); got != want {
+				t.Fatalf("seed %d cycle %d (budget %d, failpoint %q): recovered balance %d, want %d",
+					seed, cycle, budget, stage, got, want)
+			}
+		}
+	}
+	t.Logf("%d failpoint kills, %d cuts before the first acknowledged commit", failpointKills, unackedCuts)
+	if failpointKills == 0 || unackedCuts == 0 {
+		t.Fatalf("%d failpoint kills and %d cuts before the first acknowledged commit across the seeds: want at least one of each",
+			failpointKills, unackedCuts)
+	}
+}
+
+// powerCutTraffic streams two halves of txns transfers per worker into
+// db, with a checkpoint between them, until the first error: the
+// crash, after which nothing touches db but Close. It returns the
+// number of transfers acknowledged.
+func powerCutTraffic(db *DB, src *rng.Source, workers, txns int) int64 {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var acked atomic.Int64
+	var crashed atomic.Bool
+	half := func(h int) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			r := src.Stream(uint64(2*w + h + 1))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < txns && !crashed.Load(); i++ {
+					from, to := r.Intn(db.cfg.DBSize), r.Intn(db.cfg.DBSize-1)
+					if to >= from {
+						to++
+					}
+					if _, err := db.Execute(ctx, Transfer(from, to, int64(1+r.Intn(5)))); err != nil {
+						crashed.Store(true)
+						cancel()
+						return
+					}
+					acked.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	half(0)
+	if !crashed.Load() && db.Checkpoint(ctx) == nil {
+		half(1)
+	}
+	return acked.Load()
 }
 
 func TestPersistFailurePropagatesToExecute(t *testing.T) {

@@ -90,9 +90,9 @@ func TestWALCrashRecoveryConservesBalance(t *testing.T) {
 	// covers record boundaries and mid-record tears alike. One node, so
 	// one log: after-image redo conserves the total only over a prefix in
 	// commit time, which every byte prefix of a single log is and one log
-	// of several cut alone is not (the shared-injector power cut in
-	// TestDurableFaultInjectionConservesBalance and `locksim -crash` cut
-	// all logs at one instant).
+	// of several cut alone is not (the shared-injector power cuts of
+	// TestDurableFaultInjectionConservesBalance and
+	// TestDurablePowerCutCycles cut all logs at one instant).
 	w := Workload{Workers: 4, TxnsPerWorker: 50, TransfersPerTxn: 2, Seed: 6}
 	forEachTailCut(t, 1, w, 97, func(_, cut int, _ bool, db *DB, _ wal.SetRecoverStats) {
 		if got, want := db.TotalBalance(), int64(walDBSize*walInitial); got != want {

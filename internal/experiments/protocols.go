@@ -31,7 +31,10 @@ type protoConfig struct {
 	workload engine.Workload
 }
 
-// runEngineCell executes one cell and maps the result into Metrics.
+// runEngineCell executes one cell and maps the result into Metrics. A
+// cell whose run moved the total balance is an error: every figure
+// built on the engine measures only executions that kept the
+// bank-transfer invariant.
 func runEngineCell(ctx context.Context, pc protoConfig) (model.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -44,9 +47,14 @@ func runEngineCell(ctx context.Context, pc protoConfig) (model.Metrics, error) {
 	if err != nil {
 		return model.Metrics{}, err
 	}
+	before := db.TotalBalance()
 	res, err := db.RunClosed(ctx, pc.workload)
 	if err != nil {
 		return model.Metrics{}, err
+	}
+	if after := db.TotalBalance(); after != before {
+		return model.Metrics{}, fmt.Errorf("balance moved from %d to %d under %s (dbsize %d, granules %d)",
+			before, after, pc.protocol, pc.dbSize, pc.granules)
 	}
 	s := db.Stats()
 	var m model.Metrics
@@ -235,4 +243,3 @@ func ExtProtoMPL(o Options) (Figure, error) {
 		},
 	}, nil
 }
-

@@ -13,9 +13,10 @@ import (
 // protocol commits every transaction (throughput > 0 everywhere), and
 // the cross-validation panel agrees on the trend — blocking falls from
 // the coarsest to the finest granularity for both the engine and the
-// simulator.
+// simulator. Every cell also checks that its run conserved the total
+// balance (runEngineCell).
 func TestProtoGranularityFigure(t *testing.T) {
-	f, err := Run("ext-proto-granularity", Options{TMax: 300, Seed: 5})
+	f, err := Run("ext-proto-granularity", Options{TMax: 300, Seed: 5, Replications: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,5 +94,14 @@ func TestProtoFigureIDsRegistered(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("%s not in ExtIDs", want)
 		}
+	}
+}
+
+// TestProtoMPLFigure runs the one engine-backed figure the tests above
+// do not. Like theirs, each of its cells checks the bank-transfer
+// invariant and fails the figure with an error naming the protocol.
+func TestProtoMPLFigure(t *testing.T) {
+	if _, err := Run("ext-proto-mpl", Options{Replications: 1, Seed: 3}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,14 +20,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the four checked-in BENCH_*.json reports at full
+# bench regenerates the three checked-in BENCH_*.json reports at full
 # fidelity (one schema, DESIGN.md §1.1); run it on an otherwise idle
 # machine. A suite whose acceptance floor is missed still writes its
 # report: `-compare` in verify-smoke is what enforces the floors. What
-# cmd/bench no longer measures — engine, WAL commit and lock-service
-# throughput — is benchmark/'s (`bash benchmark/run.sh --workload ...`).
+# cmd/bench does not measure — the simulator, engine, WAL commit and
+# lock-service throughput — is benchmark/'s (`bash benchmark/run.sh
+# --workload ...`); the package benchmarks time the simulator's event
+# loop and figure sweeps (`go test -run '^$$' -bench . ./...`).
 bench:
-	$(GO) run ./cmd/bench -suite model
 	$(GO) run ./cmd/bench -suite lockmgr
 	$(GO) run ./cmd/bench -suite cluster
 	$(GO) run ./cmd/bench -suite recovery
@@ -90,6 +91,8 @@ verify-test:
 	cd benchmark && $(GO) test -short -count=5 -run 'TestSmoke/engine-(fine|coarse)$$' ./...
 # lockd admin endpoint: real lock traffic scraped through /metrics; lockd over its file-backed grant journal under contending clients
 	$(GO) test -race -count=2 -run 'TestAdmin|TestJournal' ./cmd/lockd/
+# every package benchmark once, so none of them rots unrun (the simulator's event-loop and figure benchmarks are the only timing of that code outside benchmark/)
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 verify-fuzz:
 # 10 s each: the two parsers that face the network (frame reader, request-body dispatch)
@@ -107,7 +110,6 @@ verify-smoke:
 # quick cmd/bench runs into /tmp (the checked-in reports are full-fidelity only, via `make bench`);
 # -compare fails on a missed floor (lockmgr batch economy + zero-allocation budget, cluster 1.8x, recovery 2x)
 # or a same-run ratio more than 25% under the checked-in one
-	$(GO) run ./cmd/bench -suite model -quick -out /tmp/BENCH_model.quick.json
 	$(GO) run ./cmd/bench -suite lockmgr -quick -out /tmp/BENCH_lockmgr.quick.json -compare BENCH_lockmgr.json
 	$(GO) run ./cmd/bench -suite cluster -quick -out /tmp/BENCH_cluster.quick.json -compare BENCH_cluster.json
 	$(GO) run ./cmd/bench -suite recovery -quick -out /tmp/BENCH_recovery.quick.json -compare BENCH_recovery.json

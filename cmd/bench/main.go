@@ -1,19 +1,16 @@
 // Command bench regenerates the repository's micro-benchmark reports:
 // the quantities the gated end-to-end harness in benchmark/ does not
 // measure, each suite a set of same-run ratios with acceptance floors.
-// It has four suites, one report schema (DESIGN.md §1.1):
+// It has three suites, one report schema (DESIGN.md §1.1):
 //
-//	go run ./cmd/bench -suite model    -out BENCH_model.json
 //	go run ./cmd/bench -suite lockmgr  -out BENCH_lockmgr.json
 //	go run ./cmd/bench -suite cluster  -out BENCH_cluster.json
 //	go run ./cmd/bench -suite recovery -out BENCH_recovery.json
 //
-// The model suite measures the simulation engine and two representative
-// figure sweeps against the recorded seed engine (model.go). The lockmgr
-// suite measures the in-process lock table's claim and release cycles,
-// uncontended and contended (lockmgr.go). The cluster suite measures the
-// partitioned lock cluster's 1/2/4-node scaling curve over a fixed-RTT
-// transport (cluster.go). The recovery suite measures snapshot-bounded
+// The lockmgr suite measures the in-process lock table's claim and
+// release cycles, uncontended and contended (lockmgr.go). The cluster
+// suite measures the partitioned lock cluster's 1/2/4-node scaling
+// curve over a fixed-RTT transport (cluster.go). The recovery suite measures snapshot-bounded
 // vs full-history reopen of a durable engine on real file-backed logs
 // (recovery.go).
 //
@@ -21,7 +18,10 @@
 // and syncs per commit, and lock-service throughput over loopback are
 // benchmark/'s: cc.proto.*, engine.sweep.*, wal.commit_us_*,
 // wal.syncs_per_commit, the locksrv-spread and locksrv-hot workloads and
-// locksrv.batch.tput_ops_s (benchmark/README.md).
+// locksrv.batch.tput_ops_s (benchmark/README.md). So is the simulator:
+// the sim-fig2 workload's sim.events_per_s, model.cell_ms_p50 and
+// model.allocs_per_cell, beside internal/sim's BenchmarkEngineChurn and
+// BenchmarkEngineCancelChurn and the root package's BenchmarkFigure*.
 //
 // The -quick flag shortens the workloads for CI smoke runs; -compare
 // OLD.json re-reads a previous report and exits nonzero if any
@@ -34,6 +34,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -42,14 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// baseline holds the pre-change numbers a benchmark is compared against.
-type baseline struct {
-	NsPerOp      float64 `json:"ns_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-}
 
 // entry is one benchmark's record. Every suite writes this one type; a
 // field a suite does not measure is left zero and omitted, so an absent
@@ -69,26 +62,6 @@ type entry struct {
 	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-
-	// The model suite counts simulator events, not operations.
-	EventsPerOp  float64 `json:"events_per_op,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// Baseline is the same benchmark measured on the pre-optimization
-	// engine (commit 193eeab, interface-heap + per-event allocation),
-	// kept in-file so every future report carries its own yardstick.
-	Baseline *baseline `json:"baseline,omitempty"`
-	// SpeedupEventsPerSec is events_per_sec / baseline events_per_sec.
-	SpeedupEventsPerSec float64 `json:"speedup_events_per_sec,omitempty"`
-	// AllocsReduction is 1 - allocs_per_op / baseline allocs_per_op.
-	AllocsReduction float64 `json:"allocs_reduction,omitempty"`
-}
-
-// throughput is whichever rate the entry's suite records.
-func (e entry) throughput() float64 {
-	if e.OpsPerSec > 0 {
-		return e.OpsPerSec
-	}
-	return e.EventsPerSec
 }
 
 // comparison is a ratio between two entries of one run: scale times the
@@ -143,8 +116,8 @@ func (r *report) add(name string, run func() (entry, error)) error {
 func (r *report) compare(name, num, den string, scale, target float64) error {
 	find := func(n string) (float64, error) {
 		for _, e := range r.Benchmarks {
-			if e.Name == n && e.throughput() > 0 {
-				return e.throughput(), nil
+			if e.Name == n && e.OpsPerSec > 0 {
+				return e.OpsPerSec, nil
 			}
 		}
 		return 0, fmt.Errorf("comparison %s: no throughput recorded for %q", name, n)
@@ -169,12 +142,9 @@ func (r *report) compare(name, num, den string, scale, target float64) error {
 // print writes the human-readable table of the report to stdout.
 func (r *report) print() {
 	for _, e := range r.Benchmarks {
-		fmt.Printf("%-36s %14.1f ns/op %14.0f /sec", e.Name, e.NsPerOp, e.throughput())
+		fmt.Printf("%-36s %14.1f ns/op %14.0f /sec", e.Name, e.NsPerOp, e.OpsPerSec)
 		if e.AllocsPerOp > 0 {
 			fmt.Printf(" %10.0f allocs/op", e.AllocsPerOp)
-		}
-		if e.Baseline != nil {
-			fmt.Printf("  (%.2fx events/sec, %.0f%% fewer allocs vs baseline)", e.SpeedupEventsPerSec, e.AllocsReduction*100)
 		}
 		fmt.Println()
 	}
@@ -192,7 +162,6 @@ func (r *report) print() {
 
 // suites maps each -suite name to the function that fills its report.
 var suites = map[string]func(*report) error{
-	"model":    runModel,
 	"lockmgr":  runLockmgr,
 	"cluster":  runCluster,
 	"recovery": runRecovery,
@@ -202,7 +171,7 @@ var suites = map[string]func(*report) error{
 var txnSeq atomic.Int64
 
 func main() {
-	suite := flag.String("suite", "model", "benchmark suite: model, lockmgr, cluster or recovery")
+	suite := flag.String("suite", "", "benchmark suite (required): lockmgr, cluster or recovery")
 	out := flag.String("out", "", "output path (default BENCH_<suite>.json)")
 	quick := flag.Bool("quick", false, "shorten workloads for CI smoke runs")
 	compare := flag.String("compare", "", "previous report to diff against; exit nonzero on >10% throughput regression")
@@ -215,9 +184,12 @@ func main() {
 }
 
 func run(suite, out string, quick bool, compare, cpuprofile string) error {
+	if suite == "" {
+		return errors.New("-suite is required: lockmgr, cluster or recovery")
+	}
 	fill, ok := suites[suite]
 	if !ok {
-		return fmt.Errorf("unknown suite %q (want model, lockmgr, cluster or recovery)", suite)
+		return fmt.Errorf("unknown suite %q (want lockmgr, cluster or recovery)", suite)
 	}
 	if out == "" {
 		out = "BENCH_" + suite + ".json"
@@ -283,12 +255,12 @@ func compareReports(oldRep, newRep *report, oldPath string) error {
 	}
 	newBy := make(map[string]float64, len(newRep.Benchmarks))
 	for _, b := range newRep.Benchmarks {
-		newBy[b.Name] = b.throughput()
+		newBy[b.Name] = b.OpsPerSec
 	}
 	const tolerance = 0.10
 	var regressed []string
 	for _, old := range oldRep.Benchmarks {
-		was := old.throughput()
+		was := old.OpsPerSec
 		now, ok := newBy[old.Name]
 		if !ok {
 			fmt.Printf("compare: %-46s only in %s\n", old.Name, oldPath)

@@ -23,7 +23,7 @@ func TestCompareReports(t *testing.T) {
 	full := rep(false,
 		comparison{Name: "headline", Speedup: 4, Target: 2},
 		comparison{Name: "ungated", Speedup: 10})
-	full.Benchmarks = []entry{{Name: "a", OpsPerSec: 1000}, {Name: "model", EventsPerSec: 1000}}
+	full.Benchmarks = []entry{{Name: "a", OpsPerSec: 1000}, {Name: "b", OpsPerSec: 1000}}
 
 	cases := []struct {
 		name     string
@@ -47,10 +47,10 @@ func TestCompareReports(t *testing.T) {
 			&report{Quick: true, Benchmarks: []entry{{Name: "a", OpsPerSec: 1}},
 				Comparisons: rep(true, comparison{Name: "headline", Speedup: 4, Target: 2}).Comparisons}, ""},
 		{"same fidelity compares throughput", full,
-			&report{Benchmarks: []entry{{Name: "a", OpsPerSec: 950}, {Name: "model", EventsPerSec: 910}, {Name: "only here", OpsPerSec: 1}}}, ""},
+			&report{Benchmarks: []entry{{Name: "a", OpsPerSec: 950}, {Name: "b", OpsPerSec: 910}, {Name: "only here", OpsPerSec: 1}}}, ""},
 		{"throughput drop over 10% fails", full,
-			&report{Benchmarks: []entry{{Name: "a", OpsPerSec: 1000}, {Name: "model", EventsPerSec: 890}}},
-			"[model]"},
+			&report{Benchmarks: []entry{{Name: "a", OpsPerSec: 1000}, {Name: "b", OpsPerSec: 890}}},
+			"[b]"},
 		{"same fidelity still enforces targets", full,
 			rep(false, comparison{Name: "headline", Speedup: 1.5, Target: 2}),
 			"below their acceptance target"},
@@ -99,6 +99,14 @@ func TestReportCompare(t *testing.T) {
 	}
 }
 
+func TestSuiteRequired(t *testing.T) {
+	for _, suite := range []string{"", "model"} {
+		if err := run(suite, filepath.Join(t.TempDir(), "BENCH.json"), true, "", ""); err == nil {
+			t.Errorf("-suite %q accepted", suite)
+		}
+	}
+}
+
 // Every kept suite writes the one report type: the file a -quick run of
 // each leaves behind must decode as a report with no field left over.
 // Floors are not asserted here — that is -compare's job in `make verify`,
@@ -128,7 +136,7 @@ func TestQuickSuitesShareOneSchema(t *testing.T) {
 				t.Fatalf("quick=%v gomaxprocs=%d with %d benchmarks", got.Quick, got.GOMAXPROCS, len(got.Benchmarks))
 			}
 			for _, e := range got.Benchmarks {
-				if e.Name == "" || e.NsPerOp <= 0 || e.throughput() <= 0 {
+				if e.Name == "" || e.NsPerOp <= 0 || e.OpsPerSec <= 0 {
 					t.Errorf("entry %+v lacks a name, a time or a throughput", e)
 				}
 			}

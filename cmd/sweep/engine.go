@@ -72,9 +72,6 @@ func runEngineSweep(p granulock.Params, protocol, param, values, metric string, 
 		}
 		c := base
 		set(&c, v)
-		if c.granules > p.DBSize {
-			c.granules = p.DBSize
-		}
 		db, err := engine.Open(p.DBSize,
 			engine.WithNodes(c.nodes),
 			engine.WithGranules(c.granules),

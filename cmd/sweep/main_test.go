@@ -52,6 +52,7 @@ func TestSweepValidation(t *testing.T) {
 		{"-param", "ltot", "-values", "0", "-tmax", "100"}, // invalid model params
 		{"-protocol", "bogus"},
 		{"-engine", "-metrics", "-values", "1"}, // the engine fills no registry
+		{"-engine", "-param", "ltot", "-values", "10,2000", "-dbsize", "1000"}, // more granules than entities
 	}
 	for _, args := range bad {
 		if _, err := capture(t, args); err == nil {

@@ -97,8 +97,15 @@ func TestRunContextCancellation(t *testing.T) {
 	if _, _, err := granulock.OptimalGranularityContext(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled tuning returned %v, want context.Canceled", err)
 	}
-	if _, err := granulock.RunFigure("fig7", granulock.Options{TMax: 150, Context: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled figure returned %v, want context.Canceled", err)
+	if _, err := granulock.Run(p, granulock.WithContext(ctx), granulock.WithReplications(2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replicated run returned %v, want context.Canceled", err)
+	}
+	// A sweep figure and the two extensions that run one observed cell
+	// at a time.
+	for _, id := range []string{"fig7", "ext-responsetail", "ext-mixclass"} {
+		if _, err := granulock.RunFigure(id, granulock.Options{TMax: 150, Context: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled %s returned %v, want context.Canceled", id, err)
+		}
 	}
 }
 

@@ -33,8 +33,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"runtime"
-	"sync"
 
 	"granulock/internal/analytic"
 	"granulock/internal/experiments"
@@ -80,7 +78,7 @@ const (
 type Figure = experiments.Figure
 
 // Options control experiment execution (horizon, seed, replications,
-// parallelism).
+// cancellation, progress metrics).
 type Options = experiments.Options
 
 // Replicated summarizes repeated runs of one configuration.
@@ -219,16 +217,7 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	if c.reg != nil {
 		obsv = model.Tee(c.obs, model.NewMetricsObserver(c.reg))
 	}
-	var m Metrics
-	var err error
-	switch {
-	case c.ctx != nil:
-		m, err = model.RunContext(c.ctx, p, obsv)
-	case obsv != nil:
-		m, err = model.RunObserved(p, obsv)
-	default:
-		m, err = model.Run(p)
-	}
+	m, err := model.RunContext(c.ctx, p, obsv)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -239,37 +228,19 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 }
 
 // replicate runs reps >= 1 independent replications (seeds Seed,
-// Seed+1, ...) in parallel and summarizes them. A nil ctx runs the
-// plain uninterruptible path; completed summaries are identical
-// either way.
+// Seed+1, ...) in parallel and summarizes them.
 func replicate(ctx context.Context, p Params, reps int) (Replicated, error) {
 	if err := p.Validate(); err != nil {
 		return Replicated{}, err
 	}
-	runs := make([]Metrics, reps)
-	errs := make([]error, reps)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range runs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			q := p
-			q.Seed = p.Seed + uint64(i)
-			if ctx == nil {
-				runs[i], errs[i] = model.Run(q)
-			} else {
-				runs[i], errs[i] = model.RunContext(ctx, q, nil)
-			}
-		}()
+	cells := make([]Params, reps)
+	for i := range cells {
+		cells[i] = p
+		cells[i].Seed = p.Seed + uint64(i)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Replicated{}, err
-		}
+	runs, err := experiments.RunCells(Options{Context: ctx}, cells)
+	if err != nil {
+		return Replicated{}, err
 	}
 
 	var thr, resp, ucpu, uio, lock stats.Welford
@@ -293,35 +264,35 @@ func replicate(ctx context.Context, p Params, reps int) (Replicated, error) {
 // OptimalGranularity sweeps the number of locks and returns the
 // throughput-maximizing value together with the whole curve.
 func OptimalGranularity(p Params) (best int, curve []PointSummary, err error) {
-	return OptimalGranularityContext(nil, p)
+	return OptimalGranularityContext(context.Background(), p)
 }
 
 // OptimalGranularityContext is OptimalGranularity bounded by a
-// context: cancellation is checked before each grid point and inside
-// in-flight simulations.
+// context: cancellation is checked before each grid point starts and
+// inside in-flight simulations.
 func OptimalGranularityContext(ctx context.Context, p Params) (best int, curve []PointSummary, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, nil, err
 	}
 	grid := experiments.LtotSweep(p.DBSize)
+	cells := make([]Params, len(grid))
+	for i, ltot := range grid {
+		cells[i] = p
+		cells[i].Ltot = ltot
+	}
+	// Cells are deduplicated with the figure sweeps: tuning after (or
+	// during) a figure run reuses every shared simulation.
+	ms, err := experiments.RunCells(Options{Context: ctx}, cells)
+	if err != nil {
+		return 0, nil, err
+	}
 	curve = make([]PointSummary, len(grid))
 	bestThroughput := -1.0
-	for i, ltot := range grid {
-		if ctx != nil && ctx.Err() != nil {
-			return 0, nil, ctx.Err()
-		}
-		q := p
-		q.Ltot = ltot
-		// Cells are deduplicated with the figure sweeps: tuning after
-		// (or during) a figure run reuses every shared simulation.
-		m, err := experiments.CachedRunContext(ctx, q)
-		if err != nil {
-			return 0, nil, err
-		}
-		curve[i] = PointSummary{Ltot: ltot, Throughput: m.Throughput, MeanResponse: m.MeanResponse}
+	for i, m := range ms {
+		curve[i] = PointSummary{Ltot: grid[i], Throughput: m.Throughput, MeanResponse: m.MeanResponse}
 		if m.Throughput > bestThroughput {
 			bestThroughput = m.Throughput
-			best = ltot
+			best = grid[i]
 		}
 	}
 	return best, curve, nil

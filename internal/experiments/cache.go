@@ -36,29 +36,24 @@ func cellKey(p model.Params) (string, bool) {
 	return fmt.Sprintf("%#v", p), true
 }
 
-// CachedRun is model.Run deduplicated across sweeps: identical parameter
-// cells (ignoring none of Params' fields) are simulated once and served
-// from memory afterwards. Concurrent callers may race to compute the
-// same cell; both compute the identical Metrics, so either store wins.
-func CachedRun(p model.Params) (model.Metrics, error) {
-	return CachedRunContext(nil, p)
-}
-
-// CachedRunContext is CachedRun with cooperative cancellation: a
-// non-nil ctx aborts an in-flight simulation at its next cancellation
-// check and the call fails with the context's error (nothing is
-// cached). A nil ctx runs the plain uninterruptible path, which is
-// also the cheapest. Cached results are identical either way — the
-// cancellation checks do not perturb the event order.
+// CachedRunContext is model.RunContext deduplicated across sweeps:
+// identical parameter cells (ignoring none of Params' fields) are
+// simulated once and served from memory afterwards. Concurrent callers
+// may race to compute the same cell; both compute the identical
+// Metrics, so either store wins. ctx cancels an in-flight simulation at
+// its next cancellation check and the call fails with the context's
+// error (nothing is cached); a nil ctx never cancels. Cached results
+// do not depend on ctx — the cancellation checks do not perturb the
+// event order.
 func CachedRunContext(ctx context.Context, p model.Params) (model.Metrics, error) {
 	key, ok := cellKey(p)
 	if !ok {
-		return runMaybeCtx(ctx, p)
+		return model.RunContext(ctx, p, nil)
 	}
 	if v, ok := cellCache.Load(key); ok {
 		return v.(model.Metrics), nil
 	}
-	m, err := runMaybeCtx(ctx, p)
+	m, err := model.RunContext(ctx, p, nil)
 	if err != nil {
 		return m, err
 	}
@@ -76,13 +71,4 @@ func CachedRunContext(ctx context.Context, p model.Params) (model.Metrics, error
 		cellCacheLen.Add(-1)
 	}
 	return m, nil
-}
-
-// runMaybeCtx dispatches to the interruptible run only when a context
-// is present, keeping the common path free of per-chunk checks.
-func runMaybeCtx(ctx context.Context, p model.Params) (model.Metrics, error) {
-	if ctx == nil {
-		return model.Run(p)
-	}
-	return model.RunContext(ctx, p, nil)
 }

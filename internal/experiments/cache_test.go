@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,11 +19,11 @@ func TestCachedRunMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := CachedRun(p)
+	cold, err := CachedRunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := CachedRun(p)
+	warm, err := CachedRunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func TestCachedRunMatchesRun(t *testing.T) {
 func TestCachedRunKeysDistinguishParams(t *testing.T) {
 	p := BaseParams()
 	p.TMax = 50
-	a, err := CachedRun(p)
+	a, err := CachedRunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := p
 	q.Seed = p.Seed + 1
-	b, err := CachedRun(q)
+	b, err := CachedRunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCellCacheCapHoldsUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Mirror CachedRun's insert path with distinct synthetic keys.
+			// Mirror CachedRunContext's insert path with distinct synthetic keys.
 			key := fmt.Sprintf("cap-%d", w)
 			if cellCacheLen.Add(1) > cellCacheSize {
 				cellCacheLen.Add(-1)
@@ -113,7 +114,7 @@ func TestCachedRunSkipsStatefulSchedulers(t *testing.T) {
 	if _, ok := cellKey(p); ok {
 		t.Fatal("scheduler cell was deemed cacheable")
 	}
-	m1, err := CachedRun(p)
+	m1, err := CachedRunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,6 @@ type Options struct {
 	Seed uint64
 	// Replications averages each point over this many seeds (min 1).
 	Replications int
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// Context, when non-nil, cancels the sweep: cells not yet started
 	// are skipped and in-flight simulations abort at the next
 	// cancellation check (a few thousand events). The sweep then fails
@@ -81,9 +79,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.Replications < 1 {
 		o.Replications = 1
-	}
-	if o.Parallelism < 1 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -137,17 +132,16 @@ type Figure struct {
 type cell struct {
 	series int
 	point  int
-	rep    int
-	params model.Params
 }
 
 // sweep runs a grid: one Series per label, one Point per x value, with
-// mkParams producing the configuration for (series, point). Runs execute
-// on a bounded worker pool; results are deterministic because each cell
-// derives its seed from Options.Seed and the replication index only.
+// mkParams producing the configuration for (series, point) and each
+// point averaged over o.Replications seeds. The cells run through
+// RunCells.
 func sweep(o Options, labels []string, xs []float64, mkParams func(series, point int) model.Params) ([]Series, error) {
 	o = o.normalize()
 	var cells []cell
+	var params []model.Params
 	for si := range labels {
 		for pi := range xs {
 			for r := 0; r < o.Replications; r++ {
@@ -159,69 +153,76 @@ func sweep(o Options, labels []string, xs []float64, mkParams func(series, point
 				if err := p.Validate(); err != nil {
 					return nil, fmt.Errorf("experiments: series %q x=%v: %w", labels[si], xs[pi], err)
 				}
-				cells = append(cells, cell{series: si, point: pi, rep: r, params: p})
+				cells = append(cells, cell{series: si, point: pi})
+				params = append(params, p)
 			}
 		}
 	}
-
-	sm := newSweepMetrics(o)
-	sm.cellsTotal(int64(len(cells)))
-
-	type result struct {
-		cell cell
-		m    model.Metrics
-		err  error
+	ms, err := RunCells(o, params)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]result, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	for i, c := range cells {
-		i, c := i, c
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if o.Context != nil && o.Context.Err() != nil {
-				results[i] = result{cell: c, err: o.Context.Err()}
-				return
-			}
-			start := time.Time{}
-			if sm != nil {
-				start = time.Now()
-			}
-			m, err := CachedRunContext(o.Context, c.params)
-			if sm != nil && err == nil {
-				sm.cellDone(time.Since(start))
-			}
-			results[i] = result{cell: c, m: m, err: err}
-		}()
-	}
-	wg.Wait()
 
 	// Group replications per (series, point) and average.
-	type key struct{ si, pi int }
-	grouped := make(map[key][]model.Metrics)
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		k := key{r.cell.series, r.cell.point}
-		grouped[k] = append(grouped[k], r.m)
+	grouped := make(map[cell][]model.Metrics)
+	for i, c := range cells {
+		grouped[c] = append(grouped[c], ms[i])
 	}
 
 	series := make([]Series, len(labels))
 	for si, label := range labels {
 		pts := make([]Point, len(xs))
 		for pi, x := range xs {
-			ms := grouped[key{si, pi}]
-			avg, ci := Average(ms)
+			avg, ci := Average(grouped[cell{si, pi}])
 			pts[pi] = Point{X: x, M: avg, ThroughputCI: ci}
 		}
 		series[si] = Series{Label: label, Points: pts}
 	}
 	sortSeriesPoints(series)
 	return series, nil
+}
+
+// RunCells is the one fan-out of simulator cells: it runs every cell
+// through the cell cache (CachedRunContext) on a pool of GOMAXPROCS
+// workers and returns their Metrics in cell order, or the first
+// failing cell's error. A cell's Metrics depend on its Params only, so
+// the pool size never changes a result. o.Context, when set, skips the
+// cells not yet started and aborts those in flight; o.Metrics, when
+// set, counts them (granulock_sweep_ families).
+func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
+	sm := newSweepMetrics(o)
+	sm.cellsTotal(int64(len(cells)))
+	ms := make([]model.Metrics, len(cells))
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, p := range cells {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if o.Context != nil && o.Context.Err() != nil {
+				errs[i] = o.Context.Err()
+				return
+			}
+			start := time.Time{}
+			if sm != nil {
+				start = time.Now()
+			}
+			ms[i], errs[i] = CachedRunContext(o.Context, p)
+			if sm != nil && errs[i] == nil {
+				sm.cellDone(time.Since(start))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
 }
 
 // Average reduces replications to field-wise means, plus a 95%

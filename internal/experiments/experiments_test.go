@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -81,27 +82,40 @@ func TestSweepStructure(t *testing.T) {
 	}
 }
 
+// TestSweepDeterministicAcrossParallelism runs a sweep on eight
+// workers and checks every cell against a direct model.Run. The seed
+// is one no other test uses, so the cells are simulated here rather
+// than served from the cell cache.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	base := BaseParams()
-	mk := func(par int) []Series {
-		o := fast()
-		o.Parallelism = par
-		s, err := sweep(o, []string{"a"}, []float64{1, 100}, func(si, pi int) model.Params {
-			p := base
-			p.Ltot = []int{1, 100}[pi]
-			return p
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	ltots := []int{1, 100}
+	o := fast()
+	o.Seed = 424242
+	o.Replications = 2
+	s, err := sweep(o, []string{"a"}, []float64{1, 100}, func(si, pi int) model.Params {
+		p := base
+		p.Ltot = ltots[pi]
+		return p
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := mk(1), mk(8)
-	for i := range a {
-		for j := range a[i].Points {
-			if a[i].Points[j].M != b[i].Points[j].M {
-				t.Fatalf("parallelism changed results at series %d point %d", i, j)
+	for j, pt := range s[0].Points {
+		var ms []model.Metrics
+		for r := 0; r < o.Replications; r++ {
+			p := base
+			p.Ltot = ltots[j]
+			p.TMax = o.TMax
+			p.Seed = o.Seed + uint64(r)*1_000_003
+			m, err := model.Run(p)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ms = append(ms, m)
+		}
+		if want, _ := Average(ms); pt.M != want {
+			t.Fatalf("parallel sweep diverged at point %d:\n got %+v\nwant %+v", j, pt.M, want)
 		}
 	}
 }

@@ -198,7 +198,7 @@ func ExtResponseTail(o Options) (Figure, error) {
 		p := base
 		p.Ltot = ltot
 		var rc model.ResponseCollector
-		if _, err := model.RunObserved(p, &rc); err != nil {
+		if _, err := model.RunContext(o.Context, p, &rc); err != nil {
 			return Figure{}, err
 		}
 		// One sort for all quantiles of this point's response sample.
@@ -277,7 +277,7 @@ func ExtMixClass(o Options) (Figure, error) {
 		p := base
 		p.Ltot = ltot
 		var cc model.ClassCollector
-		if _, err := model.RunObserved(p, &cc); err != nil {
+		if _, err := model.RunContext(o.Context, p, &cc); err != nil {
 			return Figure{}, err
 		}
 		for class := 0; class < len(labels); class++ {
@@ -327,14 +327,4 @@ func ExtIDs() []string {
 		out[i] = r.id
 	}
 	return out
-}
-
-// RunExt executes one extension experiment by id.
-func RunExt(id string, o Options) (Figure, error) {
-	for _, r := range extRegistry {
-		if r.id == id {
-			return r.run(o)
-		}
-	}
-	return Figure{}, fmt.Errorf("experiments: unknown extension %q (known: %v)", id, ExtIDs())
 }

@@ -15,7 +15,7 @@ func TestExtIDs(t *testing.T) {
 			t.Fatalf("extension id %q lacks ext- prefix", id)
 		}
 	}
-	if _, err := RunExt("nope", fast()); err == nil {
+	if _, err := Run("ext-nope", fast()); err == nil {
 		t.Fatal("unknown extension accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"granulock/internal/lockmgr"
-	"granulock/internal/obs"
 	"granulock/internal/rng"
 )
 
@@ -174,17 +173,10 @@ type clientCfg struct {
 	jitter      *rng.Source
 	sleep       func(time.Duration) // test seam; nil means the default timer-backed sleep
 
-	// Registry twins of the reconnect/retry counters, nil without
-	// WithClientMetrics. Registration is idempotent, so a fleet of
-	// workers sharing one registry aggregates into the same series.
-	mReconnects *obs.Counter
-	mRetries    *obs.Counter
-
-	// Cluster-client knobs (WithLeaseInterval, WithFailoverTimeout,
-	// WithRingVNodes); ignored by a bare ClientV2.
+	// Cluster-client knobs (WithLeaseInterval, WithFailoverTimeout);
+	// ignored by a bare ClientV2.
 	leaseEvery   time.Duration
 	failoverWait time.Duration
-	ringVNodes   int
 }
 
 func defaultClientCfg(addr string) clientCfg {
@@ -229,19 +221,6 @@ func WithJitterSeed(seed uint64) ClientOption {
 // FaultyDialer).
 func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 	return func(c *clientCfg) { c.dial = dial }
-}
-
-// WithClientMetrics mirrors the client's reconnect and retry counters
-// into reg (granulock_locksrv_client_reconnects_total,
-// granulock_locksrv_client_retries_total). Clients sharing a registry
-// aggregate into the same series, one series per fleet.
-func WithClientMetrics(reg *obs.Registry) ClientOption {
-	return func(c *clientCfg) {
-		c.mReconnects = reg.NewCounter("granulock_locksrv_client_reconnects_total",
-			"Connections re-established after a transport failure.")
-		c.mRetries = reg.NewCounter("granulock_locksrv_client_retries_total",
-			"Request attempts that were transport retries.")
-	}
 }
 
 // DialV2 connects to a lock server.
@@ -295,9 +274,6 @@ func (c *ClientV2) ensureConn() error {
 	c.w = w
 	if c.everUp {
 		c.reconnects.Add(1)
-		if c.cfg.mReconnects != nil {
-			c.cfg.mReconnects.Inc()
-		}
 	}
 	c.everUp = true
 	c.mu.Unlock()
@@ -403,9 +379,6 @@ func (c *ClientV2) roundTrip2(op byte, build func(fb *frameBuf)) (v2Reply, error
 				return v2Reply{}, fmt.Errorf("%w (after: %v)", ErrClientClosed, lastErr)
 			}
 			c.retried.Add(1)
-			if c.cfg.mRetries != nil {
-				c.cfg.mRetries.Inc()
-			}
 			if timer == nil {
 				timer = newSleeper(c.cfg.sleep, c.closeCh)
 				defer timer.stop()

@@ -49,9 +49,6 @@ type ClusterConfig struct {
 	Nodes []string
 	// Self is this node's index in Nodes.
 	Self int
-	// VNodes is the ring's virtual-point count per node; zero means
-	// ring.DefaultVNodes. All nodes and clients must agree.
-	VNodes int
 	// HeartbeatEvery is the predecessor probe period. Zero disables
 	// failure detection: the node serves its partition and honors
 	// explicit BeginTakeover calls, but never initiates one.
@@ -97,9 +94,6 @@ func WithCluster(cfg ClusterConfig) ServerOption {
 		if cfg.Self < 0 || cfg.Self >= len(cfg.Nodes) {
 			panic("locksrv: cluster Self index out of range")
 		}
-		if cfg.VNodes <= 0 {
-			cfg.VNodes = ring.DefaultVNodes
-		}
 		if cfg.HeartbeatMisses <= 0 {
 			cfg.HeartbeatMisses = 3
 		}
@@ -113,7 +107,7 @@ func WithCluster(cfg ClusterConfig) ServerOption {
 		}
 		s.cluster = &clusterState{
 			cfg:       cfg,
-			ring:      ring.NewWithVNodes(len(cfg.Nodes), cfg.VNodes),
+			ring:      ring.New(len(cfg.Nodes)),
 			takeovers: make(map[int]*takeover),
 			hbStop:    make(chan struct{}),
 		}

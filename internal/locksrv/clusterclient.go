@@ -93,20 +93,12 @@ func WithFailoverTimeout(d time.Duration) ClientOption {
 	return func(c *clientCfg) { c.failoverWait = d }
 }
 
-// WithRingVNodes sets the virtual-point count the cluster client
-// builds its ring with; must match the cluster's ClusterConfig.VNodes.
-// Zero means ring.DefaultVNodes. Ignored by Dial/DialV2.
-func WithRingVNodes(v int) ClientOption {
-	return func(c *clientCfg) { c.ringVNodes = v }
-}
-
 // DialCluster opens a cluster-aware client over the given node
 // addresses, which must be the cluster's ClusterConfig.Nodes in the
 // same order. Node connections are dialed lazily, so DialCluster
 // itself touches no network. Options apply to every per-node
-// connection (retries, backoff, dialer, metrics) plus the
-// cluster-level knobs (WithLeaseInterval, WithFailoverTimeout,
-// WithRingVNodes).
+// connection (retries, backoff, dialer) plus the cluster-level knobs
+// (WithLeaseInterval, WithFailoverTimeout).
 //
 // A client whose ring view disagrees with the servers' (wrong node
 // list or vnode count) still lands single-partition claims by
@@ -124,14 +116,10 @@ func DialCluster(addrs []string, opts ...ClientOption) (*ClusterClient, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	v := cfg.ringVNodes
-	if v <= 0 {
-		v = ring.DefaultVNodes
-	}
 	cc := &ClusterClient{
 		opts:    opts,
 		cfg:     cfg,
-		ring:    ring.NewWithVNodes(len(addrs), v),
+		ring:    ring.New(len(addrs)),
 		addrs:   append([]string(nil), addrs...),
 		addrIdx: make(map[string]int, len(addrs)),
 		nodes:   make(map[string]*clusterNode, len(addrs)),

@@ -97,6 +97,10 @@ const waitWindow = 4096
 // their error by this bound costs nothing real.
 const ownerRaceWait = 250 * time.Millisecond
 
+// writeTimeout bounds each response write, so a client that stops
+// reading cannot wedge the goroutine flushing its session's replies.
+const writeTimeout = 10 * time.Second
+
 // waitRing records the last waitWindow acquire wait times (ms).
 type waitRing struct {
 	mu   sync.Mutex
@@ -277,11 +281,10 @@ func (s *Server) setOwner(txn lockmgr.TxnID, sess *session) {
 // start with Serve (blocking) or in a goroutine, stop with Close
 // (graceful drain).
 type Server struct {
-	table        *lockmgr.Table
-	lis          net.Listener
-	grace        time.Duration
-	idleTimeout  time.Duration
-	writeTimeout time.Duration
+	table       *lockmgr.Table
+	lis         net.Listener
+	grace       time.Duration
+	idleTimeout time.Duration
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -440,12 +443,6 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.idleTimeout = d }
 }
 
-// WithWriteTimeout bounds each response write so a stalled client
-// cannot wedge its handler. Zero disables. Default 10s.
-func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
 // WithMetrics registers the service's metric families on reg (family
 // prefix granulock_locksrv_): session/grant/timeout/cancel/
 // force-release counters, an acquire-wait histogram, and scrape-time
@@ -463,12 +460,11 @@ func NewServer(lis net.Listener, table *lockmgr.Table, opts ...ServerOption) *Se
 		table = lockmgr.NewTable()
 	}
 	s := &Server{
-		table:        table,
-		lis:          lis,
-		grace:        500 * time.Millisecond,
-		writeTimeout: 10 * time.Second,
-		sessions:     make(map[*session]struct{}),
-		pfreeMax:     parkedFreeMax,
+		table:    table,
+		lis:      lis,
+		grace:    500 * time.Millisecond,
+		sessions: make(map[*session]struct{}),
+		pfreeMax: parkedFreeMax,
 	}
 	for i := range s.owners {
 		s.owners[i].m = make(map[lockmgr.TxnID]*session)
@@ -509,7 +505,7 @@ func (s *Server) Serve() error {
 			return fmt.Errorf("locksrv: accept: %w", err)
 		}
 		sess := newSession(conn)
-		sess.w.timeout = s.writeTimeout
+		sess.w.timeout = writeTimeout
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestObserverEventCounts(t *testing.T) {
 	p := base()
 	var c EventCounter
-	m, err := RunObserved(p, &c)
+	m, err := RunContext(context.Background(), p, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestObserverDoesNotPerturbMetrics(t *testing.T) {
 	p := base()
 	plain := run(t, p)
 	var c EventCounter
-	observed, err := RunObserved(p, &c)
+	observed, err := RunContext(context.Background(), p, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestObserverDoesNotPerturbMetrics(t *testing.T) {
 func TestResponseCollectorMatchesMeanResponse(t *testing.T) {
 	p := base()
 	var rc ResponseCollector
-	m, err := RunObserved(p, &rc)
+	m, err := RunContext(context.Background(), p, &rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +70,10 @@ func TestResponseCollectorAfterFilter(t *testing.T) {
 	p := base()
 	all := ResponseCollector{}
 	late := ResponseCollector{After: p.TMax / 2}
-	if _, err := RunObserved(p, &all); err != nil {
+	if _, err := RunContext(context.Background(), p, &all); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunObserved(p, &late); err != nil {
+	if _, err := RunContext(context.Background(), p, &late); err != nil {
 		t.Fatal(err)
 	}
 	if len(late.Responses) >= len(all.Responses) {
@@ -87,7 +88,7 @@ func TestBatchMeansOverResponses(t *testing.T) {
 	p := base()
 	p.TMax = 2000
 	var rc ResponseCollector
-	m, err := RunObserved(p, &rc)
+	m, err := RunContext(context.Background(), p, &rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestClassCollectorMixedWorkload(t *testing.T) {
 	p.TMax = 2000
 	p.Classes = workload.SmallLargeMix(50, 500, 0.8)
 	var cc ClassCollector
-	m, err := RunObserved(p, &cc)
+	m, err := RunContext(context.Background(), p, &cc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"granulock/internal/sched"
@@ -145,7 +146,7 @@ func TestRequeueOrderEndToEnd(t *testing.T) {
 
 	var events []obsEvent
 	rec := &requestRecorder{events: &events}
-	m, err := RunObserved(p, rec)
+	m, err := RunContext(context.Background(), p, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

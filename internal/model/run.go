@@ -92,32 +92,22 @@ type baseline struct {
 
 // Run executes the model once and returns its output parameters. It is
 // deterministic: equal Params produce identical Metrics.
-func Run(p Params) (Metrics, error) {
-	return RunObserved(p, nil)
-}
-
-// RunObserved is Run with a lifecycle Observer attached (nil is
-// allowed). The observer sees every event including those inside the
-// warmup window; the returned Metrics cover (Warmup, TMax] only.
-func RunObserved(p Params, obs Observer) (Metrics, error) {
-	s, err := startRun(p, obs)
-	if err != nil {
-		return Metrics{}, err
-	}
-	s.eng.RunUntil(p.TMax)
-	return s.metrics(), nil
-}
+func Run(p Params) (Metrics, error) { return RunContext(context.Background(), p, nil) }
 
 // cancelCheckEvery is how many events RunContext executes between
 // context checks — large enough that the check is free relative to the
 // event work, small enough that cancellation lands within microseconds.
 const cancelCheckEvery = 4096
 
-// RunContext is RunObserved with cooperative cancellation: the event
-// loop runs in bounded chunks and stops with ctx.Err() if the context
-// is cancelled between chunks. A completed run returns the same
-// Metrics RunObserved would — the chunking changes when the loop
-// checks for cancellation, never the event order.
+// RunContext is the model's one event loop: Run with a lifecycle
+// Observer and cooperative cancellation. A nil ctx means
+// context.Background() and a nil obs means no observer. The observer
+// sees every event including those inside the warmup window; the
+// returned Metrics cover (Warmup, TMax] only. The loop runs in bounded
+// chunks and stops with ctx.Err() if the context is cancelled between
+// chunks; the chunking changes when the loop checks for cancellation,
+// never the event order, so a completed run's Metrics do not depend on
+// ctx.
 func RunContext(ctx context.Context, p Params, obs Observer) (Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -8,18 +8,17 @@
 // keyspace that moves when the ring grows proportional to 1/N.
 //
 // The ring is static configuration: every node and every client of a
-// cluster must construct it from the same ordered node count and vnode
-// count, or they will disagree about ownership. Ownership disputes are
-// self-correcting at the protocol level (a node redirects requests for
-// granules it does not serve), but a persistent mismatch turns every
-// request into a redirect, so the vnode count travels with the cluster
-// config rather than being a per-process tunable.
+// cluster must construct it from the same ordered node count, or they
+// will disagree about ownership. Ownership disputes are self-correcting
+// at the protocol level (a node redirects requests for granules it does
+// not serve), but a persistent mismatch turns every request into a
+// redirect, so the vnode count is a package constant rather than a
+// per-process tunable.
 package ring
 
 import "sort"
 
-// DefaultVNodes is the virtual-point count per node used when a
-// cluster config does not specify one. 64 keeps the largest/smallest
+// DefaultVNodes is the virtual-point count per node. 64 keeps the largest/smallest
 // partition ratio under ~1.3 for small clusters while the ring stays a
 // few hundred entries — binary-searchable in a handful of cache lines.
 const DefaultVNodes = 64
@@ -40,17 +39,11 @@ type point struct {
 
 // New builds a ring over n nodes (numbered 0..n-1) with DefaultVNodes
 // virtual points each. n must be at least 1.
-func New(n int) *Ring { return NewWithVNodes(n, DefaultVNodes) }
-
-// NewWithVNodes builds a ring over n nodes with v virtual points each.
-// Both sides of a cluster must agree on v.
-func NewWithVNodes(n, v int) *Ring {
+func New(n int) *Ring {
 	if n < 1 {
 		panic("ring: need at least one node")
 	}
-	if v < 1 {
-		v = 1
-	}
+	const v = DefaultVNodes
 	r := &Ring{n: n, points: make([]point, 0, n*v)}
 	for node := 0; node < n; node++ {
 		for rep := 0; rep < v; rep++ {

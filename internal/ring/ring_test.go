@@ -2,11 +2,11 @@ package ring
 
 import "testing"
 
-// Two rings built from the same (n, vnodes) must agree on every key:
+// Two rings built from the same node count must agree on every key:
 // server and client construct the ring independently.
 func TestDeterministicAcrossInstances(t *testing.T) {
-	a := NewWithVNodes(4, 64)
-	b := NewWithVNodes(4, 64)
+	a := New(4)
+	b := New(4)
 	for key := uint64(0); key < 10000; key++ {
 		if a.Owner(key) != b.Owner(key) {
 			t.Fatalf("key %d: owner %d vs %d", key, a.Owner(key), b.Owner(key))

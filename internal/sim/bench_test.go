@@ -11,10 +11,10 @@ func (c *churnDelay) next() float64 {
 	return float64(uint64(*c)>>40)/float64(1<<24) + 1e-9
 }
 
-// BenchmarkEngineChurn is the raw event-loop microbenchmark recorded in
-// BENCH_model.json: a standing population of events where every fired
-// event schedules one replacement, so each iteration is exactly one
-// schedule + one dispatch. In steady state a pooled engine does this
+// BenchmarkEngineChurn is the raw event-loop microbenchmark: a
+// standing population of events where every fired event schedules one
+// replacement, so each iteration is exactly one schedule + one
+// dispatch. In steady state a pooled engine does this
 // with zero allocations.
 func BenchmarkEngineChurn(b *testing.B) {
 	var e Engine

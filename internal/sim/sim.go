@@ -147,29 +147,13 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil executes events in order until the queue is exhausted or the
-// next event is strictly after horizon. The clock finishes at exactly
-// horizon (events at the horizon itself do run). It returns the number of
-// events executed.
-//
-//granulint:hotpath
-func (e *Engine) RunUntil(horizon Time) uint64 {
-	start := e.steps
-	for len(e.queue) > 0 && e.queue[0].t <= horizon {
-		e.Step()
-	}
-	if e.now < horizon {
-		e.now = horizon
-	}
-	return e.steps - start
-}
-
-// RunUntilSteps is RunUntil with a step budget: it stops after max
-// events even if more remain before the horizon, so a caller can
-// interleave the event loop with cancellation checks. It returns the
-// number of events executed; a return below max means the horizon was
-// reached (the clock is advanced to exactly horizon, as in RunUntil)
-// and further calls execute nothing.
+// RunUntilSteps executes events in order until the queue is exhausted,
+// the next event is strictly after horizon, or max events have run —
+// the step budget lets a caller interleave the event loop with
+// cancellation checks. Events at the horizon itself do run. It returns
+// the number of events executed; a return below max means the horizon
+// was reached: the clock is advanced to exactly horizon and further
+// calls execute nothing.
 //
 //granulint:hotpath
 func (e *Engine) RunUntilSteps(horizon Time, max uint64) uint64 {
@@ -186,7 +170,8 @@ func (e *Engine) RunUntilSteps(horizon Time, max uint64) uint64 {
 }
 
 // Run executes events until the queue is empty and returns the number of
-// events executed. Use RunUntil for models that generate work forever.
+// events executed. Use RunUntilSteps for models that generate work
+// forever.
 func (e *Engine) Run() uint64 {
 	start := e.steps
 	for e.Step() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -107,30 +108,67 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
+// TestRunUntil drives RunUntilSteps over five events at t=1..5 with
+// and without a step budget: the budget stops the loop early with the
+// clock on the last event run, and only reaching the horizon advances
+// the clock to it.
 func TestRunUntil(t *testing.T) {
+	const all = math.MaxUint64
+	for _, tc := range []struct {
+		horizon Time
+		max     uint64
+		ran     uint64
+		now     Time
+		pending int
+	}{
+		{horizon: 3, max: all, ran: 3, now: 3, pending: 2},
+		{horizon: 3, max: 2, ran: 2, now: 2, pending: 3},
+		{horizon: 3, max: 3, ran: 3, now: 3, pending: 2},
+		{horizon: 2.5, max: all, ran: 2, now: 2.5, pending: 3},
+		{horizon: 10, max: all, ran: 5, now: 10, pending: 0},
+	} {
+		var e Engine
+		var got []float64
+		for _, d := range []float64{1, 2, 3, 4, 5} {
+			d := d
+			e.At(d, func() { got = append(got, d) })
+		}
+		n := e.RunUntilSteps(tc.horizon, tc.max)
+		if n != tc.ran || uint64(len(got)) != tc.ran {
+			t.Errorf("RunUntilSteps(%v, %d) executed %d events (%v), want %d", tc.horizon, tc.max, n, got, tc.ran)
+		}
+		if e.Now() != tc.now {
+			t.Errorf("RunUntilSteps(%v, %d): Now = %v, want %v", tc.horizon, tc.max, e.Now(), tc.now)
+		}
+		if e.Pending() != tc.pending {
+			t.Errorf("RunUntilSteps(%v, %d): pending = %d, want %d", tc.horizon, tc.max, e.Pending(), tc.pending)
+		}
+	}
+}
+
+// A run cut into chunks ends where one unbounded call does.
+func TestRunUntilChunked(t *testing.T) {
 	var e Engine
-	var got []float64
 	for _, d := range []float64{1, 2, 3, 4, 5} {
-		d := d
-		e.At(d, func() { got = append(got, d) })
+		e.At(d, func() {})
 	}
-	n := e.RunUntil(3)
-	if n != 3 || len(got) != 3 {
-		t.Fatalf("RunUntil(3) executed %d events (%v), want 3", n, got)
+	chunks := 0
+	for e.RunUntilSteps(4, 2) == 2 {
+		chunks++
 	}
-	if e.Now() != 3 {
-		t.Fatalf("Now after RunUntil(3) = %v", e.Now())
+	if chunks != 2 || e.Now() != 4 || e.Pending() != 1 {
+		t.Fatalf("chunks = %d, Now = %v, pending = %d; want 2 full chunks, Now 4, 1 pending", chunks, e.Now(), e.Pending())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
+	if n := e.RunUntilSteps(4, 2); n != 0 {
+		t.Fatalf("a call past the horizon executed %d events", n)
 	}
 }
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	var e Engine
-	e.RunUntil(10)
+	e.RunUntilSteps(10, 1)
 	if e.Now() != 10 {
-		t.Fatalf("Now = %v, want 10 after idle RunUntil", e.Now())
+		t.Fatalf("Now = %v, want 10 after an idle RunUntilSteps", e.Now())
 	}
 }
 
@@ -138,7 +176,7 @@ func TestRunUntilIncludesHorizonEvents(t *testing.T) {
 	var e Engine
 	ran := false
 	e.At(5, func() { ran = true })
-	e.RunUntil(5)
+	e.RunUntilSteps(5, 1)
 	if !ran {
 		t.Fatal("event exactly at horizon did not run")
 	}

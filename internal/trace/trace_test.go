@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -167,7 +168,7 @@ func TestWriterStickyError(t *testing.T) {
 func TestTraceFullSimulation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	m, err := model.RunObserved(modelParams(), w)
+	m, err := model.RunContext(context.Background(), modelParams(), w)
 	if err != nil {
 		t.Fatal(err)
 	}

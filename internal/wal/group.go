@@ -40,21 +40,13 @@ func (e *FlushError) Is(target error) bool { return target == ErrPoisoned }
 type LogOption func(*logOptions)
 
 type logOptions struct {
-	maxBatch    int
 	linger      time.Duration
 	injector    FaultInjector
 	preallocate int64
 }
 
-// WithMaxBatch caps how many records one flush coalesces. Once the
-// flusher has gathered max records it flushes immediately instead of
-// lingering for more. Zero (the default) means no cap.
-func WithMaxBatch(max int) LogOption {
-	return func(o *logOptions) { o.maxBatch = max }
-}
-
 // WithFlushInterval bounds how long the flusher lingers collecting more
-// committers when the queue is non-empty and under the batch cap. Zero
+// committers when the queue is non-empty. Zero
 // (the default) disables lingering: every flush takes exactly what was
 // queued when the flusher woke — immediate when the log is idle, and
 // naturally batched under load because commits arriving during the
@@ -71,7 +63,9 @@ type flushSink interface {
 }
 
 // nopSync adapts a plain io.Writer (no Sync method) to flushSink.
-type nopSync struct{ w interface{ Write([]byte) (int, error) } }
+type nopSync struct {
+	w interface{ Write([]byte) (int, error) }
+}
 
 func (n nopSync) Write(p []byte) (int, error) { return n.w.Write(p) }
 func (n nopSync) Sync() error                 { return nil }
@@ -88,9 +82,8 @@ func (n nopSync) Sync() error                 { return nil }
 // Commit receive a *FlushError (matching ErrPoisoned); an unsynced
 // commit is never acknowledged.
 type Log struct {
-	sink     flushSink
-	maxBatch int
-	linger   time.Duration
+	sink   flushSink
+	linger time.Duration
 
 	// ioMu serializes flush I/O with Truncate's file surgery. The
 	// flusher holds it across write+sync; Truncate holds it while
@@ -127,11 +120,10 @@ func NewLog(sink interface{ Write([]byte) (int, error) }, opts ...LogOption) *Lo
 		fs = &faultSink{s: fs, inject: o.injector}
 	}
 	l := &Log{
-		sink:     fs,
-		maxBatch: o.maxBatch,
-		linger:   o.linger,
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		sink:   fs,
+		linger: o.linger,
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	l.flushed.L = &l.mu
 	go l.flusher()
@@ -147,14 +139,13 @@ func newLogAt(sink flushSink, base, seq int64, o logOptions) *Log {
 		sink = &faultSink{s: sink, inject: o.injector}
 	}
 	l := &Log{
-		sink:     sink,
-		maxBatch: o.maxBatch,
-		linger:   o.linger,
-		base:     base,
-		enq:      seq,
-		durable:  seq,
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		sink:    sink,
+		linger:  o.linger,
+		base:    base,
+		enq:     seq,
+		durable: seq,
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	l.flushed.L = &l.mu
 	go l.flusher()
@@ -211,27 +202,15 @@ func (l *Log) flusher() {
 		<-l.wake
 
 		l.mu.Lock()
-		// Optional linger: with a non-empty queue below the batch cap,
-		// wait a beat so more committers can join this flush.
-		if l.linger > 0 && len(l.queue) > 0 && !l.closed &&
-			(l.maxBatch <= 0 || len(l.queue) < l.maxBatch) {
+		// Optional linger: with a non-empty queue, wait a beat so more
+		// committers can join this flush.
+		if l.linger > 0 && len(l.queue) > 0 && !l.closed {
 			l.mu.Unlock()
 			time.Sleep(l.linger)
 			l.mu.Lock()
 		}
 		batch := l.queue
-		if l.maxBatch > 0 && len(batch) > l.maxBatch {
-			batch = batch[:l.maxBatch]
-			l.queue = l.queue[l.maxBatch:]
-			// More remains: re-arm the nudge so the next loop
-			// iteration picks it up without a new committer.
-			select {
-			case l.wake <- struct{}{}:
-			default:
-			}
-		} else {
-			l.queue = nil
-		}
+		l.queue = nil
 		closed := l.closed
 		l.mu.Unlock()
 

@@ -243,32 +243,6 @@ func TestLogCloseDrainsQueue(t *testing.T) {
 	}
 }
 
-func TestLogMaxBatchSplitsFlushes(t *testing.T) {
-	sink := &countingSink{}
-	l := NewLog(sink, WithMaxBatch(2))
-	var wg sync.WaitGroup
-	for c := 0; c < 6; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			_ = l.Commit([]Record{{Kind: KindBegin, Txn: int64(c + 1)}})
-		}(c)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Seq(); got != 6 {
-		t.Fatalf("Seq = %d", got)
-	}
-	r := NewReader(bytes.NewReader(sink.bytes()))
-	for i := 0; i < 6; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-	}
-}
-
 func TestLogEmptyCommitIsNoop(t *testing.T) {
 	l := NewLog(&bytes.Buffer{})
 	if err := l.Commit(nil); err != nil {

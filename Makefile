@@ -69,9 +69,13 @@ tools:
 # verify is the PR gate; ci.yml runs the same four targets, one step each.
 verify: verify-static verify-test verify-fuzz verify-smoke
 
-# granulint + pinned staticcheck where installed (lint), then go vet.
+# granulint + pinned staticcheck where installed (lint), go vet, then
+# gofmt: any Go file it lists (the build cache under .bench_build/ aside)
+# fails the target.
 verify-static: lint
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 verify-test:
 # tier 1; the allocation pins on pooled paths run only without the race detector

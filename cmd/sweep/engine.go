@@ -72,22 +72,29 @@ func runEngineSweep(p granulock.Params, protocol, param, values, metric string, 
 		}
 		c := base
 		set(&c, v)
-		db, err := engine.Open(p.DBSize,
-			engine.WithNodes(c.nodes),
-			engine.WithGranules(c.granules),
-			engine.WithProtocol(protocol),
-			engine.WithInitialValue(100))
+		y, err := func() (float64, error) {
+			db, err := engine.Open(p.DBSize,
+				engine.WithNodes(c.nodes),
+				engine.WithGranules(c.granules),
+				engine.WithProtocol(protocol),
+				engine.WithInitialValue(100))
+			if err != nil {
+				return 0, err
+			}
+			defer db.Close()
+			res, err := db.RunClosed(context.Background(), engine.Workload{
+				Workers: c.workers, TxnsPerWorker: 200, TransfersPerTxn: 2,
+				ReadFraction: 0.2, WorkPerTxn: 2000, Seed: p.Seed,
+			})
+			if err != nil {
+				return 0, err
+			}
+			return get(res, db.Stats()), nil
+		}()
 		if err != nil {
 			return fmt.Errorf("%s=%d: %w", param, v, err)
 		}
-		res, err := db.RunClosed(context.Background(), engine.Workload{
-			Workers: c.workers, TxnsPerWorker: 200, TransfersPerTxn: 2,
-			ReadFraction: 0.2, WorkPerTxn: 2000, Seed: p.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("%s=%d: %w", param, v, err)
-		}
-		fmt.Fprintf(out, "%12d  %14.4f\n", v, get(res, db.Stats()))
+		fmt.Fprintf(out, "%12d  %14.4f\n", v, y)
 	}
 	return nil
 }

@@ -55,6 +55,7 @@ func main() {
 			}
 			fmt.Printf("%8d  %-16s  %9d  %8d  %16d  %.0f%s\n",
 				granules, protocol, res.Committed, s.Lock.Blocks, s.Restarts, res.ThroughputTPS, extra)
+			db.Close()
 		}
 	}
 	fmt.Println("\nEvery run preserved the total balance: locking kept the database")

@@ -152,6 +152,47 @@ func TestRunReplicationsOption(t *testing.T) {
 	}
 }
 
+// TestStatefulSchedulerIsPerRun pins that every run adapts its own copy
+// of the admission policy: an AdaptiveMPL shared by two sequential runs,
+// or by the concurrent replications of one run, carries no admission
+// state from one run into another (and, under -race, is no data race).
+func TestStatefulSchedulerIsPerRun(t *testing.T) {
+	p := shortParams()
+	p.Ltot = 5 // denials, so the policy adapts
+	pol, err := granulock.AdaptiveMPL(1, 10, 20, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Scheduler = pol
+	first, err := granulock.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := granulock.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Throughput != second.Throughput || first.TotCom != second.TotCom {
+		t.Fatalf("sequential runs differ: throughput %v then %v, totcom %v then %v",
+			first.Throughput, second.Throughput, first.TotCom, second.TotCom)
+	}
+	var rep granulock.Replicated
+	if _, err := granulock.Run(p, granulock.WithReplications(4), granulock.WithReplicatedSummary(&rep)); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range rep.Runs {
+		alone := p
+		alone.Seed = p.Seed + uint64(i)
+		want, err := granulock.Run(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Throughput != want.Throughput || m.TotCom != want.TotCom {
+			t.Errorf("replication %d: throughput %v, alone %v", i, m.Throughput, want.Throughput)
+		}
+	}
+}
+
 func TestDefaultParamsValid(t *testing.T) {
 	p := granulock.DefaultParams()
 	if err := p.Validate(); err != nil {

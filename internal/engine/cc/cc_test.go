@@ -57,8 +57,8 @@ func TestRegistrySelfCheck(t *testing.T) {
 
 type fakeProtocol struct{ name string }
 
-func (f fakeProtocol) Name() string                  { return f.name }
-func (f fakeProtocol) New(Config) (Instance, error)  { return nil, nil }
+func (f fakeProtocol) Name() string                 { return f.name }
+func (f fakeProtocol) New(Config) (Instance, error) { return nil, nil }
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()

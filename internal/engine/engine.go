@@ -246,6 +246,10 @@ type DB struct {
 	// eliminate the lock-holding computation.
 	sink atomic.Int64
 
+	// execs are the node executors a forked transaction's shares run on
+	// (fork.go).
+	execs executors
+
 	// Registry twins of the counters above, nil without WithMetrics.
 	mCommits *obs.Counter
 	// mRestarts maps a restart cause (cc.RestartKind) to its counter;
@@ -358,9 +362,11 @@ func OpenDurable(dir string, dbsize int, opts ...Option) (*DB, wal.SetRecoverSta
 // install failpoints).
 func (db *DB) WALDir() *wal.Dir { return db.walDir }
 
-// Close flushes and releases the log files of an OpenDurable database;
-// it is a no-op for an in-memory one.
+// Close stops the node executors, if a forked transaction started them,
+// and flushes and releases the log files of an OpenDurable database.
+// Transactions executed after Close run their work inline.
 func (db *DB) Close() error {
+	db.stopExecutors()
 	if db.walDir != nil {
 		return db.walDir.Close()
 	}
@@ -407,15 +413,19 @@ func (s store) Apply(e int, delta int64) (before, after int64) {
 func (s store) GranuleOf(e int) lockmgr.Granule { return s.db.GranuleOf(e) }
 
 // lockScratch is the reusable per-call state of Execute: the staging
-// buffer of the transaction's granule requests and the attempt's cc.Tx,
+// buffer of the transaction's granule requests, the attempt's cc.Tx,
 // which reaches the protocol through an interface and would otherwise be
-// a heap object per attempt. The protocol is done with both when End
-// returns, so Execute takes one from a pool instead of building a map,
-// two slices and a Tx per call.
+// a heap object per attempt, and the fork's per-node op counts and
+// shares. The protocol is done with the first two when End returns and
+// the join with the shares before the reads and writes, so Execute takes
+// one from a pool instead of building a map, four slices and a Tx per
+// call.
 type lockScratch struct {
-	reqs []lockmgr.Request
-	idx  []int32 // dedupe's sort scratch
-	tx   cc.Tx   // reset per attempt; its update buffer is kept
+	reqs   []lockmgr.Request
+	idx    []int32 // dedupe's sort scratch
+	tx     cc.Tx   // reset per attempt; its update buffer is kept
+	counts []int   // plan's ops per node
+	shares []share // the fork's per-node work; see plan
 }
 
 var lockScratchPool = sync.Pool{New: func() any { return new(lockScratch) }}
@@ -487,7 +497,9 @@ func (sc *lockScratch) dedupe(reqs []lockmgr.Request) []lockmgr.Request {
 // livelocks: the victim re-grabs its first granule before the survivor
 // is scheduled and the same cycle re-forms forever), and retry until
 // the context is cancelled; cancellation interrupts both lock waits
-// and backoff sleeps promptly.
+// and backoff sleeps promptly. Once an attempt holds its access rights,
+// its Work forks over the nodes its ops touch and joins before the
+// reads and writes (fork.go).
 func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 	if len(t.Ops) == 0 {
 		return 0, nil
@@ -517,7 +529,7 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 		var sum int64
 		if err == nil {
 			if t.Work > 0 {
-				db.sink.Add(spin(t.Work))
+				db.work(sc, t)
 			}
 			for _, op := range t.Ops {
 				if op.Delta != 0 {

@@ -47,6 +47,7 @@ func runEngineCell(ctx context.Context, pc protoConfig) (model.Metrics, error) {
 	if err != nil {
 		return model.Metrics{}, err
 	}
+	defer db.Close()
 	before := db.TotalBalance()
 	res, err := db.RunClosed(ctx, pc.workload)
 	if err != nil {

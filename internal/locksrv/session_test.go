@@ -248,7 +248,8 @@ func onlyParked(t *testing.T, sess *session) *parkedAcquire {
 // lateExpire builds the case the fired-timer rule exists for, step by
 // step: a claim's deadline fires while the release that grants it is
 // between resolving the claim and delivering the outcome, so the timer
-// can no longer be stopped; the claim is answered; the server, which
+// can no longer be stopped (the test fires it there itself, so no load
+// on the host can fire it before the release); the claim is answered; the server, which
 // keeps one record, parks the next claim; and only then does the first
 // claim's expire get to run. It reports whether the next claim survived
 // that. With recycleFired the delivery is redone by hand the way a
@@ -268,12 +269,23 @@ func lateExpire(t *testing.T, recycleFired bool) (survived bool) {
 		srv.serve(sess, opAcquire, id, timedAcquireFrame(id, txn, timeoutMS, granule)[4+frameHeader:])
 		return onlyParked(t, sess)
 	}
-	first := parkOne(1, 2, 1)
+	first := parkOne(1, 2, 60_000)
 	resolved := srv.table.ReleaseAllDeferred(1, nil)
 	if len(resolved) != 1 {
 		t.Fatalf("the release resolved %d claims", len(resolved))
 	}
-	time.Sleep(20 * time.Millisecond) // the deadline fires, finds the claim resolved and leaves
+	// The deadline fires now, after the release: the record's timer is
+	// swapped for one already due, whose expire finds the claim resolved
+	// and leaves before the delivery below stops the timer, too late.
+	expired := make(chan struct{})
+	sess.pmu.Lock()
+	first.timer.Stop()
+	first.timer = time.AfterFunc(0, func() {
+		first.expire()
+		close(expired)
+	})
+	sess.pmu.Unlock()
+	<-expired
 	if recycleFired {
 		sess.pmu.Lock()
 		first.unpark()

@@ -185,9 +185,12 @@ func newSimulation(p Params) (*simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := p.Scheduler
-	if policy == nil {
-		policy = sched.Unlimited{}
+	// The run adapts its own copy of the policy: a stateful one shared
+	// by sequential or concurrent runs would carry one run's admission
+	// state into the next, and race between concurrent ones.
+	var policy sched.Policy = sched.Unlimited{}
+	if p.Scheduler != nil {
+		policy = p.Scheduler.Clone()
 	}
 
 	s := &simulation{

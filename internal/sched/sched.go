@@ -12,7 +12,8 @@ import "fmt"
 // Policy decides whether another transaction may be admitted to the lock
 // request stage and observes lock-request outcomes to adapt. Policies
 // are used from the single-threaded simulation loop and need no internal
-// synchronization.
+// synchronization: each run adapts its own Clone, so one policy value
+// can configure any number of runs, sequential or concurrent.
 type Policy interface {
 	// CanAdmit reports whether a transaction may issue its lock request
 	// given the number of transactions currently active (holding locks).
@@ -21,6 +22,9 @@ type Policy interface {
 	Observe(granted bool)
 	// Name identifies the policy in experiment output.
 	Name() string
+	// Clone returns an independent copy of the policy in its current
+	// state: Observe on the copy leaves the original untouched.
+	Clone() Policy
 }
 
 // Unlimited admits everything: the paper's base model.
@@ -34,6 +38,9 @@ func (Unlimited) Observe(bool) {}
 
 // Name returns "unlimited".
 func (Unlimited) Name() string { return "unlimited" }
+
+// Clone returns the stateless policy itself.
+func (u Unlimited) Clone() Policy { return u }
 
 // FixedMPL admits at most Limit concurrently active transactions
 // (a static multiprogramming-level limit).
@@ -49,6 +56,9 @@ func (FixedMPL) Observe(bool) {}
 
 // Name returns "mpl(<limit>)".
 func (f FixedMPL) Name() string { return fmt.Sprintf("mpl(%d)", f.Limit) }
+
+// Clone returns the stateless policy itself.
+func (f FixedMPL) Clone() Policy { return f }
 
 // AdaptiveMPL adjusts an MPL limit by additive increase, multiplicative
 // decrease on the observed lock-denial rate: when denials exceed the
@@ -113,3 +123,9 @@ func (a *AdaptiveMPL) Observe(granted bool) {
 
 // Name returns "adaptive[min..max]".
 func (a *AdaptiveMPL) Name() string { return fmt.Sprintf("adaptive[%d..%d]", a.min, a.max) }
+
+// Clone returns a copy carrying the current limit and window counts.
+func (a *AdaptiveMPL) Clone() Policy {
+	c := *a
+	return &c
+}

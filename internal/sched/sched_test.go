@@ -139,3 +139,22 @@ func TestAdaptiveMPLName(t *testing.T) {
 		t.Fatalf("name %q", p.Name())
 	}
 }
+
+func TestCloneIsIndependent(t *testing.T) {
+	p, _ := NewAdaptiveMPL(1, 20, 10, 0.3)
+	c := p.Clone()
+	for i := 0; i < 10; i++ {
+		c.Observe(false)
+	}
+	if got := c.(*AdaptiveMPL).Limit(); got != 10 {
+		t.Fatalf("clone's limit %d after a denied window, want 10", got)
+	}
+	if p.Limit() != 20 {
+		t.Fatalf("original's limit %d after the clone adapted, want 20", p.Limit())
+	}
+	for _, s := range []Policy{Unlimited{}, FixedMPL{Limit: 3}} {
+		if s.Clone() != s {
+			t.Errorf("%s: clone differs from the stateless original", s.Name())
+		}
+	}
+}

@@ -87,8 +87,9 @@ verify-test:
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
 	$(GO) test -race -cpu 1,2,4 ./internal/relation/
 # the age policies' verdicts are the lock table's, made under its latch: multicore claims too;
-# and a durable engine killed at random write/sync/checkpoint points, where every recovery must conserve the balance
-	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols|TestDurablePowerCutCycles' ./internal/engine/
+# a durable engine killed at random write/sync/checkpoint points, where every recovery must conserve the balance;
+# and the fork of a transaction's work, which runs only at 2 Ps or more
+	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols|TestDurablePowerCutCycles|TestPlanSplit|TestFork|TestCloseStopsNodeWorkers|TestCallerRunsUnclaimedShares|TestStaleClaimWordFails|TestFreeProcessorsCountRunners' ./internal/engine/
 # benchmark/ is its own module, which root `go test ./...` does not reach: this compiles it against every API change
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 # the two engine smoke runs again, five times: each must see allocation to report (the retired pooled records keep it visible)

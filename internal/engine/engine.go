@@ -246,9 +246,9 @@ type DB struct {
 	// eliminate the lock-holding computation.
 	sink atomic.Int64
 
-	// execs are the node executors a forked transaction's shares run on
+	// helpers run a forked transaction's shares beside its caller
 	// (fork.go).
-	execs executors
+	helpers helpers
 
 	// Registry twins of the counters above, nil without WithMetrics.
 	mCommits *obs.Counter
@@ -362,11 +362,11 @@ func OpenDurable(dir string, dbsize int, opts ...Option) (*DB, wal.SetRecoverSta
 // install failpoints).
 func (db *DB) WALDir() *wal.Dir { return db.walDir }
 
-// Close stops the node executors, if a forked transaction started them,
+// Close stops the fork's helpers, if a forked transaction started them,
 // and flushes and releases the log files of an OpenDurable database.
 // Transactions executed after Close run their work inline.
 func (db *DB) Close() error {
-	db.stopExecutors()
+	db.stopHelpers()
 	if db.walDir != nil {
 		return db.walDir.Close()
 	}
@@ -415,17 +415,17 @@ func (s store) GranuleOf(e int) lockmgr.Granule { return s.db.GranuleOf(e) }
 // lockScratch is the reusable per-call state of Execute: the staging
 // buffer of the transaction's granule requests, the attempt's cc.Tx,
 // which reaches the protocol through an interface and would otherwise be
-// a heap object per attempt, and the fork's per-node op counts and
-// shares. The protocol is done with the first two when End returns and
-// the join with the shares before the reads and writes, so Execute takes
+// a heap object per attempt, and the fork's per-node share sizes and
+// record. The protocol is done with the first two when End returns and
+// the join with the fork before the reads and writes, so Execute takes
 // one from a pool instead of building a map, four slices and a Tx per
 // call.
 type lockScratch struct {
 	reqs   []lockmgr.Request
 	idx    []int32 // dedupe's sort scratch
 	tx     cc.Tx   // reset per attempt; its update buffer is kept
-	counts []int   // plan's ops per node
-	shares []share // the fork's per-node work; see plan
+	counts []int   // plan's ops, then share sizes, per node
+	fork   fork    // the forked work; see plan
 }
 
 var lockScratchPool = sync.Pool{New: func() any { return new(lockScratch) }}

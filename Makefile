@@ -82,10 +82,9 @@ verify-test:
 	$(GO) build ./... && $(GO) test ./...
 # everything again under the race detector
 	$(GO) test -race ./...
-# the lock table, the lock service (its faulty fleet and cluster failover included) and the relational layer at 1, 2 and 4 Ps: their claims are multicore claims
+# the lock table and the lock service (its faulty fleet and cluster failover included) at 1, 2 and 4 Ps: their claims are multicore claims
 	$(GO) test -race -cpu 1,2,4 ./internal/lockmgr/
 	$(GO) test -race -cpu 1,2,4 ./internal/locksrv/
-	$(GO) test -race -cpu 1,2,4 ./internal/relation/
 # the age policies' verdicts are the lock table's, made under its latch: multicore claims too;
 # a durable engine killed at random write/sync/checkpoint points, where every recovery must conserve the balance;
 # and the fork of a transaction's work, which runs only at 2 Ps or more

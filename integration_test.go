@@ -2,18 +2,19 @@ package granulock_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
-	"time"
 
 	"granulock"
 	"granulock/internal/engine"
-	"granulock/internal/relation"
+	"granulock/internal/engine/cc"
+	"granulock/internal/lockmgr"
 )
 
 // TestCrossSystemGranularityStory verifies the paper's core trade-off
-// end to end on all three systems in the repository: the simulation
-// model, the executable engine, and the relational layer all agree
-// that finer granularity means fewer conflicts.
+// end to end on three views of it: the simulation model, the executable
+// engine and the engine's hierarchical protocol all agree that finer
+// granularity means fewer conflicts.
 func TestCrossSystemGranularityStory(t *testing.T) {
 	// 1. Simulation model: denial rate falls as ltot rises.
 	denial := func(ltot int) float64 {
@@ -52,63 +53,58 @@ func TestCrossSystemGranularityStory(t *testing.T) {
 		t.Fatalf("engine: blocks did not fall with granularity: %d -> %d", b1, b100)
 	}
 
-	// 3. Relational layer: coarse granules force blocking between
-	// transfers on different rows; fine granules avoid it.
-	relBlocks := func(granuleSize int) int64 {
-		db := relation.NewDB("x")
-		tbl, err := db.CreateTable("t", relation.Schema{Columns: []relation.Column{
-			{Name: "v", Type: relation.Int},
-		}}, 2, granuleSize)
+	// 3. Hierarchical protocol: one transaction holds entity 0's
+	// granule exclusive while another claims entity 99's. With a granule
+	// per entity the claim is granted at once; with one granule for the
+	// whole database it parks behind the holder.
+	hierBlocks := func(granules int) int64 {
+		db, err := engine.Open(100,
+			engine.WithGranules(granules),
+			engine.WithProtocol(engine.Hierarchical))
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := db.Instance()
 		ctx := context.Background()
-		if err := db.Exec(ctx, func(txn *relation.Txn) error {
-			for i := 0; i < 100; i++ {
-				if _, err := txn.Insert(tbl, relation.Tuple{relation.IntDatum(100)}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		claim := func(tx *cc.Tx, entity int) error {
+			inst.Begin(ctx, tx)
+			return inst.Acquire(ctx, tx, []lockmgr.Request{{Granule: db.GranuleOf(entity), Mode: lockmgr.ModeExclusive}})
 		}
-		// One transaction holds row 0's granule while another touches
-		// row 99: with granuleSize 100 they collide, with 1 they don't.
-		hold := db.Begin(ctx)
-		if err := hold.Update(tbl, 0, "v", relation.IntDatum(1)); err != nil {
+		hold, other := &cc.Tx{ID: 1, Priority: 1}, &cc.Tx{ID: 2, Priority: 2}
+		if err := claim(hold, 0); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
-		go func() {
-			done <- db.Exec(ctx, func(txn *relation.Txn) error {
-				return txn.Update(tbl, 99, "v", relation.IntDatum(2))
-			})
-		}()
-		// Give the second transaction time to pass (fine granules) or
-		// park (coarse), then release and drain.
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+		go func() { done <- claim(other, 99) }()
+		// Wait until the second claim is granted or has parked, polling
+		// the block counter rather than sleeping.
+		granted := false
+		for !granted && db.Stats().Lock.Blocks == 0 {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				granted = true
+			default:
+				runtime.Gosched()
 			}
-			blocked := db.Stats().Lock.Blocks
-			hold.Commit()
-			return blocked
-		case <-time.After(50 * time.Millisecond):
 		}
 		blocked := db.Stats().Lock.Blocks
-		hold.Commit()
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		inst.End(hold)
+		if !granted {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
 		}
+		inst.End(other)
 		return blocked
 	}
-	if fine := relBlocks(1); fine != 0 {
-		t.Fatalf("relational: tuple-level granules blocked disjoint rows (%d)", fine)
+	if fine := hierBlocks(100); fine != 0 {
+		t.Fatalf("hierarchical: per-entity granules blocked disjoint rows (%d)", fine)
 	}
-	if coarse := relBlocks(100); coarse == 0 {
-		t.Fatal("relational: table-wide granule did not block disjoint rows")
+	if coarse := hierBlocks(1); coarse == 0 {
+		t.Fatal("hierarchical: a database-wide granule did not block disjoint rows")
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -293,6 +294,77 @@ func TestHierarchicalEscalation(t *testing.T) {
 	}
 	if db.TotalBalance() != 1000*100 {
 		t.Fatalf("conservation violated: %d", db.TotalBalance())
+	}
+}
+
+// TestHierarchicalReadEscalation escalates a read-only transaction: a
+// shared claim on every granule turns the root's IS into S, which a
+// reader of one granule passes and a writer parks behind until the scan
+// ends.
+func TestHierarchicalReadEscalation(t *testing.T) {
+	db := mustOpen(t, 100, WithGranules(100), WithProtocol(Hierarchical), WithEscalationThreshold(10))
+	inst := db.Instance()
+	ctx := context.Background()
+	claim := func(tx *cc.Tx, reqs []lockmgr.Request) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			inst.Begin(ctx, tx)
+			done <- inst.Acquire(ctx, tx, reqs)
+		}()
+		return done
+	}
+	// granted waits until a claim is granted (true) or has parked
+	// (false), polling the block counter rather than sleeping.
+	granted := func(done <-chan error) bool {
+		for db.Stats().Lock.Blocks == 0 {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				return true
+			default:
+				runtime.Gosched()
+			}
+		}
+		return false
+	}
+
+	scan := &cc.Tx{ID: 1, Priority: 1}
+	reqs, err := db.lockSet(new(lockScratch), db.FullReadTxn())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !granted(claim(scan, reqs)) {
+		t.Fatal("full-database read parked on an empty table")
+	}
+	if db.Stats().Escalations == 0 {
+		t.Fatal("no escalation despite 100 shared granules against threshold 10")
+	}
+
+	reader := &cc.Tx{ID: 2, Priority: 2}
+	if !granted(claim(reader, []lockmgr.Request{{Granule: 99, Mode: lockmgr.ModeShared}})) {
+		t.Fatal("reader parked behind an escalated shared root")
+	}
+	inst.End(reader)
+
+	writer := &cc.Tx{ID: 3, Priority: 3}
+	wrote := claim(writer, []lockmgr.Request{{Granule: 50, Mode: lockmgr.ModeExclusive}})
+	if granted(wrote) {
+		t.Fatal("writer granted under an escalated shared root")
+	}
+	select {
+	case <-wrote:
+		t.Fatal("writer returned before the scan ended")
+	default:
+	}
+	inst.End(scan)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	inst.End(writer)
+	if b := db.Stats().Lock.Blocks; b != 1 {
+		t.Fatalf("%d blocks, want the writer's one", b)
 	}
 }
 

@@ -46,8 +46,8 @@ func absorbs(held, want Mode) bool {
 //
 // The table may be shared with flat users as long as their granules and
 // the hierarchy's node ids are distinct. One transaction's calls must
-// not overlap, which is how the engine and the relational layer run
-// theirs.
+// not overlap, which is how the engine's hierarchical protocol runs
+// them.
 type HierTable struct {
 	t        *Table
 	escAt    int // escalation threshold; 0 = off

@@ -444,8 +444,8 @@ func TestCancelledHeadWaiterWakesQueueBehindIt(t *testing.T) {
 		{"table", func(tab *Table) lockFunc {
 			return func(ctx context.Context, txn TxnID, mode Mode) error { return tab.Acquire(ctx, txn, 1, mode) }
 		}},
-		// Every hierarchical and relational transaction queues on the
-		// root: S held there, a writer's IX parked, a reader's IS behind.
+		// Every hierarchical transaction queues on the root: S held
+		// there, a writer's IX parked, a reader's IS behind.
 		{"hier-root", func(tab *Table) lockFunc {
 			h := NewHierTable(tab)
 			return func(ctx context.Context, txn TxnID, mode Mode) error {

@@ -296,8 +296,10 @@ func open(cfg config, dir *wal.Dir) (*DB, error) {
 		// Round-robin partitioning: node i owns entities i, i+Nodes, ...
 		count := (cfg.DBSize - i + cfg.Nodes - 1) / cfg.Nodes
 		values := make([]int64, count)
-		for j := range values {
-			values[j] = cfg.InitialValue
+		// Fill by doubling copies: memmove, not a scalar loop whose speed
+		// hangs on where the linker happens to place it.
+		for n := copy(values, []int64{cfg.InitialValue}); n < count; n *= 2 {
+			copy(values[n:], values[:n])
 		}
 		db.nodes[i] = &node{values: values}
 	}

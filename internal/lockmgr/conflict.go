@@ -8,7 +8,7 @@
 //     active transaction holds.
 //
 //   - Table is the real lock manager, the one type that grants, parks
-//     and wakes: a granule lock table under one latch, with five modes
+//     and wakes: a decision core behind one latch, with five modes
 //     (S and X, and the intention modes IS, IX and SIX, under one
 //     compatibility matrix and one lattice join), conservative
 //     all-or-nothing preclaiming, and claim-as-needed acquisition with a

@@ -5,8 +5,8 @@ package lockmgr
 // granule) but possibly several blockers (edges), e.g. multiple shared
 // holders blocking a writer.
 //
-// Detector is not itself synchronized; Table calls it under its own
-// mutex. It is exported because the engine's tests use it directly.
+// Detector is not itself synchronized: the table calls it under its
+// latch. It is exported because the engine's tests use it directly.
 type Detector struct {
 	out   map[TxnID]map[TxnID]struct{}
 	edges int // running edge count, so Edges() is O(1)
@@ -63,9 +63,7 @@ func (d *Detector) RemoveTxn(txn TxnID) {
 // maintained incrementally, so release paths can consult it on every
 // call: an empty graph means no transaction is blocked and deadlock
 // bookkeeping can be skipped entirely.
-func (d *Detector) Edges() int {
-	return d.edges
-}
+func (d *Detector) Edges() int { return d.edges }
 
 // InCycle reports whether txn can reach itself through waits-for edges,
 // i.e. whether txn participates in a deadlock.
@@ -79,12 +77,7 @@ func (d *Detector) InCycle(txn TxnID) bool {
 	}
 	visited := d.visited
 	stack := d.stack[:0]
-	defer func() {
-		for v := range visited {
-			delete(visited, v)
-		}
-		d.stack = stack[:0]
-	}()
+	defer func() { clear(visited); d.stack = stack[:0] }()
 	for next := range d.out[txn] {
 		stack = append(stack, next)
 	}

@@ -71,9 +71,8 @@ type HierOption func(*HierTable)
 // skipped, never waited for, when other holders make the coarse lock
 // incompatible — so it cannot introduce deadlocks. Once escalated,
 // further descendant requests under that parent are absorbed without
-// taking new locks: exactly the granularity adaptation the paper's
-// conclusions recommend ("providing granularity at the block level and
-// at the file level ... may be adequate").
+// taking new locks: the granularity adaptation the paper's conclusions
+// recommend (HierTable).
 func WithEscalation(threshold int) HierOption {
 	return func(h *HierTable) { h.escAt = threshold }
 }

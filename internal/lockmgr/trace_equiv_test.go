@@ -297,15 +297,116 @@ func checkTraceHash(t *testing.T, variant string, seed uint64, results []string)
 	}
 }
 
-// TestShardEquivalenceOnTrace pins the table to the striped table it
-// replaced. That table decided every op of these traces the same at 1,
-// 4 and 16 stripes, and its one-stripe decisions are traceHashes, which
-// a replay must reproduce. The name is historical: no stripes are
-// compared any more, only the replay against the pinned hash.
+// replayCore replays ops straight on a decision core, on this goroutine:
+// no latch, no helper goroutines, no channels and no clock. An op parks
+// when its call returns a parked record, and a parked op's outcome is
+// recorded when a later call resolves the record (take). The per-op
+// strings are runTrace's, so the two replays hash alike.
+func replayCore(t *testing.T, ops []traceOp) []string {
+	t.Helper()
+	c := &NewTable().core
+	results, occupied := make([]string, len(ops)), make([]string, len(ops))
+	parked := make(map[*ParkedClaim]int)
+	record := func(idx int, err error) {
+		switch {
+		case err == nil && results[idx] == string(outParked):
+		case err == nil:
+			results[idx] = string(outGranted)
+		case errors.Is(err, ErrDeadlock):
+			results[idx] = string(outDeadlock)
+		case errors.Is(err, ErrAlreadyHolds):
+			results[idx] = string(outAlready)
+		default:
+			t.Fatalf("op %d: unexpected error %v", idx, err)
+		}
+	}
+	park := func(idx int, w *ParkedClaim) {
+		results[idx] = string(outParked)
+		parked[w] = idx
+	}
+	deliver := func() {
+		for _, w := range c.take(nil) {
+			idx, ok := parked[w]
+			if !ok {
+				t.Fatalf("a call resolved a record no op parked")
+			}
+			delete(parked, w)
+			record(idx, w.err)
+		}
+	}
+	for i, op := range ops {
+		switch op.kind {
+		case "claim":
+			reqs := coalesce(op.reqs)
+			granted, err := c.claim(op.txn, reqs)
+			if granted || err != nil {
+				record(i, err)
+				break
+			}
+			w := new(ParkedClaim)
+			c.parkClaim(w, op.txn, reqs)
+			park(i, w)
+		case "step":
+			wait, err := c.step(op.txn, op.g, op.mode, ageNone)
+			if !wait {
+				record(i, err)
+				break
+			}
+			w := new(ParkedClaim)
+			c.parkStep(w, op.txn, op.g, op.mode, ageNone)
+			park(i, w)
+		case "release":
+			c.release(op.txn)
+		default:
+			t.Fatalf("op %d: unknown kind %q", i, op.kind)
+		}
+		deliver()
+		occupied[i] = occupancy(c)
+	}
+	// Drain as runTrace does: a waiter granted mid-pass becomes a holder
+	// whose release slot has gone by, so pass again until nothing waits.
+	for pass := 0; len(parked) > 0; pass++ {
+		if pass == len(ops) {
+			t.Fatalf("%d ops still parked after drain", len(parked))
+		}
+		for _, op := range ops {
+			c.release(op.txn)
+			deliver()
+		}
+	}
+	for _, op := range ops {
+		c.release(op.txn)
+	}
+	if occ := occupancy(c); occ != occupancy(&NewTable().core) {
+		t.Fatalf("after trace drain:%s", occ)
+	}
+	for i := range results {
+		results[i] += occupied[i]
+	}
+	return results
+}
+
+// occupancy is runTrace's occupancy string, read off a core.
+func occupancy(c *core) string {
+	locked, waiters := 0, len(c.claimQ)
+	for _, gs := range c.granules {
+		if len(gs.holders) > 0 {
+			locked++
+		}
+		waiters += len(gs.waiters)
+	}
+	return fmt.Sprintf(" [holders %d, granules %d, waiters %d]", len(c.held), locked, waiters)
+}
+
+// TestShardEquivalenceOnTrace replays the pinned traces on the decision
+// core alone and requires traceHashes: without its shell, the core makes
+// every decision the concurrent table makes. The name is historical: it
+// once compared the striped table this one replaced at 1, 4 and 16
+// stripes, whose one-stripe decisions are traceHashes.
 func TestShardEquivalenceOnTrace(t *testing.T) {
 	for _, seed := range traceSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkTraceHash(t, "replay", seed, runTrace(t, NewTable(), genTrace(seed, 120)))
+			checkTraceHash(t, "core replay", seed, replayCore(t, genTrace(seed, 120)))
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"granulock/internal/lockmgr"
 	"granulock/internal/rng"
@@ -586,6 +587,17 @@ func TestInlineGrantAllocationFree(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Grants != 2017 || st.Holders != 0 || sess.pending.Load() != 0 {
 		t.Fatalf("grants %d holders %d pending %d", st.Grants, st.Holders, sess.pending.Load())
+	}
+}
+
+// TestParkedRecordSize pins the record a parked acquire lives in, whose
+// retirement is the contended service's allocation rate: 448 bytes, 18
+// to a span of its size class and 8 short of the next, which the embedded
+// lockmgr.ParkedClaim (pinned at 336 there) must not grow into.
+func TestParkedRecordSize(t *testing.T) {
+	var pa parkedAcquire
+	if got := unsafe.Sizeof(pa); got != 448 {
+		t.Fatalf("parkedAcquire is %d bytes, want 448: re-derive the parkedRecordUses comment, and lockmgr's claimRecordUses one, before changing it", got)
 	}
 }
 

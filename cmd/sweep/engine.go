@@ -10,6 +10,8 @@ import (
 	"granulock"
 	"granulock/internal/engine"
 	"granulock/internal/engine/cc"
+	"granulock/internal/experiments"
+	"granulock/internal/model"
 )
 
 // validateProtocol resolves -protocol against the cc registry.
@@ -25,41 +27,40 @@ func validateProtocol(name string) error {
 
 // runEngineSweep sweeps one parameter over the executable engine:
 // each value runs a closed bank-transfer workload under the chosen
-// protocol and reports the requested metric. Simulation parameters map
-// onto the engine as ltot=granules, ntrans=workers, npros=nodes.
+// protocol (experiments.EngineCell, which also checks that the run kept
+// the total balance) and reports the requested metric. Simulation
+// parameters map onto the engine as ltot=granules, ntrans=workers,
+// npros=nodes.
 func runEngineSweep(p granulock.Params, protocol, param, values, metric string, out *os.File) error {
 	if protocol == "" {
 		protocol = engine.Conservative
 	}
-	type cell struct {
-		granules, workers, nodes int
+	base := experiments.EngineCell{
+		DBSize: p.DBSize, Granules: p.Ltot, Nodes: p.NPros, Protocol: protocol,
+		Workload: engine.Workload{
+			Workers: p.NTrans, TxnsPerWorker: 200, TransfersPerTxn: 2,
+			ReadFraction: 0.2, WorkPerTxn: 2000, Seed: p.Seed,
+		},
 	}
-	base := cell{granules: p.Ltot, workers: p.NTrans, nodes: p.NPros}
-	var set func(*cell, int)
+	var set func(*experiments.EngineCell, int)
 	switch param {
 	case "ltot":
-		set = func(c *cell, v int) { c.granules = v }
+		set = func(c *experiments.EngineCell, v int) { c.Granules = v }
 	case "ntrans":
-		set = func(c *cell, v int) { c.workers = v }
+		set = func(c *experiments.EngineCell, v int) { c.Workload.Workers = v }
 	case "npros":
-		set = func(c *cell, v int) { c.nodes = v }
+		set = func(c *experiments.EngineCell, v int) { c.Nodes = v }
 	default:
 		return fmt.Errorf("engine sweep supports -param ltot, ntrans or npros (got %q)", param)
 	}
-	type accessor func(res engine.Result, s engine.Stats) float64
-	var get accessor
+	var get func(m model.Metrics) float64
 	switch metric {
 	case "throughput":
-		get = func(res engine.Result, _ engine.Stats) float64 { return res.ThroughputTPS }
+		get = func(m model.Metrics) float64 { return m.Throughput }
 	case "denialrate":
-		get = func(_ engine.Result, s engine.Stats) float64 {
-			if s.Lock.Grants == 0 {
-				return 0
-			}
-			return float64(s.Lock.Blocks) / float64(s.Lock.Grants)
-		}
+		get = func(m model.Metrics) float64 { return m.DenialRate }
 	case "restarts":
-		get = func(_ engine.Result, s engine.Stats) float64 { return float64(s.Restarts) }
+		get = func(m model.Metrics) float64 { return float64(m.Events) }
 	default:
 		return fmt.Errorf("engine sweep supports -metric throughput, denialrate or restarts (got %q)", metric)
 	}
@@ -72,29 +73,11 @@ func runEngineSweep(p granulock.Params, protocol, param, values, metric string, 
 		}
 		c := base
 		set(&c, v)
-		y, err := func() (float64, error) {
-			db, err := engine.Open(p.DBSize,
-				engine.WithNodes(c.nodes),
-				engine.WithGranules(c.granules),
-				engine.WithProtocol(protocol),
-				engine.WithInitialValue(100))
-			if err != nil {
-				return 0, err
-			}
-			defer db.Close()
-			res, err := db.RunClosed(context.Background(), engine.Workload{
-				Workers: c.workers, TxnsPerWorker: 200, TransfersPerTxn: 2,
-				ReadFraction: 0.2, WorkPerTxn: 2000, Seed: p.Seed,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return get(res, db.Stats()), nil
-		}()
+		m, err := c.Run(context.Background())
 		if err != nil {
 			return fmt.Errorf("%s=%d: %w", param, v, err)
 		}
-		fmt.Fprintf(out, "%12d  %14.4f\n", v, y)
+		fmt.Fprintf(out, "%12d  %14.4f\n", v, get(m))
 	}
 	return nil
 }

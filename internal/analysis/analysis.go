@@ -128,10 +128,6 @@ func Analyze(pkg *load.Package, a *Analyzer) ([]Diagnostic, error) {
 	return kept, nil
 }
 
-// exprString renders an expression as source text, for messages and
-// for comparing lock targets structurally.
-func exprString(e ast.Expr) string { return types.ExprString(e) }
-
 // calleePkgFunc resolves a call of the form pkg.Func where pkg is an
 // imported package name, returning the package path and function name.
 func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, fn string, ok bool) {

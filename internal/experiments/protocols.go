@@ -23,46 +23,48 @@ import (
 // LockRequests/LockDenials/DenialRate = the protocol's lock-table
 // grants/blocks; Events = protocol-initiated restarts (diagnostic).
 
-// protoConfig is one engine cell of a protocol sweep.
-type protoConfig struct {
-	dbSize   int
-	granules int
-	protocol engine.Protocol
-	workload engine.Workload
+// EngineCell is one run of the executable engine: a closed
+// bank-transfer workload under one protocol on a database of DBSize
+// entities in Granules granules, spread over Nodes nodes.
+type EngineCell struct {
+	DBSize   int
+	Granules int
+	Nodes    int
+	Protocol engine.Protocol
+	Workload engine.Workload
 }
 
-// runEngineCell executes one cell and maps the result into Metrics. A
-// cell whose run moved the total balance is an error: every figure
-// built on the engine measures only executions that kept the
-// bank-transfer invariant.
-func runEngineCell(ctx context.Context, pc protoConfig) (model.Metrics, error) {
+// Run executes the cell and maps the result into Metrics. A cell whose
+// run moved the total balance is an error: every figure built on the
+// engine measures only executions that kept the bank-transfer invariant.
+func (c EngineCell) Run(ctx context.Context) (model.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	db, err := engine.Open(pc.dbSize,
-		engine.WithNodes(4),
-		engine.WithGranules(pc.granules),
-		engine.WithProtocol(pc.protocol),
+	db, err := engine.Open(c.DBSize,
+		engine.WithNodes(c.Nodes),
+		engine.WithGranules(c.Granules),
+		engine.WithProtocol(c.Protocol),
 		engine.WithInitialValue(100))
 	if err != nil {
 		return model.Metrics{}, err
 	}
 	defer db.Close()
 	before := db.TotalBalance()
-	res, err := db.RunClosed(ctx, pc.workload)
+	res, err := db.RunClosed(ctx, c.Workload)
 	if err != nil {
 		return model.Metrics{}, err
 	}
 	if after := db.TotalBalance(); after != before {
 		return model.Metrics{}, fmt.Errorf("balance moved from %d to %d under %s (dbsize %d, granules %d)",
-			before, after, pc.protocol, pc.dbSize, pc.granules)
+			before, after, c.Protocol, c.DBSize, c.Granules)
 	}
 	s := db.Stats()
 	var m model.Metrics
 	m.TotCom = int(res.Committed)
 	m.Throughput = res.ThroughputTPS
 	if res.Committed > 0 {
-		m.MeanResponse = float64(pc.workload.Workers) * res.Elapsed.Seconds() / float64(res.Committed)
+		m.MeanResponse = float64(c.Workload.Workers) * res.Elapsed.Seconds() / float64(res.Committed)
 	}
 	m.LockRequests = int(s.Lock.Grants)
 	m.LockDenials = int(s.Lock.Blocks)
@@ -78,7 +80,7 @@ func runEngineCell(ctx context.Context, pc protoConfig) (model.Metrics, error) {
 // (Workload.Workers goroutines), so running them in parallel would
 // contaminate each other's throughput timing. Replications average with
 // distinct workload seeds, reporting a 95% CI like the simulator sweep.
-func engineSweep(o Options, xs []float64, mkConfig func(protocol engine.Protocol, point int) protoConfig) ([]Series, error) {
+func engineSweep(o Options, xs []float64, mkConfig func(protocol engine.Protocol, point int) EngineCell) ([]Series, error) {
 	o = o.normalize()
 	protocols := cc.Names()
 	series := make([]Series, len(protocols))
@@ -90,9 +92,9 @@ func engineSweep(o Options, xs []float64, mkConfig func(protocol engine.Protocol
 				if o.Context != nil && o.Context.Err() != nil {
 					return nil, o.Context.Err()
 				}
-				pc := mkConfig(protocol, pi)
-				pc.workload.Seed = o.Seed + uint64(r)*1_000_003
-				m, err := runEngineCell(o.Context, pc)
+				c := mkConfig(protocol, pi)
+				c.Workload.Seed = o.Seed + uint64(r)*1_000_003
+				m, err := c.Run(o.Context)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: protocol %s x=%v: %w", protocol, x, err)
 				}
@@ -135,13 +137,13 @@ func ExtProtoContention(o Options) (Figure, error) {
 	skews := []float64{0, 0.4, 0.8, 1.2}
 	xs := make([]float64, len(skews))
 	copy(xs, skews)
-	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) protoConfig {
+	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) EngineCell {
 		w := protoWorkload()
 		w.ZipfSkew = skews[pi]
 		if skews[pi] > 0 {
 			w.HotEntities = 20
 		}
-		return protoConfig{dbSize: 400, granules: 40, protocol: protocol, workload: w}
+		return EngineCell{DBSize: 400, Granules: 40, Nodes: 4, Protocol: protocol, Workload: w}
 	})
 	if err != nil {
 		return Figure{}, err
@@ -168,8 +170,8 @@ func ExtProtoGranularity(o Options) (Figure, error) {
 	granules := []int{1, 2, 5, 10, 20, 50, 100, 200, 400}
 	xs := floatXs(granules)
 	const dbSize = 400
-	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) protoConfig {
-		return protoConfig{dbSize: dbSize, granules: granules[pi], protocol: protocol, workload: protoWorkload()}
+	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) EngineCell {
+		return EngineCell{DBSize: dbSize, Granules: granules[pi], Nodes: 4, Protocol: protocol, Workload: protoWorkload()}
 	})
 	if err != nil {
 		return Figure{}, err
@@ -224,12 +226,12 @@ func ExtProtoGranularity(o Options) (Figure, error) {
 func ExtProtoMPL(o Options) (Figure, error) {
 	workers := []int{1, 2, 4, 8, 16}
 	xs := floatXs(workers)
-	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) protoConfig {
+	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) EngineCell {
 		w := protoWorkload()
 		w.Workers = workers[pi]
 		w.ZipfSkew = 0.8
 		w.HotEntities = 40
-		return protoConfig{dbSize: 400, granules: 40, protocol: protocol, workload: w}
+		return EngineCell{DBSize: 400, Granules: 40, Nodes: 4, Protocol: protocol, Workload: w}
 	})
 	if err != nil {
 		return Figure{}, err

@@ -14,7 +14,7 @@ import (
 // the cross-validation panel agrees on the trend — blocking falls from
 // the coarsest to the finest granularity for both the engine and the
 // simulator. Every cell also checks that its run conserved the total
-// balance (runEngineCell).
+// balance (EngineCell.Run).
 func TestProtoGranularityFigure(t *testing.T) {
 	f, err := Run("ext-proto-granularity", Options{TMax: 300, Seed: 5, Replications: 1})
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // TestAcquireAllAsync pins the continuation form of a conservative
 // claim: decided at once exactly as TryAcquireAll decides, otherwise
 // parked in the caller's record and resolved exactly once — by the
-// release that grants it, with delivery left to the caller of
-// ReleaseAllDeferred, or never, once Withdraw took it back — and the one
+// release that grants it, with delivery left to whoever takes it from
+// the core, or never, once Withdraw took it back — and the one
 // record serves claim after claim, of any size, without a new object.
 func TestAcquireAllAsync(t *testing.T) {
 	tab := NewTable()
@@ -46,7 +46,10 @@ func TestAcquireAllAsync(t *testing.T) {
 		t.Fatalf("%d waiters", w)
 	}
 
-	resolved := tab.ReleaseAllDeferred(1, nil)
+	tab.mu.Lock()
+	tab.release(1)
+	resolved := tab.take(nil)
+	tab.mu.Unlock()
 	if len(resolved) != 1 || resolved[0] != parked {
 		t.Fatalf("release resolved %v, want the parked claim", resolved)
 	}
@@ -59,7 +62,7 @@ func TestAcquireAllAsync(t *testing.T) {
 	if tab.Withdraw(parked) {
 		t.Fatal("withdrew a claim a release had resolved")
 	}
-	resolved[0].Deliver()
+	resolved[0].deliver()
 	if calls != 1 || outcome != nil {
 		t.Fatalf("delivered %d times, outcome %v", calls, outcome)
 	}
@@ -152,7 +155,11 @@ func TestReleaseReevaluatesOnlyNamedClaims(t *testing.T) {
 	}
 	park(10, 1)
 	park(20, 2)
-	if r := tab.ReleaseAllDeferred(1, nil); len(r) != 0 {
+	tab.mu.Lock()
+	tab.release(1)
+	r := tab.take(nil)
+	tab.mu.Unlock()
+	if len(r) != 0 {
 		t.Fatalf("release of one of two readers resolved %d claims", len(r))
 	}
 	tab.ReleaseAll(2)

@@ -275,7 +275,7 @@ const (
 
 // take appends the requests resolved since the last take to out, in the
 // order they were resolved, and forgets them: each outcome is now the
-// caller's to deliver (ParkedClaim.Deliver), exactly once.
+// caller's to deliver (ParkedClaim.deliver), exactly once.
 //
 //granulint:hotpath
 func (c *core) take(out []*ParkedClaim) []*ParkedClaim {

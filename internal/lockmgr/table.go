@@ -136,7 +136,7 @@ type Table struct {
 //
 // A parked record is resolved (grant, failure, withdrawal) only under
 // the table's latch, which guards the parked flag, so exactly once. Its
-// outcome is delivered after the latch is dropped (Deliver): to Resolve,
+// outcome is delivered after the latch is dropped (deliver): to Resolve,
 // on the resolving goroutine, or to the channel a blocking call waits
 // on. From then on the table holds no reference to the record, and its
 // owner may park the next request in it.
@@ -189,13 +189,11 @@ const claimRecordUses = 24
 // parked again.
 func (w *ParkedClaim) Requests() []Request { return w.reqs }
 
-// Deliver hands a resolved request its outcome. The table calls it for
-// every request it resolves except those ReleaseAllDeferred returns,
-// which the caller must deliver, each exactly once. It is the table's
-// last use of the record.
+// deliver hands a resolved request its outcome, once the latch is
+// dropped (unlock): the table's last use of the record.
 //
 //granulint:hotpath
-func (w *ParkedClaim) Deliver() {
+func (w *ParkedClaim) deliver() {
 	if w.Resolve != nil {
 		w.Resolve(w.err)
 		return
@@ -236,7 +234,7 @@ func NewTable(opts ...Option) *Table {
 }
 
 // unlock drops the latch and then delivers what the core resolved under
-// it: the one way an outcome leaves the table, but for ReleaseAllDeferred.
+// it: the one way an outcome leaves the table.
 //
 //granulint:hotpath
 func (t *Table) unlock() {
@@ -244,7 +242,7 @@ func (t *Table) unlock() {
 	resolved := t.take(buf[:0])
 	t.mu.Unlock()
 	for _, w := range resolved {
-		w.Deliver()
+		w.deliver()
 	}
 }
 
@@ -414,19 +412,4 @@ func (t *Table) ReleaseAll(txn TxnID) {
 	t.mu.Lock()
 	t.release(txn)
 	t.unlock()
-}
-
-// ReleaseAllDeferred is ReleaseAll for a caller that holds a lock of its
-// own which the resolve callbacks of parked claims take: it appends the
-// requests the release resolved to resolved instead of delivering their
-// outcomes, and the caller calls Deliver on each once it has dropped
-// that lock.
-//
-//granulint:hotpath
-func (t *Table) ReleaseAllDeferred(txn TxnID, resolved []*ParkedClaim) []*ParkedClaim {
-	t.mu.Lock()
-	t.release(txn)
-	resolved = t.take(resolved)
-	t.mu.Unlock()
-	return resolved
 }

@@ -1,9 +1,14 @@
 package locksrv
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
+
+	"granulock/internal/lockmgr"
 )
 
 // Regression: AcquireN/ReleaseN used to encode the whole batch into a
@@ -122,6 +127,53 @@ func TestReleaseNOverFrameCap(t *testing.T) {
 		if out != nil {
 			t.Fatalf("release %d: %v", i, out)
 		}
+	}
+}
+
+// A releaseN frame of more than v2MaxInflight items is refused whole,
+// like acquireN and lease: each item may wait on a goroutine of its
+// own, so the cap bounds what one frame can make the server hold. A
+// frame at the cap is served item by item.
+func TestReleaseNOverItemCapRejected(t *testing.T) {
+	srv := NewServer(nil, nil)
+	sess, conn := sinkSession()
+	if ok, err := srv.table.TryAcquireAll(1, xreq(5)); !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	srv.setOwner(1, sess)
+	frame := func(k int) []byte {
+		body := binary.BigEndian.AppendUint32(nil, uint32(k))
+		for i := 1; i <= k; i++ {
+			body = binary.BigEndian.AppendUint64(body, uint64(i))
+		}
+		return body
+	}
+	serve := func(id uint64, body []byte) (status byte, reply []byte) {
+		t.Helper()
+		before := len(conn.written())
+		sess.pending.Add(1)
+		srv.serve(sess, opReleaseN, id, body)
+		waitFor(t, func() bool { return sess.pending.Load() == 0 })
+		fb, status, gotID, reply, err := readFrame(bufio.NewReader(bytes.NewReader(conn.written()[before:])))
+		if err != nil || gotID != id {
+			t.Fatalf("releaseN %d: reply %#x, %v", id, gotID, err)
+		}
+		reply = bytes.Clone(reply)
+		putFrame(fb)
+		return status, reply
+	}
+	if st, _ := serve(1, frame(v2MaxInflight+1)); st != statusBadRequest {
+		t.Fatalf("releaseN of %d items answered status %d, want bad_request", v2MaxInflight+1, st)
+	}
+	if !srv.table.HoldsAtLeast(1, 5, lockmgr.ModeExclusive) {
+		t.Fatal("a refused releaseN released one of its items")
+	}
+	st, reply := serve(2, frame(v2MaxInflight))
+	if st != statusOK || binary.BigEndian.Uint32(reply) != v2MaxInflight {
+		t.Fatalf("releaseN of %d items answered status %d, %d items", v2MaxInflight, st, binary.BigEndian.Uint32(reply))
+	}
+	if n := srv.table.LockedGranules(); n != 0 {
+		t.Fatalf("%d granules locked after the releaseN at the cap", n)
 	}
 }
 

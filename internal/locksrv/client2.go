@@ -659,21 +659,18 @@ func (c *ClientV2) AcquireN(claims []Claim) ([]error, error) {
 
 // ReleaseN releases a batch of transactions, returning one outcome per
 // transaction (same contract as AcquireN). Batches too large for one
-// wire frame are split across consecutive frames transparently.
+// wire frame (the 4 MiB frame cap, or the server's per-frame item cap)
+// are split across consecutive frames transparently.
 func (c *ClientV2) ReleaseN(txns []int64) ([]error, error) {
 	if len(txns) == 0 {
 		return nil, nil
 	}
 	// Release items are fixed-width, so the chunk arithmetic is direct:
-	// 8 bytes per txn under the byte budget.
-	perFrame := (maxBatchBytes - 4) / 8
+	// 8 bytes per txn under the byte budget, at most v2MaxInflight.
+	perFrame := min((maxBatchBytes-4)/8, v2MaxInflight)
 	out := make([]error, 0, len(txns))
 	for start := 0; start < len(txns); start += perFrame {
-		end := start + perFrame
-		if end > len(txns) {
-			end = len(txns)
-		}
-		chunk := txns[start:end]
+		chunk := txns[start:min(start+perFrame, len(txns))]
 		reply, err := c.roundTrip2(opReleaseN, func(fb *frameBuf) {
 			fb.appendU32(uint32(len(chunk)))
 			for _, txn := range chunk {

@@ -331,6 +331,20 @@ func probeV2(hbp **ClientV2, addr string, dial func(string) (net.Conn, error), t
 	}
 }
 
+// lease decides one transaction of a lease assert and answers it — on a
+// goroutine of its own when it waits on a predecessor session's teardown
+// (leaseCore).
+func (s *Server) lease(c call, reqs []lockmgr.Request) {
+	if st, msg, decided := s.leaseNow(c.sess, c.txn, reqs); decided {
+		s.answer(c, st, msg)
+		return
+	}
+	go func() {
+		st, msg := s.leaseCore(c.sess, c.txn, reqs)
+		s.answer(c, st, msg)
+	}()
+}
+
 // leaseNow decides one transaction of a lease assert without waiting: a
 // refresh when this session already owns the transaction, a
 // reconstruction when the transaction is unknown and its asserted
@@ -356,7 +370,6 @@ func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Reque
 	switch {
 	case granted:
 		s.setOwner(txn, sess)
-		sess.owned.add(txn)
 		s.om.clusterReasserts.Inc()
 		return statusOK, "", true
 	case err == nil:
@@ -366,7 +379,7 @@ func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Reque
 		s.om.clusterLeaseExpired.Inc()
 		return statusLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn), true
 	}
-	return 0, "", false // ErrAlreadyHolds with no owner recorded: a teardown is mid-release
+	return 0, "", false // ErrAlreadyHolds with no owner recorded: a grant not yet recorded (journal pending)
 }
 
 // leaseCore decides a lease item leaseNow could not, on a goroutine of

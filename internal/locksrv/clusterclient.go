@@ -139,19 +139,6 @@ func DialCluster(addrs []string, opts ...ClientOption) (*ClusterClient, error) {
 	return cc, nil
 }
 
-// servingAddr returns where granule g is served right now: its ring
-// owner, or the owner's successor once the owner is marked down.
-func (cc *ClusterClient) servingAddr(g lockmgr.Granule) string {
-	owner := cc.ring.Owner(uint64(g))
-	cc.mu.Lock()
-	d := cc.down[owner]
-	cc.mu.Unlock()
-	if d {
-		owner = cc.ring.Successor(owner)
-	}
-	return cc.addrs[owner]
-}
-
 // clientFor returns (dialing if needed) the connection to addr.
 func (cc *ClusterClient) clientFor(addr string) (*ClientV2, error) {
 	cc.mu.Lock()

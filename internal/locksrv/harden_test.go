@@ -606,6 +606,63 @@ func TestFaultConnTornWriteReleasesServerSide(t *testing.T) {
 	}
 }
 
+// TestTeardownOnSharedStripes: the owner record is one for all
+// sessions, and a teardown finds its session's transactions by walking
+// every stripe. Two sessions own transactions in each of the stripes;
+// closing one force-releases all of its own and none of the other's,
+// which keep their locks and their owner.
+func TestTeardownOnSharedStripes(t *testing.T) {
+	addr, srv := startServerOpts(t)
+	claims := func(base int64) []Claim {
+		var out []Claim
+		stripes := make(map[*ownerStripe]bool)
+		for txn := base; len(stripes) < ownerStripes && txn < base+16*ownerStripes; txn++ {
+			stripes[srv.ownerStripe(lockmgr.TxnID(txn))] = true
+			out = append(out, Claim{Txn: txn, Reqs: xreq(txn)})
+		}
+		if len(stripes) != ownerStripes {
+			t.Fatalf("transactions from %d cover %d of %d stripes", base, len(stripes), ownerStripes)
+		}
+		return out
+	}
+	closing, staying := dial(t, addr), dial(t, addr)
+	gone, kept := claims(1), claims(1_000_001)
+	for _, side := range []struct {
+		c      *ClientV2
+		claims []Claim
+	}{{closing, gone}, {staying, kept}} {
+		errs, err := side.c.AcquireN(side.claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("claim of txn %d: %v", side.claims[i].Txn, err)
+			}
+		}
+	}
+	keeper := ownerOf(srv, kept[0].Txn)
+	if keeper == nil || keeper == ownerOf(srv, gone[0].Txn) {
+		t.Fatal("the two sessions' transactions are not recorded on two sessions")
+	}
+
+	closing.Close()
+	waitFor(t, func() bool { return srv.Stats().ForceReleases != 0 })
+	if n := srv.Stats().ForceReleases; n != int64(len(gone)) {
+		t.Fatalf("force_releases %d, want the closed session's %d", n, len(gone))
+	}
+	for _, cl := range gone {
+		if n, owner := srv.Table().HeldBy(lockmgr.TxnID(cl.Txn)), ownerOf(srv, cl.Txn); n != 0 || owner != nil {
+			t.Fatalf("closed session's txn %d holds %d granules, owner %p", cl.Txn, n, owner)
+		}
+	}
+	for _, cl := range kept {
+		if n, owner := srv.Table().HeldBy(lockmgr.TxnID(cl.Txn)), ownerOf(srv, cl.Txn); n != 1 || owner != keeper {
+			t.Fatalf("other session's txn %d holds %d granules, owner %p, want 1 and %p", cl.Txn, n, owner, keeper)
+		}
+	}
+}
+
 // waitFor polls cond until true or a deadline.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -44,7 +44,7 @@ func WithJournal(j Journal) ServerOption {
 // journal refuses is withdrawn from the table and answered unavailable;
 // ownership was never recorded, so it leaves no trace of the
 // transaction.
-func (s *Server) journalGrant(a acq, reqs []lockmgr.Request) {
+func (s *Server) journalGrant(a call, reqs []lockmgr.Request) {
 	own := slices.Clone(reqs)
 	go func() {
 		if err := s.journal.Grant(a.txn, own); err != nil {

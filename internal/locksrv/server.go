@@ -136,42 +136,6 @@ func (r *waitRing) quantiles() (p50, p90, p99 float64, n int64) {
 	return qs[0], qs[1], qs[2], n
 }
 
-// ownedSet tracks the transactions granted on one session. A grant is
-// recorded by whichever goroutine finished it — the session's reader,
-// another session's releasing reader, a goroutine that waited on the
-// journal — so the set carries its own mutex.
-type ownedSet struct {
-	mu sync.Mutex
-	m  map[lockmgr.TxnID]struct{}
-}
-
-func newOwnedSet() *ownedSet {
-	return &ownedSet{m: make(map[lockmgr.TxnID]struct{})}
-}
-
-func (o *ownedSet) add(txn lockmgr.TxnID) {
-	o.mu.Lock()
-	o.m[txn] = struct{}{}
-	o.mu.Unlock()
-}
-
-func (o *ownedSet) remove(txn lockmgr.TxnID) {
-	o.mu.Lock()
-	delete(o.m, txn)
-	o.mu.Unlock()
-}
-
-// snapshot returns the owned transactions at teardown time.
-func (o *ownedSet) snapshot() []lockmgr.TxnID {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]lockmgr.TxnID, 0, len(o.m))
-	for txn := range o.m {
-		out = append(out, txn)
-	}
-	return out
-}
-
 // session is one connection's server-side state.
 type session struct {
 	conn net.Conn
@@ -188,8 +152,6 @@ type session struct {
 	// "owned by a dying predecessor, wait out its teardown" from "owned
 	// by a live peer, genuine protocol violation".
 	closing atomic.Bool
-
-	owned *ownedSet // transactions granted on this session
 
 	// pending counts requests decoded but not yet answered: parked
 	// claims and requests whose goroutine waits on the journal, a
@@ -220,7 +182,6 @@ func newSession(conn net.Conn) *session {
 		conn:   conn,
 		ctx:    ctx,
 		cancel: cancel,
-		owned:  newOwnedSet(),
 		wake:   make(chan struct{}, 1),
 		parked: make(map[*parkedAcquire]struct{}),
 	}
@@ -291,10 +252,10 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// owners records the session each transaction was granted on,
-	// striped by transaction id: every acquire and release of every
-	// session passes through it, and a release holds its stripe across
-	// the lock table's release (releaseOwned).
+	// owners is the one record of the session each transaction was
+	// granted on, striped by transaction id: every grant and release of
+	// every session passes through it (setOwner, releaseOwned), and a
+	// session's teardown walks all of it.
 	owners [ownerStripes]ownerStripe
 
 	// pfree recycles the records of parked acquires (server2.go), at
@@ -653,17 +614,29 @@ func (r *sessionReader) Read(p []byte) (int, error) {
 }
 
 // teardown ends a session: condemn it, close its connection, and
-// force-release every transaction it still owns. Every request of the
-// session has been answered (see handle), so nothing can add to the
-// owned set any more.
+// force-release every transaction recorded as granted on it. Every
+// request of the session has been answered (see handle), so nothing
+// records a grant on it any more. The owner record is one for all
+// sessions, so finding the session's transactions walks every stripe.
 func (s *Server) teardown(sess *session) {
 	sess.shutdown()
 	sess.conn.Close()
 	s.mu.Lock()
 	delete(s.sessions, sess)
 	s.mu.Unlock()
+	var owned []lockmgr.TxnID
+	for i := range s.owners {
+		o := &s.owners[i]
+		o.mu.Lock()
+		for txn, owner := range o.m {
+			if owner == sess {
+				owned = append(owned, txn)
+			}
+		}
+		o.mu.Unlock()
+	}
 	forced := int64(0)
-	for _, txn := range sess.owned.snapshot() {
+	for _, txn := range owned {
 		// Nobody else releases a transaction recorded on this session,
 		// so what it holds now is what the release below frees.
 		held := s.table.HeldBy(txn) > 0
@@ -681,36 +654,38 @@ func (s *Server) teardown(sess *session) {
 
 // releaseOwned releases everything txn holds unless the transaction is
 // recorded as granted on a session other than sess, and reports whether
-// it did.
+// it did. It holds no lock of its own across the lock table's release,
+// so the parked claims that release resolves are delivered by it at once
+// — and their continuations record their owners, possibly in txn's very
+// stripe.
 //
-// The ownership check and the release are one atomic step under the
-// transaction's owner stripe: a transaction this session was granted
-// may since have been re-granted on a live successor session (the
-// client retried an acquire whose response a transport fault ate, and
-// the retry won before this session's teardown ran). Those locks are
-// the successor's; releasing them here would strip a live session's
-// grants and break mutual exclusion. Holding the stripe across the
-// release keeps a successor's grant-then-record from interleaving with
-// the check (grant recording takes the same stripe) — which is why the
-// parked claims the release resolves are delivered only after the
-// stripe is dropped: their continuations record ownership, possibly in
-// this very stripe.
+// A transaction this session was granted may since have been re-granted
+// on a live successor session (the client retried an acquire whose
+// response a transport fault ate, and the retry won before this
+// session's teardown ran). Those locks are the successor's; releasing
+// them here would strip a live session's grants and break mutual
+// exclusion. The check under the stripe is enough: a conservative claim
+// for a transaction that still holds locks is refused (ErrAlreadyHolds),
+// so no successor is granted txn between the check and the release. The
+// owner is forgotten after the release, and only if it is still sess (a
+// successor may have been granted and recorded meanwhile), so that a
+// transaction with no owner recorded and locks held is always a grant
+// not yet recorded — what awaitOwner takes it for.
 //
 //granulint:hotpath
 func (s *Server) releaseOwned(sess *session, txn lockmgr.TxnID) bool {
-	var buf [4]*lockmgr.ParkedClaim
-	o := s.ownerStripe(txn)
-	o.mu.Lock()
-	if owner, recorded := o.m[txn]; recorded && owner != sess {
-		o.mu.Unlock()
+	owner, recorded := s.ownerOf(txn)
+	if recorded && owner != sess {
 		return false
 	}
-	delete(o.m, txn)
-	resolved := s.table.ReleaseAllDeferred(txn, buf[:0])
-	o.mu.Unlock()
-	sess.owned.remove(txn)
-	for _, w := range resolved {
-		w.Deliver()
+	s.table.ReleaseAll(txn)
+	if recorded {
+		o := s.ownerStripe(txn)
+		o.mu.Lock()
+		if o.m[txn] == sess {
+			delete(o.m, txn)
+		}
+		o.mu.Unlock()
 	}
 	return true
 }
@@ -795,7 +770,7 @@ var errDuplicateClaim = fmt.Errorf("%w: transaction already holds locks; conserv
 // session's or a live peer's (awaitOwner). The wait counts from the
 // acquire's arrival and ends at its deadline or its session's end; then
 // the claim goes down the path again.
-func (s *Server) sideline(a acq, reqs []lockmgr.Request, sealed <-chan struct{}) {
+func (s *Server) sideline(a call, reqs []lockmgr.Request, sealed <-chan struct{}) {
 	if a.start.IsZero() {
 		a.start = time.Now()
 	}

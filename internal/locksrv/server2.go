@@ -18,6 +18,8 @@ import (
 // at once — parked claims and requests waiting on goroutines of their
 // own — and so what one client can make the server hold. Excess frames
 // wait in the read loop: the back-pressure a pipelining client expects.
+// It also caps the items of one batch frame (acquireN, releaseN, lease),
+// since each item may wait on a goroutine of its own.
 const v2MaxInflight = 256
 
 // scratchReqsMax bounds the request-decode scratch a session keeps
@@ -203,14 +205,14 @@ func (s *Server) serve(sess *session, op byte, id uint64, body []byte) {
 			s.reply(sess, id, statusBadRequest, "malformed acquire body")
 			return
 		}
-		s.acquire(acq{sess: sess, txn: txn, timeoutMS: timeoutMS, id: id}, reqs)
+		s.acquire(call{sess: sess, txn: txn, timeoutMS: timeoutMS, id: id}, reqs)
 	case opRelease:
 		txn := lockmgr.TxnID(fr.u64())
 		if !fr.done() {
 			s.reply(sess, id, statusBadRequest, "malformed release body")
 			return
 		}
-		s.release(sess, id, txn)
+		s.release(call{sess: sess, txn: txn, id: id})
 	case opStats:
 		s.replyFrame(sess, s.statsFrame(id, body))
 	case opAcquireN:
@@ -242,12 +244,14 @@ func (s *Server) statsFrame(id uint64, body []byte) *frameBuf {
 	return fb
 }
 
-// acq is one acquire on its way down the one path (acquire): whose claim
-// it is, its wait deadline, when it arrived — stamped only once it first
-// waits, so that a claim granted at once never reads the clock — and
-// where its outcome goes: a reply to request id or, for a sub-claim of
-// an acquireN, slot idx of its batch.
-type acq struct {
+// call is one request on its way down its path — an acquire (acquire),
+// a release (release) or one transaction of a lease (lease), alone or as
+// an item of a batch frame: whose transaction it is, an acquire's wait
+// deadline and when it arrived — stamped only once it first waits, so
+// that a claim granted at once never reads the clock — and where its
+// outcome goes: a reply to request id or, for an item of a batch frame,
+// slot idx of its batch (answer).
+type call struct {
 	sess      *session
 	txn       lockmgr.TxnID
 	timeoutMS int64
@@ -266,7 +270,7 @@ type acq struct {
 // finish it.
 //
 //granulint:hotpath
-func (s *Server) acquire(a acq, reqs []lockmgr.Request) {
+func (s *Server) acquire(a call, reqs []lockmgr.Request) {
 	switch {
 	case len(reqs) == 0:
 		s.answer(a, statusBadRequest, "acquire without granules")
@@ -304,7 +308,7 @@ func (s *Server) acquire(a acq, reqs []lockmgr.Request) {
 // perhaps a retry racing its predecessor's teardown (sideline).
 //
 //granulint:hotpath
-func (s *Server) finish(a acq, reqs []lockmgr.Request, err error) {
+func (s *Server) finish(a call, reqs []lockmgr.Request, err error) {
 	if errors.Is(err, lockmgr.ErrAlreadyHolds) {
 		s.sideline(a, reqs, nil)
 		return
@@ -320,11 +324,10 @@ func (s *Server) finish(a acq, reqs []lockmgr.Request, err error) {
 
 // settle records acquire a's outcome err and classifies it: a grant
 // becomes the session's, anything else is counted.
-func (s *Server) settle(a acq, err error) (byte, string) {
+func (s *Server) settle(a call, err error) (byte, string) {
 	switch {
 	case err == nil:
 		s.setOwner(a.txn, a.sess)
-		a.sess.owned.add(a.txn)
 		s.om.grants.Inc()
 		return statusOK, ""
 	case errors.Is(err, context.DeadlineExceeded):
@@ -343,38 +346,39 @@ func (s *Server) settle(a acq, err error) (byte, string) {
 	}
 }
 
-// answer delivers acquire a's status where it goes.
+// answer delivers call c's status where it goes.
 //
 //granulint:hotpath
-func (s *Server) answer(a acq, st byte, msg string) {
-	if a.batch != nil {
-		a.batch.set(a.idx, st, msg)
+func (s *Server) answer(c call, st byte, msg string) {
+	if c.batch != nil {
+		c.batch.set(c.idx, st, msg)
 		return
 	}
-	s.reply(a.sess, a.id, st, msg)
+	s.reply(c.sess, c.id, st, msg)
 }
 
-// release releases everything txn holds and answers, on the session's
-// reader. A release whose answer waits — for the journal to record it,
-// or for the teardown of a predecessor session txn is still recorded
-// on — is answered by a goroutine of its own (releaseLate).
+// release releases everything c's transaction holds and answers, on the
+// session's reader. A release whose answer waits — for the journal to
+// record it, or for the teardown of a predecessor session the
+// transaction is still recorded on — is answered by a goroutine of its
+// own (releaseLate).
 //
 //granulint:hotpath
-func (s *Server) release(sess *session, id uint64, txn lockmgr.TxnID) {
-	released := s.releaseOwned(sess, txn)
+func (s *Server) release(c call) {
+	released := s.releaseOwned(c.sess, c.txn)
 	if released && s.journal == nil {
-		s.reply(sess, id, statusOK, "")
+		s.answer(c, statusOK, "")
 		return
 	}
-	s.releaseLate(sess, id, txn, released)
+	s.releaseLate(c, released)
 }
 
 // releaseLate answers a release on a goroutine of its own, once
 // releaseCore is done with it.
-func (s *Server) releaseLate(sess *session, id uint64, txn lockmgr.TxnID, released bool) {
+func (s *Server) releaseLate(c call, released bool) {
 	go func() {
-		st, msg := s.releaseCore(sess, txn, released)
-		s.reply(sess, id, st, msg)
+		st, msg := s.releaseCore(c.sess, c.txn, released)
+		s.answer(c, st, msg)
 	}()
 }
 
@@ -403,7 +407,7 @@ func (s *Server) releaseLate(sess *session, id uint64, txn lockmgr.TxnID, releas
 type parkedAcquire struct {
 	claim lockmgr.ParkedClaim
 	s     *Server
-	acq   // the acquire, and where its outcome goes
+	call  // the acquire, and where its outcome goes
 	refs  atomic.Int32
 	uses  int // acquires carried so far; the last user's to count
 	// Guarded by sess.pmu: the deadline timer (nil until the record first
@@ -436,7 +440,7 @@ const parkedRecordUses = 12
 
 // getParked returns a record for acquire a, which has to wait, from the
 // free list when it has one.
-func (s *Server) getParked(a acq) *parkedAcquire {
+func (s *Server) getParked(a call) *parkedAcquire {
 	var pa *parkedAcquire
 	s.pfmu.Lock()
 	if n := len(s.pfree); n > 0 {
@@ -449,7 +453,7 @@ func (s *Server) getParked(a acq) *parkedAcquire {
 		pa = &parkedAcquire{s: s}
 		pa.claim.Resolve = pa.resolved
 	}
-	pa.acq, pa.unparked = a, false
+	pa.call, pa.unparked = a, false
 	pa.refs.Store(2) // park and the ending
 	return pa
 }
@@ -466,7 +470,7 @@ func (pa *parkedAcquire) letGo() {
 		return
 	}
 	s := pa.s
-	pa.acq = acq{}
+	pa.call = call{}
 	s.pfmu.Lock()
 	if len(s.pfree) < s.pfreeMax {
 		s.pfree = append(s.pfree, pa)
@@ -582,7 +586,7 @@ func (s *Server) cancelParked(sess *session) {
 //
 //granulint:hotpath
 func (pa *parkedAcquire) finish(err error, reqs []lockmgr.Request) {
-	pa.s.finish(pa.acq, reqs, err)
+	pa.s.finish(pa.call, reqs, err)
 	pa.letGo()
 }
 
@@ -622,8 +626,8 @@ func parseRequests(fr *frameReader, dst []lockmgr.Request) []lockmgr.Request {
 
 // batchReply is the answer to a batch frame (acquireN, releaseN,
 // lease): frame status OK, per-item statuses and messages in the body.
-// The sub-claims of an acquireN report by countdown (set), each from
-// whatever goroutine finished it, and the last report answers the frame.
+// Every item reports by countdown (set), from whatever goroutine
+// finished it, and the last report answers the frame.
 type batchReply struct {
 	s    *Server
 	sess *session
@@ -642,28 +646,8 @@ func (s *Server) newBatch(sess *session, id uint64, k int) *batchReply {
 func (b *batchReply) set(i int, st byte, msg string) {
 	b.sts[i], b.msgs[i] = st, msg
 	if b.left.Add(-1) == 0 {
-		b.send()
+		b.s.replyFrame(b.sess, batchFrame(b.id, b.sts, b.msgs))
 	}
-}
-
-// send answers the frame with the statuses recorded.
-func (b *batchReply) send() {
-	b.s.replyFrame(b.sess, batchFrame(b.id, b.sts, b.msgs))
-}
-
-// complete answers the frame once the items in late are decided too —
-// by decide, which waits, and so on one goroutine of their own.
-func (b *batchReply) complete(late []int, decide func(i int) (byte, string)) {
-	if late == nil {
-		b.send()
-		return
-	}
-	go func() {
-		for _, i := range late {
-			b.sts[i], b.msgs[i] = decide(i)
-		}
-		b.send()
-	}()
 }
 
 // item is one transaction's claim inside a batch frame.
@@ -696,17 +680,17 @@ func (s *Server) serveAcquireN(sess *session, id uint64, body []byte) {
 	s.om.batchOps.Add(int64(k))
 	b := s.newBatch(sess, id, int(k))
 	for i, c := range subs {
-		s.acquire(acq{sess: sess, txn: c.txn, timeoutMS: c.timeoutMS, batch: b, idx: i}, c.reqs)
+		s.acquire(call{sess: sess, txn: c.txn, timeoutMS: c.timeoutMS, batch: b, idx: i}, c.reqs)
 	}
 }
 
-// serveReleaseN releases a batch of transactions on the session's
-// reader and answers with per-item statuses — from one goroutine when
-// an item's answer waits on the journal or on an owner's teardown.
+// serveReleaseN takes the releases of a batch down the one path (release),
+// each with the batch as where its outcome goes: the batch answers when
+// its last item reports.
 func (s *Server) serveReleaseN(sess *session, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	k := fr.u32()
-	if fr.bad || k == 0 || k > uint32(fr.left()/8) {
+	if fr.bad || k == 0 || k > v2MaxInflight {
 		s.reply(sess, id, statusBadRequest, "malformed releaseN count")
 		return
 	}
@@ -719,22 +703,16 @@ func (s *Server) serveReleaseN(sess *session, id uint64, body []byte) {
 		return
 	}
 	s.om.batchOps.Add(int64(k))
-	released := make([]bool, k)
-	var late []int
+	b := s.newBatch(sess, id, int(k))
 	for i, txn := range txns {
-		if released[i] = s.releaseOwned(sess, txn); !released[i] || s.journal != nil {
-			late = append(late, i)
-		}
+		s.release(call{sess: sess, txn: txn, batch: b, idx: i})
 	}
-	s.newBatch(sess, id, int(k)).complete(late, func(i int) (byte, string) {
-		return s.releaseCore(sess, txns[i], released[i])
-	})
 }
 
-// serveLease processes a lease assert: per-transaction grant
-// refresh/reconstruction (leaseNow), answered as a batch frame — from
-// one goroutine when an item waits on a predecessor session's teardown
-// (leaseCore).
+// serveLease processes a lease assert: each transaction's grant
+// refresh or reconstruction goes down its path (lease) with the batch as
+// where its outcome goes, and the batch answers when its last item
+// reports.
 func (s *Server) serveLease(sess *session, id uint64, body []byte) {
 	fr := frameReader{b: body}
 	fr.u64() // lease id: carried for observability, no fencing use yet
@@ -759,16 +737,9 @@ func (s *Server) serveLease(sess *session, id uint64, body []byte) {
 	}
 	s.om.batchOps.Add(int64(k))
 	b := s.newBatch(sess, id, int(k))
-	var late []int
 	for i, it := range items {
-		var decided bool
-		if b.sts[i], b.msgs[i], decided = s.leaseNow(sess, it.txn, it.reqs); !decided {
-			late = append(late, i)
-		}
+		s.lease(call{sess: sess, txn: it.txn, batch: b, idx: i}, it.reqs)
 	}
-	b.complete(late, func(i int) (byte, string) {
-		return s.leaseCore(sess, items[i].txn, items[i].reqs)
-	})
 }
 
 // errorFrame builds a plain response frame for the paths that return

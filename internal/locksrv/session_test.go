@@ -271,7 +271,13 @@ func lateExpire(t *testing.T, recycleFired bool) (survived bool) {
 		return onlyParked(t, sess)
 	}
 	first := parkOne(1, 2, 60_000)
-	resolved := srv.table.ReleaseAllDeferred(1, nil)
+	// The release resolves the claim; its delivery is held back by
+	// swapping the record's callback for one that keeps the outcome.
+	var resolved []error
+	resolve := first.claim.Resolve
+	first.claim.Resolve = func(err error) { resolved = append(resolved, err) }
+	srv.table.ReleaseAll(1)
+	first.claim.Resolve = resolve
 	if len(resolved) != 1 {
 		t.Fatalf("the release resolved %d claims", len(resolved))
 	}
@@ -294,7 +300,7 @@ func lateExpire(t *testing.T, recycleFired bool) (survived bool) {
 		sess.pmu.Unlock()
 		first.finish(nil, first.claim.Requests())
 	} else {
-		resolved[0].Deliver()
+		first.resolved(resolved[0])
 		if !first.fired {
 			t.Fatal("the deadline had not fired by the time the claim was delivered")
 		}

@@ -65,6 +65,3 @@ func (r *txnRing) PopHead() *txn {
 	r.n--
 	return t
 }
-
-// Head returns the front transaction without removing it.
-func (r *txnRing) Head() *txn { return r.buf[r.head] }

@@ -204,59 +204,3 @@ func BatchMeans(xs []float64, batches int) (Summary, error) {
 	}
 	return w.Summarize(), nil
 }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); samples
-// outside the range land in the clamped edge buckets. NaN samples carry
-// no position and are dropped (counted separately) rather than clamped:
-// int(NaN) is implementation-defined in Go, so before this policy they
-// silently landed in bucket 0 on common platforms.
-type Histogram struct {
-	Lo, Hi     float64
-	Buckets    []int
-	count      int
-	droppedNaN int
-}
-
-// NewHistogram returns a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("stats: bucket count %d < 1", n)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}, nil
-}
-
-// Add places one sample. NaN samples are dropped and counted in
-// DroppedNaN.
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.droppedNaN++
-		return
-	}
-	idx := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.count++
-}
-
-// Count returns the number of samples placed in buckets (NaN samples
-// are excluded; see DroppedNaN).
-func (h *Histogram) Count() int { return h.count }
-
-// DroppedNaN returns the number of NaN samples dropped by Add.
-func (h *Histogram) DroppedNaN() int { return h.droppedNaN }
-
-// Fraction returns the fraction of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.count)
-}

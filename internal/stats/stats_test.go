@@ -231,70 +231,6 @@ func TestBatchMeansConstantSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count %d", h.Count())
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps low, 42 clamps high
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Fatalf("buckets %v, want %v", h.Buckets, want)
-		}
-	}
-	if math.Abs(h.Fraction(0)-3.0/7.0) > 1e-12 {
-		t.Fatalf("fraction %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramDropsNaN(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1)
-	h.Add(math.NaN())
-	h.Add(math.NaN())
-	h.Add(9)
-	if h.Count() != 2 {
-		t.Fatalf("count %d, want 2 (NaN counted?)", h.Count())
-	}
-	if h.DroppedNaN() != 2 {
-		t.Fatalf("dropped %d, want 2", h.DroppedNaN())
-	}
-	if h.Buckets[0] != 1 {
-		t.Fatalf("NaN clamped into bucket 0: %v", h.Buckets)
-	}
-	if math.Abs(h.Fraction(0)-0.5) > 1e-12 {
-		t.Fatalf("fraction %v, want 0.5 over non-NaN samples", h.Fraction(0))
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := NewHistogram(5, 4, 3); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
-
-func TestHistogramEmptyFraction(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Fatal("empty histogram fraction nonzero")
-	}
-}
-
 // TestQuantilesSingleSortMatchesQuantile checks the batched API against
 // the one-at-a-time API on the same sample.
 func TestQuantilesSingleSortMatchesQuantile(t *testing.T) {

@@ -319,10 +319,9 @@ func tailReader(path string, seq int64) (*Reader, io.Closer, error) {
 // Dir is a directory holding a Set's per-partition log files plus the
 // current snapshot: wal-<k>.log for each partition and snapshot.snap.
 type Dir struct {
-	path  string
-	opts  logOptions
-	set   *Set
-	sinks []*fileSink
+	path string
+	opts logOptions
+	set  *Set
 	// fail is the checkpoint failpoint hook (SetFailpoint), consulted
 	// between install stages so crash tests can kill mid-snapshot.
 	fail func(stage string) error
@@ -356,30 +355,19 @@ func OpenDir(path string, parts int, opts ...LogOption) (*Dir, error) {
 	if _, err := os.Stat(logPath(path, parts)); err == nil {
 		return nil, fmt.Errorf("wal: %s holds more than %d partition logs", path, parts)
 	}
-	d := &Dir{path: path, opts: o}
-	logs := make([]*Log, parts)
+	logs := make([]*Log, 0, parts)
 	for k := 0; k < parts; k++ {
 		sink, seq, err := openFileSink(logPath(path, k), o.preallocate)
 		if err != nil {
-			d.closeSinks()
+			// Close stops each log's flusher along with its file.
+			for _, l := range logs {
+				l.Close()
+			}
 			return nil, err
 		}
-		d.sinks = append(d.sinks, sink)
-		logs[k] = newLogAt(sink, sink.base, seq, o)
+		logs = append(logs, newLogAt(sink, sink.base, seq, o))
 	}
-	set, err := NewSet(logs...)
-	if err != nil {
-		d.closeSinks()
-		return nil, err
-	}
-	d.set = set
-	return d, nil
-}
-
-func (d *Dir) closeSinks() {
-	for _, s := range d.sinks {
-		s.Close()
-	}
+	return &Dir{path: path, opts: o, set: &Set{logs: logs}}, nil
 }
 
 // Set returns the directory's log set.

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestOpenFileAppendReopenRecover(t *testing.T) {
@@ -278,6 +280,40 @@ func TestDirPartitionCountMismatch(t *testing.T) {
 	}
 	if _, err := OpenDir(dir, 2, WithPreallocate(0)); err == nil {
 		t.Fatal("narrowing partition count accepted")
+	}
+}
+
+// TestOpenDirFailureStopsFlushers: a log that fails to open leaves no
+// flusher goroutine behind for the logs opened before it.
+func TestOpenDirFailureStopsFlushers(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDir(dir, 2, WithPreallocate(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(logPath(dir, 1), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("NOTAWAL!"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := OpenDir(dir, 2, WithPreallocate(0)); err == nil {
+			t.Fatal("a log with a corrupt header opened")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after five failed opens, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -165,7 +164,3 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	return s, nil
 }
-
-// errSnapshotMissing distinguishes "no snapshot yet" from "snapshot
-// corrupt" for Dir.Recover.
-var errSnapshotMissing = errors.New("wal: no snapshot")

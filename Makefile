@@ -6,7 +6,7 @@ GO ?= go
 # (the build environment is offline; CI installs the pin itself).
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: build test vet race bench pairs lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
+.PHONY: build test vet race bench pairs loc lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,11 @@ N ?= 10
 SEED ?= 1
 pairs:
 	bash scripts/pairs.sh $(REF) $(WORKLOAD) $(N) $(SEED) $(SECONDS)
+
+# loc prints the Go line counts ROADMAP tracks: non-test and test lines per
+# package and in total, benchmark/, testdata/ and .bench_build/ left out.
+loc:
+	bash scripts/loc.sh
 
 # granulint runs the repo's own invariant analyzers (internal/analysis,
 # see docs/ANALYSIS.md) over every package; any unsuppressed finding

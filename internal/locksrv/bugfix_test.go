@@ -5,65 +5,177 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"granulock/internal/lockmgr"
 )
 
+// recordingConn keeps a copy of everything the client writes, so a test
+// can read back the frames it sent.
+type recordingConn struct {
+	net.Conn
+	mu  sync.Mutex
+	out []byte
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out = append(c.out, p...)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// sentFrames returns the op and body of every frame written so far.
+func (c *recordingConn) sentFrames(t *testing.T) (ops []byte, bodies [][]byte) {
+	t.Helper()
+	c.mu.Lock()
+	b := bytes.Clone(c.out)
+	c.mu.Unlock()
+	b = bytes.TrimPrefix(b, []byte(protoMagic))
+	for len(b) > 0 {
+		if len(b) < 13 || int(binary.BigEndian.Uint32(b)) > len(b)-4 {
+			t.Fatalf("torn frame in the client's output: %d bytes left", len(b))
+		}
+		n := int(binary.BigEndian.Uint32(b))
+		ops = append(ops, b[4])
+		bodies = append(bodies, b[13:4+n])
+		b = b[4+n:]
+	}
+	return ops, bodies
+}
+
 // Regression: AcquireN/ReleaseN used to encode the whole batch into a
 // single frame, which the wire rejects as connection-fatal above
-// maxFrame. The client must chunk instead. maxBatchBytes is a var so
-// the chunking path is cheap to exercise; the over-cap ReleaseN below
-// drives a genuinely over-4MiB batch through the real limit.
+// maxFrame. Every batch op (AcquireN, ReleaseN, Lease) splits its items
+// across frames instead: each frame stays within the byte budget
+// (maxBatchBytes, a var so chunking is cheap to exercise;
+// TestReleaseNOverFrameCap drives the real 4 MiB limit).
 func TestAcquireNChunksByteBudget(t *testing.T) {
-	old := maxBatchBytes
-	maxBatchBytes = 4096
-	defer func() { maxBatchBytes = old }()
+	// 106-byte claims, 98-byte lease items, 8-byte releases: every op
+	// needs several frames under 1 KiB.
+	checkBatchChunks(t, 1024, repeat(200, 10), false)
+}
 
-	addr, srv := startServer(t)
-	c := dial(t, addr, WithRetries(0))
-	const nClaims = 60
-	const perClaim = 30 // 290 encoded bytes/claim → ~14 claims/frame
-	claims := make([]Claim, nClaims)
-	for i := range claims {
-		reqs := make([]int64, perClaim)
-		for j := range reqs {
-			reqs[j] = int64(i*perClaim + j)
+// Every batch op must also respect the server's per-frame item cap
+// (v2MaxInflight), not just the byte budget.
+func TestAcquireNChunksItemCount(t *testing.T) {
+	checkBatchChunks(t, maxBatchBytes, repeat(v2MaxInflight+40, 1), false)
+}
+
+// An item too large for any frame fails the call before anything is
+// sent. The last item alone is over 256 bytes; a release item is 8 bytes
+// whatever its transaction holds, so ReleaseN has no such case.
+func TestBatchOversizeItemRejected(t *testing.T) {
+	checkBatchChunks(t, 256, append(repeat(3, 1), 64), true)
+}
+
+// checkBatchChunks sends one item per entry of sizes, each naming that
+// many fresh granules, through every batch op with maxBatchBytes set to
+// budget, and checks the frames the client wrote. With oversize the last
+// item fits no frame and the call must fail with nothing sent.
+func checkBatchChunks(t *testing.T, budget int, sizes []int, oversize bool) {
+	ops := []struct {
+		name    string
+		op      byte
+		countAt int // offset of the item count in a frame body
+		send    func(c *ClientV2, granules [][]int64) ([]error, error)
+	}{
+		{"acquireN", opAcquireN, 0, func(c *ClientV2, granules [][]int64) ([]error, error) {
+			claims := make([]Claim, len(granules))
+			for i, g := range granules {
+				claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(g...)}
+			}
+			return c.AcquireN(claims)
+		}},
+		{"releaseN", opReleaseN, 0, func(c *ClientV2, granules [][]int64) ([]error, error) {
+			txns := make([]int64, len(granules))
+			for i := range txns {
+				txns[i] = int64(i + 1)
+			}
+			return c.ReleaseN(txns)
+		}},
+		{"lease", opLease, 8, func(c *ClientV2, granules [][]int64) ([]error, error) {
+			items := make([]LeaseTxn, len(granules))
+			for i, g := range granules {
+				items[i] = LeaseTxn{Txn: int64(i + 1), Reqs: xreq(g...)}
+			}
+			return c.Lease(1, items)
+		}},
+	}
+	for _, op := range ops {
+		if oversize && op.op == opReleaseN {
+			continue
 		}
-		claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(reqs...)}
+		t.Run(op.name, func(t *testing.T) {
+			old := maxBatchBytes
+			maxBatchBytes = budget
+			defer func() { maxBatchBytes = old }()
+			var rec *recordingConn
+			addr, srv := startServer(t)
+			c := dial(t, addr, WithRetries(0), WithDialer(func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				rec = &recordingConn{Conn: conn}
+				return rec, err
+			}))
+			granules := make([][]int64, len(sizes))
+			want := 0
+			for i, n := range sizes {
+				for j := 0; j < n; j++ {
+					granules[i] = append(granules[i], int64(want))
+					want++
+				}
+			}
+			outs, err := op.send(c, granules)
+			sentOps, bodies := rec.sentFrames(t)
+			if oversize {
+				if !errors.Is(err, ErrBadRequest) || len(sentOps) != 0 {
+					t.Fatalf("oversize item: err %v after %d frames, want ErrBadRequest and none", err, len(sentOps))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(outs) != len(granules) {
+				t.Fatalf("%d results for %d items", len(outs), len(granules))
+			}
+			for i, out := range outs {
+				if out != nil {
+					t.Fatalf("item %d: %v", i, out)
+				}
+			}
+			items := 0
+			for i, body := range bodies {
+				k := int(binary.BigEndian.Uint32(body[op.countAt:]))
+				if sentOps[i] != op.op || len(body) > budget || k > v2MaxInflight {
+					t.Fatalf("frame %d: op %d, %d-byte body, %d items; want op %d, at most %d bytes and %d items",
+						i, sentOps[i], len(body), k, op.op, budget, v2MaxInflight)
+				}
+				items += k
+			}
+			if len(bodies) < 2 || items != len(granules) {
+				t.Fatalf("%d items in %d frames, want %d items in more than one", items, len(bodies), len(granules))
+			}
+			if op.op == opReleaseN {
+				want = 0
+			}
+			if n := srv.Table().LockedGranules(); n != want {
+				t.Fatalf("%d granules locked, want %d", n, want)
+			}
+		})
 	}
-	outs, err := c.AcquireN(claims)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// repeat returns n copies of v.
+func repeat(n, v int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = v
 	}
-	if len(outs) != nClaims {
-		t.Fatalf("%d results for %d claims", len(outs), nClaims)
-	}
-	for i, out := range outs {
-		if out != nil {
-			t.Fatalf("claim %d: %v", i, out)
-		}
-	}
-	if n := srv.Table().LockedGranules(); n != nClaims*perClaim {
-		t.Fatalf("%d granules locked, want %d", n, nClaims*perClaim)
-	}
-	txns := make([]int64, nClaims)
-	for i := range txns {
-		txns[i] = int64(i + 1)
-	}
-	routs, err := c.ReleaseN(txns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range routs {
-		if out != nil {
-			t.Fatalf("release %d: %v", i, out)
-		}
-	}
-	if n := srv.Table().LockedGranules(); n != 0 {
-		t.Fatalf("%d granules still locked", n)
-	}
+	return out
 }
 
 // A single claim that cannot fit any frame is the caller's bug and is
@@ -80,29 +192,6 @@ func TestAcquireNOversizeClaimRejected(t *testing.T) {
 	// The connection must survive the local rejection.
 	if err := c.AcquireAll(2, xreq(1)); err != nil {
 		t.Fatalf("connection unusable after oversize rejection: %v", err)
-	}
-}
-
-// AcquireN must also respect the server's per-frame item cap
-// (v2MaxInflight), not just the byte budget.
-func TestAcquireNChunksItemCount(t *testing.T) {
-	addr, srv := startServer(t)
-	c := dial(t, addr, WithRetries(0))
-	claims := make([]Claim, v2MaxInflight+40)
-	for i := range claims {
-		claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(int64(i))}
-	}
-	outs, err := c.AcquireN(claims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range outs {
-		if out != nil {
-			t.Fatalf("claim %d: %v", i, out)
-		}
-	}
-	if n := srv.Table().LockedGranules(); n != len(claims) {
-		t.Fatalf("%d granules locked, want %d", n, len(claims))
 	}
 }
 

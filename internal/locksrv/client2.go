@@ -511,10 +511,17 @@ func replyErr(op string, r v2Reply) error {
 	return fmt.Errorf("locksrv: %s: %w (%s)", op, base, r.body)
 }
 
-// appendAcquireBody encodes one acquire body onto fb.
+// appendAcquireBody encodes one acquire body onto fb: txn(8)
+// timeout(8), then the requests.
 func appendAcquireBody(fb *frameBuf, txn int64, reqs []lockmgr.Request, timeoutMS int64) {
 	fb.appendU64(uint64(txn))
 	fb.appendU64(uint64(timeoutMS))
+	appendReqs(fb, reqs)
+}
+
+// appendReqs encodes a request list onto fb: n(4), then n × (granule(8)
+// mode(1)) — reqsSize bytes.
+func appendReqs(fb *frameBuf, reqs []lockmgr.Request) {
 	fb.appendU32(uint32(len(reqs)))
 	for _, r := range reqs {
 		fb.appendU64(uint64(r.Granule))
@@ -525,6 +532,9 @@ func appendAcquireBody(fb *frameBuf, txn int64, reqs []lockmgr.Request, timeoutM
 		}
 	}
 }
+
+// reqsSize is the encoded size of a request list (appendReqs).
+func reqsSize(reqs []lockmgr.Request) int { return 4 + 9*len(reqs) }
 
 // wireTimeoutMS rounds a sub-millisecond timeout up to the wire's 1ms
 // resolution: the protocol reads timeout_ms=0 as "wait indefinitely", so
@@ -585,38 +595,40 @@ type Claim struct {
 // tests can shrink it to exercise chunking without megabyte batches.
 var maxBatchBytes = maxFrame - 1024
 
-// acquireClaimSize is the encoded size of one acquire sub-claim:
-// txn(8) timeout(8) n(4) then n × (granule(8) mode(1)).
-func acquireClaimSize(reqs []lockmgr.Request) int { return 20 + 9*len(reqs) }
-
-// leaseTxnSize is the encoded size of one lease item: txn(8) n(4)
-// then n × (granule(8) mode(1)).
-func leaseTxnSize(reqs []lockmgr.Request) int { return 12 + 9*len(reqs) }
-
-// chunkBatch splits a batch of n items into frame-sized chunks:
-// consecutive [start, end) ranges where each chunk keeps the encoded
-// body (header bytes plus per-item sizes) under maxBatchBytes and the
-// item count under maxItems. An item whose encoded size alone exceeds
-// the budget yields ok=false with its index.
-func chunkBatch(n, header, maxItems int, size func(i int) int) (chunks [][2]int, oversize int, ok bool) {
-	for start := 0; start < n; {
-		end := start
-		bytes := header
-		for end < n && end-start < maxItems {
-			sz := size(end)
-			if bytes+sz > maxBatchBytes {
-				break
-			}
-			bytes += sz
-			end++
-		}
-		if end == start {
-			return nil, start, false
-		}
-		chunks = append(chunks, [2]int{start, end})
-		start = end
+// batch sends the n items of a batch op in consecutive frames, each
+// frame's body within maxBatchBytes and v2MaxInflight items, and returns
+// one outcome per item. header is a frame's body bytes before its items,
+// size(i) item i's encoded size, and encode writes a whole body: the
+// header and items [from, to). An item too large for any frame is
+// rejected before any frame is sent.
+func (c *ClientV2) batch(op byte, name string, n, header int, size func(i int) int, encode func(fb *frameBuf, from, to int)) ([]error, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return chunks, 0, true
+	for i := 0; i < n; i++ {
+		if header+size(i) > maxBatchBytes {
+			return nil, fmt.Errorf("%w: %sN item %d alone exceeds the %d-byte frame cap", ErrBadRequest, name, i, maxFrame)
+		}
+	}
+	out := make([]error, 0, n)
+	for from := 0; from < n; {
+		to, bytes := from, header
+		for to < n && to-from < v2MaxInflight && bytes+size(to) <= maxBatchBytes {
+			bytes += size(to)
+			to++
+		}
+		reply, err := c.roundTrip2(op, func(fb *frameBuf) { encode(fb, from, to) })
+		if err != nil {
+			return nil, err
+		}
+		outs, err := parseBatchReply(name, reply, to-from)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, outs...)
+		from = to
+	}
+	return out, nil
 }
 
 // AcquireN sends a batch of independent conservative claims. The
@@ -628,33 +640,14 @@ func chunkBatch(n, header, maxItems int, size func(i int) int) (chunks [][2]int,
 // the error return is transport-level and means the batch outcome is
 // unknown.
 func (c *ClientV2) AcquireN(claims []Claim) ([]error, error) {
-	if len(claims) == 0 {
-		return nil, nil
-	}
-	chunks, oversize, ok := chunkBatch(len(claims), 4, v2MaxInflight,
-		func(i int) int { return acquireClaimSize(claims[i].Reqs) })
-	if !ok {
-		return nil, fmt.Errorf("%w: acquireN claim %d alone exceeds the %d-byte frame cap", ErrBadRequest, oversize, maxFrame)
-	}
-	out := make([]error, 0, len(claims))
-	for _, ch := range chunks {
-		chunk := claims[ch[0]:ch[1]]
-		reply, err := c.roundTrip2(opAcquireN, func(fb *frameBuf) {
-			fb.appendU32(uint32(len(chunk)))
-			for _, cl := range chunk {
+	return c.batch(opAcquireN, "acquire", len(claims), 4,
+		func(i int) int { return 16 + reqsSize(claims[i].Reqs) },
+		func(fb *frameBuf, from, to int) {
+			fb.appendU32(uint32(to - from))
+			for _, cl := range claims[from:to] {
 				appendAcquireBody(fb, cl.Txn, cl.Reqs, wireTimeoutMS(cl.Timeout))
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
-		outs, err := parseBatchReply("acquire", reply, len(chunk))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, outs...)
-	}
-	return out, nil
 }
 
 // ReleaseN releases a batch of transactions, returning one outcome per
@@ -662,31 +655,14 @@ func (c *ClientV2) AcquireN(claims []Claim) ([]error, error) {
 // wire frame (the 4 MiB frame cap, or the server's per-frame item cap)
 // are split across consecutive frames transparently.
 func (c *ClientV2) ReleaseN(txns []int64) ([]error, error) {
-	if len(txns) == 0 {
-		return nil, nil
-	}
-	// Release items are fixed-width, so the chunk arithmetic is direct:
-	// 8 bytes per txn under the byte budget, at most v2MaxInflight.
-	perFrame := min((maxBatchBytes-4)/8, v2MaxInflight)
-	out := make([]error, 0, len(txns))
-	for start := 0; start < len(txns); start += perFrame {
-		chunk := txns[start:min(start+perFrame, len(txns))]
-		reply, err := c.roundTrip2(opReleaseN, func(fb *frameBuf) {
-			fb.appendU32(uint32(len(chunk)))
-			for _, txn := range chunk {
+	return c.batch(opReleaseN, "release", len(txns), 4,
+		func(int) int { return 8 },
+		func(fb *frameBuf, from, to int) {
+			fb.appendU32(uint32(to - from))
+			for _, txn := range txns[from:to] {
 				fb.appendU64(uint64(txn))
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
-		outs, err := parseBatchReply("release", reply, len(chunk))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, outs...)
-	}
-	return out, nil
 }
 
 // LeaseTxn is one transaction's asserted holdings in a Lease: the
@@ -707,47 +683,20 @@ type LeaseTxn struct {
 // when the node serves none of it. Large asserts are chunked across
 // frames like AcquireN.
 func (c *ClientV2) Lease(leaseID uint64, txns []LeaseTxn) ([]error, error) {
-	if len(txns) == 0 {
-		return nil, nil
-	}
-	chunks, oversize, ok := chunkBatch(len(txns), 12, v2MaxInflight,
-		func(i int) int { return leaseTxnSize(txns[i].Reqs) })
-	if !ok {
-		return nil, fmt.Errorf("%w: lease item %d alone exceeds the %d-byte frame cap", ErrBadRequest, oversize, maxFrame)
-	}
-	out := make([]error, 0, len(txns))
-	for _, ch := range chunks {
-		chunk := txns[ch[0]:ch[1]]
-		reply, err := c.roundTrip2(opLease, func(fb *frameBuf) {
+	return c.batch(opLease, "lease", len(txns), 12,
+		func(i int) int { return 8 + reqsSize(txns[i].Reqs) },
+		func(fb *frameBuf, from, to int) {
 			fb.appendU64(leaseID)
-			fb.appendU32(uint32(len(chunk)))
-			for _, lt := range chunk {
+			fb.appendU32(uint32(to - from))
+			for _, lt := range txns[from:to] {
 				fb.appendU64(uint64(lt.Txn))
-				fb.appendU32(uint32(len(lt.Reqs)))
-				for _, r := range lt.Reqs {
-					fb.appendU64(uint64(r.Granule))
-					if r.Mode == lockmgr.ModeExclusive {
-						fb.appendByte(1)
-					} else {
-						fb.appendByte(0)
-					}
-				}
+				appendReqs(fb, lt.Reqs)
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
-		outs, err := parseBatchReply("lease", reply, len(chunk))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, outs...)
-	}
-	return out, nil
 }
 
-// parseBatchReply decodes the per-item statuses of an acquireN/releaseN
-// response.
+// parseBatchReply decodes the per-item statuses of an acquireN,
+// releaseN or lease response.
 func parseBatchReply(op string, reply v2Reply, want int) ([]error, error) {
 	if reply.status != statusOK {
 		return nil, replyErr(op, reply)

@@ -33,7 +33,9 @@ import (
 // not exist on the standby (the authoritative force-release: the dead
 // node's table died with it, and nothing re-created the grants), late
 // re-asserts fail with lease_expired, and parked acquires proceed
-// against the reconstructed table.
+// against the reconstructed table. A refresh from the session that
+// holds a transaction is not a re-assert: it succeeds before and after
+// the seal.
 //
 // The scheme tolerates one node failure at a time: a partition fails
 // over to its ring successor, and a concurrent failure of the
@@ -160,10 +162,12 @@ func (cl *clusterState) recoveringCount() int {
 
 // route checks that this node serves every granule of reqs. A granule
 // another node owns and has not handed over is answered with a redirect.
-// Otherwise route returns statusOK and, for a fresh acquire (not a
-// lease re-assert, which is the reconstruction) of a granule behind a
-// takeover's recovery window that is still open, the window's seal to
-// wait for. A nil cluster serves everything.
+// A lease re-assert (reassert: the reconstruction) of a granule whose
+// takeover window has sealed is answered with lease_expired: the grant
+// died with the dead node. Otherwise route returns statusOK and, for a
+// fresh acquire of a granule behind a takeover's recovery window that
+// is still open, the window's seal to wait for. A nil cluster serves
+// everything.
 func (s *Server) route(reqs []lockmgr.Request, reassert bool) (sealed chan struct{}, st byte, msg string) {
 	cl := s.cluster
 	if cl == nil {
@@ -181,6 +185,10 @@ func (s *Server) route(reqs []lockmgr.Request, reassert bool) (sealed chan struc
 		}
 		select {
 		case <-t.sealed:
+			if reassert {
+				s.om.clusterLeaseExpired.Inc()
+				return nil, statusLeaseExpired, fmt.Sprintf("granule %d: node %d's recovery window has sealed", r.Granule, owner)
+			}
 		default:
 			if !reassert {
 				sealed = t.sealed
@@ -349,21 +357,25 @@ func (s *Server) lease(c call, reqs []lockmgr.Request) {
 // refresh when this session already owns the transaction, a
 // reconstruction when the transaction is unknown and its asserted
 // grants are free (the failover path — first assert wins), lease_expired
-// when the grants conflict with reconstructed or live state. It decides
-// nothing (false) while the transaction is recorded on another session
-// or held with no owner recorded, which leaseCore waits out: a lease
-// retried across a reconnect must not lose to its own dying session.
+// when the grants conflict with reconstructed or live state or lie in an
+// adopted partition whose recovery window has sealed. The owner is
+// checked before the route, so a grant made on this session after the
+// seal still refreshes. It decides nothing (false) while the transaction
+// is recorded on another session or held with no owner recorded, which
+// leaseCore waits out: a lease retried across a reconnect must not lose
+// to its own dying session.
 func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string, bool) {
 	if len(reqs) == 0 {
 		return statusBadRequest, "lease without granules", true
 	}
+	owner, owned := s.ownerOf(txn)
+	if owned && owner == sess {
+		return statusOK, "", true // refresh: grants already live on this session
+	}
 	if _, st, msg := s.route(reqs, true); st != statusOK {
 		return st, msg, true
 	}
-	switch owner, ok := s.ownerOf(txn); {
-	case ok && owner == sess:
-		return statusOK, "", true // refresh: grants already live on this session
-	case ok:
+	if owned {
 		return 0, "", false
 	}
 	granted, err := s.table.TryAcquireAll(txn, reqs)

@@ -412,3 +412,159 @@ func TestClusterKillNodeUnderLoadDrainsClean(t *testing.T) {
 		t.Fatalf("successor recorded %d takeovers, want 1", n)
 	}
 }
+
+// sealTakeover hands node dead's partition to srv and returns once its
+// recovery window has sealed.
+func sealTakeover(t *testing.T, srv *Server, dead int) {
+	t.Helper()
+	if !srv.BeginTakeover(dead) {
+		t.Fatal("BeginTakeover refused")
+	}
+	<-srv.cluster.takeoverOf(dead).sealed
+}
+
+// A re-assert that arrives after the recovery window sealed is refused:
+// the grant died with its node, and the standby must not bring it back.
+// A grant the standby made after the seal still refreshes.
+func TestClusterLeaseAfterSealExpires(t *testing.T) {
+	addrs, servers := startCluster(t, 2, func(i int, cfg *ClusterConfig) {
+		cfg.RecoveryGrace = 50 * time.Millisecond
+	})
+	g := xreq(granulesOwnedBy(2, 0, 1)...)
+	holder := dial(t, addrs[0], WithRetries(0))
+	if err := holder.AcquireAll(7, g); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].Close()
+	sealTakeover(t, servers[1], 0)
+	c := dial(t, addrs[1], WithRetries(0))
+	outs, err := c.Lease(1, []LeaseTxn{{Txn: 7, Reqs: g}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(outs[0], ErrLeaseExpired) {
+		t.Fatalf("re-assert after the seal: want ErrLeaseExpired, got %v", outs[0])
+	}
+	if n := servers[1].Table().HeldBy(7); n != 0 {
+		t.Fatalf("standby holds %d granules for the expired transaction", n)
+	}
+	if cs := servers[1].ClusterStats(); cs.Reasserts != 0 || cs.LeaseExpired != 1 {
+		t.Fatalf("standby cluster stats %+v, want no reasserts and one expired lease", cs)
+	}
+	if err := c.AcquireAll(8, g); err != nil {
+		t.Fatal(err)
+	}
+	outs, err = c.Lease(1, []LeaseTxn{{Txn: 8, Reqs: g}})
+	if err != nil || outs[0] != nil {
+		t.Fatalf("refresh of a grant made after the seal: %v, %v", outs, err)
+	}
+	if n := servers[1].Table().HeldBy(8); n != 1 {
+		t.Fatalf("standby holds %d granules for the refreshed transaction, want 1", n)
+	}
+	if err := c.ReleaseAll(8); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A node marked down by mistake, which still serves its partition, is
+// cleared by a probe when the cluster redirects back to it, and the
+// acquire is granted there.
+func TestClusterClientProbesFalseDown(t *testing.T) {
+	addrs, servers := startCluster(t, 2, nil)
+	cc, err := DialCluster(addrs, WithLeaseInterval(0), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	cc.nodeFailed(0) // node 0 is alive and nobody adopts its partition
+	if !cc.isDown(0) {
+		t.Fatal("node 0 not marked down")
+	}
+	if err := cc.AcquireAll(1, xreq(granulesOwnedBy(2, 0, 1)...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := servers[0].Table().HeldBy(1); n != 1 {
+		t.Fatalf("node 0 holds %d granules for txn 1, want 1", n)
+	}
+	if n := cc.Redirects(); n != 1 {
+		t.Fatalf("client followed %d redirects, want 1", n)
+	}
+	if cc.isDown(0) {
+		t.Fatal("the probe did not clear node 0's down marking")
+	}
+	if err := cc.ReleaseAll(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := servers[0].Table().LockedGranules(); n != 0 {
+		t.Fatalf("node 0 still has %d locked granules", n)
+	}
+}
+
+// After a takeover both partitions of a 2-node ring are served by the
+// survivor, so a claim spanning them lands its first group there and
+// finds it when the second arrives: the two are re-claimed as one claim,
+// which ReleaseAll frees whole.
+func TestClusterClientMergesCollapsedPartitions(t *testing.T) {
+	addrs, servers := startCluster(t, 2, func(i int, cfg *ClusterConfig) {
+		cfg.RecoveryGrace = 20 * time.Millisecond
+	})
+	servers[0].Close()
+	sealTakeover(t, servers[1], 0)
+	cc, err := DialCluster(addrs, WithLeaseInterval(0), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	cc.nodeFailed(0)
+	reqs := append(xreq(granulesOwnedBy(2, 0, 2)...), xreq(granulesOwnedBy(2, 1, 2)...)...)
+	if err := cc.AcquireAll(1, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if n := servers[1].Table().HeldBy(1); n != len(reqs) {
+		t.Fatalf("survivor holds %d granules for txn 1, want %d", n, len(reqs))
+	}
+	cc.mu.Lock()
+	held := cc.holds[1]
+	cc.mu.Unlock()
+	if len(held) != 1 || len(held[addrs[1]]) != len(reqs) {
+		t.Fatalf("client records %v for txn 1, want all %d granules on node 1", held, len(reqs))
+	}
+	if err := cc.ReleaseAll(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := servers[1].Table().LockedGranules(); n != 0 {
+		t.Fatalf("survivor still has %d locked granules", n)
+	}
+}
+
+// A failover re-assert the standby refuses loses the lease: LostLeases
+// counts it, the holdings are forgotten, and the transaction's
+// ReleaseAll is a no-op.
+func TestClusterClientRefusedReassertIsLost(t *testing.T) {
+	addrs, servers := startCluster(t, 2, func(i int, cfg *ClusterConfig) {
+		cfg.RecoveryGrace = 20 * time.Millisecond
+	})
+	cc, err := DialCluster(addrs, WithLeaseInterval(0), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if err := cc.AcquireAll(1, xreq(granulesOwnedBy(2, 0, 1)...)); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].Close()
+	sealTakeover(t, servers[1], 0)
+	cc.nodeFailed(0)
+	if n := cc.LostLeases(); n != 1 {
+		t.Fatalf("%d leases lost, want 1", n)
+	}
+	if cc.holdsAt(1, addrs[0]) || cc.holdsAt(1, addrs[1]) {
+		t.Fatal("client still records the lost transaction")
+	}
+	if err := cc.ReleaseAll(1); err != nil {
+		t.Fatalf("release of a lost transaction: %v", err)
+	}
+	if n := servers[1].Table().LockedGranules(); n != 0 {
+		t.Fatalf("standby has %d locked granules", n)
+	}
+}

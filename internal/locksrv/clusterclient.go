@@ -52,7 +52,7 @@ type ClusterClient struct {
 	mu      sync.Mutex
 	nodes   map[string]*clusterNode // by address; includes redirect targets
 	down    []bool                  // by ring index
-	failing []*failoverState        // by ring index; single-flights failover
+	failing []chan struct{}         // by ring index; closed when its failover ends
 	holds   map[int64]map[string][]lockmgr.Request
 	closed  bool
 	closeCh chan struct{}
@@ -69,12 +69,6 @@ type clusterNode struct {
 	addr string
 	mu   sync.Mutex
 	c    *ClientV2
-}
-
-// failoverState single-flights one node's failover: concurrent
-// callers wait on done instead of re-asserting twice.
-type failoverState struct {
-	done chan struct{}
 }
 
 // WithLeaseInterval sets how often the cluster client re-asserts all
@@ -124,7 +118,7 @@ func DialCluster(addrs []string, opts ...ClientOption) (*ClusterClient, error) {
 		addrIdx: make(map[string]int, len(addrs)),
 		nodes:   make(map[string]*clusterNode, len(addrs)),
 		down:    make([]bool, len(addrs)),
-		failing: make([]*failoverState, len(addrs)),
+		failing: make([]chan struct{}, len(addrs)),
 		holds:   make(map[int64]map[string][]lockmgr.Request),
 		closeCh: make(chan struct{}),
 		leaseID: cfg.jitter.Uint64(),
@@ -253,29 +247,56 @@ func (cc *ClusterClient) AcquireAllTimeout(txn int64, reqs []lockmgr.Request, ti
 			return err
 		}
 		acquired = append(acquired, addr)
-		cc.record(txn, addr, groups[idx])
 	}
 	return nil
 }
 
 // acquireGroup lands one partition's sub-claim on whichever node
-// currently serves it, following redirects and riding out a failover.
-// It returns the address that granted the group.
+// currently serves it and records it there. It returns the address that
+// granted the group.
 func (cc *ClusterClient) acquireGroup(idx int, txn int64, reqs []lockmgr.Request, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(cc.cfg.failoverWait)
-	cc.mu.Lock()
-	d := cc.down[idx]
-	cc.mu.Unlock()
 	target := cc.addrs[idx]
-	if d {
+	if cc.isDown(idx) {
 		target = cc.addrs[cc.ring.Successor(idx)]
 	}
-	hops := 0
-	var lastErr error
 	// pending carries earlier groups of this claim that were released
 	// for a merged re-claim (see below); they ride along until the
 	// claim lands so the overall acquire stays all-or-nothing.
 	var pending []lockmgr.Request
+	return cc.request(target, func(c *ClientV2, target string) error {
+		if prior := cc.dropHold(txn, target); len(prior) > 0 {
+			// An earlier group of this same claim already landed on
+			// target: a failover (or redirect) collapsed two partitions
+			// onto one node. The server takes exactly one conservative
+			// claim per transaction, so release the earlier group and
+			// re-claim the union atomically. The earlier grants are not
+			// app-visible yet (the overall acquire has not returned), so
+			// briefly holding nothing is safe; they are forgotten before
+			// the release goes out, like every other release.
+			_ = c.ReleaseAll(txn)
+			pending = append(pending, prior...)
+		}
+		send := reqs
+		if len(pending) > 0 {
+			send = append(append([]lockmgr.Request(nil), pending...), reqs...)
+		}
+		err := c.AcquireAllTimeout(txn, send, timeout)
+		if err == nil {
+			cc.record(txn, target, send)
+		}
+		return err
+	})
+}
+
+// request runs one request, starting at target, until a node answers
+// it: do sends it on the connection to the node it names. request
+// follows redirects (probing a node marked down that the cluster still
+// routes to), fails a ring node that does not answer over to its ring
+// successor, and returns the answer — nil or a lock-protocol error —
+// with the address that gave it.
+func (cc *ClusterClient) request(target string, do func(c *ClientV2, target string) error) (string, error) {
+	deadline := time.Now().Add(cc.cfg.failoverWait)
+	hops := 0
 	for {
 		select {
 		case <-cc.closeCh:
@@ -283,49 +304,24 @@ func (cc *ClusterClient) acquireGroup(idx int, txn int64, reqs []lockmgr.Request
 		default:
 		}
 		c, err := cc.clientFor(target)
+		if errors.Is(err, ErrClientClosed) {
+			return "", err
+		}
 		if err == nil {
-			if prior := cc.heldReqsAt(txn, target); len(prior) > 0 {
-				// An earlier group of this same claim already landed on
-				// target: a failover (or redirect) collapsed two
-				// partitions onto one node. The server takes exactly one
-				// conservative claim per transaction, so release the
-				// earlier group and re-claim the union atomically. The
-				// earlier grants are not app-visible yet (the overall
-				// acquire has not returned), so briefly holding nothing
-				// is safe.
-				_ = c.ReleaseAll(txn)
-				cc.dropHold(txn, target)
-				pending = append(pending, prior...)
-			}
-			send := reqs
-			if len(pending) > 0 {
-				send = append(append([]lockmgr.Request(nil), pending...), reqs...)
-			}
-			err = c.AcquireAllTimeout(txn, send, timeout)
-			if err == nil {
-				if len(pending) > 0 {
-					cc.record(txn, target, pending)
-				}
-				return target, nil
-			}
+			err = do(c, target)
 			var re *RedirectError
-			if errors.As(err, &re) {
+			switch {
+			case errors.As(err, &re):
 				cc.redirects.Add(1)
-				hops++
-				if hops > maxRedirectHops {
+				if hops++; hops > maxRedirectHops {
 					return "", fmt.Errorf("locksrv: redirect cycle after %d hops: %w", hops, ErrRedirect)
 				}
-				if j, ok := cc.addrIdx[re.Addr]; ok && cc.isDown(j) {
-					// Redirected toward a node we marked down. Either the
-					// standby has not adopted the partition yet, or our
-					// marking was a false positive (transport flake) and
-					// the cluster still routes to a live owner. Probe the
-					// node: if it answers, clear the marking and follow
-					// the redirect; otherwise wait for the takeover.
-					if cc.probeUp(j) {
-						target = re.Addr
-						continue
-					}
+				if j, ok := cc.addrIdx[re.Addr]; ok && !cc.probeUp(j) {
+					// Redirected toward a node we marked down, and it did
+					// not answer the probe (one that answers was a false
+					// positive, cleared, and is followed): the standby
+					// has not adopted the partition yet, so wait for the
+					// takeover in place.
 					if time.Now().After(deadline) {
 						return "", fmt.Errorf("locksrv: failover did not complete: %w", err)
 					}
@@ -335,26 +331,19 @@ func (cc *ClusterClient) acquireGroup(idx int, txn int64, reqs []lockmgr.Request
 				}
 				target = re.Addr
 				continue
+			case err == nil || isProtocolErr(err):
+				return target, err
 			}
-			if isProtocolErr(err) {
-				return "", err
-			}
-			lastErr = err
-		} else {
-			if errors.Is(err, ErrClientClosed) {
-				return "", err
-			}
-			lastErr = err
 		}
 		// Transport-level failure: the target is dead or unreachable.
 		// For ring nodes, fail over to the successor; for ad-hoc
 		// redirect targets there is no configured standby to try.
 		j, ok := cc.addrIdx[target]
 		if !ok {
-			return "", lastErr
+			return "", err
 		}
 		if time.Now().After(deadline) {
-			return "", fmt.Errorf("locksrv: failover did not complete: %w", lastErr)
+			return "", fmt.Errorf("locksrv: failover did not complete: %w", err)
 		}
 		cc.nodeFailed(j)
 		target = cc.addrs[cc.ring.Successor(j)]
@@ -372,7 +361,8 @@ func (cc *ClusterClient) isDown(idx int) bool {
 // owner — our marking may have been a transport false positive. A
 // successful dial (plus stats round-trip) clears the marking so the
 // client recovers instead of waiting forever for a takeover that will
-// never happen. Returns whether the node is back in service.
+// never happen. Returns whether the node is in service: true at once
+// for a node not marked down.
 func (cc *ClusterClient) probeUp(idx int) bool {
 	cc.mu.Lock()
 	f := cc.failing[idx]
@@ -383,7 +373,7 @@ func (cc *ClusterClient) probeUp(idx int) bool {
 	}
 	if f != nil {
 		select {
-		case <-f.done:
+		case <-f:
 			// Failover finished; safe to re-evaluate the node.
 		default:
 			return false // failover still running; don't fight it
@@ -462,38 +452,8 @@ func (cc *ClusterClient) ReleaseAll(txn int64) error {
 // down marking can be a false positive — rerouting a release away
 // from a live holder would no-op and strand the grant.
 func (cc *ClusterClient) releaseAt(addr string, txn int64) error {
-	deadline := time.Now().Add(cc.cfg.failoverWait)
-	target := addr
-	var lastErr error
-	for {
-		select {
-		case <-cc.closeCh:
-			return ErrClientClosed
-		default:
-		}
-		c, err := cc.clientFor(target)
-		if err == nil {
-			err = c.ReleaseAll(txn)
-			if err == nil || isProtocolErr(err) {
-				return err
-			}
-			lastErr = err
-		} else {
-			if errors.Is(err, ErrClientClosed) {
-				return err
-			}
-			lastErr = err
-		}
-		j, ok := cc.addrIdx[target]
-		if !ok {
-			return lastErr
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("locksrv: failover did not complete: %w", lastErr)
-		}
-		cc.nodeFailed(j)
-		target = cc.addrs[cc.ring.Successor(j)]
-	}
+	_, err := cc.request(addr, func(c *ClientV2, _ string) error { return c.ReleaseAll(txn) })
+	return err
 }
 
 // nodeFailed marks ring node idx down (idempotent) and re-asserts the
@@ -505,12 +465,12 @@ func (cc *ClusterClient) nodeFailed(idx int) {
 		f := cc.failing[idx]
 		cc.mu.Unlock()
 		if f != nil {
-			<-f.done
+			<-f
 		}
 		return
 	}
 	cc.down[idx] = true
-	f := &failoverState{done: make(chan struct{})}
+	f := make(chan struct{})
 	cc.failing[idx] = f
 	addr := cc.addrs[idx]
 	moved := make(map[int64][]lockmgr.Request)
@@ -521,11 +481,8 @@ func (cc *ClusterClient) nodeFailed(idx int) {
 	}
 	cc.mu.Unlock()
 	cc.failovers.Add(1)
-	defer close(f.done)
+	defer close(f)
 	cc.dropClient(addr)
-	if len(moved) == 0 {
-		return
-	}
 	cc.reassert(idx, moved)
 }
 
@@ -537,7 +494,6 @@ func (cc *ClusterClient) nodeFailed(idx int) {
 // them.
 func (cc *ClusterClient) reassert(idx int, moved map[int64][]lockmgr.Request) {
 	deadline := time.Now().Add(cc.cfg.failoverWait)
-	succAddr := cc.addrs[cc.ring.Successor(idx)]
 	deadAddr := cc.addrs[idx]
 	items := make([]LeaseTxn, 0, len(moved))
 	for txn, reqs := range moved {
@@ -545,67 +501,20 @@ func (cc *ClusterClient) reassert(idx int, moved map[int64][]lockmgr.Request) {
 	}
 	// Deterministic assert order keeps retries stable.
 	sort.Slice(items, func(i, j int) bool { return items[i].Txn < items[j].Txn })
-	for len(items) > 0 {
+	for len(items) > 0 && !time.Now().After(deadline) {
 		select {
 		case <-cc.closeCh:
 			return
 		default:
 		}
-		if time.Now().After(deadline) {
-			break
-		}
-		// Transactions released since the snapshot must not be
-		// re-asserted: nothing would ever release them again.
-		live := items[:0]
-		for _, it := range items {
-			if cc.holdsAt(it.Txn, deadAddr) {
-				live = append(live, it)
-			}
-		}
-		if items = live; len(items) == 0 {
+		// A redirect means the successor has not adopted the partition
+		// yet, a transport error that it is not reachable yet: either
+		// way, keep asserting until its takeover opens.
+		retry, err := cc.assert(deadAddr, cc.addrs[cc.ring.Successor(idx)], items)
+		if errors.Is(err, ErrClientClosed) {
 			return
 		}
-		c, err := cc.clientFor(succAddr)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return
-			}
-			cc.pause(5 * time.Millisecond)
-			continue
-		}
-		outs, err := c.Lease(cc.leaseID, items)
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return
-			}
-			cc.pause(5 * time.Millisecond)
-			continue
-		}
-		retry := items[:0]
-		for i, out := range outs {
-			switch {
-			case out == nil:
-				if !cc.moveHold(items[i].Txn, deadAddr, succAddr) {
-					// Released mid-flight: the successor just granted a
-					// transaction nobody holds anymore. Undo directly
-					// (no failover riding — the successor answered the
-					// lease a moment ago); the session teardown is the
-					// backstop if this races another failure.
-					_ = c.ReleaseAll(items[i].Txn)
-				}
-			case errors.Is(out, ErrRedirect):
-				// The successor has not adopted the partition yet;
-				// keep asserting until its takeover opens.
-				retry = append(retry, items[i])
-			default:
-				// lease_expired (or another terminal refusal): the
-				// transaction's grants are gone.
-				cc.dropHold(items[i].Txn, deadAddr)
-				cc.lost.Add(1)
-			}
-		}
-		items = retry
-		if len(items) > 0 {
+		if items = retry; len(items) > 0 {
 			cc.pause(5 * time.Millisecond)
 		}
 	}
@@ -615,25 +524,71 @@ func (cc *ClusterClient) reassert(idx int, moved map[int64][]lockmgr.Request) {
 	}
 }
 
-// moveHold reparents a transaction's holdings from a dead node to the
-// successor that accepted its re-assert. It reports whether anything
-// was moved: false means the transaction was released while the
-// re-assert was in flight and the caller must undo the resurrected
-// grant.
+// assert sends one lease batch to the node at to for holdings recorded
+// at from, and settles each outcome. A grant moves the holdings to the
+// node that answered (a refresh when from == to), or is undone if the
+// transaction was released meanwhile; a refusal (lease_expired)
+// drops the holdings and counts a lost lease; a redirect is returned
+// for a retry. Items released since the caller's snapshot are not sent:
+// nothing would ever release them again. A transport error settles
+// nothing and returns the items still to send.
+func (cc *ClusterClient) assert(from, to string, items []LeaseTxn) (retry []LeaseTxn, err error) {
+	live := items[:0]
+	for _, it := range items {
+		if cc.holdsAt(it.Txn, from) {
+			live = append(live, it)
+		}
+	}
+	if len(live) == 0 {
+		return nil, nil
+	}
+	c, err := cc.clientFor(to)
+	if err != nil {
+		return live, err
+	}
+	outs, err := c.Lease(cc.leaseID, live)
+	if err != nil {
+		return live, err
+	}
+	retry = live[:0]
+	for i, out := range outs {
+		switch txn := live[i].Txn; {
+		case out == nil:
+			if !cc.moveHold(txn, from, to) {
+				// Released mid-flight: the node just granted a
+				// transaction nobody holds anymore. Undo directly (no
+				// failover riding — the node answered the lease a moment
+				// ago); the session teardown is the backstop if this
+				// races another failure.
+				_ = c.ReleaseAll(txn)
+			}
+		case errors.Is(out, ErrRedirect):
+			retry = append(retry, live[i])
+		default:
+			// lease_expired (or another terminal refusal): the
+			// transaction's grants are gone.
+			cc.dropHold(txn, from)
+			cc.lost.Add(1)
+		}
+	}
+	return retry, nil
+}
+
+// moveHold reparents a transaction's holdings from one node to another
+// that accepted its re-assert; from == to is a refresh and moves
+// nothing. It reports whether the holdings were still recorded: false
+// means the transaction was released while the lease was in flight and
+// the caller must undo the resurrected grant.
 func (cc *ClusterClient) moveHold(txn int64, from, to string) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	m := cc.holds[txn]
-	if m == nil {
-		return false
-	}
 	reqs, ok := m[from]
-	if !ok {
-		return false
+	if ok && from != to {
+		delete(m, from)
+		m[to] = append(m[to], reqs...)
 	}
-	delete(m, from)
-	m[to] = append(m[to], reqs...)
-	return true
+	return ok
 }
 
 // holdsAt reports whether txn currently records holdings on addr.
@@ -644,30 +599,27 @@ func (cc *ClusterClient) holdsAt(txn int64, addr string) bool {
 	return ok
 }
 
-// heldReqsAt returns a copy of the requests txn has recorded on addr.
-func (cc *ClusterClient) heldReqsAt(txn int64, addr string) []lockmgr.Request {
+// dropHold forgets a transaction's holdings on one node and returns
+// them.
+func (cc *ClusterClient) dropHold(txn int64, addr string) []lockmgr.Request {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return append([]lockmgr.Request(nil), cc.holds[txn][addr]...)
-}
-
-// dropHold forgets a transaction's holdings on one node.
-func (cc *ClusterClient) dropHold(txn int64, addr string) {
-	cc.mu.Lock()
-	if m := cc.holds[txn]; m != nil {
-		delete(m, addr)
-		if len(m) == 0 {
-			delete(cc.holds, txn)
-		}
+	m := cc.holds[txn]
+	reqs := m[addr]
+	delete(m, addr)
+	if len(m) == 0 {
+		delete(cc.holds, txn)
 	}
-	cc.mu.Unlock()
+	return reqs
 }
 
 // leaseLoop periodically re-asserts every held transaction to its
 // serving node: the cluster-level keepalive. A node that stops
 // answering its lease triggers the same failover as a failed request,
 // so dead nodes are detected while the application is idle, inside
-// the standby's recovery window rather than after it.
+// the standby's recovery window rather than after it. A redirected
+// refresh is left alone: ownership moved, and the next acquire or
+// failover chases the new owner.
 func (cc *ClusterClient) leaseLoop() {
 	defer cc.wg.Done()
 	tick := time.NewTicker(cc.cfg.leaseEvery)
@@ -689,36 +641,12 @@ func (cc *ClusterClient) leaseLoop() {
 		cc.mu.Unlock()
 		for addr, items := range byAddr {
 			sort.Slice(items, func(i, j int) bool { return items[i].Txn < items[j].Txn })
-			c, err := cc.clientFor(addr)
-			if err == nil {
-				outs, lerr := c.Lease(cc.leaseID, items)
-				err = lerr
-				if lerr == nil {
-					for i, out := range outs {
-						switch {
-						case out == nil:
-							// A refresh of a transaction released since
-							// the snapshot re-granted it server-side;
-							// undo so the grant cannot strand.
-							if !cc.holdsAt(items[i].Txn, addr) {
-								_ = c.ReleaseAll(items[i].Txn)
-							}
-						case errors.Is(out, ErrRedirect):
-							// Ownership moved; the next acquire or
-							// failover chases the new owner.
-						default:
-							cc.dropHold(items[i].Txn, addr)
-							cc.lost.Add(1)
-						}
-					}
-					continue
-				}
-			}
+			_, err := cc.assert(addr, addr, items)
 			if errors.Is(err, ErrClientClosed) {
 				return
 			}
-			// Transport failure on a ring node: run failover now.
-			if j, ok := cc.addrIdx[addr]; ok {
+			if j, ok := cc.addrIdx[addr]; ok && err != nil {
+				// Transport failure on a ring node: run failover now.
 				cc.nodeFailed(j)
 			}
 		}
@@ -735,42 +663,6 @@ func (cc *ClusterClient) Failovers() int64 { return cc.failovers.Load() }
 // failover (their re-assert was refused or never landed).
 func (cc *ClusterClient) LostLeases() int64 { return cc.lost.Load() }
 
-// Reconnects sums the per-node clients' reconnect counters.
-func (cc *ClusterClient) Reconnects() int64 {
-	var total int64
-	for _, n := range cc.snapshotNodes() {
-		n.mu.Lock()
-		if n.c != nil {
-			total += n.c.Reconnects()
-		}
-		n.mu.Unlock()
-	}
-	return total
-}
-
-// Retries sums the per-node clients' retry counters.
-func (cc *ClusterClient) Retries() int64 {
-	var total int64
-	for _, n := range cc.snapshotNodes() {
-		n.mu.Lock()
-		if n.c != nil {
-			total += n.c.Retries()
-		}
-		n.mu.Unlock()
-	}
-	return total
-}
-
-func (cc *ClusterClient) snapshotNodes() []*clusterNode {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	out := make([]*clusterNode, 0, len(cc.nodes))
-	for _, n := range cc.nodes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Close ends every node session; the servers release whatever the
 // client's transactions still hold. Safe to call from any goroutine;
 // in-flight calls fail with ErrClientClosed.
@@ -782,10 +674,14 @@ func (cc *ClusterClient) Close() error {
 	}
 	cc.closed = true
 	close(cc.closeCh)
+	nodes := make([]*clusterNode, 0, len(cc.nodes))
+	for _, n := range cc.nodes {
+		nodes = append(nodes, n)
+	}
 	cc.mu.Unlock()
 	cc.wg.Wait()
 	var firstErr error
-	for _, n := range cc.snapshotNodes() {
+	for _, n := range nodes {
 		n.mu.Lock()
 		c := n.c
 		n.c = nil

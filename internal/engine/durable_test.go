@@ -5,11 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"granulock/internal/engine/cc"
+	"granulock/internal/lockmgr"
+	"granulock/internal/obs"
 	"granulock/internal/rng"
 	"granulock/internal/wal"
 )
@@ -500,6 +503,50 @@ func powerCutTraffic(db *DB, src *rng.Source, workers, txns int) int64 {
 		half(1)
 	}
 	return acked.Load()
+}
+
+// TestCheckpointRestartsAreCounted: a checkpoint runs on Execute's
+// attempt loop, so a protocol that restarts it is counted like any other
+// attempt. Under wait-die, a checkpoint younger than a transaction
+// holding a granule exclusively dies at that granule and retries until
+// the holder ends; its deaths land in Stats.Restarts and in
+// granulock_engine_restarts_total, and its commit in Stats.Committed.
+func TestCheckpointRestartsAreCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	db, _, err := OpenDurable(t.TempDir(), 40, WithProtocol(WaitDie), WithGranules(4),
+		WithInitialValue(100), WithMetrics(reg), WithWALOptions(wal.WithPreallocate(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	// The holder takes its identity first, so it is older than every
+	// attempt of the checkpoint.
+	id := lockmgr.TxnID(db.nextTxn.Add(1))
+	holder := &cc.Tx{ID: id, Priority: int64(id)}
+	reqs := []lockmgr.Request{{Granule: db.GranuleOf(39), Mode: lockmgr.ModeExclusive}}
+	if err := db.inst.Acquire(db.inst.Begin(ctx, holder), holder, reqs); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint(ctx) }()
+	for db.Stats().Dies == 0 {
+		runtime.Gosched()
+	}
+	db.inst.End(holder)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	s := db.Stats()
+	if s.Dies < 1 || s.Restarts < s.Dies {
+		t.Fatalf("checkpoint died %d times, engine counted %d restarts: want restarts >= dies >= 1", s.Dies, s.Restarts)
+	}
+	if s.Committed != 1 {
+		t.Fatalf("committed %d, want the checkpoint's 1", s.Committed)
+	}
+	if got, _ := reg.Value("granulock_engine_restarts_total", map[string]string{"cause": "die"}); got != float64(s.Dies) {
+		t.Fatalf("granulock_engine_restarts_total{cause=die} = %v, want %d", got, s.Dies)
+	}
 }
 
 func TestPersistFailurePropagatesToExecute(t *testing.T) {

@@ -200,26 +200,18 @@ func spin(n int) int64 {
 	return int64(x & 1)
 }
 
-// Stats counts engine activity.
+// Stats counts engine activity: the engine's own counters, then the
+// protocol instance's (lock-table activity, escalations and the
+// protocol-initiated restarts by cause).
 type Stats struct {
+	// Committed counts committed transactions, checkpoints included.
 	Committed int64
 	// Restarts counts attempts the protocol aborted and the engine
 	// retried, whatever the cause: deadlock victims, wound-wait wounds,
 	// wait-die deaths, and optimistic validation failures (always 0
-	// under Conservative).
+	// under Conservative). A checkpoint's restarts count too.
 	Restarts int64
-	// Lock counts mirror the protocol's lock-table grants/blocks/
-	// deadlocks (zero for lockless protocols).
-	Lock lockmgr.Stats
-	// Escalations counts hierarchical lock escalations (hierarchical
-	// protocol only).
-	Escalations int64
-	// Wounds, Dies and ValidationFails break the protocol-initiated
-	// restarts down by cause (wound-wait, wait-die, and optimistic
-	// respectively).
-	Wounds          int64
-	Dies            int64
-	ValidationFails int64
+	cc.Stats
 }
 
 // node is one shared-nothing partition. Its mutex is a short storage
@@ -417,17 +409,23 @@ func (s store) GranuleOf(e int) lockmgr.Granule { return s.db.GranuleOf(e) }
 // lockScratch is the reusable per-call state of Execute: the staging
 // buffer of the transaction's granule requests, the attempt's cc.Tx,
 // which reaches the protocol through an interface and would otherwise be
-// a heap object per attempt, and the fork's per-node share sizes and
-// record. The protocol is done with the first two when End returns and
-// the join with the fork before the reads and writes, so Execute takes
-// one from a pool instead of building a map, four slices and a Tx per
-// call.
+// a heap object per attempt, the fork's per-node share sizes and record,
+// and a durable commit's persist hook and log record staging. The
+// protocol is done with the tx when End returns, the join with the fork
+// before the reads and writes, and the hook with its staging when it
+// returns, so Execute takes one from a pool instead of building a map,
+// six slices, a Tx and a closure per call.
 type lockScratch struct {
 	reqs   []lockmgr.Request
 	idx    []int32 // dedupe's sort scratch
 	tx     cc.Tx   // reset per attempt; its update buffer is kept
 	counts []int   // plan's ops, then share sizes, per node
 	fork   fork    // the forked work; see plan
+
+	db      *DB                     // the durable database log writes to
+	persist func([]cc.Update) error // sc.log, bound once (persistFor)
+	records []wal.Record            // log's record arena
+	groups  []wal.PartGroup         // log's per-partition groups
 }
 
 var lockScratchPool = sync.Pool{New: func() any { return new(lockScratch) }}
@@ -492,16 +490,10 @@ func (sc *lockScratch) dedupe(reqs []lockmgr.Request) []lockmgr.Request {
 }
 
 // Execute runs one transaction to commit under the configured protocol,
-// returning the sum of all read entity values. Attempts the protocol
-// aborts — deadlock victims, wound-wait wounds, wait-die deaths,
-// optimistic validation failures — release everything, back off
-// briefly (randomized exponential with a hard cap — immediate restart
-// livelocks: the victim re-grabs its first granule before the survivor
-// is scheduled and the same cycle re-forms forever), and retry until
-// the context is cancelled; cancellation interrupts both lock waits
-// and backoff sleeps promptly. Once an attempt holds its access rights,
-// its Work forks over the nodes its ops touch and joins before the
-// reads and writes (fork.go).
+// returning the sum of all read entity values, on the one transaction
+// loop (attempt), which retries what the protocol aborts. Once an
+// attempt holds its access rights, its Work forks over the nodes its
+// ops touch and joins before the reads and writes (fork.go).
 func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 	if len(t.Ops) == 0 {
 		return 0, nil
@@ -512,11 +504,43 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	var sum int64
+	err = db.attempt(ctx, sc, reqs, func(tx *cc.Tx) func([]cc.Update) error {
+		if t.Work > 0 {
+			db.work(sc, t)
+		}
+		sum = 0
+		for _, op := range t.Ops {
+			if op.Delta != 0 {
+				db.inst.Write(tx, op.Entity, op.Delta)
+			} else {
+				sum += db.inst.Read(tx, op.Entity)
+			}
+		}
+		return sc.persistFor(db)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return sum, nil
+}
+
+// attempt is the one transaction loop, Execute's and Checkpoint's: each
+// attempt gets a fresh identity in sc.tx, acquires reqs, runs body —
+// the reads and writes, returning the persist hook Commit publishes
+// through — and commits. Attempts the protocol aborts (deadlock
+// victims, wound-wait wounds, wait-die deaths, optimistic validation
+// failures) release everything, are counted as restarts, back off
+// briefly (randomized exponential with a hard cap — immediate restart
+// livelocks: the victim re-grabs its first granule before the survivor
+// is scheduled and the same cycle re-forms forever), and retry until
+// the context is cancelled; cancellation interrupts both lock waits and
+// backoff sleeps promptly.
+func (db *DB) attempt(ctx context.Context, sc *lockScratch, reqs []lockmgr.Request, body func(*cc.Tx) func([]cc.Update) error) error {
 	var priority int64
-	attempt := 0
-	for {
+	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		txnID := lockmgr.TxnID(db.nextTxn.Add(1))
 		if priority == 0 {
@@ -526,21 +550,9 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 		}
 		tx := &sc.tx
 		*tx = cc.Tx{ID: txnID, Priority: priority, Attempt: attempt, Updates: tx.Updates[:0]}
-		actx := db.inst.Begin(ctx, tx)
-		err := db.inst.Acquire(actx, tx, reqs)
-		var sum int64
+		err := db.inst.Acquire(db.inst.Begin(ctx, tx), tx, reqs)
 		if err == nil {
-			if t.Work > 0 {
-				db.work(sc, t)
-			}
-			for _, op := range t.Ops {
-				if op.Delta != 0 {
-					db.inst.Write(tx, op.Entity, op.Delta)
-				} else {
-					sum += db.inst.Read(tx, op.Entity)
-				}
-			}
-			err = db.inst.Commit(ctx, tx, db.persistFn(txnID))
+			err = db.inst.Commit(ctx, tx, body(tx))
 		}
 		db.inst.End(tx)
 		if err == nil {
@@ -548,96 +560,88 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 			if db.mCommits != nil {
 				db.mCommits.Inc()
 			}
-			return sum, nil
+			return nil
 		}
-		if cc.Restartable(err) {
-			db.retries.Add(1)
-			if c := db.mRestarts[cc.RestartKind(err)]; c != nil {
-				c.Inc()
-			}
-			attempt++
-			if err := sleepBackoff(ctx, attempt, uint64(txnID)); err != nil {
-				return 0, err
-			}
-			continue
+		if !cc.Restartable(err) {
+			return err
 		}
-		return 0, err
+		db.retries.Add(1)
+		if c := db.mRestarts[cc.RestartKind(err)]; c != nil {
+			c.Inc()
+		}
+		if err := sleepBackoff(ctx, attempt+1, uint64(txnID)); err != nil {
+			return err
+		}
 	}
 }
 
-// walScratch is the reusable per-commit record staging buffer. The
-// persist hook completes durability before returning (enqueue-and-wait
-// on the group-commit logs), so the buffers are free for reuse the
-// moment the hook returns — a sync.Pool removes the per-commit slice
-// allocation from the hot path.
-type walScratch struct {
-	records []wal.Record
-	groups  []wal.PartGroup
-}
-
-var walScratchPool = sync.Pool{New: func() any { return new(walScratch) }}
-
-// persistFn builds the durability hook the protocol invokes at its
-// publish point: begin + update images + commit, made durable before
-// any access right is released, so log order matches serialization
-// order on every granule. The transaction's records are split by owning
-// node (node index keys log index), appended to each touched log in
-// ascending order and waited on through the batched flush, with the
-// commit record in every touched log carrying the full partition mask —
-// the cross-partition ordering rule wal.RecoverSet verifies. Read-only
-// transactions skip logging entirely — they change nothing, so recovery
-// does not need them. Nil for an in-memory database.
-func (db *DB) persistFn(txnID lockmgr.TxnID) func([]cc.Update) error {
+// persistFor returns the durability hook of the attempt in sc — nil for
+// an in-memory database. The hook is sc.persist, bound once per scratch,
+// so a durable commit allocates no closure.
+func (sc *lockScratch) persistFor(db *DB) func([]cc.Update) error {
 	if db.walDir == nil {
 		return nil
 	}
-	id := int64(txnID)
-	set := db.walDir.Set()
-	return func(us []cc.Update) error {
-		if len(us) == 0 {
-			return nil
+	sc.db = db
+	if sc.persist == nil {
+		sc.persist = sc.log
+	}
+	return sc.persist
+}
+
+// log is the durability hook the protocol invokes at its publish point:
+// begin + update images + commit, made durable before any access right
+// is released, so log order matches serialization order on every
+// granule. The transaction's records are split by owning node (node
+// index keys log index), appended to each touched log in ascending
+// order and waited on through the batched flush, with the commit record
+// in every touched log carrying the full partition mask — the
+// cross-partition ordering rule wal.RecoverSet verifies. Read-only
+// transactions skip logging entirely — they change nothing, so recovery
+// does not need them. The hook completes durability before it returns,
+// so the staging buffers in sc are free for the next commit.
+func (sc *lockScratch) log(us []cc.Update) error {
+	if len(us) == 0 {
+		return nil
+	}
+	db, id := sc.db, int64(sc.tx.ID)
+	var mask int64
+	for _, u := range us {
+		mask |= 1 << uint(db.nodeOf(u.Entity))
+	}
+	// Carve every partition's group out of one arena; the total is
+	// known up front, so the appends below never reallocate and the
+	// carved subslices stay valid.
+	total := len(us) + 2*bits.OnesCount64(uint64(mask))
+	arena := sc.records[:0]
+	if cap(arena) < total {
+		arena = make([]wal.Record, 0, total)
+	}
+	groups := sc.groups[:0]
+	for p := range db.nodes {
+		if mask&(1<<uint(p)) == 0 {
+			continue
 		}
-		sc := walScratchPool.Get().(*walScratch)
-		defer walScratchPool.Put(sc)
-		var mask int64
+		start := len(arena)
+		arena = append(arena, wal.Record{Kind: wal.KindBegin, Txn: id})
 		for _, u := range us {
-			mask |= 1 << uint(db.nodeOf(u.Entity))
-		}
-		npart := bits.OnesCount64(uint64(mask))
-		// Carve every partition's group out of one arena; the total is
-		// known up front, so the appends below never reallocate and the
-		// carved subslices stay valid.
-		total := len(us) + 2*npart
-		arena := sc.records[:0]
-		if cap(arena) < total {
-			arena = make([]wal.Record, 0, total)
-		}
-		groups := sc.groups[:0]
-		for p := 0; p < set.Len(); p++ {
-			if mask&(1<<uint(p)) == 0 {
+			if db.nodeOf(u.Entity) != p {
 				continue
 			}
-			start := len(arena)
-			arena = append(arena, wal.Record{Kind: wal.KindBegin, Txn: id})
-			for _, u := range us {
-				if db.nodeOf(u.Entity) != p {
-					continue
-				}
-				arena = append(arena, wal.Record{
-					Kind:   wal.KindUpdate,
-					Txn:    id,
-					Entity: int64(u.Entity),
-					Before: u.Before,
-					After:  u.After,
-				})
-			}
-			arena = append(arena, wal.Record{Kind: wal.KindCommit, Txn: id, Entity: mask})
-			groups = append(groups, wal.PartGroup{Part: p, Records: arena[start:len(arena):len(arena)]})
+			arena = append(arena, wal.Record{
+				Kind:   wal.KindUpdate,
+				Txn:    id,
+				Entity: int64(u.Entity),
+				Before: u.Before,
+				After:  u.After,
+			})
 		}
-		sc.records = arena
-		sc.groups = groups
-		return set.Commit(groups)
+		arena = append(arena, wal.Record{Kind: wal.KindCommit, Txn: id, Entity: mask})
+		groups = append(groups, wal.PartGroup{Part: p, Records: arena[start:len(arena):len(arena)]})
 	}
+	sc.records = arena
+	sc.groups = groups
+	return db.walDir.Set().Commit(groups)
 }
 
 // Checkpoint writes a consistent snapshot of the whole database behind
@@ -647,63 +651,39 @@ func (db *DB) persistFn(txnID lockmgr.TxnID) func([]cc.Update) error {
 // it.
 //
 // Consistency comes from the concurrency-control protocol itself: the
-// checkpoint runs a full-database read transaction, so at its publish
-// point every granule is covered shared (or the full read set
-// validated, under the optimistic protocol) — no writer holds anything,
-// every committed write is already durable (persist happens before
-// release), and the sequence vector captured inside the persist hook
-// names exactly the log prefix the snapshot includes. Writers block for
-// the duration; call it off the hot path.
+// checkpoint is a full-database read transaction on Execute's attempt
+// loop — its restarts and its commit are counted like any other — so at
+// its publish point every granule is covered shared (or the full read
+// set validated, under the optimistic protocol), no writer holds
+// anything, every committed write is already durable (persist happens
+// before release), and the sequence vector captured inside the persist
+// hook names exactly the log prefix the snapshot includes. Writers
+// block for the duration; call it off the hot path.
 func (db *DB) Checkpoint(ctx context.Context) error {
 	if db.walDir == nil {
 		return fmt.Errorf("engine: checkpoint needs an OpenDurable database")
 	}
+	sc := new(lockScratch)
 	t := db.FullReadTxn()
-	reqs, err := db.lockSet(new(lockScratch), t)
+	reqs, err := db.lockSet(sc, t)
 	if err != nil {
 		return err
 	}
 	var snap *wal.Snapshot
-	var priority int64
-	attempt := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+	err = db.attempt(ctx, sc, reqs, func(tx *cc.Tx) func([]cc.Update) error {
+		entries := make([]wal.SnapshotEntry, 0, len(t.Ops))
+		for _, op := range t.Ops {
+			entries = append(entries, wal.SnapshotEntry{Entity: int64(op.Entity), Value: db.inst.Read(tx, op.Entity)})
 		}
-		txnID := lockmgr.TxnID(db.nextTxn.Add(1))
-		if priority == 0 {
-			priority = int64(txnID)
+		return func([]cc.Update) error {
+			// Publish point: reads validated/covered, no concurrent
+			// writer — the sequence vector and the entries describe the
+			// same state.
+			snap = &wal.Snapshot{Seqs: db.walDir.Set().Seqs(), Entries: entries}
+			return nil
 		}
-		tx := &cc.Tx{ID: txnID, Priority: priority, Attempt: attempt}
-		actx := db.inst.Begin(ctx, tx)
-		err := db.inst.Acquire(actx, tx, reqs)
-		if err == nil {
-			entries := make([]wal.SnapshotEntry, 0, db.cfg.DBSize)
-			for _, op := range t.Ops {
-				entries = append(entries, wal.SnapshotEntry{
-					Entity: int64(op.Entity),
-					Value:  db.inst.Read(tx, op.Entity),
-				})
-			}
-			err = db.inst.Commit(ctx, tx, func([]cc.Update) error {
-				// Publish point: reads validated/covered, no concurrent
-				// writer — the sequence vector and the entries describe
-				// the same state.
-				snap = &wal.Snapshot{Seqs: db.walDir.Set().Seqs(), Entries: entries}
-				return nil
-			})
-		}
-		db.inst.End(tx)
-		if err == nil {
-			break
-		}
-		if cc.Restartable(err) {
-			attempt++
-			if err := sleepBackoff(ctx, attempt, uint64(txnID)); err != nil {
-				return err
-			}
-			continue
-		}
+	})
+	if err != nil {
 		return err
 	}
 	return db.walDir.Install(snap)
@@ -799,15 +779,5 @@ func Transfer(from, to int, amount int64) Txn {
 
 // Stats returns an activity snapshot.
 func (db *DB) Stats() Stats {
-	s := Stats{
-		Committed: db.committed.Load(),
-		Restarts:  db.retries.Load(),
-	}
-	cs := db.inst.Stats()
-	s.Lock = cs.Lock
-	s.Escalations = cs.Escalations
-	s.Wounds = cs.Wounds
-	s.Dies = cs.Dies
-	s.ValidationFails = cs.ValidationFails
-	return s
+	return Stats{Committed: db.committed.Load(), Restarts: db.retries.Load(), Stats: db.inst.Stats()}
 }

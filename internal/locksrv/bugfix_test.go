@@ -72,6 +72,15 @@ func TestBatchOversizeItemRejected(t *testing.T) {
 	checkBatchChunks(t, 256, append(repeat(3, 1), 64), true)
 }
 
+// acquireItems claims granules[i] exclusively for txn i+1 in one AcquireN.
+func acquireItems(c *ClientV2, granules [][]int64) ([]error, error) {
+	claims := make([]Claim, len(granules))
+	for i, g := range granules {
+		claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(g...)}
+	}
+	return c.AcquireN(claims)
+}
+
 // checkBatchChunks sends one item per entry of sizes, each naming that
 // many fresh granules, through every batch op with maxBatchBytes set to
 // budget, and checks the frames the client wrote. With oversize the last
@@ -83,13 +92,7 @@ func checkBatchChunks(t *testing.T, budget int, sizes []int, oversize bool) {
 		countAt int // offset of the item count in a frame body
 		send    func(c *ClientV2, granules [][]int64) ([]error, error)
 	}{
-		{"acquireN", opAcquireN, 0, func(c *ClientV2, granules [][]int64) ([]error, error) {
-			claims := make([]Claim, len(granules))
-			for i, g := range granules {
-				claims[i] = Claim{Txn: int64(i + 1), Reqs: xreq(g...)}
-			}
-			return c.AcquireN(claims)
-		}},
+		{"acquireN", opAcquireN, 0, acquireItems},
 		{"releaseN", opReleaseN, 0, func(c *ClientV2, granules [][]int64) ([]error, error) {
 			txns := make([]int64, len(granules))
 			for i := range txns {
@@ -127,6 +130,17 @@ func checkBatchChunks(t *testing.T, budget int, sizes []int, oversize bool) {
 					granules[i] = append(granules[i], int64(want))
 					want++
 				}
+			}
+			if op.op == opLease && !oversize {
+				// A lease answers OK only for grants its session holds:
+				// acquire the items first, so the lease is their refresh,
+				// and keep only the lease's frames.
+				if outs, err := acquireItems(c, granules); err != nil || errors.Join(outs...) != nil {
+					t.Fatalf("acquiring the items to refresh: %v, %v", outs, err)
+				}
+				rec.mu.Lock()
+				rec.out = nil
+				rec.mu.Unlock()
 			}
 			outs, err := op.send(c, granules)
 			sentOps, bodies := rec.sentFrames(t)

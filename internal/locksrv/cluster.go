@@ -162,20 +162,28 @@ func (cl *clusterState) recoveringCount() int {
 
 // route checks that this node serves every granule of reqs. A granule
 // another node owns and has not handed over is answered with a redirect.
-// A lease re-assert (reassert: the reconstruction) of a granule whose
-// takeover window has sealed is answered with lease_expired: the grant
-// died with the dead node. Otherwise route returns statusOK and, for a
-// fresh acquire of a granule behind a takeover's recovery window that
-// is still open, the window's seal to wait for. A nil cluster serves
-// everything.
+// A lease re-assert (reassert: the reconstruction) is answered with
+// lease_expired unless every granule lies in an adopted partition whose
+// recovery window is open: a grant in this node's own partition, or on
+// a server that is not clustered, was this node's to keep, and one in a
+// sealed window died with the dead node. Otherwise route returns
+// statusOK and, for a fresh acquire of a granule behind a takeover's
+// recovery window that is still open, the window's seal to wait for. A
+// nil cluster serves every fresh acquire.
 func (s *Server) route(reqs []lockmgr.Request, reassert bool) (sealed chan struct{}, st byte, msg string) {
 	cl := s.cluster
 	if cl == nil {
+		if reassert {
+			return nil, statusLeaseExpired, s.expireLease("no partition of an unclustered server is adopted")
+		}
 		return nil, statusOK, ""
 	}
 	for _, r := range reqs {
 		owner := cl.ring.Owner(uint64(r.Granule))
 		if owner == cl.cfg.Self {
+			if reassert {
+				return nil, statusLeaseExpired, s.expireLease(fmt.Sprintf("granule %d lies in this node's own partition", r.Granule))
+			}
 			continue
 		}
 		t := cl.takeoverOf(owner)
@@ -186,8 +194,7 @@ func (s *Server) route(reqs []lockmgr.Request, reassert bool) (sealed chan struc
 		select {
 		case <-t.sealed:
 			if reassert {
-				s.om.clusterLeaseExpired.Inc()
-				return nil, statusLeaseExpired, fmt.Sprintf("granule %d: node %d's recovery window has sealed", r.Granule, owner)
+				return nil, statusLeaseExpired, s.expireLease(fmt.Sprintf("granule %d: node %d's recovery window has sealed", r.Granule, owner))
 			}
 		default:
 			if !reassert {
@@ -354,23 +361,32 @@ func (s *Server) lease(c call, reqs []lockmgr.Request) {
 }
 
 // leaseNow decides one transaction of a lease assert without waiting: a
-// refresh when this session already owns the transaction, a
-// reconstruction when the transaction is unknown and its asserted
-// grants are free (the failover path — first assert wins), lease_expired
-// when the grants conflict with reconstructed or live state or lie in an
-// adopted partition whose recovery window has sealed. The owner is
-// checked before the route, so a grant made on this session after the
-// seal still refreshes. It decides nothing (false) while the transaction
-// is recorded on another session or held with no owner recorded, which
-// leaseCore waits out: a lease retried across a reconnect must not lose
-// to its own dying session.
+// refresh when this session already owns the transaction and it holds
+// every asserted grant in at least the asserted mode; a reconstruction
+// when the transaction is unknown, every asserted granule lies in an
+// adopted partition whose recovery window is open (route) and the
+// grants are free (the failover path — first assert wins); lease_expired
+// otherwise. The owner is checked before the route, so a grant made on
+// this session after the seal still refreshes. It decides nothing
+// (false) while the transaction is recorded on another session or held
+// with no owner recorded (a grant not yet recorded: journal pending),
+// which leaseCore waits out: a lease retried across a reconnect must not
+// lose to its own dying session.
 func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Request) (byte, string, bool) {
 	if len(reqs) == 0 {
 		return statusBadRequest, "lease without granules", true
 	}
 	owner, owned := s.ownerOf(txn)
 	if owned && owner == sess {
-		return statusOK, "", true // refresh: grants already live on this session
+		for _, r := range reqs {
+			if !s.table.HoldsAtLeast(txn, r.Granule, r.Mode) {
+				return statusLeaseExpired, s.expireLease(fmt.Sprintf("transaction %d does not hold granule %d in mode %v", txn, r.Granule, r.Mode)), true
+			}
+		}
+		return statusOK, "", true // refresh: the grants live on this session
+	}
+	if !owned && s.table.HeldBy(txn) > 0 {
+		return 0, "", false
 	}
 	if _, st, msg := s.route(reqs, true); st != statusOK {
 		return st, msg, true
@@ -388,10 +404,16 @@ func (s *Server) leaseNow(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Reque
 		// The asserted granules are held by someone else: a conflicting
 		// claim won the reconstruction race, or the window sealed and
 		// fresh acquires took the granules.
-		s.om.clusterLeaseExpired.Inc()
-		return statusLeaseExpired, fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn), true
+		return statusLeaseExpired, s.expireLease(fmt.Sprintf("transaction %d: asserted grants conflict with current holders", txn)), true
 	}
-	return 0, "", false // ErrAlreadyHolds with no owner recorded: a grant not yet recorded (journal pending)
+	return 0, "", false // ErrAlreadyHolds: granted, not yet recorded, since the check above
+}
+
+// expireLease counts a lease item refused with lease_expired and
+// returns the refusal's detail, msg.
+func (s *Server) expireLease(msg string) string {
+	s.om.clusterLeaseExpired.Inc()
+	return msg
 }
 
 // leaseCore decides a lease item leaseNow could not, on a goroutine of
@@ -403,8 +425,7 @@ func (s *Server) leaseCore(sess *session, txn lockmgr.TxnID, reqs []lockmgr.Requ
 	for {
 		switch err := s.awaitOwner(sess.ctx, sess, txn, start); {
 		case errors.Is(err, errOwnerLive):
-			s.om.clusterLeaseExpired.Inc()
-			return statusLeaseExpired, fmt.Sprintf("transaction %d is granted on another live session", txn)
+			return statusLeaseExpired, s.expireLease(fmt.Sprintf("transaction %d is granted on another live session", txn))
 		case err != nil:
 			return statusClosed, "session closed"
 		}

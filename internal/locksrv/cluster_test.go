@@ -466,6 +466,114 @@ func TestClusterLeaseAfterSealExpires(t *testing.T) {
 	}
 }
 
+// A refresh answers OK only for grants its transaction holds. Txn 7
+// holds granule a on node 1; after node 0 dies, the same session
+// asserts 7 on b, a granule of node 0's adopted partition that 7 never
+// held on node 1. Answering that refresh OK would leave 7 believing it
+// holds b while, after the seal, txn 8 is granted b: two holders of one
+// exclusive granule.
+func TestClusterLeaseRefreshRequiresHeldGrants(t *testing.T) {
+	addrs, servers := startCluster(t, 2, func(i int, cfg *ClusterConfig) {
+		cfg.RecoveryGrace = 50 * time.Millisecond
+	})
+	a := xreq(granulesOwnedBy(2, 1, 1)...)
+	b := xreq(granulesOwnedBy(2, 0, 1)...)
+	c := dial(t, addrs[1], WithRetries(0))
+	if err := c.AcquireAll(7, a); err != nil {
+		t.Fatal(err)
+	}
+	servers[0].Close()
+	if !servers[1].BeginTakeover(0) {
+		t.Fatal("BeginTakeover refused")
+	}
+	outs, err := c.Lease(1, []LeaseTxn{{Txn: 7, Reqs: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(outs[0], ErrLeaseExpired) {
+		t.Fatalf("refresh asserting a grant the transaction does not hold: want ErrLeaseExpired, got %v", outs[0])
+	}
+	if n := servers[1].Table().HeldBy(7); n != 1 {
+		t.Fatalf("node 1 holds %d granules for txn 7, want its 1", n)
+	}
+	<-servers[1].cluster.takeoverOf(0).sealed
+	other := dial(t, addrs[1], WithRetries(0))
+	if err := other.AcquireAll(8, b); err != nil {
+		t.Fatal(err)
+	}
+	// The refresh of what 7 does hold still answers OK.
+	outs, err = c.Lease(1, []LeaseTxn{{Txn: 7, Reqs: a}})
+	if err != nil || outs[0] != nil {
+		t.Fatalf("refresh of a held grant: %v, %v", outs, err)
+	}
+	for txn, cl := range map[int64]*ClientV2{7: c, 8: other} {
+		if err := cl.ReleaseAll(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A lease rebuilds a transaction only into an adopted partition whose
+// recovery window is open. A grant in a node's own partition, or on a
+// server that is not clustered, dies with its session: txn 7's session
+// closes, txn 8 takes and releases the granule, and a later lease for 7
+// from a new session must not bring 7's grant back.
+func TestLeaseDoesNotRebuildOwnPartitionGrant(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("clustered=%v", clustered), func(t *testing.T) {
+			var addr string
+			var srv *Server
+			g := xreq(granulesOwnedBy(2, 0, 1)...)
+			if clustered {
+				addrs, servers := startCluster(t, 2, nil)
+				addr, srv = addrs[0], servers[0]
+			} else {
+				addr, srv = startServer(t)
+			}
+			holder := dial(t, addr, WithRetries(0))
+			if err := holder.AcquireAll(7, g); err != nil {
+				t.Fatal(err)
+			}
+			holder.Close()
+			// 8 is granted once the server has torn 7's session down.
+			next := dial(t, addr, WithRetries(0))
+			if err := next.AcquireAll(8, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := next.ReleaseAll(8); err != nil {
+				t.Fatal(err)
+			}
+			late := dial(t, addr, WithRetries(0))
+			outs, err := late.Lease(1, []LeaseTxn{{Txn: 7, Reqs: g}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(outs[0], ErrLeaseExpired) {
+				t.Fatalf("lease for a transaction whose session died: want ErrLeaseExpired, got %v", outs[0])
+			}
+			if n := srv.Table().HeldBy(7); n != 0 {
+				t.Fatalf("server holds %d granules for the dead transaction", n)
+			}
+		})
+	}
+}
+
+// Every cluster client draws its own lease id, whatever its jitter seed.
+func TestDialClusterLeaseIDsDiffer(t *testing.T) {
+	var ids [2]uint64
+	for i := range ids {
+		cc, err := DialCluster([]string{"127.0.0.1:1"}, WithLeaseInterval(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = cc.leaseID
+		cc.Close()
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two cluster clients share lease id %d", ids[0])
+	}
+}
+
 // A node marked down by mistake, which still serves its partition, is
 // cleared by a probe when the cluster redirects back to it, and the
 // acquire is granted there.

@@ -1,6 +1,8 @@
 package locksrv
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -121,7 +123,7 @@ func DialCluster(addrs []string, opts ...ClientOption) (*ClusterClient, error) {
 		failing: make([]chan struct{}, len(addrs)),
 		holds:   make(map[int64]map[string][]lockmgr.Request),
 		closeCh: make(chan struct{}),
-		leaseID: cfg.jitter.Uint64(),
+		leaseID: newLeaseID(),
 	}
 	for i, a := range addrs {
 		cc.addrIdx[a] = i
@@ -131,6 +133,17 @@ func DialCluster(addrs []string, opts ...ClientOption) (*ClusterClient, error) {
 		go cc.leaseLoop()
 	}
 	return cc, nil
+}
+
+// newLeaseID draws a cluster client's lease id from the process's
+// entropy, not from the jitter stream: that stream is seeded (1 unless
+// WithJitterSeed), so every client would carry the same id.
+func newLeaseID() uint64 {
+	var b [8]byte
+	// Read fails only without an entropy source; the id is carried for
+	// observability, so a zero id costs nothing else.
+	_, _ = rand.Read(b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // clientFor returns (dialing if needed) the connection to addr.

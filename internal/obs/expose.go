@@ -28,24 +28,13 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(cw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.kind)
 		for _, ch := range children {
-			switch {
-			case ch.fn != nil:
-				writeSample(cw, f.name, f.labels, ch.values, "", "", formatFloat(ch.fn()))
-			case f.kind == KindHistogram:
-				cum, count, sum := ch.h.snapshot()
-				for i, bound := range f.bounds {
-					writeSample(cw, f.name+"_bucket", f.labels, ch.values, "le", formatFloat(bound),
-						strconv.FormatInt(cum[i], 10))
+			f.samples(ch, func(name, le, text string, _ float64) {
+				extra := ""
+				if le != "" {
+					extra = "le"
 				}
-				writeSample(cw, f.name+"_bucket", f.labels, ch.values, "le", "+Inf",
-					strconv.FormatInt(cum[len(cum)-1], 10))
-				writeSample(cw, f.name+"_sum", f.labels, ch.values, "", "", formatFloat(sum))
-				writeSample(cw, f.name+"_count", f.labels, ch.values, "", "", strconv.FormatInt(count, 10))
-			case f.kind == KindCounter:
-				writeSample(cw, f.name, f.labels, ch.values, "", "", strconv.FormatInt(ch.c.Value(), 10))
-			default:
-				writeSample(cw, f.name, f.labels, ch.values, "", "", formatFloat(ch.g.Value()))
-			}
+				writeSample(cw, name, f.labels, ch.values, extra, le, text)
+			})
 		}
 		if cw.err != nil {
 			return cw.n, cw.err
@@ -64,6 +53,32 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", TextContentType)
 		r.WriteTo(w)
 	})
+}
+
+// samples is the one walk of a child's exposed samples, WriteTo's and
+// Snapshot's: it calls emit for each in exposition order with its name,
+// its histogram "le" label ("" for none), its value as exposition text
+// and as a float. Histograms expand into cumulative name_bucket
+// samples, name_sum and name_count; counts render as integers.
+func (f *Family) samples(ch *child, emit func(name, le, text string, v float64)) {
+	count := func(name, le string, n int64) { emit(name, le, strconv.FormatInt(n, 10), float64(n)) }
+	float := func(name string, v float64) { emit(name, "", formatFloat(v), v) }
+	switch {
+	case ch.fn != nil:
+		float(f.name, ch.fn())
+	case f.kind == KindHistogram:
+		cum, n, sum := ch.h.snapshot()
+		for i, bound := range f.bounds {
+			count(f.name+"_bucket", formatFloat(bound), cum[i])
+		}
+		count(f.name+"_bucket", "+Inf", cum[len(cum)-1])
+		float(f.name+"_sum", sum)
+		count(f.name+"_count", "", n)
+	case f.kind == KindCounter:
+		count(f.name, "", ch.c.Value())
+	default:
+		float(f.name, ch.g.Value())
+	}
 }
 
 // writeSample renders one exposition line; extraName/extraValue append

@@ -403,26 +403,14 @@ func (r *Registry) Snapshot() []Sample {
 			for i, l := range f.labels {
 				base[l] = ch.values[i]
 			}
-			switch {
-			case ch.fn != nil:
-				out = append(out, Sample{Name: f.name, Labels: base, Value: ch.fn()})
-			case f.kind == KindHistogram:
-				cum, count, sum := ch.h.snapshot()
-				for i, bound := range f.bounds {
-					lbl := cloneLabels(base)
-					lbl["le"] = formatFloat(bound)
-					out = append(out, Sample{Name: f.name + "_bucket", Labels: lbl, Value: float64(cum[i])})
+			f.samples(ch, func(name, le, _ string, v float64) {
+				labels := base
+				if le != "" {
+					labels = cloneLabels(base)
+					labels["le"] = le
 				}
-				lbl := cloneLabels(base)
-				lbl["le"] = "+Inf"
-				out = append(out, Sample{Name: f.name + "_bucket", Labels: lbl, Value: float64(cum[len(cum)-1])})
-				out = append(out, Sample{Name: f.name + "_sum", Labels: base, Value: sum})
-				out = append(out, Sample{Name: f.name + "_count", Labels: base, Value: float64(count)})
-			case f.kind == KindCounter:
-				out = append(out, Sample{Name: f.name, Labels: base, Value: float64(ch.c.Value())})
-			default:
-				out = append(out, Sample{Name: f.name, Labels: base, Value: ch.g.Value()})
-			}
+				out = append(out, Sample{Name: name, Labels: labels, Value: v})
+			})
 		}
 	}
 	return out

@@ -40,73 +40,62 @@ func WithPreallocate(size int64) LogOption {
 	return func(o *logOptions) { o.preallocate = size }
 }
 
-// FaultInjector intercepts sink I/O for crash testing. It is consulted
-// before every write ("write", with the byte count) and sync ("sync",
-// 0). Returning a nil error lets the operation proceed. Returning an
-// error fails the operation; for a write, the first allow bytes are
-// still written — a torn write, exactly what a crash leaves behind. The
-// injector must be safe for concurrent use (one injector is typically
-// shared across all logs of a Set so every partition "loses power" at
-// the same moment).
+// FaultInjector intercepts file I/O for crash testing. The file sink
+// consults it before every log append and snapshot staging write
+// ("write", with the byte count) and every log and staging sync
+// ("sync", 0). Returning a nil error lets the operation proceed.
+// Returning an error fails the operation; for a write, the first allow
+// bytes are still written — a torn write, exactly what a crash leaves
+// behind. The injector must be safe for concurrent use (one injector is
+// typically shared across all logs of a Set so every partition "loses
+// power" at the same moment).
 type FaultInjector func(op string, n int) (allow int, err error)
 
-// WithFaultInjector installs inj on the log's sink and, for OpenDir, on
-// snapshot staging writes.
+// WithFaultInjector installs inj on the sinks of the logs OpenFile and
+// OpenDir open and on OpenDir's snapshot staging file. NewLog ignores
+// it.
 func WithFaultInjector(inj FaultInjector) LogOption {
 	return func(o *logOptions) { o.injector = inj }
 }
 
-// faultSink threads a FaultInjector in front of any flushSink.
-type faultSink struct {
-	s      flushSink
+// fileSink is the one file-backed sink: positioned writes at a tracked
+// offset (so preallocated tails are overwritten in place), fsync on
+// Sync, and physical prefix truncation via rewrite-and-rename. With an
+// injector it tears its writes and fails its syncs where the injector
+// says; the header and preallocation at open and the truncation rewrite
+// write the file directly and are never injected.
+type fileSink struct {
+	f      *os.File
+	path   string
+	off    int64 // next write offset
+	base   int64 // sequence number at the header
 	inject FaultInjector
 }
 
-func (f *faultSink) Write(p []byte) (int, error) {
-	allow, err := f.inject("write", len(p))
-	if err != nil {
-		if allow > 0 {
-			if allow > len(p) {
-				allow = len(p)
-			}
-			f.s.Write(p[:allow])
-		}
-		return allow, err
-	}
-	return f.s.Write(p)
-}
-
-func (f *faultSink) Sync() error {
-	if _, err := f.inject("sync", 0); err != nil {
-		return err
-	}
-	return f.s.Sync()
-}
-
-func (f *faultSink) Close() error {
-	if c, ok := f.s.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// fileSink is the file-backed flushSink: positioned writes at a tracked
-// offset (so preallocated tails are overwritten in place), fsync on
-// Sync, and physical prefix truncation via rewrite-and-rename.
-type fileSink struct {
-	f    *os.File
-	path string
-	off  int64 // next write offset
-	base int64 // sequence number at the header
-}
-
 func (s *fileSink) Write(p []byte) (int, error) {
+	var injected error
+	if s.inject != nil {
+		allow, err := s.inject("write", len(p))
+		if err != nil {
+			p, injected = p[:min(max(allow, 0), len(p))], err
+		}
+	}
 	n, err := s.f.WriteAt(p, s.off)
 	s.off += int64(n)
+	if injected != nil {
+		return n, injected
+	}
 	return n, err
 }
 
-func (s *fileSink) Sync() error { return s.f.Sync() }
+func (s *fileSink) Sync() error {
+	if s.inject != nil {
+		if _, err := s.inject("sync", 0); err != nil {
+			return err
+		}
+	}
+	return s.f.Sync()
+}
 
 func (s *fileSink) Close() error { return s.f.Close() }
 
@@ -192,11 +181,8 @@ func syncDir(path string) error {
 // the first torn or zero-filled slot — and continues appending from the
 // logical end; sequence numbers continue from base + intact records.
 func OpenFile(path string, opts ...LogOption) (*Log, error) {
-	o := logOptions{preallocate: defaultPreallocate}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	sink, seq, err := openFileSink(path, o.preallocate)
+	o := newLogOptions(opts)
+	sink, seq, err := openFileSink(path, o)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +190,9 @@ func OpenFile(path string, opts ...LogOption) (*Log, error) {
 }
 
 // openFileSink opens path as a log file and returns the sink positioned
-// at the logical end, plus the durable sequence number found there.
-func openFileSink(path string, preallocate int64) (*fileSink, int64, error) {
+// at the logical end, carrying o's injector, plus the durable sequence
+// number found there.
+func openFileSink(path string, o logOptions) (*fileSink, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, err
@@ -215,15 +202,15 @@ func openFileSink(path string, preallocate int64) (*fileSink, int64, error) {
 		f.Close()
 		return nil, 0, err
 	}
-	s := &fileSink{f: f, path: path}
+	s := &fileSink{f: f, path: path, inject: o.injector}
 	if info.Size() == 0 {
 		// Fresh log: header, durability, preallocation.
 		if _, err := f.WriteAt(encodeLogHeader(0), 0); err != nil {
 			f.Close()
 			return nil, 0, fmt.Errorf("wal: init %s: %w", path, err)
 		}
-		if preallocate > logHeaderSize {
-			if err := f.Truncate(preallocate); err != nil {
+		if o.preallocate > logHeaderSize {
+			if err := f.Truncate(o.preallocate); err != nil {
 				f.Close()
 				return nil, 0, fmt.Errorf("wal: preallocate %s: %w", path, err)
 			}
@@ -319,9 +306,9 @@ func tailReader(path string, seq int64) (*Reader, io.Closer, error) {
 // Dir is a directory holding a Set's per-partition log files plus the
 // current snapshot: wal-<k>.log for each partition and snapshot.snap.
 type Dir struct {
-	path string
-	opts logOptions
-	set  *Set
+	path     string
+	injector FaultInjector // tears snapshot staging writes (WithFaultInjector)
+	set      *Set
 	// fail is the checkpoint failpoint hook (SetFailpoint), consulted
 	// between install stages so crash tests can kill mid-snapshot.
 	fail func(stage string) error
@@ -346,10 +333,7 @@ func OpenDir(path string, parts int, opts ...LogOption) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, err
 	}
-	o := logOptions{preallocate: defaultPreallocate}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newLogOptions(opts)
 	// Refuse a layout mismatch: an extra existing log file means the
 	// directory was written with more partitions.
 	if _, err := os.Stat(logPath(path, parts)); err == nil {
@@ -357,7 +341,7 @@ func OpenDir(path string, parts int, opts ...LogOption) (*Dir, error) {
 	}
 	logs := make([]*Log, 0, parts)
 	for k := 0; k < parts; k++ {
-		sink, seq, err := openFileSink(logPath(path, k), o.preallocate)
+		sink, seq, err := openFileSink(logPath(path, k), o)
 		if err != nil {
 			// Close stops each log's flusher along with its file.
 			for _, l := range logs {
@@ -367,7 +351,7 @@ func OpenDir(path string, parts int, opts ...LogOption) (*Dir, error) {
 		}
 		logs = append(logs, newLogAt(sink, sink.base, seq, o))
 	}
-	return &Dir{path: path, opts: o, set: &Set{logs: logs}}, nil
+	return &Dir{path: path, injector: o.injector, set: &Set{logs: logs}}, nil
 }
 
 // Set returns the directory's log set.
@@ -392,55 +376,29 @@ func (d *Dir) failAt(stage string) error {
 	return d.fail(stage)
 }
 
-// injectWriter applies the Dir's FaultInjector to snapshot staging
-// writes so a shared injector can tear a snapshot mid-write.
-type injectWriter struct {
-	w      io.Writer
-	inject FaultInjector
-}
-
-func (iw injectWriter) Write(p []byte) (int, error) {
-	if iw.inject != nil {
-		allow, err := iw.inject("write", len(p))
-		if err != nil {
-			if allow > 0 {
-				if allow > len(p) {
-					allow = len(p)
-				}
-				iw.w.Write(p[:allow])
-			}
-			return allow, err
-		}
-	}
-	return iw.w.Write(p)
-}
-
 // Install atomically publishes snapshot s and truncates each log's
 // replayed prefix. The snapshot is staged to a temp file, fsynced, then
 // renamed over snapshot.snap (with a directory sync), so a crash at any
 // point leaves either the old snapshot or the new one — never a torn
-// one under the live name. Truncation runs after the rename; a crash
-// between the two merely leaves longer logs, which the next recovery
-// replays from the snapshot's sequence vector anyway.
+// one under the live name. The staging file is written through a
+// fileSink, so the Dir's injector can tear the snapshot and fail its
+// sync. Truncation runs after the rename; a crash between the two merely
+// leaves longer logs, which the next recovery replays from the
+// snapshot's sequence vector anyway.
 func (d *Dir) Install(s *Snapshot) error {
 	if len(s.Seqs) != d.set.Len() {
 		return fmt.Errorf("wal: snapshot covers %d logs, dir has %d", len(s.Seqs), d.set.Len())
 	}
 	tmpPath := snapPath(d.path) + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmpPath)
-	if err := WriteSnapshot(injectWriter{w: tmp, inject: d.opts.injector}, s); err != nil {
+	tmp := &fileSink{f: f, path: tmpPath, inject: d.injector}
+	if err := WriteSnapshot(tmp, s); err != nil {
 		tmp.Close()
 		return err
-	}
-	if d.opts.injector != nil {
-		if _, err := d.opts.injector("sync", 0); err != nil {
-			tmp.Close()
-			return err
-		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -45,6 +45,15 @@ type logOptions struct {
 	preallocate int64
 }
 
+// newLogOptions applies opts over the defaults.
+func newLogOptions(opts []LogOption) logOptions {
+	o := logOptions{preallocate: defaultPreallocate}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // WithFlushInterval bounds how long the flusher lingers collecting more
 // committers when the queue is non-empty. Zero
 // (the default) disables lingering: every flush takes exactly what was
@@ -106,38 +115,22 @@ type Log struct {
 // NewLog returns a group-commit Log over sink and starts its flusher.
 // If sink has a Sync method it is called once per flush; otherwise
 // flushes are write-only (useful for in-memory tests). Close releases
-// the flusher.
+// the flusher. Of the options only WithFlushInterval applies: the
+// preallocation and the fault injector belong to the file sink of
+// OpenFile and OpenDir.
 func NewLog(sink interface{ Write([]byte) (int, error) }, opts ...LogOption) *Log {
-	var o logOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
 	fs, ok := sink.(flushSink)
 	if !ok {
 		fs = nopSync{w: sink}
 	}
-	if o.injector != nil {
-		fs = &faultSink{s: fs, inject: o.injector}
-	}
-	l := &Log{
-		sink:   fs,
-		linger: o.linger,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	l.flushed.L = &l.mu
-	go l.flusher()
-	return l
+	return newLogAt(fs, 0, 0, newLogOptions(opts))
 }
 
-// newLogAt is NewLog for a reopened file sink: base is the physical
-// truncation base recorded in the file header, seq the durable sequence
+// newLogAt is the one Log constructor: base is the physical truncation
+// base recorded in a file sink's header, seq the durable sequence
 // number at the logical end (base + intact records); appends continue
 // from seq.
 func newLogAt(sink flushSink, base, seq int64, o logOptions) *Log {
-	if o.injector != nil {
-		sink = &faultSink{s: sink, inject: o.injector}
-	}
 	l := &Log{
 		sink:    sink,
 		linger:  o.linger,
@@ -309,12 +302,6 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// truncator is implemented by file-backed sinks that can drop their
-// physical prefix.
-type truncator interface {
-	truncateTo(seq int64) error
-}
-
 // Truncate drops the physical log prefix up to and including sequence
 // number seq (records 1..seq), typically after a snapshot covering seq
 // has been installed. Only file-backed logs support it. The log keeps
@@ -337,20 +324,13 @@ func (l *Log) Truncate(seq int64) error {
 	}
 	l.mu.Unlock()
 
-	t, ok := l.sink.(truncator)
-	if !ok {
-		if f, ok2 := l.sink.(*faultSink); ok2 {
-			if t2, ok3 := f.s.(truncator); ok3 {
-				t, ok = t2, true
-			}
-		}
-	}
+	fs, ok := l.sink.(*fileSink)
 	if !ok {
 		return errors.New("wal: sink does not support truncation")
 	}
 
 	l.ioMu.Lock()
-	err := t.truncateTo(seq)
+	err := fs.truncateTo(seq)
 	l.ioMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)

@@ -93,8 +93,9 @@ verify-test:
 # the age policies' verdicts are the lock table's, made under its latch: multicore claims too;
 # a durable engine killed at random write/sync/checkpoint points, where every recovery must conserve the balance,
 # and checkpoints, which run on Execute's attempt loop, beside concurrent writers and restarted by wait-die;
+# every protocol's restarts counted once, where raised, and read by Stats and the registry alike;
 # and the fork of a transaction's work, which runs only at 2 Ps or more
-	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols|TestDurablePowerCutCycles|TestDurableFaultInjectionConservesBalance|TestCheckpointRestartsAreCounted|TestPlanSplit|TestFork|TestCloseStopsNodeWorkers|TestCallerRunsUnclaimedShares|TestStaleClaimWordFails|TestFreeProcessorsCountRunners' ./internal/engine/
+	$(GO) test -race -cpu 1,2,4 -run 'TestWoundWaitVictimStorm|TestBalanceInvariantAllProtocols|TestDurablePowerCutCycles|TestDurableFaultInjectionConservesBalance|TestCheckpointRestartsAreCounted|TestRestartCausesAddUp|TestPlanSplit|TestFork|TestCloseStopsNodeWorkers|TestCallerRunsUnclaimedShares|TestStaleClaimWordFails|TestFreeProcessorsCountRunners' ./internal/engine/
 # benchmark/ is its own module, which root `go test ./...` does not reach: this compiles it against every API change
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 # the two engine smoke runs again, five times: each must see allocation to report (the retired pooled records keep it visible)

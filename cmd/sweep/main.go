@@ -32,7 +32,7 @@ import (
 
 	"granulock"
 	"granulock/internal/engine/cc"
-	"granulock/internal/obs"
+	"granulock/internal/experiments"
 )
 
 func main() {
@@ -97,22 +97,8 @@ func run(args []string, out *os.File) error {
 
 	fields := strings.Split(*values, ",")
 	start := time.Now()
-	// Families register once, before the sweep loop; the loop only
-	// touches the resolved series (metricname: idempotent-by-construction).
-	var cellsCompleted *obs.Counter
-	var cellSeconds *obs.Histogram
-	if reg != nil {
-		reg.NewCounterVec("granulock_sweep_cells_total",
-			"Simulation cells scheduled by parameter sweeps.", "figure").
-			With("cmd-sweep").Add(int64(len(fields)))
-		cellsCompleted = reg.NewCounterVec("granulock_sweep_cells_completed_total",
-			"Simulation cells completed by parameter sweeps.", "figure").
-			With("cmd-sweep")
-		cellSeconds = reg.NewHistogramVec("granulock_sweep_cell_seconds",
-			"Wall time per completed sweep cell in seconds (cache hits are near zero).",
-			granulock.ExpBuckets(0.001, 4, 10), "figure").
-			With("cmd-sweep")
-	}
+	sm := experiments.NewSweepMetrics(reg, "cmd-sweep")
+	sm.CellsTotal(int64(len(fields)))
 	fmt.Fprintf(out, "%12s  %14s\n", *param, *metric)
 	for _, field := range fields {
 		v, err := strconv.Atoi(strings.TrimSpace(field))
@@ -126,10 +112,7 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return fmt.Errorf("%s=%d: %w", *param, v, err)
 		}
-		if reg != nil {
-			cellsCompleted.Inc()
-			cellSeconds.Observe(time.Since(cellStart).Seconds())
-		}
+		sm.CellDone(time.Since(cellStart))
 		fmt.Fprintf(out, "%12d  %14.4f\n", v, get(m))
 	}
 	if reg != nil {

@@ -29,6 +29,7 @@ var metricNameRE = regexp.MustCompile(`^granulock(_[a-z0-9]+){2,}$`)
 var registerFns = map[string]bool{
 	"NewCounter":      true,
 	"NewCounterVec":   true,
+	"NewCounterFunc":  true,
 	"NewGauge":        true,
 	"NewGaugeVec":     true,
 	"NewGaugeFunc":    true,

@@ -141,7 +141,10 @@ type Instance interface {
 
 // Stats counts instance activity. Lock mirrors the instance's lock
 // table (zero for lockless protocols); the restart counters attribute
-// protocol-initiated aborts to their cause.
+// protocol-initiated aborts to their cause. Every restart an instance
+// raises is counted here once, as Lock.Deadlocks (the detector's
+// victims) or one of Wounds, Dies and ValidationFails: the engine's
+// restart count is their sum and keeps no tally of its own.
 type Stats struct {
 	Lock        lockmgr.Stats
 	Escalations int64

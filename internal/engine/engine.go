@@ -93,8 +93,8 @@ type config struct {
 	// protocol: a transaction holding this many granules escalates to a
 	// database-level lock (0 disables; ignored by other protocols).
 	EscalationThreshold int
-	// Metrics, when non-nil, mirrors the database's activity into the
-	// registry: commit and restart counters
+	// Metrics, when non-nil, exposes the database's activity on the
+	// registry, read at scrape time: commit and restart counters
 	// (granulock_engine_commits_total, granulock_engine_restarts_total
 	// by cause) plus the protocol's lock-table families. One database
 	// per registry.
@@ -129,7 +129,7 @@ func WithWALOptions(opts ...wal.LogOption) Option {
 // given held-granule count (hierarchical protocol only).
 func WithEscalationThreshold(n int) Option { return func(c *config) { c.EscalationThreshold = n } }
 
-// WithMetrics mirrors the database's activity into the registry.
+// WithMetrics exposes the database's activity on the registry.
 func WithMetrics(reg *obs.Registry) Option { return func(c *config) { c.Metrics = reg } }
 
 // newConfig applies opts over the defaults — one node, one granule per
@@ -200,16 +200,16 @@ func spin(n int) int64 {
 	return int64(x & 1)
 }
 
-// Stats counts engine activity: the engine's own counters, then the
+// Stats counts engine activity: the engine's own counter, then the
 // protocol instance's (lock-table activity, escalations and the
 // protocol-initiated restarts by cause).
 type Stats struct {
 	// Committed counts committed transactions, checkpoints included.
 	Committed int64
-	// Restarts counts attempts the protocol aborted and the engine
-	// retried, whatever the cause: deadlock victims, wound-wait wounds,
-	// wait-die deaths, and optimistic validation failures (always 0
-	// under Conservative). A checkpoint's restarts count too.
+	// Restarts counts attempts the protocol aborted, whatever the
+	// cause: the sum of Lock.Deadlocks, Wounds, Dies and ValidationFails,
+	// each counted once where it is raised (always 0 under
+	// Conservative). A checkpoint's restarts count too.
 	Restarts int64
 	cc.Stats
 }
@@ -233,7 +233,6 @@ type DB struct {
 
 	nextTxn   atomic.Int64
 	committed atomic.Int64
-	retries   atomic.Int64
 	// sink absorbs synthetic Txn.Work results so the compiler cannot
 	// eliminate the lock-holding computation.
 	sink atomic.Int64
@@ -241,12 +240,6 @@ type DB struct {
 	// helpers run a forked transaction's shares beside its caller
 	// (fork.go).
 	helpers helpers
-
-	// Registry twins of the counters above, nil without WithMetrics.
-	mCommits *obs.Counter
-	// mRestarts maps a restart cause (cc.RestartKind) to its counter;
-	// series resolve once at Open so the hot loop never registers.
-	mRestarts map[string]*obs.Counter
 }
 
 // Open creates an in-memory database of dbsize entities, configured by
@@ -273,16 +266,6 @@ func Open(dbsize int, opts ...Option) (*DB, error) {
 // the protocol instance, logging to dir when it is non-nil.
 func open(cfg config, dir *wal.Dir) (*DB, error) {
 	db := &DB{cfg: cfg, walDir: dir}
-	if cfg.Metrics != nil {
-		db.mCommits = cfg.Metrics.NewCounter("granulock_engine_commits_total",
-			"Transactions committed by the executable engine.")
-		restarts := cfg.Metrics.NewCounterVec("granulock_engine_restarts_total",
-			"Attempts aborted by the protocol and retried, by cause.", "cause")
-		db.mRestarts = make(map[string]*obs.Counter, 4)
-		for _, cause := range []string{"deadlock", "wounded", "die", "validation"} {
-			db.mRestarts[cause] = restarts.With(cause)
-		}
-	}
 	db.nodes = make([]*node, cfg.Nodes)
 	for i := range db.nodes {
 		// Round-robin partitioning: node i owns entities i, i+Nodes, ...
@@ -306,6 +289,16 @@ func open(cfg config, dir *wal.Dir) (*DB, error) {
 		return nil, fmt.Errorf("engine: protocol %s: %w", cfg.Protocol, err)
 	}
 	db.inst = inst
+	if reg := cfg.Metrics; reg != nil {
+		reg.NewCounterFunc("granulock_engine_commits_total",
+			"Transactions committed by the executable engine.", db.committed.Load)
+		restarts := reg.NewCounterVec("granulock_engine_restarts_total",
+			"Attempts aborted by the protocol and retried, by cause.", "cause")
+		restarts.Func(func() int64 { return inst.Stats().Lock.Deadlocks }, "deadlock")
+		restarts.Func(func() int64 { return inst.Stats().Wounds }, "wounded")
+		restarts.Func(func() int64 { return inst.Stats().Dies }, "die")
+		restarts.Func(func() int64 { return inst.Stats().ValidationFails }, "validation")
+	}
 	return db, nil
 }
 
@@ -530,7 +523,7 @@ func (db *DB) Execute(ctx context.Context, t Txn) (int64, error) {
 // the reads and writes, returning the persist hook Commit publishes
 // through — and commits. Attempts the protocol aborts (deadlock
 // victims, wound-wait wounds, wait-die deaths, optimistic validation
-// failures) release everything, are counted as restarts, back off
+// failures, each counted by the protocol) release everything, back off
 // briefly (randomized exponential with a hard cap — immediate restart
 // livelocks: the victim re-grabs its first granule before the survivor
 // is scheduled and the same cycle re-forms forever), and retry until
@@ -557,17 +550,10 @@ func (db *DB) attempt(ctx context.Context, sc *lockScratch, reqs []lockmgr.Reque
 		db.inst.End(tx)
 		if err == nil {
 			db.committed.Add(1)
-			if db.mCommits != nil {
-				db.mCommits.Inc()
-			}
 			return nil
 		}
 		if !cc.Restartable(err) {
 			return err
-		}
-		db.retries.Add(1)
-		if c := db.mRestarts[cc.RestartKind(err)]; c != nil {
-			c.Inc()
 		}
 		if err := sleepBackoff(ctx, attempt+1, uint64(txnID)); err != nil {
 			return err
@@ -779,5 +765,6 @@ func Transfer(from, to int, amount int64) Txn {
 
 // Stats returns an activity snapshot.
 func (db *DB) Stats() Stats {
-	return Stats{Committed: db.committed.Load(), Restarts: db.retries.Load(), Stats: db.inst.Stats()}
+	s := db.inst.Stats()
+	return Stats{Committed: db.committed.Load(), Restarts: s.Lock.Deadlocks + s.Wounds + s.Dies + s.ValidationFails, Stats: s}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"granulock/internal/engine/cc"
+	"granulock/internal/obs"
 )
 
 // TestBalanceInvariantAllProtocols runs the bank-transfer workload
@@ -49,6 +50,62 @@ func TestBalanceInvariantAllProtocols(t *testing.T) {
 			s := db.Stats()
 			t.Logf("%s: restarts=%d wounds=%d dies=%d vfails=%d grants=%d",
 				protocol, s.Restarts, s.Wounds, s.Dies, s.ValidationFails, s.Lock.Grants)
+		})
+	}
+}
+
+// TestRestartCausesAddUp pins how restarts are counted: once each, by
+// the protocol where it raises them (Lock.Deadlocks, Wounds, Dies,
+// ValidationFails), with Stats.Restarts and each
+// granulock_engine_restarts_total{cause} series reading those counts.
+// Every attempt takes one transaction id and every attempt of this
+// workload either commits or restarts, so the ids handed out must equal
+// commits plus restarts: a restart counted twice, or not at all, shows.
+func TestRestartCausesAddUp(t *testing.T) {
+	for _, protocol := range cc.Names() {
+		t.Run(protocol, func(t *testing.T) {
+			t.Parallel()
+			reg := obs.NewRegistry()
+			db, err := Open(200,
+				WithNodes(4),
+				WithGranules(20),
+				WithProtocol(protocol),
+				WithInitialValue(100),
+				WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := db.RunClosed(context.Background(), Workload{
+				Workers: 8, TxnsPerWorker: 100, TransfersPerTxn: 3,
+				ReadFraction: 0.3, HotEntities: 40, WorkPerTxn: 2000, Seed: 11,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s := db.Stats()
+			sum := int64(0)
+			for cause, want := range map[string]int64{
+				"deadlock":   s.Lock.Deadlocks,
+				"wounded":    s.Wounds,
+				"die":        s.Dies,
+				"validation": s.ValidationFails,
+			} {
+				sum += want
+				got, ok := reg.Value("granulock_engine_restarts_total", map[string]string{"cause": cause})
+				if !ok || got != float64(want) {
+					t.Errorf("granulock_engine_restarts_total{cause=%q} = %v (present %v), want %d", cause, got, ok, want)
+				}
+			}
+			if s.Restarts != sum {
+				t.Errorf("Stats.Restarts = %d, want the causes' sum %d", s.Restarts, sum)
+			}
+			if attempts := db.nextTxn.Load(); attempts != s.Committed+s.Restarts {
+				t.Errorf("%d attempts, but %d commits + %d restarts", attempts, s.Committed, s.Restarts)
+			}
+			if got, ok := reg.Value("granulock_engine_commits_total", nil); !ok || got != float64(s.Committed) {
+				t.Errorf("granulock_engine_commits_total = %v (present %v), want %d", got, ok, s.Committed)
+			}
+			t.Logf("%s: %d commits, %d restarts %+v", protocol, s.Committed, s.Restarts, s.Stats)
 		})
 	}
 }

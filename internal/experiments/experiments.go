@@ -190,8 +190,12 @@ func sweep(o Options, labels []string, xs []float64, mkParams func(series, point
 // cells not yet started and aborts those in flight; o.Metrics, when
 // set, counts them (granulock_sweep_ families).
 func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
-	sm := newSweepMetrics(o)
-	sm.cellsTotal(int64(len(cells)))
+	fig := o.figure
+	if fig == "" {
+		fig = "adhoc"
+	}
+	sm := NewSweepMetrics(o.Metrics, fig)
+	sm.CellsTotal(int64(len(cells)))
 	ms := make([]model.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
@@ -211,8 +215,8 @@ func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
 				start = time.Now()
 			}
 			ms[i], errs[i] = CachedRunContext(o.Context, p)
-			if sm != nil && errs[i] == nil {
-				sm.cellDone(time.Since(start))
+			if errs[i] == nil {
+				sm.CellDone(time.Since(start))
 			}
 		}()
 	}
@@ -262,47 +266,46 @@ func Average(ms []model.Metrics) (model.Metrics, float64) {
 	return out, thr.CI95()
 }
 
-// sweepMetrics reports sweep progress into Options.Metrics, one label
-// set per figure id.
-type sweepMetrics struct {
+// SweepMetrics reports sweep progress into a registry, one label set
+// per figure id: the one definition of the granulock_sweep_ families,
+// so every sweep sharing a registry registers them alike.
+type SweepMetrics struct {
 	cells       *obs.Counter
 	completed   *obs.Counter
 	cellSeconds *obs.Histogram
 }
 
-// newSweepMetrics binds the sweep progress families for o, or nil when
-// no registry was supplied.
-func newSweepMetrics(o Options) *sweepMetrics {
-	if o.Metrics == nil {
+// NewSweepMetrics binds the sweep progress families on reg under the
+// figure label, or returns nil when reg is nil; a nil SweepMetrics
+// records nothing.
+func NewSweepMetrics(reg *obs.Registry, figure string) *SweepMetrics {
+	if reg == nil {
 		return nil
 	}
-	fig := o.figure
-	if fig == "" {
-		fig = "adhoc"
-	}
-	reg := o.Metrics
-	return &sweepMetrics{
+	return &SweepMetrics{
 		cells: reg.NewCounterVec("granulock_sweep_cells_total",
-			"Simulation cells scheduled by parameter sweeps.", "figure").With(fig),
+			"Simulation cells scheduled by parameter sweeps.", "figure").With(figure),
 		completed: reg.NewCounterVec("granulock_sweep_cells_completed_total",
-			"Simulation cells completed by parameter sweeps.", "figure").With(fig),
+			"Simulation cells completed by parameter sweeps.", "figure").With(figure),
 		cellSeconds: reg.NewHistogramVec("granulock_sweep_cell_seconds",
 			"Wall time per completed sweep cell in seconds (cache hits are near zero).",
-			obs.ExpBuckets(0.001, 4, 10), "figure").With(fig),
+			obs.ExpBuckets(0.001, 4, 10), "figure").With(figure),
 	}
 }
 
-// cellsTotal records n cells entering the sweep.
-func (sm *sweepMetrics) cellsTotal(n int64) {
+// CellsTotal records n cells entering the sweep.
+func (sm *SweepMetrics) CellsTotal(n int64) {
 	if sm != nil {
 		sm.cells.Add(n)
 	}
 }
 
-// cellDone records one completed cell and its wall time.
-func (sm *sweepMetrics) cellDone(d time.Duration) {
-	sm.completed.Inc()
-	sm.cellSeconds.Observe(d.Seconds())
+// CellDone records one completed cell and its wall time.
+func (sm *SweepMetrics) CellDone(d time.Duration) {
+	if sm != nil {
+		sm.completed.Inc()
+		sm.cellSeconds.Observe(d.Seconds())
+	}
 }
 
 // sortSeriesPoints keeps points in ascending x order (sweeps already

@@ -83,8 +83,10 @@ func (m *ConflictModel) Decide(holders []Holder) (blockerID int, blocked bool) {
 }
 
 // BlockProbability returns the analytic probability that a request is
-// blocked given the holders, min(1, sum Lj/ltot). It is used by tests and
-// by the adaptive scheduler's denial-rate estimator.
+// blocked given the holders, min(1, sum Lj/ltot): the closed form of the
+// probability Decide draws against, for tests and examples to check it
+// by. The adaptive scheduler (internal/sched) does not use it; it reacts
+// to the denial rate it observes.
 func (m *ConflictModel) BlockProbability(holders []Holder) float64 {
 	sum := 0
 	for _, h := range holders {

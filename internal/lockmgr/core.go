@@ -33,7 +33,6 @@ type core struct {
 	// grantAll, and the parked claims a release re-evaluates.
 	recs  []*granuleState
 	cands []*ParkedClaim
-	om    *tableMetrics // nil unless WithMetrics attached
 }
 
 // granuleResident bounds the granule records the table keeps while they
@@ -377,7 +376,6 @@ func (c *core) claim(txn TxnID, reqs []Request) (granted bool, err error) {
 	}
 	c.grantAll(txn, reqs)
 	c.stats.Grants++
-	c.omGrant()
 	return true, nil
 }
 
@@ -391,7 +389,6 @@ func (c *core) parkClaim(w *ParkedClaim, txn TxnID, reqs []Request) {
 	w.reqs = append(w.reqs[:0], reqs...)
 	c.claimQ = append(c.claimQ, w)
 	c.stats.Blocks++
-	c.omWait()
 }
 
 // grantable reports whether every request is compatible with current
@@ -473,7 +470,6 @@ func (c *core) step(txn TxnID, g Granule, mode Mode, age agePolicy) (wait bool, 
 	if grantable {
 		c.grantStep(gs, txn, mode)
 		c.stats.Grants++
-		c.omGrant()
 		c.wakeStepWaiters(gs) // an upgrade may have given a parked request a new blocker
 		return false, nil
 	}
@@ -496,13 +492,10 @@ func (c *core) parkStep(w *ParkedClaim, txn TxnID, g Granule, mode Mode, age age
 	gs.waiters = append(gs.waiters, w)
 	c.stats.Blocks++
 	if age == ageNone {
-		c.refreshEdges(gs, w, len(gs.waiters)-1)
-		if c.det.InCycle(txn) {
+		if c.refreshEdges(gs, w, len(gs.waiters)-1); c.det.InCycle(txn) {
 			c.victim(gs, w)
-			return
 		}
 	}
-	c.omWait()
 }
 
 // upgrade is TryUpgrade's decision.
@@ -655,7 +648,6 @@ func (c *core) victim(gs *granuleState, w *ParkedClaim) {
 	gs.waiters = unqueue(gs.waiters, w)
 	c.det.RemoveWaiter(w.txn)
 	c.stats.Deadlocks++
-	c.omDeadlock()
 	c.resolve(w, ErrDeadlock)
 }
 
@@ -741,7 +733,6 @@ func (c *core) wakeStepWaiters(gs *granuleState) {
 				gs.waiters = gs.waiters[1:]
 				c.grantStep(gs, w.txn, w.reqArr[0].Mode)
 				c.stats.Grants++
-				c.omGrant()
 				c.det.RemoveWaiter(w.txn)
 				c.resolve(w, nil)
 			}
@@ -767,6 +758,5 @@ func (c *core) resolveClaim(w *ParkedClaim) {
 	c.grantAll(w.txn, w.reqs)
 	c.claimQ = unqueue(c.claimQ, w)
 	c.stats.Grants++
-	c.omGrant()
 	c.resolve(w, nil)
 }

@@ -92,18 +92,10 @@ func (t *Table) heldMode(txn TxnID, g Granule) (Mode, bool) {
 	return have, ok
 }
 
-// tableMetrics mirrors the Stats counters into an obs.Registry, the
-// live-scrape view of lock-table activity. Gauges for holders, locked
-// granules and parked waiters are registered as functions so they read
-// the table's true state at scrape time instead of mirroring it.
-type tableMetrics struct {
-	grants    *obs.Counter
-	waits     *obs.Counter
-	deadlocks *obs.Counter
-}
-
-// newTableMetrics registers the lockmgr families on reg for t.
-func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
+// registerMetrics registers the lockmgr families on reg, every one a
+// function that reads t at scrape time: the counters read Stats, the
+// gauges the holders, locked granules and parked waiters.
+func registerMetrics(reg *obs.Registry, t *Table) {
 	reg.NewGaugeFunc("granulock_lockmgr_holders",
 		"Transactions currently holding at least one granule.",
 		func() float64 { return float64(t.HoldersCount()) })
@@ -113,33 +105,13 @@ func newTableMetrics(reg *obs.Registry, t *Table) *tableMetrics {
 	reg.NewGaugeFunc("granulock_lockmgr_waiters",
 		"Requests currently parked (conservative claims plus incremental waiters).",
 		func() float64 { return float64(t.WaitersCount()) })
-	return &tableMetrics{
-		grants: reg.NewCounter("granulock_lockmgr_grants_total",
-			"Acquire calls satisfied, immediately or after waiting."),
-		waits: reg.NewCounter("granulock_lockmgr_waits_total",
-			"Acquire calls that had to wait (lock conflicts)."),
-		deadlocks: reg.NewCounter("granulock_lockmgr_deadlocks_total",
-			"Claim-as-needed waits aborted as deadlock victims."),
-	}
-}
-
-// omGrant, omWait and omDeadlock bump the registry twins of the Stats
-// counters, as the core bumps those. They take no locks: obs counters
-// are atomic.
-func (c *core) omGrant() {
-	if c.om != nil {
-		c.om.grants.Inc()
-	}
-}
-
-func (c *core) omWait() {
-	if c.om != nil {
-		c.om.waits.Inc()
-	}
-}
-
-func (c *core) omDeadlock() {
-	if c.om != nil {
-		c.om.deadlocks.Inc()
-	}
+	reg.NewCounterFunc("granulock_lockmgr_grants_total",
+		"Acquire calls satisfied, immediately or after waiting.",
+		func() int64 { return t.Stats().Grants })
+	reg.NewCounterFunc("granulock_lockmgr_waits_total",
+		"Acquire calls that had to wait (lock conflicts).",
+		func() int64 { return t.Stats().Blocks })
+	reg.NewCounterFunc("granulock_lockmgr_deadlocks_total",
+		"Claim-as-needed waits aborted as deadlock victims.",
+		func() int64 { return t.Stats().Deadlocks })
 }

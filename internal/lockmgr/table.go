@@ -212,12 +212,13 @@ func (w *ParkedClaim) recycle() {
 // Option configures a Table.
 type Option func(*Table)
 
-// WithMetrics mirrors the table's activity into reg: grant/wait/
-// deadlock counters plus scrape-time gauges for holders, locked
-// granules and parked waiters (family prefix granulock_lockmgr_). One
-// table per registry: the gauges read this table's state.
+// WithMetrics exposes the table's activity on reg (family prefix
+// granulock_lockmgr_): grant/wait/deadlock counters read from Stats
+// and gauges for holders, locked granules and parked waiters, all read
+// at scrape time. One table per registry: the first one registered is
+// the one read.
 func WithMetrics(reg *obs.Registry) Option {
-	return func(t *Table) { t.om = newTableMetrics(reg, t) }
+	return func(t *Table) { registerMetrics(reg, t) }
 }
 
 // NewTable returns an empty lock table.

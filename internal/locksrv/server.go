@@ -42,7 +42,6 @@ import (
 
 	"granulock/internal/lockmgr"
 	"granulock/internal/obs"
-	"granulock/internal/stats"
 )
 
 // statsReply is the JSON body of a stats response: the one payload that
@@ -55,7 +54,7 @@ type statsReply struct {
 
 // ServerStats is the service-level half of the "stats" op: session and
 // waiter gauges, the acquire outcome counters, and wait-time quantiles
-// over a sliding window of recent acquires.
+// over the server's life.
 type ServerStats struct {
 	Sessions       int64 `json:"sessions"`        // currently open sessions
 	SessionsTotal  int64 `json:"sessions_total"`  // sessions ever opened
@@ -70,8 +69,10 @@ type ServerStats struct {
 	ForeignReleases int64 `json:"foreign_releases"` // releases rejected as not_owner
 	IdleReaps       int64 `json:"idle_reaps"`       // sessions reaped for idleness
 
-	// Wait-time quantiles in milliseconds over the last waitWindow
-	// completed acquires (granted or timed out). Zero when no samples.
+	// Wait-time quantiles in milliseconds over every completed acquire
+	// (granted or timed out), estimated from the acquire-wait histogram
+	// (obs.Histogram.Quantile); WaitSamples is its count. Zero when no
+	// samples.
 	WaitP50MS   float64 `json:"wait_p50_ms"`
 	WaitP90MS   float64 `json:"wait_p90_ms"`
 	WaitP99MS   float64 `json:"wait_p99_ms"`
@@ -81,10 +82,6 @@ type ServerStats struct {
 	// servers, so single-node deployments keep their wire schema.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
-
-// waitWindow is the size of the sliding window of acquire wait times
-// the quantiles are computed over.
-const waitWindow = 4096
 
 // ownerRaceWait bounds how long a request for a transaction owned by an
 // apparently-live other session keeps waiting before the conflict is
@@ -100,41 +97,6 @@ const ownerRaceWait = 250 * time.Millisecond
 // writeTimeout bounds each response write, so a client that stops
 // reading cannot wedge the goroutine flushing its session's replies.
 const writeTimeout = 10 * time.Second
-
-// waitRing records the last waitWindow acquire wait times (ms).
-type waitRing struct {
-	mu   sync.Mutex
-	buf  [waitWindow]float64
-	next int
-	len  int
-	n    int64
-}
-
-func (r *waitRing) add(ms float64) {
-	r.mu.Lock()
-	r.buf[r.next] = ms
-	r.next = (r.next + 1) % waitWindow
-	if r.len < waitWindow {
-		r.len++
-	}
-	r.n++
-	r.mu.Unlock()
-}
-
-// quantiles snapshots the window and computes P50/P90/P99 with
-// stats.Quantiles (single sort). With no samples it returns zeros, not
-// NaN: the stats travel as JSON and encoding/json rejects NaN.
-func (r *waitRing) quantiles() (p50, p90, p99 float64, n int64) {
-	r.mu.Lock()
-	snap := append([]float64(nil), r.buf[:r.len]...)
-	n = r.n
-	r.mu.Unlock()
-	if len(snap) == 0 {
-		return 0, 0, 0, n
-	}
-	qs := stats.Quantiles(snap, 0.50, 0.90, 0.99)
-	return qs[0], qs[1], qs[2], n
-}
 
 // session is one connection's server-side state.
 type session struct {
@@ -264,8 +226,7 @@ type Server struct {
 	pfree    []*parkedAcquire
 	pfreeMax int
 
-	om    *serverMetrics // always non-nil after NewServer
-	waits waitRing
+	om *serverMetrics // always non-nil after NewServer
 
 	// cluster is non-nil when the server is one node of a partitioned
 	// cluster (WithCluster); nil servers serve the whole namespace.
@@ -363,7 +324,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Sessions reaped for idleness."),
 		waitMS: reg.NewHistogram("granulock_locksrv_acquire_wait_ms",
 			"Acquire wait time in milliseconds (granted or timed out).",
-			obs.ExpBuckets(0.5, 2, 16)), // 0.5ms .. ~16s
+			append([]float64{0}, obs.ExpBuckets(0.5, 2, 16)...)), // immediate, then 0.5ms .. ~16s
 		v2Sessions: reg.NewCounter("granulock_locksrv_v2_sessions_total",
 			"Sessions that opened with the protocol magic and entered the frame loop."),
 		framesRead: reg.NewCounter("granulock_locksrv_v2_frames_read_total",
@@ -814,7 +775,6 @@ func (s *Server) recordWait(start time.Time) {
 	if !start.IsZero() {
 		waitMS = float64(time.Since(start)) / float64(time.Millisecond)
 	}
-	s.waits.add(waitMS)
 	s.om.waitMS.Observe(waitMS)
 }
 
@@ -823,7 +783,6 @@ func (s *Server) serverStats() ServerStats {
 	s.mu.Lock()
 	sessions := int64(len(s.sessions))
 	s.mu.Unlock()
-	p50, p90, p99, n := s.waits.quantiles()
 	var cs *ClusterStats
 	if s.cluster != nil {
 		snap := s.ClusterStats()
@@ -841,10 +800,10 @@ func (s *Server) serverStats() ServerStats {
 		ForceReleases:   s.om.forceReleases.Value(),
 		ForeignReleases: s.om.foreignReleases.Value(),
 		IdleReaps:       s.om.idleReaps.Value(),
-		WaitP50MS:       p50,
-		WaitP90MS:       p90,
-		WaitP99MS:       p99,
-		WaitSamples:     n,
+		WaitP50MS:       s.om.waitMS.Quantile(0.50),
+		WaitP90MS:       s.om.waitMS.Quantile(0.90),
+		WaitP99MS:       s.om.waitMS.Quantile(0.99),
+		WaitSamples:     s.om.waitMS.Count(),
 		Cluster:         cs,
 	}
 }

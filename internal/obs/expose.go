@@ -64,6 +64,8 @@ func (f *Family) samples(ch *child, emit func(name, le, text string, v float64))
 	count := func(name, le string, n int64) { emit(name, le, strconv.FormatInt(n, 10), float64(n)) }
 	float := func(name string, v float64) { emit(name, "", formatFloat(v), v) }
 	switch {
+	case f.kind == KindCounter && ch.fn != nil:
+		count(f.name, "", int64(ch.fn()))
 	case ch.fn != nil:
 		float(f.name, ch.fn())
 	case f.kind == KindHistogram:

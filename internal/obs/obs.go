@@ -11,7 +11,10 @@
 // *Registry and stay completely silent — and allocation-free on their
 // hot paths — when none is attached. One registry may be shared across
 // subsystems; family names are namespaced per package
-// (granulock_sim_*, granulock_lockmgr_*, granulock_locksrv_*, ...).
+// (granulock_sim_*, granulock_lockmgr_*, granulock_locksrv_*, ...). A
+// count a layer already keeps is registered as a function that reads it
+// at scrape time (NewCounterFunc, CounterVec.Func, NewGaugeFunc), never
+// copied into a second store here.
 //
 // All metric operations are safe for concurrent use. Counter and gauge
 // updates are single atomic operations; histogram observations are two
@@ -125,6 +128,33 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
+// samples the way Prometheus' histogram_quantile does: it finds the
+// bucket the rank q·count falls in and interpolates linearly between
+// that bucket's bounds, the first bucket's lower bound being 0 (or the
+// bound itself when it is not positive). A rank in the +Inf bucket
+// reads the largest finite bound. An empty histogram reads 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	cum, _, _ := h.snapshot()
+	n := cum[len(cum)-1]
+	if n == 0 {
+		return 0
+	}
+	rank := q * float64(n)
+	b := sort.Search(len(cum), func(i int) bool { return cum[i] > 0 && float64(cum[i]) >= rank })
+	switch {
+	case b >= len(h.bounds):
+		return h.bounds[len(h.bounds)-1]
+	case b == 0 && h.bounds[0] <= 0:
+		return h.bounds[0]
+	}
+	lo, below := 0.0, int64(0)
+	if b > 0 {
+		lo, below = h.bounds[b-1], cum[b-1]
+	}
+	return lo + (h.bounds[b]-lo)*(rank-float64(below))/float64(cum[b]-below)
+}
+
 // snapshot returns the cumulative per-bound counts (le semantics,
 // +Inf last), the total count and the sum, mutually consistent enough
 // for exposition (Prometheus scrapes tolerate small skew).
@@ -163,7 +193,7 @@ type child struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	fn     func() float64 // gauge-func families only
+	fn     func() float64 // a series read at exposition time, if set
 }
 
 // Family is one named metric family: every series sharing a name,
@@ -188,8 +218,9 @@ func (f *Family) Name() string { return f.name }
 func labelKey(values []string) string { return strings.Join(values, "\x1f") }
 
 // get returns the child for the given label values, creating it on
-// first use.
-func (f *Family) get(values []string) *child {
+// first use. A child created with a non-nil fn is read by calling it at
+// exposition time; an existing child keeps what it was created with.
+func (f *Family) get(values []string, fn func() float64) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: family %s has %d labels, got %d values", f.name, len(f.labels), len(values)))
 	}
@@ -198,7 +229,7 @@ func (f *Family) get(values []string) *child {
 	defer f.mu.Unlock()
 	ch, ok := f.children[key]
 	if !ok {
-		ch = &child{values: append([]string(nil), values...)}
+		ch = &child{values: append([]string(nil), values...), fn: fn}
 		switch f.kind {
 		case KindCounter:
 			ch.c = &Counter{}
@@ -241,19 +272,27 @@ type CounterVec struct{ f *Family }
 // With returns the counter for the given label values (created on
 // first use). The value pointer is stable: callers should look it up
 // once and keep it, not call With on hot paths.
-func (v CounterVec) With(values ...string) *Counter { return v.f.get(values).c }
+func (v CounterVec) With(values ...string) *Counter { return v.f.get(values, nil).c }
+
+// Func registers the series for the given label values as fn,
+// evaluated at exposition time as NewCounterFunc's is; With on it
+// returns a counter nothing reads. A series that already exists keeps
+// what it was registered with.
+func (v CounterVec) Func(fn func() int64, values ...string) {
+	v.f.get(values, func() float64 { return float64(fn()) })
+}
 
 // GaugeVec is a gauge family split by labels.
 type GaugeVec struct{ f *Family }
 
 // With returns the gauge for the given label values.
-func (v GaugeVec) With(values ...string) *Gauge { return v.f.get(values).g }
+func (v GaugeVec) With(values ...string) *Gauge { return v.f.get(values, nil).g }
 
 // HistogramVec is a histogram family split by labels.
 type HistogramVec struct{ f *Family }
 
 // With returns the histogram for the given label values.
-func (v HistogramVec) With(values ...string) *Histogram { return v.f.get(values).h }
+func (v HistogramVec) With(values ...string) *Histogram { return v.f.get(values, nil).h }
 
 // Registry holds metric families and renders them. The zero value is
 // not usable; create with NewRegistry.
@@ -305,7 +344,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, bounds 
 
 // NewCounter registers (or fetches) an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.family(name, help, KindCounter, nil, nil).get(nil).c
+	return r.family(name, help, KindCounter, nil, nil).get(nil, nil).c
 }
 
 // NewCounterVec registers (or fetches) a labeled counter family.
@@ -315,7 +354,7 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) CounterVec
 
 // NewGauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.family(name, help, KindGauge, nil, nil).get(nil).g
+	return r.family(name, help, KindGauge, nil, nil).get(nil, nil).g
 }
 
 // NewGaugeVec registers (or fetches) a labeled gauge family.
@@ -328,23 +367,22 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) GaugeVec {
 // where a mirror would drift. Re-registering the same name keeps the
 // first function.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, KindGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ch, ok := f.children[labelKey(nil)]; ok {
-		if ch.fn == nil {
-			ch.fn = fn
-		}
-		return
-	}
-	f.children[labelKey(nil)] = &child{fn: fn}
+	r.family(name, help, KindGauge, nil, nil).get(nil, fn)
+}
+
+// NewCounterFunc registers a counter evaluated at exposition time: the
+// count its owner already keeps, read where it is kept instead of
+// mirrored into a second store. fn must never decrease. Re-registering
+// the same name keeps the first function.
+func (r *Registry) NewCounterFunc(name, help string, fn func() int64) {
+	CounterVec{r.family(name, help, KindCounter, nil, nil)}.Func(fn)
 }
 
 // NewHistogram registers (or fetches) an unlabeled histogram with the
 // given upper-bound buckets (strictly increasing; +Inf is implicit).
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
 	checkBuckets(name, buckets)
-	return r.family(name, help, KindHistogram, nil, buckets).get(nil).h
+	return r.family(name, help, KindHistogram, nil, buckets).get(nil, nil).h
 }
 
 // NewHistogramVec registers (or fetches) a labeled histogram family.

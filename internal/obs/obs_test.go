@@ -102,6 +102,77 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
+// TestCounterFunc checks that function-backed counters, labelled or
+// not, read their owner's count at every exposition and print it as an
+// integer, as stored counters do, and that the first function bound to
+// a series stays.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	n := int64(1 << 40)
+	r.NewCounterFunc("test_fn_total", "fn", func() int64 { return n })
+	r.NewCounterFunc("test_fn_total", "fn", func() int64 { return -1 })
+	vec := r.NewCounterVec("test_fn_by_cause_total", "by cause", "cause")
+	vec.Func(func() int64 { return n + 1 }, "a")
+	vec.With("b").Add(3)
+	n++
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"# TYPE test_fn_total counter\ntest_fn_total 1099511627777\n",
+		"test_fn_by_cause_total{cause=\"a\"} 1099511627778\n",
+		"test_fn_by_cause_total{cause=\"b\"} 3\n",
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+		}
+	}
+	if v, ok := r.Value("test_fn_by_cause_total", map[string]string{"cause": "a"}); !ok || v != float64(n+1) {
+		t.Fatalf("labelled counter func = %v ok=%v", v, ok)
+	}
+}
+
+// TestHistogramQuantile pins the interpolation against hand-computed
+// values: linear inside the bucket the rank falls in, from 0 below the
+// first bound, the bound itself for a first bound of 0, and the largest
+// finite bound for a rank in +Inf.
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("test_q", "q", []float64{1, 2, 4})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+	for _, x := range []float64{0.5, 1.5, 1.5, 3} {
+		h.Observe(x)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0.25, 1},    // rank 1: the top of the first bucket
+		{0.5, 1.5},   // rank 2: half-way through (1, 2]'s two samples
+		{0.125, 0.5}, // rank 0.5: half-way through [0, 1]
+		{1, 4},       // rank 4: the top of (2, 4]
+	} {
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	h.Observe(100)
+	if got := h.Quantile(0.99); got != 4 {
+		t.Errorf("rank in +Inf: Quantile(0.99) = %v, want the last bound 4", got)
+	}
+
+	z := r.NewHistogram("test_q_zero", "q", []float64{0, 1})
+	z.Observe(0)
+	z.Observe(0)
+	z.Observe(0.5)
+	if got := z.Quantile(0.5); got != 0 {
+		t.Errorf("le=0 bucket: Quantile(0.5) = %v, want 0", got)
+	}
+	if got := z.Quantile(1); got != 1 {
+		t.Errorf("Quantile(1) = %v, want 1", got)
+	}
+}
+
 // TestExpositionGolden pins the exact text-format output of a small
 // registry: families in name order, HELP/TYPE headers, label and help
 // escaping, histogram expansion.

@@ -3,6 +3,7 @@ package granulock_test
 import (
 	"context"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +67,28 @@ func TestRunWithMetricsPopulatesRegistry(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "granulock_sim_response_time_units_count") {
 		t.Fatal("response histogram missing from exposition")
+	}
+}
+
+// TestMetricsExpositionPinned pins the text exposition a seeded
+// instrumented run leaves in its registry, byte for byte: every event
+// counter, both histograms and the output gauges.
+func TestMetricsExpositionPinned(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.Seed, p.NPros, p.Ltot, p.TMax = 7, 10, 100, 300
+	reg := granulock.NewRegistry()
+	if _, err := granulock.Run(p, granulock.WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	if _, err := reg.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = uint64(0x34f7c66174d92e48)
+	if got := h.Sum64(); got != want {
+		var b strings.Builder
+		reg.WriteTo(&b)
+		t.Fatalf("exposition hash %#x, want %#x:\n%s", got, want, b.String())
 	}
 }
 

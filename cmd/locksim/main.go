@@ -89,41 +89,44 @@ func run(args []string, out *os.File) error {
 		return nil
 	}
 
-	var m granulock.Metrics
-	var err2 error
-	switch {
-	case *quantiles:
-		var rc granulock.ResponseCollector
-		m, err2 = granulock.Run(p, granulock.WithObserver(&rc))
-		if err2 == nil {
-			fmt.Fprintf(out, "response P50     %.2f\n", granulock.Quantile(rc.Responses, 0.50))
-			fmt.Fprintf(out, "response P90     %.2f\n", granulock.Quantile(rc.Responses, 0.90))
-			fmt.Fprintf(out, "response P99     %.2f\n", granulock.Quantile(rc.Responses, 0.99))
-		}
-	case *traceFile != "":
-		f, err := os.Create(*traceFile)
-		if err != nil {
+	// Every observer a flag asks for watches the one run.
+	var observers []granulock.Observer
+	var rc *granulock.ResponseCollector
+	if *quantiles {
+		rc = &granulock.ResponseCollector{}
+		observers = append(observers, rc)
+	}
+	var f *os.File
+	var tw *tracepkg.Writer
+	if *traceFile != "" {
+		if f, err = os.Create(*traceFile); err != nil {
 			return err
 		}
-		tw := tracepkg.NewWriter(f)
-		m, err2 = granulock.Run(p, granulock.WithObserver(tw))
-		if cerr := tw.Close(); err2 == nil {
-			err2 = cerr
-		}
-		if cerr := f.Close(); err2 == nil {
-			err2 = cerr
-		}
-		if err2 == nil {
-			fmt.Fprintf(out, "trace: %d events written to %s\n", tw.Events(), *traceFile)
-		}
-	case *trace > 0:
-		tracer := &eventTracer{out: out, limit: *trace}
-		m, err2 = granulock.Run(p, granulock.WithObserver(tracer))
-	default:
-		m, err2 = granulock.Run(p)
+		tw = tracepkg.NewWriter(f)
+		observers = append(observers, tw)
 	}
-	if err2 != nil {
-		return err2
+	if *trace > 0 {
+		observers = append(observers, &eventTracer{out: out, limit: *trace})
+	}
+	m, err := granulock.Run(p, granulock.WithObserver(tracepkg.Tee(observers...)))
+	if tw != nil {
+		if cerr := tw.Close(); err == nil {
+			err = cerr
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if tw != nil {
+		fmt.Fprintf(out, "trace: %d events written to %s\n", tw.Events(), *traceFile)
+	}
+	if rc != nil {
+		fmt.Fprintf(out, "response P50     %.2f\n", granulock.Quantile(rc.Responses, 0.50))
+		fmt.Fprintf(out, "response P90     %.2f\n", granulock.Quantile(rc.Responses, 0.90))
+		fmt.Fprintf(out, "response P99     %.2f\n", granulock.Quantile(rc.Responses, 0.99))
 	}
 	if *asJSON {
 		return json.NewEncoder(out).Encode(m)
@@ -157,32 +160,25 @@ type eventTracer struct {
 	seen  int
 }
 
-func (t *eventTracer) emit(format string, args ...any) {
+// Observe implements granulock.Observer.
+func (t *eventTracer) Observe(e tracepkg.Event) {
 	if t.seen >= t.limit {
 		return
 	}
 	t.seen++
-	fmt.Fprintf(t.out, format, args...)
-}
-
-func (t *eventTracer) TxnArrived(id, entities, locks int, at float64) {
-	t.emit("%10.3f  txn %-5d arrived (entities=%d, locks=%d)\n", at, id, entities, locks)
-}
-
-func (t *eventTracer) LockRequested(id int, at float64) {
-	t.emit("%10.3f  txn %-5d lock request\n", at, id)
-}
-
-func (t *eventTracer) LockGranted(id int, at float64) {
-	t.emit("%10.3f  txn %-5d granted\n", at, id)
-}
-
-func (t *eventTracer) LockDenied(id, blockerID int, at float64) {
-	t.emit("%10.3f  txn %-5d denied, blocked by txn %d\n", at, id, blockerID)
-}
-
-func (t *eventTracer) TxnCompleted(id int, response, at float64) {
-	t.emit("%10.3f  txn %-5d completed (response %.3f)\n", at, id, response)
+	switch e.Kind {
+	case tracepkg.EventArrive:
+		fmt.Fprintf(t.out, "%10.3f  txn %-5d arrived (entities=%d, locks=%d)\n", e.At, e.Txn, e.Entities, e.Locks)
+	case tracepkg.EventRequest:
+		fmt.Fprintf(t.out, "%10.3f  txn %-5d lock request\n", e.At, e.Txn)
+	case tracepkg.EventGrant:
+		fmt.Fprintf(t.out, "%10.3f  txn %-5d granted\n", e.At, e.Txn)
+	case tracepkg.EventDeny:
+		blocker, _ := e.BlockerID()
+		fmt.Fprintf(t.out, "%10.3f  txn %-5d denied, blocked by txn %d\n", e.At, e.Txn, blocker)
+	case tracepkg.EventComplete:
+		fmt.Fprintf(t.out, "%10.3f  txn %-5d completed (response %.3f)\n", e.At, e.Txn, e.Response)
+	}
 }
 
 func parsePlacement(s string) (granulock.Placement, error) {

@@ -215,7 +215,7 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	}
 	obsv := c.obs
 	if c.reg != nil {
-		obsv = model.Tee(c.obs, model.NewMetricsObserver(c.reg))
+		obsv = trace.Tee(c.obs, model.NewMetricsObserver(c.reg))
 	}
 	m, err := model.RunContext(c.ctx, p, obsv)
 	if err != nil {
@@ -343,8 +343,14 @@ func PredictOptimalGranularity(p Params) (best int, curve []Prediction, err erro
 	return analytic.OptimalGranularity(p, experiments.LtotSweep(p.DBSize))
 }
 
-// Observer receives simulation lifecycle events; see WithObserver.
-type Observer = model.Observer
+// Observer receives simulation lifecycle events, one Event each; see
+// WithObserver.
+type Observer = trace.Observer
+
+// Event is one simulation lifecycle event: its Kind ("arrive",
+// "request", "grant", "deny" or "complete"), simulated time At,
+// transaction Txn, and the fields that kind carries.
+type Event = trace.Event
 
 // ResponseCollector gathers per-transaction response times (an
 // Observer), for quantiles and batch-means confidence intervals.

@@ -167,7 +167,7 @@ var ErrRestart = errors.New("cc: transaction must restart")
 // It satisfies errors.Is(err, ErrRestart).
 type RestartError struct {
 	// Kind is a short machine-readable cause ("wounded", "die",
-	// "validation"), used as a metric label by the engine.
+	// "validation"), the engine's restarts_total label for it.
 	Kind string
 	// Detail is the human-readable explanation.
 	Detail string
@@ -190,20 +190,6 @@ var (
 	// overlapped a concurrently committed write set.
 	ErrValidation = &RestartError{Kind: "validation", Detail: "backward validation failed: read set overlaps a committed write set"}
 )
-
-// RestartKind labels a restart demand for metrics: the RestartError
-// kind, "deadlock" for the detector's verdict, and "" for errors that
-// are not restart demands.
-func RestartKind(err error) string {
-	var re *RestartError
-	if errors.As(err, &re) {
-		return re.Kind
-	}
-	if errors.Is(err, lockmgr.ErrDeadlock) {
-		return "deadlock"
-	}
-	return ""
-}
 
 // Restartable reports whether err demands a restart rather than
 // terminating the transaction.

@@ -79,7 +79,8 @@ func TestRegisterRejectsBadNames(t *testing.T) {
 // TestRestartTaxonomy pins the typed error taxonomy: every protocol-
 // initiated abort is an ErrRestart (so the engine retries it), carries
 // a stable kind string (so metrics can break restarts down by cause),
-// and ordinary errors are not restartable.
+// and ordinary errors are not restartable. The detector's deadlock
+// verdict is restartable but carries no RestartError (kind "").
 func TestRestartTaxonomy(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -88,21 +89,23 @@ func TestRestartTaxonomy(t *testing.T) {
 		{ErrWounded, "wounded"},
 		{ErrDie, "die"},
 		{ErrValidation, "validation"},
-		{lockmgr.ErrDeadlock, "deadlock"},
+		{lockmgr.ErrDeadlock, ""},
 	}
 	for _, c := range cases {
 		if !Restartable(c.err) {
 			t.Errorf("%v not restartable", c.err)
 		}
-		if got := RestartKind(c.err); got != c.kind {
-			t.Errorf("RestartKind(%v) = %q, want %q", c.err, got, c.kind)
+		var re *RestartError
+		if isRE := errors.As(c.err, &re); isRE != (c.kind != "") || isRE && re.Kind != c.kind {
+			t.Errorf("%v: RestartError %v, want kind %q", c.err, re, c.kind)
 		}
 	}
 	if !errors.Is(ErrWounded, ErrRestart) {
 		t.Fatal("ErrWounded does not match ErrRestart")
 	}
 	plain := errors.New("disk on fire")
-	if Restartable(plain) || RestartKind(plain) != "" {
+	var re *RestartError
+	if Restartable(plain) || errors.As(plain, &re) {
 		t.Fatal("ordinary error classified as restartable")
 	}
 	if Restartable(nil) {

@@ -294,10 +294,13 @@ func open(cfg config, dir *wal.Dir) (*DB, error) {
 			"Transactions committed by the executable engine.", db.committed.Load)
 		restarts := reg.NewCounterVec("granulock_engine_restarts_total",
 			"Attempts aborted by the protocol and retried, by cause.", "cause")
+		// A protocol's cause is labelled by its error's Kind; the
+		// detector's verdict is no RestartError, so its label is spelled
+		// here.
 		restarts.Func(func() int64 { return inst.Stats().Lock.Deadlocks }, "deadlock")
-		restarts.Func(func() int64 { return inst.Stats().Wounds }, "wounded")
-		restarts.Func(func() int64 { return inst.Stats().Dies }, "die")
-		restarts.Func(func() int64 { return inst.Stats().ValidationFails }, "validation")
+		restarts.Func(func() int64 { return inst.Stats().Wounds }, cc.ErrWounded.Kind)
+		restarts.Func(func() int64 { return inst.Stats().Dies }, cc.ErrDie.Kind)
+		restarts.Func(func() int64 { return inst.Stats().ValidationFails }, cc.ErrValidation.Kind)
 	}
 	return db, nil
 }

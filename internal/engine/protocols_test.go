@@ -170,7 +170,8 @@ func TestOptimisticValidationDeterministic(t *testing.T) {
 
 	err = inst.Commit(ctx, t1, nil)
 	inst.End(t1)
-	if !errors.Is(err, cc.ErrRestart) || cc.RestartKind(err) != "validation" {
+	var re *cc.RestartError
+	if !errors.Is(err, cc.ErrRestart) || !errors.As(err, &re) || re.Kind != "validation" {
 		t.Fatalf("T1 commit err = %v, want validation restart", err)
 	}
 	if got := inst.Stats().ValidationFails; got != 1 {
@@ -255,8 +256,10 @@ func TestSleepBackoffHonorsContext(t *testing.T) {
 	}
 
 	// Cancel landing mid-sleep: pick a seed whose jittered delay fills
-	// most of the capped ~12.8ms window, cancel after 1ms, and require
-	// a prompt (canceled) return well before the delay would elapse.
+	// most of the capped ~12.8ms window, and hand sleepBackoff a context
+	// that is already done but reports no error to its pre-check, so
+	// only the select can see the cancellation. It must return
+	// (canceled) well before the delay would elapse.
 	window := uint64(100 * time.Microsecond << backoffCapAttempt)
 	seed := uint64(1)
 	for ; ; seed++ {
@@ -268,13 +271,8 @@ func TestSleepBackoffHonorsContext(t *testing.T) {
 			break
 		}
 	}
-	ctx, cancel = context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(time.Millisecond)
-		cancel()
-	}()
 	start = time.Now()
-	err := sleepBackoff(ctx, backoffCapAttempt, seed)
+	err := sleepBackoff(newLateCancelCtx(), backoffCapAttempt, seed)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-sleep cancel: err = %v", err)
@@ -282,6 +280,32 @@ func TestSleepBackoffHonorsContext(t *testing.T) {
 	if elapsed > 6*time.Millisecond {
 		t.Fatalf("mid-sleep cancel returned after %v (delay was > %v)", elapsed, time.Duration(window*3/4))
 	}
+}
+
+// lateCancelCtx is a context whose Done channel is closed from the
+// start while its first Err call reports nil: a cancellation that
+// lands between a caller's Err check and its wait, without a
+// goroutine racing a timer to get there.
+type lateCancelCtx struct {
+	context.Context
+	done    chan struct{}
+	checked bool
+}
+
+func newLateCancelCtx() *lateCancelCtx {
+	c := &lateCancelCtx{Context: context.Background(), done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *lateCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *lateCancelCtx) Err() error {
+	if !c.checked {
+		c.checked = true
+		return nil
+	}
+	return context.Canceled
 }
 
 // TestExecuteCancelledContext checks Execute refuses immediately on a

@@ -2,6 +2,7 @@ package model
 
 import (
 	"granulock/internal/obs"
+	"granulock/internal/trace"
 )
 
 // Metric family names the simulation writes. Exported through the
@@ -13,7 +14,7 @@ const (
 	simTxnLocksName = "granulock_sim_txn_locks"
 )
 
-// metricsObserver is an Observer mirroring every simulation lifecycle
+// metricsObserver is a trace.Observer mirroring every simulation lifecycle
 // event into a Registry: per-kind event counters, a response-time
 // histogram and a locks-per-transaction histogram. It is attached only
 // when a registry is supplied (granulock.WithMetrics); with none, the
@@ -28,18 +29,19 @@ type metricsObserver struct {
 	txnLocks    *obs.Histogram
 }
 
-// NewMetricsObserver returns an Observer that records the simulation's
+// NewMetricsObserver returns an observer that records the simulation's
 // lifecycle events into reg. Families are registered idempotently, so
-// successive runs against one registry accumulate.
-func NewMetricsObserver(reg *obs.Registry) Observer {
+// successive runs against one registry accumulate; each kind's counter
+// is resolved here, once, and labelled with the kind's own name.
+func NewMetricsObserver(reg *obs.Registry) trace.Observer {
 	events := reg.NewCounterVec(simEventsName,
 		"Simulation lifecycle events by kind (arrive, request, grant, deny, complete).", "kind")
 	return &metricsObserver{
-		arrivals:    events.With("arrive"),
-		requests:    events.With("request"),
-		grants:      events.With("grant"),
-		denials:     events.With("deny"),
-		completions: events.With("complete"),
+		arrivals:    events.With(string(trace.EventArrive)),
+		requests:    events.With(string(trace.EventRequest)),
+		grants:      events.With(string(trace.EventGrant)),
+		denials:     events.With(string(trace.EventDeny)),
+		completions: events.With(string(trace.EventComplete)),
 		response: reg.NewHistogram(simResponseName,
 			"Transaction response time in simulated time units.",
 			obs.ExpBuckets(1, 2, 14)), // 1 .. 8192 time units
@@ -49,25 +51,22 @@ func NewMetricsObserver(reg *obs.Registry) Observer {
 	}
 }
 
-// TxnArrived implements Observer.
-func (m *metricsObserver) TxnArrived(_, _, locks int, _ float64) {
-	m.arrivals.Inc()
-	m.txnLocks.Observe(float64(locks))
-}
-
-// LockRequested implements Observer.
-func (m *metricsObserver) LockRequested(int, float64) { m.requests.Inc() }
-
-// LockGranted implements Observer.
-func (m *metricsObserver) LockGranted(int, float64) { m.grants.Inc() }
-
-// LockDenied implements Observer.
-func (m *metricsObserver) LockDenied(int, int, float64) { m.denials.Inc() }
-
-// TxnCompleted implements Observer.
-func (m *metricsObserver) TxnCompleted(_ int, response, _ float64) {
-	m.completions.Inc()
-	m.response.Observe(response)
+// Observe implements trace.Observer.
+func (m *metricsObserver) Observe(e trace.Event) {
+	switch e.Kind {
+	case trace.EventArrive:
+		m.arrivals.Inc()
+		m.txnLocks.Observe(float64(e.Locks))
+	case trace.EventRequest:
+		m.requests.Inc()
+	case trace.EventGrant:
+		m.grants.Inc()
+	case trace.EventDeny:
+		m.denials.Inc()
+	case trace.EventComplete:
+		m.completions.Inc()
+		m.response.Observe(e.Response)
+	}
 }
 
 // RecordMetrics publishes a finished run's output parameters into reg
@@ -100,69 +99,4 @@ func RecordMetrics(reg *obs.Registry, m Metrics) {
 	counts.With("lock_denials").Set(float64(m.LockDenials))
 	counts.With("completed_entities").Set(float64(m.CompletedEntities))
 	counts.With("events").Set(float64(m.Events))
-}
-
-// Tee fans Observer callbacks out to every non-nil observer in order.
-// Observers that also implement ClassObserver receive class events.
-func Tee(observers ...Observer) Observer {
-	var live []Observer
-	for _, o := range observers {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return NopObserver{}
-	case 1:
-		return live[0]
-	}
-	return teeObserver(live)
-}
-
-// teeObserver forwards to each member.
-type teeObserver []Observer
-
-// TxnArrived implements Observer.
-func (t teeObserver) TxnArrived(id, entities, locks int, at float64) {
-	for _, o := range t {
-		o.TxnArrived(id, entities, locks, at)
-	}
-}
-
-// LockRequested implements Observer.
-func (t teeObserver) LockRequested(id int, at float64) {
-	for _, o := range t {
-		o.LockRequested(id, at)
-	}
-}
-
-// LockGranted implements Observer.
-func (t teeObserver) LockGranted(id int, at float64) {
-	for _, o := range t {
-		o.LockGranted(id, at)
-	}
-}
-
-// LockDenied implements Observer.
-func (t teeObserver) LockDenied(id, blockerID int, at float64) {
-	for _, o := range t {
-		o.LockDenied(id, blockerID, at)
-	}
-}
-
-// TxnCompleted implements Observer.
-func (t teeObserver) TxnCompleted(id int, response, at float64) {
-	for _, o := range t {
-		o.TxnCompleted(id, response, at)
-	}
-}
-
-// TxnClassCompleted implements ClassObserver.
-func (t teeObserver) TxnClassCompleted(id, class int, response, at float64) {
-	for _, o := range t {
-		if co, ok := o.(ClassObserver); ok {
-			co.TxnClassCompleted(id, class, response, at)
-		}
-	}
 }

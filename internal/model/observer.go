@@ -1,87 +1,42 @@
 package model
 
-// Observer receives the simulation's lifecycle events as they happen:
-// a tracing and measurement hook. All callbacks run on the simulation
-// goroutine; implementations must not retain the simulation or block.
-// The zero-effort implementation is NopObserver; ResponseCollector
-// gathers per-transaction response times for within-run statistics
-// (batch means).
-type Observer interface {
-	// TxnArrived fires when a transaction enters the pending queue
-	// (both initial arrivals and closed-population replacements).
-	TxnArrived(id, entities, locks int, at float64)
-	// LockRequested fires when a transaction's lock request begins
-	// service at the lock manager.
-	LockRequested(id int, at float64)
-	// LockGranted fires when a request completes with all locks set.
-	LockGranted(id int, at float64)
-	// LockDenied fires when a request completes blocked by blockerID.
-	LockDenied(id, blockerID int, at float64)
-	// TxnCompleted fires when a transaction finishes and releases its
-	// locks; response is its pending-to-completion time.
-	TxnCompleted(id int, response, at float64)
-}
-
-// ClassObserver is an optional extension of Observer: observers that
-// also implement it receive the workload class of each completed
-// transaction, enabling per-class throughput and response analysis for
-// mixed workloads (§3.6).
-type ClassObserver interface {
-	TxnClassCompleted(id, class int, response, at float64)
-}
-
-// NopObserver ignores every event.
-type NopObserver struct{}
-
-// TxnArrived implements Observer.
-func (NopObserver) TxnArrived(int, int, int, float64) {}
-
-// LockRequested implements Observer.
-func (NopObserver) LockRequested(int, float64) {}
-
-// LockGranted implements Observer.
-func (NopObserver) LockGranted(int, float64) {}
-
-// LockDenied implements Observer.
-func (NopObserver) LockDenied(int, int, float64) {}
-
-// TxnCompleted implements Observer.
-func (NopObserver) TxnCompleted(int, float64, float64) {}
+import "granulock/internal/trace"
 
 // ResponseCollector records the response time of every completed
 // transaction (optionally only those completing after a warmup time),
 // for batch-means confidence intervals over a single run.
 type ResponseCollector struct {
-	NopObserver
 	// After drops completions at or before this simulated time.
 	After float64
 	// Responses holds the collected samples in completion order.
 	Responses []float64
 }
 
-// TxnCompleted implements Observer.
-func (c *ResponseCollector) TxnCompleted(_ int, response, at float64) {
-	if at > c.After {
-		c.Responses = append(c.Responses, response)
+// Observe implements trace.Observer.
+func (c *ResponseCollector) Observe(e trace.Event) {
+	if e.Kind == trace.EventComplete && e.At > c.After {
+		c.Responses = append(c.Responses, e.Response)
 	}
 }
 
 // ClassCollector accumulates per-class completion counts and response
-// times for mixed workloads. Class indexes follow Params.Classes.
+// times for mixed workloads (§3.6). Class indexes follow Params.Classes.
 type ClassCollector struct {
-	NopObserver
 	Completions []int
 	RespSums    []float64
 }
 
-// TxnClassCompleted implements ClassObserver.
-func (c *ClassCollector) TxnClassCompleted(_, class int, response, _ float64) {
-	for len(c.Completions) <= class {
+// Observe implements trace.Observer.
+func (c *ClassCollector) Observe(e trace.Event) {
+	if e.Kind != trace.EventComplete {
+		return
+	}
+	for len(c.Completions) <= e.Class {
 		c.Completions = append(c.Completions, 0)
 		c.RespSums = append(c.RespSums, 0)
 	}
-	c.Completions[class]++
-	c.RespSums[class] += response
+	c.Completions[e.Class]++
+	c.RespSums[e.Class] += e.Response
 }
 
 // MeanResponse returns the mean response time of one class (0 if it
@@ -92,23 +47,3 @@ func (c *ClassCollector) MeanResponse(class int) float64 {
 	}
 	return c.RespSums[class] / float64(c.Completions[class])
 }
-
-// EventCounter tallies event counts — a cheap smoke-test observer.
-type EventCounter struct {
-	Arrivals, Requests, Grants, Denials, Completions int
-}
-
-// TxnArrived implements Observer.
-func (c *EventCounter) TxnArrived(int, int, int, float64) { c.Arrivals++ }
-
-// LockRequested implements Observer.
-func (c *EventCounter) LockRequested(int, float64) { c.Requests++ }
-
-// LockGranted implements Observer.
-func (c *EventCounter) LockGranted(int, float64) { c.Grants++ }
-
-// LockDenied implements Observer.
-func (c *EventCounter) LockDenied(int, int, float64) { c.Denials++ }
-
-// TxnCompleted implements Observer.
-func (c *EventCounter) TxnCompleted(int, float64, float64) { c.Completions++ }

@@ -5,13 +5,35 @@ import (
 	"math"
 	"testing"
 
+	"granulock/internal/obs"
 	"granulock/internal/stats"
+	"granulock/internal/trace"
 	"granulock/internal/workload"
 )
 
+// eventCounter tallies events by kind.
+type eventCounter struct {
+	Arrivals, Requests, Grants, Denials, Completions int
+}
+
+func (c *eventCounter) Observe(e trace.Event) {
+	switch e.Kind {
+	case trace.EventArrive:
+		c.Arrivals++
+	case trace.EventRequest:
+		c.Requests++
+	case trace.EventGrant:
+		c.Grants++
+	case trace.EventDeny:
+		c.Denials++
+	case trace.EventComplete:
+		c.Completions++
+	}
+}
+
 func TestObserverEventCounts(t *testing.T) {
 	p := base()
-	var c EventCounter
+	var c eventCounter
 	m, err := RunContext(context.Background(), p, &c)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +59,7 @@ func TestObserverEventCounts(t *testing.T) {
 func TestObserverDoesNotPerturbMetrics(t *testing.T) {
 	p := base()
 	plain := run(t, p)
-	var c EventCounter
+	var c eventCounter
 	observed, err := RunContext(context.Background(), p, &c)
 	if err != nil {
 		t.Fatal(err)
@@ -193,5 +215,20 @@ func TestWarmupRemovesColdStartBias(t *testing.T) {
 	}
 	if warm == cold {
 		t.Fatal("warmup had no effect at all")
+	}
+}
+
+// BenchmarkRunObserved times the observed run WithMetrics takes: the
+// base configuration with every lifecycle event mirrored into a
+// registry by NewMetricsObserver.
+func BenchmarkRunObserved(b *testing.B) {
+	p := base()
+	o := NewMetricsObserver(obs.NewRegistry())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Seed = uint64(i + 1)
+		if _, err := RunContext(context.Background(), p, o); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"granulock/internal/sched"
+	"granulock/internal/trace"
 )
 
 // drain pops every element into a slice of ids.
@@ -96,7 +97,6 @@ func requeueFixture(toTail bool) *simulation {
 		p:        Params{ReleasedToTail: toTail},
 		policy:   sched.Unlimited{},
 		lockBusy: true, // tryDispatch is a no-op; the queue stays intact
-		obs:      NopObserver{},
 	}
 }
 
@@ -178,18 +178,16 @@ type obsEvent struct {
 
 // requestRecorder captures the lock-manager event stream.
 type requestRecorder struct {
-	NopObserver
 	events *[]obsEvent
 }
 
-func (r *requestRecorder) LockRequested(id int, at float64) {
-	*r.events = append(*r.events, obsEvent{"requested", id})
-}
-
-func (r *requestRecorder) LockDenied(id, blocker int, at float64) {
-	*r.events = append(*r.events, obsEvent{"denied", id})
-}
-
-func (r *requestRecorder) TxnCompleted(id int, response, at float64) {
-	*r.events = append(*r.events, obsEvent{"completed", id})
+func (r *requestRecorder) Observe(e trace.Event) {
+	switch e.Kind {
+	case trace.EventRequest:
+		*r.events = append(*r.events, obsEvent{"requested", e.Txn})
+	case trace.EventDeny:
+		*r.events = append(*r.events, obsEvent{"denied", e.Txn})
+	case trace.EventComplete:
+		*r.events = append(*r.events, obsEvent{"completed", e.Txn})
+	}
 }

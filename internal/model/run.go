@@ -9,6 +9,7 @@ import (
 	"granulock/internal/sched"
 	"granulock/internal/server"
 	"granulock/internal/sim"
+	"granulock/internal/trace"
 	"granulock/internal/workload"
 )
 
@@ -72,7 +73,7 @@ type simulation struct {
 	activeStamp    sim.Time // last time activeArea was brought current
 	holdersScratch []lockmgr.Holder
 
-	obs Observer
+	obs trace.Observer // nil: no observer
 	// base holds the accumulator snapshot taken at the warmup boundary;
 	// reported metrics cover (Warmup, TMax] only.
 	base baseline
@@ -100,7 +101,7 @@ func Run(p Params) (Metrics, error) { return RunContext(context.Background(), p,
 const cancelCheckEvery = 4096
 
 // RunContext is the model's one event loop: Run with a lifecycle
-// Observer and cooperative cancellation. A nil ctx means
+// observer and cooperative cancellation. A nil ctx means
 // context.Background() and a nil obs means no observer. The observer
 // sees every event including those inside the warmup window; the
 // returned Metrics cover (Warmup, TMax] only. The loop runs in bounded
@@ -108,7 +109,7 @@ const cancelCheckEvery = 4096
 // chunks; the chunking changes when the loop checks for cancellation,
 // never the event order, so a completed run's Metrics do not depend on
 // ctx.
-func RunContext(ctx context.Context, p Params, obs Observer) (Metrics, error) {
+func RunContext(ctx context.Context, p Params, obs trace.Observer) (Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -129,7 +130,7 @@ func RunContext(ctx context.Context, p Params, obs Observer) (Metrics, error) {
 
 // startRun validates, wires and seeds a simulation, ready for its
 // event loop.
-func startRun(p Params, obs Observer) (*simulation, error) {
+func startRun(p Params, obs trace.Observer) (*simulation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,9 +138,7 @@ func startRun(p Params, obs Observer) (*simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		s.obs = obs
-	}
+	s.obs = obs
 	s.scheduleInitialArrivals()
 	if p.Warmup > 0 {
 		s.eng.At(p.Warmup, s.captureBaseline)
@@ -200,7 +199,6 @@ func newSimulation(p Params) (*simulation, error) {
 		conflict: conflict,
 		srcProcs: procSrc,
 		policy:   policy,
-		obs:      NopObserver{},
 	}
 	s.cpus = make([]*server.Server, p.NPros)
 	s.disks = make([]*server.Server, p.NPros)
@@ -251,7 +249,10 @@ func (s *simulation) arrive(t *txn) {
 	t.arrival = s.eng.Now()
 	t.state = statePending
 	s.pending.PushTail(t)
-	s.obs.TxnArrived(t.id, t.spec.Entities, t.spec.Locks, t.arrival)
+	if s.obs != nil {
+		s.obs.Observe(trace.Event{Kind: trace.EventArrive, At: t.arrival, Txn: t.id,
+			Entities: t.spec.Entities, Locks: t.spec.Locks})
+	}
 	s.tryDispatch()
 }
 
@@ -271,7 +272,9 @@ func (s *simulation) tryDispatch() {
 
 	t.state = stateRequesting
 	s.lockBusy = true
-	s.obs.LockRequested(t.id, s.eng.Now())
+	if s.obs != nil {
+		s.obs.Observe(trace.Event{Kind: trace.EventRequest, At: s.eng.Now(), Txn: t.id})
+	}
 
 	// The conflict decision is drawn against the transactions active at
 	// request initiation; the lock-processing cost is paid either way.
@@ -342,10 +345,12 @@ func (s *simulation) lockRequestDone(t *txn, blocker *txn) {
 	s.lockRequests++
 	granted := blocker == nil
 	s.policy.Observe(granted)
-	if granted {
-		s.obs.LockGranted(t.id, s.eng.Now())
-	} else {
-		s.obs.LockDenied(t.id, blocker.id, s.eng.Now())
+	if s.obs != nil {
+		e := trace.Event{Kind: trace.EventGrant, At: s.eng.Now(), Txn: t.id}
+		if !granted {
+			e.Kind, e.Blocker = trace.EventDeny, &blocker.id
+		}
+		s.obs.Observe(e)
 	}
 	switch {
 	case granted:
@@ -434,9 +439,9 @@ func (s *simulation) complete(t *txn) {
 	response := s.eng.Now() - t.arrival
 	s.respSum += response
 	s.entitiesDone += t.spec.Entities
-	s.obs.TxnCompleted(t.id, response, s.eng.Now())
-	if co, ok := s.obs.(ClassObserver); ok {
-		co.TxnClassCompleted(t.id, t.spec.Class, response, s.eng.Now())
+	if s.obs != nil {
+		s.obs.Observe(trace.Event{Kind: trace.EventComplete, At: s.eng.Now(), Txn: t.id,
+			Response: response, Class: t.spec.Class})
 	}
 
 	if t.blocked != nil {

@@ -1,7 +1,8 @@
-// Package trace turns the simulation model's Observer events into a
-// structured JSON-lines stream, one event per line — loadable into any
-// analysis tool. It also provides a parser for the stream, so traces
-// can be written, stored and re-analyzed programmatically.
+// Package trace holds the simulation's event vocabulary: Event, the one
+// record every lifecycle event is, and Observer, whose one method
+// receives it. Writer streams events as JSON lines and Read parses them
+// back, so traces can be stored and re-analyzed. It imports nothing
+// internal, so any producer can speak the vocabulary.
 package trace
 
 import (
@@ -15,7 +16,9 @@ import (
 // EventKind labels trace records.
 type EventKind string
 
-// The event kinds, mirroring model.Observer's callbacks.
+// The event kinds, one per point of a transaction's lifecycle: arrival
+// in the pending queue, the start of its lock request's service, the
+// request's grant or denial, and completion with its locks released.
 const (
 	EventArrive   EventKind = "arrive"
 	EventRequest  EventKind = "request"
@@ -24,9 +27,10 @@ const (
 	EventComplete EventKind = "complete"
 )
 
-// Event is one trace record. Fields are populated per kind: Entities
-// and Locks for arrivals, Blocker for denials, Response for
-// completions.
+// Event is one lifecycle event at simulated time At. Fields are
+// populated per kind: Entities and Locks for arrivals, Blocker for
+// denials, Response and Class (an index into the model's
+// Params.Classes) for completions.
 //
 // Blocker is a pointer, not a plain int with omitempty: transaction
 // ids are arbitrary (an external producer may start at 0), and
@@ -41,6 +45,7 @@ type Event struct {
 	Locks    int       `json:"locks,omitempty"`
 	Blocker  *int      `json:"blocker,omitempty"`
 	Response float64   `json:"response,omitempty"`
+	Class    int       `json:"class,omitempty"`
 }
 
 // BlockerID returns the blocking transaction's id and whether the
@@ -52,7 +57,42 @@ func (e Event) BlockerID() (int, bool) {
 	return *e.Blocker, true
 }
 
-// Writer is a model.Observer that streams events as JSON lines. Errors
+// Observer receives lifecycle events as they happen: a tracing and
+// measurement hook. The model calls Observe on its one goroutine, in
+// event order; an implementation must not block it.
+type Observer interface {
+	Observe(Event)
+}
+
+// Tee returns an Observer handing each event to every non-nil observer
+// in order: nil when none is given, the observer itself when one is.
+func Tee(observers ...Observer) Observer {
+	var live tee
+	for _, o := range observers {
+		if o != nil {
+			live = append(live, o)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return live
+}
+
+// tee forwards to each member.
+type tee []Observer
+
+// Observe implements Observer.
+func (t tee) Observe(e Event) {
+	for _, o := range t {
+		o.Observe(e)
+	}
+}
+
+// Writer is an Observer that streams events as JSON lines. Errors
 // are sticky: the first write error is kept and reported by Close, so
 // the simulation hot path never has to check them. Writer serializes
 // internally and may be shared (though the model calls it from one
@@ -71,8 +111,8 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bw, enc: json.NewEncoder(bw)}
 }
 
-// emit writes one event.
-func (t *Writer) emit(e Event) {
+// Observe implements Observer: it writes one event.
+func (t *Writer) Observe(e Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
@@ -83,31 +123,6 @@ func (t *Writer) emit(e Event) {
 		return
 	}
 	t.n++
-}
-
-// TxnArrived implements model.Observer.
-func (t *Writer) TxnArrived(id, entities, locks int, at float64) {
-	t.emit(Event{Kind: EventArrive, At: at, Txn: id, Entities: entities, Locks: locks})
-}
-
-// LockRequested implements model.Observer.
-func (t *Writer) LockRequested(id int, at float64) {
-	t.emit(Event{Kind: EventRequest, At: at, Txn: id})
-}
-
-// LockGranted implements model.Observer.
-func (t *Writer) LockGranted(id int, at float64) {
-	t.emit(Event{Kind: EventGrant, At: at, Txn: id})
-}
-
-// LockDenied implements model.Observer.
-func (t *Writer) LockDenied(id, blockerID int, at float64) {
-	t.emit(Event{Kind: EventDeny, At: at, Txn: id, Blocker: &blockerID})
-}
-
-// TxnCompleted implements model.Observer.
-func (t *Writer) TxnCompleted(id int, response, at float64) {
-	t.emit(Event{Kind: EventComplete, At: at, Txn: id, Response: response})
 }
 
 // Events returns the number of events emitted so far.

@@ -2,33 +2,21 @@ package trace
 
 import (
 	"bytes"
-	"context"
-	"math"
 	"strings"
 	"testing"
-
-	"granulock/internal/model"
-	"granulock/internal/partition"
-	"granulock/internal/workload"
 )
 
-func modelParams() model.Params {
-	return model.Params{
-		DBSize: 5000, Ltot: 100, NTrans: 10, MaxTransize: 500,
-		CPUTime: 0.05, IOTime: 0.2, LockCPUTime: 0.01, LockIOTime: 0.2,
-		NPros: 10, TMax: 300,
-		Partitioning: partition.Horizontal, Placement: workload.PlacementBest, Seed: 1,
-	}
-}
+// ptr returns a pointer to a copy of v, for Event.Blocker.
+func ptr(v int) *int { return &v }
 
 func TestWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.TxnArrived(1, 100, 2, 0)
-	w.LockRequested(1, 0)
-	w.LockGranted(1, 0.1)
-	w.LockDenied(2, 1, 0.2)
-	w.TxnCompleted(1, 5.5, 5.5)
+	w.Observe(Event{Kind: EventArrive, At: 0, Txn: 1, Entities: 100, Locks: 2})
+	w.Observe(Event{Kind: EventRequest, At: 0, Txn: 1})
+	w.Observe(Event{Kind: EventGrant, At: 0.1, Txn: 1})
+	w.Observe(Event{Kind: EventDeny, At: 0.2, Txn: 2, Blocker: ptr(1)})
+	w.Observe(Event{Kind: EventComplete, At: 5.5, Txn: 1, Response: 5.5})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +49,8 @@ func TestWriterRoundTrip(t *testing.T) {
 func TestZeroIDRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.LockDenied(0, 0, 1.5)
-	w.LockRequested(0, 1.0)
+	w.Observe(Event{Kind: EventDeny, At: 1.5, Txn: 0, Blocker: ptr(0)})
+	w.Observe(Event{Kind: EventRequest, At: 1.0, Txn: 0})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +75,11 @@ func TestZeroIDRoundTrip(t *testing.T) {
 func TestAllKindsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.TxnArrived(7, 120, 3, 0.25)
-	w.LockRequested(7, 0.5)
-	w.LockGranted(7, 0.75)
-	w.LockDenied(8, 7, 1.0)
-	w.TxnCompleted(7, 4.25, 4.5)
+	w.Observe(Event{Kind: EventArrive, At: 0.25, Txn: 7, Entities: 120, Locks: 3})
+	w.Observe(Event{Kind: EventRequest, At: 0.5, Txn: 7})
+	w.Observe(Event{Kind: EventGrant, At: 0.75, Txn: 7})
+	w.Observe(Event{Kind: EventDeny, At: 1.0, Txn: 8, Blocker: ptr(7)})
+	w.Observe(Event{Kind: EventComplete, At: 4.5, Txn: 7, Response: 4.25})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +108,33 @@ func TestAllKindsRoundTrip(t *testing.T) {
 		wb, wok := wv.BlockerID()
 		if gok != wok || gb != wb {
 			t.Fatalf("event %d blocker: got (%d,%v) want (%d,%v)", i, gb, gok, wb, wok)
+		}
+	}
+}
+
+// kinds records the kind of each event it observes.
+type kinds []EventKind
+
+func (k *kinds) Observe(e Event) { *k = append(*k, e.Kind) }
+
+// TestTee checks Tee drops nil observers, returns nil for none and the
+// observer itself for one, and hands each event to every member in
+// order.
+func TestTee(t *testing.T) {
+	if Tee() != nil || Tee(nil, nil) != nil {
+		t.Fatal("Tee of no observers is not nil")
+	}
+	var a, b kinds
+	if Tee(nil, &a) != Observer(&a) {
+		t.Fatal("Tee of one observer is not that observer")
+	}
+	o := Tee(&a, nil, &b)
+	o.Observe(Event{Kind: EventArrive})
+	o.Observe(Event{Kind: EventComplete})
+	want := kinds{EventArrive, EventComplete}
+	for _, got := range []kinds{a, b} {
+		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("member saw %v, want %v", got, want)
 		}
 	}
 }
@@ -158,45 +173,10 @@ func TestWriterStickyError(t *testing.T) {
 	sink := &failingWriter{fails: true}
 	w := NewWriter(sink)
 	for i := 0; i < 10000; i++ {
-		w.LockGranted(i, float64(i))
+		w.Observe(Event{Kind: EventGrant, At: float64(i), Txn: i})
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("write error swallowed")
-	}
-}
-
-func TestTraceFullSimulation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	m, err := model.RunContext(context.Background(), modelParams(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(events)
-	if s.Counts[EventComplete] != m.TotCom {
-		t.Fatalf("trace completions %d != metrics %d", s.Counts[EventComplete], m.TotCom)
-	}
-	if s.Counts[EventGrant]+s.Counts[EventDeny] != m.LockRequests {
-		t.Fatal("trace requests disagree with metrics")
-	}
-	if math.Abs(s.DenialRate-m.DenialRate) > 1e-12 {
-		t.Fatalf("trace denial rate %v != metrics %v", s.DenialRate, m.DenialRate)
-	}
-	if math.Abs(s.MeanResponse-m.MeanResponse) > 1e-9 {
-		t.Fatalf("trace mean response %v != metrics %v", s.MeanResponse, m.MeanResponse)
-	}
-	// Events must be in non-decreasing time order.
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatalf("trace out of order at %d", i)
-		}
 	}
 }
 

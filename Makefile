@@ -104,6 +104,16 @@ verify-test:
 	$(GO) test -race -count=2 -run 'TestAdmin|TestJournal' ./cmd/lockd/
 # every package benchmark once, so none of them rots unrun (the simulator's event-loop and figure benchmarks are the only timing of that code outside benchmark/)
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+# every simulator experiment and table1 regenerated into a temp dir and compared byte for byte with results/
+# (the ext-proto-* files time the live engine and REPORT.txt holds wall times, so neither can match)
+	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
+	ids="$$(cd results && ls *.csv | sed 's/\.csv$$//' | grep -v '^ext-proto-' | paste -sd, -),table1"; \
+	echo "figures -only $$ids"; \
+	$(GO) run ./cmd/figures -q -only "$$ids" -out "$$out" || exit 1; \
+	status=0; for f in results/*; do \
+		case "$${f##*/}" in REPORT.txt|ext-proto-*) continue ;; esac; \
+		cmp "$$f" "$$out/$${f##*/}" || status=1; \
+	done; exit $$status
 
 verify-fuzz:
 # 10 s each: the two parsers that face the network (frame reader, request-body dispatch)

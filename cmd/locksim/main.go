@@ -57,6 +57,26 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Refuse what the output chosen below would drop, before any file is
+	// created: an observer watches one run, and only the one run's text
+	// block has an analytic line.
+	if *reps > 1 {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-quantiles", *quantiles}, {"-trace", *trace > 0}, {"-tracefile", *traceFile != ""}} {
+			if f.set {
+				return fmt.Errorf("%s is incompatible with -reps above 1: it watches one run", f.name)
+			}
+		}
+	}
+	if *predict && (*reps > 1 || *asJSON) {
+		other := "-json"
+		if *reps > 1 {
+			other = "-reps above 1"
+		}
+		return fmt.Errorf("-analytic is incompatible with %s: that output has no analytic line", other)
+	}
 	p.Seed = *seed
 	var err error
 	if p.Placement, err = parsePlacement(*placement); err != nil {

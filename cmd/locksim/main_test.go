@@ -132,6 +132,43 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesDroppedFlags checks that a flag the chosen output would
+// drop is refused, with an error that names both flags, before any file
+// is created.
+func TestRunRefusesDroppedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		flags [2]string
+	}{
+		{"reps-quantiles", []string{"-reps", "3", "-quantiles"}, [2]string{"-reps", "-quantiles"}},
+		{"reps-trace", []string{"-reps", "3", "-trace", "5"}, [2]string{"-reps", "-trace"}},
+		{"reps-tracefile", []string{"-reps", "3"}, [2]string{"-reps", "-tracefile"}},
+		{"reps-analytic", []string{"-reps", "2", "-analytic"}, [2]string{"-reps", "-analytic"}},
+		{"json-analytic", []string{"-json", "-analytic"}, [2]string{"-json", "-analytic"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-tmax", "50"}, tc.args...)
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			if tc.flags[1] == "-tracefile" {
+				args = append(args, "-tracefile", path)
+			}
+			_, err := capture(t, args)
+			if err == nil {
+				t.Fatalf("args %v accepted", args)
+			}
+			for _, f := range tc.flags {
+				if !strings.Contains(err.Error(), f) {
+					t.Errorf("error %q does not name %s", err, f)
+				}
+			}
+			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+				t.Errorf("refused run created %s: %v", path, serr)
+			}
+		})
+	}
+}
+
 func TestRunMixAndMPL(t *testing.T) {
 	out, err := capture(t, []string{"-tmax", "200", "-mix", "-mpl", "3"})
 	if err != nil {

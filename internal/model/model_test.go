@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"granulock/internal/partition"
+	"granulock/internal/race"
 	"granulock/internal/sched"
 	"granulock/internal/server"
 	"granulock/internal/workload"
@@ -500,5 +501,29 @@ func BenchmarkRunBase(b *testing.B) {
 		if _, err := Run(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunBaseAllocs bounds what one base() run allocates. A processor
+// visit costs one job and one closure, an arrival one txn and an
+// activation its two partition slices; a closure per server start, a
+// slice per preemption or a second job per visit pushes the count past
+// the bound. Measured under AllocsPerRun: 20,728 allocations per run
+// when each visit built a disk job and a CPU job with a closure apiece
+// and the servers allocated on every start and preemption, 6,024 with
+// one job per visit, so the bound leaves a third of headroom.
+func TestRunBaseAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	const bound = 8000
+	p := base()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Fatalf("one base() run allocates %.0f objects, bound %d", allocs, bound)
 	}
 }

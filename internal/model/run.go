@@ -278,8 +278,7 @@ func (s *simulation) tryDispatch() {
 
 	// The conflict decision is drawn against the transactions active at
 	// request initiation; the lock-processing cost is paid either way.
-	blocker := s.decideConflict(t)
-	s.chargeLockWork(t, func() { s.lockRequestDone(t, blocker) })
+	s.chargeLockWork(t, s.decideConflict(t))
 }
 
 // decideConflict draws the Ries–Stonebraker conflict decision for t.
@@ -300,12 +299,26 @@ func (s *simulation) decideConflict(t *txn) *txn {
 	return nil // blocker vanished between snapshot and decision (cannot happen)
 }
 
+// visit is one processor visit: ioDemand on proc's disk, then cpuDemand
+// on its CPU, both at class priority, calling done once the CPU has
+// served it. One job serves both stints, so a visit allocates one job
+// and one closure.
+func (s *simulation) visit(proc int, class server.Class, ioDemand, cpuDemand float64, done func()) {
+	j := &server.Job{Size: ioDemand, Class: class}
+	cpu := s.cpus[proc]
+	j.Done = func() {
+		j.Size, j.Done = cpuDemand, done
+		cpu.Submit(j)
+	}
+	s.disks[proc].Submit(j)
+}
+
 // chargeLockWork submits t's lock-processing demand — LU·liotime of I/O
 // and LU·lcputime of CPU, the release cost included — to the lock
-// servers at preemptive priority, invoking done when all of it has been
-// served. Shared mode divides the work evenly across all processors;
+// servers at preemptive priority, then finishes the request against
+// blocker. Shared mode divides the work evenly across all processors;
 // dedicated mode puts it all on processor 0.
-func (s *simulation) chargeLockWork(t *txn, done func()) {
+func (s *simulation) chargeLockWork(t *txn, blocker *txn) {
 	procs := s.p.NPros
 	share := 1.0 / float64(procs)
 	if s.p.DedicatedLockProcessor {
@@ -316,24 +329,14 @@ func (s *simulation) chargeLockWork(t *txn, done func()) {
 	cpuDemand := float64(t.spec.Locks) * s.p.LockCPUTime * share
 
 	remaining := procs
+	done := func() {
+		remaining--
+		if remaining == 0 {
+			s.lockRequestDone(t, blocker)
+		}
+	}
 	for i := 0; i < procs; i++ {
-		disk, cpu := s.disks[i], s.cpus[i]
-		disk.Submit(&server.Job{
-			Size:  ioDemand,
-			Class: server.LockClass,
-			Done: func() {
-				cpu.Submit(&server.Job{
-					Size:  cpuDemand,
-					Class: server.LockClass,
-					Done: func() {
-						remaining--
-						if remaining == 0 {
-							done()
-						}
-					},
-				})
-			},
-		})
+		s.visit(i, server.LockClass, ioDemand, cpuDemand, done)
 	}
 }
 
@@ -377,8 +380,8 @@ func (s *simulation) lockRequestDone(t *txn, blocker *txn) {
 	s.tryDispatch()
 }
 
-// activate splits t into sub-transactions and dispatches them to their
-// processors' disk queues.
+// activate splits t into sub-transactions and sends each on one visit
+// to its processor.
 func (s *simulation) activate(t *txn) {
 	t.state = stateActive
 	s.touchActiveArea()
@@ -386,32 +389,14 @@ func (s *simulation) activate(t *txn) {
 
 	procs := partition.Assign(s.p.Partitioning, s.p.NPros, s.srcProcs)
 	shares := partition.SpreadEntities(t.spec.Entities, len(procs))
-	subs := 0
-	for _, n := range shares {
-		if n > 0 {
-			subs++
-		}
-	}
-	t.remainingSubs = subs
+	// Counting while submitting is safe: a server never runs a job's
+	// Done inside Submit, so no visit can reach the barrier early.
+	done := func() { s.subDone(t) }
 	for i, proc := range procs {
-		n := shares[i]
-		if n == 0 {
-			continue
+		if n := shares[i]; n > 0 {
+			t.remainingSubs++
+			s.visit(proc, server.WorkClass, float64(n)*s.p.IOTime, float64(n)*s.p.CPUTime, done)
 		}
-		disk, cpu := s.disks[proc], s.cpus[proc]
-		ioDemand := float64(n) * s.p.IOTime
-		cpuDemand := float64(n) * s.p.CPUTime
-		disk.Submit(&server.Job{
-			Size:  ioDemand,
-			Class: server.WorkClass,
-			Done: func() {
-				cpu.Submit(&server.Job{
-					Size:  cpuDemand,
-					Class: server.WorkClass,
-					Done:  func() { s.subDone(t) },
-				})
-			},
-		})
 	}
 }
 

@@ -14,6 +14,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"granulock/internal/sim"
 )
@@ -87,6 +88,7 @@ type Server struct {
 	running *Job
 	runEv   *sim.Event
 	runFrom sim.Time
+	runDone func() // s.complete, bound once: a start allocates no closure
 
 	busy [numClasses]float64
 }
@@ -104,6 +106,7 @@ func WithDiscipline(d Discipline) Option {
 // diagnostics only.
 func New(eng *sim.Engine, name string, opts ...Option) *Server {
 	s := &Server{eng: eng, name: name}
+	s.runDone = s.complete
 	for _, o := range opts {
 		o(s)
 	}
@@ -162,6 +165,8 @@ func (s *Server) headClass() int {
 
 // preempt stops the running job, banks its progress, and returns it to
 // the head of its class queue.
+//
+//granulint:hotpath
 func (s *Server) preempt() {
 	j := s.running
 	elapsed := s.eng.Now() - s.runFrom
@@ -173,11 +178,13 @@ func (s *Server) preempt() {
 	s.eng.Cancel(s.runEv)
 	s.running, s.runEv = nil, nil
 	// Preemptive-resume: the job resumes before others of its class.
-	s.queues[j.Class] = append([]*Job{j}, s.queues[j.Class]...)
+	s.queues[j.Class] = slices.Insert(s.queues[j.Class], 0, j)
 }
 
 // start removes the next job of class c per the discipline and begins
 // serving it.
+//
+//granulint:hotpath
 func (s *Server) start(c Class) {
 	q := s.queues[c]
 	pick := 0
@@ -195,11 +202,13 @@ func (s *Server) start(c Class) {
 
 	s.running = j
 	s.runFrom = s.eng.Now()
-	s.runEv = s.eng.After(j.remaining, func() { s.complete(j) })
+	s.runEv = s.eng.After(j.remaining, s.runDone)
 }
 
-// complete finishes the running job and dispatches the next one.
-func (s *Server) complete(j *Job) {
+// complete finishes the running job, the one whose completion event
+// fired (a preemption cancels it), and dispatches the next one.
+func (s *Server) complete() {
+	j := s.running
 	s.busy[j.Class] += s.eng.Now() - s.runFrom
 	s.running, s.runEv = nil, nil
 	if j.Done != nil {

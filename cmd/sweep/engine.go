@@ -14,17 +14,6 @@ import (
 	"granulock/internal/model"
 )
 
-// validateProtocol resolves -protocol against the cc registry.
-func validateProtocol(name string) error {
-	if name == "" {
-		return nil
-	}
-	if _, ok := cc.Lookup(name); !ok {
-		return fmt.Errorf("unknown protocol %q (registered: %v)", name, cc.Names())
-	}
-	return nil
-}
-
 // runEngineSweep sweeps one parameter over the executable engine:
 // each value runs a closed bank-transfer workload under the chosen
 // protocol (experiments.EngineCell, which also checks that the run kept
@@ -34,6 +23,8 @@ func validateProtocol(name string) error {
 func runEngineSweep(p granulock.Params, protocol, param, values, metric string, out *os.File) error {
 	if protocol == "" {
 		protocol = engine.Conservative
+	} else if _, ok := cc.Lookup(protocol); !ok {
+		return fmt.Errorf("unknown protocol %q (registered: %v)", protocol, cc.Names())
 	}
 	base := experiments.EngineCell{
 		DBSize: p.DBSize, Granules: p.Ltot, Nodes: p.NPros, Protocol: protocol,

@@ -347,11 +347,6 @@ func OpenDurable(dir string, dbsize int, opts ...Option) (*DB, wal.SetRecoverSta
 	return db, stats, nil
 }
 
-// WALDir returns the database's write-ahead directory, or nil unless
-// the database was opened with OpenDurable (crash harnesses use it to
-// install failpoints).
-func (db *DB) WALDir() *wal.Dir { return db.walDir }
-
 // Close stops the fork's helpers, if a forked transaction started them,
 // and flushes and releases the log files of an OpenDurable database.
 // Transactions executed after Close run their work inline.

@@ -19,6 +19,11 @@ const (
 	walInitial = 100
 )
 
+// WALDir returns the database's write-ahead directory, or nil unless
+// the database was opened with OpenDurable (crash harnesses use it to
+// install failpoints).
+func (db *DB) WALDir() *wal.Dir { return db.walDir }
+
 // openWAL opens (or reopens, recovering) the test database at dir.
 func openWAL(t *testing.T, dir string, protocol Protocol, nodes int) (*DB, wal.SetRecoverStats) {
 	t.Helper()

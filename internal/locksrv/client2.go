@@ -202,16 +202,10 @@ func WithRetries(n int) ClientOption {
 	return func(c *clientCfg) { c.retries = n }
 }
 
-// WithBackoff sets the reconnect backoff: attempt k sleeps for
-// base·2^k, capped at max, with deterministic jitter in [d/2, d).
-// Default 10ms base, 1s cap.
-func WithBackoff(base, max time.Duration) ClientOption {
-	return func(c *clientCfg) { c.backoffBase, c.backoffMax = base, max }
-}
-
 // WithJitterSeed seeds the deterministic backoff jitter stream, so a
 // fleet of workers with distinct seeds desynchronizes its reconnect
 // storms reproducibly. Default seed 1.
+// A deliberate test hook: tests set it to make backoff reproducible.
 func WithJitterSeed(seed uint64) ClientOption {
 	return func(c *clientCfg) { c.jitter = rng.New(seed) }
 }

@@ -203,7 +203,8 @@ func TestClusterFailoverReassertsGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill node 0 and hand its partition to node 1 (deterministic
-	// takeover; the heartbeat path is exercised by the locksim smoke).
+	// takeover; TestClusterKillNodeUnderLoadDrainsClean and
+	// TestFleetDrainsClean run the real heartbeat detector).
 	servers[0].Close()
 	if !servers[1].BeginTakeover(0) {
 		t.Fatal("BeginTakeover refused")

@@ -669,9 +669,6 @@ func (cc *ClusterClient) leaseLoop() {
 // Redirects returns how many redirects the client has followed.
 func (cc *ClusterClient) Redirects() int64 { return cc.redirects.Load() }
 
-// Failovers returns how many node failovers the client has run.
-func (cc *ClusterClient) Failovers() int64 { return cc.failovers.Load() }
-
 // LostLeases returns how many transactions lost their grants in a
 // failover (their re-assert was refused or never landed).
 func (cc *ClusterClient) LostLeases() int64 { return cc.lost.Load() }

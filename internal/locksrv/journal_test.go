@@ -141,6 +141,9 @@ func TestJournalSeesForceRelease(t *testing.T) {
 	}
 }
 
+// Failovers returns how many node failovers the client has run.
+func (cc *ClusterClient) Failovers() int64 { return cc.failovers.Load() }
+
 // TestClusterClientSurfacesUnavailable: a node that withdraws a claim
 // because its journal failed is alive and answered. The cluster client
 // must hand the caller ErrUnavailable to retry, not treat the reply as

@@ -30,6 +30,13 @@ func startServer(t *testing.T) (string, *Server) {
 	return lis.Addr().String(), srv
 }
 
+// WithBackoff sets the reconnect backoff: attempt k sleeps for
+// base·2^k, capped at max, with deterministic jitter in [d/2, d).
+// Default 10ms base, 1s cap.
+func WithBackoff(base, max time.Duration) ClientOption {
+	return func(c *clientCfg) { c.backoffBase, c.backoffMax = base, max }
+}
+
 func dial(t *testing.T, addr string, opts ...ClientOption) *ClientV2 {
 	t.Helper()
 	c, err := DialV2(addr, opts...)

@@ -31,8 +31,11 @@ type txn struct {
 	arrival sim.Time // pending-queue entry time; response clock start
 	state   txnState
 
-	remainingSubs int
-	blocked       []*txn // transactions this one blocks (release set)
+	// visitsLeft counts the processor visits t still waits for: its lock
+	// request's shares while it requests, its sub-transactions while it
+	// is active. The two phases never overlap.
+	visitsLeft int
+	blocked    []*txn // transactions this one blocks (release set)
 }
 
 // simulation is the run-time state of one simulation run. It lives on a
@@ -328,10 +331,10 @@ func (s *simulation) chargeLockWork(t *txn, blocker *txn) {
 	ioDemand := float64(t.spec.Locks) * s.p.LockIOTime * share
 	cpuDemand := float64(t.spec.Locks) * s.p.LockCPUTime * share
 
-	remaining := procs
+	t.visitsLeft = procs
 	done := func() {
-		remaining--
-		if remaining == 0 {
+		t.visitsLeft--
+		if t.visitsLeft == 0 {
 			s.lockRequestDone(t, blocker)
 		}
 	}
@@ -394,7 +397,7 @@ func (s *simulation) activate(t *txn) {
 	done := func() { s.subDone(t) }
 	for i, proc := range procs {
 		if n := shares[i]; n > 0 {
-			t.remainingSubs++
+			t.visitsLeft++
 			s.visit(proc, server.WorkClass, float64(n)*s.p.IOTime, float64(n)*s.p.CPUTime, done)
 		}
 	}
@@ -402,8 +405,8 @@ func (s *simulation) activate(t *txn) {
 
 // subDone joins one sub-transaction at the fork-join barrier.
 func (s *simulation) subDone(t *txn) {
-	t.remainingSubs--
-	if t.remainingSubs == 0 {
+	t.visitsLeft--
+	if t.visitsLeft == 0 {
 		s.complete(t)
 	}
 }

@@ -139,17 +139,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(s.Float64OC())
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Subset returns k distinct integers drawn uniformly from [0, n),
 // in random order. It panics if k > n or k < 0.
 func (s *Source) Subset(k, n int) []int {

@@ -176,6 +176,17 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// Perm returns a pseudo-random permutation of [0, n).
+func (s *Source) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := s.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	s := New(12)
 	for _, n := range []int{0, 1, 2, 10, 100} {

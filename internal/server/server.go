@@ -235,9 +235,3 @@ func (s *Server) TotalBusy() float64 {
 	}
 	return total
 }
-
-// QueueLen returns the number of jobs waiting (not in service) in class c.
-func (s *Server) QueueLen(c Class) int { return len(s.queues[c]) }
-
-// Idle reports whether the server has no job in service.
-func (s *Server) Idle() bool { return s.running == nil }

@@ -147,6 +147,12 @@ func TestBusyIncludesInProgress(t *testing.T) {
 	}
 }
 
+// QueueLen returns the number of jobs waiting (not in service) in class c.
+func (s *Server) QueueLen(c Class) int { return len(s.queues[c]) }
+
+// Idle reports whether the server has no job in service.
+func (s *Server) Idle() bool { return s.running == nil }
+
 func TestQueueLenAndIdle(t *testing.T) {
 	var e sim.Engine
 	s := New(&e, "cpu0")

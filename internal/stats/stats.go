@@ -31,17 +31,14 @@ func (w *Welford) N() int { return w.n }
 // Mean returns the sample mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Variance returns the unbiased sample variance (0 with fewer than two
-// observations).
-func (w *Welford) Variance() float64 {
+// StdDev returns the sample standard deviation, the square root of the
+// unbiased sample variance (0 with fewer than two observations).
+func (w *Welford) StdDev() float64 {
 	if w.n < 2 {
 		return 0
 	}
-	return w.m2 / float64(w.n-1)
+	return math.Sqrt(w.m2 / float64(w.n-1))
 }
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // StdErr returns the standard error of the mean.
 func (w *Welford) StdErr() float64 {

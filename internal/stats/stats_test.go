@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// Variance returns the unbiased sample variance (0 with fewer than two
+// observations).
+func (w *Welford) Variance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
 	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 || w.CI95() != 0 || w.StdErr() != 0 {

@@ -21,22 +21,6 @@ type Set struct {
 	logs []*Log
 }
 
-// NewSet builds a Set from per-partition logs (1..MaxPartitions).
-func NewSet(logs ...*Log) (*Set, error) {
-	if len(logs) == 0 {
-		return nil, errors.New("wal: set needs at least one log")
-	}
-	if len(logs) > MaxPartitions {
-		return nil, fmt.Errorf("wal: set of %d logs exceeds %d (mask is 64-bit)", len(logs), MaxPartitions)
-	}
-	for i, l := range logs {
-		if l == nil {
-			return nil, fmt.Errorf("wal: set log %d is nil", i)
-		}
-	}
-	return &Set{logs: append([]*Log(nil), logs...)}, nil
-}
-
 // Len returns the number of partition logs.
 func (s *Set) Len() int { return len(s.logs) }
 

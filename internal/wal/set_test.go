@@ -3,8 +3,25 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
+
+// NewSet builds a Set from per-partition logs (1..MaxPartitions).
+func NewSet(logs ...*Log) (*Set, error) {
+	if len(logs) == 0 {
+		return nil, errors.New("wal: set needs at least one log")
+	}
+	if len(logs) > MaxPartitions {
+		return nil, fmt.Errorf("wal: set of %d logs exceeds %d (mask is 64-bit)", len(logs), MaxPartitions)
+	}
+	for i, l := range logs {
+		if l == nil {
+			return nil, fmt.Errorf("wal: set log %d is nil", i)
+		}
+	}
+	return &Set{logs: append([]*Log(nil), logs...)}, nil
+}
 
 // memSet builds an in-memory two-log (or n-log) Set plus access to the
 // raw sink bytes for recovery tests.

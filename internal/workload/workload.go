@@ -225,17 +225,3 @@ func (g *Generator) pickClass() int {
 
 // Placement returns the generator's placement strategy.
 func (g *Generator) Placement() Placement { return g.placement }
-
-// MeanSize returns the analytic mean transaction size of the mix,
-// ≈ Σ wᵢ·(maxᵢ+1)/2.
-func (g *Generator) MeanSize() float64 {
-	total := 0.0
-	for _, c := range g.classes {
-		total += c.Weight
-	}
-	mean := 0.0
-	for _, c := range g.classes {
-		mean += c.Weight / total * float64(c.MaxTransize+1) / 2
-	}
-	return mean
-}

@@ -216,6 +216,20 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// MeanSize returns the analytic mean transaction size of the mix,
+// ≈ Σ wᵢ·(maxᵢ+1)/2.
+func (g *Generator) MeanSize() float64 {
+	total := 0.0
+	for _, c := range g.classes {
+		total += c.Weight
+	}
+	mean := 0.0
+	for _, c := range g.classes {
+		mean += c.Weight / total * float64(c.MaxTransize+1) / 2
+	}
+	return mean
+}
+
 func TestMeanSize(t *testing.T) {
 	g, _ := NewGenerator(5000, 100, PlacementBest, Uniform(500), rng.New(1))
 	if got := g.MeanSize(); math.Abs(got-250.5) > 1e-9 {

@@ -12,11 +12,14 @@
 # own benchmark/ from its own source through benchmark/run.sh, and every run's
 # result line is kept in .bench_build/pairs/{ref,change}.jsonl. The summary
 # lists, per end-to-end metric of BENCHMARK.json, each side's median and
-# quartiles, the change in the median, and how many pairs the change won
-# (ties count for neither side).
+# quartiles, the change in the median, how many of the N pairs the change
+# won (a tie counts for neither side, and still counts in N), and a
+# verdict: "gain" when it won at least 0.9·N and its median is better by
+# more than the reference's interquartile range, "over bound" when its
+# median is worse than the reference's by more than the metric's bound.
 set -euo pipefail
 if [ $# -lt 2 ]; then
-	sed -n '2,16p' "$0" >&2
+	sed -n '2,19p' "$0" >&2
 	exit 2
 fi
 ref=$1 workload=$2 n=${3:-10} seed=${4:-1}
@@ -56,16 +59,19 @@ jq -rn --slurpfile spec "$root/BENCHMARK.json" --slurpfile ref "$out/ref.jsonl" 
 	def sig: if . == 0 then "0" else . as $v | pow(10; 3 - ($v | fabs | log10 | floor)) as $k | ($v * $k | round) / $k | tostring end;
 	def summary: "\(quantile(0.5) | sig) [\(quantile(0.25) | sig), \(quantile(0.75) | sig)]";
 	def failures: map("\(.failed)/\(.attempted)") | join(" ");
-	"metric           better  ref median [q1, q3]               change median [q1, q3]            median   won",
-	($spec[0].end_to_end[] | .name as $m | .better as $b
+	"metric           better  ref median [q1, q3]               change median [q1, q3]            median   won       verdict",
+	($spec[0].end_to_end[] | .name as $m | .bound as $bound | (if .better == "higher" then 1 else -1 end) as $sign
 		| [$ref[] | .metrics[$m].value] as $r | [$chg[] | .metrics[$m].value] as $c
-		| ([range(0; $r | length) | select(if $b == "higher" then $c[.] > $r[.] else $c[.] < $r[.] end)] | length) as $won
-		| ([range(0; $r | length) | select($c[.] == $r[.])] | length) as $tied
-		| "\($m)                "[0:17] + "\($b)   "[0:8]
+		| ($r | length) as $n | ($r | quantile(0.5)) as $rm | ($c | quantile(0.5)) as $cm
+		| ([range(0; $n) | select(($c[.] - $r[.]) * $sign > 0)] | length) as $won
+		| "\($m)                "[0:17] + "\(.better)   "[0:8]
 			+ "\($r | summary)                                  "[0:34]
 			+ "\($c | summary)                                  "[0:34]
-			+ "\((($c | quantile(0.5)) / ($r | quantile(0.5)) - 1) * 1000 | round / 10)%        "[0:9]
-			+ "\($won) of \(($r | length) - $tied)"),
+			+ "\(($cm / $rm - 1) * 1000 | round / 10)%        "[0:9]
+			+ "\($won) of \($n)          "[0:10]
+			+ (if $won >= 0.9 * $n and ($cm - $rm) * $sign > ($r | quantile(0.75)) - ($r | quantile(0.25)) then "gain"
+				elif ($rm - $cm) * $sign > $bound * ($rm | fabs) then "over bound"
+				else "" end)),
 	"failed/attempted  ref: \($ref | failures)",
 	"failed/attempted  change: \($chg | failures)",
 	"correct           ref: \($ref | map(.correct) | all), change: \($chg | map(.correct) | all)"

@@ -195,15 +195,15 @@ func run(args []string, out *os.File) error {
 func metricAccessor(name string) (func(granulock.Metrics) float64, error) {
 	switch name {
 	case "throughput":
-		return func(m granulock.Metrics) float64 { return m.Throughput }, nil
+		return experiments.Throughput, nil
 	case "response":
-		return func(m granulock.Metrics) float64 { return m.MeanResponse }, nil
+		return experiments.MeanResponse, nil
 	case "usefulio":
-		return func(m granulock.Metrics) float64 { return m.UsefulIOs }, nil
+		return experiments.UsefulIO, nil
 	case "usefulcpu":
-		return func(m granulock.Metrics) float64 { return m.UsefulCPUs }, nil
+		return experiments.UsefulCPU, nil
 	case "lockoverhead":
-		return func(m granulock.Metrics) float64 { return m.LockCPUs + m.LockIOs }, nil
+		return experiments.LockOverhead, nil
 	case "denialrate":
 		return func(m granulock.Metrics) float64 { return m.DenialRate }, nil
 	}

@@ -40,9 +40,11 @@ type Prediction struct {
 // demands NU/npros entities of disk and CPU service plus its share of
 // lock work, inflated by the expected number of lock-request attempts
 // 1/(1−β): every denied request is re-issued and re-paid. The blocking
-// probability β = min(A·LU/ltot, βmax) follows the paper's conflict
-// model, and a blocked transaction waits about half a blocker response
-// time. Iterating A to a fixed point yields throughput by Little's law.
+// probability β = min(A·LU/ltot′, βmax) follows the paper's conflict
+// model over the simulator's own conflict space ltot′ =
+// Params.ConflictSpace (ltot shrunk by AccessSkew), and a blocked
+// transaction waits about half a blocker response time. Iterating A to
+// a fixed point yields throughput by Little's law.
 //
 // The approximation deliberately ignores the serialization of the lock
 // manager itself and the fork-join synchronization skew, so it is an
@@ -57,7 +59,7 @@ func Predict(p model.Params) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("analytic: only horizontal partitioning is supported (got %v)", p.Partitioning)
 	}
 
-	classes := effectiveClasses(p)
+	classes := p.ClassMix()
 	nu := meanEntities(classes)
 	lu := meanLocks(classes, p)
 	npros := float64(p.NPros)
@@ -75,11 +77,12 @@ func Predict(p model.Params) (Prediction, error) {
 	}
 
 	const betaMax = 0.95
+	space := float64(p.ConflictSpace())
 	ntrans := float64(p.NTrans)
 	a := ntrans // start fully active
 	var beta, r float64
 	for iter := 0; iter < 500; iter++ {
-		beta = a * lu / float64(p.Ltot)
+		beta = a * lu / space
 		if beta > betaMax {
 			beta = betaMax
 		}
@@ -119,14 +122,6 @@ func Predict(p model.Params) (Prediction, error) {
 		MeanLocks:        lu,
 		MeanEntities:     nu,
 	}, nil
-}
-
-// effectiveClasses mirrors Params.classes (unexported there).
-func effectiveClasses(p model.Params) []workload.Class {
-	if len(p.Classes) > 0 {
-		return p.Classes
-	}
-	return workload.Uniform(p.MaxTransize)
 }
 
 // meanEntities returns E[NU] of the mix.

@@ -132,6 +132,30 @@ func TestPredictCapturesFineGranularityPenalty(t *testing.T) {
 	}
 }
 
+func TestPredictAccessSkewShrinksConflictSpace(t *testing.T) {
+	// The simulator draws conflicts over Params.ConflictSpace, which
+	// AccessSkew shrinks (at ltot 100, skew 0.9 leaves 10 locks); its
+	// throughput drops from about 0.196 to 0.168 at tmax 1000. The
+	// prediction must read the same space: more blocking, less
+	// throughput.
+	uniform, err := Predict(paperBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := paperBase()
+	p.AccessSkew = 0.9
+	skewed, err := Predict(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skewed.BlockProbability <= uniform.BlockProbability {
+		t.Fatalf("skew block probability %v not above uniform %v", skewed.BlockProbability, uniform.BlockProbability)
+	}
+	if skewed.Throughput >= uniform.Throughput {
+		t.Fatalf("skew throughput %v not below uniform %v", skewed.Throughput, uniform.Throughput)
+	}
+}
+
 func predictAt(t *testing.T, ltot int) Prediction {
 	t.Helper()
 	p := paperBase()

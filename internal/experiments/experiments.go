@@ -56,7 +56,11 @@ func NprosSweep() []int { return []int{1, 2, 5, 10, 20, 30} }
 type Options struct {
 	// TMax overrides the simulation horizon; 0 keeps the default.
 	TMax float64
-	// Seed is the base seed; replication r of a run uses Seed+r.
+	// Seed is the base seed; replication r of a run uses
+	// Seed + r·1,000,003, so the replications of two base seeds less
+	// than 1,000,003 apart never share a seed (under Seed+r, base seed
+	// 1's second replication would be base seed 2's first). The
+	// facade's WithReplications uses Seed+i, as its doc says.
 	Seed uint64
 	// Replications averages each point over this many seeds (min 1).
 	Replications int

@@ -5,27 +5,7 @@ import (
 	"fmt"
 
 	"granulock/internal/lockmgr"
-	"granulock/internal/rng"
 )
-
-// ExampleConflictModel shows the paper's probabilistic conflict draw:
-// active transactions holding locks block a requester in proportion to
-// the fraction of the lock space they own.
-func ExampleConflictModel() {
-	m, _ := lockmgr.NewConflictModel(100, rng.New(1))
-	holders := []lockmgr.Holder{{ID: 1, Locks: 30}, {ID: 2, Locks: 20}}
-	fmt.Printf("block probability: %.2f\n", m.BlockProbability(holders))
-	blocked := 0
-	for i := 0; i < 10000; i++ {
-		if _, b := m.Decide(holders); b {
-			blocked++
-		}
-	}
-	fmt.Printf("empirically near 0.5: %v\n", blocked > 4700 && blocked < 5300)
-	// Output:
-	// block probability: 0.50
-	// empirically near 0.5: true
-}
 
 // ExampleTable_AcquireAll demonstrates conservative preclaiming: all or
 // nothing, so deadlock is impossible.

@@ -1,3 +1,14 @@
+// Package lockmgr is the reproduction's real lock manager. Table is
+// the one type that grants, parks and wakes: a decision core behind one
+// latch, with five modes (S and X, and the intention modes IS, IX and
+// SIX, under one compatibility matrix and one lattice join),
+// conservative all-or-nothing preclaiming, and claim-as-needed
+// acquisition with a waits-for-graph deadlock detector (Detector).
+// HierTable is Gray's multi-granularity protocol as a policy over it —
+// path expansion and best-effort lock escalation, with nodes of the
+// hierarchy being granules of the table. They power the executable
+// mini-DBMS in internal/engine that cross-validates the simulation's
+// conclusions.
 package lockmgr
 
 import (

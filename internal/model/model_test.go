@@ -511,9 +511,10 @@ func BenchmarkRunBase(b *testing.B) {
 // the bound. Measured under AllocsPerRun: 20,728 allocations per run
 // when each visit built a disk job and a CPU job with a closure apiece
 // and the servers allocated on every start and preemption, 6,024 with
-// one job per visit, and 5,873 since a lock request counts its shares
-// on the txn instead of in a heap counter, so the bound leaves over a
-// quarter of headroom.
+// one job per visit, 5,873 since a lock request counts its shares on
+// the txn instead of in a heap counter, and 5,867 since the conflict
+// draw reads the active set instead of a snapshot slice it grew, so
+// the bound leaves over a quarter of headroom.
 func TestRunBaseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are pinned without the race detector")

@@ -136,12 +136,24 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// classes returns the effective class mix.
-func (p *Params) classes() []workload.Class {
+// ClassMix returns the class mix the workload draws from: Classes, or
+// one class of MaxTransize when Classes is empty.
+func (p *Params) ClassMix() []workload.Class {
 	if len(p.Classes) > 0 {
 		return p.Classes
 	}
 	return workload.Uniform(p.MaxTransize)
+}
+
+// ConflictSpace is the number of locks conflicts are drawn over: hot
+// spots shrink it, so with skew σ the traffic behaves as if it hit only
+// ltot·(1−σ) granules, rounded and floored at 1.
+func (p *Params) ConflictSpace() int {
+	n := int(float64(p.Ltot)*(1-p.AccessSkew) + 0.5)
+	if n < 1 {
+		n = 1
+	}
+	return n
 }
 
 // Metrics are the model's output parameters (§2), plus auxiliary

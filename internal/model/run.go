@@ -3,7 +3,6 @@ package model
 import (
 	"context"
 
-	"granulock/internal/lockmgr"
 	"granulock/internal/partition"
 	"granulock/internal/rng"
 	"granulock/internal/sched"
@@ -47,10 +46,13 @@ type simulation struct {
 	cpus  []*server.Server
 	disks []*server.Server
 
-	gen      *workload.Generator
-	conflict *lockmgr.ConflictModel
-	srcProcs *rng.Source
-	policy   sched.Policy
+	gen *workload.Generator
+	// srcConflict feeds the conflict draw; ltotEff is the conflict
+	// space it draws over (Params.ConflictSpace).
+	srcConflict *rng.Source
+	ltotEff     float64
+	srcProcs    *rng.Source
+	policy      sched.Policy
 
 	pending  txnRing
 	active   []*txn
@@ -67,14 +69,13 @@ type simulation struct {
 	releaseOne [1]*txn
 
 	// accumulators
-	completed      int
-	respSum        float64
-	lockRequests   int
-	lockDenials    int
-	entitiesDone   int
-	activeArea     float64  // ∫ |active| dt, for MeanActive
-	activeStamp    sim.Time // last time activeArea was brought current
-	holdersScratch []lockmgr.Holder
+	completed    int
+	respSum      float64
+	lockRequests int
+	lockDenials  int
+	entitiesDone int
+	activeArea   float64  // ∫ |active| dt, for MeanActive
+	activeStamp  sim.Time // last time activeArea was brought current
 
 	obs trace.Observer // nil: no observer
 	// base holds the accumulator snapshot taken at the warmup boundary;
@@ -166,24 +167,14 @@ func (s *simulation) captureBaseline() {
 	s.base.activeArea = s.activeArea
 }
 
-// newSimulation wires up servers, generators and the conflict model.
+// newSimulation wires up servers, generators and the conflict draw.
 func newSimulation(p Params) (*simulation, error) {
 	root := rng.New(p.Seed)
 	genSrc := root.Stream(1)
 	conflictSrc := root.Stream(2)
 	procSrc := root.Stream(3)
 
-	gen, err := workload.NewGenerator(p.DBSize, p.Ltot, p.Placement, p.classes(), genSrc)
-	if err != nil {
-		return nil, err
-	}
-	// Hot spots shrink the effective conflict space: with skew σ the
-	// traffic behaves as if it hit only ltot·(1−σ) granules.
-	ltotEff := int(float64(p.Ltot)*(1-p.AccessSkew) + 0.5)
-	if ltotEff < 1 {
-		ltotEff = 1
-	}
-	conflict, err := lockmgr.NewConflictModel(ltotEff, conflictSrc)
+	gen, err := workload.NewGenerator(p.DBSize, p.Ltot, p.Placement, p.ClassMix(), genSrc)
 	if err != nil {
 		return nil, err
 	}
@@ -196,12 +187,13 @@ func newSimulation(p Params) (*simulation, error) {
 	}
 
 	s := &simulation{
-		p:        p,
-		eng:      &sim.Engine{},
-		gen:      gen,
-		conflict: conflict,
-		srcProcs: procSrc,
-		policy:   policy,
+		p:           p,
+		eng:         &sim.Engine{},
+		gen:         gen,
+		srcConflict: conflictSrc,
+		ltotEff:     float64(p.ConflictSpace()),
+		srcProcs:    procSrc,
+		policy:      policy,
 	}
 	s.cpus = make([]*server.Server, p.NPros)
 	s.disks = make([]*server.Server, p.NPros)
@@ -284,22 +276,32 @@ func (s *simulation) tryDispatch() {
 	s.chargeLockWork(t, s.decideConflict(t))
 }
 
-// decideConflict draws the Ries–Stonebraker conflict decision for t.
+// decideConflict draws the Ries–Stonebraker conflict decision for t
+// (§2, "The computation of lock conflicts") and returns its blocker, or
+// nil if the request is granted. With the active transactions T1..Tk
+// holding L1..Lk locks of a conflict space of ltot, (0,1] is split into
+// partitions of widths Lj/ltot plus a remainder; a uniform draw landing
+// in partition j blocks t on Tj, one landing in the remainder grants.
+// t's own demand never blocks it, and while no transaction is active
+// nothing is drawn. Active transactions that jointly cover the space
+// block every request. The running sum adds each Lj/ltot in active
+// order: dividing ΣLj once instead moves draws that land on a partition
+// boundary, and with them every seeded run.
+//
+//granulint:hotpath
 func (s *simulation) decideConflict(t *txn) *txn {
-	s.holdersScratch = s.holdersScratch[:0]
-	for _, a := range s.active {
-		s.holdersScratch = append(s.holdersScratch, lockmgr.Holder{ID: a.id, Locks: a.spec.Locks})
-	}
-	id, blocked := s.conflict.Decide(s.holdersScratch)
-	if !blocked {
+	if len(s.active) == 0 {
 		return nil
 	}
+	p := s.srcConflict.Float64OC()
+	cum := 0.0
 	for _, a := range s.active {
-		if a.id == id {
+		cum += float64(a.spec.Locks) / s.ltotEff
+		if p <= cum {
 			return a
 		}
 	}
-	return nil // blocker vanished between snapshot and decision (cannot happen)
+	return nil
 }
 
 // visit is one processor visit: ioDemand on proc's disk, then cpuDemand

@@ -6,7 +6,7 @@ GO ?= go
 # (the build environment is offline; CI installs the pin itself).
 STATICCHECK_VERSION ?= 2023.1.7
 
-.PHONY: build test vet race bench pairs loc lint granulint staticcheck tools verify verify-static verify-test verify-fuzz verify-smoke
+.PHONY: build test vet race bench pairs loc lint granulint staticcheck tools figures-gate verify verify-static verify-test verify-fuzz verify-smoke
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,25 @@ pairs:
 # package and in total, benchmark/, testdata/ and .bench_build/ left out.
 loc:
 	bash scripts/loc.sh
+
+# figures-gate regenerates every simulator experiment, ext-proto-granularity and
+# table1 into a temp dir and compares them with results/: every simulator file byte
+# for byte, and of ext-proto-granularity.csv its simulator rows. The rest of the
+# ext-proto-* files time the live engine and REPORT.txt holds wall times, so they
+# cannot match.
+figures-gate:
+	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
+	ids="$$(cd results && ls *.csv | sed 's/\.csv$$//' | grep -v '^ext-proto-' | paste -sd, -),ext-proto-granularity,table1"; \
+	echo "figures -only $$ids"; \
+	$(GO) run ./cmd/figures -q -only "$$ids" -out "$$out" || exit 1; \
+	status=0; for f in results/*; do \
+		case "$${f##*/}" in REPORT.txt|ext-proto-*) continue ;; esac; \
+		cmp "$$f" "$$out/$${f##*/}" || status=1; \
+	done; \
+	sim='simulator (denial rate)'; \
+	grep -F "$$sim" results/ext-proto-granularity.csv > "$$out/sim-rows" || status=1; \
+	grep -F "$$sim" "$$out/ext-proto-granularity.csv" | cmp "$$out/sim-rows" - || status=1; \
+	exit $$status
 
 # granulint runs the repo's own invariant analyzers (internal/analysis,
 # see docs/ANALYSIS.md) over every package; any unsuppressed finding
@@ -104,16 +123,8 @@ verify-test:
 	$(GO) test -race -count=2 -run 'TestAdmin|TestJournal' ./cmd/lockd/
 # every package benchmark once, so none of them rots unrun (the simulator's event-loop and figure benchmarks are the only timing of that code outside benchmark/)
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-# every simulator experiment and table1 regenerated into a temp dir and compared byte for byte with results/
-# (the ext-proto-* files time the live engine and REPORT.txt holds wall times, so neither can match)
-	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
-	ids="$$(cd results && ls *.csv | sed 's/\.csv$$//' | grep -v '^ext-proto-' | paste -sd, -),table1"; \
-	echo "figures -only $$ids"; \
-	$(GO) run ./cmd/figures -q -only "$$ids" -out "$$out" || exit 1; \
-	status=0; for f in results/*; do \
-		case "$${f##*/}" in REPORT.txt|ext-proto-*) continue ;; esac; \
-		cmp "$$f" "$$out/$${f##*/}" || status=1; \
-	done; exit $$status
+# the checked-in figures, regenerated
+	$(MAKE) figures-gate
 
 verify-fuzz:
 # 10 s each: the two parsers that face the network (frame reader, request-body dispatch)

@@ -6,10 +6,13 @@
 //
 // The package is a thin facade; the machinery lives under internal/:
 //
-//   - internal/model — the paper's closed simulation model;
-//   - internal/experiments — Table 1 and Figures 2–12 as runnable sweeps;
-//   - internal/lockmgr — the probabilistic conflict model plus real lock
-//     managers (flat S/X, multigranularity, deadlock detection);
+//   - internal/model — the paper's closed simulation model, its
+//     probabilistic conflict draw included;
+//   - internal/experiments — Table 1, Figures 2–12 and the extension
+//     experiments beyond the paper (scheduling remedy, modeling
+//     ablations, protocol comparisons) as runnable sweeps;
+//   - internal/lockmgr — real lock managers (flat S/X,
+//     multigranularity, deadlock detection);
 //   - internal/engine — an executable shared-nothing mini-DBMS used to
 //     cross-validate the simulation's conclusions on real goroutines.
 //
@@ -303,10 +306,12 @@ func OptimalGranularityContext(ctx context.Context, p Params) (best int, curve [
 func FigureIDs() []string { return experiments.IDs() }
 
 // ExtensionIDs lists the extension experiments beyond the paper
-// (scheduling remedy and modeling ablations); run them with RunFigure.
+// (scheduling remedy, modeling ablations and protocol comparisons on
+// the executable engine); run them with RunFigure.
 func ExtensionIDs() []string { return experiments.ExtIDs() }
 
-// RunFigure evaluates one figure of the paper's evaluation section.
+// RunFigure evaluates one figure of the paper's evaluation section or
+// one extension experiment, by id (FigureIDs, ExtensionIDs).
 func RunFigure(id string, o Options) (Figure, error) { return experiments.Run(id, o) }
 
 // Table1 renders the paper's input-parameter table.

@@ -1,8 +1,11 @@
-// Package experiments defines and runs the paper's evaluation: Table 1
-// and Figures 2 through 12. Each experiment is a parameter sweep over
-// the simulation model; the output is a Figure holding one or more
-// panels of labelled series, renderable as text tables, ASCII charts and
-// CSV.
+// Package experiments defines and runs the paper's evaluation — Table 1
+// and Figures 2 through 12 — and the extension experiments beyond it:
+// the §3.7 scheduling remedy, modeling ablations, per-class and
+// response-tail breakdowns, and protocol comparisons on the executable
+// engine. Each experiment is one row of a table, run by id (Run); most
+// are an ltot sweep of the simulation model against one series axis.
+// The output is a Figure holding one or more panels of labelled series,
+// renderable as text tables, ASCII charts and CSV.
 package experiments
 
 import (
@@ -57,10 +60,10 @@ type Options struct {
 	// TMax overrides the simulation horizon; 0 keeps the default.
 	TMax float64
 	// Seed is the base seed; replication r of a run uses
-	// Seed + r·1,000,003, so the replications of two base seeds less
-	// than 1,000,003 apart never share a seed (under Seed+r, base seed
-	// 1's second replication would be base seed 2's first). The
-	// facade's WithReplications uses Seed+i, as its doc says.
+	// Seed + r·1,000,003 (replicaSeed), so the replications of two base
+	// seeds less than 1,000,003 apart never share a seed (under Seed+r,
+	// base seed 1's second replication would be base seed 2's first).
+	// The facade's WithReplications uses Seed+i, as its doc says.
 	Seed uint64
 	// Replications averages each point over this many seeds (min 1).
 	Replications int
@@ -153,7 +156,7 @@ func sweep(o Options, labels []string, xs []float64, mkParams func(series, point
 				if o.TMax > 0 {
 					p.TMax = o.TMax
 				}
-				p.Seed = o.Seed + uint64(r)*1_000_003
+				p.Seed = replicaSeed(o.Seed, r)
 				if err := p.Validate(); err != nil {
 					return nil, fmt.Errorf("experiments: series %q x=%v: %w", labels[si], xs[pi], err)
 				}
@@ -186,25 +189,43 @@ func sweep(o Options, labels []string, xs []float64, mkParams func(series, point
 	return series, nil
 }
 
-// RunCells is the one fan-out of simulator cells: it runs every cell
-// through the cell cache (CachedRunContext) on a pool of GOMAXPROCS
-// workers and returns their Metrics in cell order, or the first
-// failing cell's error. A cell's Metrics depend on its Params only, so
-// the pool size never changes a result. o.Context, when set, skips the
-// cells not yet started and aborts those in flight; o.Metrics, when
-// set, counts them (granulock_sweep_ families).
+// replicaSeed is the seed of replication r of a run with base seed
+// base (see Options.Seed).
+func replicaSeed(base uint64, r int) uint64 { return base + uint64(r)*1_000_003 }
+
+// RunCells runs every cell through the cell cache (CachedRunContext) on
+// fanOut and returns their Metrics in cell order, or the first failing
+// cell's error. A cell's Metrics depend on its Params only, so the pool
+// size never changes a result.
 func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
+	ms := make([]model.Metrics, len(cells))
+	err := fanOut(o, len(cells), func(i int) (err error) {
+		ms[i], err = CachedRunContext(o.Context, cells[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ms, nil
+}
+
+// fanOut is the one fan-out of simulator runs: it calls job(0) ..
+// job(n-1) on a pool of GOMAXPROCS workers and returns the error of the
+// first failing job in index order. o.Context, when set, skips the jobs
+// not yet started (a job aborts its own runs in flight); o.Metrics,
+// when set, counts the jobs as cells (granulock_sweep_ families,
+// labelled by figure id, "adhoc" outside Run).
+func fanOut(o Options, n int, job func(i int) error) error {
 	fig := o.figure
 	if fig == "" {
 		fig = "adhoc"
 	}
 	sm := NewSweepMetrics(o.Metrics, fig)
-	sm.CellsTotal(int64(len(cells)))
-	ms := make([]model.Metrics, len(cells))
-	errs := make([]error, len(cells))
+	sm.CellsTotal(int64(n))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, p := range cells {
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -218,8 +239,7 @@ func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
 			if sm != nil {
 				start = time.Now()
 			}
-			ms[i], errs[i] = CachedRunContext(o.Context, p)
-			if errs[i] == nil {
+			if errs[i] = job(i); errs[i] == nil {
 				sm.CellDone(time.Since(start))
 			}
 		}()
@@ -227,10 +247,10 @@ func RunCells(o Options, cells []model.Params) ([]model.Metrics, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ms, nil
+	return nil
 }
 
 // Average reduces replications to field-wise means, plus a 95%

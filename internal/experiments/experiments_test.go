@@ -184,13 +184,20 @@ func TestIDsAndRunDispatch(t *testing.T) {
 	if ids[0] != "fig2" || ids[len(ids)-1] != "fig12" {
 		t.Fatalf("ids out of order: %v", ids)
 	}
+	seen := make(map[string]bool)
+	for _, id := range append(ids, ExtIDs()...) {
+		if seen[id] {
+			t.Fatalf("id %q listed twice", id)
+		}
+		seen[id] = true
+	}
 	if _, err := Run("nope", fast()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestFigure7Structure(t *testing.T) {
-	f, err := Figure7(fast())
+	f, err := Run("fig7", fast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +213,7 @@ func TestFigure7Structure(t *testing.T) {
 }
 
 func TestFigure11UsesMix(t *testing.T) {
-	f, err := Figure11(fast())
+	f, err := Run("fig11", fast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestFigure11UsesMix(t *testing.T) {
 }
 
 func TestRenderTextAndCSV(t *testing.T) {
-	f, err := Figure7(fast())
+	f, err := Run("fig7", fast())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"granulock/internal/obs"
 )
 
 func TestExtIDs(t *testing.T) {
@@ -33,7 +36,7 @@ func TestRunDispatchesExtensions(t *testing.T) {
 func TestExtSchedulingRescuesFineGranularity(t *testing.T) {
 	o := fast()
 	o.TMax = 600 // heavy load needs a longer horizon to show the effect
-	f, err := ExtScheduling(o)
+	f, err := Run("ext-sched", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestExtDisciplineMarginalEffect(t *testing.T) {
 	// marginally at every granularity.
 	o := fast()
 	o.TMax = 500
-	f, err := ExtDiscipline(o)
+	f, err := Run("ext-discipline", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestExtDisciplineMarginalEffect(t *testing.T) {
 func TestExtHotSpotLowersThroughput(t *testing.T) {
 	o := fast()
 	o.TMax = 400
-	f, err := ExtHotSpot(o)
+	f, err := Run("ext-hotspot", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestExtHotSpotLowersThroughput(t *testing.T) {
 func TestExtResponseTail(t *testing.T) {
 	o := fast()
 	o.TMax = 400
-	f, err := ExtResponseTail(o)
+	f, err := Run("ext-responsetail", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestExtResponseTail(t *testing.T) {
 func TestExtMixClass(t *testing.T) {
 	o := fast()
 	o.TMax = 500
-	f, err := ExtMixClass(o)
+	f, err := Run("ext-mixclass", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +189,7 @@ func TestExtMixClass(t *testing.T) {
 }
 
 func TestExtLockSharingStructure(t *testing.T) {
-	f, err := ExtLockSharing(fast())
+	f, err := Run("ext-locksharing", fast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,4 +200,54 @@ func TestExtLockSharingStructure(t *testing.T) {
 	if !strings.Contains(text, "dedicated lock processor") {
 		t.Fatal("render missing series label")
 	}
+}
+
+// TestReplicationsReachCollectorFigures checks that the figures built
+// on observers rather than Metrics honour Options.Replications: a
+// second replication must move their points, and their cells must be
+// counted like any sweep's.
+func TestReplicationsReachCollectorFigures(t *testing.T) {
+	for _, c := range []struct {
+		id    string
+		panel int
+	}{
+		{"ext-responsetail", 0},
+		{"ext-mixclass", 0},
+		{"ext-proto-granularity", 2}, // the simulator panel
+	} {
+		o := fast()
+		one, err := Run(c.id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Replications = 2
+		o.Metrics = obs.NewRegistry()
+		two, err := Run(c.id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simPoints(one.Panels[c.panel]) == simPoints(two.Panels[c.panel]) {
+			t.Errorf("%s: Replications 2 gave the same points as 1", c.id)
+		}
+		done := o.Metrics.NewCounterVec("granulock_sweep_cells_completed_total",
+			"Simulation cells completed by parameter sweeps.", "figure").With(c.id).Value()
+		if done == 0 {
+			t.Errorf("%s: no sweep cells counted", c.id)
+		}
+	}
+}
+
+// simPoints renders the panel's simulator series (every series but the
+// engine's) as text, for comparison.
+func simPoints(p Panel) string {
+	var b strings.Builder
+	for _, s := range p.Series {
+		if strings.HasPrefix(s.Label, "engine") {
+			continue
+		}
+		for _, pt := range s.Points {
+			fmt.Fprintf(&b, "%s %v %v\n", s.Label, pt.X, p.Metric(pt.M))
+		}
+	}
+	return b.String()
 }

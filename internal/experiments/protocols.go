@@ -93,7 +93,7 @@ func engineSweep(o Options, xs []float64, mkConfig func(protocol engine.Protocol
 					return nil, o.Context.Err()
 				}
 				c := mkConfig(protocol, pi)
-				c.Workload.Seed = o.Seed + uint64(r)*1_000_003
+				c.Workload.Seed = replicaSeed(o.Seed, r)
 				m, err := c.Run(o.Context)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: protocol %s x=%v: %w", protocol, x, err)
@@ -127,13 +127,13 @@ func restartsPerCommit(m model.Metrics) float64 {
 	return float64(m.Events) / float64(m.TotCom)
 }
 
-// ExtProtoContention sweeps access skew: transactions draw their
+// protoContention sweeps access skew: transactions draw their
 // entities zipf-distributed over a small hot set with probability
 // rising along the x axis. Pessimistic protocols respond with blocking
 // and deadlock restarts, wound-wait/wait-die with wounds and deaths,
 // optimistic with validation failures — the figure shows which regime
 // each protocol tolerates.
-func ExtProtoContention(o Options) (Figure, error) {
+func protoContention(o Options) (Figure, error) {
 	skews := []float64{0, 0.4, 0.8, 1.2}
 	xs := make([]float64, len(skews))
 	copy(xs, skews)
@@ -149,7 +149,6 @@ func ExtProtoContention(o Options) (Figure, error) {
 		return Figure{}, err
 	}
 	return Figure{
-		ID:     "ext-proto-contention",
 		Title:  "Protocols: contention sweep on the executable engine (dbsize=400, granules=40, mpl=8)",
 		XLabel: "zipf skew over 20 hot entities",
 		Panels: []Panel{
@@ -159,14 +158,13 @@ func ExtProtoContention(o Options) (Figure, error) {
 	}, nil
 }
 
-// ExtProtoGranularity replays the paper's central sweep — lock
+// protoGranularity replays the paper's central sweep — lock
 // granularity — on the executable engine under every protocol, with a
 // simulator cross-validation panel: the simulation model runs the
 // matching configuration (ltot = granule count) and its lock denial
 // rate must fall with granularity exactly as the engine's conservative
 // blocking rate does.
-func ExtProtoGranularity(o Options) (Figure, error) {
-	o = o.normalize()
+func protoGranularity(o Options) (Figure, error) {
 	granules := []int{1, 2, 5, 10, 20, 50, 100, 200, 400}
 	xs := floatXs(granules)
 	const dbSize = 400
@@ -187,43 +185,32 @@ func ExtProtoGranularity(o Options) (Figure, error) {
 			engineConservative = Series{Label: "engine conservative (blocks/grant)", Points: s.Points}
 		}
 	}
-	simParams := BaseParams()
-	simParams.DBSize = dbSize
-	simParams.NTrans = 8
-	simParams.MaxTransize = 8
-	simParams.NPros = 4
-	if o.TMax > 0 {
-		simParams.TMax = o.TMax
-	}
-	simSeries := Series{Label: "simulator (denial rate)", Points: make([]Point, len(granules))}
-	for pi, g := range granules {
-		p := simParams
-		p.Ltot = g
-		p.Seed = o.Seed
-		m, err := CachedRunContext(o.Context, p)
-		if err != nil {
-			return Figure{}, err
-		}
-		simSeries.Points[pi] = Point{X: float64(g), M: m}
+	sim, err := sweep(o, []string{"simulator (denial rate)"}, xs, func(_, pi int) model.Params {
+		p := BaseParams()
+		p.DBSize, p.NTrans, p.MaxTransize, p.NPros = dbSize, 8, 8, 4
+		p.Ltot = granules[pi]
+		return p
+	})
+	if err != nil {
+		return Figure{}, err
 	}
 	denialRate := func(m model.Metrics) float64 { return m.DenialRate }
 	return Figure{
-		ID:     "ext-proto-granularity",
 		Title:  "Protocols: granularity sweep on the executable engine, cross-validated against the simulator (dbsize=400, mpl=8)",
 		XLabel: "number of granules",
 		Panels: []Panel{
 			{YLabel: "throughput (txn/s)", Metric: Throughput, Series: series},
 			{YLabel: "restarts per commit", Metric: restartsPerCommit, Series: series},
 			{YLabel: "blocking probability (trend check)", Metric: denialRate,
-				Series: []Series{engineConservative, simSeries}},
+				Series: []Series{engineConservative, sim[0]}},
 		},
 	}, nil
 }
 
-// ExtProtoMPL sweeps the multiprogramming level (closed worker
+// protoMPL sweeps the multiprogramming level (closed worker
 // population): the concurrency-vs-contention trade-off each protocol
 // strikes as load rises, at a moderately contended configuration.
-func ExtProtoMPL(o Options) (Figure, error) {
+func protoMPL(o Options) (Figure, error) {
 	workers := []int{1, 2, 4, 8, 16}
 	xs := floatXs(workers)
 	series, err := engineSweep(o, xs, func(protocol engine.Protocol, pi int) EngineCell {
@@ -237,7 +224,6 @@ func ExtProtoMPL(o Options) (Figure, error) {
 		return Figure{}, err
 	}
 	return Figure{
-		ID:     "ext-proto-mpl",
 		Title:  "Protocols: multiprogramming-level sweep on the executable engine (dbsize=400, granules=40, skew=0.8)",
 		XLabel: "workers (closed MPL)",
 		Panels: []Panel{

@@ -66,3 +66,44 @@ func ExampleRunFigure() {
 	// Output:
 	// fig7 - 1 panel, 3 series
 }
+
+// ExampleWithReplications quantifies the simulation noise: replication
+// r runs seed Seed + r·1,000,003, the seed rule of the figures, and the
+// summary gives each headline output a 95% confidence half-width.
+func ExampleWithReplications() {
+	p := granulock.DefaultParams()
+	p.Seed = 42
+
+	var rep granulock.Replicated
+	if _, err := granulock.Run(p, granulock.WithReplications(5), granulock.WithReplicatedSummary(&rep)); err != nil {
+		panic(err)
+	}
+	fmt.Printf("replications: %d\n", rep.Throughput.N)
+	fmt.Printf("throughput: %.4f ± %.4f\n", rep.Throughput.Mean, rep.Throughput.CI95)
+	fmt.Printf("response time: %.2f ± %.2f\n", rep.MeanResponse.Mean, rep.MeanResponse.CI95)
+	// Output:
+	// replications: 5
+	// throughput: 0.1886 ± 0.0049
+	// response time: 51.58 ± 1.53
+}
+
+// ExamplePredictOptimalGranularity asks the tuning question twice: of
+// the simulation and of the analytic model, which answers without
+// simulating. Both find an interior optimum, adjacent on the
+// granularity grid.
+func ExamplePredictOptimalGranularity() {
+	p := granulock.DefaultParams()
+	p.Seed = 1
+
+	simulated, _, err := granulock.OptimalGranularity(p)
+	if err != nil {
+		panic(err)
+	}
+	analytic, _, err := granulock.PredictOptimalGranularity(p)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("optimal granularity: simulated %d, analytic %d\n", simulated, analytic)
+	// Output:
+	// optimal granularity: simulated 5, analytic 10
+}

@@ -161,9 +161,8 @@ func TestRunReplicationsOption(t *testing.T) {
 	if len(rep.Runs) != 3 {
 		t.Fatalf("%d runs", len(rep.Runs))
 	}
-	// The field-wise mean and Welford's mean differ only in summation
-	// order, so they agree to round-off.
-	if diff := avg.Throughput - rep.Throughput.Mean; diff > 1e-12 || diff < -1e-12 {
+	// The returned mean and the summary's are one computation.
+	if avg.Throughput != rep.Throughput.Mean {
 		t.Fatalf("averaged throughput %v != summary mean %v", avg.Throughput, rep.Throughput.Mean)
 	}
 	var collector granulock.ResponseCollector
@@ -205,7 +204,7 @@ func TestStatefulSchedulerIsPerRun(t *testing.T) {
 	}
 	for i, m := range rep.Runs {
 		alone := p
-		alone.Seed = p.Seed + uint64(i)
+		alone.Seed = p.Seed + uint64(i)*1_000_003 // the one replication seed rule
 		want, err := granulock.Run(alone)
 		if err != nil {
 			t.Fatal(err)
@@ -213,6 +212,39 @@ func TestStatefulSchedulerIsPerRun(t *testing.T) {
 		if m.Throughput != want.Throughput || m.TotCom != want.TotCom {
 			t.Errorf("replication %d: throughput %v, alone %v", i, m.Throughput, want.Throughput)
 		}
+	}
+}
+
+// TestReplicationsOfAdjacentSeedsAreDisjoint pins the replication
+// seed rule: the replications of base seeds 1 and 2 share no run
+// (under Seed+r, seed 1's replication r+1 was seed 2's replication r),
+// and replication 0 of a run at seed 0 is the single run at seed 0.
+func TestReplicationsOfAdjacentSeedsAreDisjoint(t *testing.T) {
+	p := granulock.DefaultParams()
+	p.TMax = 150
+	runs := make(map[uint64][]granulock.Metrics)
+	for _, seed := range []uint64{0, 1, 2} {
+		p.Seed = seed
+		r, err := replicated(p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[seed] = r.Runs
+	}
+	for i, a := range runs[1] {
+		for j, b := range runs[2] {
+			if a == b {
+				t.Errorf("seed 1 replication %d is seed 2 replication %d", i, j)
+			}
+		}
+	}
+	p.Seed = 0
+	single, err := granulock.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[0][0] != single {
+		t.Errorf("replication 0 at seed 0 %+v, single run at seed 0 %+v", runs[0][0], single)
 	}
 }
 

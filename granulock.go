@@ -84,18 +84,10 @@ type Figure = experiments.Figure
 // cancellation, progress metrics).
 type Options = experiments.Options
 
-// Replicated summarizes repeated runs of one configuration.
-type Replicated struct {
-	// Runs holds the per-replication metrics in seed order.
-	Runs []Metrics
-	// Throughput, MeanResponse, UsefulCPU, UsefulIO and LockOverhead
-	// summarize the headline outputs with 95% confidence half-widths.
-	Throughput   stats.Summary
-	MeanResponse stats.Summary
-	UsefulCPU    stats.Summary
-	UsefulIO     stats.Summary
-	LockOverhead stats.Summary
-}
+// Replicated summarizes the replications of one configuration: the
+// per-replication metrics and 95% confidence intervals of the headline
+// outputs.
+type Replicated = experiments.Replicated
 
 // PointSummary is one point of a granularity tuning curve.
 type PointSummary struct {
@@ -168,8 +160,9 @@ func WithContext(ctx context.Context) RunOption {
 	return func(c *runConfig) { c.ctx = ctx }
 }
 
-// WithReplications averages the run over reps independent seeds (Seed,
-// Seed+1, ...), executed in parallel. The returned Metrics are the
+// WithReplications averages the run over reps independent replications,
+// executed in parallel: replication r runs Seed + r·1,000,003, the seed
+// rule of the figures (Options.Seed). The returned Metrics are the
 // field-wise mean; pair with WithReplicatedSummary for confidence
 // intervals. reps below 1 is an error.
 func WithReplications(reps int) RunOption {
@@ -199,28 +192,23 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 	if c.reps < 1 {
 		return Metrics{}, errors.New("granulock: replications < 1")
 	}
+	var m Metrics
+	var err error
 	if c.reps > 1 || c.repOut != nil {
 		if c.obs != nil {
 			return Metrics{}, errors.New("granulock: WithObserver is incompatible with WithReplications: an observer watches one run")
 		}
-		rep, err := replicate(c.ctx, p, c.reps)
-		if err != nil {
-			return Metrics{}, err
-		}
-		if c.repOut != nil {
+		var rep Replicated
+		if m, rep, err = experiments.Replicate(c.ctx, p, c.reps); err == nil && c.repOut != nil {
 			*c.repOut = rep
 		}
-		avg, _ := experiments.Average(rep.Runs)
+	} else {
+		obsv := c.obs
 		if c.reg != nil {
-			model.RecordMetrics(c.reg, avg)
+			obsv = trace.Tee(c.obs, model.NewMetricsObserver(c.reg))
 		}
-		return avg, nil
+		m, err = model.RunContext(c.ctx, p, obsv)
 	}
-	obsv := c.obs
-	if c.reg != nil {
-		obsv = trace.Tee(c.obs, model.NewMetricsObserver(c.reg))
-	}
-	m, err := model.RunContext(c.ctx, p, obsv)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -228,40 +216,6 @@ func Run(p Params, opts ...RunOption) (Metrics, error) {
 		model.RecordMetrics(c.reg, m)
 	}
 	return m, nil
-}
-
-// replicate runs reps >= 1 independent replications (seeds Seed,
-// Seed+1, ...) in parallel and summarizes them.
-func replicate(ctx context.Context, p Params, reps int) (Replicated, error) {
-	if err := p.Validate(); err != nil {
-		return Replicated{}, err
-	}
-	cells := make([]Params, reps)
-	for i := range cells {
-		cells[i] = p
-		cells[i].Seed = p.Seed + uint64(i)
-	}
-	runs, err := experiments.RunCells(Options{Context: ctx}, cells)
-	if err != nil {
-		return Replicated{}, err
-	}
-
-	var thr, resp, ucpu, uio, lock stats.Welford
-	for _, m := range runs {
-		thr.Add(m.Throughput)
-		resp.Add(m.MeanResponse)
-		ucpu.Add(m.UsefulCPUs)
-		uio.Add(m.UsefulIOs)
-		lock.Add(m.LockCPUs + m.LockIOs)
-	}
-	return Replicated{
-		Runs:         runs,
-		Throughput:   thr.Summarize(),
-		MeanResponse: resp.Summarize(),
-		UsefulCPU:    ucpu.Summarize(),
-		UsefulIO:     uio.Summarize(),
-		LockOverhead: lock.Summarize(),
-	}, nil
 }
 
 // OptimalGranularity sweeps the number of locks and returns the

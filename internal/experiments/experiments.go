@@ -63,7 +63,7 @@ type Options struct {
 	// Seed + r·1,000,003 (replicaSeed), so the replications of two base
 	// seeds less than 1,000,003 apart never share a seed (under Seed+r,
 	// base seed 1's second replication would be base seed 2's first).
-	// The facade's WithReplications uses Seed+i, as its doc says.
+	// The facade's WithReplications runs the same rule (Replicate).
 	Seed uint64
 	// Replications averages each point over this many seeds (min 1).
 	Replications int
@@ -180,8 +180,8 @@ func sweep(o Options, labels []string, xs []float64, mkParams func(series, point
 	for si, label := range labels {
 		pts := make([]Point, len(xs))
 		for pi, x := range xs {
-			avg, ci := Average(grouped[cell{si, pi}])
-			pts[pi] = Point{X: x, M: avg, ThroughputCI: ci}
+			avg, rep := Summarize(grouped[cell{si, pi}])
+			pts[pi] = Point{X: x, M: avg, ThroughputCI: rep.Throughput.CI95}
 		}
 		series[si] = Series{Label: label, Points: pts}
 	}
@@ -253,41 +253,80 @@ func fanOut(o Options, n int, job func(i int) error) error {
 	return nil
 }
 
-// Average reduces replications to field-wise means, plus a 95%
-// throughput confidence half-width (0 for a single run). The facade
-// uses it to collapse a replicated run into one Metrics value.
-func Average(ms []model.Metrics) (model.Metrics, float64) {
-	if len(ms) == 1 {
-		return ms[0], 0
+// Replicated summarizes the replications of one configuration.
+type Replicated struct {
+	// Runs holds the per-replication metrics in replication order.
+	Runs []model.Metrics
+	// Throughput, MeanResponse, UsefulCPU, UsefulIO and LockOverhead
+	// summarize the headline outputs with 95% confidence half-widths.
+	Throughput, MeanResponse, UsefulCPU, UsefulIO, LockOverhead stats.Summary
+}
+
+// Replicate runs reps independent replications of p, replication r at
+// replicaSeed(p.Seed, r), on fanOut and summarizes them. A zero seed
+// is seed 0: p.Seed is not normalized.
+func Replicate(ctx context.Context, p model.Params, reps int) (model.Metrics, Replicated, error) {
+	if err := p.Validate(); err != nil {
+		return model.Metrics{}, Replicated{}, err
 	}
-	var out model.Metrics
-	var thr stats.Welford
-	n := float64(len(ms))
-	for _, m := range ms {
-		out.TotCPUs += m.TotCPUs / n
-		out.TotIOs += m.TotIOs / n
-		out.LockCPUs += m.LockCPUs / n
-		out.LockIOs += m.LockIOs / n
-		out.UsefulCPUs += m.UsefulCPUs / n
-		out.UsefulIOs += m.UsefulIOs / n
-		out.Throughput += m.Throughput / n
-		out.MeanResponse += m.MeanResponse / n
-		out.DenialRate += m.DenialRate / n
-		out.MeanActive += m.MeanActive / n
-		out.TotCom += m.TotCom
-		out.LockRequests += m.LockRequests
-		out.LockDenials += m.LockDenials
-		out.CompletedEntities += m.CompletedEntities
-		out.Events += m.Events
-		thr.Add(m.Throughput)
+	cells := make([]model.Params, reps)
+	for r := range cells {
+		cells[r] = p
+		cells[r].Seed = replicaSeed(p.Seed, r)
 	}
-	out.TotCom = int(float64(out.TotCom)/n + 0.5)
-	out.LockRequests = int(float64(out.LockRequests)/n + 0.5)
-	out.LockDenials = int(float64(out.LockDenials)/n + 0.5)
-	out.CompletedEntities = int(float64(out.CompletedEntities)/n + 0.5)
-	// Events stays a sum, not a mean: it accounts the total simulation
-	// work behind the point, which is what events/sec reporting needs.
-	return out, thr.CI95()
+	runs, err := RunCells(Options{Context: ctx}, cells)
+	if err != nil {
+		return model.Metrics{}, Replicated{}, err
+	}
+	avg, rep := Summarize(runs)
+	return avg, rep, nil
+}
+
+// Summarize is the one summary of replications: their field-wise mean
+// (the Metrics of a sweep Point and of a replicated facade run) and the
+// 95% confidence summaries of the headline outputs around that mean.
+// One replication is its own mean, with every half-width 0.
+func Summarize(ms []model.Metrics) (model.Metrics, Replicated) {
+	out := ms[0]
+	if len(ms) > 1 {
+		n := float64(len(ms))
+		out = model.Metrics{}
+		for _, m := range ms {
+			out.TotCPUs += m.TotCPUs / n
+			out.TotIOs += m.TotIOs / n
+			out.LockCPUs += m.LockCPUs / n
+			out.LockIOs += m.LockIOs / n
+			out.UsefulCPUs += m.UsefulCPUs / n
+			out.UsefulIOs += m.UsefulIOs / n
+			out.Throughput += m.Throughput / n
+			out.MeanResponse += m.MeanResponse / n
+			out.DenialRate += m.DenialRate / n
+			out.MeanActive += m.MeanActive / n
+			out.TotCom += m.TotCom
+			out.LockRequests += m.LockRequests
+			out.LockDenials += m.LockDenials
+			out.CompletedEntities += m.CompletedEntities
+			out.Events += m.Events
+		}
+		out.TotCom = int(float64(out.TotCom)/n + 0.5)
+		out.LockRequests = int(float64(out.LockRequests)/n + 0.5)
+		out.LockDenials = int(float64(out.LockDenials)/n + 0.5)
+		out.CompletedEntities = int(float64(out.CompletedEntities)/n + 0.5)
+		// Events stays a sum, not a mean: it accounts the total
+		// simulation work behind the point, which is what events/sec
+		// reporting needs.
+	}
+	summary := func(metric func(model.Metrics) float64) stats.Summary {
+		var spread stats.Welford
+		for _, m := range ms {
+			spread.Add(metric(m))
+		}
+		return stats.Summary{N: len(ms), Mean: metric(out), CI95: spread.CI95()}
+	}
+	return out, Replicated{Runs: ms,
+		Throughput: summary(Throughput), MeanResponse: summary(MeanResponse),
+		UsefulCPU: summary(UsefulCPU), UsefulIO: summary(UsefulIO),
+		LockOverhead: summary(LockOverhead)}
 }
 
 // SweepMetrics reports sweep progress into a registry, one label set

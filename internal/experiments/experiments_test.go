@@ -114,7 +114,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 			}
 			ms = append(ms, m)
 		}
-		if want, _ := Average(ms); pt.M != want {
+		if want, _ := Summarize(ms); pt.M != want {
 			t.Fatalf("parallel sweep diverged at point %d:\n got %+v\nwant %+v", j, pt.M, want)
 		}
 	}
@@ -149,8 +149,8 @@ func TestSweepPropagatesValidationErrors(t *testing.T) {
 
 func TestAverageSingle(t *testing.T) {
 	m := model.Metrics{Throughput: 0.5, TotCom: 10}
-	avg, ci := Average([]model.Metrics{m})
-	if avg != m || ci != 0 {
+	avg, rep := Summarize([]model.Metrics{m})
+	if avg != m || rep.Throughput.CI95 != 0 {
 		t.Fatal("single-element average not identity")
 	}
 }
@@ -158,11 +158,11 @@ func TestAverageSingle(t *testing.T) {
 func TestAverageMultiple(t *testing.T) {
 	a := model.Metrics{Throughput: 0.4, TotCom: 10, LockIOs: 2}
 	b := model.Metrics{Throughput: 0.6, TotCom: 20, LockIOs: 4}
-	avg, ci := Average([]model.Metrics{a, b})
+	avg, rep := Summarize([]model.Metrics{a, b})
 	if avg.Throughput != 0.5 || avg.TotCom != 15 || avg.LockIOs != 3 {
 		t.Fatalf("average %+v", avg)
 	}
-	if ci <= 0 {
+	if rep.Throughput.CI95 <= 0 {
 		t.Fatal("zero CI for differing replications")
 	}
 }

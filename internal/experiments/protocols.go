@@ -100,8 +100,8 @@ func engineSweep(o Options, xs []float64, mkConfig func(protocol engine.Protocol
 				}
 				ms = append(ms, m)
 			}
-			avg, ci := Average(ms)
-			pts[pi] = Point{X: x, M: avg, ThroughputCI: ci}
+			avg, rep := Summarize(ms)
+			pts[pi] = Point{X: x, M: avg, ThroughputCI: rep.Throughput.CI95}
 		}
 		series[si] = Series{Label: protocol, Points: pts}
 	}

@@ -211,8 +211,8 @@ func WithJitterSeed(seed uint64) ClientOption {
 }
 
 // WithDialer replaces the transport dialer — how the client (re)opens
-// its connection. Fault-injection tests wrap the returned conn (see
-// FaultyDialer).
+// its connection. The package's fault-injection tests wrap the
+// returned conn (FaultyDialer in faults_test.go).
 func WithDialer(dial func(addr string) (net.Conn, error)) ClientOption {
 	return func(c *clientCfg) { c.dial = dial }
 }

@@ -670,7 +670,9 @@ func (cc *ClusterClient) leaseLoop() {
 func (cc *ClusterClient) Redirects() int64 { return cc.redirects.Load() }
 
 // LostLeases returns how many transactions lost their grants in a
-// failover (their re-assert was refused or never landed).
+// failover (their re-assert was refused or never landed). A deliberate
+// test hook: the failover tests assert on it, and no production path
+// reads it.
 func (cc *ClusterClient) LostLeases() int64 { return cc.lost.Load() }
 
 // Close ends every node session; the servers release whatever the

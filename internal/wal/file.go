@@ -365,8 +365,9 @@ func (d *Dir) Close() error { return d.set.Close() }
 
 // SetFailpoint installs a hook consulted between snapshot-install
 // stages ("snapshot-tmp", "snapshot-installed", "truncate-<k>");
-// returning an error aborts the install at that stage. Crash harnesses
-// use it to die mid-checkpoint.
+// returning an error aborts the install at that stage. A deliberate
+// test hook: crash harnesses use it to die mid-checkpoint, and no
+// production path sets it.
 func (d *Dir) SetFailpoint(f func(stage string) error) { d.fail = f }
 
 func (d *Dir) failAt(stage string) error {
